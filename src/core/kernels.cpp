@@ -43,12 +43,11 @@ class RoundRobinKernel final : public AlgorithmKernel {
   explicit RoundRobinKernel(RoundRobinConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> /*rngs*/) override {
-    n_ = static_cast<int>(setup.envs.size());
+    n_ = setup.net->n();
     has_.resize(n_);
     may_.resize(n_);
     message_.resize(static_cast<std::size_t>(n_));
-    for (int v = 0; v < n_; ++v) {
-      const ProcessEnv& env = setup.envs[static_cast<std::size_t>(v)];
+    for (const auto& [v, env] : setup.roles) {
       if (env.is_global_source || env.in_broadcast_set) {
         has_.set(v);
         may_.set(v);
@@ -104,7 +103,7 @@ class DecayLocalKernel final : public AlgorithmKernel {
   explicit DecayLocalKernel(DecayLocalConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
-    const int n = static_cast<int>(setup.envs.size());
+    const int n = setup.net->n();
     word_coins_ = setup.rng_mode == RngMode::word && !setup.block_rngs.empty();
     block_rngs_ = setup.block_rngs;
     b_bits_.resize(n);
@@ -112,14 +111,11 @@ class DecayLocalKernel final : public AlgorithmKernel {
     if (config_.schedule == ScheduleKind::permuted) {
       private_bits_.resize(static_cast<std::size_t>(n));
     }
-    for (int v = 0; v < n; ++v) {
-      const ProcessEnv& env = setup.envs[static_cast<std::size_t>(v)];
-      if (v == 0) {
-        ladder_ = config_.ladder > 0
-                      ? config_.ladder
-                      : clog2(2 * static_cast<std::uint64_t>(
-                                      env.max_degree > 0 ? env.max_degree : 1));
-      }
+    ladder_ = config_.ladder > 0
+                  ? config_.ladder
+                  : clog2(2 * static_cast<std::uint64_t>(
+                                  setup.max_degree > 0 ? setup.max_degree : 1));
+    for (const auto& [v, env] : setup.roles) {
       if (!env.in_broadcast_set) continue;
       b_bits_.set(v);
       ++b_count_;
@@ -281,6 +277,8 @@ struct DecayGlobalState {
     synced_round = round;
   }
 
+  /// Applies a role node's environment (every other node starts as no
+  /// source and no holder, as resize() leaves it).
   void init_node(int v, const ProcessEnv& env, Rng& rng) {
     is_source[static_cast<std::size_t>(v)] = env.is_global_source;
     if (!env.is_global_source) return;
@@ -297,10 +295,10 @@ struct DecayGlobalState {
     message[static_cast<std::size_t>(v)] = std::move(m);
   }
 
-  void resize(int n, const DecayGlobalConfig& cfg, int env_n,
-              const KernelSetup& setup) {
+  void resize(const DecayGlobalConfig& cfg, const KernelSetup& setup) {
+    const int n = setup.net->n();
     config = cfg;
-    ladder = clog2(static_cast<std::uint64_t>(env_n > 1 ? env_n : 2));
+    ladder = clog2(static_cast<std::uint64_t>(setup.n > 1 ? setup.n : 2));
     calls = cfg.calls == 0 ? 2 * ladder : cfg.calls;
     word_coins =
         setup.rng_mode == RngMode::word && !setup.block_rngs.empty();
@@ -354,14 +352,25 @@ struct DecayGlobalState {
       return;
     }
     sync(round);
+    // The fixed schedule puts every holder on one ladder index per round.
+    const bool fixed = config.schedule == ScheduleKind::fixed;
+    const int shared_index = fixed ? fixed_decay_index(round, ladder) : 0;
     for (int b = 0; b < active_bits.blocks(); ++b) {
       const std::uint64_t word = active_bits.word(b);
       if (word == 0) continue;
       const int base = b * 64;
       if (word_coins) {
+        Pow2MaskLadder coins(block_rngs[static_cast<std::size_t>(b)]);
+        if (fixed) {
+          // One mask decides the block, as in the local decay kernel.
+          for_each_bit(word & coins.mask(shared_index), base,
+                       [&](int v, std::uint64_t) {
+                         emit(v, message[static_cast<std::size_t>(v)]);
+                       });
+          continue;
+        }
         // Same lane-gather shape as the decay kernel's divergent path:
         // indices first, one deepening, one word-parallel select.
-        Pow2MaskLadder coins(block_rngs[static_cast<std::size_t>(b)]);
         std::uint8_t lane_index[64] = {};
         int max_index = 0;
         for_each_bit(word, base, [&](int v, std::uint64_t) {
@@ -378,7 +387,7 @@ struct DecayGlobalState {
         continue;
       }
       for_each_bit(word, base, [&](int v, std::uint64_t) {
-        const int index = schedule_index(v, round);
+        const int index = fixed ? shared_index : schedule_index(v, round);
         if (rngs[static_cast<std::size_t>(v)].coin_pow2(index)) {
           emit(v, message[static_cast<std::size_t>(v)]);
         }
@@ -448,12 +457,9 @@ class DecayGlobalKernel final : public AlgorithmKernel {
   explicit DecayGlobalKernel(DecayGlobalConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
-    const int n = static_cast<int>(setup.envs.size());
-    state_.resize(n, config_, setup.envs.empty() ? 2 : setup.envs[0].n,
-                  setup);
-    for (int v = 0; v < n; ++v) {
-      state_.init_node(v, setup.envs[static_cast<std::size_t>(v)],
-                       rngs[static_cast<std::size_t>(v)]);
+    state_.resize(config_, setup);
+    for (const auto& [v, env] : setup.roles) {
+      state_.init_node(v, env, rngs[static_cast<std::size_t>(v)]);
     }
   }
 
@@ -497,14 +503,12 @@ class RobustMixKernel final : public AlgorithmKernel {
   explicit RobustMixKernel(RobustMixConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
-    n_ = static_cast<int>(setup.envs.size());
+    n_ = setup.net->n();
     robin_has_.resize(n_);
     robin_may_.resize(n_);
     robin_message_.resize(static_cast<std::size_t>(n_));
-    decay_.resize(n_, config_.decay, setup.envs.empty() ? 2 : setup.envs[0].n,
-                  setup);
-    for (int v = 0; v < n_; ++v) {
-      const ProcessEnv& env = setup.envs[static_cast<std::size_t>(v)];
+    decay_.resize(config_.decay, setup);
+    for (const auto& [v, env] : setup.roles) {
       Rng& rng = rngs[static_cast<std::size_t>(v)];
       // RobustMixBroadcast::init attaches the shared permutation bits to the
       // source's message *before* either half initializes, drawing them from
@@ -600,7 +604,7 @@ class GossipKernel final : public AlgorithmKernel {
   explicit GossipKernel(GossipConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
-    const int n = static_cast<int>(setup.envs.size());
+    const int n = setup.net->n();
     word_coins_ = setup.rng_mode == RngMode::word && !setup.block_rngs.empty();
     block_rngs_ = setup.block_rngs;
     holder_bits_.resize(n);
@@ -609,29 +613,26 @@ class GossipKernel final : public AlgorithmKernel {
     live_tokens_.assign(static_cast<std::size_t>(n), 0);
     seen_.resize(static_cast<std::size_t>(n));
     next_offer_.assign(static_cast<std::size_t>(n), 0);
-    if (config_.schedule == ScheduleKind::permuted) {
-      private_bits_.resize(static_cast<std::size_t>(n));
-    }
-    for (int v = 0; v < n; ++v) {
-      const ProcessEnv& env = setup.envs[static_cast<std::size_t>(v)];
-      if (v == 0) {
-        ladder_ = config_.ladder > 0
-                      ? config_.ladder
-                      : clog2(static_cast<std::uint64_t>(
-                            env.n > 1 ? env.n : 2));
-        offer_budget_ = config_.quiesce ? (config_.quiesce_calls > 0
-                                               ? config_.quiesce_calls
-                                               : 4 * ladder_)
-                                        : -1;
-      }
+    ladder_ = config_.ladder > 0 ? config_.ladder
+                                 : clog2(static_cast<std::uint64_t>(
+                                       setup.n > 1 ? setup.n : 2));
+    offer_budget_ = config_.quiesce ? (config_.quiesce_calls > 0
+                                           ? config_.quiesce_calls
+                                           : 4 * ladder_)
+                                    : -1;
+    for (const auto& [v, env] : setup.roles) {
       if (env.initial_message.kind == MessageKind::data &&
           env.initial_message.source == v) {
         acquire(v, env.initial_message);
       }
-      if (config_.schedule == ScheduleKind::permuted) {
-        const int width = schedule_chunk_width(ladder_);
-        const int nbits = config_.seed_bits > 0 ? config_.seed_bits
-                                                : 64 * ladder_ * width;
+    }
+    if (config_.schedule == ScheduleKind::permuted) {
+      // Every node draws its private bits, role or not.
+      private_bits_.resize(static_cast<std::size_t>(n));
+      const int width = schedule_chunk_width(ladder_);
+      const int nbits = config_.seed_bits > 0 ? config_.seed_bits
+                                              : 64 * ladder_ * width;
+      for (int v = 0; v < n; ++v) {
         private_bits_[static_cast<std::size_t>(v)] = BitString::random(
             rngs[static_cast<std::size_t>(v)],
             static_cast<std::size_t>(nbits));
@@ -762,15 +763,13 @@ class GeoLocalKernel final : public AlgorithmKernel {
   explicit GeoLocalKernel(GeoLocalConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
-    const int n = static_cast<int>(setup.envs.size());
-    const ProcessEnv& env0 = setup.envs[0];
-    logn_ = clog2(static_cast<std::uint64_t>(env0.n > 1 ? env0.n : 2));
-    ladder_ = config_.ladder > 0
-                  ? config_.ladder
-                  : clog2(2 * static_cast<std::uint64_t>(
-                                  env0.max_degree > 0 ? env0.max_degree : 1));
-    phases_ = clog2(static_cast<std::uint64_t>(
-        env0.max_degree > 1 ? env0.max_degree : 2));
+    const int n = setup.net->n();
+    const int delta = setup.max_degree;
+    logn_ = clog2(static_cast<std::uint64_t>(setup.n > 1 ? setup.n : 2));
+    ladder_ = config_.ladder > 0 ? config_.ladder
+                                 : clog2(2 * static_cast<std::uint64_t>(
+                                                 delta > 0 ? delta : 1));
+    phases_ = clog2(static_cast<std::uint64_t>(delta > 1 ? delta : 2));
     phase_rounds_ =
         config_.phase_rounds > 0
             ? config_.phase_rounds
@@ -795,14 +794,14 @@ class GeoLocalKernel final : public AlgorithmKernel {
     seed_.resize(static_cast<std::size_t>(n));
     seed_origin_.assign(static_cast<std::size_t>(n), -1);
 
+    for (const auto& [v, env] : setup.roles) {
+      if (!env.in_broadcast_set) continue;
+      in_b_[static_cast<std::size_t>(v)] = 1;
+      b_nodes_.push_back(v);
+      message_[static_cast<std::size_t>(v)] = env.initial_message;
+    }
     for (int v = 0; v < n; ++v) {
-      const ProcessEnv& env = setup.envs[static_cast<std::size_t>(v)];
       const std::size_t i = static_cast<std::size_t>(v);
-      in_b_[i] = env.in_broadcast_set;
-      if (env.in_broadcast_set) {
-        b_nodes_.push_back(v);
-        message_[i] = env.initial_message;
-      }
       if (!config_.shared_seeds) {
         // Ablation: private, uncoordinated seeds; no initialization stage.
         commit(v, fresh_seed(rngs[i]), v);

@@ -4,6 +4,19 @@
 
 namespace dualcast {
 
+ProcessEnv node_env(const DualGraph& net, const Problem& problem,
+                    const ExecutionConfig& config, int v) {
+  ProcessEnv env;
+  env.id = v;
+  env.n = net.n();
+  env.max_degree = net.max_degree();
+  env.is_global_source = problem.is_source(v);
+  env.in_broadcast_set = problem.in_broadcast_set(v);
+  env.initial_message = problem.initial_message(v);
+  if (config.env_override) env = config.env_override(std::move(env));
+  return env;
+}
+
 Execution::Execution(const DualGraph& net, ProcessFactory factory,
                      std::shared_ptr<Problem> problem,
                      std::unique_ptr<LinkProcess> link_process,
@@ -32,14 +45,7 @@ Execution::Execution(const DualGraph& net, ProcessFactory factory,
   adversary_rng_ = master.fork("link-process");
 
   for (int v = 0; v < n; ++v) {
-    ProcessEnv env;
-    env.id = v;
-    env.n = n;
-    env.max_degree = net.max_degree();
-    env.is_global_source = problem_->is_source(v);
-    env.in_broadcast_set = problem_->in_broadcast_set(v);
-    env.initial_message = problem_->initial_message(v);
-    if (config_.env_override) env = config_.env_override(env);
+    const ProcessEnv env = node_env(net, *problem_, config_, v);
     auto proc = factory_holder_(env);
     DC_EXPECTS_MSG(proc != nullptr, "process factory returned null");
     proc->init(env, node_rngs_[static_cast<std::size_t>(v)]);
@@ -62,7 +68,6 @@ Execution::Execution(const DualGraph& net, ProcessFactory factory,
   history_.reset(lean_ok ? HistoryPolicy::lean : HistoryPolicy::full);
 
   first_receive_round_.assign(static_cast<std::size_t>(n), -1);
-  actions_.resize(static_cast<std::size_t>(n));
   feedback_.resize(static_cast<std::size_t>(n));
   tx_index_of_.assign(static_cast<std::size_t>(n), -1);
   resolver_.reset(net_, config_.collision_detection);
@@ -82,16 +87,15 @@ void Execution::select_edges_pre_actions() {
                                edges_);
 }
 
-void Execution::select_edges_post_actions(
-    const std::vector<Action>& actions, const std::vector<int>& transmitters) {
+void Execution::select_edges_post_actions() {
   switch (link_process_->adversary_class()) {
     case AdversaryClass::oblivious:
       link_process_->choose_oblivious(round_, adversary_rng_, edges_);
       return;
     case AdversaryClass::offline_adaptive: {
       RoundActions ra;
-      ra.actions = &actions;
-      ra.transmitters = &transmitters;
+      ra.transmitters = &record_.transmitters;
+      ra.sent = &record_.sent;
       link_process_->choose_offline(round_, history_, inspector_, ra,
                                     adversary_rng_, edges_);
       return;
@@ -116,21 +120,20 @@ void Execution::step() {
   RoundRecord& record = record_;
   record.clear();
   for (int v = 0; v < n; ++v) {
-    actions_[static_cast<std::size_t>(v)] =
-        processes_[static_cast<std::size_t>(v)]->on_round(
-            round_, node_rngs_[static_cast<std::size_t>(v)]);
-    if (actions_[static_cast<std::size_t>(v)].transmit) {
+    Action action = processes_[static_cast<std::size_t>(v)]->on_round(
+        round_, node_rngs_[static_cast<std::size_t>(v)]);
+    if (action.transmit) {
       tx_index_of_[static_cast<std::size_t>(v)] =
           static_cast<int>(record.transmitters.size());
       record.transmitters.push_back(v);
-      record.sent.push_back(actions_[static_cast<std::size_t>(v)].message);
+      record.sent.push_back(std::move(action.message));
     } else {
       tx_index_of_[static_cast<std::size_t>(v)] = -1;
     }
   }
 
   // 3. Oblivious / offline adaptive adversaries commit now.
-  if (!online) select_edges_post_actions(actions_, record.transmitters);
+  if (!online) select_edges_post_actions();
 
   // 4. Resolve deliveries under the §2 receive rule.
   record.activated = edges_.kind;

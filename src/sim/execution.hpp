@@ -86,6 +86,11 @@ struct ExecutionConfig {
   }
 };
 
+/// Node v's environment as both engines present it: v's identity and the
+/// network's n and Δ, the problem's roles for v, then config.env_override.
+ProcessEnv node_env(const DualGraph& net, const Problem& problem,
+                    const ExecutionConfig& config, int v);
+
 struct RunResult {
   bool solved = false;
   /// Rounds executed: the 1-based round count at which the problem was
@@ -130,8 +135,7 @@ class Execution {
 
  private:
   void select_edges_pre_actions();
-  void select_edges_post_actions(const std::vector<Action>& actions,
-                                 const std::vector<int>& transmitters);
+  void select_edges_post_actions();
 
   const DualGraph* net_;
   std::shared_ptr<Problem> problem_;
@@ -153,7 +157,6 @@ class Execution {
   // no allocations of its own (the stored RoundRecord under the full history
   // policy, and whatever the adversary allocates inside its choose_* hook,
   // are the only remaining per-round allocations).
-  std::vector<Action> actions_;
   std::vector<RoundFeedback> feedback_;
   RoundRecord record_;
   /// tx_index_of_[v]: v's index into the round's transmitters/sent arrays,

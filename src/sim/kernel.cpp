@@ -18,13 +18,13 @@ class ScalarKernelAdapter final : public AlgorithmKernel {
   }
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
-    const int n = static_cast<int>(setup.envs.size());
+    const int n = setup.net->n();
     processes_.reserve(static_cast<std::size_t>(n));
     for (int v = 0; v < n; ++v) {
-      auto proc = factory_(setup.envs[static_cast<std::size_t>(v)]);
+      const ProcessEnv env = setup.env(v);
+      auto proc = factory_(env);
       DC_EXPECTS_MSG(proc != nullptr, "process factory returned null");
-      proc->init(setup.envs[static_cast<std::size_t>(v)],
-                 rngs[static_cast<std::size_t>(v)]);
+      proc->init(env, rngs[static_cast<std::size_t>(v)]);
       processes_.push_back(std::move(proc));
     }
     feedback_.resize(static_cast<std::size_t>(n));

@@ -30,6 +30,7 @@
 // Process vector so history-era consumers (problems that inspect
 // processes, the StateInspector) keep working.
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -40,9 +41,24 @@
 
 namespace dualcast {
 
-/// Everything a kernel sees at construction time: the network, each node's
-/// resolved environment (env_override already applied), and the RNG stream
-/// discipline for per-round coins.
+/// A node whose environment is not the default one (see KernelSetup).
+struct NodeEnv {
+  int node = -1;
+  ProcessEnv env;
+};
+
+/// Everything a kernel sees at construction time: the network, what the
+/// processes know of it, the nodes that start with a role, and the RNG
+/// stream discipline for per-round coins.
+///
+/// Environments are role-sparse. Node v's environment is the default — id
+/// v, `n`, `max_degree`, no source or broadcast-set role, initial_message
+/// == Message{} — unless v is listed in `roles`, which carries the full
+/// environment (env_override already applied) of every node that is a
+/// source, a member of the broadcast set B, or starts with a message.
+/// `env(v)` builds any node's exact environment on demand (an override may
+/// also rewrite ids and sizes); the scalar adapter builds each Process from
+/// it. `roles` and `env` are valid only during init().
 ///
 /// `rng_mode == word` offers kernels one extra stream per 64-node block
 /// (`block_rngs[v / 64]`): a kernel that supports the mode draws its
@@ -55,7 +71,12 @@ namespace dualcast {
 /// the header comment applies in full.
 struct KernelSetup {
   const DualGraph* net = nullptr;
-  std::span<const ProcessEnv> envs;
+  /// ProcessEnv::n and ::max_degree as node 0's environment states them:
+  /// the network's size and Δ unless an env_override rewrites them.
+  int n = 0;
+  int max_degree = 0;
+  std::span<const NodeEnv> roles;  ///< ascending node order
+  std::function<ProcessEnv(int)> env;
   RngMode rng_mode = RngMode::per_node;
   std::span<Rng> block_rngs;  ///< one per 64-node block; word mode only
 };
@@ -107,6 +128,12 @@ class AlgorithmKernel {
                                  std::span<Rng> rngs) = 0;
 
   /// Mirror of Process::has_message for node v.
+  ///
+  /// Completion contract: has_message(v) never turns false, and turns true
+  /// only in init() or in the on_feedback_batch() of a round in which v is
+  /// a delivery receiver. The engine relies on it to keep the number of
+  /// holders current by re-querying only each round's receivers. All
+  /// built-in kernels meet it.
   virtual bool has_message(int v) const = 0;
 
   /// Mirror of InspectableProcess::transmit_probability for node v: the

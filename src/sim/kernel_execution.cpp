@@ -9,18 +9,26 @@ const std::vector<std::unique_ptr<Process>>& empty_processes() {
   static const std::vector<std::unique_ptr<Process>> empty;
   return empty;
 }
+
+/// True when `env` is not a default environment (see KernelSetup).
+bool has_role(const ProcessEnv& env) {
+  return env.is_global_source || env.in_broadcast_set ||
+         !(env.initial_message == Message{});
+}
 }  // namespace
 
 /// NodeStateView over the kernel, for batch-compatible problems.
 class KernelExecution::KernelStateView final : public NodeStateView {
  public:
-  KernelStateView(const AlgorithmKernel* kernel, int n)
-      : kernel_(kernel), n_(n) {}
+  KernelStateView(const KernelExecution* exec, int n) : exec_(exec), n_(n) {}
   int n() const override { return n_; }
-  bool has_message(int v) const override { return kernel_->has_message(v); }
+  bool has_message(int v) const override {
+    return exec_->kernel_->has_message(v);
+  }
+  int message_holders() const override { return exec_->holders_; }
 
  private:
-  const AlgorithmKernel* kernel_;
+  const KernelExecution* exec_;
   int n_;
 };
 
@@ -69,26 +77,45 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
     }
   }
 
-  std::vector<ProcessEnv> envs(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    ProcessEnv env;
-    env.id = v;
-    env.n = n;
-    env.max_degree = net.max_degree();
-    env.is_global_source = problem_->is_source(v);
-    env.in_broadcast_set = problem_->in_broadcast_set(v);
-    env.initial_message = problem_->initial_message(v);
-    if (config_.env_override) env = config_.env_override(env);
-    envs[static_cast<std::size_t>(v)] = std::move(env);
-  }
+  // Role-sparse environments: only nodes with a role are materialized;
+  // kernels that want any other node's env build it through setup.env.
+  // Without an override, three problem queries tell that a node has no
+  // role without building its env.
   KernelSetup setup;
+  setup.n = n;
+  setup.max_degree = net.max_degree();
+  std::vector<NodeEnv> roles;
+  for (int v = 0; v < n; ++v) {
+    if (!config_.env_override && !problem_->is_source(v) &&
+        !problem_->in_broadcast_set(v) &&
+        problem_->initial_message(v) == Message{}) {
+      continue;
+    }
+    ProcessEnv env = node_env(net, *problem_, config_, v);
+    if (v == 0) {
+      setup.n = env.n;
+      setup.max_degree = env.max_degree;
+    }
+    if (has_role(env)) roles.push_back(NodeEnv{v, std::move(env)});
+  }
   setup.net = net_;
-  setup.envs = envs;
+  setup.roles = roles;
+  setup.env = [this](int v) {
+    return node_env(*net_, *problem_, config_, v);
+  };
   setup.rng_mode = config_.rng_mode;
   setup.block_rngs = block_rngs_;
   kernel_->init(setup, node_rngs_);
 
-  state_view_ = std::make_unique<KernelStateView>(kernel_.get(), n);
+  holder_bits_.resize(n);
+  for (int v = 0; v < n; ++v) {
+    if (kernel_->has_message(v)) {
+      holder_bits_.set(v);
+      ++holders_;
+    }
+  }
+
+  state_view_ = std::make_unique<KernelStateView>(this, n);
   inspector_ = kernel_->processes() != nullptr
                    ? StateInspector(kernel_->processes())
                    : StateInspector(kernel_.get(), n);
@@ -107,9 +134,6 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
                        !problem_->needs_history();
   history_.reset(lean_ok ? HistoryPolicy::lean : HistoryPolicy::full);
 
-  offline_actions_ =
-      link_process_->adversary_class() == AdversaryClass::offline_adaptive;
-  if (offline_actions_) actions_.resize(static_cast<std::size_t>(n));
   first_receive_round_.assign(static_cast<std::size_t>(n), -1);
   tx_index_of_.assign(static_cast<std::size_t>(n), -1);
   resolver_.reset(net_, config_.collision_detection);
@@ -132,8 +156,8 @@ void KernelExecution::select_edges_post_actions() {
       return;
     case AdversaryClass::offline_adaptive: {
       RoundActions ra;
-      ra.actions = &actions_;
       ra.transmitters = &record_.transmitters;
+      ra.sent = &record_.sent;
       link_process_->choose_offline(round_, history_, inspector_, ra,
                                     adversary_rng_, edges_);
       return;
@@ -160,12 +184,6 @@ void KernelExecution::step() {
   record.clear();
   TxBatch batch(record, tx_index_of_);
   kernel_->on_round_batch(round_, batch, node_rngs_);
-  if (offline_actions_) {
-    for (std::size_t i = 0; i < record.transmitters.size(); ++i) {
-      actions_[static_cast<std::size_t>(record.transmitters[i])] =
-          Action{true, record.sent[i]};
-    }
-  }
 
   // 3. Oblivious / offline adaptive adversaries commit now.
   if (!online) select_edges_post_actions();
@@ -181,11 +199,6 @@ void KernelExecution::step() {
   }
 
   // 5. Feedback, bookkeeping, monitoring.
-  for (const Delivery& d : record.deliveries) {
-    if (first_receive_round_[static_cast<std::size_t>(d.receiver)] == -1) {
-      first_receive_round_[static_cast<std::size_t>(d.receiver)] = round_;
-    }
-  }
   FeedbackView fb;
   fb.round = round_;
   fb.deliveries = record.deliveries;
@@ -193,6 +206,18 @@ void KernelExecution::step() {
   fb.colliders = resolver_.colliders();
   fb.tx_index_of = tx_index_of_;
   kernel_->on_feedback_batch(fb, node_rngs_);
+  // Only this round's receivers can have become holders (the kernel's
+  // completion contract), so only the ones not yet counted are asked.
+  for (const Delivery& d : record.deliveries) {
+    const int u = d.receiver;
+    if (first_receive_round_[static_cast<std::size_t>(u)] == -1) {
+      first_receive_round_[static_cast<std::size_t>(u)] = round_;
+    }
+    if (!holder_bits_.test(u) && kernel_->has_message(u)) {
+      holder_bits_.set(u);
+      ++holders_;
+    }
+  }
 
   const auto* procs = kernel_->processes();
   problem_->observe_round(record,
@@ -201,7 +226,6 @@ void KernelExecution::step() {
   // only transmitter entries ever leave their default state.
   for (const int v : record.transmitters) {
     tx_index_of_[static_cast<std::size_t>(v)] = -1;
-    if (offline_actions_) actions_[static_cast<std::size_t>(v)] = Action{};
   }
   history_.push_reuse(record);
   ++round_;

@@ -5,16 +5,22 @@
 // same order) driven through an AlgorithmKernel instead of n Process
 // objects.
 //
-// Differences from the scalar engine are strictly mechanical:
+// Differences from the scalar engine are strictly mechanical, and keep a
+// round's cost in proportion to what the round does:
 //
 //   * actions are drawn by one on_round_batch call that appends
-//     transmitters straight into the reusable round record (no per-node
-//     virtual dispatch, no Action array in the common case);
-//   * the per-node Action array is materialized only for offline adaptive
-//     adversaries — the one consumer entitled to it — and only its
-//     transmitter entries are rewritten each round;
+//     transmitters straight into the reusable round record; there is no
+//     per-node Action array (offline adaptive adversaries read the record's
+//     transmitters and messages);
 //   * feedback is one on_feedback_batch call over the round's deliveries
 //     (O(deliveries), not O(n));
+//   * the engine counts the nodes holding a message: one has_message scan
+//     at construction, then only the round's not-yet-counted receivers are
+//     re-queried (the kernel's completion contract, kernel.hpp), so global
+//     broadcast's solved check is O(1) per round;
+//   * set-up is role-sparse: no per-node ProcessEnv array is built; the
+//     kernel receives the environments of the nodes with a role and builds
+//     any other on demand (KernelSetup);
 //   * problems run through solved_batch()/NodeStateView unless the kernel
 //     is the scalar adapter, in which case the real Process vector is used.
 //
@@ -36,6 +42,7 @@
 #include "sim/link_process.hpp"
 #include "sim/problem.hpp"
 #include "sim/process.hpp"
+#include "util/bitset64.hpp"
 
 namespace dualcast {
 
@@ -72,6 +79,10 @@ class KernelExecution {
     return first_receive_round_;
   }
 
+  /// The number of nodes whose kernel has_message is true, kept
+  /// incrementally (see the kernel's completion contract).
+  int message_holders() const { return holders_; }
+
   /// Test/diagnostic hook: the engine's delivery resolver (force_path /
   /// last_path). Forcing a strategy changes performance only, never the
   /// delivery sets.
@@ -99,12 +110,12 @@ class KernelExecution {
 
   int round_ = 0;
   bool solved_ = false;
-  bool offline_actions_ = false;  ///< maintain actions_ for choose_offline
   std::vector<int> first_receive_round_;
+  int holders_ = 0;
+  Bitset64 holder_bits_;  ///< nodes counted in holders_
 
   // Reusable per-round scratch (same zero-allocation contract as the
   // scalar engine).
-  std::vector<Action> actions_;  ///< offline adaptive adversaries only
   RoundRecord record_;
   std::vector<int> tx_index_of_;
   /// Adversary choice scratch; its mask buffer rotates through

@@ -11,7 +11,9 @@
 //   online adaptive  — additionally the execution history through r-1 and the
 //                      node states at the start of r (via StateInspector),
 //                      but NOT the round-r coins;
-//   offline adaptive — additionally the actual round-r actions.
+//   offline adaptive — additionally the actual round-r actions, as the
+//                      round's transmitters and their messages (RoundActions;
+//                      no per-node Action array: every other node listens).
 //
 // This hierarchy is enforced *by construction*: the engine invokes exactly
 // one of the class-specific hooks below, passing only the arguments that
@@ -49,10 +51,12 @@ struct ExecutionSetup {
   int max_rounds = 0;
 };
 
-/// The actions the nodes chose in the current round (offline adaptive only).
+/// The actions the nodes chose in the current round (offline adaptive only),
+/// in the round record's sparse form: the transmitting node ids, ascending,
+/// and the message each sent, index for index. Every other node listens.
 struct RoundActions {
-  const std::vector<Action>* actions = nullptr;   ///< indexed by node id
-  const std::vector<int>* transmitters = nullptr; ///< ids with transmit==true
+  const std::vector<int>* transmitters = nullptr;
+  const std::vector<Message>* sent = nullptr;  ///< parallel to transmitters
 };
 
 class LinkProcess {

@@ -8,6 +8,12 @@
 
 namespace dualcast {
 
+int NodeStateView::message_holders() const {
+  int holders = 0;
+  for (int v = 0; v < n(); ++v) holders += has_message(v) ? 1 : 0;
+  return holders;
+}
+
 Message Problem::initial_message(int /*v*/) const { return {}; }
 
 void Problem::observe_round(
@@ -52,10 +58,7 @@ bool GlobalBroadcastProblem::solved(
 }
 
 bool GlobalBroadcastProblem::solved_batch(const NodeStateView& nodes) const {
-  for (int v = 0; v < nodes.n(); ++v) {
-    if (!nodes.has_message(v)) return false;
-  }
-  return true;
+  return nodes.message_holders() == nodes.n();
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ class NodeStateView {
   virtual ~NodeStateView() = default;
   virtual int n() const = 0;
   virtual bool has_message(int v) const = 0;
+  /// The number of nodes v with has_message(v). The default scans all n;
+  /// the batch engine answers in O(1) from its incremental count.
+  virtual int message_holders() const;
 };
 
 class Problem {

@@ -1,13 +1,17 @@
 // The large-n acceptance surface of the implicit layers: dual_clique(65536)
 // — whose explicit CSR layers would need ~32 GiB — must construct in O(n)
 // memory, report the right structure, and carry a global-broadcast
-// execution start-to-solve on the structured resolver path.
+// execution start-to-solve on the structured resolver path. Golden digests
+// pin the benchmark's large-n sample paths in both RNG modes.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "scenario/registries.hpp"
+#include "scenario/spec.hpp"
 #include "sim/kernel_execution.hpp"
 
 namespace dualcast {
@@ -73,6 +77,93 @@ TEST(ScaleImplicit, DualClique65536RunsStartToSolve) {
   const RunResult result = exec.run();
   EXPECT_TRUE(result.solved) << "censored at " << result.rounds;
   EXPECT_EQ(exec.resolver().last_path(), DeliveryResolver::Path::structured);
+}
+
+/// One n = 65536 trial's sample path: the rounds run, the transmission and
+/// delivery totals, and an FNV-1a digest of every node's first-receive
+/// round. (Under the attacks every node's first receipt is seed-independent,
+/// so the totals are what tell two sample paths apart there.)
+struct SamplePath {
+  int rounds = 0;
+  std::int64_t transmissions = 0;
+  std::int64_t deliveries = 0;
+  std::uint64_t digest = 0;
+  friend bool operator==(const SamplePath&, const SamplePath&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SamplePath& p) {
+  return os << "{" << p.rounds << ", " << p.transmissions << ", "
+            << p.deliveries << ", 0x" << std::hex << p.digest << std::dec
+            << "}";
+}
+
+SamplePath run_large_clique(const Topology& topo, const std::string& problem,
+                            const std::string& adversary, RngMode rng_mode,
+                            int max_rounds, std::uint64_t seed) {
+  const std::string algo = "decay_global(fixed,persistent)";
+  const ProcessFactory factory = scenario::algorithms().build(algo);
+  std::shared_ptr<Problem> p = scenario::problems().build(problem, topo)();
+  std::unique_ptr<AlgorithmKernel> k = scenario::select_kernel(
+      scenario::build_kernel_or_null(algo), *p, factory);
+  KernelExecution exec(topo.net(), factory, std::move(k), std::move(p),
+                       scenario::adversaries().build(adversary, topo)(),
+                       ExecutionConfig{}
+                           .with_seed(seed)
+                           .with_max_rounds(max_rounds)
+                           .with_history_policy(HistoryPolicy::lean)
+                           .with_rng_mode(rng_mode));
+  SamplePath out;
+  out.rounds = exec.run().rounds;
+  out.transmissions = exec.history().total_transmissions();
+  out.deliveries = exec.history().total_deliveries();
+  out.digest = scenario::kFnvOffsetBasis;
+  for (const int r : exec.first_receive_round()) {
+    out.digest =
+        (out.digest ^ static_cast<std::uint32_t>(r)) * 0x100000001b3ULL;
+  }
+  return out;
+}
+
+TEST(ScaleImplicit, GoldenSamplePathsAt65536) {
+  // The large-n cells of the benchmark, two seeds each: a global broadcast
+  // to solve, and the dense/sparse (per-node and word RNG) and collider
+  // attacks capped at 128 rounds. Any engine or kernel change that moves
+  // these sample paths must update the pins in a reviewed diff.
+  const Topology topo = scenario::topologies().build("dual_clique(65536)", 3);
+  struct Cell {
+    const char* problem;
+    const char* adversary;
+    RngMode rng_mode;
+    int max_rounds;
+    std::uint64_t seed;
+    SamplePath expected;
+  };
+  const Cell cells[] = {
+      {"global(1)", "none", RngMode::per_node, 4096, 1,
+       {145, 179970, 262143, 0xb4229401fffa9769}},
+      {"global(1)", "none", RngMode::per_node, 4096, 2,
+       {145, 180198, 229373, 0xaf05ebd2d0ec976b}},
+      {"assignment(0)", "dense_sparse(0.5)", RngMode::per_node, 128, 1,
+       {128, 130755, 196602, 0x9f25f2e3e5fda36b}},
+      {"assignment(0)", "dense_sparse(0.5)", RngMode::per_node, 128, 2,
+       {128, 130914, 163835, 0x9f25f2e3e5fda36b}},
+      {"assignment(0)", "dense_sparse(0.5)", RngMode::word, 128, 1,
+       {128, 131130, 196602, 0x776d91c4d2f1a368}},
+      {"assignment(0)", "dense_sparse(0.5)", RngMode::word, 128, 2,
+       {128, 130599, 229369, 0x776d91c4d2f1a368}},
+      {"assignment(0)", "collider", RngMode::per_node, 128, 1,
+       {128, 130755, 196602, 0x9f25f2e3e5fda36b}},
+      {"assignment(0)", "collider", RngMode::per_node, 128, 2,
+       {128, 130914, 163835, 0x9f25f2e3e5fda36b}},
+  };
+  for (const Cell& c : cells) {
+    SCOPED_TRACE(std::string(c.problem) + " | " + c.adversary + " | " +
+                 (c.rng_mode == RngMode::word ? "word" : "per-node") +
+                 " | seed " + std::to_string(c.seed));
+    EXPECT_EQ(run_large_clique(topo, c.problem, c.adversary, c.rng_mode,
+                               c.max_rounds, c.seed),
+              c.expected);
+  }
 }
 
 }  // namespace

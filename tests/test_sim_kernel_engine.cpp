@@ -3,14 +3,18 @@
 // messages, deliveries, solve round — across topologies, adversary classes
 // (including adaptive ones, which also exercises the kernel-backed
 // StateInspector), and problems. Plus the scalar-adapter path for custom
-// algorithms and the batch-compatibility contract for problems.
+// algorithms, the batch-compatibility contract for problems, the engine's
+// incremental holder count against a full scan, and env_override on both
+// kernel paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "adversary/static_adversaries.hpp"
 #include "scenario/registries.hpp"
 #include "sim/execution.hpp"
 #include "sim/kernel_execution.hpp"
@@ -239,6 +243,127 @@ TEST(KernelEngineContract, NonBatchProblemRequiresAdapter) {
                        ExecutionConfig{}.with_seed(1).with_max_rounds(4));
   exec.run();
   EXPECT_TRUE(exec.solved());
+}
+
+/// The scan-based rule the engine's holder count must agree with: the
+/// NodeStateView default message_holders() asks every node.
+class ScanView final : public NodeStateView {
+ public:
+  explicit ScanView(const KernelExecution& exec) : exec_(&exec) {}
+  int n() const override { return exec_->net().n(); }
+  bool has_message(int v) const override {
+    return exec_->kernel().has_message(v);
+  }
+
+ private:
+  const KernelExecution* exec_;
+};
+
+TEST(KernelEngineCompletion, HolderCountMatchesScanEveryRound) {
+  // Every registered kernel with a problem it can solve, on a dual clique
+  // and a jittered grid, under one adversary per class (oblivious, online
+  // adaptive, offline adaptive).
+  const std::map<std::string, std::string> problem_of = {
+      {"decay_global", "global(1)"},     {"robust_mix", "global(1)"},
+      {"round_robin", "global(1)"},      {"gossip", "gossip(3)"},
+      {"decay_local", "local(every(3))"}, {"geo_local", "local(every(3))"},
+  };
+  for (const auto* entry : scenario::kernels().entries()) {
+    const auto problem = problem_of.find(entry->name);
+    ASSERT_NE(problem, problem_of.end())
+        << "no problem chosen for kernel " << entry->name;
+    for (const char* topology :
+         {"dual_clique(32)", "jgrid(6,6,0.5,0.05,2.0)"}) {
+      const Topology topo = scenario::topologies().build(topology, 5);
+      for (const char* adversary : {"iid(0.3)", "dense_sparse", "collider"}) {
+        SCOPED_TRACE(entry->name + " | " + topology + " | " + adversary);
+        KernelExecution exec(
+            topo.net(), scenario::algorithms().build(entry->name),
+            scenario::build_kernel_or_null(entry->name)(),
+            scenario::problems().build(problem->second, topo)(),
+            scenario::adversaries().build(adversary, topo)(),
+            ExecutionConfig{}.with_seed(9).with_max_rounds(400));
+        const ScanView scan(exec);
+        while (true) {
+          ASSERT_EQ(exec.message_holders(), scan.message_holders())
+              << "round " << exec.round();
+          ASSERT_EQ(exec.solved(), exec.problem().solved_batch(scan))
+              << "round " << exec.round();
+          if (exec.done()) break;
+          exec.step();
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEngineEnvOverride, RewritesIdentityThroughAdapter) {
+  // Engine.EnvOverrideRewritesIdentity, through the batch engine's scalar
+  // adapter: every process is built from the overridden environment.
+  const Topology topo = scenario::topologies().build("line(2)", 5);
+  std::vector<ProcessEnv> seen;
+  const ProcessFactory factory = [&seen](const ProcessEnv& env) {
+    seen.push_back(env);
+    return std::make_unique<testing::ScriptedProcess>(std::vector<char>{});
+  };
+  KernelExecution exec(
+      topo.net(), factory, make_scalar_kernel_adapter(factory),
+      std::make_shared<AssignmentProblem>(2, -1, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(),
+      ExecutionConfig{}.with_seed(1).with_max_rounds(10).with_env_override(
+          [](ProcessEnv env) {
+            env.id += 100;
+            env.n = 1000;
+            return env;
+          }));
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].id, 100);
+  EXPECT_EQ(seen[1].id, 101);
+  EXPECT_EQ(seen[0].n, 1000);
+}
+
+TEST(KernelEngineEnvOverride, MovedSourceRoleTransmitsFirst) {
+  // The problem makes node 1 the source; the override hands the role (and
+  // the message) to node 5. Global decay's round 0 is the source's
+  // transmission, so round 0's only transmitter must be node 5 — through
+  // the scalar adapter, through the native kernel, and on the scalar
+  // engine alike.
+  const Topology topo = scenario::topologies().build("dual_clique(8)", 5);
+  const std::string algo = "decay_global(fixed,persistent)";
+  const ProcessFactory factory = scenario::algorithms().build(algo);
+  Message moved;
+  moved.source = 5;
+  moved.payload = 0x5;
+  const ExecutionConfig config =
+      ExecutionConfig{}
+          .with_seed(4)
+          .with_max_rounds(3)
+          .with_history_policy(HistoryPolicy::full)
+          .with_env_override([moved](ProcessEnv env) {
+            env.is_global_source = env.id == 5;
+            env.initial_message = env.id == 5 ? moved : Message{};
+            return env;
+          });
+  const auto problem = [&] {
+    return std::make_shared<GlobalBroadcastProblem>(topo.net(), 1);
+  };
+  const auto expect_round0 = [&](const RoundRecord& round0) {
+    ASSERT_EQ(round0.transmitters, std::vector<int>{5});
+    EXPECT_TRUE(round0.sent[0] == moved);
+  };
+  for (const bool adapter : {true, false}) {
+    SCOPED_TRACE(adapter ? "scalar adapter" : "native kernel");
+    KernelExecution exec(topo.net(), factory,
+                         adapter ? make_scalar_kernel_adapter(factory)
+                                 : scenario::build_kernel_or_null(algo)(),
+                         problem(), std::make_unique<NoExtraEdges>(), config);
+    exec.step();
+    expect_round0(exec.history().round(0));
+  }
+  Execution scalar(topo.net(), factory, problem(),
+                   std::make_unique<NoExtraEdges>(), config);
+  scalar.step();
+  expect_round0(scalar.history().round(0));
 }
 
 }  // namespace
