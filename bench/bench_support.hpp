@@ -1,9 +1,10 @@
 #pragma once
 
 // Minimal shared helpers for the few benches that are not plain scenario
-// drivers (the hitting game plays an abstract game, not an Execution).
-// Everything measurement-shaped lives in src/analysis (run_censored_trials)
-// and src/scenario (ScenarioRunner); this header only keeps the banner.
+// drivers (the hitting game plays an abstract game, not a KernelExecution).
+// Everything measurement-shaped lives in src/analysis (run_raw_trials,
+// censor_trials) and src/scenario (run_scenario); this header only keeps
+// the banner.
 
 #include <iostream>
 #include <string>

@@ -1,6 +1,7 @@
 // Engine micro-throughput: rounds/second across network shapes, adversary
-// classes, and both execution engines (scalar vs batch kernel), every piece
-// built from the scenario registries. Not a paper experiment — this keeps
+// classes, and both kernel paths of the one engine — the scalar adapter
+// (rows labeled "scalar", what --engine scalar forces) vs the native batch
+// kernels — every piece built from the scenario registries. Not a paper experiment — this keeps
 // the harness honest about the cost of the attack sweeps, and its JSON
 // artifact is the machine-readable perf trajectory CI diffs per commit
 // (bench/compare_bench.py).
@@ -16,7 +17,7 @@
 //
 // The scale/ cases mirror the catalog's scale/ scenario tier (blocked
 // bitmaps + word-parallel RNG at n >= 4096; implicit dual cliques through
-// n = 65536). They are measured on the batch engine only, as
+// n = 65536). They are measured on native kernels only, as
 // {kernel, kernel-word} — the kernel-word / kernel ratio is the word-RNG
 // speedup the README quotes. The default run includes the n = 4096 sizes
 // and every implicit-representation dual clique (cheap at any n) so CI's
@@ -35,7 +36,6 @@
 
 #include "scenario/registries.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/execution.hpp"
 #include "sim/kernel_execution.hpp"
 #include "util/strfmt.hpp"
 
@@ -53,7 +53,7 @@ struct BenchCase {
   std::string problem;
   int max_rounds = 256;
   std::uint64_t seed = 7;
-  /// scale/ tier: batch-engine only ({kernel, kernel-word} rows); the
+  /// scale/ tier: native kernels only ({kernel, kernel-word} rows); the
   /// heaviest sizes additionally hide behind --scale.
   bool scale_tier = false;
   bool heavy = false;
@@ -116,8 +116,8 @@ std::vector<BenchCase> bench_cases(bool include_heavy) {
   return cases;
 }
 
-/// An engine variant measured for one case: the execution path plus the
-/// kernel-path RNG discipline.
+/// An engine variant measured for one case: the kernel path (`scalar`
+/// forces the adapter) plus the RNG discipline.
 struct EngineVariant {
   EnginePath path = EnginePath::kernel;
   RngMode rng = RngMode::per_node;
@@ -161,19 +161,14 @@ Measurement run_case(const BenchCase& bench, const Topology& topo,
   const auto start = Clock::now();
   double elapsed = 0.0;
   while (elapsed < min_seconds) {
-    if (engine.path == EnginePath::scalar) {
-      Execution exec(topo.net(), factory, problem(), adversary(), config());
-      exec.run();
-      m.rounds += exec.round();
-    } else {
-      std::shared_ptr<Problem> prob = problem();
-      std::unique_ptr<AlgorithmKernel> k =
-          scenario::select_kernel(kernel, *prob, factory);
-      KernelExecution exec(topo.net(), factory, std::move(k),
-                           std::move(prob), adversary(), config());
-      exec.run();
-      m.rounds += exec.round();
-    }
+    std::shared_ptr<Problem> prob = problem();
+    std::unique_ptr<AlgorithmKernel> k = scenario::select_kernel(
+        engine.path == EnginePath::scalar ? KernelFactory{} : kernel, *prob,
+        factory);
+    KernelExecution exec(topo.net(), factory, std::move(k), std::move(prob),
+                         adversary(), config());
+    exec.run();
+    m.rounds += exec.round();
     ++m.reps;
     elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   }

@@ -25,7 +25,7 @@
 #include "analysis/table.hpp"
 #include "core/decay_schedule.hpp"
 #include "scenario/registries.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "util/mathutil.hpp"
 
 namespace {
@@ -114,10 +114,10 @@ int main() {
   Table table({"link weather", "agreed", "convergence round",
                "distinct beliefs at end"});
   for (const char* weather : conditions) {
-    Execution exec(geo.net(), sc::algorithms().build("min_id_election"),
-                   sc::problems().build("assignment", geo)(),
-                   sc::adversaries().build(weather, geo)(),
-                   ExecutionConfig{}.with_seed(5).with_max_rounds(4000));
+    KernelExecution exec(geo.net(), sc::algorithms().build("min_id_election"),
+                         sc::problems().build("assignment", geo)(),
+                         sc::adversaries().build(weather, geo)(),
+                         ExecutionConfig{}.with_seed(5).with_max_rounds(4000));
 
     int last_change_round = 0;
     while (!exec.done()) {

@@ -6,17 +6,17 @@
 //
 // Every dualcast experiment combines four objects — a DualGraph (reliable
 // layer G plus unreliable layer G'), a Problem, a LinkProcess (the
-// adversary), and an Execution. The scenario registries make each of them a
-// *string*: this walkthrough builds the pieces by name, wires them manually
-// once, and then shows the same experiment as a one-call registered
-// scenario. (See examples/leader_election.cpp for registering your own
-// algorithm.)
+// adversary), and the engine, a KernelExecution. The scenario registries
+// make the first three, and the algorithm, a *string*: this walkthrough
+// builds the pieces by name, wires them manually once, and then shows the
+// same experiment as a one-call registered scenario. (See
+// examples/leader_election.cpp for registering your own algorithm.)
 
 #include <algorithm>
 #include <iostream>
 
 #include "scenario/scenario.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 
 int main() {
   using namespace dualcast;
@@ -48,8 +48,8 @@ int main() {
   //    message, so no pre-committed adversary can predict the schedule.
   const ProcessFactory algorithm =
       sc::algorithms().build("decay_global(permuted)");
-  Execution exec(topo.net(), algorithm, problem(), adversary(),
-                 ExecutionConfig{}.with_seed(7).with_max_rounds(100000));
+  KernelExecution exec(topo.net(), algorithm, problem(), adversary(),
+                       ExecutionConfig{}.with_seed(7).with_max_rounds(100000));
   const RunResult result = exec.run();
 
   std::cout << "solved: " << (result.solved ? "yes" : "no") << " in "

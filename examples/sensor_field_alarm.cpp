@@ -12,7 +12,7 @@
 #include "graph/regions.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 
 int main(int argc, char** argv) {
   using namespace dualcast;
@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
             << RegionDecomposition::gamma_bound(field.geo->r) << ")\n";
 
   // Probe one process for the stage layout (identical across nodes).
-  Execution probe(field.net(), sc::algorithms().build("geo_local"),
-                  sc::problems().build("local(every(4))", field)(),
-                  sc::adversaries().build("none", field)(),
-                  ExecutionConfig{}.with_seed(1).with_max_rounds(10));
+  KernelExecution probe(field.net(), sc::algorithms().build("geo_local"),
+                        sc::problems().build("local(every(4))", field)(),
+                        sc::adversaries().build("none", field)(),
+                        ExecutionConfig{}.with_seed(1).with_max_rounds(10));
   const auto* proc = dynamic_cast<const GeoLocalBroadcast*>(&probe.process(0));
   std::cout << "schedule: " << proc->phases() << " election phases x "
             << proc->phase_length() << " rounds, then " << proc->iterations()

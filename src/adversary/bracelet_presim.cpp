@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "adversary/static_adversaries.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "sim/problem.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
@@ -27,14 +27,18 @@ void BraceletPresimOblivious::on_execution_start(const ExecutionSetup& setup,
   // Isolated per-band simulation (the Lemma 4.4 construction): run each band
   // as a standalone reliable line with the processes' *original* identities,
   // using fresh coins from the adversary's private stream — one evaluation of
-  // each isolated broadcast function on a random support sequence.
-  const Graph band_line = line_graph(k);
+  // each isolated broadcast function on a random support sequence. Every
+  // band runs on the same line network and role-free problem; only the
+  // identity map differs. The prediction reads each round as it ends, so
+  // the sub-simulations keep lean history.
+  const DualGraph band_net = DualGraph::protocol(line_graph(k));
+  const auto band_problem =
+      std::make_shared<AssignmentProblem>(k, -1, std::vector<int>{});
   for (const auto& band : bracelet_->bands) {
-    const DualGraph band_net = DualGraph::protocol(band_line);
-
     ExecutionConfig sub_cfg;
     sub_cfg.seed = rng.next_u64();
     sub_cfg.max_rounds = k;
+    sub_cfg.history_policy = HistoryPolicy::lean;
     sub_cfg.env_override = [&, this](ProcessEnv env) {
       const int global_id = band[static_cast<std::size_t>(env.id)];
       ProcessEnv out;
@@ -47,19 +51,14 @@ void BraceletPresimOblivious::on_execution_start(const ExecutionSetup& setup,
       return out;
     };
 
-    Execution sub(band_net, *setup.factory,
-                  std::make_shared<AssignmentProblem>(k, -1, std::vector<int>{}),
-                  std::make_unique<NoExtraEdges>(), sub_cfg);
-    while (!sub.done()) sub.step();
-
-    // Band heads occupy local id 0.
-    for (int r = 0; r < k; ++r) {
-      const auto& tx = sub.history().round(r).transmitters;
-      for (const int v : tx) {
-        if (v == 0) {
-          ++counts_[static_cast<std::size_t>(r)];
-          break;
-        }
+    KernelExecution sub(band_net, *setup.factory, band_problem,
+                        std::make_unique<NoExtraEdges>(), std::move(sub_cfg));
+    while (!sub.done()) {
+      sub.step();
+      // Band heads occupy local id 0; transmitters are ascending.
+      const auto& tx = sub.history().last().transmitters;
+      if (!tx.empty() && tx.front() == 0) {
+        ++counts_[static_cast<std::size_t>(sub.round() - 1)];
       }
     }
   }

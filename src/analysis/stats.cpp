@@ -1,7 +1,6 @@
 #include "analysis/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -17,31 +16,6 @@ double quantile(std::vector<double> values, double q) {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= values.size()) return values.back();
   return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
-}
-
-Summary summarize(const std::vector<double>& values) {
-  DC_EXPECTS(!values.empty());
-  Summary s;
-  s.count = static_cast<int>(values.size());
-  double sum = 0.0;
-  s.min = values[0];
-  s.max = values[0];
-  for (const double v : values) {
-    sum += v;
-    s.min = std::min(s.min, v);
-    s.max = std::max(s.max, v);
-  }
-  s.mean = sum / static_cast<double>(s.count);
-  double sq = 0.0;
-  for (const double v : values) sq += (v - s.mean) * (v - s.mean);
-  s.stddev = s.count > 1
-                 ? std::sqrt(sq / static_cast<double>(s.count - 1))
-                 : 0.0;
-  s.median = quantile(values, 0.5);
-  s.p25 = quantile(values, 0.25);
-  s.p75 = quantile(values, 0.75);
-  s.p95 = quantile(values, 0.95);
-  return s;
 }
 
 }  // namespace dualcast

@@ -6,21 +6,6 @@
 
 namespace dualcast {
 
-struct Summary {
-  int count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-  double p25 = 0.0;
-  double p75 = 0.0;
-  double p95 = 0.0;
-};
-
-/// Summarizes a non-empty sample.
-Summary summarize(const std::vector<double>& values);
-
 /// q-quantile (0 <= q <= 1) by linear interpolation of the sorted sample.
 double quantile(std::vector<double> values, double q);
 

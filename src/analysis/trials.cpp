@@ -71,22 +71,6 @@ std::vector<double> run_raw_trials(int count, std::uint64_t base_seed,
   return out;
 }
 
-TrialSet run_trials(int count, std::uint64_t base_seed, const TrialFn& fn,
-                    int threads) {
-  const std::vector<double> raw = run_raw_trials(count, base_seed, fn, threads);
-  TrialSet out;
-  out.values.reserve(raw.size());
-  for (const double value : raw) {
-    if (value < 0.0) {
-      ++out.failures;
-    } else {
-      out.values.push_back(value);
-    }
-  }
-  if (!out.values.empty()) out.summary = summarize(out.values);
-  return out;
-}
-
 CensoredTrials censor_trials(std::vector<double> values, double cap) {
   CensoredTrials out;
   out.values = std::move(values);
@@ -99,12 +83,6 @@ CensoredTrials censor_trials(std::vector<double> values, double cap) {
   out.median = quantile(out.values, 0.5);
   out.p95 = quantile(out.values, 0.95);
   return out;
-}
-
-CensoredTrials run_censored_trials(int count, std::uint64_t base_seed,
-                                   double cap, const TrialFn& fn,
-                                   int threads) {
-  return censor_trials(run_raw_trials(count, base_seed, fn, threads), cap);
 }
 
 }  // namespace dualcast

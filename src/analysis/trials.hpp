@@ -1,11 +1,10 @@
 #pragma once
 
-// Repeated-trial experiment runner: run a measurement function under
-// independent seeds and summarize. This is the single trial loop shared by
-// the scenario runner, the benches, and the test suite; it supports
-// censoring (failed trials clamped to a cap) and optional parallelism over
-// trials. Because each trial is keyed by its seed — never by scheduling
-// order — a parallel run produces bit-identical results to a sequential one.
+// Repeated-trial primitives of the scenario runner: run a measurement
+// function under independent seeds, censor failed trials at a cap, and
+// spread work over a shared task queue. Because each trial is keyed by its
+// seed — never by scheduling order — a parallel run produces bit-identical
+// results to a sequential one.
 
 #include <cstdint>
 #include <functional>
@@ -24,7 +23,7 @@ using TrialFn = std::function<double(std::uint64_t seed)>;
 /// safe to call concurrently when threads > 1. Exceptions propagate to the
 /// caller exactly as in the sequential path: the first one is captured, the
 /// remaining tasks drain, and it is rethrown after the join. This is the
-/// work-queue primitive under both the trial loop below and the scenario
+/// work-queue primitive under both run_raw_trials below and the scenario
 /// runner's sweep-point-level scheduler.
 void run_tasks(int count, int threads, const std::function<void(int)>& fn);
 
@@ -40,32 +39,14 @@ void note_trial_executed();
 
 /// Runs `count` trials with seeds base_seed, base_seed+1, ... and returns
 /// the raw fn values in seed order. `threads > 1` distributes trials over a
-/// pool; `fn` must then be safe to call concurrently (every Execution built
+/// pool; `fn` must then be safe to call concurrently (every execution built
 /// from a distinct seed is).
 std::vector<double> run_raw_trials(int count, std::uint64_t base_seed,
                                    const TrialFn& fn, int threads = 1);
 
-struct TrialSet {
-  std::vector<double> values;  ///< successful measurements
-  int failures = 0;            ///< trials that returned < 0
-  Summary summary;             ///< over `values` (undefined if all failed)
-
-  bool all_failed() const { return values.empty(); }
-  double success_rate(int total) const {
-    return total > 0
-               ? static_cast<double>(values.size()) / static_cast<double>(total)
-               : 0.0;
-  }
-};
-
-/// Runs `count` trials with seeds base_seed, base_seed+1, ...; failed trials
-/// are dropped from `values`.
-TrialSet run_trials(int count, std::uint64_t base_seed, const TrialFn& fn,
-                    int threads = 1);
-
-/// Censoring-aware variant: failed trials are kept, recorded at `cap`
-/// (typically max_rounds), so medians stay meaningful when a few runs time
-/// out. `values` is in seed order and includes every trial.
+/// Censored trials: failed trials are kept, recorded at `cap` (typically
+/// max_rounds), so medians stay meaningful when a few runs time out.
+/// `values` is in seed order and includes every trial.
 struct CensoredTrials {
   std::vector<double> values;
   int failures = 0;
@@ -75,13 +56,9 @@ struct CensoredTrials {
   int trials() const { return static_cast<int>(values.size()); }
 };
 
-CensoredTrials run_censored_trials(int count, std::uint64_t base_seed,
-                                   double cap, const TrialFn& fn,
-                                   int threads = 1);
-
 /// Censors an already-measured value vector (negatives recorded at `cap`)
-/// and summarizes. Shared by run_censored_trials and schedulers that fill
-/// the raw values themselves, so every path censors identically.
+/// and summarizes it. Every scheduler fills the raw values itself and
+/// censors through here, so every path censors identically.
 CensoredTrials censor_trials(std::vector<double> values, double cap);
 
 }  // namespace dualcast

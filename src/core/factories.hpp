@@ -1,8 +1,8 @@
 #pragma once
 
 // Convenience ProcessFactory constructors for every algorithm in the
-// library, so benches and examples can plug algorithms into Execution with
-// one call.
+// library, so benches and examples can plug algorithms into KernelExecution
+// with one call.
 
 #include "core/geo_local.hpp"
 #include "core/global_decay.hpp"

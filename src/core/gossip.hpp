@@ -129,7 +129,7 @@ class GossipBroadcast final : public InspectableProcess {
   std::vector<std::size_t> active_scratch_;
 };
 
-/// Factory for plugging GossipBroadcast into an Execution.
+/// Factory for plugging GossipBroadcast into a KernelExecution.
 ProcessFactory gossip_factory(GossipConfig config = {});
 
 }  // namespace dualcast

@@ -19,7 +19,7 @@
 //
 // Holder sets are kept as bitmaps (one 64-bit block per 64 nodes) rather
 // than sorted index vectors: ascending block/bit iteration reproduces the
-// scalar engine's node-visit order for free, membership updates are O(1),
+// scalar adapter's node-visit order for free, membership updates are O(1),
 // and — the point — the per-round transmit coins can be drawn word-parallel
 // in the engine's `word` RNG mode (KernelSetup::rng_mode): one
 // Pow2MaskLadder per 64-node block serves every holder in the block at a

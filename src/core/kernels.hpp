@@ -10,8 +10,8 @@
 // Every kernel is draw-for-draw compatible with its scalar algorithm in the
 // engine's default per-node RNG mode: for each node and round it consumes
 // exactly the values the scalar init/on_round/on_feedback would consume
-// from that node's forked stream, so the batch engine replays
-// bit-identically against Execution (enforced by
+// from that node's forked stream, so a kernel replays bit-identically
+// against the scalar adapter over its algorithm (enforced by
 // tests/test_sim_kernel_engine.cpp and the catalog-wide scenario equality
 // test). When changing a scalar algorithm, change its kernel in lock step.
 //

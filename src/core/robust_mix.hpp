@@ -57,7 +57,7 @@ class RobustMixBroadcast final : public InspectableProcess {
   DecayGlobalBroadcast decay_;
 };
 
-/// Factory for plugging RobustMix into an Execution.
+/// Factory for plugging RobustMix into a KernelExecution.
 ProcessFactory robust_mix_factory(RobustMixConfig config = {});
 
 }  // namespace dualcast

@@ -21,16 +21,42 @@ BroadcastReductionPlayer::BroadcastReductionPlayer(ReductionConfig config,
   DC_EXPECTS(factory_ != nullptr);
 }
 
-/// The guessing loop of Theorem 3.1, over either engine (they expose the
-/// same step/round/history surface, and replay bit-identically, so the
-/// played game does not depend on the engine choice).
-template <typename Exec>
-ReductionOutcome BroadcastReductionPlayer::play_with(
-    Exec& exec, HittingGame& game, const std::vector<char>& round_labels) {
+ReductionOutcome BroadcastReductionPlayer::play(HittingGame& game) {
+  DC_EXPECTS_MSG(game.beta() == config_.beta,
+                 "game size must match the configured beta");
   const int beta = config_.beta;
+  const int n = 2 * beta;
+
+  // Roles per the proof: global -> source is node 0 (side A); local -> all of
+  // side A is the broadcast set.
+  std::shared_ptr<Problem> problem;
+  if (config_.problem == ReductionProblem::global_broadcast) {
+    problem = std::make_shared<AssignmentProblem>(n, 0, std::vector<int>{});
+  } else {
+    problem = std::make_shared<AssignmentProblem>(n, -1, net_.side_a);
+  }
+
+  auto adversary = std::make_unique<DenseSparseOnline>(
+      DenseSparseConfig{config_.threshold_factor});
+  auto* adversary_ptr = adversary.get();
+
+  ExecutionConfig exec_cfg;
+  exec_cfg.seed = config_.seed;
+  exec_cfg.max_rounds = config_.max_sim_rounds > 0
+                            ? config_.max_sim_rounds
+                            : std::min(4 * n * n, 1 << 20);
+
+  // The problem (assignment only) is batch-compatible, so a native kernel
+  // needs no scalar adapter.
+  KernelExecution exec(
+      net_.net, factory_,
+      kernel_ ? kernel_() : make_scalar_kernel_adapter(factory_),
+      std::move(problem), std::move(adversary), exec_cfg);
+  const std::vector<char>& round_labels = adversary_ptr->labels();
+
+  // The guessing loop of Theorem 3.1.
   const int guess_budget = beta * beta;
   ReductionOutcome out;
-
   std::vector<int> guesses;
   while (!exec.done()) {
     exec.step();
@@ -67,43 +93,6 @@ ReductionOutcome BroadcastReductionPlayer::play_with(
   }
   out.game_rounds = game.rounds();
   return out;
-}
-
-ReductionOutcome BroadcastReductionPlayer::play(HittingGame& game) {
-  DC_EXPECTS_MSG(game.beta() == config_.beta,
-                 "game size must match the configured beta");
-  const int beta = config_.beta;
-  const int n = 2 * beta;
-
-  // Roles per the proof: global -> source is node 0 (side A); local -> all of
-  // side A is the broadcast set.
-  std::shared_ptr<Problem> problem;
-  if (config_.problem == ReductionProblem::global_broadcast) {
-    problem = std::make_shared<AssignmentProblem>(n, 0, std::vector<int>{});
-  } else {
-    problem = std::make_shared<AssignmentProblem>(n, -1, net_.side_a);
-  }
-
-  auto adversary = std::make_unique<DenseSparseOnline>(
-      DenseSparseConfig{config_.threshold_factor});
-  auto* adversary_ptr = adversary.get();
-
-  ExecutionConfig exec_cfg;
-  exec_cfg.seed = config_.seed;
-  exec_cfg.max_rounds = config_.max_sim_rounds > 0
-                            ? config_.max_sim_rounds
-                            : std::min(4 * n * n, 1 << 20);
-
-  if (kernel_) {
-    // Batch engine: the kernel drives the nodes; the problem (assignment
-    // only) is batch-compatible, so no scalar adapter is needed.
-    KernelExecution exec(net_.net, factory_, kernel_(), std::move(problem),
-                         std::move(adversary), exec_cfg);
-    return play_with(exec, game, adversary_ptr->labels());
-  }
-  Execution exec(net_.net, factory_, std::move(problem), std::move(adversary),
-                 exec_cfg);
-  return play_with(exec, game, adversary_ptr->labels());
 }
 
 }  // namespace dualcast

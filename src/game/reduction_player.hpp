@@ -26,7 +26,6 @@
 #include <memory>
 
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
 #include "sim/kernel.hpp"
 #include "game/hitting_game.hpp"
 
@@ -57,12 +56,12 @@ struct ReductionOutcome {
 class BroadcastReductionPlayer {
  public:
   /// `factory` is the broadcast algorithm A under reduction (must produce
-  /// InspectableProcess instances). When `kernel` is non-null the inner
-  /// simulation runs on the batch engine (KernelExecution) instead of the
-  /// scalar one — bit-identical per the kernel parity contract, so the
-  /// played game (guesses, labels, outcome) is the same either way; pass
-  /// the algorithm's kernels() entry (scenario::build_kernel_or_null) to
-  /// make hitting_game runs ride the fast path.
+  /// InspectableProcess instances). When `kernel` is non-null it drives the
+  /// inner simulation instead of the scalar adapter over `factory` —
+  /// bit-identical per the kernel parity contract, so the played game
+  /// (guesses, labels, outcome) is the same either way; pass the
+  /// algorithm's kernels() entry (scenario::build_kernel_or_null) to make
+  /// hitting_game runs ride the fast path.
   BroadcastReductionPlayer(ReductionConfig config, ProcessFactory factory,
                            KernelFactory kernel = {});
 
@@ -71,10 +70,6 @@ class BroadcastReductionPlayer {
   ReductionOutcome play(HittingGame& game);
 
  private:
-  template <typename Exec>
-  ReductionOutcome play_with(Exec& exec, HittingGame& game,
-                             const std::vector<char>& round_labels);
-
   ReductionConfig config_;
   ProcessFactory factory_;
   KernelFactory kernel_;

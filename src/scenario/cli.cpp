@@ -37,12 +37,13 @@ void print_usage(std::ostream& os, const char* binary) {
         "  --history P   history retention per trial: \"lean\" (default;\n"
         "                O(n) aggregates, auto-falls back to full for\n"
         "                adversaries that read the trace) or \"full\"\n"
-        "  --engine E    execution engine: \"kernel\" (default; batch SoA\n"
+        "  --engine E    kernel path: \"kernel\" (default; batch SoA\n"
         "                kernels, scalar-adapter fallback for algorithms\n"
-        "                without a port) or \"scalar\" (reference engine).\n"
-        "                Results are byte-identical for both\n"
+        "                without a port) or \"scalar\" (scalar adapter for\n"
+        "                every algorithm). Results are byte-identical for\n"
+        "                both\n"
         "  --rng M       kernel-path coin streams: \"per-node\" (default;\n"
-        "                byte-identical to the scalar engine) or \"word\"\n"
+        "                byte-identical to the scalar adapter) or \"word\"\n"
         "                (word-parallel block streams, 64 coins per draw\n"
         "                ladder; same distribution, different sample paths;\n"
         "                requires --engine kernel)\n"

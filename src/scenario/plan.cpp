@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analysis/trials.hpp"
-#include "sim/execution.hpp"
 #include "sim/kernel_execution.hpp"
 #include "util/strfmt.hpp"
 
@@ -39,10 +38,25 @@ const AlgorithmFactories& cached_algorithm(const std::string& spec) {
   return it->second;
 }
 
-/// One trial's measurement, over either engine (they share the API the
-/// metric needs).
-template <typename Exec>
-double measure_execution(Exec& exec, const Metric& metric, int watch_node) {
+double run_one_trial(const Topology& topo, const CellPlan& cell,
+                     const Metric& metric, int watch_node, std::uint64_t seed,
+                     int max_rounds, HistoryPolicy history, EnginePath engine,
+                     RngMode rng_mode) {
+  note_trial_executed();
+  const ExecutionConfig config = ExecutionConfig{}
+                                     .with_seed(seed)
+                                     .with_max_rounds(max_rounds)
+                                     .with_history_policy(history)
+                                     .with_rng_mode(rng_mode);
+  std::shared_ptr<Problem> problem = cell.problem();
+  // select_kernel picks the registered kernel or the scalar-adapter
+  // fallback (bit-identical either way); `scalar` hands it no kernel, so
+  // the adapter runs every algorithm.
+  std::unique_ptr<AlgorithmKernel> kernel = select_kernel(
+      engine == EnginePath::scalar ? KernelFactory{} : cell.kernel, *problem,
+      cell.factory);
+  KernelExecution exec(topo.net(), cell.factory, std::move(kernel),
+                       std::move(problem), cell.adversary(), config);
   if (!metric.first_receive) {
     const RunResult result = exec.run();
     return result.solved ? static_cast<double>(result.rounds) : -1.0;
@@ -58,32 +72,6 @@ double measure_execution(Exec& exec, const Metric& metric, int watch_node) {
                        watch_node)] +
                    1)
              : -1.0;
-}
-
-double run_one_trial(const Topology& topo, const CellPlan& cell,
-                     const Metric& metric, int watch_node, std::uint64_t seed,
-                     int max_rounds, HistoryPolicy history, EnginePath engine,
-                     RngMode rng_mode) {
-  note_trial_executed();
-  const ExecutionConfig config = ExecutionConfig{}
-                                     .with_seed(seed)
-                                     .with_max_rounds(max_rounds)
-                                     .with_history_policy(history)
-                                     .with_rng_mode(rng_mode);
-  if (engine == EnginePath::scalar) {
-    Execution exec(topo.net(), cell.factory, cell.problem(), cell.adversary(),
-                   config);
-    return measure_execution(exec, metric, watch_node);
-  }
-  std::shared_ptr<Problem> problem = cell.problem();
-  // Batch path: select_kernel picks the registered kernel or the
-  // scalar-adapter fallback (bit-identical either way; the adapter just
-  // carries real processes along).
-  std::unique_ptr<AlgorithmKernel> kernel =
-      select_kernel(cell.kernel, *problem, cell.factory);
-  KernelExecution exec(topo.net(), cell.factory, std::move(kernel),
-                       std::move(problem), cell.adversary(), config);
-  return measure_execution(exec, metric, watch_node);
 }
 
 }  // namespace
@@ -191,7 +179,7 @@ ScenarioSpec apply_options(const ScenarioSpec& original,
   ScenarioSpec spec = original;
   if (options.rng == RngMode::word && options.engine == EnginePath::scalar) {
     throw ScenarioError(
-        "rng mode \"word\" requires the kernel engine (the scalar engine "
+        "rng mode \"word\" requires the kernel engine (the scalar adapter "
         "has no word-parallel coin path)");
   }
   if (spec.sweep.empty()) {

@@ -90,11 +90,12 @@ struct ScenarioResult {
   std::vector<PointResult> points;
 };
 
-/// Which execution engine measures the trials. Both produce byte-identical
-/// results for every registered algorithm: trials are keyed by seed, and
-/// kernels contract to draw-for-draw parity with their scalar algorithms
-/// (the catalog-wide equality test enforces it). `kernel` is the fast
-/// path; `scalar` keeps the reference engine one flag away.
+/// Which kernels drive the trials on the one engine (KernelExecution). Both
+/// produce byte-identical results for every registered algorithm: trials
+/// are keyed by seed, and kernels contract to draw-for-draw parity with
+/// their scalar algorithms (the catalog-wide equality test enforces it).
+/// `kernel` is the fast path; `scalar` forces the scalar adapter — the
+/// reference every native kernel is held to — for every algorithm.
 enum class EnginePath : std::uint8_t { kernel, scalar };
 
 const char* to_string(EnginePath engine);
@@ -122,7 +123,7 @@ struct RunOptions {
   HistoryPolicy history = HistoryPolicy::lean;
   /// RNG stream discipline for kernel-path trials (see RngMode in
   /// util/rng.hpp). `per_node` (default) replays byte-identically against
-  /// the scalar engine; `word` batches 64 transmit coins per draw ladder —
+  /// the scalar adapter; `word` batches 64 transmit coins per draw ladder —
   /// same per-trial distribution, different sample paths, so medians may
   /// shift within trial noise. Requires engine == kernel.
   RngMode rng = RngMode::per_node;

@@ -101,7 +101,8 @@ class DeliveryResolver {
   Path forced_ = Path::auto_select;
   Path last_ = Path::sweep;
 
-  // Scratch reused across rounds (see Execution's zero-allocation contract).
+  // Scratch reused across rounds (see KernelExecution's zero-allocation
+  // contract).
   std::vector<int> hear_count_;
   std::vector<int> last_sender_;
   std::vector<int> last_tx_index_;

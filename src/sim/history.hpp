@@ -1,6 +1,7 @@
 #pragma once
 
-// Execution history: the per-round record of externally observable events.
+// The execution history: the per-round record of externally observable
+// events.
 // This is the "execution history through round r-1" that §2 grants to
 // adaptive link processes, and it doubles as the trace used by tests,
 // benches, and diagnostics.

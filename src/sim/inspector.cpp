@@ -1,52 +1,30 @@
 #include "sim/inspector.hpp"
 
-#include <memory>
-
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 #include "util/assert.hpp"
 
 namespace dualcast {
 
-int StateInspector::n() const {
-  return processes_ != nullptr ? static_cast<int>(processes_->size())
-                               : kernel_n_;
-}
-
 double StateInspector::transmit_probability(int v, int round) const {
-  DC_EXPECTS(v >= 0 && v < n());
-  double p = 0.0;
-  if (processes_ != nullptr) {
-    const auto* proc = dynamic_cast<const InspectableProcess*>(
-        (*processes_)[static_cast<std::size_t>(v)].get());
-    DC_EXPECTS_MSG(
-        proc != nullptr,
-        "adaptive adversaries require InspectableProcess algorithms");
-    p = proc->transmit_probability(round);
-  } else {
-    p = kernel_->transmit_probability(v, round);
-  }
+  DC_EXPECTS(v >= 0 && v < n_);
+  const double p = kernel_->transmit_probability(v, round);
   DC_ENSURES(p >= 0.0 && p <= 1.0);
   return p;
 }
 
 double StateInspector::expected_transmitters(int round) const {
-  if (kernel_ != nullptr) {
-    // Kernels with SoA actor lists produce the sum in O(actors); the value
-    // is bit-identical to the scan below (see AlgorithmKernel contract).
-    const double batched = kernel_->expected_transmitters(round);
-    if (batched >= 0.0) return batched;
-  }
+  // Kernels with SoA actor lists produce the sum in O(actors); the value
+  // is bit-identical to the scan below (see AlgorithmKernel contract).
+  const double batched = kernel_->expected_transmitters(round);
+  if (batched >= 0.0) return batched;
   double sum = 0.0;
-  for (int v = 0; v < n(); ++v) sum += transmit_probability(v, round);
+  for (int v = 0; v < n_; ++v) sum += transmit_probability(v, round);
   return sum;
 }
 
 bool StateInspector::has_message(int v) const {
-  DC_EXPECTS(v >= 0 && v < n());
-  return processes_ != nullptr
-             ? (*processes_)[static_cast<std::size_t>(v)]->has_message()
-             : kernel_->has_message(v);
+  DC_EXPECTS(v >= 0 && v < n_);
+  return kernel_->has_message(v);
 }
 
 }  // namespace dualcast

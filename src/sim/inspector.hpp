@@ -7,35 +7,26 @@
 // nodes at the beginning of this round ... not the random bits the nodes
 // will use in round r", and its key derived quantity is E[|X| | S] — the
 // expected number of transmitters given that state. The inspector exposes
-// exactly that: per-node transmit probabilities (for InspectableProcess
-// algorithms) and message possession, evaluated strictly before the round's
-// coins are drawn.
-
-#include <memory>
-#include <vector>
+// exactly that: per-node transmit probabilities and message possession,
+// read from the execution's algorithm kernel strictly before the round's
+// coins are drawn. For the scalar adapter the kernel forwards both to its
+// processes, which must then be InspectableProcess instances.
 
 namespace dualcast {
 
-class Process;
 class AlgorithmKernel;
 
 class StateInspector {
  public:
-  explicit StateInspector(
-      const std::vector<std::unique_ptr<Process>>* processes)
-      : processes_(processes) {}
-
-  /// Batch-engine backend: state is read from the algorithm kernel (which
-  /// mirrors the scalar transmit_probability/has_message semantics) instead
-  /// of per-node Process objects.
   StateInspector(const AlgorithmKernel* kernel, int n)
-      : kernel_(kernel), kernel_n_(n) {}
+      : kernel_(kernel), n_(n) {}
 
-  int n() const;
+  int n() const { return n_; }
 
-  /// P[node v transmits in `round` | its state now]. Requires the process to
-  /// be an InspectableProcess (all algorithms in this library are); throws
-  /// ContractViolation otherwise, so an adversary cannot silently miscompute.
+  /// P[node v transmits in `round` | its state now]. For the scalar
+  /// adapter, requires the process to be an InspectableProcess (all
+  /// algorithms in this library are); throws ContractViolation otherwise,
+  /// so an adversary cannot silently miscompute.
   double transmit_probability(int v, int round) const;
 
   /// Sum of transmit probabilities over all nodes: E[|X| | S].
@@ -45,9 +36,8 @@ class StateInspector {
   bool has_message(int v) const;
 
  private:
-  const std::vector<std::unique_ptr<Process>>* processes_ = nullptr;
-  const AlgorithmKernel* kernel_ = nullptr;
-  int kernel_n_ = 0;
+  const AlgorithmKernel* kernel_;
+  int n_;
 };
 
 }  // namespace dualcast

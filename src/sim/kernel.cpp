@@ -6,10 +6,10 @@ namespace dualcast {
 namespace {
 
 /// The compatibility adapter: n scalar processes behind the batch
-/// interface. Replicates the scalar engine's per-node loops exactly —
-/// including the full per-node feedback fan-out — so any Process runs on
-/// the batch engine with bit-identical behavior (and no speedup; port hot
-/// algorithms to a real kernel for that).
+/// interface. Runs the per-node loops of the scalar model — every process
+/// acts and receives its feedback every round — so any Process runs on the
+/// engine (with no batch speedup; port hot algorithms to a real kernel for
+/// that), and native kernels are held to its runs draw for draw.
 class ScalarKernelAdapter final : public AlgorithmKernel {
  public:
   explicit ScalarKernelAdapter(ProcessFactory factory)
@@ -71,8 +71,9 @@ class ScalarKernelAdapter final : public AlgorithmKernel {
   double transmit_probability(int v, int round) const override {
     const auto* inspectable = dynamic_cast<const InspectableProcess*>(
         processes_[static_cast<std::size_t>(v)].get());
-    DC_ASSERT_MSG(inspectable != nullptr,
-                  "transmit_probability requires an InspectableProcess");
+    DC_EXPECTS_MSG(inspectable != nullptr,
+                   "adaptive adversaries require InspectableProcess "
+                   "algorithms");
     return inspectable->transmit_probability(round);
   }
 

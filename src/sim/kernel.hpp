@@ -5,7 +5,7 @@
 // dispatches, n Action constructions, and n RoundFeedback deliveries.
 //
 //   on_round_batch    — append this round's transmitters (ascending node
-//                       order, exactly the order the scalar engine visits
+//                       order, exactly the order the scalar adapter visits
 //                       nodes) into the engine's reusable round record;
 //   on_feedback_batch — consume the resolved round from flat arrays:
 //                       deliveries, collision listeners, transmit flags.
@@ -15,20 +15,20 @@
 // that actually act in a round, so steady-state cost is O(actors), not
 // O(n).
 //
-// RNG discipline — the bit-for-bit contract with the scalar engine: a
+// RNG discipline — the bit-for-bit contract with the scalar algorithm: a
 // kernel draws from the same per-node forked streams (`rngs[v]`) and must
 // consume, for every node and round, exactly the draws the scalar
 // algorithm's init/on_round/on_feedback would consume from that node's
 // stream. Node streams are independent, so the order in which a kernel
 // visits nodes within a round is free; the per-stream draw sequence is
-// not. Engines verify nothing here — the equivalence test suite does
-// (tests/test_sim_kernel_engine.cpp runs both engines and compares whole
-// histories).
+// not. The engine verifies nothing here — the equivalence test suite does
+// (tests/test_sim_kernel_engine.cpp runs each native kernel and the scalar
+// adapter over its algorithm and compares whole histories).
 //
-// Any scalar ProcessFactory runs unmodified on the batch engine through
+// Any scalar ProcessFactory runs unmodified on the engine through
 // make_scalar_kernel_adapter(); the adapter additionally exposes its
-// Process vector so history-era consumers (problems that inspect
-// processes, the StateInspector) keep working.
+// Process vector so consumers that read processes (problems that inspect
+// them, KernelExecution::process) keep working.
 
 #include <functional>
 #include <memory>
@@ -57,8 +57,13 @@ struct NodeEnv {
 /// environment (env_override already applied) of every node that is a
 /// source, a member of the broadcast set B, or starts with a message.
 /// `env(v)` builds any node's exact environment on demand (an override may
-/// also rewrite ids and sizes); the scalar adapter builds each Process from
-/// it. `roles` and `env` are valid only during init().
+/// also rewrite ids and sizes). `roles` and `env` are valid only during
+/// init().
+///
+/// A kernel backed by processes (processes() != nullptr: the scalar
+/// adapter) builds every node's Process from `env(v)` and reads nothing
+/// else, so the engine skips the role scan for it: its `roles` is empty and
+/// `n`/`max_degree` are the network's.
 ///
 /// `rng_mode == word` offers kernels one extra stream per 64-node block
 /// (`block_rngs[v / 64]`): a kernel that supports the mode draws its
@@ -83,7 +88,7 @@ struct KernelSetup {
 
 /// Sink for a round's transmissions, writing straight into the engine's
 /// reusable RoundRecord and tx-index map. Kernels must emit transmitters in
-/// ascending node order (the scalar engine's visit order).
+/// ascending node order (the scalar adapter's visit order).
 class TxBatch {
  public:
   TxBatch(RoundRecord& record, std::vector<int>& tx_index_of)
@@ -153,7 +158,8 @@ class AlgorithmKernel {
   /// Non-null when the kernel is backed by real Process objects (the
   /// scalar compatibility adapter). Lets problems that predate the batch
   /// interface — Problem::batch_compatible() == false — keep working on
-  /// the batch engine.
+  /// the engine. A static property of the kernel: the engine reads it
+  /// once, before init().
   virtual const std::vector<std::unique_ptr<Process>>* processes() const {
     return nullptr;
   }
@@ -165,7 +171,7 @@ using KernelFactory = std::function<std::unique_ptr<AlgorithmKernel>()>;
 
 /// Wraps a scalar ProcessFactory as a kernel: creates one Process per node
 /// and forwards init/on_round/on_feedback node by node. No batch speedup —
-/// full compatibility, bit-identical by construction.
+/// full compatibility, the reference every native kernel is held to.
 std::unique_ptr<AlgorithmKernel> make_scalar_kernel_adapter(
     ProcessFactory factory);
 

@@ -17,20 +17,26 @@ bool has_role(const ProcessEnv& env) {
 }
 }  // namespace
 
-/// NodeStateView over the kernel, for batch-compatible problems.
-class KernelExecution::KernelStateView final : public NodeStateView {
- public:
-  KernelStateView(const KernelExecution* exec, int n) : exec_(exec), n_(n) {}
-  int n() const override { return n_; }
-  bool has_message(int v) const override {
-    return exec_->kernel_->has_message(v);
-  }
-  int message_holders() const override { return exec_->holders_; }
+ProcessEnv node_env(const DualGraph& net, const Problem& problem,
+                    const ExecutionConfig& config, int v) {
+  ProcessEnv env;
+  env.id = v;
+  env.n = net.n();
+  env.max_degree = net.max_degree();
+  env.is_global_source = problem.is_source(v);
+  env.in_broadcast_set = problem.in_broadcast_set(v);
+  env.initial_message = problem.initial_message(v);
+  if (config.env_override) env = config.env_override(std::move(env));
+  return env;
+}
 
- private:
-  const KernelExecution* exec_;
-  int n_;
-};
+KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
+                                 std::shared_ptr<Problem> problem,
+                                 std::unique_ptr<LinkProcess> link_process,
+                                 ExecutionConfig config)
+    : KernelExecution(net, factory, make_scalar_kernel_adapter(factory),
+                      std::move(problem), std::move(link_process),
+                      std::move(config)) {}
 
 KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
                                  std::unique_ptr<AlgorithmKernel> kernel,
@@ -40,25 +46,24 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
     : net_(&net),
       problem_(std::move(problem)),
       link_process_(std::move(link_process)),
-      config_(config),
+      config_(std::move(config)),
+      factory_holder_(std::move(factory)),
       kernel_(std::move(kernel)),
       adversary_rng_(0),
-      inspector_(nullptr, 0) {
+      inspector_(kernel_.get(), net.n()) {
   DC_EXPECTS(net.n() >= 1);
-  DC_EXPECTS(factory != nullptr);
+  DC_EXPECTS(factory_holder_ != nullptr);
   DC_EXPECTS(kernel_ != nullptr);
   DC_EXPECTS(problem_ != nullptr);
   DC_EXPECTS(link_process_ != nullptr);
   DC_EXPECTS(config_.max_rounds >= 1);
+  processes_ = kernel_->processes();
   DC_EXPECTS_MSG(
-      kernel_->processes() != nullptr || problem_->batch_compatible(),
-      "batch engine: the problem reads Process objects but the kernel has "
-      "none; use the scalar adapter kernel for this pairing");
+      processes_ != nullptr || problem_->batch_compatible(),
+      "the problem reads Process objects but the kernel has none; use the "
+      "scalar adapter kernel for this pairing");
 
-  factory_holder_ = std::move(factory);
-
-  // Stream forks in the exact scalar-engine order: node 0..n-1, then the
-  // adversary.
+  // Stream forks: node 0..n-1, then the adversary.
   Rng master(config_.seed);
   const int n = net.n();
   node_rngs_.reserve(static_cast<std::size_t>(n));
@@ -80,12 +85,13 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   // Role-sparse environments: only nodes with a role are materialized;
   // kernels that want any other node's env build it through setup.env.
   // Without an override, three problem queries tell that a node has no
-  // role without building its env.
+  // role without building its env. The scalar adapter builds every env
+  // itself and reads no roles, so it gets no scan (see KernelSetup).
   KernelSetup setup;
   setup.n = n;
   setup.max_degree = net.max_degree();
   std::vector<NodeEnv> roles;
-  for (int v = 0; v < n; ++v) {
+  for (int v = 0; v < n && processes_ == nullptr; ++v) {
     if (!config_.env_override && !problem_->is_source(v) &&
         !problem_->in_broadcast_set(v) &&
         problem_->initial_message(v) == Message{}) {
@@ -107,18 +113,17 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   setup.block_rngs = block_rngs_;
   kernel_->init(setup, node_rngs_);
 
-  holder_bits_.resize(n);
-  for (int v = 0; v < n; ++v) {
-    if (kernel_->has_message(v)) {
-      holder_bits_.set(v);
-      ++holders_;
+  // The holder count serves solved_batch(); the adapter's problems read
+  // its processes instead, so it keeps none (see message_holders()).
+  if (processes_ == nullptr) {
+    holder_bits_.resize(n);
+    for (int v = 0; v < n; ++v) {
+      if (kernel_->has_message(v)) {
+        holder_bits_.set(v);
+        ++holders_;
+      }
     }
   }
-
-  state_view_ = std::make_unique<KernelStateView>(this, n);
-  inspector_ = kernel_->processes() != nullptr
-                   ? StateInspector(kernel_->processes())
-                   : StateInspector(kernel_.get(), n);
 
   // The adversary "knows the algorithm" (§2): it receives the process
   // factory and may privately instantiate and simulate it.
@@ -129,6 +134,7 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   adv_setup.max_rounds = config_.max_rounds;
   link_process_->on_execution_start(adv_setup, adversary_rng_);
 
+  // Lean retention is honored only when nobody reads the stored trace.
   const bool lean_ok = config_.history_policy == HistoryPolicy::lean &&
                        !link_process_->needs_history() &&
                        !problem_->needs_history();
@@ -143,10 +149,23 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
 
 KernelExecution::~KernelExecution() = default;
 
+const Process& KernelExecution::process(int v) const {
+  DC_EXPECTS_MSG(processes_ != nullptr,
+                 "process() requires a kernel backed by processes");
+  DC_EXPECTS(v >= 0 && v < static_cast<int>(processes_->size()));
+  return *(*processes_)[static_cast<std::size_t>(v)];
+}
+
+int KernelExecution::message_holders() const {
+  if (processes_ == nullptr) return holders_;
+  int holders = 0;
+  for (const auto& proc : *processes_) holders += proc->has_message() ? 1 : 0;
+  return holders;
+}
+
 bool KernelExecution::problem_solved() const {
-  const auto* procs = kernel_->processes();
-  return procs != nullptr ? problem_->solved(*procs)
-                          : problem_->solved_batch(*state_view_);
+  return processes_ != nullptr ? problem_->solved(*processes_)
+                               : problem_->solved_batch(state_view_);
 }
 
 void KernelExecution::select_edges_post_actions() {
@@ -195,6 +214,9 @@ void KernelExecution::step() {
                                : edges_.count;
   resolver_.resolve(tx_index_of_, edges_, record);
   if (edges_.kind == EdgeSet::Kind::mask) {
+    // The EdgeSet is dead after delivery resolution: swap the mask words
+    // into the record — the record's previous buffer rotates back for the
+    // adversary's next round.
     record.activated_mask.swap(edges_.mask);
   }
 
@@ -213,15 +235,15 @@ void KernelExecution::step() {
     if (first_receive_round_[static_cast<std::size_t>(u)] == -1) {
       first_receive_round_[static_cast<std::size_t>(u)] = round_;
     }
-    if (!holder_bits_.test(u) && kernel_->has_message(u)) {
+    if (processes_ == nullptr && !holder_bits_.test(u) &&
+        kernel_->has_message(u)) {
       holder_bits_.set(u);
       ++holders_;
     }
   }
 
-  const auto* procs = kernel_->processes();
-  problem_->observe_round(record,
-                          procs != nullptr ? *procs : empty_processes());
+  problem_->observe_round(
+      record, processes_ != nullptr ? *processes_ : empty_processes());
   // Reset the transmitter-indexed scratch before the record is consumed:
   // only transmitter entries ever leave their default state.
   for (const int v : record.transmitters) {

@@ -27,9 +27,9 @@ namespace dualcast {
 
 class Process;
 
-/// Read-only per-node algorithm state, as exposed by the batch engine's
-/// kernel (mirrors the scalar engine's Process vector for the queries
-/// problems actually make).
+/// Read-only per-node algorithm state, as exposed by the engine's kernel
+/// (mirrors the scalar adapter's Process vector for the queries problems
+/// actually make).
 class NodeStateView {
  public:
   virtual ~NodeStateView() = default;

@@ -13,7 +13,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/mathutil.hpp"
 
@@ -242,9 +242,10 @@ TEST(AntiScheduleAttack, BoundedWindowDecayFailsOutright) {
 double clasp_latency(const BraceletNet& br, ScheduleKind kind,
                      std::unique_ptr<LinkProcess> adversary,
                      std::uint64_t seed, int max_rounds) {
-  Execution exec(br.net, decay_local_factory(DecayLocalConfig{kind, 0, 0}),
-                 std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
-                 std::move(adversary), {seed, max_rounds, {}});
+  KernelExecution exec(
+      br.net, decay_local_factory(DecayLocalConfig{kind, 0, 0}),
+      std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
+      std::move(adversary), {seed, max_rounds, {}});
   while (!exec.done() &&
          exec.first_receive_round()[static_cast<std::size_t>(br.clasp_b)] < 0) {
     exec.step();
@@ -308,9 +309,10 @@ TEST(BraceletAttack, PredictionsTrackActualDensity) {
   auto adversary = std::make_unique<BraceletPresimOblivious>(
       br, BraceletPresimConfig{0.25, true});
   auto* adv = adversary.get();
-  Execution exec(br.net, decay_local_factory(DecayLocalConfig{}),
-                 std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
-                 std::move(adversary), {42, 5 * br.band_len, {}});
+  KernelExecution exec(
+      br.net, decay_local_factory(DecayLocalConfig{}),
+      std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
+      std::move(adversary), {42, 5 * br.band_len, {}});
   exec.run();
   ASSERT_EQ(static_cast<int>(adv->predicted_counts().size()), br.band_len);
   // Expected head transmitters per round is k * p_r; verify the adversary's

@@ -8,7 +8,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
 
@@ -46,9 +46,10 @@ TEST(AdversaryConfig, BraceletPresimWrongNetworkThrows) {
   const BraceletNet a = bracelet(32);
   const BraceletNet b = bracelet(32);
   EXPECT_THROW(
-      Execution(b.net, decay_local_factory(DecayLocalConfig{}),
-                std::make_shared<LocalBroadcastProblem>(b.net, b.heads_a),
-                std::make_unique<BraceletPresimOblivious>(a), {1, 10, {}}),
+      KernelExecution(b.net, decay_local_factory(DecayLocalConfig{}),
+                      std::make_shared<LocalBroadcastProblem>(b.net, b.heads_a),
+                      std::make_unique<BraceletPresimOblivious>(a),
+                      {1, 10, {}}),
       ContractViolation);
 }
 
@@ -57,10 +58,10 @@ TEST(AdversaryDeterminism, ObliviousChoicesReplayPerSeed) {
   Rng grng(5);
   const DualGraph net = with_random_gprime(ring_graph(12), 0.3, grng);
   const auto run_pattern = [&](std::uint64_t seed) {
-    Execution exec(net, decay_local_factory(DecayLocalConfig{}),
-                   std::make_shared<AssignmentProblem>(net.n(), -1,
-                                                       std::vector<int>{0}),
-                   std::make_unique<RandomIidEdges>(0.5), {seed, 20, {}});
+    KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+                         std::make_shared<AssignmentProblem>(
+                             net.n(), -1, std::vector<int>{0}),
+                         std::make_unique<RandomIidEdges>(0.5), {seed, 20, {}});
     exec.run();
     std::vector<std::int64_t> counts;
     for (const auto& rec : exec.history().records()) {
@@ -76,9 +77,9 @@ TEST(AdversaryDeterminism, DenseSparseThresholdResolvesFromNetworkSize) {
   const DualCliqueNet dc = dual_clique(64);
   auto adversary = std::make_unique<DenseSparseOnline>(DenseSparseConfig{2.0});
   auto* ptr = adversary.get();
-  Execution exec(dc.net, decay_global_factory(DecayGlobalConfig::fast()),
-                 std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
-                 std::move(adversary), {1, 5, {}});
+  KernelExecution exec(dc.net, decay_global_factory(DecayGlobalConfig::fast()),
+                       std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
+                       std::move(adversary), {1, 5, {}});
   EXPECT_DOUBLE_EQ(ptr->threshold(), 2.0 * clog2(64));
 }
 
@@ -88,10 +89,10 @@ TEST(AdversaryDeterminism, FlickerPhasePattern) {
   gp.add_edge(0, 2);
   gp.finalize();
   const DualGraph net(std::move(g), std::move(gp));
-  Execution exec(net, decay_local_factory(DecayLocalConfig{}),
-                 std::make_shared<AssignmentProblem>(3, -1,
-                                                     std::vector<int>{0}),
-                 std::make_unique<FlickerEdges>(2, 3), {1, 10, {}});
+  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+                       std::make_shared<AssignmentProblem>(
+                           3, -1, std::vector<int>{0}),
+                       std::make_unique<FlickerEdges>(2, 3), {1, 10, {}});
   exec.run();
   const std::vector<EdgeSet::Kind> expected{
       EdgeSet::Kind::all, EdgeSet::Kind::all, EdgeSet::Kind::none,
@@ -110,9 +111,10 @@ TEST(AdversaryDeterminism, BraceletPresimScheduleIsCommittedUpFront) {
   auto adversary = std::make_unique<BraceletPresimOblivious>(
       br, BraceletPresimConfig{0.3, true});
   auto* ptr = adversary.get();
-  Execution exec(br.net, decay_local_factory(DecayLocalConfig{}),
-                 std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
-                 std::move(adversary), {1, 1, {}});
+  KernelExecution exec(
+      br.net, decay_local_factory(DecayLocalConfig{}),
+      std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
+      std::move(adversary), {1, 1, {}});
   // Schedule exists before any round executes.
   EXPECT_EQ(static_cast<int>(ptr->dense_schedule().size()), br.band_len);
   const std::vector<char> before = ptr->dense_schedule();

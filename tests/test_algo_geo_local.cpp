@@ -10,7 +10,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
@@ -38,10 +38,10 @@ std::vector<int> every_kth(int n, int k) {
 
 TEST(GeoLocal, StageLayoutMatchesConfig) {
   const GeoNet geo = make_geo(6, 0.6, 3);
-  Execution exec(geo.net, geo_local_factory(test_config()),
-                 std::make_shared<LocalBroadcastProblem>(
-                     geo.net, every_kth(geo.net.n(), 4)),
-                 std::make_unique<NoExtraEdges>(), {1, 10, {}});
+  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+                       std::make_shared<LocalBroadcastProblem>(
+                           geo.net, every_kth(geo.net.n(), 4)),
+                       std::make_unique<NoExtraEdges>(), {1, 10, {}});
   const auto* proc = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   ASSERT_NE(proc, nullptr);
   const int logn = clog2(static_cast<std::uint64_t>(geo.net.n()));
@@ -55,10 +55,10 @@ TEST(GeoLocal, StageLayoutMatchesConfig) {
 
 TEST(GeoLocal, EveryNodeCommitsBySomePhase) {
   const GeoNet geo = make_geo(8, 0.5, 5);
-  Execution exec(geo.net, geo_local_factory(test_config()),
-                 std::make_shared<LocalBroadcastProblem>(
-                     geo.net, every_kth(geo.net.n(), 5)),
-                 std::make_unique<NoExtraEdges>(), {2, 1 << 20, {}});
+  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+                       std::make_shared<LocalBroadcastProblem>(
+                           geo.net, every_kth(geo.net.n(), 5)),
+                       std::make_unique<NoExtraEdges>(), {2, 1 << 20, {}});
   const auto* proc0 = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   ASSERT_NE(proc0, nullptr);
   const int init_len = proc0->init_length();
@@ -73,10 +73,10 @@ TEST(GeoLocal, EveryNodeCommitsBySomePhase) {
 TEST(GeoLocal, SeedDiversityPerNeighborhoodIsLogarithmic) {
   // Lemma 4.9: no node neighbors more than O(log n) unique seeds in G'.
   const GeoNet geo = make_geo(10, 0.45, 7);
-  Execution exec(geo.net, geo_local_factory(test_config()),
-                 std::make_shared<LocalBroadcastProblem>(
-                     geo.net, every_kth(geo.net.n(), 4)),
-                 std::make_unique<NoExtraEdges>(), {3, 1 << 20, {}});
+  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+                       std::make_shared<LocalBroadcastProblem>(
+                           geo.net, every_kth(geo.net.n(), 4)),
+                       std::make_unique<NoExtraEdges>(), {3, 1 << 20, {}});
   const auto* proc0 = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   ASSERT_NE(proc0, nullptr);
   for (int r = 0; r < proc0->init_length() && !exec.done(); ++r) exec.step();
@@ -105,10 +105,10 @@ TEST(GeoLocal, SeedDiversityPerNeighborhoodIsLogarithmic) {
 
 TEST(GeoLocal, SeedMessagesOnlyDuringInitStage) {
   const GeoNet geo = make_geo(6, 0.6, 9);
-  Execution exec(geo.net, geo_local_factory(test_config()),
-                 std::make_shared<LocalBroadcastProblem>(
-                     geo.net, every_kth(geo.net.n(), 3)),
-                 std::make_unique<NoExtraEdges>(), {4, 1 << 20, {}});
+  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+                       std::make_shared<LocalBroadcastProblem>(
+                           geo.net, every_kth(geo.net.n(), 3)),
+                       std::make_unique<NoExtraEdges>(), {4, 1 << 20, {}});
   const auto* proc0 = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   const int init_len = proc0->init_length();
   const int total = proc0->total_length();
@@ -177,10 +177,10 @@ TEST(GeoLocal, PrivateSeedAblationSkipsInit) {
   GeoLocalConfig cfg = test_config();
   cfg.shared_seeds = false;
   const GeoNet geo = make_geo(5, 0.7, 15);
-  Execution exec(geo.net, geo_local_factory(cfg),
-                 std::make_shared<LocalBroadcastProblem>(
-                     geo.net, every_kth(geo.net.n(), 3)),
-                 std::make_unique<NoExtraEdges>(), {5, 100, {}});
+  KernelExecution exec(geo.net, geo_local_factory(cfg),
+                       std::make_shared<LocalBroadcastProblem>(
+                           geo.net, every_kth(geo.net.n(), 3)),
+                       std::make_unique<NoExtraEdges>(), {5, 100, {}});
   const auto* proc = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   ASSERT_NE(proc, nullptr);
   EXPECT_EQ(proc->init_length(), 0);
@@ -191,9 +191,9 @@ TEST(GeoLocal, OnlyBNodesTransmitInBroadcastStage) {
   const GeoNet geo = make_geo(6, 0.6, 17);
   const std::vector<int> b = every_kth(geo.net.n(), 4);
   const std::set<int> b_set(b.begin(), b.end());
-  Execution exec(geo.net, geo_local_factory(test_config()),
-                 std::make_shared<LocalBroadcastProblem>(geo.net, b),
-                 std::make_unique<NoExtraEdges>(), {6, 1 << 20, {}});
+  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+                       std::make_shared<LocalBroadcastProblem>(geo.net, b),
+                       std::make_unique<NoExtraEdges>(), {6, 1 << 20, {}});
   const auto* proc0 = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   const int init_len = proc0->init_length();
   const int total = proc0->total_length();
@@ -215,9 +215,9 @@ TEST(GeoLocal, SameSeedNodesMakeSameParticipationDecision) {
   // each other's participation within an iteration.
   const GeoNet geo = make_geo(7, 0.5, 19);
   const std::vector<int> b = every_kth(geo.net.n(), 2);
-  Execution exec(geo.net, geo_local_factory(test_config()),
-                 std::make_shared<LocalBroadcastProblem>(geo.net, b),
-                 std::make_unique<NoExtraEdges>(), {7, 1 << 20, {}});
+  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+                       std::make_shared<LocalBroadcastProblem>(geo.net, b),
+                       std::make_unique<NoExtraEdges>(), {7, 1 << 20, {}});
   const auto* proc0 = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   const int init_len = proc0->init_length();
   const int iter_len = proc0->iteration_length();

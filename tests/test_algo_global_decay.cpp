@@ -10,7 +10,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 
 namespace dualcast {
@@ -133,9 +133,9 @@ TEST(GlobalDecay, RoundsGrowWithDiameter) {
 
 TEST(GlobalDecay, SourceTransmitsExactlyOnce) {
   const DualGraph net = DualGraph::protocol(line_graph(8));
-  Execution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
-                 std::make_shared<GlobalBroadcastProblem>(net, 0),
-                 std::make_unique<NoExtraEdges>(), {5, 3000, {}});
+  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+                       std::make_shared<GlobalBroadcastProblem>(net, 0),
+                       std::make_unique<NoExtraEdges>(), {5, 3000, {}});
   exec.run();
   int source_transmissions = 0;
   for (const auto& rec : exec.history().records()) {
@@ -151,9 +151,9 @@ TEST(GlobalDecay, SourceTransmitsExactlyOnce) {
 
 TEST(GlobalDecay, HoldersOnlyTransmitInsideAlignedWindow) {
   const DualGraph net = DualGraph::protocol(star_graph(16));
-  Execution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
-                 std::make_shared<GlobalBroadcastProblem>(net, 1),
-                 std::make_unique<NoExtraEdges>(), {7, 5000, {}});
+  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+                       std::make_shared<GlobalBroadcastProblem>(net, 1),
+                       std::make_unique<NoExtraEdges>(), {7, 5000, {}});
   exec.run();
   // Reconstruct per-node first-transmission rounds; all non-source
   // transmissions must happen at or after a gamma*L boundary following their
@@ -176,9 +176,9 @@ TEST(GlobalDecay, HoldersOnlyTransmitInsideAlignedWindow) {
 
 TEST(GlobalDecay, PermutedMessageCarriesSharedBits) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
-  Execution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
-                 std::make_shared<GlobalBroadcastProblem>(net, 0),
-                 std::make_unique<NoExtraEdges>(), {9, 3000, {}});
+  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+                       std::make_shared<GlobalBroadcastProblem>(net, 0),
+                       std::make_unique<NoExtraEdges>(), {9, 3000, {}});
   exec.step();
   const auto& sent = exec.history().round(0).sent;
   ASSERT_EQ(sent.size(), 1u);
@@ -188,7 +188,7 @@ TEST(GlobalDecay, PermutedMessageCarriesSharedBits) {
 
 TEST(GlobalDecay, FixedMessageCarriesNoBits) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
-  Execution exec(
+  KernelExecution exec(
       net, decay_global_factory(DecayGlobalConfig::fast(ScheduleKind::fixed)),
       std::make_shared<GlobalBroadcastProblem>(net, 0),
       std::make_unique<NoExtraEdges>(), {9, 3000, {}});
@@ -202,9 +202,9 @@ TEST(GlobalDecay, InspectorNeverContradictsBehavior) {
   // Property: a node that transmits in round r must have had
   // transmit_probability(r) > 0 at the start of r.
   const DualCliqueNet dc = dual_clique(32);
-  Execution exec(dc.net, decay_global_factory(DecayGlobalConfig::fast()),
-                 std::make_shared<GlobalBroadcastProblem>(dc.net, 1),
-                 std::make_unique<RandomIidEdges>(0.3), {11, 4000, {}});
+  KernelExecution exec(dc.net, decay_global_factory(DecayGlobalConfig::fast()),
+                       std::make_shared<GlobalBroadcastProblem>(dc.net, 1),
+                       std::make_unique<RandomIidEdges>(0.3), {11, 4000, {}});
   while (!exec.done()) {
     const int r = exec.round();
     std::vector<double> probs(static_cast<std::size_t>(dc.net.n()));
@@ -226,9 +226,10 @@ TEST(GlobalDecay, UnboundedCallsKeepTransmitting) {
   DecayGlobalConfig cfg = DecayGlobalConfig::fast();
   cfg.calls = DecayGlobalConfig::kUnbounded;
   const DualGraph net = DualGraph::protocol(complete_graph(8));
-  Execution exec(net, decay_global_factory(cfg),
-                 std::make_shared<AssignmentProblem>(8, 0, std::vector<int>{}),
-                 std::make_unique<NoExtraEdges>(), {13, 4000, {}});
+  KernelExecution exec(
+      net, decay_global_factory(cfg),
+      std::make_shared<AssignmentProblem>(8, 0, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(), {13, 4000, {}});
   exec.run();
   // Transmissions should appear in the last tenth of the run.
   std::int64_t late = 0;

@@ -5,7 +5,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
@@ -67,9 +67,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LocalDecay, OnlyBNodesTransmit) {
   const DualGraph net = DualGraph::protocol(line_graph(16));
   const std::vector<int> b{2, 9};
-  Execution exec(net, decay_local_factory(DecayLocalConfig{}),
-                 std::make_shared<LocalBroadcastProblem>(net, b),
-                 std::make_unique<NoExtraEdges>(), {3, 500, {}});
+  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+                       std::make_shared<LocalBroadcastProblem>(net, b),
+                       std::make_unique<NoExtraEdges>(), {3, 500, {}});
   exec.run();
   for (const auto& rec : exec.history().records()) {
     for (const int v : rec.transmitters) {
@@ -82,10 +82,10 @@ TEST(LocalDecay, LadderDefaultsToDegreeNotN) {
   // On a bounded-degree graph the ladder must track Δ, not n: that is what
   // makes the baseline O(log n log Δ) rather than O(log n log n).
   const DualGraph net = DualGraph::protocol(line_graph(256));  // Δ = 2
-  Execution exec(net, decay_local_factory(DecayLocalConfig{}),
-                 std::make_shared<LocalBroadcastProblem>(
-                     net, std::vector<int>{100}),
-                 std::make_unique<NoExtraEdges>(), {3, 50, {}});
+  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+                       std::make_shared<LocalBroadcastProblem>(
+                           net, std::vector<int>{100}),
+                       std::make_unique<NoExtraEdges>(), {3, 50, {}});
   const auto* proc = dynamic_cast<const DecayLocalBroadcast*>(&exec.process(100));
   ASSERT_NE(proc, nullptr);
   EXPECT_EQ(proc->ladder(), clog2(2 * 2));
@@ -133,10 +133,10 @@ TEST(LocalDecay, StrictCreditAlsoSolvableInProtocolModel) {
 
 TEST(LocalDecay, InspectorMatchesLadderProbabilities) {
   const DualGraph net = DualGraph::protocol(line_graph(8));
-  Execution exec(net, decay_local_factory(DecayLocalConfig{}),
-                 std::make_shared<LocalBroadcastProblem>(
-                     net, std::vector<int>{4}),
-                 std::make_unique<NoExtraEdges>(), {3, 50, {}});
+  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+                       std::make_shared<LocalBroadcastProblem>(
+                           net, std::vector<int>{4}),
+                       std::make_unique<NoExtraEdges>(), {3, 50, {}});
   const auto* proc = dynamic_cast<const DecayLocalBroadcast*>(&exec.process(4));
   ASSERT_NE(proc, nullptr);
   const int ladder = proc->ladder();

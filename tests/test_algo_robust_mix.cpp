@@ -10,7 +10,7 @@
 #include "core/robust_mix.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 
 namespace dualcast {
@@ -73,9 +73,9 @@ TEST(RobustMix, OpportunisticallyFastWhenObliviousAdversary) {
 TEST(RobustMix, RobinHalfTransmitsOnlyInItsSlots) {
   const int n = 16;
   const DualCliqueNet dc = dual_clique(n);
-  Execution exec(dc.net, robust_mix_factory(),
-                 std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
-                 std::make_unique<NoExtraEdges>(), {3, 200, {}});
+  KernelExecution exec(dc.net, robust_mix_factory(),
+                       std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
+                       std::make_unique<NoExtraEdges>(), {3, 200, {}});
   exec.run();
   for (int r = 0; r < exec.history().rounds(); r += 2) {
     // Even (robin) rounds: transmitter id must equal the half-clock slot.
@@ -90,9 +90,9 @@ TEST(RobustMix, MessageLearnedInOneHalfSeedsTheOther) {
   // transmit in decay rounds too (both halves share receptions).
   const int n = 16;
   const DualCliqueNet dc = dual_clique(n);
-  Execution exec(dc.net, robust_mix_factory(),
-                 std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
-                 std::make_unique<NoExtraEdges>(), {7, 600, {}});
+  KernelExecution exec(dc.net, robust_mix_factory(),
+                       std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
+                       std::make_unique<NoExtraEdges>(), {7, 600, {}});
   exec.run();
   ASSERT_TRUE(exec.solved());
   int odd_round_transmissions = 0;
@@ -106,10 +106,11 @@ TEST(RobustMix, MessageLearnedInOneHalfSeedsTheOther) {
 TEST(RobustMix, InspectorConsistentAcrossParities) {
   const int n = 16;
   const DualCliqueNet dc = dual_clique(n);
-  Execution exec(dc.net, robust_mix_factory(),
-                 std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
-                 std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
-                 {9, 400, {}});
+  KernelExecution exec(
+      dc.net, robust_mix_factory(),
+      std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
+      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
+      {9, 400, {}});
   while (!exec.done()) {
     const int r = exec.round();
     std::vector<double> probs(static_cast<std::size_t>(n));

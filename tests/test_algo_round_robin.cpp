@@ -8,7 +8,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 
 namespace dualcast {
@@ -19,9 +19,9 @@ using testing::run_local;
 
 TEST(RoundRobin, TransmitsOnlyInOwnSlot) {
   const DualGraph net = DualGraph::protocol(complete_graph(8));
-  Execution exec(net, round_robin_factory(RoundRobinConfig{true}),
-                 std::make_shared<GlobalBroadcastProblem>(net, 3),
-                 std::make_unique<NoExtraEdges>(), {1, 64, {}});
+  KernelExecution exec(net, round_robin_factory(RoundRobinConfig{true}),
+                       std::make_shared<GlobalBroadcastProblem>(net, 3),
+                       std::make_unique<NoExtraEdges>(), {1, 64, {}});
   exec.run();
   for (int r = 0; r < exec.history().rounds(); ++r) {
     for (const int v : exec.history().round(r).transmitters) {
@@ -32,9 +32,9 @@ TEST(RoundRobin, TransmitsOnlyInOwnSlot) {
 
 TEST(RoundRobin, AtMostOneTransmitterPerRound) {
   const DualCliqueNet dc = dual_clique(16);
-  Execution exec(dc.net, round_robin_factory(RoundRobinConfig{true}),
-                 std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
-                 std::make_unique<GreedyColliderOffline>(), {1, 400, {}});
+  KernelExecution exec(dc.net, round_robin_factory(RoundRobinConfig{true}),
+                       std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
+                       std::make_unique<GreedyColliderOffline>(), {1, 400, {}});
   exec.run();
   for (const auto& rec : exec.history().records()) {
     EXPECT_LE(rec.transmitters.size(), 1u);
@@ -99,10 +99,10 @@ TEST(RoundRobin, GlobalOnLineTakesAboutNPerHop) {
 
 TEST(RoundRobin, NonRelayNodesStaySilent) {
   const DualGraph net = DualGraph::protocol(line_graph(6));
-  Execution exec(net, round_robin_factory(RoundRobinConfig{false}),
-                 std::make_shared<LocalBroadcastProblem>(
-                     net, std::vector<int>{2}),
-                 std::make_unique<NoExtraEdges>(), {1, 30, {}});
+  KernelExecution exec(net, round_robin_factory(RoundRobinConfig{false}),
+                       std::make_shared<LocalBroadcastProblem>(
+                           net, std::vector<int>{2}),
+                       std::make_unique<NoExtraEdges>(), {1, 30, {}});
   exec.run();
   for (const auto& rec : exec.history().records()) {
     for (const int v : rec.transmitters) EXPECT_EQ(v, 2);
@@ -113,10 +113,10 @@ TEST(RoundRobin, DeterministicInspectorPredictions) {
   // Round robin is deterministic: the inspector's announced probabilities
   // are exactly 0 or 1 and match realized behavior.
   const DualCliqueNet dc = dual_clique(12);
-  Execution exec(dc.net, round_robin_factory(RoundRobinConfig{true}),
-                 std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
-                 std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
-                 {1, 100, {}});
+  KernelExecution exec(dc.net, round_robin_factory(RoundRobinConfig{true}),
+                       std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
+                       std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
+                       {1, 100, {}});
   while (!exec.done()) {
     const int r = exec.round();
     std::vector<double> probs(static_cast<std::size_t>(dc.net.n()));

@@ -6,34 +6,11 @@
 #include "analysis/fit.hpp"
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
-#include "analysis/trials.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace dualcast {
 namespace {
-
-TEST(Stats, SummaryOfKnownSample) {
-  const std::vector<double> values{4, 2, 6, 8, 10};
-  const Summary s = summarize(values);
-  EXPECT_EQ(s.count, 5);
-  EXPECT_DOUBLE_EQ(s.mean, 6.0);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 10.0);
-  EXPECT_DOUBLE_EQ(s.median, 6.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(10.0), 1e-12);  // sample variance = 10
-}
-
-TEST(Stats, SingleValue) {
-  const Summary s = summarize({3.5});
-  EXPECT_DOUBLE_EQ(s.mean, 3.5);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.5);
-}
-
-TEST(Stats, EmptySampleRejected) {
-  EXPECT_THROW(summarize({}), ContractViolation);
-}
 
 TEST(Stats, QuantileInterpolates) {
   const std::vector<double> values{1, 2, 3, 4};
@@ -128,26 +105,6 @@ TEST(Table, CsvOutput) {
 TEST(Table, RowWidthEnforced) {
   Table table({"a", "b"});
   EXPECT_THROW(table.add_row({cell(1)}), ContractViolation);
-}
-
-TEST(Trials, CollectsAndSummarizes) {
-  const TrialSet set = run_trials(10, 100, [](std::uint64_t seed) {
-    return static_cast<double>(seed - 100);
-  });
-  EXPECT_EQ(set.values.size(), 10u);
-  EXPECT_EQ(set.failures, 0);
-  EXPECT_DOUBLE_EQ(set.summary.mean, 4.5);
-  EXPECT_DOUBLE_EQ(set.success_rate(10), 1.0);
-}
-
-TEST(Trials, CountsFailures) {
-  const TrialSet set = run_trials(10, 0, [](std::uint64_t seed) {
-    return seed % 2 == 0 ? 1.0 : -1.0;
-  });
-  EXPECT_EQ(set.values.size(), 5u);
-  EXPECT_EQ(set.failures, 5);
-  EXPECT_DOUBLE_EQ(set.success_rate(10), 0.5);
-  EXPECT_FALSE(set.all_failed());
 }
 
 }  // namespace

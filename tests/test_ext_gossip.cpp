@@ -10,7 +10,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/gossip.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
@@ -22,9 +22,9 @@ RunResult run_gossip(const DualGraph& net, std::vector<int> sources,
                      std::unique_ptr<LinkProcess> adversary,
                      std::uint64_t seed, int max_rounds,
                      GossipConfig config = {}) {
-  Execution exec(net, gossip_factory(config),
-                 std::make_shared<GossipProblem>(net, std::move(sources)),
-                 std::move(adversary), {seed, max_rounds, {}});
+  KernelExecution exec(net, gossip_factory(config),
+                       std::make_shared<GossipProblem>(net, std::move(sources)),
+                       std::move(adversary), {seed, max_rounds, {}});
   return exec.run();
 }
 
@@ -166,10 +166,10 @@ TEST(GossipQuiesce, HoldersFallSilentAfterBudgetsDrain) {
   const int ladder = clog2(16);
   const int budget = 4 * ladder;  // the derived default
   const auto run_tail = [&](GossipConfig cfg) {
-    Execution exec(net, gossip_factory(cfg),
-                   std::make_shared<AssignmentProblem>(
-                       16, -1, std::vector<int>{0, 8}),
-                   std::make_unique<NoExtraEdges>(), {21, 6000, {}});
+    KernelExecution exec(net, gossip_factory(cfg),
+                         std::make_shared<AssignmentProblem>(
+                             16, -1, std::vector<int>{0, 8}),
+                         std::make_unique<NoExtraEdges>(), {21, 6000, {}});
     exec.run();
     std::int64_t tail = 0;
     std::map<std::pair<int, std::uint64_t>, int> per_node_token;
@@ -200,10 +200,10 @@ TEST(GossipQuiesce, HoldersFallSilentAfterBudgetsDrain) {
 TEST(Gossip, FairSchedulerKeepsEveryTokenCirculating) {
   // A node holding several tokens must offer each of them over time.
   const DualGraph net = DualGraph::protocol(complete_graph(8));
-  Execution exec(net, gossip_factory(GossipConfig{}),
-                 std::make_shared<GossipProblem>(net, std::vector<int>{0, 1,
-                                                                       2}),
-                 std::make_unique<NoExtraEdges>(), {5, 2000, {}});
+  KernelExecution exec(
+      net, gossip_factory(GossipConfig{}),
+      std::make_shared<GossipProblem>(net, std::vector<int>{0, 1, 2}),
+      std::make_unique<NoExtraEdges>(), {5, 2000, {}});
   exec.run();
   ASSERT_TRUE(exec.solved());
   // After completion every node holds all three tokens; count per-token
@@ -232,10 +232,11 @@ TEST(Gossip, MoreTokensCostMoreRounds) {
 
 TEST(Gossip, InspectorConsistency) {
   const DualCliqueNet dc = dual_clique(16);
-  Execution exec(dc.net, gossip_factory(GossipConfig{}),
-                 std::make_shared<GossipProblem>(dc.net, std::vector<int>{0, 9}),
-                 std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
-                 {11, 5000, {}});
+  KernelExecution exec(
+      dc.net, gossip_factory(GossipConfig{}),
+      std::make_shared<GossipProblem>(dc.net, std::vector<int>{0, 9}),
+      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
+      {11, 5000, {}});
   while (!exec.done()) {
     const int r = exec.round();
     std::vector<double> probs(16);
@@ -252,9 +253,10 @@ TEST(Gossip, InspectorConsistency) {
 
 TEST(Gossip, HeldSetGrowsMonotonically) {
   const DualGraph net = DualGraph::protocol(ring_graph(12));
-  Execution exec(net, gossip_factory(GossipConfig{}),
-                 std::make_shared<GossipProblem>(net, std::vector<int>{0, 6}),
-                 std::make_unique<NoExtraEdges>(), {13, 5000, {}});
+  KernelExecution exec(
+      net, gossip_factory(GossipConfig{}),
+      std::make_shared<GossipProblem>(net, std::vector<int>{0, 6}),
+      std::make_unique<NoExtraEdges>(), {13, 5000, {}});
   std::vector<std::size_t> prev(12, 0);
   while (!exec.done()) {
     exec.step();

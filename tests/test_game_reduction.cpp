@@ -12,7 +12,7 @@
 #include "core/kernels.hpp"
 #include "game/reduction_player.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
 
@@ -110,10 +110,10 @@ TEST(ReductionPlayer, SparseRoundsDominateForDecay) {
 }
 
 TEST(ReductionPlayer, KernelEngineReplaysScalarPlayerExactly) {
-  // The batch-engine port: with the algorithm's kernel supplied, the inner
-  // simulation runs on KernelExecution. Engines replay bit-identically, so
-  // the whole played game — labels, guesses, win round — must match the
-  // scalar player outcome for outcome.
+  // With the algorithm's kernel supplied, the inner simulation runs on the
+  // native kernel instead of the scalar adapter. The two replay
+  // bit-identically, so the whole played game — labels, guesses, win round
+  // — must match the scalar player outcome for outcome.
   const int beta = 48;
   Rng rng(23);
   for (int t = 0; t < 6; ++t) {
@@ -176,19 +176,19 @@ TEST(ReductionValidity, SimulationMatchesTrueTargetNetworkUntilTheWin) {
 
   // True target network: bridge at (target, target + beta).
   const DualCliqueNet true_net = dual_clique(2 * beta, target);
-  Execution real(
+  KernelExecution real(
       true_net.net, decay_global_factory(persistent_decay(ScheduleKind::fixed)),
       std::make_shared<AssignmentProblem>(2 * beta, 0, std::vector<int>{}),
-      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}), {seed,
-      outcome.sim_rounds + 1, {}});
+      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
+      {seed, outcome.sim_rounds + 1, {}});
 
   // Re-run the player's simulation to recover its transmitter trace.
   const DualCliqueNet sim_net = dual_clique_without_bridge(2 * beta);
-  Execution sim(
+  KernelExecution sim(
       sim_net.net, decay_global_factory(persistent_decay(ScheduleKind::fixed)),
       std::make_shared<AssignmentProblem>(2 * beta, 0, std::vector<int>{}),
-      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}), {seed,
-      outcome.sim_rounds + 1, {}});
+      std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
+      {seed, outcome.sim_rounds + 1, {}});
 
   // All rounds before the winning one must agree exactly (the winning round
   // itself may diverge only *after* the winning transmission, which is the

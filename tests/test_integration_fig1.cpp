@@ -11,7 +11,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/mathutil.hpp"
 
@@ -91,9 +91,9 @@ TEST(Fig1Integration, LocalBroadcastGeoVsGeneralSeparation) {
   std::vector<int> b;
   for (int v = 0; v < geo.net.n(); v += 3) b.push_back(v);
 
-  Execution exec(geo.net, geo_local_factory(GeoLocalConfig::fast()),
-                 std::make_shared<LocalBroadcastProblem>(geo.net, b),
-                 std::make_unique<RandomIidEdges>(0.5), {3, 1 << 20, {}});
+  KernelExecution exec(geo.net, geo_local_factory(GeoLocalConfig::fast()),
+                       std::make_shared<LocalBroadcastProblem>(geo.net, b),
+                       std::make_unique<RandomIidEdges>(0.5), {3, 1 << 20, {}});
   const auto* proc = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
   ASSERT_NE(proc, nullptr);
   const RunResult result = exec.run();

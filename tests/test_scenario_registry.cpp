@@ -7,7 +7,7 @@
 #include "core/factories.hpp"
 #include "scenario/registries.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 
 namespace dualcast::scenario {
 namespace {
@@ -121,8 +121,8 @@ TEST(Registries, AlgorithmAndAdversaryInstantiate) {
   const LinkProcessFactory adversary = adversaries().build("iid(0.5)", topo);
   const ProblemFactory problem = problems().build("global(1)", topo);
   // Everything pluggable into a real execution.
-  Execution exec(topo.net(), factory, problem(), adversary(),
-                 ExecutionConfig{}.with_seed(3).with_max_rounds(5000));
+  KernelExecution exec(topo.net(), factory, problem(), adversary(),
+                       ExecutionConfig{}.with_seed(3).with_max_rounds(5000));
   const RunResult result = exec.run();
   EXPECT_TRUE(result.solved);
 }

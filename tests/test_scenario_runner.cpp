@@ -124,9 +124,9 @@ TEST(ScenarioCatalogTest, SweepSchedulerMatchesSequentialOnEveryCatalogScenario)
 }
 
 TEST(ScenarioCatalogTest, KernelEngineMatchesScalarOnEveryCatalogScenario) {
-  // The batch-kernel engine must reproduce the scalar engine's rows byte
-  // for byte on every catalog scenario — the bit-identical contract of the
-  // kernel ports (and of the scalar-adapter fallback behind them).
+  // The native kernels must reproduce the scalar adapter's rows (what
+  // --engine scalar forces) byte for byte on every catalog scenario — the
+  // bit-identical contract of the kernel ports.
   for (const ScenarioSpec* spec : scenarios().all()) {
     RunOptions scalar;
     scalar.smoke = true;

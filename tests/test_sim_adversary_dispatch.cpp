@@ -7,7 +7,7 @@
 #include "adversary/dense_sparse.hpp"
 #include "adversary/offline_collider.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
 
@@ -63,10 +63,10 @@ std::shared_ptr<Problem> assign(int n) {
 TEST(Dispatch, ObliviousOnlyGetsObliviousHook) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   HookLog log;
-  Execution exec(net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
-                 std::make_unique<ProbeAdversary>(AdversaryClass::oblivious,
-                                                  &log),
-                 {1, 2, {}});
+  KernelExecution exec(
+      net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
+      std::make_unique<ProbeAdversary>(AdversaryClass::oblivious, &log),
+      {1, 2, {}});
   exec.run();
   EXPECT_EQ(log.oblivious, 2);
   EXPECT_EQ(log.online, 0);
@@ -76,10 +76,10 @@ TEST(Dispatch, ObliviousOnlyGetsObliviousHook) {
 TEST(Dispatch, OnlineOnlyGetsOnlineHook) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   HookLog log;
-  Execution exec(net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
-                 std::make_unique<ProbeAdversary>(
-                     AdversaryClass::online_adaptive, &log),
-                 {1, 2, {}});
+  KernelExecution exec(
+      net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
+      std::make_unique<ProbeAdversary>( AdversaryClass::online_adaptive, &log),
+      {1, 2, {}});
   exec.run();
   EXPECT_EQ(log.oblivious, 0);
   EXPECT_EQ(log.online, 2);
@@ -89,10 +89,10 @@ TEST(Dispatch, OnlineOnlyGetsOnlineHook) {
 TEST(Dispatch, OfflineOnlyGetsOfflineHook) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   HookLog log;
-  Execution exec(net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
-                 std::make_unique<ProbeAdversary>(
-                     AdversaryClass::offline_adaptive, &log),
-                 {1, 2, {}});
+  KernelExecution exec(
+      net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
+      std::make_unique<ProbeAdversary>( AdversaryClass::offline_adaptive, &log),
+      {1, 2, {}});
   exec.run();
   EXPECT_EQ(log.offline, 2);
   EXPECT_EQ(log.online, 0);
@@ -105,8 +105,8 @@ TEST(Dispatch, OnlineSeesHistoryOnlyThroughPreviousRound) {
   auto probe = std::make_unique<ProbeAdversary>(AdversaryClass::online_adaptive,
                                                 &log);
   auto* probe_ptr = probe.get();
-  Execution exec(net, scripted_factory({{1, 0, 1}, {0, 0, 0}, {0, 0, 0}}),
-                 assign(3), std::move(probe), {1, 3, {}});
+  KernelExecution exec(net, scripted_factory({{1, 0, 1}, {0, 0, 0}, {0, 0, 0}}),
+                       assign(3), std::move(probe), {1, 3, {}});
   exec.step();
   EXPECT_EQ(probe_ptr->history_rounds_seen_, 0);  // round 0: empty history
   exec.step();
@@ -121,8 +121,8 @@ TEST(Dispatch, OfflineSeesTheRoundsActualTransmitters) {
   auto probe = std::make_unique<ProbeAdversary>(
       AdversaryClass::offline_adaptive, &log);
   auto* probe_ptr = probe.get();
-  Execution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
-                 std::move(probe), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
+                       std::move(probe), {1, 1, {}});
   exec.step();
   EXPECT_EQ(probe_ptr->last_seen_transmitters_, (std::vector<int>{0, 2}));
 }
@@ -137,8 +137,8 @@ TEST(Dispatch, BaseHooksThrowIfNotOverridden) {
     }
   };
   const DualGraph net = DualGraph::protocol(line_graph(2));
-  Execution exec(net, scripted_factory({{1}, {0}}), assign(2),
-                 std::make_unique<Lazy>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}}), assign(2),
+                       std::make_unique<Lazy>(), {1, 1, {}});
   EXPECT_THROW(exec.step(), ContractViolation);
 }
 
@@ -152,8 +152,8 @@ TEST(Dispatch, InspectorReflectsPreRoundState) {
   auto* adv = adversary.get();
   // Round 0: three transmitters (dense: 3 > 0.5*log2(4)=1). Round 1: one
   // (sparse).
-  Execution exec(net, scripted_factory({{1, 1}, {1, 0}, {1, 0}, {0, 0}}),
-                 assign(4), std::move(adversary), {1, 2, {}});
+  KernelExecution exec(net, scripted_factory({{1, 1}, {1, 0}, {1, 0}, {0, 0}}),
+                       assign(4), std::move(adversary), {1, 2, {}});
   exec.run();
   ASSERT_EQ(adv->labels().size(), 2u);
   EXPECT_EQ(adv->labels()[0], 1);
@@ -166,8 +166,9 @@ TEST(Dispatch, GreedyColliderFloodsOnlyMultiTransmitterRounds) {
   gp.add_edge(0, 2);
   gp.finalize();
   const DualGraph net(std::move(g), std::move(gp));
-  Execution exec(net, scripted_factory({{1, 1}, {0, 1}, {0, 0}}), assign(3),
-                 std::make_unique<GreedyColliderOffline>(), {1, 2, {}});
+  KernelExecution exec(net, scripted_factory({{1, 1}, {0, 1}, {0, 0}}),
+                       assign(3), std::make_unique<GreedyColliderOffline>(),
+                       {1, 2, {}});
   exec.run();
   EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::none);
   EXPECT_EQ(exec.history().round(1).activated, EdgeSet::Kind::all);

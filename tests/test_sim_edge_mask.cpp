@@ -15,7 +15,7 @@
 
 #include "adversary/static_adversaries.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 
 namespace dualcast {
@@ -131,7 +131,7 @@ ExecutionHistory run_styled(const DualGraph& net, AdversaryClass cls,
     script.resize(30);
     for (auto& bit : script) bit = rng.bernoulli(0.3) ? 1 : 0;
   }
-  Execution exec(
+  KernelExecution exec(
       net, scripted_factory(scripts),
       std::make_shared<AssignmentProblem>(net.n(), -1, std::vector<int>{}),
       std::make_unique<StyledAdversary>(cls, mask_style),
@@ -221,10 +221,11 @@ TEST(EdgeMaskDifferential, IidMaskMatchesIndexExpansionByteForByte) {
     for (auto& bit : script) bit = rng.bernoulli(0.3) ? 1 : 0;
   }
   const auto run = [&](std::unique_ptr<LinkProcess> adversary) {
-    Execution exec(
+    KernelExecution exec(
         net, scripted_factory(scripts),
         std::make_shared<AssignmentProblem>(40, -1, std::vector<int>{}),
-        std::move(adversary), ExecutionConfig{}.with_seed(9).with_max_rounds(40));
+        std::move(adversary),
+        ExecutionConfig{}.with_seed(9).with_max_rounds(40));
     exec.run();
     return exec.history();
   };
@@ -242,7 +243,7 @@ TEST(EdgeMaskDifferential, IidEmptyRoundCollapsesToNone) {
   const DualGraph net = chordal_net(12, 3);
   std::vector<std::vector<char>> scripts(12);
   for (auto& script : scripts) script.assign(60, 1);
-  Execution exec(
+  KernelExecution exec(
       net, scripted_factory(scripts),
       std::make_shared<AssignmentProblem>(12, -1, std::vector<int>{}),
       std::make_unique<RandomIidEdges>(0.01),
@@ -290,7 +291,7 @@ TEST(EdgeMaskDifferential, ImplicitDualCliqueReplaysExplicitByteForByte) {
     for (auto& bit : script) bit = rng.bernoulli(0.25) ? 1 : 0;
   }
   const auto run = [&](const DualGraph& net) {
-    Execution exec(
+    KernelExecution exec(
         net, scripted_factory(scripts),
         std::make_shared<AssignmentProblem>(n, -1, std::vector<int>{}),
         std::make_unique<RandomIidEdges>(0.2),

@@ -8,7 +8,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
 
@@ -34,8 +34,8 @@ std::shared_ptr<Problem> assign(int n) {
 TEST(Engine, SingleTransmitterDeliversToGNeighbors) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   // Node 0 transmits in round 0; everyone else listens.
-  Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                 std::make_unique<NoExtraEdges>(), {1, 10, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+                       std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   const auto& rec = exec.history().round(0);
   ASSERT_EQ(rec.deliveries.size(), 1u);
@@ -46,8 +46,8 @@ TEST(Engine, SingleTransmitterDeliversToGNeighbors) {
 TEST(Engine, TwoTransmittersCollideAtCommonNeighbor) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   // Nodes 0 and 2 transmit; node 1 neighbors both -> collision, no delivery.
-  Execution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
-                 std::make_unique<NoExtraEdges>(), {1, 10, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
+                       std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   EXPECT_TRUE(exec.history().round(0).deliveries.empty());
 }
@@ -57,8 +57,9 @@ TEST(Engine, CollisionIsLocalNotGlobal) {
   // only 4: both receive despite two global transmitters. Node 2 hears
   // nobody (neighbors 1,3 silent).
   const DualGraph net = DualGraph::protocol(line_graph(5));
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}, {1}}), assign(5),
-                 std::make_unique<NoExtraEdges>(), {1, 10, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}, {1}}),
+                       assign(5), std::make_unique<NoExtraEdges>(),
+                       {1, 10, {}});
   exec.step();
   const auto& deliveries = exec.history().round(0).deliveries;
   ASSERT_EQ(deliveries.size(), 2u);
@@ -67,8 +68,8 @@ TEST(Engine, CollisionIsLocalNotGlobal) {
 TEST(Engine, TransmitterCannotReceive) {
   // 0 and 1 adjacent, both transmit: neither receives (half-duplex).
   const DualGraph net = DualGraph::protocol(line_graph(2));
-  Execution exec(net, scripted_factory({{1}, {1}}), assign(2),
-                 std::make_unique<NoExtraEdges>(), {1, 10, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {1}}), assign(2),
+                       std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   EXPECT_TRUE(exec.history().round(0).deliveries.empty());
 }
@@ -76,8 +77,8 @@ TEST(Engine, TransmitterCannotReceive) {
 TEST(Engine, GPrimeOnlyEdgeInactiveByDefault) {
   const DualGraph net = line3_with_chord();
   // 0 transmits; without the chord active, only 1 receives.
-  Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                 std::make_unique<NoExtraEdges>(), {1, 10, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+                       std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   const auto& deliveries = exec.history().round(0).deliveries;
   ASSERT_EQ(deliveries.size(), 1u);
@@ -86,8 +87,8 @@ TEST(Engine, GPrimeOnlyEdgeInactiveByDefault) {
 
 TEST(Engine, ActivatedGPrimeEdgeDelivers) {
   const DualGraph net = line3_with_chord();
-  Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                 std::make_unique<AllExtraEdges>(), {1, 10, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+                       std::make_unique<AllExtraEdges>(), {1, 10, {}});
   exec.step();
   // Now node 2 also hears node 0 over the activated chord.
   EXPECT_EQ(exec.history().round(0).deliveries.size(), 2u);
@@ -98,15 +99,15 @@ TEST(Engine, ActivatedGPrimeEdgeCanCauseCollision) {
   // 0 and 1 transmit. Without the chord, 2 hears only 1 -> delivery. With the
   // chord active, 2 hears both -> collision.
   {
-    Execution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
-                   std::make_unique<NoExtraEdges>(), {1, 10, {}});
+    KernelExecution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
+                         std::make_unique<NoExtraEdges>(), {1, 10, {}});
     exec.step();
     ASSERT_EQ(exec.history().round(0).deliveries.size(), 1u);
     EXPECT_EQ(exec.history().round(0).deliveries[0].receiver, 2);
   }
   {
-    Execution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
-                   std::make_unique<AllExtraEdges>(), {1, 10, {}});
+    KernelExecution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
+                         std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
     EXPECT_TRUE(exec.history().round(0).deliveries.empty());
   }
@@ -147,9 +148,10 @@ TEST(Engine, SelectiveEdgeActivation) {
   ASSERT_GE(idx03, 0);
   // 0 transmits. With only (0,3) active: 1 (G) and 3 (selected) receive; 2
   // does not.
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
-                 std::make_unique<SelectedEdges>(std::vector<std::int32_t>{idx03}),
-                 {1, 10, {}});
+  KernelExecution exec(
+      net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
+      std::make_unique<SelectedEdges>(std::vector<std::int32_t>{idx03}),
+      {1, 10, {}});
   exec.step();
   const auto& deliveries = exec.history().round(0).deliveries;
   ASSERT_EQ(deliveries.size(), 2u);
@@ -165,16 +167,16 @@ TEST(Engine, FastPathMatchesGeneralPathOnCompleteGPrime) {
   // agree with first principles: 1 transmitter -> n-1 deliveries; >=2 -> 0.
   const DualCliqueNet dc = dual_clique(8);
   {
-    Execution exec(dc.net,
-                   scripted_factory({{1}, {0}, {0}, {0}, {0}, {0}, {0}, {0}}),
-                   assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
+    KernelExecution exec(
+        dc.net, scripted_factory({{1}, {0}, {0}, {0}, {0}, {0}, {0}, {0}}),
+        assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
     EXPECT_EQ(exec.history().round(0).deliveries.size(), 7u);
   }
   {
-    Execution exec(dc.net,
-                   scripted_factory({{1}, {1}, {0}, {0}, {0}, {0}, {0}, {0}}),
-                   assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
+    KernelExecution exec(
+        dc.net, scripted_factory({{1}, {1}, {0}, {0}, {0}, {0}, {0}, {0}}),
+        assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
     EXPECT_TRUE(exec.history().round(0).deliveries.empty());
   }
@@ -189,8 +191,8 @@ TEST(Engine, FeedbackReportsTransmissionAndReception) {
     scripts->push_back(proc.get());
     return proc;
   };
-  Execution exec(net, factory, assign(2), std::make_unique<NoExtraEdges>(),
-                 {1, 10, {}});
+  KernelExecution exec(net, factory, assign(2),
+                       std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   ASSERT_EQ(scripts->size(), 2u);
   const auto& fb0 = (*scripts)[0]->feedback();
@@ -208,8 +210,8 @@ TEST(Engine, FeedbackReportsTransmissionAndReception) {
 TEST(Engine, FirstReceiveRoundTracked) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   // 0 transmits in rounds 0 and 1; 1 relays nothing.
-  Execution exec(net, scripted_factory({{1, 1}, {0, 0}, {0, 0}}), assign(3),
-                 std::make_unique<NoExtraEdges>(), {1, 2, {}});
+  KernelExecution exec(net, scripted_factory({{1, 1}, {0, 0}, {0, 0}}),
+                       assign(3), std::make_unique<NoExtraEdges>(), {1, 2, {}});
   exec.run();
   EXPECT_EQ(exec.first_receive_round()[1], 0);
   EXPECT_EQ(exec.first_receive_round()[0], -1);
@@ -219,9 +221,11 @@ TEST(Engine, FirstReceiveRoundTracked) {
 TEST(Engine, DeterministicReplay) {
   const DualCliqueNet dc = dual_clique(16);
   const auto run_once = [&](std::uint64_t seed) {
-    Execution exec(dc.net, decay_global_factory(DecayGlobalConfig::fast()),
-                   std::make_shared<GlobalBroadcastProblem>(dc.net, 2),
-                   std::make_unique<RandomIidEdges>(0.3), {seed, 2000, {}});
+    KernelExecution exec(dc.net,
+                         decay_global_factory(DecayGlobalConfig::fast()),
+                         std::make_shared<GlobalBroadcastProblem>(dc.net, 2),
+                         std::make_unique<RandomIidEdges>(0.3),
+                         {seed, 2000, {}});
     exec.run();
     std::vector<std::vector<int>> transmissions;
     for (const auto& rec : exec.history().records()) {
@@ -235,9 +239,9 @@ TEST(Engine, DeterministicReplay) {
 
 TEST(Engine, RunStopsWhenSolved) {
   const DualGraph net = DualGraph::protocol(complete_graph(4));
-  Execution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
-                 std::make_shared<GlobalBroadcastProblem>(net, 0),
-                 std::make_unique<NoExtraEdges>(), {1, 5000, {}});
+  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+                       std::make_shared<GlobalBroadcastProblem>(net, 0),
+                       std::make_unique<NoExtraEdges>(), {1, 5000, {}});
   const RunResult result = exec.run();
   ASSERT_TRUE(result.solved);
   EXPECT_LT(result.rounds, 5000);
@@ -248,9 +252,9 @@ TEST(Engine, RunStopsWhenSolved) {
 TEST(Engine, MaxRoundsCensorsUnsolvedRun) {
   // Nobody ever transmits: global broadcast cannot complete.
   const DualGraph net = DualGraph::protocol(line_graph(4));
-  Execution exec(net, scripted_factory({{}, {}, {}, {}}),
-                 std::make_shared<GlobalBroadcastProblem>(net, 0),
-                 std::make_unique<NoExtraEdges>(), {1, 50, {}});
+  KernelExecution exec(net, scripted_factory({{}, {}, {}, {}}),
+                       std::make_shared<GlobalBroadcastProblem>(net, 0),
+                       std::make_unique<NoExtraEdges>(), {1, 50, {}});
   const RunResult result = exec.run();
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(result.rounds, 50);
@@ -269,8 +273,8 @@ TEST(Engine, EnvOverrideRewritesIdentity) {
     env.n = 1000;
     return env;
   };
-  Execution exec(net, factory, assign(2), std::make_unique<NoExtraEdges>(),
-                 cfg);
+  KernelExecution exec(net, factory, assign(2),
+                       std::make_unique<NoExtraEdges>(), cfg);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].id, 100);
   EXPECT_EQ(seen[1].id, 101);

@@ -7,7 +7,7 @@
 #include "adversary/dense_sparse.hpp"
 #include "adversary/static_adversaries.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
 
@@ -58,9 +58,9 @@ DualGraph ring_with_chords(int n) {
 TEST(History, TotalsMatchRecords) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
   // Rounds: r0 nodes {0}, r1 {0,2}, r2 {} transmit.
-  Execution exec(net,
-                 scripted_factory({{1, 1, 0}, {0, 0, 0}, {0, 1, 0}, {0, 0, 0}}),
-                 assign(4), std::make_unique<NoExtraEdges>(), {1, 3, {}});
+  KernelExecution exec(
+      net, scripted_factory({{1, 1, 0}, {0, 0, 0}, {0, 1, 0}, {0, 0, 0}}),
+      assign(4), std::make_unique<NoExtraEdges>(), {1, 3, {}});
   exec.run();
   EXPECT_EQ(exec.history().rounds(), 3);
   EXPECT_EQ(exec.history().total_transmissions(), 3);
@@ -70,8 +70,8 @@ TEST(History, TotalsMatchRecords) {
 
 TEST(History, RoundAccessorBoundsChecked) {
   const DualGraph net = DualGraph::protocol(line_graph(2));
-  Execution exec(net, scripted_factory({{1}, {0}}), assign(2),
-                 std::make_unique<NoExtraEdges>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}}), assign(2),
+                       std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
   EXPECT_NO_THROW(exec.history().round(0));
   EXPECT_THROW(exec.history().round(1), ContractViolation);
@@ -80,8 +80,8 @@ TEST(History, RoundAccessorBoundsChecked) {
 
 TEST(History, SentMessagesParallelTransmitters) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
-  Execution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
-                 std::make_unique<NoExtraEdges>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
+                       std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
   ASSERT_EQ(rec.transmitters.size(), rec.sent.size());
@@ -97,23 +97,23 @@ TEST(History, ActivatedAccountingPerKind) {
   gp.finalize();
   const DualGraph net(std::move(g), std::move(gp));
   {
-    Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                   std::make_unique<NoExtraEdges>(), {1, 1, {}});
+    KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+                         std::make_unique<NoExtraEdges>(), {1, 1, {}});
     exec.run();
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::none);
     EXPECT_EQ(exec.history().round(0).activated_count, 0);
     EXPECT_TRUE(exec.history().round(0).activated_mask.empty());
   }
   {
-    Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                   std::make_unique<AllExtraEdges>(), {1, 1, {}});
+    KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+                         std::make_unique<AllExtraEdges>(), {1, 1, {}});
     exec.run();
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::all);
     EXPECT_EQ(exec.history().round(0).activated_count, 1);
   }
   {
-    Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                   std::make_unique<RandomIidEdges>(1.0), {1, 1, {}});
+    KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+                         std::make_unique<RandomIidEdges>(1.0), {1, 1, {}});
     exec.run();
     // p=1.0 short-circuits to Kind::all inside RandomIidEdges.
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::all);
@@ -137,8 +137,8 @@ TEST(History, MaskKindRecordsExactEdgeSet) {
       out = EdgeSet::some({0});
     }
   };
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
-                 std::make_unique<PickFirst>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
+                       std::make_unique<PickFirst>(), {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
   EXPECT_EQ(rec.activated, EdgeSet::Kind::mask);
@@ -168,8 +168,8 @@ TEST(History, EmptySelectionCollapsesToNone) {
       out = EdgeSet::some({});
     }
   };
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
-                 std::make_unique<EmptySome>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
+                       std::make_unique<EmptySome>(), {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
   EXPECT_EQ(rec.activated, EdgeSet::Kind::none);
@@ -193,8 +193,8 @@ TEST(History, EngineRejectsOutOfRangeEdgeIndices) {
       out = EdgeSet::some({5});  // only index 0 exists
     }
   };
-  Execution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
-                 std::make_unique<BadIndices>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+                       std::make_unique<BadIndices>(), {1, 1, {}});
   EXPECT_THROW(exec.step(), ContractViolation);
 }
 
@@ -207,7 +207,7 @@ TEST(HistoryPolicyTest, LeanKeepsAggregatesDropsTrace) {
   // reproduce every aggregate the full policy computes.
   const DualGraph net = ring_with_chords(8);
   const auto make = [&](HistoryPolicy policy) {
-    return std::make_unique<Execution>(
+    return std::make_unique<KernelExecution>(
         net, periodic_factory(3), assign(8),
         std::make_unique<RandomIidEdges>(0.5),
         ExecutionConfig{}
@@ -245,12 +245,12 @@ TEST(HistoryPolicyTest, LeanMemoryIsIndependentOfRoundCountOver50kRounds) {
   // O(n) — identical to a 1k-round run and far below the full trace.
   const DualGraph net = ring_with_chords(16);
   const auto footprint_after = [&](int rounds) {
-    Execution exec(net, periodic_factory(4), assign(16),
-                   std::make_unique<RandomIidEdges>(0.5),
-                   ExecutionConfig{}
-                       .with_seed(5)
-                       .with_max_rounds(rounds)
-                       .with_history_policy(HistoryPolicy::lean));
+    KernelExecution exec(net, periodic_factory(4), assign(16),
+                         std::make_unique<RandomIidEdges>(0.5),
+                         ExecutionConfig{}
+                             .with_seed(5)
+                             .with_max_rounds(rounds)
+                             .with_history_policy(HistoryPolicy::lean));
     exec.run();
     EXPECT_EQ(exec.history().rounds(), rounds);
     return exec.history().approx_bytes();
@@ -278,12 +278,12 @@ TEST(HistoryPolicyTest, AdaptiveAdversaryForcesFullFallback) {
     }
   };
   const DualGraph net = ring_with_chords(6);
-  Execution exec(net, periodic_factory(2), assign(6),
-                 std::make_unique<TraceReader>(),
-                 ExecutionConfig{}
-                     .with_seed(3)
-                     .with_max_rounds(10)
-                     .with_history_policy(HistoryPolicy::lean));
+  KernelExecution exec(net, periodic_factory(2), assign(6),
+                       std::make_unique<TraceReader>(),
+                       ExecutionConfig{}
+                           .with_seed(3)
+                           .with_max_rounds(10)
+                           .with_history_policy(HistoryPolicy::lean));
   exec.run();
   EXPECT_EQ(exec.history_policy(), HistoryPolicy::full);
   EXPECT_NO_THROW(exec.history().round(9));
@@ -293,12 +293,12 @@ TEST(HistoryPolicyTest, DeclaredNonReadersHonorLean) {
   // DenseSparseOnline is adaptive but declares needs_history() == false
   // (it reads only the StateInspector), so lean is honored.
   const DualGraph net = ring_with_chords(8);
-  Execution exec(net, periodic_factory(2), assign(8),
-                 std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
-                 ExecutionConfig{}
-                     .with_seed(3)
-                     .with_max_rounds(10)
-                     .with_history_policy(HistoryPolicy::lean));
+  KernelExecution exec(net, periodic_factory(2), assign(8),
+                       std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
+                       ExecutionConfig{}
+                           .with_seed(3)
+                           .with_max_rounds(10)
+                           .with_history_policy(HistoryPolicy::lean));
   exec.run();
   EXPECT_EQ(exec.history_policy(), HistoryPolicy::lean);
 }

@@ -1,11 +1,10 @@
-// Batch-engine equivalence: for every ported kernel, KernelExecution must
-// replay bit-identically against the scalar Execution — same transmitters,
-// messages, deliveries, solve round — across topologies, adversary classes
-// (including adaptive ones, which also exercises the kernel-backed
-// StateInspector), and problems. Plus the scalar-adapter path for custom
-// algorithms, the batch-compatibility contract for problems, the engine's
-// incremental holder count against a full scan, and env_override on both
-// kernel paths.
+// Kernel equivalence: every native kernel must replay bit-identically
+// against the scalar adapter over its algorithm on the one engine — same
+// transmitters, messages, deliveries, solve round — across topologies,
+// adversary classes (including adaptive ones, which read state through
+// the kernel-backed StateInspector), and problems. Plus the
+// batch-compatibility contract for problems, the engine's incremental
+// holder count against a full scan, and env_override on both kernel paths.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +15,7 @@
 
 #include "adversary/static_adversaries.hpp"
 #include "scenario/registries.hpp"
-#include "sim/execution.hpp"
 #include "sim/kernel_execution.hpp"
-#include "test_support.hpp"
 #include "util/assert.hpp"
 
 namespace dualcast {
@@ -34,8 +31,8 @@ struct Combo {
   int max_rounds;
 };
 
-/// Runs `max_rounds` (or to solve) on both engines and compares the full
-/// observable trace.
+/// Runs `max_rounds` (or to solve) with the native kernel and with the
+/// scalar adapter, and compares the full observable trace.
 void expect_engines_agree(const Combo& combo, std::uint64_t seed) {
   SCOPED_TRACE(combo.topology + " | " + combo.algorithm + " | " +
                combo.adversary + " | " + combo.problem);
@@ -59,7 +56,8 @@ void expect_engines_agree(const Combo& combo, std::uint64_t seed) {
         .with_history_policy(HistoryPolicy::full);
   };
 
-  Execution scalar(topo.net(), factory, problem(), adversary(), config());
+  KernelExecution scalar(topo.net(), factory, problem(), adversary(),
+                         config());
   const RunResult scalar_result = scalar.run();
   KernelExecution kernel(topo.net(), factory, kernel_factory(), problem(),
                          adversary(), config());
@@ -179,43 +177,6 @@ TEST(KernelEngineEquivalence, MultipleSeedsSpotCheck) {
   }
 }
 
-TEST(KernelEngineAdapter, CustomProcessRunsIdentically) {
-  // A scripted (non-ported) algorithm through the adapter: the batch engine
-  // must reproduce the scalar run including per-process feedback.
-  const Topology topo = scenario::topologies().build("dual_clique(16)", 5);
-  const ProcessFactory factory = testing::scripted_factory([&] {
-    std::vector<std::vector<char>> scripts(16);
-    scripts[1] = {1, 0, 1, 0, 1};
-    scripts[5] = {0, 1, 1, 0, 0};
-    scripts[9] = {0, 0, 1, 1, 0};
-    return scripts;
-  }());
-  const auto run = [&](auto&& make) {
-    auto exec = make();
-    exec->run();
-    std::vector<std::vector<int>> tx;
-    for (const auto& rec : exec->history().records()) {
-      tx.push_back(rec.transmitters);
-    }
-    return tx;
-  };
-  const auto problem = scenario::problems().build("assignment(1)", topo);
-  const auto adversary = scenario::adversaries().build("iid(0.5)", topo);
-  const auto cfg =
-      ExecutionConfig{}.with_seed(3).with_max_rounds(5).with_history_policy(
-          HistoryPolicy::full);
-  const auto scalar_tx = run([&] {
-    return std::make_unique<Execution>(topo.net(), factory, problem(),
-                                       adversary(), cfg);
-  });
-  const auto kernel_tx = run([&] {
-    return std::make_unique<KernelExecution>(
-        topo.net(), factory, make_scalar_kernel_adapter(factory), problem(),
-        adversary(), cfg);
-  });
-  EXPECT_EQ(scalar_tx, kernel_tx);
-}
-
 TEST(KernelEngineContract, NonBatchProblemRequiresAdapter) {
   // A problem that does not declare batch_compatible() cannot run on a
   // process-less kernel...
@@ -297,37 +258,11 @@ TEST(KernelEngineCompletion, HolderCountMatchesScanEveryRound) {
   }
 }
 
-TEST(KernelEngineEnvOverride, RewritesIdentityThroughAdapter) {
-  // Engine.EnvOverrideRewritesIdentity, through the batch engine's scalar
-  // adapter: every process is built from the overridden environment.
-  const Topology topo = scenario::topologies().build("line(2)", 5);
-  std::vector<ProcessEnv> seen;
-  const ProcessFactory factory = [&seen](const ProcessEnv& env) {
-    seen.push_back(env);
-    return std::make_unique<testing::ScriptedProcess>(std::vector<char>{});
-  };
-  KernelExecution exec(
-      topo.net(), factory, make_scalar_kernel_adapter(factory),
-      std::make_shared<AssignmentProblem>(2, -1, std::vector<int>{}),
-      std::make_unique<NoExtraEdges>(),
-      ExecutionConfig{}.with_seed(1).with_max_rounds(10).with_env_override(
-          [](ProcessEnv env) {
-            env.id += 100;
-            env.n = 1000;
-            return env;
-          }));
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].id, 100);
-  EXPECT_EQ(seen[1].id, 101);
-  EXPECT_EQ(seen[0].n, 1000);
-}
-
 TEST(KernelEngineEnvOverride, MovedSourceRoleTransmitsFirst) {
   // The problem makes node 1 the source; the override hands the role (and
   // the message) to node 5. Global decay's round 0 is the source's
   // transmission, so round 0's only transmitter must be node 5 — through
-  // the scalar adapter, through the native kernel, and on the scalar
-  // engine alike.
+  // the scalar adapter and through the native kernel alike.
   const Topology topo = scenario::topologies().build("dual_clique(8)", 5);
   const std::string algo = "decay_global(fixed,persistent)";
   const ProcessFactory factory = scenario::algorithms().build(algo);
@@ -360,10 +295,6 @@ TEST(KernelEngineEnvOverride, MovedSourceRoleTransmitsFirst) {
     exec.step();
     expect_round0(exec.history().round(0));
   }
-  Execution scalar(topo.net(), factory, problem(),
-                   std::make_unique<NoExtraEdges>(), config);
-  scalar.step();
-  expect_round0(scalar.history().round(0));
 }
 
 }  // namespace

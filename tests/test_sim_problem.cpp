@@ -7,7 +7,7 @@
 
 #include "adversary/static_adversaries.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
 
@@ -73,8 +73,8 @@ TEST(LocalProblem, SolvedWhenAllReceiversCredited) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0});
-  Execution exec(net, scripted_factory({{1}, {0}, {0}}), problem,
-                 std::make_unique<NoExtraEdges>(), {1, 5, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), problem,
+                       std::make_unique<NoExtraEdges>(), {1, 5, {}});
   const RunResult result = exec.run();
   EXPECT_TRUE(result.solved);
   EXPECT_EQ(result.rounds, 1);
@@ -88,8 +88,8 @@ TEST(LocalProblem, NonBSendersDoNotCount) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0});
-  Execution exec(net, scripted_factory({{0}, {0}, {1}}), problem,
-                 std::make_unique<NoExtraEdges>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{0}, {0}, {1}}), problem,
+                       std::make_unique<NoExtraEdges>(), {1, 1, {}});
   const RunResult result = exec.run();
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(problem->satisfied_count(), 0);
@@ -108,8 +108,8 @@ TEST(LocalProblem, LiberalCreditAcceptsGPrimeDelivery) {
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0, 2}, ReceiverCredit::any_b_sender);
   // Only node 0 transmits; chord (0,3) active.
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), problem,
-                 std::make_unique<AllExtraEdges>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), problem,
+                       std::make_unique<AllExtraEdges>(), {1, 1, {}});
   exec.run();
   const auto unsat = problem->unsatisfied();
   EXPECT_EQ(std::count(unsat.begin(), unsat.end(), 3), 0)
@@ -124,8 +124,8 @@ TEST(LocalProblem, StrictCreditRequiresGNeighborSender) {
   const DualGraph net(std::move(g), std::move(gp));
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0, 2}, ReceiverCredit::g_neighbor_only);
-  Execution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), problem,
-                 std::make_unique<AllExtraEdges>(), {1, 1, {}});
+  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), problem,
+                       std::make_unique<AllExtraEdges>(), {1, 1, {}});
   exec.run();
   const auto unsat = problem->unsatisfied();
   EXPECT_EQ(std::count(unsat.begin(), unsat.end(), 3), 1)
@@ -139,8 +139,9 @@ TEST(AssignmentProblem, NeverSolvedAndAllowsDisconnected) {
   EXPECT_TRUE(problem->is_source(0));
   EXPECT_TRUE(problem->in_broadcast_set(1));
   EXPECT_FALSE(problem->in_broadcast_set(0));
-  Execution exec(dc.net, scripted_factory(std::vector<std::vector<char>>(8)),
-                 problem, std::make_unique<NoExtraEdges>(), {1, 3, {}});
+  KernelExecution exec(dc.net,
+                       scripted_factory(std::vector<std::vector<char>>(8)),
+                       problem, std::make_unique<NoExtraEdges>(), {1, 3, {}});
   const RunResult result = exec.run();
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(result.rounds, 3);

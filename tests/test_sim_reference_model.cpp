@@ -1,7 +1,10 @@
 // Reference-model fuzzing: replay randomized executions and recompute every
 // round's outcome from first principles (the §2 receive rule applied naively
-// in O(n²)), comparing against the engine — including its complete-topology
-// fast path. Also covers the collision-detection model variant.
+// in O(n²)), comparing against the engine — through the scalar adapter on
+// random scripts and through native kernels on registered algorithms,
+// including the engine's complete-topology fast path. Also covers the
+// collision-detection model variant and the adapter's InspectableProcess
+// contract for adaptive adversaries.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +13,12 @@
 
 #include "adversary/offline_collider.hpp"
 #include "adversary/static_adversaries.hpp"
+#include "adversary/dense_sparse.hpp"
 #include "graph/generators.hpp"
-#include "sim/execution.hpp"
+#include "scenario/registries.hpp"
+#include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
+#include "util/assert.hpp"
 
 namespace dualcast {
 namespace {
@@ -58,23 +64,11 @@ std::set<std::pair<int, int>> reference_deliveries(const DualGraph& net,
   return out;
 }
 
-/// Random-script fuzz over a given network + adversary; checks every round.
-void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
-                  std::uint64_t seed, int rounds) {
-  Rng rng(seed);
-  std::vector<std::vector<char>> scripts(static_cast<std::size_t>(net.n()));
-  for (auto& script : scripts) {
-    script.resize(static_cast<std::size_t>(rounds));
-    for (auto& bit : script) bit = rng.bernoulli(0.35) ? 1 : 0;
-  }
-  Execution exec(net, scripted_factory(scripts),
-                 std::make_shared<AssignmentProblem>(net.n(), -1,
-                                                     std::vector<int>{}),
-                 std::move(adversary), {seed, rounds, {}});
-  exec.run();
-  ASSERT_EQ(exec.history().rounds(), rounds);
-  for (int r = 0; r < rounds; ++r) {
-    const RoundRecord& record = exec.history().round(r);
+/// Checks every recorded round of `history` against the reference model.
+void expect_reference_rounds(const DualGraph& net,
+                             const ExecutionHistory& history) {
+  for (int r = 0; r < history.rounds(); ++r) {
+    const RoundRecord& record = history.round(r);
     const auto expected = reference_deliveries(net, record);
     std::set<std::pair<int, int>> actual;
     for (const Delivery& d : record.deliveries) {
@@ -89,6 +83,48 @@ void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
     }
     ASSERT_EQ(actual, expected) << "round " << r;
   }
+}
+
+/// Random-script fuzz over a given network + adversary; checks every round.
+void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
+                  std::uint64_t seed, int rounds) {
+  Rng rng(seed);
+  std::vector<std::vector<char>> scripts(static_cast<std::size_t>(net.n()));
+  for (auto& script : scripts) {
+    script.resize(static_cast<std::size_t>(rounds));
+    for (auto& bit : script) bit = rng.bernoulli(0.35) ? 1 : 0;
+  }
+  KernelExecution exec(net, scripted_factory(scripts),
+                       std::make_shared<AssignmentProblem>(
+                           net.n(), -1, std::vector<int>{}),
+                       std::move(adversary), {seed, rounds, {}});
+  exec.run();
+  ASSERT_EQ(exec.history().rounds(), rounds);
+  expect_reference_rounds(net, exec.history());
+}
+
+/// A registered algorithm on its native kernel, built from the scenario
+/// registries; checks every round it runs.
+void fuzz_native_kernel(const std::string& topology,
+                        const std::string& algorithm,
+                        const std::string& adversary,
+                        const std::string& problem, std::uint64_t seed,
+                        int max_rounds) {
+  SCOPED_TRACE(topology + " | " + algorithm + " | " + adversary);
+  const scenario::Topology topo = scenario::topologies().build(topology, seed);
+  const KernelFactory kernel = scenario::build_kernel_or_null(algorithm);
+  ASSERT_TRUE(kernel) << "no kernel registered for " << algorithm;
+  KernelExecution exec(topo.net(), scenario::algorithms().build(algorithm),
+                       kernel(), scenario::problems().build(problem, topo)(),
+                       scenario::adversaries().build(adversary, topo)(),
+                       ExecutionConfig{}
+                           .with_seed(seed)
+                           .with_max_rounds(max_rounds)
+                           .with_history_policy(HistoryPolicy::full));
+  ASSERT_EQ(exec.kernel().processes(), nullptr);
+  exec.run();
+  ASSERT_GT(exec.history().total_deliveries(), 0);
+  expect_reference_rounds(topo.net(), exec.history());
 }
 
 class FuzzSeedParam : public ::testing::TestWithParam<std::uint64_t> {};
@@ -118,8 +154,43 @@ TEST_P(FuzzSeedParam, BraceletWithFlicker) {
                40);
 }
 
+TEST_P(FuzzSeedParam, NativeDecayGlobalWithColliderOnDualClique) {
+  fuzz_native_kernel("dual_clique(24)", "decay_global(fixed,persistent)",
+                     "collider", "global(1)", GetParam(), 300);
+}
+
+TEST_P(FuzzSeedParam, NativeDecayLocalWithFlickerOnBracelet) {
+  fuzz_native_kernel("bracelet(72)", "decay_local", "flicker(2,3)",
+                     "local(heads_a)", GetParam() + 100, 200);
+}
+
+TEST_P(FuzzSeedParam, NativeGeoLocalWithIidOnJgrid) {
+  fuzz_native_kernel("jgrid(6,6,0.5,0.05,2.0)", "geo_local", "iid(0.4)",
+                     "local(every(3))", GetParam() + 200, 300);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedParam,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// ---------------------------------------------------------------------------
+// Adaptive adversaries condition on InspectableProcess state.
+// ---------------------------------------------------------------------------
+
+TEST(InspectorContract, OnlineAdversaryRejectsOpaqueProcess) {
+  // The scalar adapter forwards transmit_probability to its processes; a
+  // process that cannot state it must fail loudly, not read as 0.
+  class OpaqueProcess final : public Process {
+   public:
+    Action on_round(int, Rng&) override { return Action::listen(); }
+  };
+  const DualCliqueNet dc = dual_clique(8);
+  KernelExecution exec(
+      dc.net,
+      [](const ProcessEnv&) { return std::make_unique<OpaqueProcess>(); },
+      std::make_shared<AssignmentProblem>(8, -1, std::vector<int>{}),
+      std::make_unique<DenseSparseOnline>(), {1, 4, {}});
+  EXPECT_THROW(exec.step(), ContractViolation);
+}
 
 // ---------------------------------------------------------------------------
 // Collision-detection model variant.
@@ -167,9 +238,10 @@ TEST(CollisionDetection, ListenersLearnOfCollisionsWhenEnabled) {
   };
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
-  Execution exec(net, factory,
-                 std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
-                 std::make_unique<NoExtraEdges>(), cfg);
+  KernelExecution exec(
+      net, factory,
+      std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(), cfg);
   exec.run();
   ASSERT_EQ(probes.size(), 3u);
   EXPECT_TRUE(probes[0]->collisions_[0]);   // center: two neighbors collided
@@ -187,9 +259,10 @@ TEST(CollisionDetection, DisabledByDefaultPerThePaperModel) {
     probes.push_back(proc.get());
     return proc;
   };
-  Execution exec(net, factory,
-                 std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
-                 std::make_unique<NoExtraEdges>(), {1, 1, {}});
+  KernelExecution exec(
+      net, factory,
+      std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
   EXPECT_FALSE(probes[0]->collisions_[0]);  // silence == collision
 }
@@ -207,9 +280,10 @@ TEST(CollisionDetection, FastPathReportsCollisionsToo) {
   };
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
-  Execution exec(dc.net, factory,
-                 std::make_shared<AssignmentProblem>(8, -1, std::vector<int>{}),
-                 std::make_unique<AllExtraEdges>(), cfg);
+  KernelExecution exec(
+      dc.net, factory,
+      std::make_shared<AssignmentProblem>(8, -1, std::vector<int>{}),
+      std::make_unique<AllExtraEdges>(), cfg);
   exec.run();
   for (int v = 2; v < 8; ++v) {
     EXPECT_TRUE(probes[static_cast<std::size_t>(v)]->collisions_[0])
@@ -230,9 +304,10 @@ TEST(CollisionDetection, SingleTransmitterNeverFlagsCollision) {
   };
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
-  Execution exec(net, factory,
-                 std::make_shared<AssignmentProblem>(4, -1, std::vector<int>{}),
-                 std::make_unique<NoExtraEdges>(), cfg);
+  KernelExecution exec(
+      net, factory,
+      std::make_shared<AssignmentProblem>(4, -1, std::vector<int>{}),
+      std::make_unique<NoExtraEdges>(), cfg);
   exec.run();
   for (const auto* probe : probes) {
     EXPECT_FALSE(probe->collisions_[0]);

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "sim/execution.hpp"
+#include "sim/kernel_execution.hpp"
 #include "sim/problem.hpp"
 #include "sim/process.hpp"
 
@@ -65,9 +65,10 @@ inline ProcessFactory scripted_factory(std::vector<std::vector<char>> scripts) {
 inline RunResult run_global(const DualGraph& net, ProcessFactory factory,
                             std::unique_ptr<LinkProcess> adversary, int source,
                             std::uint64_t seed, int max_rounds) {
-  Execution exec(net, std::move(factory),
-                 std::make_shared<GlobalBroadcastProblem>(net, source),
-                 std::move(adversary), ExecutionConfig{seed, max_rounds, {}});
+  KernelExecution exec(net, std::move(factory),
+                       std::make_shared<GlobalBroadcastProblem>(net, source),
+                       std::move(adversary),
+                       ExecutionConfig{seed, max_rounds, {}});
   return exec.run();
 }
 
@@ -77,10 +78,11 @@ inline RunResult run_local(const DualGraph& net, ProcessFactory factory,
                            std::vector<int> broadcast_set, std::uint64_t seed,
                            int max_rounds,
                            ReceiverCredit credit = ReceiverCredit::any_b_sender) {
-  Execution exec(net, std::move(factory),
-                 std::make_shared<LocalBroadcastProblem>(
-                     net, std::move(broadcast_set), credit),
-                 std::move(adversary), ExecutionConfig{seed, max_rounds, {}});
+  KernelExecution exec(net, std::move(factory),
+                       std::make_shared<LocalBroadcastProblem>(
+                           net, std::move(broadcast_set), credit),
+                       std::move(adversary),
+                       ExecutionConfig{seed, max_rounds, {}});
   return exec.run();
 }
 
