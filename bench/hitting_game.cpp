@@ -69,7 +69,7 @@ void reduction_table() {
         cfg.beta = beta;
         cfg.seed = 500 + static_cast<std::uint64_t>(t);
         // Simulated algorithms come from the scenario registries; the
-        // kernels() entry puts the inner simulation on the batch engine
+        // kernels() entry puts the inner simulation on the native kernel
         // (bit-identical outcomes, several times the rounds/s).
         const std::string spec =
             algo == 0 ? "round_robin" : "decay_global(fixed,persistent)";

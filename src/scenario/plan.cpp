@@ -179,7 +179,7 @@ ScenarioSpec apply_options(const ScenarioSpec& original,
   ScenarioSpec spec = original;
   if (options.rng == RngMode::word && options.engine == EnginePath::scalar) {
     throw ScenarioError(
-        "rng mode \"word\" requires the kernel engine (the scalar adapter "
+        "rng mode \"word\" requires engine \"kernel\" (the scalar adapter "
         "has no word-parallel coin path)");
   }
   if (spec.sweep.empty()) {

@@ -38,8 +38,8 @@ using ProblemRegistry = Registry<ProblemFactory, const Topology&>;
 /// Batch-kernel ports of algorithms, keyed by the *same* names and argument
 /// grammar as algorithms() — "decay_global(permuted,persistent)" builds the
 /// scalar factory from one registry and the kernel from the other.
-/// Algorithms without an entry here run on the batch engine through the
-/// scalar adapter (see build_kernel_or_null).
+/// Algorithms without an entry here run through the scalar adapter (see
+/// build_kernel_or_null).
 using KernelRegistry = Registry<KernelFactory>;
 
 TopologyRegistry& topologies();
@@ -53,10 +53,10 @@ KernelRegistry& kernels();
 /// back to make_scalar_kernel_adapter around the scalar factory).
 KernelFactory build_kernel_or_null(const std::string& algorithm_spec);
 
-/// THE kernel-selection rule of the batch engine path, shared by the
-/// scenario runner and the throughput bench so they always measure the
-/// same thing: the registered kernel when the problem can run without
-/// Process objects, the scalar-adapter kernel otherwise.
+/// THE kernel-selection rule, shared by the scenario runner and the
+/// throughput bench so they always measure the same thing: the registered
+/// kernel when the problem can run without Process objects, the
+/// scalar-adapter kernel otherwise (and whenever `kernel` is empty).
 std::unique_ptr<AlgorithmKernel> select_kernel(const KernelFactory& kernel,
                                                const Problem& problem,
                                                const ProcessFactory& factory);

@@ -36,7 +36,7 @@ class NodeStateView {
   virtual int n() const = 0;
   virtual bool has_message(int v) const = 0;
   /// The number of nodes v with has_message(v). The default scans all n;
-  /// the batch engine answers in O(1) from its incremental count.
+  /// the engine answers in O(1) from its incremental count.
   virtual int message_holders() const;
 };
 
@@ -79,7 +79,7 @@ class Problem {
   /// the scalar-adapter path, which supplies real processes.
   virtual bool batch_compatible() const { return false; }
 
-  /// solved() for the batch engine. Called instead of solved(procs) when
+  /// solved() for native kernels. Called instead of solved(procs) when
   /// the kernel has no Process objects; only invoked on problems declaring
   /// batch_compatible().
   virtual bool solved_batch(const NodeStateView& nodes) const;
