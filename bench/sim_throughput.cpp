@@ -162,9 +162,10 @@ Measurement run_case(const BenchCase& bench, const Topology& topo,
   double elapsed = 0.0;
   while (elapsed < min_seconds) {
     std::shared_ptr<Problem> prob = problem();
-    std::unique_ptr<AlgorithmKernel> k = scenario::select_kernel(
-        engine.path == EnginePath::scalar ? KernelFactory{} : kernel, *prob,
-        factory);
+    std::unique_ptr<AlgorithmKernel> k =
+        engine.path == EnginePath::scalar
+            ? scenario::select_kernel({}, *prob, factory)
+            : scenario::select_kernel(kernel, *prob, factory);
     KernelExecution exec(topo.net(), factory, std::move(k), std::move(prob),
                          adversary(), config());
     exec.run();

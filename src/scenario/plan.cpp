@@ -52,9 +52,10 @@ double run_one_trial(const Topology& topo, const CellPlan& cell,
   // select_kernel picks the registered kernel or the scalar-adapter
   // fallback (bit-identical either way); `scalar` hands it no kernel, so
   // the adapter runs every algorithm.
-  std::unique_ptr<AlgorithmKernel> kernel = select_kernel(
-      engine == EnginePath::scalar ? KernelFactory{} : cell.kernel, *problem,
-      cell.factory);
+  std::unique_ptr<AlgorithmKernel> kernel =
+      engine == EnginePath::scalar
+          ? select_kernel({}, *problem, cell.factory)
+          : select_kernel(cell.kernel, *problem, cell.factory);
   KernelExecution exec(topo.net(), cell.factory, std::move(kernel),
                        std::move(problem), cell.adversary(), config);
   if (!metric.first_receive) {
