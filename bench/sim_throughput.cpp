@@ -1,10 +1,10 @@
 // Engine micro-throughput: rounds/second across network shapes, adversary
 // classes, and both kernel paths of the one engine — the scalar adapter
 // (rows labeled "scalar", what --engine scalar forces) vs the native batch
-// kernels — every piece built from the scenario registries. Not a paper experiment — this keeps
-// the harness honest about the cost of the attack sweeps, and its JSON
-// artifact is the machine-readable perf trajectory CI diffs per commit
-// (bench/compare_bench.py).
+// kernels — every piece built from the scenario registries. Not a paper
+// experiment — this keeps the harness honest about the cost of the attack
+// sweeps, and its JSON artifact is the machine-readable perf trajectory CI
+// diffs per commit (bench/compare_bench.py).
 //
 //   sim_throughput [--out FILE] [--min-time SECONDS] [--filter SUBSTR]
 //                  [--scale]
