@@ -223,7 +223,8 @@ class ScanView final : public NodeStateView {
 TEST(KernelEngineCompletion, HolderCountMatchesScanEveryRound) {
   // Every registered kernel with a problem it can solve, on a dual clique
   // and a jittered grid, under one adversary per class (oblivious, online
-  // adaptive, offline adaptive).
+  // adaptive, offline adaptive) — and the scalar adapter over the same
+  // algorithm, which keeps no count and answers by scanning its processes.
   const std::map<std::string, std::string> problem_of = {
       {"decay_global", "global(1)"},     {"robust_mix", "global(1)"},
       {"round_robin", "global(1)"},      {"gossip", "gossip(3)"},
@@ -237,21 +238,27 @@ TEST(KernelEngineCompletion, HolderCountMatchesScanEveryRound) {
          {"dual_clique(32)", "jgrid(6,6,0.5,0.05,2.0)"}) {
       const Topology topo = scenario::topologies().build(topology, 5);
       for (const char* adversary : {"iid(0.3)", "dense_sparse", "collider"}) {
-        SCOPED_TRACE(entry->name + " | " + topology + " | " + adversary);
-        KernelExecution exec(
-            topo.net(), scenario::algorithms().build(entry->name),
-            scenario::build_kernel_or_null(entry->name)(),
-            scenario::problems().build(problem->second, topo)(),
-            scenario::adversaries().build(adversary, topo)(),
-            ExecutionConfig{}.with_seed(9).with_max_rounds(400));
-        const ScanView scan(exec);
-        while (true) {
-          ASSERT_EQ(exec.message_holders(), scan.message_holders())
-              << "round " << exec.round();
-          ASSERT_EQ(exec.solved(), exec.problem().solved_batch(scan))
-              << "round " << exec.round();
-          if (exec.done()) break;
-          exec.step();
+        for (const bool adapter : {false, true}) {
+          SCOPED_TRACE(entry->name + " | " + topology + " | " + adversary +
+                       (adapter ? " | adapter" : ""));
+          const ProcessFactory factory =
+              scenario::algorithms().build(entry->name);
+          KernelExecution exec(
+              topo.net(), factory,
+              adapter ? make_scalar_kernel_adapter(factory)
+                      : scenario::build_kernel_or_null(entry->name)(),
+              scenario::problems().build(problem->second, topo)(),
+              scenario::adversaries().build(adversary, topo)(),
+              ExecutionConfig{}.with_seed(9).with_max_rounds(400));
+          const ScanView scan(exec);
+          while (true) {
+            ASSERT_EQ(exec.message_holders(), scan.message_holders())
+                << "round " << exec.round();
+            ASSERT_EQ(exec.solved(), exec.problem().solved_batch(scan))
+                << "round " << exec.round();
+            if (exec.done()) break;
+            exec.step();
+          }
         }
       }
     }
