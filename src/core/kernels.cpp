@@ -4,7 +4,6 @@
 #include <bit>
 #include <limits>
 #include <memory>
-#include <optional>
 
 #include "util/assert.hpp"
 #include "util/bitset64.hpp"
@@ -20,12 +19,13 @@
 // Holder sets are kept as bitmaps (one 64-bit block per 64 nodes) rather
 // than sorted index vectors: ascending block/bit iteration reproduces the
 // scalar adapter's node-visit order for free, membership updates are O(1),
-// and — the point — the per-round transmit coins can be drawn word-parallel
-// in the engine's `word` RNG mode (KernelSetup::rng_mode): one
+// and — the point — a round's transmit coins are drawn a block at a time
+// (DecayCoins). In the engine's `word` RNG mode (KernelSetup::rng_mode) one
 // Pow2MaskLadder per 64-node block serves every holder in the block at a
 // cost of max-consumed-ladder-index draws instead of one draw per holder.
-// In `per_node` mode the same loops draw per-node coin_pow2 from the
-// holder's own stream, preserving byte-identical scalar parity.
+// In `per_node` mode each holder draws coin_pow2 from its own stream, four
+// streams at a time (simd::coin_pow2_lanes), preserving byte-identical
+// scalar parity.
 
 namespace dualcast {
 namespace {
@@ -33,6 +33,56 @@ namespace {
 /// A node set as packed 64-bit blocks (see util/bitset64.hpp): ascending
 /// block/bit iteration visits members in ascending node order.
 using NodeBitmap = Bitset64;
+
+/// The per-round Decay coins of the decay and gossip kernels, one 64-node
+/// block at a time, for both schedules and both RNG modes.
+class DecayCoins {
+ public:
+  void init(const KernelSetup& setup) {
+    word_ = setup.rng_mode == RngMode::word && !setup.block_rngs.empty();
+    block_rngs_ = setup.block_rngs;
+  }
+
+  /// Transmit word of block b: bit j is set iff candidate lane j (a set bit
+  /// of `lanes`) wins its Bernoulli(2^-i) coin, where i is `shared_index`
+  /// when that is >= 0 (the fixed schedule) and index_of(v) otherwise.
+  /// Draws nothing when `lanes` is empty.
+  template <typename IndexOf>
+  std::uint64_t block(int b, std::uint64_t lanes, std::span<Rng> rngs,
+                      int shared_index, IndexOf&& index_of) {
+    if (lanes == 0) return 0;
+    const std::size_t base = static_cast<std::size_t>(b) * 64;
+    if (shared_index >= 0) {
+      // One ladder index for the block: in word mode one mask decides it.
+      if (word_) return lanes & ladder(b).mask(shared_index);
+      return simd::coin_pow2_lanes(rngs.subspan(base), lanes, shared_index);
+    }
+    std::uint8_t lane_index[64] = {};
+    int max_index = 0;
+    for_each_bit(lanes, 0, [&](int j, std::uint64_t) {
+      const int index = index_of(static_cast<int>(base) + j);
+      lane_index[j] = static_cast<std::uint8_t>(index);
+      max_index = std::max(max_index, index);
+    });
+    if (!word_) {
+      return simd::coin_pow2_lanes(rngs.subspan(base), lanes, lane_index);
+    }
+    // Divergent indices: deepen the ladder once to the max (the same draw
+    // sequence lazy per-lane reads would consume), then gather every lane's
+    // bit word-parallel.
+    Pow2MaskLadder coins = ladder(b);
+    coins.mask(max_index);
+    return simd::gather_ladder_bits(coins.levels(), lane_index, lanes);
+  }
+
+ private:
+  Pow2MaskLadder ladder(int b) {
+    return Pow2MaskLadder(block_rngs_[static_cast<std::size_t>(b)]);
+  }
+
+  bool word_ = false;
+  std::span<Rng> block_rngs_;
+};
 
 // ---------------------------------------------------------------------------
 // Round robin (RoundRobinBroadcast).
@@ -104,8 +154,7 @@ class DecayLocalKernel final : public AlgorithmKernel {
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     const int n = setup.net->n();
-    word_coins_ = setup.rng_mode == RngMode::word && !setup.block_rngs.empty();
-    block_rngs_ = setup.block_rngs;
+    coins_.init(setup);
     b_bits_.resize(n);
     message_.resize(static_cast<std::size_t>(n));
     if (config_.schedule == ScheduleKind::permuted) {
@@ -132,51 +181,17 @@ class DecayLocalKernel final : public AlgorithmKernel {
   }
 
   void on_round_batch(int round, TxBatch& out, std::span<Rng> rngs) override {
-    const bool fixed = config_.schedule == ScheduleKind::fixed;
-    const int shared_index = fixed ? fixed_decay_index(round, ladder_) : 0;
+    const int shared_index = config_.schedule == ScheduleKind::fixed
+                                 ? fixed_decay_index(round, ladder_)
+                                 : -1;
     for (int b = 0; b < b_bits_.blocks(); ++b) {
-      const std::uint64_t holders = b_bits_.word(b);
-      if (holders == 0) continue;
-      const int base = b * 64;
-      if (word_coins_) {
-        Pow2MaskLadder coins(block_rngs_[static_cast<std::size_t>(b)]);
-        if (fixed) {
-          // All holders share one ladder index: one mask decides the block.
-          for_each_bit(holders & coins.mask(shared_index), base,
-                       [&](int v, std::uint64_t) {
-                         out.transmit(v, message_[static_cast<std::size_t>(v)]);
-                       });
-        } else {
-          // Divergent per-node indices: compute each holder lane's index,
-          // deepen the ladder once to the max (the same draw sequence the
-          // lazy per-lane reads would consume), then gather every lane's
-          // bit word-parallel (AVX2 where available; identical results).
-          std::uint8_t lane_index[64] = {};
-          int max_index = 0;
-          for_each_bit(holders, base, [&](int v, std::uint64_t) {
-            const int index = permuted_decay_index(
+      const std::uint64_t tx =
+          coins_.block(b, b_bits_.word(b), rngs, shared_index, [&](int v) {
+            return permuted_decay_index(
                 private_bits_[static_cast<std::size_t>(v)], round, ladder_);
-            lane_index[v - base] = static_cast<std::uint8_t>(index);
-            max_index = std::max(max_index, index);
           });
-          coins.mask(max_index);
-          const std::uint64_t tx =
-              simd::gather_ladder_bits(coins.levels(), lane_index, holders);
-          for_each_bit(holders & tx, base, [&](int v, std::uint64_t) {
-            out.transmit(v, message_[static_cast<std::size_t>(v)]);
-          });
-        }
-        continue;
-      }
-      for_each_bit(holders, base, [&](int v, std::uint64_t) {
-        const int index =
-            fixed ? shared_index
-                  : permuted_decay_index(
-                        private_bits_[static_cast<std::size_t>(v)], round,
-                        ladder_);
-        if (rngs[static_cast<std::size_t>(v)].coin_pow2(index)) {
-          out.transmit(v, message_[static_cast<std::size_t>(v)]);
-        }
+      for_each_bit(tx, b * 64, [&](int v, std::uint64_t) {
+        out.transmit(v, message_[static_cast<std::size_t>(v)]);
       });
     }
   }
@@ -217,8 +232,7 @@ class DecayLocalKernel final : public AlgorithmKernel {
   DecayLocalConfig config_;
   int ladder_ = 0;
   int b_count_ = 0;
-  bool word_coins_ = false;
-  std::span<Rng> block_rngs_;
+  DecayCoins coins_;
   NodeBitmap b_bits_;  ///< the broadcast set; only these ever act
   std::vector<Message> message_;
   std::vector<BitString> private_bits_;
@@ -235,8 +249,7 @@ struct DecayGlobalState {
   DecayGlobalConfig config;
   int ladder = 0;
   int calls = 0;
-  bool word_coins = false;       ///< engine word RNG mode (coins only)
-  std::span<Rng> block_rngs;
+  DecayCoins coins;
   std::vector<char> is_source;
   std::vector<char> has;
   std::vector<int> window_start;
@@ -300,9 +313,7 @@ struct DecayGlobalState {
     config = cfg;
     ladder = clog2(static_cast<std::uint64_t>(setup.n > 1 ? setup.n : 2));
     calls = cfg.calls == 0 ? 2 * ladder : cfg.calls;
-    word_coins =
-        setup.rng_mode == RngMode::word && !setup.block_rngs.empty();
-    block_rngs = setup.block_rngs;
+    coins.init(setup);
     is_source.assign(static_cast<std::size_t>(n), 0);
     has.assign(static_cast<std::size_t>(n), 0);
     window_start.assign(static_cast<std::size_t>(n), -1);
@@ -337,60 +348,28 @@ struct DecayGlobalState {
       for (const int v : sources) emit(v, message[static_cast<std::size_t>(v)]);
       return;
     }
-    if (round < synced_round) {
-      // Non-monotone driver (not the engine): the per-holder window scan
-      // stays correct whatever the event queues say.
-      for (int b = 0; b < holder_bits.blocks(); ++b) {
-        for_each_bit(holder_bits.word(b), b * 64, [&](int v, std::uint64_t) {
-          if (!active_in(v, round)) return;
-          if (rngs[static_cast<std::size_t>(v)].coin_pow2(
-                  schedule_index(v, round))) {
-            emit(v, message[static_cast<std::size_t>(v)]);
-          }
-        });
-      }
-      return;
-    }
-    sync(round);
+    // A non-monotone driver (not the engine) gets the per-holder window
+    // scan, which stays correct whatever the event queues say.
+    const bool rescan = round < synced_round;
+    if (!rescan) sync(round);
     // The fixed schedule puts every holder on one ladder index per round.
-    const bool fixed = config.schedule == ScheduleKind::fixed;
-    const int shared_index = fixed ? fixed_decay_index(round, ladder) : 0;
+    const int shared_index = config.schedule == ScheduleKind::fixed
+                                 ? fixed_decay_index(round, ladder)
+                                 : -1;
     for (int b = 0; b < active_bits.blocks(); ++b) {
-      const std::uint64_t word = active_bits.word(b);
-      if (word == 0) continue;
-      const int base = b * 64;
-      if (word_coins) {
-        Pow2MaskLadder coins(block_rngs[static_cast<std::size_t>(b)]);
-        if (fixed) {
-          // One mask decides the block, as in the local decay kernel.
-          for_each_bit(word & coins.mask(shared_index), base,
-                       [&](int v, std::uint64_t) {
-                         emit(v, message[static_cast<std::size_t>(v)]);
-                       });
-          continue;
-        }
-        // Same lane-gather shape as the decay kernel's divergent path:
-        // indices first, one deepening, one word-parallel select.
-        std::uint8_t lane_index[64] = {};
-        int max_index = 0;
-        for_each_bit(word, base, [&](int v, std::uint64_t) {
-          const int index = schedule_index(v, round);
-          lane_index[v - base] = static_cast<std::uint8_t>(index);
-          max_index = std::max(max_index, index);
-        });
-        coins.mask(max_index);
-        const std::uint64_t tx =
-            simd::gather_ladder_bits(coins.levels(), lane_index, word);
-        for_each_bit(word & tx, base, [&](int v, std::uint64_t) {
-          emit(v, message[static_cast<std::size_t>(v)]);
-        });
-        continue;
+      std::uint64_t lanes = active_bits.word(b);
+      if (rescan) {
+        lanes = 0;
+        for_each_bit(holder_bits.word(b), b * 64,
+                     [&](int v, std::uint64_t lane) {
+                       if (active_in(v, round)) lanes |= lane;
+                     });
       }
-      for_each_bit(word, base, [&](int v, std::uint64_t) {
-        const int index = fixed ? shared_index : schedule_index(v, round);
-        if (rngs[static_cast<std::size_t>(v)].coin_pow2(index)) {
-          emit(v, message[static_cast<std::size_t>(v)]);
-        }
+      const std::uint64_t tx =
+          coins.block(b, lanes, rngs, shared_index,
+                      [&](int v) { return schedule_index(v, round); });
+      for_each_bit(tx, b * 64, [&](int v, std::uint64_t) {
+        emit(v, message[static_cast<std::size_t>(v)]);
       });
     }
   }
@@ -605,8 +584,7 @@ class GossipKernel final : public AlgorithmKernel {
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     const int n = setup.net->n();
-    word_coins_ = setup.rng_mode == RngMode::word && !setup.block_rngs.empty();
-    block_rngs_ = setup.block_rngs;
+    coins_.init(setup);
     holder_bits_.resize(n);
     held_.resize(static_cast<std::size_t>(n));
     offers_left_.resize(static_cast<std::size_t>(n));
@@ -641,26 +619,25 @@ class GossipKernel final : public AlgorithmKernel {
   }
 
   void on_round_batch(int round, TxBatch& out, std::span<Rng> rngs) override {
-    const bool fixed = config_.schedule == ScheduleKind::fixed;
-    const int shared_index = fixed ? fixed_decay_index(round, ladder_) : 0;
+    const int shared_index = config_.schedule == ScheduleKind::fixed
+                                 ? fixed_decay_index(round, ladder_)
+                                 : -1;
     const bool quiescing = offer_budget_ >= 0;
     for (int b = 0; b < holder_bits_.blocks(); ++b) {
-      const std::uint64_t word = holder_bits_.word(b);
-      if (word == 0) continue;
-      const int base = b * 64;
-      // In word mode the block ladder is shared by every holder in the
-      // block; construction draws nothing, so silent blocks stay free.
-      std::optional<Pow2MaskLadder> coins;
-      if (word_coins_) coins.emplace(block_rngs_[static_cast<std::size_t>(b)]);
-      for_each_bit(word, base, [&](int v, std::uint64_t lane) {
+      std::uint64_t lanes = holder_bits_.word(b);
+      if (quiescing) {
+        // A holder with no live token is silent and spends no coin.
+        for_each_bit(lanes, b * 64, [&](int v, std::uint64_t lane) {
+          if (!any_active(static_cast<std::size_t>(v))) lanes &= ~lane;
+        });
+      }
+      const std::uint64_t tx =
+          coins_.block(b, lanes, rngs, shared_index, [&](int v) {
+            return permuted_decay_index(
+                private_bits_[static_cast<std::size_t>(v)], round, ladder_);
+          });
+      for_each_bit(tx, b * 64, [&](int v, std::uint64_t) {
         const std::size_t i = static_cast<std::size_t>(v);
-        if (quiescing && !any_active(i)) return;  // silent: no coin spent
-        const int index =
-            fixed ? shared_index
-                  : permuted_decay_index(private_bits_[i], round, ladder_);
-        const bool hit = coins ? (coins->mask(index) & lane) != 0
-                               : rngs[i].coin_pow2(index);
-        if (!hit) return;
         std::size_t slot;
         if (quiescing) {
           // The O(tokens) scratch gather runs only on a coin hit (state
@@ -742,8 +719,7 @@ class GossipKernel final : public AlgorithmKernel {
   GossipConfig config_;
   int ladder_ = 0;
   int offer_budget_ = -1;  ///< per-token offer budget; -1 = unbounded
-  bool word_coins_ = false;
-  std::span<Rng> block_rngs_;
+  DecayCoins coins_;
   NodeBitmap holder_bits_;  ///< nodes with a non-empty held set
   std::vector<std::vector<Message>> held_;
   std::vector<std::vector<int>> offers_left_;

@@ -29,6 +29,10 @@ std::uint64_t splitmix64(std::uint64_t& state);
 /// Stateless mix of a value (SplitMix64 finalizer). Used for stream derivation.
 std::uint64_t mix64(std::uint64_t x);
 
+namespace simd::detail {
+struct RngLanes;
+}
+
 /// A forkable pseudo-random stream (xoshiro256**).
 class Rng {
  public:
@@ -106,6 +110,10 @@ class Rng {
   std::uint64_t seed() const { return seed_; }
 
  private:
+  // simd::coin_pow2_lanes steps four adjacent streams' s_ in place (its
+  // AVX2 path; util/simd.cpp pins this layout).
+  friend struct simd::detail::RngLanes;
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

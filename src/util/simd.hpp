@@ -1,7 +1,7 @@
 #pragma once
 
-// Runtime-dispatched SIMD primitives for the engine's two word-parallel
-// inner loops, with scalar fallbacks that are bit-for-bit equivalent (the
+// Runtime-dispatched SIMD primitives for the engine's word-parallel inner
+// loops, with scalar fallbacks that are bit-for-bit equivalent (the
 // parity suite in tests/test_util_simd.cpp compares both implementations on
 // random inputs, so the dispatched result never depends on the host):
 //
@@ -22,11 +22,22 @@
 //                        the scalar set-bit walk (the wrapper picks — the
 //                        output is identical either way).
 //
+//   coin_pow2_lanes    — the per-node-RNG decay coins: one
+//                        Rng::coin_pow2 draw from each of a 64-node
+//                        block's candidate streams, returned as the
+//                        block's transmit word. The AVX2 path loads four
+//                        adjacent xoshiro256** states, transposes them and
+//                        steps all four at once; every stream ends in the
+//                        state its own coin_pow2 call would leave, so the
+//                        per-node sample paths do not depend on the host.
+//
 // Dispatch is decided once per process from CPU capability; force_scalar()
 // exists for tests and diagnostics.
 
 #include <cstdint>
 #include <span>
+
+#include "util/rng.hpp"
 
 namespace dualcast::simd {
 
@@ -55,6 +66,19 @@ std::uint64_t gather_ladder_bits(const std::uint64_t* masks,
                                  const std::uint8_t* lane_index,
                                  std::uint64_t lanes);
 
+/// For each set bit j of `lanes`: bit j of the result is
+/// streams[j].coin_pow2(index), drawn in place; other bits are 0 and other
+/// streams are untouched. Index 0 draws nothing and succeeds. `lanes` must
+/// only address streams (bit j set needs j < streams.size()); a longer span
+/// is fine, only its first 64 streams are lanes. Requires 0 <= index <= 63.
+std::uint64_t coin_pow2_lanes(std::span<Rng> streams, std::uint64_t lanes,
+                              int index);
+
+/// Per-lane-index form: lane j draws coin_pow2(lane_index[j]).
+/// `lane_index` must have 64 entries, each <= 63 (unused lanes may be 0).
+std::uint64_t coin_pow2_lanes(std::span<Rng> streams, std::uint64_t lanes,
+                              const std::uint8_t* lane_index);
+
 namespace detail {
 // Both implementations, exposed for the parity tests. The *_avx2 variants
 // must only be called when avx2_supported() is true.
@@ -73,6 +97,12 @@ std::uint64_t gather_ladder_bits_scalar(const std::uint64_t* masks,
 std::uint64_t gather_ladder_bits_avx2(const std::uint64_t* masks,
                                       const std::uint8_t* lane_index,
                                       std::uint64_t lanes);
+std::uint64_t coin_pow2_lanes_scalar(std::span<Rng> streams,
+                                     std::uint64_t lanes,
+                                     const std::uint8_t* lane_index);
+std::uint64_t coin_pow2_lanes_avx2(std::span<Rng> streams,
+                                   std::uint64_t lanes,
+                                   const std::uint8_t* lane_index);
 }  // namespace detail
 
 }  // namespace dualcast::simd

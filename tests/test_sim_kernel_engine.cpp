@@ -17,6 +17,7 @@
 #include "scenario/registries.hpp"
 #include "sim/kernel_execution.hpp"
 #include "util/assert.hpp"
+#include "util/simd.hpp"
 
 namespace dualcast {
 namespace {
@@ -175,6 +176,40 @@ TEST(KernelEngineEquivalence, MultipleSeedsSpotCheck) {
                           "global(1)", 800},
                          seed);
   }
+}
+
+TEST(KernelEngineEquivalence, MultiBlockBothCoinPaths) {
+  // dual_clique(200) spans three full 64-node blocks plus an 8-lane tail,
+  // so the per-node coins run on dense 4-groups, single-lane groups and a
+  // span that ends inside a block; once on the scalar twin, once
+  // dispatched (AVX2 where the host has it).
+  for (const bool scalar : {true, false}) {
+    SCOPED_TRACE(scalar ? "force_scalar" : "dispatched");
+    simd::force_scalar(scalar);
+    for (const char* adversary : {"none", "dense_sparse"}) {
+      expect_engines_agree({"dual_clique(200)",
+                            "decay_global(fixed,persistent)", adversary,
+                            "global(1)", 600},
+                           51);
+      expect_engines_agree({"dual_clique(200)",
+                            "decay_global(permuted,persistent)", adversary,
+                            "global(1)", 600},
+                           52);
+      expect_engines_agree({"dual_clique(200)", "decay_local", adversary,
+                            "local(side_a)", 400},
+                           53);
+      expect_engines_agree({"dual_clique(200)", "decay_local(permuted)",
+                            adversary, "local(side_a)", 400},
+                           54);
+      expect_engines_agree({"dual_clique(200)", "robust_mix", adversary,
+                            "global(1)", 700},
+                           55);
+      expect_engines_agree({"dual_clique(200)", "gossip(quiesce)", adversary,
+                            "gossip(2)", 2500},
+                           56);
+    }
+  }
+  simd::force_scalar(false);
 }
 
 TEST(KernelEngineContract, NonBatchProblemRequiresAdapter) {
