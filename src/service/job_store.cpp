@@ -48,7 +48,6 @@ std::string crc_hex(std::uint32_t crc) {
 // as 8 hex digits. Length-prefix + checksum turn any mid-file damage —
 // bit rot, a partially overwritten block, an interleaved foreign line —
 // into a detected corruption instead of silently merged garbage.
-// v1 (still read): "<task> <bits-hex> <decimal>", no checksum.
 
 std::string encode_record(const TaskRecord& record) {
   const std::string payload =
@@ -78,60 +77,51 @@ bool parse_payload(const std::string& payload, TaskRecord& out) {
   return true;
 }
 
-/// Parses one complete record line (v2 strict, v1 lenient). Returns false
-/// with `detail` set when the line is damaged.
+/// Parses one complete record line. Returns false with `detail` set when
+/// the line is damaged (anything but a well-formed v2 record).
 bool parse_record_line(const std::string& line, TaskRecord& out,
                        std::string& detail) {
-  if (line.rfind("r2 ", 0) == 0) {
-    const std::size_t len_begin = 3;
-    const std::size_t len_end = line.find(' ', len_begin);
-    if (len_end == std::string::npos) {
-      detail = "v2 record missing length prefix";
-      return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const std::string len_text = line.substr(len_begin, len_end - len_begin);
-    const unsigned long len = std::strtoul(len_text.c_str(), &end, 10);
-    if (end == len_text.c_str() || *end != '\0' || errno == ERANGE) {
-      detail = "v2 record has malformed length prefix";
-      return false;
-    }
-    const std::size_t payload_begin = len_end + 1;
-    // Layout check: payload of exactly `len` bytes, one space, 8-hex crc.
-    if (payload_begin + len + 1 + 8 != line.size() ||
-        line[payload_begin + len] != ' ') {
-      detail = str("v2 record length prefix ", len,
-                   " does not match the line layout");
-      return false;
-    }
-    const std::string payload = line.substr(payload_begin, len);
-    const std::string crc_text = line.substr(payload_begin + len + 1);
-    errno = 0;
-    const unsigned long crc = std::strtoul(crc_text.c_str(), &end, 16);
-    if (end == crc_text.c_str() || *end != '\0' || errno == ERANGE) {
-      detail = "v2 record has malformed checksum";
-      return false;
-    }
-    if (static_cast<std::uint32_t>(crc) != util::crc32c(payload)) {
-      detail = str("checksum mismatch (stored ", crc_text, ", computed ",
-                   crc_hex(util::crc32c(payload)), ")");
-      return false;
-    }
-    if (!parse_payload(payload, out)) {
-      detail = "v2 record payload unparsable";
-      return false;
-    }
-    return true;
+  if (line.rfind("r2 ", 0) != 0) {
+    detail = "record unparsable (not v2 syntax)";
+    return false;
   }
-  // v1 back-compat: "<task> <bits-hex>" with an ignored human-readable
-  // decimal tail; no checksum to validate.
-  std::istringstream in(line);
-  std::string task_text;
-  std::string bits_text;
-  if (!(in >> task_text >> bits_text) ||
-      !parse_payload(str(task_text, " ", bits_text), out)) {
-    detail = "record unparsable (neither v2 nor v1 syntax)";
+  const std::size_t len_begin = 3;
+  const std::size_t len_end = line.find(' ', len_begin);
+  if (len_end == std::string::npos) {
+    detail = "v2 record missing length prefix";
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const std::string len_text = line.substr(len_begin, len_end - len_begin);
+  const unsigned long len = std::strtoul(len_text.c_str(), &end, 10);
+  if (end == len_text.c_str() || *end != '\0' || errno == ERANGE) {
+    detail = "v2 record has malformed length prefix";
+    return false;
+  }
+  const std::size_t payload_begin = len_end + 1;
+  // Layout check: payload of exactly `len` bytes, one space, 8-hex crc.
+  if (payload_begin + len + 1 + 8 != line.size() ||
+      line[payload_begin + len] != ' ') {
+    detail = str("v2 record length prefix ", len,
+                 " does not match the line layout");
+    return false;
+  }
+  const std::string payload = line.substr(payload_begin, len);
+  const std::string crc_text = line.substr(payload_begin + len + 1);
+  errno = 0;
+  const unsigned long crc = std::strtoul(crc_text.c_str(), &end, 16);
+  if (end == crc_text.c_str() || *end != '\0' || errno == ERANGE) {
+    detail = "v2 record has malformed checksum";
+    return false;
+  }
+  if (static_cast<std::uint32_t>(crc) != util::crc32c(payload)) {
+    detail = str("checksum mismatch (stored ", crc_text, ", computed ",
+                 crc_hex(util::crc32c(payload)), ")");
+    return false;
+  }
+  if (!parse_payload(payload, out)) {
+    detail = "v2 record payload unparsable";
     return false;
   }
   return true;

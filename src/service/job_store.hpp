@@ -27,13 +27,11 @@
 //                             where <len> is the byte length of the
 //                             "<task> <bits-hex>" payload and <crc-hex>
 //                             its CRC32C — torn tails are ignored, any
-//                             checksum/length mismatch mid-file marks the
-//                             shard corrupt. v1 records
-//                             ("<task> <bits-hex> <value>") are still
-//                             readable (no checksum). The hex field is the
-//                             double's exact bit pattern, so merged values
-//                             are the measured values, not a decimal
-//                             round-trip.
+//                             other unparsable line or checksum/length
+//                             mismatch mid-file marks the shard corrupt.
+//                             The hex field is the double's exact bit
+//                             pattern, so merged values are the measured
+//                             values, not a decimal round-trip.
 //   shards/shard_<k>.quarantine
 //                             a corrupt log, moved aside by recovery; the
 //                             fresh log is rewritten from the records

@@ -1,14 +1,13 @@
 // JobStore mechanics: meta roundtrip (with field-level corruption
 // diagnostics), shard geometry, fsync'd CRC-checksummed completion records
-// (exact double bit patterns, torn-line tolerance, v1 back-compat,
-// mid-file corruption -> quarantine), done markers, and lease
+// (exact double bit patterns, torn-line tolerance, mid-file corruption
+// -> quarantine), done markers, and lease
 // acquire/conflict/renew/release/steal semantics — including a two-thread
 // steal race under skewed fake clocks.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -211,21 +210,6 @@ TEST(JobStore, MetaDiagnosticsNameTheProblem) {
            "catalog 0000000000000002\n";
     expect_error_mentioning("truncated", [&] { JobStore::open(dir); });
   }
-}
-
-TEST(JobStore, V1RecordsRemainReadable) {
-  const std::string dir = fresh_dir("store_v1");
-  JobStore store = JobStore::create_or_attach(dir, mini_job(6, 60));
-  const double value = 0.1 + 0.2;
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  // The PR-6 record format: "<task> <bits-hex> <decimal>", no checksum.
-  std::ofstream(fs::path(dir) / "shards" / "shard_0.log", std::ios::binary)
-      << "2 " << scenario::hash_hex(bits) << " 0.30000000000000004\n";
-  const std::vector<TaskRecord> records = store.read_shard_records(0);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].task, 2);
-  EXPECT_EQ(records[0].value, value);
 }
 
 TEST(JobStore, MidFileCorruptionIsDetectedQuarantinedAndRecovered) {
