@@ -69,10 +69,8 @@ DualGraph::DualGraph(Graph g, Graph gprime, BitmapPolicy bitmaps)
   }
 
   gp_max_degree_ = gp_.max_degree();
-  detect_structure();
 
-  if (bitmaps == BitmapPolicy::automatic && n() >= 1 &&
-      structure_ != Structure::dual_clique) {
+  if (bitmaps == BitmapPolicy::automatic && n() >= 1) {
     // Exact footprint check before any allocation: both layers' CSR rows
     // are already sorted, so counting the non-empty blocks is one cheap
     // pass, and over-budget (dense, huge-n) graphs skip construction
@@ -93,57 +91,6 @@ DualGraph::DualGraph(Graph g, Graph gprime, BitmapPolicy bitmaps)
   }
 }
 
-void DualGraph::detect_structure() {
-  const std::int64_t all_pairs = static_cast<std::int64_t>(n()) * (n() - 1) / 2;
-  if (n() < 1 || gp_.edge_count() != all_pairs) {
-    structure_ = Structure::general;
-    return;
-  }
-  structure_ = Structure::gprime_complete;
-
-  // Dual-clique shape: an even split [0, h) / [h, n) into two cliques plus
-  // at most one cross (bridge) edge. Only the generator's even split is
-  // recognized; anything else stays a plain complete-G' network.
-  if (n() < 4 || n() % 2 != 0) return;
-  const int h = n() / 2;
-  const std::int64_t clique_edges =
-      2 * (static_cast<std::int64_t>(h) * (h - 1) / 2);
-  const std::int64_t m = g_.edge_count();
-  if (m != clique_edges && m != clique_edges + 1) return;
-  int ta = -1;
-  int tb = -1;
-  for (int u = 0; u < n(); ++u) {
-    const int lo = u < h ? 0 : h;
-    const int hi = lo + h;
-    int in_side = 0;
-    int cross = -1;
-    for (const int w : g_.neighbors(u)) {
-      if (w >= lo && w < hi) {
-        ++in_side;
-      } else if (cross == -1) {
-        cross = w;
-      } else {
-        return;  // two cross edges at one vertex: not a dual clique
-      }
-    }
-    // in_side == h-1 with distinct non-self values inside the side pins the
-    // row to exactly side \ {u}.
-    if (in_side != h - 1) return;
-    if (cross != -1) {
-      const int a = u < h ? u : cross;
-      const int b = u < h ? cross : u;
-      if ((ta != -1 && (ta != a || tb != b))) return;  // two distinct bridges
-      ta = a;
-      tb = b;
-    }
-  }
-  if ((m == clique_edges) != (ta == -1)) return;
-  structure_ = Structure::dual_clique;
-  half_ = h;
-  bridge_a_ = ta;
-  bridge_b_ = tb;
-}
-
 DualGraph DualGraph::protocol(Graph g) {
   Graph copy = g;
   return DualGraph(std::move(g), std::move(copy));
@@ -157,7 +104,6 @@ DualGraph DualGraph::implicit_dual_clique(int n, int bridge_index,
   DualGraph d;
   d.n_ = n;
   d.rep_ = Rep::implicit_dual_clique;
-  d.structure_ = Structure::dual_clique;
   d.half_ = half;
   d.bridge_a_ = with_bridge ? bridge_index : -1;
   d.bridge_b_ = with_bridge ? half + bridge_index : -1;
@@ -167,12 +113,20 @@ DualGraph DualGraph::implicit_dual_clique(int n, int bridge_index,
   return d;
 }
 
+DualGraph DualGraph::protocol_dual_clique(int n, int bridge_index) {
+  DualGraph d = implicit_dual_clique(n, bridge_index);
+  d.rep_ = Rep::protocol_dual_clique;
+  d.gp_only_edge_count_ = 0;
+  d.gp_max_degree_ = d.half_;  // h - 1 clique neighbors plus the bridge
+  d.gp_only_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+  return d;
+}
+
 DualGraph DualGraph::implicit_complete_gprime(Graph g) {
   DC_EXPECTS(g.finalized() && g.n() >= 1);
   DualGraph d;
   d.n_ = g.n();
   d.rep_ = Rep::implicit_complete_gprime;
-  d.structure_ = Structure::gprime_complete;
   d.g_ = std::move(g);
   d.gp_max_degree_ = d.n_ - 1;
   d.gp_only_edge_count_ =
@@ -191,10 +145,20 @@ DualGraph DualGraph::implicit_complete_gprime(Graph g) {
   return d;
 }
 
+DualGraph::Structure DualGraph::structure() const {
+  if (is_dual_clique()) return Structure::dual_clique;
+  return gprime_complete() ? Structure::gprime_complete : Structure::general;
+}
+
+bool DualGraph::gprime_complete() const {
+  if (rep_ != Rep::explicit_layers) return rep_ != Rep::protocol_dual_clique;
+  return n_ >= 1 &&
+         gp_.edge_count() == static_cast<std::int64_t>(n_) * (n_ - 1) / 2;
+}
+
 const Graph& DualGraph::g() const {
-  DC_EXPECTS_MSG(rep_ != Rep::implicit_dual_clique,
-                 "g(): implicit dual clique has no materialized G; use "
-                 "g_layer()");
+  DC_EXPECTS_MSG(!is_dual_clique(),
+                 "g(): a dual clique has no materialized G; use g_layer()");
   return g_;
 }
 
@@ -206,7 +170,7 @@ const Graph& DualGraph::gprime() const {
 }
 
 LayerView DualGraph::g_layer() const {
-  if (rep_ == Rep::implicit_dual_clique) {
+  if (is_dual_clique()) {
     return LayerView::dual_cliques(n_, half_, bridge_a_, bridge_b_);
   }
   return LayerView::explicit_csr(n_, g_.csr_offsets(), g_.csr_neighbors());
@@ -216,12 +180,14 @@ LayerView DualGraph::gprime_layer() const {
   if (rep_ == Rep::explicit_layers) {
     return LayerView::explicit_csr(n_, gp_.csr_offsets(), gp_.csr_neighbors());
   }
+  if (rep_ == Rep::protocol_dual_clique) return g_layer();
   return LayerView::complete(n_);
 }
 
 LayerView DualGraph::gp_only_layer() const {
   switch (rep_) {
     case Rep::explicit_layers:
+    case Rep::protocol_dual_clique:  // all-zero offsets: no G'-only edges
       return LayerView::explicit_csr(n_, gp_only_offsets_, gp_only_neighbors_);
     case Rep::implicit_dual_clique:
       return LayerView::complete_bipartite(n_, half_, bridge_a_, bridge_b_);
@@ -236,6 +202,7 @@ std::pair<int, int> DualGraph::gp_only_edge(std::int64_t idx) const {
   DC_EXPECTS(idx >= 0 && idx < gp_only_edge_count_);
   switch (rep_) {
     case Rep::explicit_layers:
+    case Rep::protocol_dual_clique:  // unreachable: no G'-only edges
       return gp_only_edges_[static_cast<std::size_t>(idx)];
     case Rep::implicit_dual_clique: {
       // Lexicographic over A × B, skipping the bridge pair — the order the
@@ -288,7 +255,7 @@ std::span<const int> DualGraph::gp_only_neighbors(int v) const {
 }
 
 bool DualGraph::g_connected() const {
-  if (rep_ == Rep::implicit_dual_clique) return bridge_a_ >= 0;
+  if (is_dual_clique()) return bridge_a_ >= 0;
   return g_.is_connected();
 }
 

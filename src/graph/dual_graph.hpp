@@ -9,20 +9,17 @@
 //
 //   explicit — both layers materialized as CSR Graphs plus an indexed
 //              G'-only overlay (flat CSR + edge list), exactly as the
-//              engine's sweep paths want them. Construction validates the
-//              containment and *detects structure*: a complete G' sets the
-//              gprime_complete tag, and a G made of two half cliques plus
-//              at most one bridge sets the dual_clique tag (enabling the
-//              resolver's O(transmitters) structured path even on
-//              explicitly-built lower-bound networks).
+//              engine's sweep paths want them. Any (G, G') pair can be
+//              built this way; none is tagged as a dual clique.
 //
-//   implicit — clique-family networks where explicit storage is O(n²): the
-//              §3 dual clique (implicit_dual_clique) and sparse-G/complete-
-//              G' overlays (implicit_complete_gprime). No layer is
-//              materialized; degree / neighbors / rows / edge-index decode
-//              are served arithmetically through LayerView, so
-//              dual_clique(65536) costs O(n) bytes instead of the ~48 GiB
-//              its explicit CSR would need.
+//   implicit — clique-family networks where explicit storage is O(n²):
+//              every §3 dual clique (implicit_dual_clique, and its G layer
+//              as a protocol-model network, protocol_dual_clique) and
+//              sparse-G/complete-G' overlays (implicit_complete_gprime).
+//              No dense layer is materialized; degree / neighbors / rows /
+//              edge-index decode are served arithmetically through
+//              LayerView, so dual_clique(65536) costs O(1) bytes instead of
+//              the ~48 GiB its explicit CSR would need.
 //
 // Consumers that can handle any representation use the LayerView accessors
 // (g_layer / gprime_layer / gp_only_layer) and the indexed-edge API
@@ -47,17 +44,15 @@ class DualGraph {
   /// word-parallel delivery resolver. `automatic` builds them and keeps the
   /// pair while it fits kBitmapMaxBytes; `never` skips them (tests of the
   /// no-bitmap fallback, memory-constrained embedders). Implicit networks
-  /// and detected dual cliques never build bitmaps — the structured
-  /// resolver path supersedes them there.
+  /// never build bitmaps.
   enum class BitmapPolicy : std::uint8_t { automatic, never };
 
-  /// Recognized network structure, detected at construction (explicit
-  /// representation) or declared by the implicit factories. Generalizes the
-  /// old gprime_complete() flag.
+  /// Recognized network structure, derived from the representation.
   enum class Structure : std::uint8_t {
     general,          ///< nothing recognized
     gprime_complete,  ///< G' == K_n
-    dual_clique,      ///< G' == K_n and G == two half cliques (+ <= 1 bridge)
+    dual_clique,      ///< G == two half cliques (+ <= 1 bridge); G' == K_n,
+                      ///< or G' == G (protocol_dual_clique)
   };
 
   /// Empty dual graph (n == 0); useful as a placeholder before assignment.
@@ -82,6 +77,12 @@ class DualGraph {
   static DualGraph implicit_dual_clique(int n, int bridge_index,
                                         bool with_bridge = true);
 
+  /// The dual clique's reliable layer as a protocol-model network: G as
+  /// in implicit_dual_clique (with the bridge) and G' = G, so there are no
+  /// G'-only edges, Δ = n/2 and gprime_complete() is false. O(n) heap: the
+  /// empty overlay's CSR offsets behind gp_only_layer().
+  static DualGraph protocol_dual_clique(int n, int bridge_index);
+
   /// A sparse reliable layer under a complete G', without materializing G'
   /// or the overlay: the G'-only layer is K_n minus `g` (LayerView
   /// complement_of_sparse). Keeps O(n + |E(g)|) heap.
@@ -93,7 +94,7 @@ class DualGraph {
   /// below assert on such networks — use the LayerView surface instead.
   bool is_implicit() const { return rep_ != Rep::explicit_layers; }
 
-  Structure structure() const { return structure_; }
+  Structure structure() const;
 
   /// The reliable layer as a materialized Graph. Explicit representation
   /// only (also available for implicit_complete_gprime, which owns G).
@@ -146,9 +147,9 @@ class DualGraph {
 
   /// True if G' is the complete graph — enables the engine's O(1)
   /// dense-round fast path on clique-like lower-bound networks.
-  bool gprime_complete() const { return structure_ != Structure::general; }
+  bool gprime_complete() const;
 
-  /// Structured tag data, valid when structure() == dual_clique: the side
+  /// Dual-clique data, valid when structure() == dual_clique: the side
   /// split [0, half) / [half, n) and the reliable bridge endpoints (-1 for
   /// the bridgeless variant).
   int dual_half() const { return half_; }
@@ -163,10 +164,9 @@ class DualGraph {
   /// word-parallel delivery resolver. Materialized at construction
   /// (~12 bytes per non-empty 64-bit block — O(E) on sparse layers, n^2/64
   /// blocks on dense ones) and kept while the pair's combined footprint
-  /// fits kBitmapMaxBytes; nullptr otherwise (under BitmapPolicy::never, on
-  /// implicit networks, and on detected dual cliques, whose structured
-  /// resolver path replaces them) — callers must fall back to the CSR
-  /// sweep. Shared between copies of the dual graph (they are immutable).
+  /// fits kBitmapMaxBytes; nullptr otherwise (under BitmapPolicy::never and
+  /// on implicit networks) — callers must fall back to the CSR sweep.
+  /// Shared between copies of the dual graph (they are immutable).
   static constexpr std::size_t kBitmapMaxBytes = 256u << 20;
   const AdjacencyBitmap* g_bitmap() const { return g_bitmap_.get(); }
   const AdjacencyBitmap* gp_only_bitmap() const {
@@ -182,17 +182,17 @@ class DualGraph {
   enum class Rep : std::uint8_t {
     explicit_layers,
     implicit_dual_clique,
+    protocol_dual_clique,
     implicit_complete_gprime,
   };
 
-  /// Explicit-representation constructor helper: recognizes the dual-clique
-  /// shape (two half cliques + at most one bridge under a complete G') and
-  /// fills the structure tag.
-  void detect_structure();
+  bool is_dual_clique() const {
+    return rep_ == Rep::implicit_dual_clique ||
+           rep_ == Rep::protocol_dual_clique;
+  }
 
   int n_ = 0;
   Rep rep_ = Rep::explicit_layers;
-  Structure structure_ = Structure::general;
   int half_ = 0;
   int bridge_a_ = -1;
   int bridge_b_ = -1;

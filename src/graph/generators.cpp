@@ -65,44 +65,14 @@ Graph random_tree(int n, Rng& rng) {
   return g;
 }
 
-Graph dual_clique_reliable_graph(int n, int bridge_index) {
-  DC_EXPECTS_MSG(n >= 4 && n % 2 == 0, "dual clique needs an even n >= 4");
-  const int half = n / 2;
-  DC_EXPECTS(bridge_index < half);
-  Graph g(n);
-  for (int u = 0; u < half; ++u) {
-    for (int v = u + 1; v < half; ++v) {
-      g.add_edge(u, v);                  // clique A
-      g.add_edge(half + u, half + v);    // clique B
-    }
-  }
-  if (bridge_index >= 0) g.add_edge(bridge_index, half + bridge_index);
-  g.finalize();
-  return g;
-}
-
 namespace {
 
 DualCliqueNet make_dual_clique(int n, int bridge_index, bool with_bridge) {
-  DC_EXPECTS_MSG(n >= 4 && n % 2 == 0, "dual clique needs an even n >= 4");
-  const int half = n / 2;
-  DC_EXPECTS(bridge_index >= 0 && bridge_index < half);
-  const int ta = bridge_index;
-  const int tb = half + bridge_index;
-
   DualCliqueNet out;
-  out.bridge_a = ta;
-  out.bridge_b = tb;
-  if (n >= kDualCliqueImplicitMinN) {
-    // Past the explicit threshold the O(n²) CSR layers are replaced by the
-    // implicit representation (LayerView-served); executions are identical
-    // either way (the representations are differential-tested).
-    out.net = DualGraph::implicit_dual_clique(n, bridge_index, with_bridge);
-  } else {
-    out.net = DualGraph(
-        dual_clique_reliable_graph(n, with_bridge ? bridge_index : -1),
-        complete_graph(n));
-  }
+  out.net = DualGraph::implicit_dual_clique(n, bridge_index, with_bridge);
+  const int half = n / 2;
+  out.bridge_a = bridge_index;
+  out.bridge_b = half + bridge_index;
   out.side_a.reserve(static_cast<std::size_t>(half));
   out.side_b.reserve(static_cast<std::size_t>(half));
   for (int v = 0; v < half; ++v) {

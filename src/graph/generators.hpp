@@ -65,25 +65,15 @@ struct DualCliqueNet {
 /// Builds a dual clique on n (even, >= 4) vertices. A = {0..n/2-1},
 /// B = {n/2..n-1}. The bridge endpoints are side_a[bridge_index] and
 /// side_b[bridge_index]; by default the index is 0, and the lower-bound
-/// benches randomize it so no algorithm can "know" t.
-///
-/// At n >= kDualCliqueImplicitMinN the network switches to the implicit
-/// representation (DualGraph::implicit_dual_clique): no O(n²) CSR layers,
-/// LayerView-served structure, identical executions.
-inline constexpr int kDualCliqueImplicitMinN = 2048;
+/// benches randomize it so no algorithm can "know" t. The network is
+/// DualGraph::implicit_dual_clique at every n: no O(n²) CSR layers,
+/// LayerView-served structure.
 DualCliqueNet dual_clique(int n, int bridge_index = 0);
 
 /// Bridgeless variant: identical except the (t_A, t_B) edge is absent from
 /// G (it stays in G'). Used by the Theorem 3.1 reduction player, which must
 /// simulate the network without knowing t. Note G is then disconnected.
 DualCliqueNet dual_clique_without_bridge(int n);
-
-/// The dual clique's reliable layer alone, always materialized (two half
-/// cliques plus the bridge when bridge_index >= 0; none when -1) — for
-/// protocol-model consumers like the dual_clique_g topology, which need an
-/// explicit Graph even when dual_clique() itself is served implicitly.
-/// Inherently O(n²) storage.
-Graph dual_clique_reliable_graph(int n, int bridge_index);
 
 /// The §4.2 bracelet lower-bound network.
 struct BraceletNet {

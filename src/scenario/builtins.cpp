@@ -65,14 +65,9 @@ void add_topologies(TopologyRegistry& r) {
           args.expect_count(1, 2);
           const int n = args.int_at(0);
           const int bridge_index = args.int_or(1, n / 4);
-          Topology topo =
-              with_clique_metadata(dual_clique(n, bridge_index), args);
-          // The protocol network needs a materialized G, which an implicit
-          // dual clique does not carry — build the reliable layer directly
-          // (explicit by nature: this topology *is* the G layer).
-          topo.net_holder = std::make_shared<DualGraph>(DualGraph::protocol(
-              dual_clique_reliable_graph(n, bridge_index)));
-          return topo;
+          DualCliqueNet clique = dual_clique(n, bridge_index);
+          clique.net = DualGraph::protocol_dual_clique(n, bridge_index);
+          return with_clique_metadata(std::move(clique), args);
         });
   r.add("bracelet", "the §4.2 bracelet: bracelet(n_target[,clasp_index])",
         [](const SpecArgs& args, std::uint64_t /*seed*/) {

@@ -1,6 +1,7 @@
 #include "sim/delivery_resolver.hpp"
 
 #include <bit>
+#include <limits>
 
 #include "util/assert.hpp"
 #include "util/simd.hpp"
@@ -10,6 +11,8 @@ namespace dualcast {
 void DeliveryResolver::reset(const DualGraph* net, bool collision_detection) {
   DC_EXPECTS(net != nullptr && net->n() >= 1);
   net_ = net;
+  dual_clique_ = net->structure() == DualGraph::Structure::dual_clique;
+  gprime_complete_ = net->gprime_complete();
   collision_detection_ = collision_detection;
   const std::size_t n = static_cast<std::size_t>(net->n());
   hear_count_.assign(n, 0);
@@ -32,9 +35,9 @@ void DeliveryResolver::resolve(const std::vector<int>& tx_index_of,
   // Fast path: with all G'-only edges active on a complete G', either the
   // unique transmitter reaches everyone or >= 2 transmitters collide
   // everywhere. This keeps dense-round attacks on clique networks O(1) —
-  // under any representation (implicit networks always have a complete G').
+  // under any representation.
   if (forced_ == Path::auto_select && edges.kind == EdgeSet::Kind::all &&
-      net_->gprime_complete()) {
+      gprime_complete_) {
     last_ = Path::sweep;
     if (tx_count == 1) {
       const int v = transmitters[0];
@@ -52,12 +55,10 @@ void DeliveryResolver::resolve(const std::vector<int>& tx_index_of,
     return;
   }
 
-  const bool structured_ok =
-      net_->structure() == DualGraph::Structure::dual_clique;
   bool use_structured = false;
   bool use_bitmap = false;
   if (forced_ == Path::structured) {
-    DC_EXPECTS_MSG(structured_ok,
+    DC_EXPECTS_MSG(dual_clique_,
                    "structured path forced on a network without a "
                    "dual-clique structure tag");
     use_structured = true;
@@ -66,7 +67,7 @@ void DeliveryResolver::resolve(const std::vector<int>& tx_index_of,
                    "bitmap path forced on a network without bitmaps");
     use_bitmap = true;
   } else if (forced_ == Path::auto_select) {
-    if (structured_ok) {
+    if (dual_clique_) {
       // Per-side counting beats both general strategies on clique sides at
       // every density: O(tx + mask bits), O(n) only alongside O(n) output.
       use_structured = true;
@@ -182,13 +183,14 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
   //   side total >= 2 — everyone on the side collides; with collision
   //                   detection off the side costs nothing at all.
   //
-  // With Kind::all the network is effectively complete (G' = K_n), so both
-  // "sides" share the global transmitter total and the bridge adds nothing.
+  // With Kind::all under a complete G' the network is effectively K_n, so
+  // both "sides" share the global transmitter total and the bridge adds
+  // nothing. Under G' = G (protocol_dual_clique) Kind::all adds no edge.
   const int n = net_->n();
   const int h = net_->dual_half();
   const int ba = net_->dual_bridge_a();
   const int bb = net_->dual_bridge_b();
-  const bool all = edges.kind == EdgeSet::Kind::all;
+  const bool all = edges.kind == EdgeSet::Kind::all && gprime_complete_;
   const std::vector<int>& transmitters = record.transmitters;
 
   apply_sparse_edges(tx_index_of, edges, transmitters);
@@ -286,15 +288,19 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
   //   per-edge — visit each mask bit and bump across its edge when an
   //              endpoint transmits. O(popcount) with an edge-index decode
   //              and two tx lookups per edge.
-  //   walk     — walk each *transmitter's* G'-only CSR row testing its edge
+  //   walk     — walk each *transmitter's* G'-only row testing its edge
   //              indices against the mask words directly.
   //              O(Σ gp_deg(tx)) — the win whenever transmitters are sparse
   //              against a heavy overlay (decay tails under i.i.d. loss).
-  //              Explicit representation only (it needs the per-row edge
-  //              index arrays).
+  //              Explicit overlays walk their per-row edge index arrays;
+  //              dual cliques compute the indices (apply_dual_clique_mask).
   //
   // The choice is a deterministic function of the round's transmitter set
   // and selection size, so replays stay bit-identical.
+  if (dual_clique_) {
+    apply_dual_clique_mask(tx_index_of, edges, transmitters);
+    return;
+  }
   if (!net_->is_implicit()) {
     std::int64_t walk_visits = 0;
     const auto gp_off = net_->gp_only_csr_offsets();
@@ -322,8 +328,8 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
   // activating an edge costs O(1) instead of a scan over the round's
   // transmitter list. One loop, two inlined decoders: the explicit
   // representation indexes the flat edge list directly (the out-of-line
-  // gp_only_edge call is measurable at this edge rate); implicit networks
-  // decode arithmetically.
+  // gp_only_edge call is measurable at this edge rate); the implicit
+  // complete-G' overlay decodes by prefix search.
   const auto apply_edges = [&](auto&& decode) {
     for_each_mask_bit(edges.mask, [&](std::int64_t idx) {
       const auto [a, b] = decode(idx);
@@ -339,6 +345,61 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
         [&](std::int64_t idx) { return gp_only[static_cast<std::size_t>(idx)]; });
   } else {
     apply_edges([&](std::int64_t idx) { return net_->gp_only_edge(idx); });
+  }
+}
+
+void DeliveryResolver::apply_dual_clique_mask(
+    const std::vector<int>& tx_index_of, const EdgeSet& edges,
+    const std::vector<int>& transmitters) {
+  // The G'-only edges are A × B minus the bridge pair, indexed row-major:
+  // pair (a, b) sits at slot f = a·h + (b − h), and its edge index is f,
+  // or f − 1 past the bridge pair's slot `hole`. A side-A row is one index
+  // range; a side-B column has stride h. Both strategies bump in the order
+  // the explicit overlay's walk and per-edge loops do.
+  const int h = net_->dual_half();
+  const int ba = net_->dual_bridge_a();
+  const int bb = net_->dual_bridge_b();
+  const std::int64_t hole = ba >= 0 ? static_cast<std::int64_t>(ba) * h + ba
+                                    : std::numeric_limits<std::int64_t>::max();
+  // on_b(b) for each set edge (a, b) of row a, a mask word at a time.
+  const auto for_each_in_row = [&](int a, auto&& on_b) {
+    const std::int64_t f0 = static_cast<std::int64_t>(a) * h;
+    const std::int64_t first = f0 > hole ? f0 - 1 : f0;
+    for_each_mask_bit(edges.mask, first, first + (a == ba ? h - 1 : h),
+                      [&](std::int64_t idx) {
+                        const std::int64_t f = idx >= hole ? idx + 1 : idx;
+                        on_b(h + static_cast<int>(f - f0));
+                      });
+  };
+
+  const int tx_count = static_cast<int>(transmitters.size());
+  std::int64_t walk_visits = static_cast<std::int64_t>(h) * tx_count;
+  if (ba >= 0) {
+    walk_visits -= (tx_index_of[static_cast<std::size_t>(ba)] >= 0 ? 1 : 0) +
+                   (tx_index_of[static_cast<std::size_t>(bb)] >= 0 ? 1 : 0);
+  }
+  if (walk_visits < edges.count) {
+    for (int ti = 0; ti < tx_count; ++ti) {
+      const int v = transmitters[static_cast<std::size_t>(ti)];
+      if (v < h) {
+        for_each_in_row(v, [&](int b) { bump(b, v, ti); });
+        continue;
+      }
+      for (int a = 0; a < h; ++a) {  // column v - h, one bit per row
+        const std::int64_t f = static_cast<std::int64_t>(a) * h + (v - h);
+        if (f != hole && edges.test(f > hole ? f - 1 : f)) bump(a, v, ti);
+      }
+    }
+    return;
+  }
+  // Decode the set bits row by row.
+  for (int a = 0; a < h; ++a) {
+    const int ta = tx_index_of[static_cast<std::size_t>(a)];
+    for_each_in_row(a, [&](int b) {
+      if (ta >= 0) bump(b, a, ta);
+      const int tb = tx_index_of[static_cast<std::size_t>(b)];
+      if (tb >= 0) bump(a, b, tb);
+    });
   }
 }
 

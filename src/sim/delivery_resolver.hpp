@@ -19,12 +19,12 @@
 //                otherwise — identical results). O(total non-empty row
 //                blocks) with early exit at 2 contenders; wins on dense
 //                rounds over explicit layers.
-//   structured — dual-clique-structured networks only (implicit or
-//                detected): a listener's count is its side's transmitter
-//                total plus the bridge/mask extras, so a round costs
-//                O(transmitters + mask bits) — plus O(n) only when
-//                deliveries themselves are O(n). This is the path that
-//                carries clique-family networks past n = 4096.
+//   structured — dual cliques only (all of them implicit): a listener's
+//                count is its side's transmitter total plus the
+//                bridge/mask extras, so a round costs O(transmitters +
+//                mask bits) — plus O(n) only when deliveries themselves are
+//                O(n). This is the path that carries clique-family networks
+//                past n = 4096.
 //
 // The strategy choice is a deterministic function of the round's
 // transmitter set and edge kind, so replays stay bit-identical. All paths
@@ -94,9 +94,14 @@ class DeliveryResolver {
   void apply_sparse_edges(const std::vector<int>& tx_index_of,
                           const EdgeSet& edges,
                           const std::vector<int>& transmitters);
+  void apply_dual_clique_mask(const std::vector<int>& tx_index_of,
+                              const EdgeSet& edges,
+                              const std::vector<int>& transmitters);
   void finalize(const std::vector<int>& tx_index_of, RoundRecord& record);
 
   const DualGraph* net_ = nullptr;
+  bool dual_clique_ = false;      ///< net_->structure() == dual_clique
+  bool gprime_complete_ = false;  ///< net_->gprime_complete()
   bool collision_detection_ = false;
   Path forced_ = Path::auto_select;
   Path last_ = Path::sweep;

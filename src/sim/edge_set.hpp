@@ -125,16 +125,30 @@ struct EdgeSet {
   }
 };
 
-/// Visits the set bits of `mask` ascending: fn(edge_index).
+/// Visits the set bits of `mask` in [lo, hi) ascending: fn(edge_index).
+/// Bits past the end of the mask read as zero.
 template <typename Fn>
-void for_each_mask_bit(const std::vector<std::uint64_t>& mask, Fn&& fn) {
-  for (std::size_t w = 0; w < mask.size(); ++w) {
+void for_each_mask_bit(const std::vector<std::uint64_t>& mask,
+                       std::int64_t lo, std::int64_t hi, Fn&& fn) {
+  hi = std::min(hi, static_cast<std::int64_t>(mask.size()) * 64);
+  if (lo >= hi) return;
+  const std::size_t w_lo = static_cast<std::size_t>(lo) / 64;
+  const std::size_t w_hi = static_cast<std::size_t>(hi - 1) / 64;
+  for (std::size_t w = w_lo; w <= w_hi; ++w) {
     std::uint64_t bits = mask[w];
+    if (w == w_lo) bits &= ~std::uint64_t{0} << (lo % 64);
+    if (w == w_hi) bits &= ~std::uint64_t{0} >> (63 - (hi - 1) % 64);
     while (bits != 0) {
       fn(static_cast<std::int64_t>(w) * 64 + std::countr_zero(bits));
       bits &= bits - 1;
     }
   }
+}
+
+/// Visits every set bit of `mask` ascending: fn(edge_index).
+template <typename Fn>
+void for_each_mask_bit(const std::vector<std::uint64_t>& mask, Fn&& fn) {
+  for_each_mask_bit(mask, 0, static_cast<std::int64_t>(mask.size()) * 64, fn);
 }
 
 }  // namespace dualcast

@@ -1,7 +1,6 @@
 // LayerView and the implicit DualGraph representations: every implicit
 // variant must answer degree / neighbors / has_edge / row-synthesis /
-// edge-index queries exactly as the explicit construction it replaces, and
-// the explicit constructor must detect the dual-clique structure tag.
+// edge-index queries exactly as the explicit construction it replaces.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +9,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/layer_view.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace dualcast {
@@ -61,15 +61,7 @@ TEST(LayerView, CompleteMatchesExplicitKn) {
 
 TEST(LayerView, DualCliquesMatchesExplicitConstruction) {
   // Two cliques on [0,5) / [5,10) plus the bridge (2, 7).
-  Graph g(10);
-  for (int u = 0; u < 5; ++u) {
-    for (int v = u + 1; v < 5; ++v) {
-      g.add_edge(u, v);
-      g.add_edge(5 + u, 5 + v);
-    }
-  }
-  g.add_edge(2, 7);
-  g.finalize();
+  const Graph g = testing::two_cliques_graph(10, 2);
   expect_layer_equals(
       LayerView::dual_cliques(10, 5, 2, 7),
       LayerView::explicit_csr(10, g.csr_offsets(), g.csr_neighbors()));
@@ -132,16 +124,8 @@ void expect_dual_graphs_equal(const DualGraph& a, const DualGraph& b) {
 
 TEST(ImplicitDualGraph, DualCliqueMatchesExplicitEdgeForEdge) {
   for (const int bridge_index : {0, 3}) {
-    Graph g(16);
-    for (int u = 0; u < 8; ++u) {
-      for (int v = u + 1; v < 8; ++v) {
-        g.add_edge(u, v);
-        g.add_edge(8 + u, 8 + v);
-      }
-    }
-    g.add_edge(bridge_index, 8 + bridge_index);
-    g.finalize();
-    const DualGraph expl(std::move(g), complete_graph(16));
+    const DualGraph expl(testing::two_cliques_graph(16, bridge_index),
+                         complete_graph(16));
     const DualGraph impl = DualGraph::implicit_dual_clique(16, bridge_index);
     EXPECT_FALSE(expl.is_implicit());
     EXPECT_TRUE(impl.is_implicit());
@@ -150,19 +134,25 @@ TEST(ImplicitDualGraph, DualCliqueMatchesExplicitEdgeForEdge) {
 }
 
 TEST(ImplicitDualGraph, BridgelessDualCliqueMatchesExplicit) {
-  Graph g(12);
-  for (int u = 0; u < 6; ++u) {
-    for (int v = u + 1; v < 6; ++v) {
-      g.add_edge(u, v);
-      g.add_edge(6 + u, 6 + v);
-    }
-  }
-  g.finalize();
-  const DualGraph expl(std::move(g), complete_graph(12));
+  const DualGraph expl(testing::two_cliques_graph(12, -1), complete_graph(12));
   const DualGraph impl =
       DualGraph::implicit_dual_clique(12, 0, /*with_bridge=*/false);
   expect_dual_graphs_equal(impl, expl);
   EXPECT_FALSE(impl.g_connected());
+}
+
+TEST(ImplicitDualGraph, ProtocolDualCliqueMatchesExplicitProtocolModel) {
+  // (n, bridge index): the bridge at a side's first, middle and last node.
+  for (const auto& [n, b] : {std::pair{4, 0}, std::pair{12, 3},
+                             std::pair{16, 7}, std::pair{24, 0}}) {
+    const DualGraph impl = DualGraph::protocol_dual_clique(n, b);
+    EXPECT_TRUE(impl.is_implicit());
+    EXPECT_EQ(impl.structure(), DualGraph::Structure::dual_clique);
+    EXPECT_FALSE(impl.gprime_complete());
+    EXPECT_EQ(impl.max_degree(), n / 2);
+    expect_dual_graphs_equal(
+        impl, DualGraph::protocol(testing::two_cliques_graph(n, b)));
+  }
 }
 
 TEST(ImplicitDualGraph, CompleteGprimeMatchesExplicit) {
@@ -181,64 +171,6 @@ TEST(ImplicitDualGraph, CompleteGprimeMatchesExplicit) {
   EXPECT_TRUE(impl.is_implicit());
   EXPECT_EQ(impl.structure(), DualGraph::Structure::gprime_complete);
   expect_dual_graphs_equal(impl, expl);
-}
-
-// ---------------------------------------------------------------------------
-// Structure detection on the explicit representation.
-// ---------------------------------------------------------------------------
-
-TEST(StructureDetection, ExplicitDualCliqueIsTagged) {
-  const DualCliqueNet dc = dual_clique(24, 5);
-  ASSERT_FALSE(dc.net.is_implicit());
-  EXPECT_EQ(dc.net.structure(), DualGraph::Structure::dual_clique);
-  EXPECT_EQ(dc.net.dual_half(), 12);
-  EXPECT_EQ(dc.net.dual_bridge_a(), 5);
-  EXPECT_EQ(dc.net.dual_bridge_b(), 17);
-  // Structured networks skip bitmap materialization: the structured
-  // resolver path supersedes it.
-  EXPECT_EQ(dc.net.g_bitmap(), nullptr);
-}
-
-TEST(StructureDetection, BridgelessExplicitDualCliqueIsTagged) {
-  const DualCliqueNet dc = dual_clique_without_bridge(16);
-  EXPECT_EQ(dc.net.structure(), DualGraph::Structure::dual_clique);
-  EXPECT_EQ(dc.net.dual_bridge_a(), -1);
-  EXPECT_FALSE(dc.net.g_connected());
-}
-
-TEST(StructureDetection, CompleteGprimeWithoutCliqueShapeIsNotDualClique) {
-  const DualGraph net(line_graph(8), complete_graph(8));
-  EXPECT_EQ(net.structure(), DualGraph::Structure::gprime_complete);
-  EXPECT_TRUE(net.gprime_complete());
-}
-
-TEST(StructureDetection, TwoBridgesAreNotADualClique) {
-  Graph g(8);
-  for (int u = 0; u < 4; ++u) {
-    for (int v = u + 1; v < 4; ++v) {
-      g.add_edge(u, v);
-      g.add_edge(4 + u, 4 + v);
-    }
-  }
-  g.add_edge(0, 4);
-  g.add_edge(1, 5);
-  g.finalize();
-  const DualGraph net(std::move(g), complete_graph(8));
-  EXPECT_EQ(net.structure(), DualGraph::Structure::gprime_complete);
-}
-
-TEST(StructureDetection, GeneralNetworksStayUntagged) {
-  const GeoNet geo = [] {
-    Rng rng(3);
-    return jittered_grid_geo(4, 4, 0.6, 0.05, 2.0, rng);
-  }();
-  EXPECT_EQ(geo.net.structure(), DualGraph::Structure::general);
-  EXPECT_FALSE(geo.net.gprime_complete());
-}
-
-TEST(ImplicitDualGraph, GeneratorSwitchesRepresentationAtThreshold) {
-  EXPECT_FALSE(dual_clique(kDualCliqueImplicitMinN - 2, 1).net.is_implicit());
-  EXPECT_TRUE(dual_clique(kDualCliqueImplicitMinN, 1).net.is_implicit());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "graph/generators.hpp"
+#include "test_support.hpp"
 #include "util/assert.hpp"
 
 namespace dualcast {
@@ -16,36 +17,40 @@ class DualCliqueParam : public ::testing::TestWithParam<int> {};
 TEST_P(DualCliqueParam, Structure) {
   const int n = GetParam();
   const DualCliqueNet dc = dual_clique(n);
+  EXPECT_TRUE(dc.net.is_implicit());
   EXPECT_EQ(dc.net.n(), n);
   EXPECT_EQ(static_cast<int>(dc.side_a.size()), n / 2);
   EXPECT_EQ(static_cast<int>(dc.side_b.size()), n / 2);
 
   // G: two cliques plus one bridge.
   const std::int64_t half = n / 2;
-  EXPECT_EQ(dc.net.g().edge_count(), half * (half - 1) + 1);
-  EXPECT_TRUE(dc.net.g().has_edge(dc.bridge_a, dc.bridge_b));
-  EXPECT_TRUE(dc.net.g().is_connected());
+  const LayerView g = dc.net.g_layer();
+  EXPECT_EQ(g.edge_count(), half * (half - 1) + 1);
+  EXPECT_TRUE(g.has_edge(dc.bridge_a, dc.bridge_b));
+  EXPECT_TRUE(dc.net.g_connected());
 
   // G' complete (so the fast path applies).
   EXPECT_TRUE(dc.net.gprime_complete());
 
-  // Constant diameter: at most 3 (across the bridge).
-  EXPECT_LE(dc.net.g().diameter(), 3);
+  // Constant diameter: at most 3 (across the bridge), on the explicit
+  // reference layer (test_graph_layer_view pins it edge for edge).
+  EXPECT_LE(testing::two_cliques_graph(n, 0).diameter(), 3);
 }
 
 TEST_P(DualCliqueParam, SidesAreCliquesAndOnlyBridgeCrosses) {
   const int n = GetParam();
   const DualCliqueNet dc = dual_clique(n, /*bridge_index=*/1);
+  const LayerView g = dc.net.g_layer();
   for (std::size_t i = 0; i < dc.side_a.size(); ++i) {
     for (std::size_t j = i + 1; j < dc.side_a.size(); ++j) {
-      EXPECT_TRUE(dc.net.g().has_edge(dc.side_a[i], dc.side_a[j]));
-      EXPECT_TRUE(dc.net.g().has_edge(dc.side_b[i], dc.side_b[j]));
+      EXPECT_TRUE(g.has_edge(dc.side_a[i], dc.side_a[j]));
+      EXPECT_TRUE(g.has_edge(dc.side_b[i], dc.side_b[j]));
     }
   }
   int cross_edges = 0;
   for (const int a : dc.side_a) {
     for (const int b : dc.side_b) {
-      if (dc.net.g().has_edge(a, b)) {
+      if (g.has_edge(a, b)) {
         ++cross_edges;
         EXPECT_EQ(a, dc.bridge_a);
         EXPECT_EQ(b, dc.bridge_b);
@@ -72,9 +77,9 @@ TEST(DualClique, RejectsBadSizes) {
 
 TEST(DualClique, WithoutBridgeIsDisconnectedButGPrimeComplete) {
   const DualCliqueNet dc = dual_clique_without_bridge(12);
-  EXPECT_FALSE(dc.net.g().is_connected());
+  EXPECT_FALSE(dc.net.g_connected());
   EXPECT_TRUE(dc.net.gprime_complete());
-  EXPECT_FALSE(dc.net.g().has_edge(dc.bridge_a, dc.bridge_b));
+  EXPECT_FALSE(dc.net.g_layer().has_edge(dc.bridge_a, dc.bridge_b));
 }
 
 class BraceletParam : public ::testing::TestWithParam<int> {};

@@ -50,13 +50,20 @@ TEST(ScaleImplicit, DualClique65536StaysUnderMemoryBudget) {
   }
 }
 
-TEST(ScaleImplicit, DualCliqueGTopologyWorksPastImplicitThreshold) {
-  // dual_clique_g needs a materialized G layer; it must keep working at
-  // sizes where dual_clique() itself is implicit.
-  const Topology topo = scenario::topologies().build("dual_clique_g(2048)", 3);
-  EXPECT_FALSE(topo.net().is_implicit());
-  EXPECT_TRUE(topo.net().g_connected());
-  EXPECT_EQ(topo.net().gp_only_edge_count(), 0);  // protocol model: G' == G
+TEST(ScaleImplicit, DualCliqueGTopologyIsImplicit) {
+  // dual_clique_g is the dual clique's G as a protocol-model network; like
+  // dual_clique() itself it materializes no O(n²) layer.
+  const Topology topo = scenario::topologies().build("dual_clique_g(65536)", 3);
+  const DualGraph& net = topo.net();
+  EXPECT_TRUE(net.is_implicit());
+  EXPECT_EQ(net.structure(), DualGraph::Structure::dual_clique);
+  EXPECT_FALSE(net.gprime_complete());
+  EXPECT_TRUE(net.g_connected());
+  EXPECT_EQ(net.gp_only_edge_count(), 0);  // protocol model: G' == G
+  EXPECT_EQ(net.max_degree(), 32768);
+  EXPECT_EQ(net.g_layer().edge_count(),
+            static_cast<std::int64_t>(32768) * 32767 + 1);
+  EXPECT_LT(net.approx_heap_bytes(), std::size_t{8} << 20);
 }
 
 TEST(ScaleImplicit, DualClique65536RunsStartToSolve) {

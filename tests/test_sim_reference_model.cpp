@@ -159,6 +159,13 @@ TEST_P(FuzzSeedParam, NativeDecayGlobalWithColliderOnDualClique) {
                      "collider", "global(1)", GetParam(), 300);
 }
 
+TEST_P(FuzzSeedParam, NativeDecayGlobalWithAllEdgesOnProtocolDualClique) {
+  // G' = G: "all" activates no edge, so the structured path must keep the
+  // two sides apart.
+  fuzz_native_kernel("dual_clique_g(24)", "decay_global(permuted)", "all",
+                     "global(1)", GetParam() + 300, 300);
+}
+
 TEST_P(FuzzSeedParam, NativeDecayLocalWithFlickerOnBracelet) {
   fuzz_native_kernel("bracelet(72)", "decay_local", "flicker(2,3)",
                      "local(heads_a)", GetParam() + 100, 200);

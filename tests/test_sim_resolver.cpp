@@ -1,7 +1,7 @@
 // DeliveryResolver: the word-parallel bitmap path must agree with the CSR
 // sweep — and both with a from-first-principles reference — on random
 // graphs, random transmit sets, every edge kind, with and without
-// collision detection.
+// collision detection; so must the structured path on dual cliques.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "graph/generators.hpp"
 #include "sim/delivery_resolver.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace dualcast {
@@ -58,20 +59,31 @@ Resolved resolve_with(DeliveryResolver::Path path, const DualGraph& net,
 Resolved resolve_reference(const DualGraph& net,
                            const std::vector<int>& transmitters,
                            const EdgeSet& edges, bool collision_detection) {
-  const LayerView g_view = net.g_layer();
-  const LayerView gp_view = net.gprime_layer();
-  const auto edge_active = [&](int u, int v) {
-    if (g_view.has_edge(u, v)) return true;
-    if (edges.kind == EdgeSet::Kind::none) return false;
-    if (edges.kind == EdgeSet::Kind::all) return gp_view.has_edge(u, v);
-    bool active = false;
+  // The round's topology as an n × n matrix: G (all of G' under Kind::all)
+  // plus the mask's edges, decoded one index at a time.
+  const std::size_t n = static_cast<std::size_t>(net.n());
+  std::vector<char> linked(n * n, 0);
+  const auto link = [&](int u, int v) {
+    linked[static_cast<std::size_t>(u) * n + static_cast<std::size_t>(v)] = 1;
+    linked[static_cast<std::size_t>(v) * n + static_cast<std::size_t>(u)] = 1;
+  };
+  const LayerView layer = edges.kind == EdgeSet::Kind::all
+                              ? net.gprime_layer()
+                              : net.g_layer();
+  for (int u = 0; u < net.n(); ++u) {
+    layer.for_each_neighbor(u, [&](int v) { link(u, v); });
+  }
+  if (edges.kind == EdgeSet::Kind::mask) {
     for_each_mask_bit(edges.mask, [&](std::int64_t idx) {
       const auto [a, b] = net.gp_only_edge(idx);
-      if ((a == u && b == v) || (a == v && b == u)) active = true;
+      link(a, b);
     });
-    return active;
+  }
+  const auto edge_active = [&](int u, int v) {
+    return linked[static_cast<std::size_t>(u) * n +
+                  static_cast<std::size_t>(v)] != 0;
   };
-  std::vector<char> is_tx(static_cast<std::size_t>(net.n()), 0);
+  std::vector<char> is_tx(n, 0);
   for (const int v : transmitters) is_tx[static_cast<std::size_t>(v)] = 1;
   Resolved out;
   for (int u = 0; u < net.n(); ++u) {
@@ -220,65 +232,90 @@ TEST(DeliveryResolverHeuristic, BitmaplessNetworksFallBackToSweep) {
   EXPECT_EQ(record.deliveries[0].receiver, 1);
 }
 
-// The structured path: on dual-clique-tagged networks (explicit-detected or
-// implicit) the per-side counting strategy must agree with the LayerView
-// sweep and the first-principles reference on random rounds of every
-// density and edge kind, with and without collision detection.
+// The structured path serves every dual clique, and every dual clique is
+// implicit: its mask application computes edge indices — a word-wise walk
+// per transmitter, or a row-by-row decode of the set bits — instead of
+// reading an overlay. It must agree with the first-principles reference
+// computed on an explicit twin (two cliques + bridge under K_n, untagged,
+// so it resolves on sweep and bitmap). Rows span and straddle mask words,
+// the bridge sits at a row's start, middle or end (or is absent), and
+// rounds have one or two transmitters per side (the walk, for heavy masks)
+// or most nodes transmitting (the row decode).
 TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
   Rng rng(4242);
   int rounds_checked = 0;
-  for (const bool with_bridge : {true, false}) {
-    for (const int n : {8, 12, 24}) {
-      const DualGraph explicit_net =
-          with_bridge ? dual_clique(n, n / 4).net
-                      : dual_clique_without_bridge(n).net;
+  for (const int n : {8, 12, 24, 136, 200}) {
+    const int h = n / 2;
+    for (const int bridge_index : {0, n / 4, h - 1, -1}) {
+      const DualGraph explicit_net(
+          testing::two_cliques_graph(n, bridge_index), complete_graph(n));
       const DualGraph implicit_net = DualGraph::implicit_dual_clique(
-          n, with_bridge ? n / 4 : 0, with_bridge);
-      for (const DualGraph* net : {&explicit_net, &implicit_net}) {
-        ASSERT_EQ(net->structure(), DualGraph::Structure::dual_clique);
-        const std::int64_t m_extra = net->gp_only_edge_count();
-        for (int round = 0; round < 12; ++round) {
-          const double p_tx = rng.uniform01();
-          std::vector<int> transmitters;
+          n, std::max(bridge_index, 0), bridge_index >= 0);
+      ASSERT_NE(explicit_net.structure(), DualGraph::Structure::dual_clique);
+      ASSERT_NE(explicit_net.g_bitmap(), nullptr);
+      ASSERT_EQ(implicit_net.structure(), DualGraph::Structure::dual_clique);
+      const std::int64_t m_extra = implicit_net.gp_only_edge_count();
+      ASSERT_EQ(explicit_net.gp_only_edge_count(), m_extra);
+      for (int round = 0; round < 16; ++round) {
+        std::vector<int> transmitters;
+        if (round % 2 == 0) {
+          for (const int lo : {0, h}) {
+            // The bridge endpoint half the time, plus maybe a second node.
+            const int first = bridge_index >= 0 && rng.bernoulli(0.5)
+                                  ? lo + bridge_index
+                                  : lo + static_cast<int>(
+                                             rng.uniform_int(0, h - 1));
+            transmitters.push_back(first);
+            const int second =
+                lo + static_cast<int>(rng.uniform_int(0, h - 1));
+            if (second != first && rng.bernoulli(0.5)) {
+              transmitters.push_back(second);
+            }
+          }
+        } else {
+          const double p_tx = 0.7 + 0.3 * rng.uniform01();
           for (int v = 0; v < n; ++v) {
             if (rng.bernoulli(p_tx)) transmitters.push_back(v);
           }
-          EdgeSet edges;
-          const int kind = round % 3;
-          if (kind == 1) {
-            edges = EdgeSet::all();
-          } else if (kind == 2) {
-            std::vector<std::int32_t> idx;
-            for (std::int64_t e = 0; e < m_extra; ++e) {
-              if (rng.bernoulli(0.3)) idx.push_back(static_cast<std::int32_t>(e));
+        }
+        EdgeSet edges;
+        const int kind = (round / 2) % 4;
+        if (kind == 1) {
+          edges = EdgeSet::all();
+        } else if (kind >= 2) {
+          const double p_edge = 0.02 + 0.96 * rng.uniform01();
+          std::vector<std::int32_t> idx;
+          for (std::int64_t e = 0; e < m_extra; ++e) {
+            if (rng.bernoulli(p_edge)) {
+              idx.push_back(static_cast<std::int32_t>(e));
             }
-            edges = EdgeSet::some(std::move(idx));
           }
-          for (const bool collision : {false, true}) {
-            const Resolved reference =
-                resolve_reference(*net, transmitters, edges, collision);
-            const Resolved sweep =
-                resolve_with(DeliveryResolver::Path::sweep, *net,
-                             transmitters, edges, collision);
-            const Resolved structured =
-                resolve_with(DeliveryResolver::Path::structured, *net,
-                             transmitters, edges, collision);
-            ASSERT_EQ(sweep.deliveries, reference.deliveries)
-                << "sweep vs reference, n=" << n << " round=" << round
-                << " bridge=" << with_bridge;
-            ASSERT_EQ(sweep.colliders, reference.colliders);
-            ASSERT_EQ(structured.deliveries, reference.deliveries)
-                << "structured vs reference, n=" << n << " round=" << round
-                << " bridge=" << with_bridge
+          edges = EdgeSet::some(std::move(idx));
+        }
+        for (const bool collision : {false, true}) {
+          const Resolved reference =
+              resolve_reference(explicit_net, transmitters, edges, collision);
+          const std::pair<DeliveryResolver::Path, const DualGraph*> runs[] = {
+              {DeliveryResolver::Path::sweep, &explicit_net},
+              {DeliveryResolver::Path::bitmap, &explicit_net},
+              {DeliveryResolver::Path::structured, &implicit_net},
+              {DeliveryResolver::Path::sweep, &implicit_net},
+          };
+          for (const auto& [path, net] : runs) {
+            const Resolved got =
+                resolve_with(path, *net, transmitters, edges, collision);
+            ASSERT_EQ(got.deliveries, reference.deliveries)
+                << "n=" << n << " bridge=" << bridge_index
+                << " round=" << round << " path=" << static_cast<int>(path)
                 << " implicit=" << net->is_implicit();
-            ASSERT_EQ(structured.colliders, reference.colliders);
-            ++rounds_checked;
+            ASSERT_EQ(got.colliders, reference.colliders);
           }
+          ++rounds_checked;
         }
       }
     }
   }
-  EXPECT_GE(rounds_checked, 200);
+  EXPECT_GE(rounds_checked, 640);
 }
 
 TEST(DeliveryResolverHeuristic, AutoSelectsStructuredOnDualCliques) {

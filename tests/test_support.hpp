@@ -1,12 +1,14 @@
 #pragma once
 
 // Shared helpers for the test suite: scripted processes, one-call execution
-// runners, and median-over-seeds measurement.
+// runners, median-over-seeds measurement, and an explicit dual-clique
+// reference layer.
 
 #include <memory>
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "graph/graph.hpp"
 #include "sim/kernel_execution.hpp"
 #include "sim/problem.hpp"
 #include "sim/process.hpp"
@@ -84,6 +86,24 @@ inline RunResult run_local(const DualGraph& net, ProcessFactory factory,
                        std::move(adversary),
                        ExecutionConfig{seed, max_rounds, {}});
   return exec.run();
+}
+
+/// The dual clique's reliable layer built edge by edge: cliques on
+/// [0, n/2) and [n/2, n), plus the bridge (bridge_index, n/2 + bridge_index)
+/// unless bridge_index < 0. The explicit reference the implicit dual
+/// cliques are checked against.
+inline Graph two_cliques_graph(int n, int bridge_index) {
+  const int half = n / 2;
+  Graph g(n);
+  for (int u = 0; u < half; ++u) {
+    for (int v = u + 1; v < half; ++v) {
+      g.add_edge(u, v);
+      g.add_edge(half + u, half + v);
+    }
+  }
+  if (bridge_index >= 0) g.add_edge(bridge_index, half + bridge_index);
+  g.finalize();
+  return g;
 }
 
 /// Median rounds over `trials` seeds; failed runs are counted as max_rounds
