@@ -1,6 +1,7 @@
 #include "graph/dual_graph.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -205,17 +206,10 @@ std::pair<int, int> DualGraph::gp_only_edge(std::int64_t idx) const {
     case Rep::protocol_dual_clique:  // unreachable: no G'-only edges
       return gp_only_edges_[static_cast<std::size_t>(idx)];
     case Rep::implicit_dual_clique: {
-      // Lexicographic over A × B, skipping the bridge pair — the order the
-      // explicit construction enumerates (u ascending, then v ascending).
-      const std::int64_t width = n_ - half_;
-      std::int64_t f = idx;
-      if (bridge_a_ >= 0) {
-        const std::int64_t hole =
-            static_cast<std::int64_t>(bridge_a_) * width + (bridge_b_ - half_);
-        if (f >= hole) ++f;
-      }
-      return {static_cast<int>(f / width),
-              half_ + static_cast<int>(f % width)};
+      // The order the explicit construction enumerates (u ascending, then
+      // v ascending).
+      const std::int64_t f = dual_edge_index().slot(idx);
+      return {static_cast<int>(f / half_), half_ + static_cast<int>(f % half_)};
     }
     case Rep::implicit_complete_gprime: {
       // Find the lower endpoint by prefix search, then select the k-th
@@ -236,6 +230,11 @@ std::pair<int, int> DualGraph::gp_only_edge(std::int64_t idx) const {
     }
   }
   return {-1, -1};
+}
+
+DualGraph::DualEdgeIndex DualGraph::dual_edge_index() const {
+  if (bridge_a_ < 0) return {std::numeric_limits<std::int64_t>::max()};
+  return {static_cast<std::int64_t>(bridge_a_) * half_ + (bridge_b_ - half_)};
 }
 
 const std::vector<std::pair<int, int>>& DualGraph::gp_only_edges() const {

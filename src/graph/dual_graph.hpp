@@ -156,6 +156,21 @@ class DualGraph {
   int dual_bridge_a() const { return bridge_a_; }
   int dual_bridge_b() const { return bridge_b_; }
 
+  /// A dual clique's G'-only edge numbering: row-major over A × B, so pair
+  /// (a, b), a < half <= b, fills slot a·half + (b − half), and its edge
+  /// index is the slot, or the slot − 1 past the bridge pair's slot.
+  struct DualEdgeIndex {
+    std::int64_t hole;  ///< the bridge pair's slot; INT64_MAX without one
+    std::int64_t slot(std::int64_t idx) const {
+      return idx >= hole ? idx + 1 : idx;
+    }
+    std::int64_t index(std::int64_t slot) const {
+      return slot > hole ? slot - 1 : slot;
+    }
+  };
+  /// Valid when structure() == dual_clique.
+  DualEdgeIndex dual_edge_index() const;
+
   /// Whether G is connected, under any representation (the structural
   /// answer for implicit dual cliques; BFS otherwise).
   bool g_connected() const;

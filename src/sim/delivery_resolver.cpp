@@ -1,7 +1,6 @@
 #include "sim/delivery_resolver.hpp"
 
 #include <bit>
-#include <limits>
 
 #include "util/assert.hpp"
 #include "util/simd.hpp"
@@ -351,24 +350,19 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
 void DeliveryResolver::apply_dual_clique_mask(
     const std::vector<int>& tx_index_of, const EdgeSet& edges,
     const std::vector<int>& transmitters) {
-  // The G'-only edges are A × B minus the bridge pair, indexed row-major:
-  // pair (a, b) sits at slot f = a·h + (b − h), and its edge index is f,
-  // or f − 1 past the bridge pair's slot `hole`. A side-A row is one index
-  // range; a side-B column has stride h. Both strategies bump in the order
-  // the explicit overlay's walk and per-edge loops do.
+  // A side-A node's G'-only edges are one index range and a side-B node's
+  // a stride-h column (DualGraph::DualEdgeIndex). Both strategies bump in
+  // the order the explicit overlay's walk and per-edge loops do.
   const int h = net_->dual_half();
   const int ba = net_->dual_bridge_a();
   const int bb = net_->dual_bridge_b();
-  const std::int64_t hole = ba >= 0 ? static_cast<std::int64_t>(ba) * h + ba
-                                    : std::numeric_limits<std::int64_t>::max();
+  const DualGraph::DualEdgeIndex edge_index = net_->dual_edge_index();
   // on_b(b) for each set edge (a, b) of row a, a mask word at a time.
   const auto for_each_in_row = [&](int a, auto&& on_b) {
     const std::int64_t f0 = static_cast<std::int64_t>(a) * h;
-    const std::int64_t first = f0 > hole ? f0 - 1 : f0;
-    for_each_mask_bit(edges.mask, first, first + (a == ba ? h - 1 : h),
-                      [&](std::int64_t idx) {
-                        const std::int64_t f = idx >= hole ? idx + 1 : idx;
-                        on_b(h + static_cast<int>(f - f0));
+    for_each_mask_bit(edges.mask, edge_index.index(f0),
+                      edge_index.index(f0 + h), [&](std::int64_t idx) {
+                        on_b(h + static_cast<int>(edge_index.slot(idx) - f0));
                       });
   };
 
@@ -386,8 +380,9 @@ void DeliveryResolver::apply_dual_clique_mask(
         continue;
       }
       for (int a = 0; a < h; ++a) {  // column v - h, one bit per row
+        if (a == ba && v == bb) continue;
         const std::int64_t f = static_cast<std::int64_t>(a) * h + (v - h);
-        if (f != hole && edges.test(f > hole ? f - 1 : f)) bump(a, v, ti);
+        if (edges.test(edge_index.index(f))) bump(a, v, ti);
       }
     }
     return;

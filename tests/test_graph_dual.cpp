@@ -70,8 +70,10 @@ TEST(DualGraph, ProtocolModelHasNoUnreliableEdges) {
 TEST(DualGraph, CompleteFlagDetection) {
   const DualGraph complete = DualGraph::protocol(complete_graph(6));
   EXPECT_TRUE(complete.gprime_complete());
+  EXPECT_EQ(complete.structure(), DualGraph::Structure::gprime_complete);
   const DualGraph ring = DualGraph::protocol(ring_graph(6));
   EXPECT_FALSE(ring.gprime_complete());
+  EXPECT_EQ(ring.structure(), DualGraph::Structure::general);
 }
 
 TEST(DualGraph, OverlayCsrViewsMatchPerVertexQueries) {
