@@ -239,8 +239,8 @@ TEST(DeliveryResolverHeuristic, BitmaplessNetworksFallBackToSweep) {
 // computed on an explicit twin (two cliques + bridge under K_n, untagged,
 // so it resolves on sweep and bitmap). Rows span and straddle mask words,
 // the bridge sits at a row's start, middle or end (or is absent), and
-// rounds have one or two transmitters per side (the walk, for heavy masks)
-// or most nodes transmitting (the row decode).
+// rounds have a few transmitters (the walk, for heavy masks) or most nodes
+// transmitting (the row decode).
 TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
   Rng rng(4242);
   int rounds_checked = 0;
@@ -256,18 +256,23 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
       ASSERT_EQ(implicit_net.structure(), DualGraph::Structure::dual_clique);
       const std::int64_t m_extra = implicit_net.gp_only_edge_count();
       ASSERT_EQ(explicit_net.gp_only_edge_count(), m_extra);
-      for (int round = 0; round < 16; ++round) {
+      for (int round = 0; round < 24; ++round) {
+        // Three shapes: one side silent (its listeners hear only the bridge
+        // and the mask), one or two transmitters on each side, or most
+        // nodes transmitting. A sparse side leads with its bridge endpoint
+        // half the time.
         std::vector<int> transmitters;
-        if (round % 2 == 0) {
+        const int shape = round % 3;
+        if (shape < 2) {
           for (const int lo : {0, h}) {
-            // The bridge endpoint half the time, plus maybe a second node.
+            if (shape == 0 && (lo == 0) == ((round / 3) % 2 == 0)) continue;
             const int first = bridge_index >= 0 && rng.bernoulli(0.5)
                                   ? lo + bridge_index
                                   : lo + static_cast<int>(
                                              rng.uniform_int(0, h - 1));
-            transmitters.push_back(first);
             const int second =
                 lo + static_cast<int>(rng.uniform_int(0, h - 1));
+            transmitters.push_back(first);
             if (second != first && rng.bernoulli(0.5)) {
               transmitters.push_back(second);
             }
@@ -279,7 +284,7 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
           }
         }
         EdgeSet edges;
-        const int kind = (round / 2) % 4;
+        const int kind = (round / 3) % 4;
         if (kind == 1) {
           edges = EdgeSet::all();
         } else if (kind >= 2) {
@@ -315,7 +320,7 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
       }
     }
   }
-  EXPECT_GE(rounds_checked, 640);
+  EXPECT_GE(rounds_checked, 960);
 }
 
 TEST(DeliveryResolverHeuristic, AutoSelectsStructuredOnDualCliques) {
