@@ -296,32 +296,29 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
   //
   // The choice is a deterministic function of the round's transmitter set
   // and selection size, so replays stay bit-identical.
+  const LayerView overlay = net_->gp_only_layer();
+  std::int64_t walk_visits = 0;
+  for (const int v : transmitters) walk_visits += overlay.degree(v);
+  const bool walk = walk_visits < edges.count;
   if (dual_clique_) {
-    apply_dual_clique_mask(tx_index_of, edges, transmitters);
+    apply_dual_clique_mask(tx_index_of, edges, transmitters, walk);
     return;
   }
-  if (!net_->is_implicit()) {
-    std::int64_t walk_visits = 0;
+  if (walk && !net_->is_implicit()) {
     const auto gp_off = net_->gp_only_csr_offsets();
-    for (const int v : transmitters) {
-      walk_visits += gp_off[static_cast<std::size_t>(v) + 1] -
-                     gp_off[static_cast<std::size_t>(v)];
-    }
-    if (walk_visits < edges.count) {
-      const auto gp_neighbors = net_->gp_only_csr_neighbors();
-      const auto gp_edge_idx = net_->gp_only_csr_edge_indices();
-      for (int ti = 0; ti < static_cast<int>(transmitters.size()); ++ti) {
-        const int v = transmitters[static_cast<std::size_t>(ti)];
-        const std::size_t begin =
-            static_cast<std::size_t>(gp_off[static_cast<std::size_t>(v)]);
-        const std::size_t end =
-            static_cast<std::size_t>(gp_off[static_cast<std::size_t>(v) + 1]);
-        for (std::size_t k = begin; k < end; ++k) {
-          if (edges.test(gp_edge_idx[k])) bump(gp_neighbors[k], v, ti);
-        }
+    const auto gp_neighbors = net_->gp_only_csr_neighbors();
+    const auto gp_edge_idx = net_->gp_only_csr_edge_indices();
+    for (int ti = 0; ti < static_cast<int>(transmitters.size()); ++ti) {
+      const int v = transmitters[static_cast<std::size_t>(ti)];
+      const std::size_t begin =
+          static_cast<std::size_t>(gp_off[static_cast<std::size_t>(v)]);
+      const std::size_t end =
+          static_cast<std::size_t>(gp_off[static_cast<std::size_t>(v) + 1]);
+      for (std::size_t k = begin; k < end; ++k) {
+        if (edges.test(gp_edge_idx[k])) bump(gp_neighbors[k], v, ti);
       }
-      return;
     }
+    return;
   }
   // tx_index_of maps each endpoint straight to its transmitter slot, so
   // activating an edge costs O(1) instead of a scan over the round's
@@ -349,7 +346,7 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
 
 void DeliveryResolver::apply_dual_clique_mask(
     const std::vector<int>& tx_index_of, const EdgeSet& edges,
-    const std::vector<int>& transmitters) {
+    const std::vector<int>& transmitters, bool walk) {
   // A side-A node's G'-only edges are one index range and a side-B node's
   // a stride-h column (DualGraph::DualEdgeIndex). Both strategies bump in
   // the order the explicit overlay's walk and per-edge loops do.
@@ -366,14 +363,8 @@ void DeliveryResolver::apply_dual_clique_mask(
                       });
   };
 
-  const int tx_count = static_cast<int>(transmitters.size());
-  std::int64_t walk_visits = static_cast<std::int64_t>(h) * tx_count;
-  if (ba >= 0) {
-    walk_visits -= (tx_index_of[static_cast<std::size_t>(ba)] >= 0 ? 1 : 0) +
-                   (tx_index_of[static_cast<std::size_t>(bb)] >= 0 ? 1 : 0);
-  }
-  if (walk_visits < edges.count) {
-    for (int ti = 0; ti < tx_count; ++ti) {
+  if (walk) {
+    for (int ti = 0; ti < static_cast<int>(transmitters.size()); ++ti) {
       const int v = transmitters[static_cast<std::size_t>(ti)];
       if (v < h) {
         for_each_in_row(v, [&](int b) { bump(b, v, ti); });

@@ -96,7 +96,7 @@ class DeliveryResolver {
                           const std::vector<int>& transmitters);
   void apply_dual_clique_mask(const std::vector<int>& tx_index_of,
                               const EdgeSet& edges,
-                              const std::vector<int>& transmitters);
+                              const std::vector<int>& transmitters, bool walk);
   void finalize(const std::vector<int>& tx_index_of, RoundRecord& record);
 
   const DualGraph* net_ = nullptr;
