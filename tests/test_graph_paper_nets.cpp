@@ -77,6 +77,7 @@ TEST(DualClique, RejectsBadSizes) {
 
 TEST(DualClique, WithoutBridgeIsDisconnectedButGPrimeComplete) {
   const DualCliqueNet dc = dual_clique_without_bridge(12);
+  EXPECT_TRUE(dc.net.is_implicit());
   EXPECT_FALSE(dc.net.g_connected());
   EXPECT_TRUE(dc.net.gprime_complete());
   EXPECT_FALSE(dc.net.g_layer().has_edge(dc.bridge_a, dc.bridge_b));
