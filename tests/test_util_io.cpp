@@ -1,13 +1,16 @@
 // The filesystem/fault-injection seam itself: CRC32C vectors, RealFs
 // roundtrips, atomic whole-file writes, FaultyFs crash/torn/error/delay
 // schedules (one-shot and sticky, with op/path filters and trace), the
-// SlowFs and DeadlineFs decorators, free-space probing, the fake clock,
-// and jittered backoff bounds/determinism/deadline clamping.
+// SlowFs and DeadlineFs decorators (and every op through each decorator),
+// free-space probing, the fake clock, and jittered backoff
+// bounds/determinism/deadline clamping.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <filesystem>
+#include <functional>
 
 #include "util/clock.hpp"
 #include "util/io.hpp"
@@ -319,6 +322,168 @@ TEST(DeadlineFs, ExpiredBudgetTurnsOpsIntoTransientTimeouts) {
   fs.set_deadline(Deadline());
   fs.append(dir + "/f", "w");
   EXPECT_EQ(fs.file_size(dir + "/f"), 4);
+}
+
+/// One Fs operation run against a fixture directory holding files "a"
+/// ("A") and "b" ("B"): its FaultyFs op name, the path FaultyFs traces for
+/// it, and a body returning its result as text.
+struct OpCase {
+  const char* name;
+  const char* traced;  ///< path relative to the fixture directory
+  std::function<std::string(Fs&, const std::string& dir)> run;
+};
+
+std::vector<OpCase> every_op() {
+  return {
+      {"exists", "a",
+       [](Fs& fs, const std::string& dir) {
+         return std::to_string(fs.exists(dir + "/a"));
+       }},
+      {"read", "a",
+       [](Fs& fs, const std::string& dir) {
+         std::string out;
+         const bool found = fs.read_file(dir + "/a", out);
+         return std::to_string(found) + ":" + out;
+       }},
+      {"write", "w",
+       [](Fs& fs, const std::string& dir) {
+         fs.write_file(dir + "/w", "W");
+         return std::string();
+       }},
+      {"append", "a",
+       [](Fs& fs, const std::string& dir) {
+         fs.append(dir + "/a", "+");
+         return std::string();
+       }},
+      {"fsync", "a",
+       [](Fs& fs, const std::string& dir) {
+         fs.fsync_file(dir + "/a");
+         return std::string();
+       }},
+      {"link", "l",
+       [](Fs& fs, const std::string& dir) {
+         return std::to_string(fs.link(dir + "/a", dir + "/l"));
+       }},
+      {"rename", "r",
+       [](Fs& fs, const std::string& dir) {
+         fs.rename(dir + "/a", dir + "/r");
+         return std::string();
+       }},
+      {"unlink", "b",
+       [](Fs& fs, const std::string& dir) {
+         return std::to_string(fs.unlink(dir + "/b"));
+       }},
+      {"list", "",
+       [](Fs& fs, const std::string& dir) {
+         std::string names;
+         for (const std::string& name : fs.list(dir)) names += name + ",";
+         return names;
+       }},
+      {"mkdir", "m/n",
+       [](Fs& fs, const std::string& dir) {
+         fs.create_dirs(dir + "/m/n");
+         return std::string();
+       }},
+      {"syncdir", "",
+       [](Fs& fs, const std::string& dir) {
+         fs.sync_dir(dir);
+         return std::string();
+       }},
+      {"size", "a",
+       [](Fs& fs, const std::string& dir) {
+         return std::to_string(fs.file_size(dir + "/a"));
+       }},
+      {"statvfs", "",
+       [](Fs& fs, const std::string& dir) {
+         // Free space is live, so compare its sign: the base Fs's default
+         // (-1, "unknown") is what a missing forward would return.
+         const std::int64_t free = fs.free_bytes(dir);
+         return free > 0 ? std::string("positive") : std::to_string(free);
+       }},
+      {"invalidate", "a",
+       [](Fs& fs, const std::string& dir) {
+         fs.invalidate(dir + "/a");
+         return std::string();
+       }},
+  };
+}
+
+std::string fixture_dir(const std::string& tag) {
+  const std::string dir = fresh_dir(tag);
+  real_fs().write_file(dir + "/a", "A");
+  real_fs().write_file(dir + "/b", "B");
+  return dir;
+}
+
+/// Every entry under `dir` with its content, sorted: what an op left on
+/// disk, comparable across fixture directories.
+std::string dir_state(const std::string& dir) {
+  std::vector<std::string> entries;
+  for (const auto& entry : stdfs::recursive_directory_iterator(dir)) {
+    std::string line = stdfs::relative(entry.path(), dir).string();
+    if (entry.is_directory()) {
+      line += "/";
+    } else {
+      std::string content;
+      real_fs().read_file(entry.path().string(), content);
+      line += "=" + content;
+    }
+    entries.push_back(line);
+  }
+  std::sort(entries.begin(), entries.end());
+  std::string state;
+  for (const std::string& line : entries) state += line + "\n";
+  return state;
+}
+
+std::string traced_path(const std::string& dir, const OpCase& op) {
+  return std::string(op.traced).empty() ? dir : dir + "/" + op.traced;
+}
+
+TEST(FsDecorators, EveryOpReachesTheBaseWithItsArguments) {
+  // Each of the 14 Fs ops, through each decorator: the op reaches the base
+  // Fs with its arguments (same result, same effect on disk as real_fs()),
+  // and each decorator's hook sees it — FaultyFs traces its name and path,
+  // SlowFs taxes the tick clock once, an expired DeadlineFs times it out
+  // after it took effect.
+  const std::vector<OpCase> ops = every_op();
+  ASSERT_EQ(ops.size(), 14u);
+  for (const OpCase& op : ops) {
+    SCOPED_TRACE(op.name);
+    const std::string name = op.name;
+    const std::string real_dir = fixture_dir("everyop_real_" + name);
+    const std::string expected = op.run(real_fs(), real_dir);
+    const std::string expected_state = dir_state(real_dir);
+
+    const std::string faulty_dir = fixture_dir("everyop_faulty_" + name);
+    FaultyFs faulty(real_fs());
+    EXPECT_EQ(op.run(faulty, faulty_dir), expected);
+    EXPECT_EQ(dir_state(faulty_dir), expected_state);
+    const std::vector<std::pair<std::string, std::string>> want{
+        {name, traced_path(faulty_dir, op)}};
+    EXPECT_EQ(faulty.trace(), want);
+
+    const std::string slow_dir = fixture_dir("everyop_slow_" + name);
+    FakeClock ticks(0);
+    SlowFs slow(real_fs(), /*delay_ms=*/0, &ticks, /*tick_seconds=*/1);
+    EXPECT_EQ(op.run(slow, slow_dir), expected);
+    EXPECT_EQ(dir_state(slow_dir), expected_state);
+    EXPECT_EQ(ticks.now_seconds(), 1);
+
+    const std::string deadline_dir = fixture_dir("everyop_deadline_" + name);
+    FakeClock clock(100);
+    DeadlineFs deadline(real_fs());
+    deadline.set_deadline(Deadline(clock, 10));
+    clock.advance(10);
+    try {
+      op.run(deadline, deadline_dir);
+      ADD_FAILURE() << "expected ETIMEDOUT";
+    } catch (const IoError& error) {
+      EXPECT_EQ(error.code(), ETIMEDOUT);
+      EXPECT_TRUE(error.transient());
+    }
+    EXPECT_EQ(dir_state(deadline_dir), expected_state);
+  }
 }
 
 TEST(DeadlineTest, RemainingAndExpiry) {
