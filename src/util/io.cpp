@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <thread>
+#include <type_traits>
 
 #include "util/rng.hpp"
 
@@ -367,19 +368,75 @@ std::optional<std::size_t> FaultyFs::check(const char* op,
   return torn;
 }
 
-bool FaultyFs::exists(const std::string& path) {
-  check("exists", path);
-  return base_.exists(path);
+template <typename Run>
+auto ForwardingFs::forward(const char* op, const std::string& path, Run run) {
+  before(op, path);
+  if constexpr (std::is_void_v<decltype(run())>) {
+    run();
+    after(op, path);
+  } else {
+    auto result = run();
+    after(op, path);
+    return result;
+  }
 }
 
-bool FaultyFs::read_file(const std::string& path, std::string& out) {
-  check("read", path);
-  return base_.read_file(path, out);
+bool ForwardingFs::exists(const std::string& path) {
+  return forward("exists", path, [&] { return base_.exists(path); });
 }
 
-void FaultyFs::write_file(const std::string& path, std::string_view data) {
-  check("write", path);
-  base_.write_file(path, data);
+bool ForwardingFs::read_file(const std::string& path, std::string& out) {
+  return forward("read", path, [&] { return base_.read_file(path, out); });
+}
+
+void ForwardingFs::write_file(const std::string& path, std::string_view data) {
+  forward("write", path, [&] { base_.write_file(path, data); });
+}
+
+void ForwardingFs::append(const std::string& path, std::string_view data) {
+  forward("append", path, [&] { base_.append(path, data); });
+}
+
+void ForwardingFs::fsync_file(const std::string& path) {
+  forward("fsync", path, [&] { base_.fsync_file(path); });
+}
+
+bool ForwardingFs::link(const std::string& existing,
+                        const std::string& link_path) {
+  return forward("link", link_path,
+                 [&] { return base_.link(existing, link_path); });
+}
+
+void ForwardingFs::rename(const std::string& from, const std::string& to) {
+  forward("rename", to, [&] { base_.rename(from, to); });
+}
+
+bool ForwardingFs::unlink(const std::string& path) {
+  return forward("unlink", path, [&] { return base_.unlink(path); });
+}
+
+std::vector<std::string> ForwardingFs::list(const std::string& dir) {
+  return forward("list", dir, [&] { return base_.list(dir); });
+}
+
+void ForwardingFs::create_dirs(const std::string& dir) {
+  forward("mkdir", dir, [&] { base_.create_dirs(dir); });
+}
+
+void ForwardingFs::sync_dir(const std::string& dir) {
+  forward("syncdir", dir, [&] { base_.sync_dir(dir); });
+}
+
+std::int64_t ForwardingFs::file_size(const std::string& path) {
+  return forward("size", path, [&] { return base_.file_size(path); });
+}
+
+std::int64_t ForwardingFs::free_bytes(const std::string& path) {
+  return forward("statvfs", path, [&] { return base_.free_bytes(path); });
+}
+
+void ForwardingFs::invalidate(const std::string& path) {
+  forward("invalidate", path, [&] { base_.invalidate(path); });
 }
 
 void FaultyFs::append(const std::string& path, std::string_view data) {
@@ -387,64 +444,13 @@ void FaultyFs::append(const std::string& path, std::string_view data) {
   if (torn.has_value()) {
     // Torn write: persist a prefix, then die — exactly what a crash in the
     // middle of a non-atomic append leaves on disk.
-    base_.append(path, data.substr(0, std::min(*torn, data.size())));
+    base().append(path, data.substr(0, std::min(*torn, data.size())));
     throw InjectedCrash("injected torn append to " + path);
   }
-  base_.append(path, data);
+  base().append(path, data);
 }
 
-void FaultyFs::fsync_file(const std::string& path) {
-  check("fsync", path);
-  base_.fsync_file(path);
-}
-
-bool FaultyFs::link(const std::string& existing,
-                    const std::string& link_path) {
-  check("link", link_path);
-  return base_.link(existing, link_path);
-}
-
-void FaultyFs::rename(const std::string& from, const std::string& to) {
-  check("rename", to);
-  base_.rename(from, to);
-}
-
-bool FaultyFs::unlink(const std::string& path) {
-  check("unlink", path);
-  return base_.unlink(path);
-}
-
-std::vector<std::string> FaultyFs::list(const std::string& dir) {
-  check("list", dir);
-  return base_.list(dir);
-}
-
-void FaultyFs::create_dirs(const std::string& dir) {
-  check("mkdir", dir);
-  base_.create_dirs(dir);
-}
-
-void FaultyFs::sync_dir(const std::string& dir) {
-  check("syncdir", dir);
-  base_.sync_dir(dir);
-}
-
-std::int64_t FaultyFs::file_size(const std::string& path) {
-  check("size", path);
-  return base_.file_size(path);
-}
-
-std::int64_t FaultyFs::free_bytes(const std::string& path) {
-  check("statvfs", path);
-  return base_.free_bytes(path);
-}
-
-void FaultyFs::invalidate(const std::string& path) {
-  check("invalidate", path);
-  base_.invalidate(path);
-}
-
-void SlowFs::stall() {
+void SlowFs::before(const char* /*op*/, const std::string& /*path*/) {
   if (tick_clock_ != nullptr && tick_seconds_ > 0) {
     tick_clock_->advance(tick_seconds_);
   }
@@ -453,82 +459,12 @@ void SlowFs::stall() {
   }
 }
 
-bool SlowFs::exists(const std::string& path) {
-  stall();
-  return base_.exists(path);
-}
-
-bool SlowFs::read_file(const std::string& path, std::string& out) {
-  stall();
-  return base_.read_file(path, out);
-}
-
-void SlowFs::write_file(const std::string& path, std::string_view data) {
-  stall();
-  base_.write_file(path, data);
-}
-
-void SlowFs::append(const std::string& path, std::string_view data) {
-  stall();
-  base_.append(path, data);
-}
-
-void SlowFs::fsync_file(const std::string& path) {
-  stall();
-  base_.fsync_file(path);
-}
-
-bool SlowFs::link(const std::string& existing, const std::string& link_path) {
-  stall();
-  return base_.link(existing, link_path);
-}
-
-void SlowFs::rename(const std::string& from, const std::string& to) {
-  stall();
-  base_.rename(from, to);
-}
-
-bool SlowFs::unlink(const std::string& path) {
-  stall();
-  return base_.unlink(path);
-}
-
-std::vector<std::string> SlowFs::list(const std::string& dir) {
-  stall();
-  return base_.list(dir);
-}
-
-void SlowFs::create_dirs(const std::string& dir) {
-  stall();
-  base_.create_dirs(dir);
-}
-
-void SlowFs::sync_dir(const std::string& dir) {
-  stall();
-  base_.sync_dir(dir);
-}
-
-std::int64_t SlowFs::file_size(const std::string& path) {
-  stall();
-  return base_.file_size(path);
-}
-
-std::int64_t SlowFs::free_bytes(const std::string& path) {
-  stall();
-  return base_.free_bytes(path);
-}
-
-void SlowFs::invalidate(const std::string& path) {
-  stall();
-  base_.invalidate(path);
-}
-
 void DeadlineFs::set_deadline(Deadline deadline) {
   const std::lock_guard<std::mutex> lock(mutex_);
   deadline_ = deadline;
 }
 
-void DeadlineFs::check_deadline(const char* op, const std::string& path) {
+void DeadlineFs::after(const char* op, const std::string& path) {
   Deadline deadline;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -538,84 +474,6 @@ void DeadlineFs::check_deadline(const char* op, const std::string& path) {
     throw IoError("io deadline exceeded at " + std::string(op) + " " + path,
                   ETIMEDOUT);
   }
-}
-
-bool DeadlineFs::exists(const std::string& path) {
-  const bool found = base_.exists(path);
-  check_deadline("exists", path);
-  return found;
-}
-
-bool DeadlineFs::read_file(const std::string& path, std::string& out) {
-  const bool found = base_.read_file(path, out);
-  check_deadline("read", path);
-  return found;
-}
-
-void DeadlineFs::write_file(const std::string& path, std::string_view data) {
-  base_.write_file(path, data);
-  check_deadline("write", path);
-}
-
-void DeadlineFs::append(const std::string& path, std::string_view data) {
-  base_.append(path, data);
-  check_deadline("append", path);
-}
-
-void DeadlineFs::fsync_file(const std::string& path) {
-  base_.fsync_file(path);
-  check_deadline("fsync", path);
-}
-
-bool DeadlineFs::link(const std::string& existing,
-                      const std::string& link_path) {
-  const bool linked = base_.link(existing, link_path);
-  check_deadline("link", link_path);
-  return linked;
-}
-
-void DeadlineFs::rename(const std::string& from, const std::string& to) {
-  base_.rename(from, to);
-  check_deadline("rename", to);
-}
-
-bool DeadlineFs::unlink(const std::string& path) {
-  const bool removed = base_.unlink(path);
-  check_deadline("unlink", path);
-  return removed;
-}
-
-std::vector<std::string> DeadlineFs::list(const std::string& dir) {
-  std::vector<std::string> names = base_.list(dir);
-  check_deadline("list", dir);
-  return names;
-}
-
-void DeadlineFs::create_dirs(const std::string& dir) {
-  base_.create_dirs(dir);
-  check_deadline("mkdir", dir);
-}
-
-void DeadlineFs::sync_dir(const std::string& dir) {
-  base_.sync_dir(dir);
-  check_deadline("syncdir", dir);
-}
-
-std::int64_t DeadlineFs::file_size(const std::string& path) {
-  const std::int64_t size = base_.file_size(path);
-  check_deadline("size", path);
-  return size;
-}
-
-std::int64_t DeadlineFs::free_bytes(const std::string& path) {
-  const std::int64_t free = base_.free_bytes(path);
-  check_deadline("statvfs", path);
-  return free;
-}
-
-void DeadlineFs::invalidate(const std::string& path) {
-  base_.invalidate(path);
-  check_deadline("invalidate", path);
 }
 
 Backoff::Backoff(int initial_ms, int max_ms, std::uint64_t seed)

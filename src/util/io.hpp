@@ -144,6 +144,46 @@ bool read_file_retry_estale(Fs& fs, const std::string& path,
 /// crc32c("123456789") == 0xE3069283.
 std::uint32_t crc32c(std::string_view data);
 
+/// Decorator base: forwards every operation to `base`, calling
+/// `before(op, path)` first and `after(op, path)` once the op returns (not
+/// when it throws). `op` is the operation's one name — FaultyFs's trace and
+/// fault filters match on it: exists, read, write, append, fsync, link
+/// (`path` = the new name), rename (the target), unlink, list, mkdir,
+/// syncdir, size, statvfs, invalidate. A decorator overrides the hooks and
+/// only the ops it changes.
+class ForwardingFs : public Fs {
+ public:
+  explicit ForwardingFs(Fs& base) : base_(base) {}
+
+  bool exists(const std::string& path) override;
+  bool read_file(const std::string& path, std::string& out) override;
+  void write_file(const std::string& path, std::string_view data) override;
+  void append(const std::string& path, std::string_view data) override;
+  void fsync_file(const std::string& path) override;
+  bool link(const std::string& existing,
+            const std::string& link_path) override;
+  void rename(const std::string& from, const std::string& to) override;
+  bool unlink(const std::string& path) override;
+  std::vector<std::string> list(const std::string& dir) override;
+  void create_dirs(const std::string& dir) override;
+  void sync_dir(const std::string& dir) override;
+  std::int64_t file_size(const std::string& path) override;
+  std::int64_t free_bytes(const std::string& path) override;
+  void invalidate(const std::string& path) override;
+
+ protected:
+  virtual void before(const char* /*op*/, const std::string& /*path*/) {}
+  virtual void after(const char* /*op*/, const std::string& /*path*/) {}
+  Fs& base() { return base_; }
+
+ private:
+  /// before, run, after: the one body every op forwards through.
+  template <typename Run>
+  auto forward(const char* op, const std::string& path, Run run);
+
+  Fs& base_;
+};
+
 /// One scheduled fault. `at` counts *matching* operations (0-based):
 /// with empty filters it is the global op index; with `op`/`path_substr`
 /// set it is the N-th append / N-th op touching a lease file / etc., which
@@ -168,9 +208,9 @@ struct InjectedFault {
 /// Fault-injecting Fs decorator (see file comment). Deterministic: ops are
 /// counted in call order, so a single-threaded caller under a frozen
 /// FakeClock replays the same op sequence every run.
-class FaultyFs final : public Fs {
+class FaultyFs final : public ForwardingFs {
  public:
-  explicit FaultyFs(Fs& base) : base_(base) {}
+  explicit FaultyFs(Fs& base) : ForwardingFs(base) {}
 
   void inject(InjectedFault fault);
 
@@ -193,21 +233,8 @@ class FaultyFs final : public Fs {
   /// injection points from a fault-free run's trace.
   std::vector<std::pair<std::string, std::string>> trace() const;
 
-  bool exists(const std::string& path) override;
-  bool read_file(const std::string& path, std::string& out) override;
-  void write_file(const std::string& path, std::string_view data) override;
+  /// Torn faults land here: a due one persists a prefix, then crashes.
   void append(const std::string& path, std::string_view data) override;
-  void fsync_file(const std::string& path) override;
-  bool link(const std::string& existing,
-            const std::string& link_path) override;
-  void rename(const std::string& from, const std::string& to) override;
-  bool unlink(const std::string& path) override;
-  std::vector<std::string> list(const std::string& dir) override;
-  void create_dirs(const std::string& dir) override;
-  void sync_dir(const std::string& dir) override;
-  std::int64_t file_size(const std::string& path) override;
-  std::int64_t free_bytes(const std::string& path) override;
-  void invalidate(const std::string& path) override;
 
  private:
   struct Armed {
@@ -223,8 +250,10 @@ class FaultyFs final : public Fs {
   /// *before* the op runs — tick clock advanced, real sleep, on_stall hook
   /// — all outside the lock, then the op proceeds normally.
   std::optional<std::size_t> check(const char* op, const std::string& path);
+  void before(const char* op, const std::string& path) override {
+    check(op, path);
+  }
 
-  Fs& base_;
   mutable std::mutex mutex_;
   int ops_ = 0;
   int fired_ = 0;
@@ -240,35 +269,18 @@ class FaultyFs final : public Fs {
 /// running. Models a uniformly slow mount (cold NFS server, saturated
 /// disk) as opposed to FaultyFs's targeted single-op stalls; `soak --slow`
 /// runs whole daemons behind one of these.
-class SlowFs final : public Fs {
+class SlowFs final : public ForwardingFs {
  public:
   SlowFs(Fs& base, int delay_ms, FakeClock* tick_clock = nullptr,
          std::int64_t tick_seconds = 0)
-      : base_(base),
+      : ForwardingFs(base),
         delay_ms_(delay_ms),
         tick_clock_(tick_clock),
         tick_seconds_(tick_seconds) {}
 
-  bool exists(const std::string& path) override;
-  bool read_file(const std::string& path, std::string& out) override;
-  void write_file(const std::string& path, std::string_view data) override;
-  void append(const std::string& path, std::string_view data) override;
-  void fsync_file(const std::string& path) override;
-  bool link(const std::string& existing,
-            const std::string& link_path) override;
-  void rename(const std::string& from, const std::string& to) override;
-  bool unlink(const std::string& path) override;
-  std::vector<std::string> list(const std::string& dir) override;
-  void create_dirs(const std::string& dir) override;
-  void sync_dir(const std::string& dir) override;
-  std::int64_t file_size(const std::string& path) override;
-  std::int64_t free_bytes(const std::string& path) override;
-  void invalidate(const std::string& path) override;
-
  private:
-  void stall();
+  void before(const char* op, const std::string& path) override;
 
-  Fs& base_;
   int delay_ms_;
   FakeClock* tick_clock_;
   std::int64_t tick_seconds_;
@@ -283,35 +295,18 @@ class SlowFs final : public Fs {
 /// must treat a timed-out op as *maybe done*, which the record layer's
 /// idempotent appends already do. The deadline is per-worker-op, set via
 /// `set_deadline` before each logical operation.
-class DeadlineFs final : public Fs {
+class DeadlineFs final : public ForwardingFs {
  public:
-  explicit DeadlineFs(Fs& base) : base_(base) {}
+  explicit DeadlineFs(Fs& base) : ForwardingFs(base) {}
 
   /// Installs the budget the following ops are checked against. An
   /// inactive (default) Deadline disables checking.
   void set_deadline(Deadline deadline);
-  /// Times out (throws IoError(ETIMEDOUT)) if the current deadline has
-  /// expired. Public so retry loops can re-check between attempts.
-  void check_deadline(const char* op, const std::string& path);
-
-  bool exists(const std::string& path) override;
-  bool read_file(const std::string& path, std::string& out) override;
-  void write_file(const std::string& path, std::string_view data) override;
-  void append(const std::string& path, std::string_view data) override;
-  void fsync_file(const std::string& path) override;
-  bool link(const std::string& existing,
-            const std::string& link_path) override;
-  void rename(const std::string& from, const std::string& to) override;
-  bool unlink(const std::string& path) override;
-  std::vector<std::string> list(const std::string& dir) override;
-  void create_dirs(const std::string& dir) override;
-  void sync_dir(const std::string& dir) override;
-  std::int64_t file_size(const std::string& path) override;
-  std::int64_t free_bytes(const std::string& path) override;
-  void invalidate(const std::string& path) override;
 
  private:
-  Fs& base_;
+  /// Throws IoError(ETIMEDOUT) if the current deadline has expired.
+  void after(const char* op, const std::string& path) override;
+
   mutable std::mutex mutex_;
   Deadline deadline_;
 };

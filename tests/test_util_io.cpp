@@ -86,51 +86,18 @@ TEST(RealFs, WriteFileAtomicReplacesAndLeavesNoTemp) {
 /// operation reaches the base Fs — the "target directory vanished
 /// mid-write" race (concurrent cleanup, unmounted share) made
 /// deterministic.
-class VanishingDirFs final : public Fs {
+class VanishingDirFs final : public ForwardingFs {
  public:
   VanishingDirFs(Fs& base, std::string dir, std::string vanish_before)
-      : base_(base),
+      : ForwardingFs(base),
         dir_(std::move(dir)),
         vanish_before_(std::move(vanish_before)) {}
 
-  bool exists(const std::string& p) override { return base_.exists(p); }
-  bool read_file(const std::string& p, std::string& out) override {
-    return base_.read_file(p, out);
-  }
-  void write_file(const std::string& p, std::string_view d) override {
-    maybe_vanish("write_file");
-    base_.write_file(p, d);
-  }
-  void append(const std::string& p, std::string_view d) override {
-    base_.append(p, d);
-  }
-  void fsync_file(const std::string& p) override {
-    maybe_vanish("fsync_file");
-    base_.fsync_file(p);
-  }
-  bool link(const std::string& e, const std::string& l) override {
-    return base_.link(e, l);
-  }
-  void rename(const std::string& from, const std::string& to) override {
-    maybe_vanish("rename");
-    base_.rename(from, to);
-  }
-  bool unlink(const std::string& p) override { return base_.unlink(p); }
-  std::vector<std::string> list(const std::string& d) override {
-    return base_.list(d);
-  }
-  void create_dirs(const std::string& d) override { base_.create_dirs(d); }
-  void sync_dir(const std::string& d) override { base_.sync_dir(d); }
-  std::int64_t file_size(const std::string& p) override {
-    return base_.file_size(p);
-  }
-
  private:
-  void maybe_vanish(const std::string& op) {
+  void before(const char* op, const std::string& /*path*/) override {
     if (op == vanish_before_) stdfs::remove_all(dir_);
   }
 
-  Fs& base_;
   std::string dir_;
   std::string vanish_before_;
 };
@@ -140,7 +107,7 @@ TEST(RealFs, WriteFileAtomicSurvivesTargetDirVanishingMidWrite) {
   // temp fsync, or the rename — the contract is a clean IoError (never a
   // crash or a silent no-op) and no orphaned .tmp.* file once the
   // directory exists again.
-  for (const std::string step : {"write_file", "fsync_file", "rename"}) {
+  for (const std::string step : {"write", "fsync", "rename"}) {
     const std::string dir = fresh_dir("vanish_" + step);
     VanishingDirFs fs(real_fs(), dir, step);
     EXPECT_THROW(fs.write_file_atomic(dir + "/target", "payload"), IoError)
