@@ -2,8 +2,8 @@
 
 // Minimal shared helpers for the few benches that are not plain scenario
 // drivers (the hitting game plays an abstract game, not a KernelExecution).
-// Everything measurement-shaped lives in src/analysis (run_raw_trials,
-// censor_trials) and src/scenario (run_scenario); this header only keeps
+// Everything measurement-shaped lives in src/analysis (run_tasks,
+// censor_trials) and src/scenario (run_scenarios); this header only keeps
 // the banner.
 
 #include <iostream>

@@ -59,18 +59,6 @@ void run_tasks(int count, int threads, const std::function<void(int)>& fn) {
   if (error) std::rethrow_exception(error);
 }
 
-std::vector<double> run_raw_trials(int count, std::uint64_t base_seed,
-                                   const TrialFn& fn, int threads) {
-  DC_EXPECTS(count >= 1);
-  DC_EXPECTS(fn != nullptr);
-  std::vector<double> out(static_cast<std::size_t>(count));
-  run_tasks(count, threads, [&](int i) {
-    out[static_cast<std::size_t>(i)] =
-        fn(base_seed + static_cast<std::uint64_t>(i));
-  });
-  return out;
-}
-
 CensoredTrials censor_trials(std::vector<double> values, double cap) {
   CensoredTrials out;
   out.values = std::move(values);

@@ -3,10 +3,12 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "service/service_cli.hpp"
 #include "util/strfmt.hpp"
@@ -27,13 +29,11 @@ void print_usage(std::ostream& os, const char* binary) {
         "  --smoke       tiny-scale run of the selection (default: all):\n"
         "                one small sweep point, 1 trial, capped rounds\n"
         "  --json FILE   also write machine-readable result rows to FILE\n"
-        "  --threads N   thread-pool width over trials (default 1;\n"
-        "                results are identical for every N)\n"
-        "  --sweep-threads N\n"
-        "                sweep-point-level scheduler: flatten every\n"
-        "                (sweep point x column x trial) into one work queue\n"
-        "                over N workers (default 1; results are identical\n"
-        "                for every N)\n"
+        "  --sweep-threads N, --threads N\n"
+        "                drain every (scenario x sweep point x column x\n"
+        "                trial) of the selection from one work queue over N\n"
+        "                workers (default 1; results are identical for\n"
+        "                every N)\n"
         "  --history P   history retention per trial: \"lean\" (default;\n"
         "                O(n) aggregates, auto-falls back to full for\n"
         "                adversaries that read the trace) or \"full\"\n"
@@ -48,6 +48,7 @@ void print_usage(std::ostream& os, const char* binary) {
         "                ladder; same distribution, different sample paths;\n"
         "                requires --engine kernel)\n"
         "  --trials N    override each scenario's trial count\n"
+        "  (value flags also take the --flag=VALUE form)\n"
         "\n"
         "experiment-service subcommands (see `" << binary
      << " serve --help`):\n"
@@ -92,6 +93,20 @@ void print_list(std::ostream& os) {
   }
 }
 
+/// The value of `choices` named `value`; throws ScenarioError naming
+/// `flag` and every choice otherwise.
+template <typename T>
+T parse_choice(const std::string& flag, const std::string& value,
+               std::initializer_list<std::pair<const char*, T>> choices) {
+  std::string expected;
+  for (const auto& [name, choice] : choices) {
+    if (value == name) return choice;
+    expected += str(expected.empty() ? "" : " or ", "\"", name, "\"");
+  }
+  throw ScenarioError(
+      str(flag, ": expected ", expected, ", got \"", value, "\""));
+}
+
 }  // namespace
 
 int parse_int_flag(const std::string& flag, const char* value) {
@@ -110,69 +125,33 @@ int parse_int_flag(const std::string& flag, const char* value) {
 
 bool consume_run_option_flag(int argc, char** argv, int& i,
                              RunOptions& options) {
+  // Every value flag reads through `value`, in either form: "--flag=V" or
+  // "--flag V".
   const std::string arg = argv[i];
+  const std::string flag = arg.substr(0, arg.find('='));
+  const auto value = [&]() -> std::string {
+    if (flag.size() < arg.size()) return arg.substr(flag.size() + 1);
+    if (++i >= argc) throw ScenarioError(str(flag, " requires a value"));
+    return argv[i];
+  };
   if (arg == "--smoke") {
     options.smoke = true;
-  } else if (arg == "--threads") {
-    options.threads =
-        parse_int_flag("--threads", ++i < argc ? argv[i] : nullptr);
-  } else if (arg == "--sweep-threads") {
-    options.sweep_threads =
-        parse_int_flag("--sweep-threads", ++i < argc ? argv[i] : nullptr);
-  } else if (arg == "--history" || arg.rfind("--history=", 0) == 0) {
-    std::string value;
-    if (arg == "--history") {
-      if (++i >= argc) throw ScenarioError("--history requires a value");
-      value = argv[i];
-    } else {
-      value = arg.substr(std::string("--history=").size());
-    }
-    if (value == "full") {
-      options.history = HistoryPolicy::full;
-    } else if (value == "lean") {
-      options.history = HistoryPolicy::lean;
-    } else {
-      throw ScenarioError(
-          str("--history: expected \"full\" or \"lean\", got \"", value,
-              "\""));
-    }
-  } else if (arg == "--engine" || arg.rfind("--engine=", 0) == 0) {
-    std::string value;
-    if (arg == "--engine") {
-      if (++i >= argc) throw ScenarioError("--engine requires a value");
-      value = argv[i];
-    } else {
-      value = arg.substr(std::string("--engine=").size());
-    }
-    if (value == "kernel") {
-      options.engine = EnginePath::kernel;
-    } else if (value == "scalar") {
-      options.engine = EnginePath::scalar;
-    } else {
-      throw ScenarioError(
-          str("--engine: expected \"kernel\" or \"scalar\", got \"", value,
-              "\""));
-    }
-  } else if (arg == "--rng" || arg.rfind("--rng=", 0) == 0) {
-    std::string value;
-    if (arg == "--rng") {
-      if (++i >= argc) throw ScenarioError("--rng requires a value");
-      value = argv[i];
-    } else {
-      value = arg.substr(std::string("--rng=").size());
-    }
-    if (value == "per-node") {
-      options.rng = RngMode::per_node;
-    } else if (value == "word") {
-      options.rng = RngMode::word;
-    } else {
-      throw ScenarioError(
-          str("--rng: expected \"per-node\" or \"word\", got \"", value,
-              "\""));
-    }
-  } else if (arg == "--trials") {
-    options.trials_override =
-        parse_int_flag("--trials", ++i < argc ? argv[i] : nullptr);
+  } else if (flag == "--threads" || flag == "--sweep-threads") {
+    options.sweep_threads = parse_int_flag(flag, value().c_str());
+  } else if (flag == "--history") {
+    options.history = parse_choice<HistoryPolicy>(
+        flag, value(),
+        {{"full", HistoryPolicy::full}, {"lean", HistoryPolicy::lean}});
+  } else if (flag == "--engine") {
+    options.engine = parse_choice<EnginePath>(
+        flag, value(),
+        {{"kernel", EnginePath::kernel}, {"scalar", EnginePath::scalar}});
+  } else if (flag == "--rng") {
+    options.rng = parse_choice<RngMode>(
+        flag, value(),
+        {{"per-node", RngMode::per_node}, {"word", RngMode::word}});
+  } else if (flag == "--trials") {
+    options.trials_override = parse_int_flag(flag, value().c_str());
   } else {
     return false;
   }
@@ -253,9 +232,8 @@ int run_main(int argc, char** argv,
       return 1;
     }
 
-    // run_scenarios is the scenario-level scheduler: with --sweep-threads,
-    // every (scenario × point × column × trial) of the whole selection
-    // drains from one shared work queue.
+    // run_scenarios drains every (scenario × point × column × trial) of
+    // the whole selection from one shared work queue.
     std::vector<std::string> json_rows;
     const std::vector<ScenarioResult> results =
         run_scenarios(selection, options);

@@ -3,7 +3,8 @@
 // Shared command-line driver for every bench binary.
 //
 //   <bench> [names...] [--list] [--all] [--smoke] [--json FILE]
-//           [--threads N] [--trials N] [--engine E] [--rng M] ...
+//           [--sweep-threads N | --threads N] [--trials N] [--engine E]
+//           [--rng M] [--history P]
 //
 // Positional names select scenarios by exact name or prefix
 // ("fig1/oblivious-global" runs both the clique and line sweeps). With no
@@ -34,11 +35,13 @@ int run_main(int argc, char** argv,
 /// the flag's name on bad/missing input.
 int parse_int_flag(const std::string& flag, const char* value);
 
-/// Consumes one shared execution flag (--smoke, --threads, --sweep-threads,
-/// --history, --engine, --rng, --trials; = and space forms) at argv[i],
-/// advancing i past any value it takes. Returns false when argv[i] is not
-/// one of these flags. Shared by the classic driver and the service CLI so
-/// `serve` accepts exactly the run options a plain invocation does.
+/// Consumes one shared execution flag at argv[i], advancing i past any
+/// value it takes: --smoke, or a value flag in the "--flag=V" or "--flag V"
+/// form — --sweep-threads (alias --threads), --history, --engine, --rng,
+/// --trials. Returns false when argv[i] is not one of these flags; throws
+/// ScenarioError on a missing or bad value. Shared by the classic driver
+/// and the service CLI (whose `serve` rejects the thread flags: its
+/// parallelism is --workers).
 bool consume_run_option_flag(int argc, char** argv, int& i,
                              RunOptions& options);
 

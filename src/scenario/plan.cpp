@@ -38,45 +38,6 @@ const AlgorithmFactories& cached_algorithm(const std::string& spec) {
   return it->second;
 }
 
-double run_one_trial(const Topology& topo, const CellPlan& cell,
-                     const Metric& metric, int watch_node, std::uint64_t seed,
-                     int max_rounds, HistoryPolicy history, EnginePath engine,
-                     RngMode rng_mode) {
-  note_trial_executed();
-  const ExecutionConfig config = ExecutionConfig{}
-                                     .with_seed(seed)
-                                     .with_max_rounds(max_rounds)
-                                     .with_history_policy(history)
-                                     .with_rng_mode(rng_mode);
-  std::shared_ptr<Problem> problem = cell.problem();
-  // select_kernel picks the registered kernel or the scalar-adapter
-  // fallback (bit-identical either way); `scalar` hands it no kernel, so
-  // the adapter runs every algorithm.
-  std::unique_ptr<AlgorithmKernel> kernel =
-      engine == EnginePath::scalar
-          ? select_kernel({}, *problem, cell.factory)
-          : select_kernel(cell.kernel, *problem, cell.factory);
-  KernelExecution exec(topo.net(), cell.factory, std::move(kernel),
-                       std::move(problem), cell.adversary(), config);
-  if (!metric.first_receive) {
-    const RunResult result = exec.run();
-    return result.solved ? static_cast<double>(result.rounds) : -1.0;
-  }
-  const auto received = [&] {
-    return exec.first_receive_round()[static_cast<std::size_t>(watch_node)] >=
-           0;
-  };
-  while (!exec.done() && !received()) exec.step();
-  return received()
-             ? static_cast<double>(
-                   exec.first_receive_round()[static_cast<std::size_t>(
-                       watch_node)] +
-                   1)
-             : -1.0;
-}
-
-}  // namespace
-
 PointPlan build_point_plan(const ScenarioSpec& spec, const Metric& metric,
                            std::size_t i, const RunOptions& options) {
   const double x = spec.sweep[i];
@@ -114,16 +75,6 @@ PointPlan build_point_plan(const ScenarioSpec& spec, const Metric& metric,
   return point;
 }
 
-double measure_point_cell(const ScenarioSpec& spec, const Metric& metric,
-                          const PointPlan& point, int col, int trial,
-                          const RunOptions& options) {
-  const CellPlan& cell = point.cells[static_cast<std::size_t>(col)];
-  return run_one_trial(point.topo, cell, metric, point.watch_node,
-                       spec.base_seed + static_cast<std::uint64_t>(trial),
-                       point.max_rounds, options.history, options.engine,
-                       options.rng);
-}
-
 PointResult make_point_result(const ScenarioSpec& spec, double x,
                               const PointPlan& planned,
                               std::vector<std::vector<double>> raw_cells) {
@@ -147,6 +98,8 @@ PointResult make_point_result(const ScenarioSpec& spec, double x,
   }
   return point;
 }
+
+}  // namespace
 
 Metric parse_metric(const std::string& metric_spec) {
   const SpecCall call = parse_call(metric_spec);
@@ -220,9 +173,34 @@ void prepare_plan(ScenarioPlan& plan, ScenarioSpec applied_spec,
 double measure_plan_task(const ScenarioPlan& plan, int task,
                          const RunOptions& options) {
   const PlanTask at = split_plan_task(task, plan.n_cols(), plan.spec.trials);
-  return measure_point_cell(plan.spec, plan.metric,
-                            plan.points[static_cast<std::size_t>(at.point)],
-                            at.col, at.trial, options);
+  const PointPlan& point = plan.points[static_cast<std::size_t>(at.point)];
+  const CellPlan& cell = point.cells[static_cast<std::size_t>(at.col)];
+  note_trial_executed();
+  const ExecutionConfig config =
+      ExecutionConfig{}
+          .with_seed(plan.spec.base_seed + static_cast<std::uint64_t>(at.trial))
+          .with_max_rounds(point.max_rounds)
+          .with_history_policy(options.history)
+          .with_rng_mode(options.rng);
+  std::shared_ptr<Problem> problem = cell.problem();
+  // select_kernel picks the registered kernel or the scalar-adapter
+  // fallback (bit-identical either way); `scalar` hands it no kernel, so
+  // the adapter runs every algorithm.
+  std::unique_ptr<AlgorithmKernel> kernel =
+      options.engine == EnginePath::scalar
+          ? select_kernel({}, *problem, cell.factory)
+          : select_kernel(cell.kernel, *problem, cell.factory);
+  KernelExecution exec(point.topo.net(), cell.factory, std::move(kernel),
+                       std::move(problem), cell.adversary(), config);
+  if (!plan.metric.first_receive) {
+    const RunResult result = exec.run();
+    return result.solved ? static_cast<double>(result.rounds) : -1.0;
+  }
+  const std::size_t watch = static_cast<std::size_t>(point.watch_node);
+  const auto received = [&] { return exec.first_receive_round()[watch] >= 0; };
+  while (!exec.done() && !received()) exec.step();
+  return received() ? static_cast<double>(exec.first_receive_round()[watch] + 1)
+                    : -1.0;
 }
 
 void run_plan_task(ScenarioPlan& plan, int task, const RunOptions& options) {

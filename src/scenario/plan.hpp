@@ -1,9 +1,8 @@
 #pragma once
 
 // The scenario runner's execution plan, exported so every scheduler — the
-// in-process pools in run_scenario()/run_scenarios() AND the experiment
-// service's sharded workers/merger (src/service/) — drives trials through
-// ONE code path. That shared path is what makes the service's guarantees
+// in-process queue in run_scenarios() AND the experiment service's sharded
+// workers/merger (src/service/) — drives trials through ONE code path. That shared path is what makes the service's guarantees
 // cheap to state: a merged sharded run is byte-identical to a
 // single-process run because both fill the same ScenarioPlan::raw store
 // and assemble through the same censoring/summary code.
@@ -52,10 +51,10 @@ struct PointPlan {
 
 /// A scenario after option overrides, with its parsed metric and (once
 /// prepared) its per-sweep-point execution plans and raw trial values.
-/// This is the unit every scheduler operates on: run_scenario fills one,
-/// run_scenarios fills a batch against a single shared queue, and the
-/// experiment service's workers measure tasks of one while the merger
-/// fills raw[] from persisted records instead of live execution.
+/// This is the unit every scheduler operates on: run_scenarios fills a
+/// batch against a single shared queue, and the experiment service's
+/// workers measure tasks of one while the merger fills raw[] from persisted
+/// records instead of live execution.
 struct ScenarioPlan {
   ScenarioSpec spec;
   Metric metric;
@@ -88,34 +87,18 @@ ScenarioSpec apply_options(const ScenarioSpec& original,
                            const RunOptions& options);
 
 /// Initializes `plan` from an already-applied spec: parses the metric,
-/// builds every point plan up front (pool schedulers and sharded workers
-/// need them all alive), and sizes the raw value store.
+/// builds every point plan up front (the queue and sharded workers need
+/// them all alive), and sizes the raw value store.
 void prepare_plan(ScenarioPlan& plan, ScenarioSpec applied_spec,
                   const RunOptions& options);
-
-/// Builds sweep point `i`'s plan alone — the sequential runner's path,
-/// which keeps one point alive at a time so peak memory stays O(largest
-/// topology) however long the sweep is.
-PointPlan build_point_plan(const ScenarioSpec& spec, const Metric& metric,
-                           std::size_t i, const RunOptions& options);
-
-/// Measures one (column, trial) cell of a standalone point plan.
-double measure_point_cell(const ScenarioSpec& spec, const Metric& metric,
-                          const PointPlan& point, int col, int trial,
-                          const RunOptions& options);
-
-/// Censors and summarizes one point's raw values into its result row.
-PointResult make_point_result(const ScenarioSpec& spec, double x,
-                              const PointPlan& planned,
-                              std::vector<std::vector<double>> raw_cells);
 
 /// Measures flat task `task` of a prepared plan and returns the raw value
 /// (negative = censored). Safe to call concurrently for distinct tasks.
 double measure_plan_task(const ScenarioPlan& plan, int task,
                          const RunOptions& options);
 
-/// measure_plan_task + store into plan.raw (the in-process schedulers'
-/// task body).
+/// measure_plan_task + store into plan.raw (the in-process queue's task
+/// body).
 void run_plan_task(ScenarioPlan& plan, int task, const RunOptions& options);
 
 /// Summarizes a fully-measured plan (censoring through the one shared

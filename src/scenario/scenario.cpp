@@ -91,63 +91,18 @@ std::uint64_t catalog_hash() {
   return hash;
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& original,
+ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunOptions& options) {
-  ScenarioResult result;
-  if (options.sweep_threads > 1) {
-    // Sweep-point-level scheduler: one flat work queue over every
-    // (point × column × trial), consumed by a shared pool.
-    ScenarioPlan plan;
-    prepare_plan(plan, apply_options(original, options), options);
-    run_tasks(plan.tasks(), options.sweep_threads,
-              [&](int task) { run_plan_task(plan, task, options); });
-    result = assemble_plan(plan);
-  } else {
-    // Sequential / per-cell trial-pool path: one point alive at a time, so
-    // peak memory stays O(largest topology) however long the sweep is.
-    const ScenarioSpec spec = apply_options(original, options);
-    const Metric metric = parse_metric(spec.metric);
-    result.spec = spec;
-    const int n_cols = static_cast<int>(spec.columns.size());
-    for (std::size_t i = 0; i < spec.sweep.size(); ++i) {
-      const PointPlan point = build_point_plan(spec, metric, i, options);
-      std::vector<std::vector<double>> raw_cells;
-      raw_cells.reserve(static_cast<std::size_t>(n_cols));
-      for (int col = 0; col < n_cols; ++col) {
-        raw_cells.push_back(run_raw_trials(
-            spec.trials, spec.base_seed,
-            [&](std::uint64_t seed) {
-              return measure_point_cell(
-                  spec, metric, point, col,
-                  static_cast<int>(seed - spec.base_seed), options);
-            },
-            options.threads));
-      }
-      result.points.push_back(make_point_result(spec, spec.sweep[i], point,
-                                                std::move(raw_cells)));
-    }
-  }
-
-  if (options.out != nullptr) print_result(result, *options.out);
-  return result;
+  return run_scenarios({&spec}, options).front();
 }
 
 std::vector<ScenarioResult> run_scenarios(
     const std::vector<const ScenarioSpec*>& specs,
     const RunOptions& options) {
-  std::vector<ScenarioResult> results;
-  results.reserve(specs.size());
-  if (options.sweep_threads <= 1) {
-    for (const ScenarioSpec* spec : specs) {
-      results.push_back(run_scenario(*spec, options));
-    }
-    return results;
-  }
-
-  // Scenario-level scheduler: prepare every selected scenario, then drain
-  // one queue over the concatenated (scenario × point × column × trial)
-  // space. Printing happens afterwards, in selection order, so the output
-  // is indistinguishable from the sequential run.
+  // Prepare every selected scenario, then drain one queue over the
+  // concatenated (scenario × point × column × trial) space. Printing
+  // happens afterwards, in selection order, so the output is the same at
+  // every worker count.
   std::vector<ScenarioPlan> plans(specs.size());
   std::vector<int> task_offset(specs.size() + 1, 0);
   for (std::size_t s = 0; s < specs.size(); ++s) {
@@ -161,8 +116,10 @@ std::vector<ScenarioResult> run_scenarios(
     while (task >= task_offset[s + 1]) ++s;
     run_plan_task(plans[s], task - task_offset[s], options);
   });
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    results.push_back(assemble_plan(plans[s]));
+  std::vector<ScenarioResult> results;
+  results.reserve(specs.size());
+  for (ScenarioPlan& plan : plans) {
+    results.push_back(assemble_plan(plan));
     if (options.out != nullptr) print_result(results.back(), *options.out);
   }
   return results;

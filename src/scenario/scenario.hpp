@@ -5,12 +5,12 @@
 // A ScenarioSpec names a topology (with the sweep axis spliced in via the
 // "{x}" placeholder), a problem, a metric, a round budget, and a list of
 // columns — (algorithm, adversary) pairs measured side by side, exactly one
-// table cell each. run_scenario() executes it: per sweep point it builds the
-// topology once, then measures every column with `trials` independent seeds
-// (optionally across a thread pool — results are bit-identical to the
-// sequential run because trials are keyed by seed), censoring unsolved runs
-// at the round budget. Results carry both the Figure-1-style console table
-// and machine-readable JSON rows.
+// table cell each. run_scenarios() executes a selection of them: it builds
+// every sweep point's topology once, then measures every column with
+// `trials` independent seeds on one work queue (results are bit-identical
+// at any worker count because trials are keyed by seed), censoring unsolved
+// runs at the round budget. Results carry both the Figure-1-style console
+// table and machine-readable JSON rows.
 //
 // Scenarios themselves live in a registry (scenarios()), so every bench in
 // this repository is reachable by name from one driver:
@@ -102,14 +102,10 @@ const char* to_string(EnginePath engine);
 const char* to_string(RngMode rng);
 
 struct RunOptions {
-  int threads = 1;         ///< thread-pool width over trials (within one cell)
-  /// Sweep-point-level scheduler: when > 1, every (sweep point × column ×
-  /// trial) of the scenario is flattened into one work queue consumed by a
-  /// shared pool of this many workers, so many-core boxes stay saturated
-  /// even on low-trial sweeps. Results are bit-identical to the sequential
-  /// runner (trials are keyed by seed, never by scheduling order). When
-  /// <= 1, the legacy per-cell trial pool (`threads`) is used.
-  /// run_scenarios() extends the same queue across *scenarios*.
+  /// Workers draining the one queue of every (scenario × sweep point ×
+  /// column × trial) of a run (`--sweep-threads N`, or `--threads N`); 1
+  /// runs the queue inline. Results are bit-identical at every count
+  /// (trials are keyed by seed, never by scheduling order).
   int sweep_threads = 1;
   /// Engine selection (see EnginePath). Algorithms without a registered
   /// kernel, and problems that read Process objects, transparently run
@@ -133,19 +129,19 @@ struct RunOptions {
   std::ostream* out = nullptr;  ///< when set, banner/table/fits print here
 };
 
-/// Executes a scenario. Throws ScenarioError on spec errors.
+/// Executes one scenario: run_scenarios({&spec}, options).
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunOptions& options = {});
 
-/// Executes several scenarios. With options.sweep_threads > 1 this is the
-/// scenario-level scheduler: every (scenario × sweep point × column ×
-/// trial) across the whole selection is flattened into ONE work queue over
-/// a shared pool, so `--all` runs keep many-core boxes saturated across
-/// scenario boundaries instead of draining per scenario. Results (and
-/// printed output, emitted in selection order after the queue drains) are
-/// bit-identical to running each scenario sequentially, at any worker
-/// count. Plans for the whole selection are alive at once — peak memory is
-/// the sum of the selection's largest sweep topologies.
+/// Executes several scenarios. Every scenario's plan is prepared (every
+/// sweep point built) before any trial runs, so a spec error anywhere in
+/// the selection throws ScenarioError first. Then every (scenario × sweep
+/// point × column × trial) drains from ONE work queue over
+/// options.sweep_threads workers, so `--all` runs keep many-core boxes
+/// saturated across scenario boundaries. Results, and printed output
+/// (emitted in selection order after the queue drains), are bit-identical
+/// at any worker count. Plans for the whole selection are alive at once —
+/// peak memory is the sum of the selection's sweep topologies.
 std::vector<ScenarioResult> run_scenarios(
     const std::vector<const ScenarioSpec*>& specs,
     const RunOptions& options = {});

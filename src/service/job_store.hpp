@@ -172,10 +172,6 @@ class JobStore {
   int shard_count() const;
   /// Flat-task range [begin, end) of a shard.
   std::pair<int, int> shard_range(int shard) const;
-  /// Per-scenario offsets into the flat task space (size = scenarios + 1).
-  const std::vector<int>& scenario_task_offsets() const {
-    return task_offset_;
-  }
 
   // --- records ---------------------------------------------------------
 

@@ -355,7 +355,13 @@ int serve_main(int argc, char** argv) {
   options.out = &std::cout;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (scenario::consume_run_option_flag(argc, argv, i, run_options)) {
+    const std::string flag = arg.substr(0, arg.find('='));
+    if (flag == "--threads" || flag == "--sweep-threads") {
+      throw ScenarioError(str("serve: ", flag,
+                              " does not apply; serve measures shards on "
+                              "--workers N threads"));
+    } else if (scenario::consume_run_option_flag(argc, argv, i,
+                                                 run_options)) {
       continue;
     } else if (arg == "--job-dir") {
       options.job_dir = flag_value(arg, argc, argv, i);

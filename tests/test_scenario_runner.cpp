@@ -1,11 +1,13 @@
-// ScenarioRunner: determinism (identical JSON rows for identical specs,
-// single- vs multi-threaded), censoring, metric handling, smoke scaling,
-// and the scenario catalog's acceptance surface.
+// ScenarioRunner: determinism (identical JSON rows and console text for
+// identical specs, at one worker and many), spec errors before any trial,
+// censoring, metric handling, smoke scaling, and the scenario catalog's
+// acceptance surface.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "analysis/trials.hpp"
 #include "scenario/scenario.hpp"
 
 namespace dualcast::scenario {
@@ -41,9 +43,9 @@ TEST(ScenarioRunner, SameSpecSameSeedSameRows) {
 
 TEST(ScenarioRunner, MultiThreadedMatchesSingleThreadedBitForBit) {
   RunOptions sequential;
-  sequential.threads = 1;
+  sequential.sweep_threads = 1;
   RunOptions pooled;
-  pooled.threads = 4;
+  pooled.sweep_threads = 4;
   const ScenarioResult a = run_scenario(small_spec(), sequential);
   const ScenarioResult b = run_scenario(small_spec(), pooled);
   const std::vector<std::string> rows_a = rows_of(a);
@@ -61,9 +63,8 @@ TEST(ScenarioRunner, MultiThreadedMatchesSingleThreadedBitForBit) {
 }
 
 TEST(ScenarioRunner, SweepSchedulerBitIdenticalAcrossWorkerCounts) {
-  // The sweep-point-level scheduler flattens (point × column × trial) into
-  // one queue; every worker count must reproduce the sequential runner's
-  // rows bit for bit.
+  // The scheduler flattens (point × column × trial) into one queue; every
+  // worker count must reproduce the default (one-worker) rows bit for bit.
   RunOptions sequential;
   const std::vector<std::string> reference =
       rows_of(run_scenario(small_spec(), sequential));
@@ -74,11 +75,6 @@ TEST(ScenarioRunner, SweepSchedulerBitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(rows_of(run_scenario(small_spec(), swept)), reference)
         << "sweep_threads=" << workers;
   }
-  // The two pools compose: a sweep scheduler result also matches the
-  // legacy per-cell trial pool.
-  RunOptions trial_pool;
-  trial_pool.threads = 4;
-  EXPECT_EQ(rows_of(run_scenario(small_spec(), trial_pool)), reference);
 }
 
 TEST(ScenarioRunner, LeanAndFullHistoryProduceIdenticalResults) {
@@ -159,7 +155,7 @@ TEST(ScenarioRunner, ScenarioLevelSchedulerBitIdentical) {
     append_json_rows(result, reference);
   }
   ASSERT_FALSE(reference.empty());
-  for (const int workers : {2, 8}) {
+  for (const int workers : {1, 2, 8}) {
     RunOptions options;
     options.sweep_threads = workers;
     std::vector<std::string> rows;
@@ -167,6 +163,54 @@ TEST(ScenarioRunner, ScenarioLevelSchedulerBitIdentical) {
       append_json_rows(result, rows);
     }
     EXPECT_EQ(rows, reference) << "sweep_threads=" << workers;
+  }
+}
+
+TEST(ScenarioRunner, SchedulerPrintsTheSameTextAtAnyWorkerCount) {
+  // Output is printed after the queue drains, in selection order, so the
+  // console text cannot depend on which worker finished first.
+  ScenarioSpec a = small_spec();
+  a.title = "first-banner";
+  ScenarioSpec b = small_spec();
+  b.name = "test/small-2";
+  b.title = "second-banner";
+  b.base_seed = 77;
+  const std::vector<const ScenarioSpec*> selection{&a, &b};
+
+  std::ostringstream one;
+  RunOptions one_worker;
+  one_worker.out = &one;
+  run_scenarios(selection, one_worker);
+  std::ostringstream four;
+  RunOptions four_workers;
+  four_workers.sweep_threads = 4;
+  four_workers.out = &four;
+  run_scenarios(selection, four_workers);
+
+  const std::string text = one.str();
+  EXPECT_EQ(four.str(), text);
+  const std::size_t first = text.find("=== first-banner ===");
+  const std::size_t second = text.find("=== second-banner ===");
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_LT(first, second);
+}
+
+TEST(ScenarioRunner, SpecErrorAnywhereInSelectionThrowsBeforeAnyTrial) {
+  // Every plan of the selection is prepared before the first trial runs,
+  // so a bad round budget in the last scenario costs no trials.
+  ScenarioSpec good = small_spec();
+  ScenarioSpec bad = small_spec();
+  bad.name = "test/bad-budget";
+  bad.max_rounds = "300*bogus_var";
+  const std::vector<const ScenarioSpec*> selection{&good, &bad};
+  for (const int workers : {1, 4}) {
+    RunOptions options;
+    options.sweep_threads = workers;
+    const std::uint64_t before = trials_executed();
+    EXPECT_THROW(run_scenarios(selection, options), ScenarioError)
+        << "sweep_threads=" << workers;
+    EXPECT_EQ(trials_executed(), before) << "sweep_threads=" << workers;
   }
 }
 

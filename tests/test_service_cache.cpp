@@ -155,7 +155,6 @@ TEST(ServiceCache, KeyIsSensitiveToEveryResultSelectingInput) {
   // Inputs that can NOT change results share the key: thread counts and
   // history retention are execution details, not identity.
   RunOptions threaded;
-  threaded.threads = 8;
   threaded.sweep_threads = 4;
   threaded.history = HistoryPolicy::full;
   EXPECT_EQ(result_cache_key(applied, threaded), base);

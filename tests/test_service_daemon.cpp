@@ -3,7 +3,8 @@
 // zero-recompute), and left with no held leases; the cooperative stop
 // flag exits cleanly mid-run; an unopenable (read-only) cache degrades to
 // compute-without-cache with a single warning. Plus the CLI contract:
-// merge/status against a broken job dir exit nonzero.
+// merge/status against a broken job dir exit nonzero, and serve rejects
+// the run-option thread flags in favour of --workers.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +222,31 @@ TEST(ServiceCliContract, MergeAndStatusExitNonzeroOnBrokenJobDirs) {
                     arg_flag.data(), const_cast<char*>(job_dir.c_str()),
                     arg_nocache.data()};
     EXPECT_EQ(service_main(5, argv), 1);
+  }
+}
+
+TEST(ServiceCliContract, ServeRejectsThreadFlagsAndNamesWorkers) {
+  // serve's parallelism is --workers N; a thread flag would otherwise be
+  // accepted and silently run one worker. The flag is rejected while
+  // parsing, before any trial runs.
+  for (std::string flag : {"--sweep-threads", "--threads"}) {
+    for (const bool equals_form : {false, true}) {
+      std::string arg_serve = "serve";
+      std::string arg_name = mini_scenario().name;
+      std::string arg_smoke = "--smoke";
+      std::string arg_flag = equals_form ? flag + "=4" : flag;
+      std::string arg_value = "4";
+      char* argv[] = {const_cast<char*>("bench"), arg_serve.data(),
+                      arg_name.data(), arg_smoke.data(), arg_flag.data(),
+                      arg_value.data()};
+      const std::uint64_t trials_before = trials_executed();
+      ::testing::internal::CaptureStderr();
+      EXPECT_EQ(service_main(equals_form ? 5 : 6, argv), 1) << arg_flag;
+      const std::string err = ::testing::internal::GetCapturedStderr();
+      EXPECT_NE(err.find(flag), std::string::npos) << err;
+      EXPECT_NE(err.find("--workers"), std::string::npos) << err;
+      EXPECT_EQ(trials_executed(), trials_before) << arg_flag;
+    }
   }
 }
 
