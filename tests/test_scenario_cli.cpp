@@ -1,12 +1,20 @@
 // consume_run_option_flag: the run-option flags every bench binary and
 // `serve` share — the two spellings of the worker count, the "--flag=V"
 // and "--flag V" forms of every value flag, and the bad-input errors.
+//
+// CliSurface: every (command, flag) pair of the command line, driven
+// through run_main — the driver and each service subcommand. A bad value,
+// a missing value, a switch given a value and an unknown flag each exit 1
+// with a diagnostic naming the input, before any trial runs.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/trials.hpp"
 #include "scenario/cli.hpp"
 
 namespace dualcast::scenario {
@@ -80,6 +88,151 @@ TEST(RunOptionFlags, OtherArgumentsAreNotConsumed) {
     RunOptions options;
     EXPECT_FALSE(consume_run_option_flag(1, argv, i, options)) << arg;
     EXPECT_EQ(i, 0) << arg;
+  }
+}
+
+enum class Kind { text, integer, choice, toggle };
+
+struct Surface {
+  std::string command;  ///< empty for the driver
+  std::vector<std::pair<std::string, Kind>> flags;
+};
+
+/// Every flag of every command. serve's thread flags are left out: serve
+/// rejects them (ServiceCliContract covers that).
+const std::vector<Surface>& surfaces() {
+  using enum Kind;
+  static const std::vector<Surface> all = {
+      {"",
+       {{"--list", toggle}, {"--all", toggle}, {"--json", text},
+        {"--smoke", toggle}, {"--sweep-threads", integer},
+        {"--threads", integer}, {"--history", choice}, {"--engine", choice},
+        {"--rng", choice}, {"--trials", integer}}},
+      {"serve",
+       {{"--smoke", toggle}, {"--history", choice}, {"--engine", choice},
+        {"--rng", choice}, {"--trials", integer}, {"--workers", integer},
+        {"--job-dir", text}, {"--cache-dir", text}, {"--no-cache", toggle},
+        {"--cache-max-bytes", integer}, {"--verify-cache", toggle},
+        {"--shard-tasks", integer}, {"--lease-ttl", integer},
+        {"--json", text}}},
+      {"worker",
+       {{"--job-dir", text}, {"--owner", text}, {"--max-shards", integer},
+        {"--op-deadline", integer}, {"--fault-crash-op", integer},
+        {"--stall-append", integer}, {"--stall-ms", integer},
+        {"--slow-fs-ms", integer}, {"--fs-sim-seed", integer},
+        {"--fs-sim-stale-ops", integer}}},
+      {"daemon",
+       {{"--jobs-dir", text}, {"--cache-dir", text}, {"--no-cache", toggle},
+        {"--cache-max-bytes", integer}, {"--owner", text},
+        {"--poll-ms", integer}, {"--max-poll-ms", integer},
+        {"--max-cycles", integer}, {"--placement", choice},
+        {"--inflight-cap", integer}, {"--member-ttl", integer},
+        {"--seed", integer}, {"--cores", integer}, {"--load100", integer},
+        {"--clock-skew", integer}, {"--min-free-bytes", integer},
+        {"--free-bytes-file", text}, {"--op-deadline", integer},
+        {"--fault-crash-op", integer}, {"--stall-append", integer},
+        {"--stall-ms", integer}, {"--slow-fs-ms", integer},
+        {"--fs-sim-seed", integer}, {"--fs-sim-stale-ops", integer}}},
+      {"merge",
+       {{"--job-dir", text}, {"--json", text}, {"--cache-dir", text},
+        {"--no-cache", toggle}, {"--cache-max-bytes", integer}}},
+      {"status", {{"--job-dir", text}, {"--jobs-dir", text}, {"--json", text}}},
+      {"gc", {{"--jobs-dir", text}, {"--dry-run", toggle}}},
+      {"soak",
+       {{"--daemons", integer}, {"--kill-seed", integer}, {"--kills", integer},
+        {"--kill-interval-ms", integer}, {"--placement", choice},
+        {"--small-jobs", integer}, {"--big-trials", integer},
+        {"--small-trials", integer}, {"--shard-tasks", integer},
+        {"--lease-ttl", integer}, {"--member-ttl", integer},
+        {"--dir", text}, {"--timeout", integer},
+        {"--fault-crash-op", integer}, {"--sim", toggle},
+        {"--fs-sim-seed", integer}, {"--fs-sim-stale-ops", integer},
+        {"--clock-skew", integer}, {"--slow", toggle},
+        {"--slow-fs-ms", integer}, {"--stall-seed", integer},
+        {"--stall-ms", integer}, {"--disk-pressure", toggle},
+        {"--min-free-bytes", integer}, {"--no-require-steal", toggle}}},
+  };
+  return all;
+}
+
+struct Outcome {
+  int code = 0;
+  std::string err;
+};
+
+/// Runs `<bench> [command] args...` through run_main, capturing stderr.
+Outcome run(const std::string& command, std::vector<std::string> args) {
+  std::vector<std::string> all{"bench"};
+  if (!command.empty()) all.push_back(command);
+  all.insert(all.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& arg : all) argv.push_back(arg.data());
+  ::testing::internal::CaptureStderr();
+  const int code = run_main(static_cast<int>(argv.size()), argv.data(), {});
+  return {code, ::testing::internal::GetCapturedStderr()};
+}
+
+/// Runs `args` and expects exit 1, a diagnostic containing `expected`, and
+/// no trial run.
+void expect_rejected(const std::string& command,
+                     const std::vector<std::string>& args,
+                     const std::string& expected) {
+  const std::uint64_t trials_before = trials_executed();
+  const Outcome outcome = run(command, args);
+  const std::string what = command + " " + args.front();
+  EXPECT_EQ(outcome.code, 1) << what;
+  EXPECT_NE(outcome.err.find(expected), std::string::npos)
+      << what << ": " << outcome.err;
+  EXPECT_EQ(trials_executed(), trials_before) << what;
+}
+
+TEST(CliSurface, CoversEveryCommandAndFlag) {
+  std::size_t pairs = 0;
+  for (const Surface& surface : surfaces()) pairs += surface.flags.size();
+  EXPECT_EQ(surfaces().size(), 8u);
+  EXPECT_EQ(pairs, 93u);
+}
+
+TEST(CliSurface, ValueFlagWithoutValueNamesTheFlag) {
+  for (const Surface& surface : surfaces()) {
+    for (const auto& [flag, kind] : surface.flags) {
+      if (kind == Kind::toggle) continue;
+      expect_rejected(surface.command, {flag}, flag + " requires a");
+    }
+  }
+}
+
+TEST(CliSurface, IntegerFlagRejectsANonNumber) {
+  for (const Surface& surface : surfaces()) {
+    for (const auto& [flag, kind] : surface.flags) {
+      if (kind != Kind::integer) continue;
+      expect_rejected(surface.command, {flag, "abc"},
+                      flag + ": bad value \"abc\"");
+    }
+  }
+}
+
+TEST(CliSurface, ChoiceFlagNamesTheBadChoice) {
+  for (const Surface& surface : surfaces()) {
+    for (const auto& [flag, kind] : surface.flags) {
+      if (kind != Kind::choice) continue;
+      expect_rejected(surface.command, {flag, "bogus"}, "\"bogus\"");
+    }
+  }
+}
+
+TEST(CliSurface, SwitchGivenAValueNamesTheArgument) {
+  for (const Surface& surface : surfaces()) {
+    for (const auto& [flag, kind] : surface.flags) {
+      if (kind != Kind::toggle) continue;
+      expect_rejected(surface.command, {flag + "=1"}, flag + "=1");
+    }
+  }
+}
+
+TEST(CliSurface, UnknownFlagNamesItself) {
+  for (const Surface& surface : surfaces()) {
+    expect_rejected(surface.command, {"--bogus"}, "\"--bogus\"");
   }
 }
 
