@@ -4,12 +4,13 @@
 // Runs the declarative scenario, then derives the "window held" statistic —
 // the fraction of trials where the clasp receiver stayed silent for >= 80%
 // of the k-round prediction window — from the raw per-trial values the
-// runner already carries.
+// runner already carries. Takes the run options (--smoke, --trials, ...)
+// only.
 
 #include <iostream>
 
 #include "analysis/table.hpp"
-#include "scenario/scenario.hpp"
+#include "scenario/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace dualcast;
@@ -17,8 +18,19 @@ int main(int argc, char** argv) {
 
   RunOptions options;
   options.out = &std::cout;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") options.smoke = true;
+  const Command command{
+      .synopsis = "[options]",
+      .about = "Runs fig1/oblivious-local-general, then the fraction of "
+               "trials whose clasp receiver stayed silent for >= 80% of the "
+               "prediction window."};
+  try {
+    if (!parse_flags(argc, argv, 1, run_option_flags(options), nullptr,
+                     command)) {
+      return 0;
+    }
+  } catch (const ScenarioError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
   }
 
   const ScenarioResult result =

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/cli.hpp"
 #include "scenario/registries.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/kernel_execution.hpp"
@@ -182,36 +183,39 @@ int run_main(int argc, char** argv) {
   std::string filter;
   double min_seconds = 0.3;
   bool include_heavy = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "error: " << arg << " requires a value\n";
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") {
-      out_path = value();
-    } else if (arg == "--scale") {
-      include_heavy = true;
-    } else if (arg == "--min-time") {
-      const char* text = value();
-      char* end = nullptr;
-      min_seconds = std::strtod(text, &end);
-      if (end == text || *end != '\0' || !(min_seconds > 0.0)) {
-        std::cerr << "error: --min-time: expected a positive number, got \""
-                  << text << "\"\n";
-        return 1;
-      }
-    } else if (arg == "--filter") {
-      filter = value();
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--out FILE] [--min-time SECONDS] [--filter SUBSTR]"
-                   " [--scale]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 1;
+  const std::vector<scenario::Flag> flags = {
+      scenario::text_flag("--out", "FILE",
+                          "write the JSON rows to FILE (default "
+                          "BENCH_sim_throughput.json)",
+                          out_path),
+      scenario::switch_flag("--scale", "add the n = 16384 / 65536 grids",
+                            [&] { include_heavy = true; }),
+      {"--min-time", "SECONDS",
+       "time each case for at least SECONDS (default 0.3)",
+       [&](const std::string& text) {
+         char* end = nullptr;
+         min_seconds = std::strtod(text.c_str(), &end);
+         if (end == text.c_str() || *end != '\0' || !(min_seconds > 0.0)) {
+           throw scenario::ScenarioError(str(
+               "--min-time: expected a positive number, got \"", text, "\""));
+         }
+       }},
+      scenario::text_flag("--filter", "SUBSTR",
+                          "run only the cases whose name contains SUBSTR",
+                          filter),
+  };
+  const scenario::Command command{
+      .synopsis = "[options]",
+      .about = "Engine rounds/second across network shapes, adversary "
+               "classes and both kernel paths, one JSON row per (scenario, "
+               "engine)."};
+  try {
+    if (!scenario::parse_flags(argc, argv, 1, flags, nullptr, command)) {
+      return 0;
     }
+  } catch (const scenario::ScenarioError& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
   }
 
   std::vector<std::string> rows;

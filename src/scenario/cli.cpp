@@ -1,13 +1,10 @@
 #include "scenario/cli.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <initializer_list>
+#include <algorithm>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 #include <utility>
 
 #include "service/service_cli.hpp"
@@ -16,47 +13,27 @@
 namespace dualcast::scenario {
 namespace {
 
-void print_usage(std::ostream& os, const char* binary) {
-  os << "usage: " << binary
-     << " [scenario-name-or-prefix ...] [options]\n"
-        "       " << binary
-     << " serve|worker|merge|status [subcommand options]\n"
-        "\n"
-        "options:\n"
-        "  --list        list registered scenarios (grouped by catalog\n"
-        "                tier, with sweep sizes) and exit\n"
-        "  --all         run every registered scenario\n"
-        "  --smoke       tiny-scale run of the selection (default: all):\n"
-        "                one small sweep point, 1 trial, capped rounds\n"
-        "  --json FILE   also write machine-readable result rows to FILE\n"
-        "  --sweep-threads N, --threads N\n"
-        "                drain every (scenario x sweep point x column x\n"
-        "                trial) of the selection from one work queue over N\n"
-        "                workers (default 1; results are identical for\n"
-        "                every N)\n"
-        "  --history P   history retention per trial: \"lean\" (default;\n"
-        "                O(n) aggregates, auto-falls back to full for\n"
-        "                adversaries that read the trace) or \"full\"\n"
-        "  --engine E    kernel path: \"kernel\" (default; batch SoA\n"
-        "                kernels, scalar-adapter fallback for algorithms\n"
-        "                without a port) or \"scalar\" (scalar adapter for\n"
-        "                every algorithm). Results are byte-identical for\n"
-        "                both\n"
-        "  --rng M       kernel-path coin streams: \"per-node\" (default;\n"
-        "                byte-identical to the scalar adapter) or \"word\"\n"
-        "                (word-parallel block streams, 64 coins per draw\n"
-        "                ladder; same distribution, different sample paths;\n"
-        "                requires --engine kernel)\n"
-        "  --trials N    override each scenario's trial count\n"
-        "  (value flags also take the --flag=VALUE form)\n"
-        "\n"
-        "experiment-service subcommands (see `" << binary
-     << " serve --help`):\n"
-        "  serve         cached/sharded run of a selection (persistent job\n"
-        "                store + result cache; byte-identical artifacts)\n"
-        "  worker        lease and measure shards of an existing job\n"
-        "  merge         reassemble a complete job into result rows\n"
-        "  status        report a job's shards, leases, and progress\n";
+constexpr std::size_t kHelpWidth = 78;
+constexpr std::size_t kHelpColumn = 24;
+
+/// Writes `text` word-wrapped at kHelpWidth, then a newline. The cursor
+/// starts at `column`; continuation lines are indented to `indent`.
+void write_wrapped(std::ostream& os, const std::string& text,
+                   std::size_t column, std::size_t indent) {
+  std::istringstream words(text);
+  std::string word;
+  for (bool first = true; words >> word; first = false) {
+    if (!first && column + 1 + word.size() > kHelpWidth) {
+      os << "\n" << std::string(indent, ' ');
+      column = indent;
+    } else if (!first) {
+      os << ' ';
+      ++column;
+    }
+    os << word;
+    column += word.size();
+  }
+  os << "\n";
 }
 
 void print_list(std::ostream& os) {
@@ -93,69 +70,134 @@ void print_list(std::ostream& os) {
   }
 }
 
-/// The value of `choices` named `value`; throws ScenarioError naming
-/// `flag` and every choice otherwise.
-template <typename T>
-T parse_choice(const std::string& flag, const std::string& value,
-               std::initializer_list<std::pair<const char*, T>> choices) {
-  std::string expected;
-  for (const auto& [name, choice] : choices) {
-    if (value == name) return choice;
-    expected += str(expected.empty() ? "" : " or ", "\"", name, "\"");
+void print_help(std::ostream& os, const char* binary, const Command& command,
+                const std::vector<Flag>& flags) {
+  os << "usage: " << binary;
+  if (!command.name.empty()) os << " " << command.name;
+  os << " " << command.synopsis << "\n\n  ";
+  write_wrapped(os, command.about, 2, 2);
+  os << "\noptions (a value flag takes --flag=V or --flag V):\n";
+  for (const Flag& flag : flags) {
+    const std::string head =
+        str("  ", flag.name, flag.value.empty() ? "" : " ", flag.value);
+    os << head;
+    if (head.size() + 2 > kHelpColumn) {
+      os << "\n" << std::string(kHelpColumn, ' ');
+    } else {
+      os << std::string(kHelpColumn - head.size(), ' ');
+    }
+    write_wrapped(os, flag.help, kHelpColumn, kHelpColumn);
   }
-  throw ScenarioError(
-      str(flag, ": expected ", expected, ", got \"", value, "\""));
+  os << command.epilog;
 }
 
 }  // namespace
 
-int parse_int_flag(const std::string& flag, const char* value) {
-  if (value == nullptr) {
-    throw ScenarioError(str(flag, " requires a value"));
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < 1 ||
-      parsed > std::numeric_limits<int>::max()) {
-    throw ScenarioError(str(flag, ": bad value \"", value, "\""));
-  }
-  return static_cast<int>(parsed);
-}
-
-bool consume_run_option_flag(int argc, char** argv, int& i,
-                             RunOptions& options) {
-  // Every value flag reads through `value`, in either form: "--flag=V" or
-  // "--flag V".
-  const std::string arg = argv[i];
-  const std::string flag = arg.substr(0, arg.find('='));
-  const auto value = [&]() -> std::string {
-    if (flag.size() < arg.size()) return arg.substr(flag.size() + 1);
-    if (++i >= argc) throw ScenarioError(str(flag, " requires a value"));
-    return argv[i];
-  };
-  if (arg == "--smoke") {
-    options.smoke = true;
-  } else if (flag == "--threads" || flag == "--sweep-threads") {
-    options.sweep_threads = parse_int_flag(flag, value().c_str());
-  } else if (flag == "--history") {
-    options.history = parse_choice<HistoryPolicy>(
-        flag, value(),
-        {{"full", HistoryPolicy::full}, {"lean", HistoryPolicy::lean}});
-  } else if (flag == "--engine") {
-    options.engine = parse_choice<EnginePath>(
-        flag, value(),
-        {{"kernel", EnginePath::kernel}, {"scalar", EnginePath::scalar}});
-  } else if (flag == "--rng") {
-    options.rng = parse_choice<RngMode>(
-        flag, value(),
-        {{"per-node", RngMode::per_node}, {"word", RngMode::word}});
-  } else if (flag == "--trials") {
-    options.trials_override = parse_int_flag(flag, value().c_str());
-  } else {
-    return false;
+bool parse_flags(int argc, char** argv, int first,
+                 const std::vector<Flag>& flags,
+                 std::vector<std::string>* positional,
+                 const Command& command) {
+  const std::string prefix = command.name.empty() ? "" : command.name + ": ";
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_help(std::cout, argv[0], command, flags);
+      return false;
+    }
+    if (positional != nullptr && (arg.empty() || arg[0] != '-')) {
+      positional->push_back(arg);
+      continue;
+    }
+    const std::size_t equals = arg.find('=');
+    const std::string name = arg.substr(0, equals);
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const Flag& entry) { return entry.name == name; });
+    const bool has_value = equals != std::string::npos;
+    if (flag == flags.end() || (flag->value.empty() && has_value)) {
+      throw ScenarioError(str(prefix, "unknown option \"", arg, "\""));
+    }
+    if (flag->value.empty()) {
+      flag->set("");
+    } else if (has_value) {
+      flag->set(arg.substr(equals + 1));
+    } else if (++i < argc) {
+      flag->set(argv[i]);
+    } else {
+      throw ScenarioError(str(name, " requires a value"));
+    }
   }
   return true;
+}
+
+Flag switch_flag(std::string name, std::string help,
+                 std::function<void()> on) {
+  return {std::move(name), "", std::move(help),
+          [on = std::move(on)](const std::string&) { on(); }};
+}
+
+Flag text_flag(std::string name, std::string value, std::string help,
+               std::string& target) {
+  return {std::move(name), std::move(value), std::move(help),
+          [&target](const std::string& text) { target = text; }};
+}
+
+Flag also(Flag flag, std::function<void()> then) {
+  flag.set = [set = std::move(flag.set),
+              then = std::move(then)](const std::string& text) {
+    set(text);
+    then();
+  };
+  return flag;
+}
+
+std::vector<Flag> join_flags(std::vector<std::vector<Flag>> groups) {
+  std::vector<Flag> flags;
+  for (std::vector<Flag>& group : groups) {
+    for (Flag& flag : group) flags.push_back(std::move(flag));
+  }
+  return flags;
+}
+
+std::vector<Flag> run_option_flags(RunOptions& options) {
+  return {
+      switch_flag("--smoke",
+                  "tiny-scale run of the selection: one small sweep point, "
+                  "1 trial, capped rounds",
+                  [&options] { options.smoke = true; }),
+      int_flag("--sweep-threads", "N",
+               "drain every (scenario x sweep point x column x trial) of the "
+               "selection from one work queue over N workers (default 1; "
+               "results are identical for every N)",
+               options.sweep_threads, 1),
+      int_flag("--threads", "N", "the same as --sweep-threads N",
+               options.sweep_threads, 1),
+      choice_flag("--history", "P",
+                  "history retention per trial: \"lean\" (default; O(n) "
+                  "aggregates, auto-falls back to full for adversaries that "
+                  "read the trace) or \"full\"",
+                  options.history,
+                  {{"full", HistoryPolicy::full},
+                   {"lean", HistoryPolicy::lean}}),
+      choice_flag("--engine", "E",
+                  "kernel path: \"kernel\" (default; batch SoA kernels, "
+                  "scalar-adapter fallback for algorithms without a port) or "
+                  "\"scalar\" (scalar adapter for every algorithm). Results "
+                  "are byte-identical for both",
+                  options.engine,
+                  {{"kernel", EnginePath::kernel},
+                   {"scalar", EnginePath::scalar}}),
+      choice_flag("--rng", "M",
+                  "kernel-path coin streams: \"per-node\" (default; "
+                  "byte-identical to the scalar adapter) or \"word\" "
+                  "(word-parallel block streams, 64 coins per draw ladder; "
+                  "same distribution, different sample paths; requires "
+                  "--engine kernel)",
+                  options.rng,
+                  {{"per-node", RngMode::per_node}, {"word", RngMode::word}}),
+      int_flag("--trials", "N", "override each scenario's trial count",
+               options.trials_override, 1),
+  };
 }
 
 std::vector<const ScenarioSpec*> resolve_selection(
@@ -187,28 +229,29 @@ int run_main(int argc, char** argv,
   options.out = &std::cout;
   bool list_only = false;
   bool run_all = false;
+  const std::vector<Flag> flags = join_flags(
+      {{switch_flag("--list",
+                    "list registered scenarios (grouped by catalog tier, "
+                    "with sweep sizes) and exit",
+                    [&] { list_only = true; }),
+        switch_flag("--all", "run every registered scenario",
+                    [&] { run_all = true; }),
+        text_flag("--json", "FILE",
+                  "also write machine-readable result rows to FILE",
+                  json_path)},
+       run_option_flags(options)});
+  const Command driver{
+      .synopsis = "[scenario-name-or-prefix ...] [options]",
+      .about = "Runs the scenarios named by exact name or prefix "
+               "(\"fig1/oblivious-global\" runs both the clique and line "
+               "sweeps). With no names, a per-bench driver runs its own "
+               "scenarios, and dualcast_bench runs every scenario under "
+               "--smoke or --all.",
+      .epilog = str("\nexperiment-service subcommands (each takes --help):\n",
+                    service::command_list())};
 
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (consume_run_option_flag(argc, argv, i, options)) {
-        continue;
-      } else if (arg == "--list") {
-        list_only = true;
-      } else if (arg == "--all") {
-        run_all = true;
-      } else if (arg == "--json") {
-        if (++i >= argc) throw ScenarioError("--json requires a file path");
-        json_path = argv[i];
-      } else if (arg == "--help" || arg == "-h") {
-        print_usage(std::cout, argv[0]);
-        return 0;
-      } else if (!arg.empty() && arg[0] == '-') {
-        throw ScenarioError(str("unknown option \"", arg, "\""));
-      } else {
-        names.push_back(arg);
-      }
-    }
+    if (!parse_flags(argc, argv, 1, flags, &names, driver)) return 0;
 
     if (list_only) {
       print_list(std::cout);
@@ -226,12 +269,11 @@ int run_main(int argc, char** argv,
       selection = resolve_selection(default_names);
     }
     if (selection.empty()) {
-      print_usage(std::cerr, argv[0]);
+      print_help(std::cerr, argv[0], driver, flags);
       std::cerr << "\n";
       print_list(std::cerr);
       return 1;
     }
-
     // run_scenarios drains every (scenario × point × column × trial) of
     // the whole selection from one shared work queue.
     std::vector<std::string> json_rows;

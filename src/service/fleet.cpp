@@ -153,14 +153,6 @@ std::vector<std::string> job_dirs(const std::string& jobs_dir, util::Fs& fs) {
 
 }  // namespace
 
-Placement parse_placement(const std::string& text) {
-  if (text == "fifo") return Placement::fifo;
-  if (text == "fair") return Placement::fair;
-  if (text == "random") return Placement::random;
-  throw ScenarioError(
-      str("unknown placement \"", text, "\" (expected fifo|fair|random)"));
-}
-
 const char* to_string(Placement placement) {
   switch (placement) {
     case Placement::fifo: return "fifo";

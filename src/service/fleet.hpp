@@ -47,8 +47,6 @@ namespace dualcast::service {
 
 enum class Placement { fifo, fair, random };
 
-/// Parses "fifo" | "fair" | "random"; throws ScenarioError otherwise.
-Placement parse_placement(const std::string& text);
 const char* to_string(Placement placement);
 
 // --- membership --------------------------------------------------------

@@ -1,11 +1,9 @@
 #include "service/service_cli.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -23,52 +21,32 @@
 namespace dualcast::service {
 namespace {
 
+using scenario::also;
+using scenario::choice_flag;
+using scenario::Command;
+using scenario::Flag;
+using scenario::int_flag;
+using scenario::join_flags;
+using scenario::parse_flags;
 using scenario::ScenarioError;
+using scenario::switch_flag;
+using scenario::text_flag;
 
 // Shared default so `serve` runs and later `merge` invocations populate
 // and hit the same cache without plumbing.
 constexpr const char* kDefaultCacheDir = ".dualcast-cache";
+
+/// The disk-pressure ladder compares free space with 4x the watermark and
+/// the soak drill writes 10x, so the watermark is bounded to keep both in
+/// range.
+constexpr std::int64_t kMaxFreeBytesWatermark =
+    std::numeric_limits<std::int64_t>::max() / 10;
 
 /// Set by the SIGTERM/SIGINT handler; polled by daemon/worker loops so a
 /// terminated daemon releases its leases instead of abandoning them.
 std::atomic<bool> g_stop{false};
 
 void request_stop(int) { g_stop.store(true); }
-
-const char* flag_value(const std::string& flag, int argc, char** argv,
-                       int& i) {
-  if (++i >= argc) throw ScenarioError(str(flag, " requires a value"));
-  return argv[i];
-}
-
-/// Like parse_int_flag but admits 0 (for --workers 0 = submit-only and
-/// --fault-crash-op 0 = crash at the very first filesystem operation).
-int parse_nonneg_flag(const std::string& flag, const char* value) {
-  if (value == nullptr) throw ScenarioError(str(flag, " requires a value"));
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < 0 ||
-      parsed > std::numeric_limits<int>::max()) {
-    throw ScenarioError(str(flag, ": bad value \"", value, "\""));
-  }
-  return static_cast<int>(parsed);
-}
-
-/// Signed flags (--clock-skew may be negative — a box whose clock runs
-/// behind the fleet is exactly the interesting case).
-int parse_signed_flag(const std::string& flag, const char* value) {
-  if (value == nullptr) throw ScenarioError(str(flag, " requires a value"));
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      parsed < std::numeric_limits<int>::min() ||
-      parsed > std::numeric_limits<int>::max()) {
-    throw ScenarioError(str(flag, ": bad value \"", value, "\""));
-  }
-  return static_cast<int>(parsed);
-}
 
 /// The worker/daemon test-decorator stack, outermost first:
 /// DeadlineFs (per-op IO budget) → FaultyFs (injected death / targeted
@@ -147,255 +125,103 @@ struct EnvStack {
   }
 };
 
-/// Byte-sized flags (--cache-max-bytes) need the full unsigned range.
-std::uint64_t parse_u64_flag(const std::string& flag, const char* value) {
-  if (value == nullptr) throw ScenarioError(str(flag, " requires a value"));
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      (value[0] == '-')) {
-    throw ScenarioError(str(flag, ": bad value \"", value, "\""));
-  }
-  return static_cast<std::uint64_t>(parsed);
+/// The test-decorator flags worker and daemon share (see EnvStack); the
+/// CI fault matrix and the shared-fs and fail-slow drills drive them.
+std::vector<Flag> decorator_flags(EnvStack::Params& p) {
+  return {
+      int_flag("--op-deadline", "S",
+               "per-logical-op IO budget in seconds: an op still unfinished "
+               "past it becomes a transient ETIMEDOUT (0 = unbounded)",
+               p.op_deadline_seconds, 0, std::numeric_limits<int>::max()),
+      int_flag("--fault-crash-op", "N",
+               "test hook: die (uncatchable, like kill -9) at the N-th "
+               "filesystem operation this process performs",
+               p.fault_crash_op, 0),
+      int_flag("--slow-fs-ms", "M",
+               "test hook: every filesystem op takes an extra M ms (a "
+               "uniformly slow mount)",
+               p.slow_fs_ms, 0),
+      int_flag("--stall-append", "N",
+               "test hook: the N-th append to a shard record (i.e. "
+               "mid-lease) hangs for --stall-ms",
+               p.stall_append, 0),
+      int_flag("--stall-ms", "M", "length of the --stall-append hang in ms",
+               p.stall_ms, 0),
+      also(int_flag("--fs-sim-seed", "S",
+                    "test hook: run behind a SharedFsSim NFS-client view "
+                    "(seeded staleness windows, delayed directory entries, "
+                    "ESTALE on unlinked-under-handle reads)",
+                    p.fs_sim_seed, 0),
+           [&p] { p.fs_sim = true; }),
+      int_flag("--fs-sim-stale-ops", "N",
+               "max staleness window in view ops (default 6)",
+               p.fs_sim_stale_ops, 0),
+  };
 }
 
-void print_service_usage(std::ostream& os, const char* binary) {
-  os << "experiment service subcommands:\n"
-        "\n"
-        "  " << binary
-     << " serve <names...> [run options] [serve options]\n"
-        "      Cached/sharded run of a scenario selection. Scenarios whose\n"
-        "      results are in the cache are served without recomputation;\n"
-        "      the rest become a persistent job measured by worker threads\n"
-        "      and merged into rows byte-identical to a plain run.\n"
-        "      Run options: --smoke --trials N --engine E --rng M\n"
-        "                   --history P (as in the plain driver)\n"
-        "      Serve options:\n"
-        "        --workers N      in-process worker threads (default 1);\n"
-        "                         0 = submit the job and exit (then run\n"
-        "                         `worker` processes + `merge`)\n"
-        "        --job-dir D      job directory (default\n"
-        "                         .dualcast-jobs/<job-key>)\n"
-        "        --cache-dir C    result cache (default " << kDefaultCacheDir
-     << ")\n"
-        "        --no-cache       disable the result cache\n"
-        "        --cache-max-bytes B\n"
-        "                         evict least-recently-used cache entries\n"
-        "                         past this budget (0 = unbounded)\n"
-        "        --verify-cache   recompute cached scenarios and fail on\n"
-        "                         any row mismatch\n"
-        "        --shard-tasks K  flat tasks per shard (default 16)\n"
-        "        --lease-ttl S    lease lifetime in seconds (default 60;\n"
-        "                         0 = a dead worker is instantly stealable)\n"
-        "        --json FILE      write merged result rows to FILE\n"
-        "\n"
-        "  " << binary
-     << " worker --job-dir D [--owner TOKEN] [--max-shards N]\n"
-        "      Lease and measure shards of an existing job until none is\n"
-        "      claimable. Any number of worker processes may run at once;\n"
-        "      a restarted worker resumes from the shard logs and\n"
-        "      quarantines corrupt ones. Leases are heartbeat-renewed at\n"
-        "      TTL/3; transient IO errors are retried with backoff.\n"
-        "      --op-deadline S     per-logical-op IO budget in seconds:\n"
-        "                          an op still unfinished past it becomes\n"
-        "                          a transient ETIMEDOUT (0 = unbounded)\n"
-        "      --fault-crash-op N  test hook: die (uncatchable, like\n"
-        "                          kill -9) at the N-th filesystem\n"
-        "                          operation this worker performs\n"
-        "      --stall-append N --stall-ms M\n"
-        "                          test hook: the N-th append to a shard\n"
-        "                          record (i.e. mid-lease) hangs for M ms\n"
-        "      --slow-fs-ms M      test hook: every filesystem op takes an\n"
-        "                          extra M ms (a uniformly slow mount)\n"
-        "      --fs-sim-seed S     test hook: run behind a SharedFsSim\n"
-        "                          NFS-client view (seeded staleness\n"
-        "                          windows, delayed directory entries,\n"
-        "                          ESTALE on unlinked-under-handle reads)\n"
-        "      --fs-sim-stale-ops N\n"
-        "                          max staleness window in view ops\n"
-        "                          (default 6)\n"
-        "\n"
-        "  " << binary
-     << " daemon --jobs-dir D [daemon options]\n"
-        "      Watch D for dropped job directories, work them to\n"
-        "      completion, and merge results into the cache. Polling\n"
-        "      backs off while idle. The daemon publishes a fleet\n"
-        "      membership file under D/fleet/ (heartbeat at TTL/3) and\n"
-        "      runs a gc sweep at the same cadence. SIGTERM/SIGINT stop\n"
-        "      cleanly with all leases released and the member file\n"
-        "      removed.\n"
-        "        --cache-dir C / --no-cache / --cache-max-bytes B\n"
-        "                         as in serve (unwritable cache degrades\n"
-        "                         to compute-without-cache with a warning)\n"
-        "        --owner TOKEN    lease owner token == fleet member id\n"
-        "        --poll-ms M      idle backoff start (default 100)\n"
-        "        --max-poll-ms M  idle backoff cap (default 2000)\n"
-        "        --max-cycles N   exit after N poll cycles (default: run\n"
-        "                         until signalled)\n"
-        "        --placement P    fifo | fair | random (default fifo):\n"
-        "                         how shard claims spread across jobs;\n"
-        "                         fair interleaves one shard at a time\n"
-        "                         with aging + a per-job in-flight cap\n"
-        "        --inflight-cap N under fair: prefer jobs holding fewer\n"
-        "                         than N unexpired leases fleet-wide\n"
-        "                         (default 2; soft — never starves)\n"
-        "        --member-ttl S   membership heartbeat TTL (default 15)\n"
-        "        --seed S         placement jitter seed (default: derived\n"
-        "                         from the owner token)\n"
-        "        --cores N        advertise N cores in the member record\n"
-        "                         (default: probe the machine); feeds the\n"
-        "                         fair-placement claim budget\n"
-        "        --load100 L      advertise load average x100 (default:\n"
-        "                         probe, re-sampled at each heartbeat)\n"
-        "        --min-free-bytes B\n"
-        "                         disk-pressure ladder watermark: as free\n"
-        "                         space on the jobs-dir filesystem shrinks\n"
-        "                         below 4x/2x/1x B the daemon sheds its\n"
-        "                         cache, stops claiming, then parks; freed\n"
-        "                         space walks it back up (0 = off)\n"
-        "        --free-bytes-file F\n"
-        "                         test hook: probe free bytes from file F\n"
-        "                         instead of statvfs\n"
-        "        --op-deadline S  per-logical-op IO budget, as in worker\n"
-        "        --clock-skew S   test hook: offset this daemon's wall\n"
-        "                         clock by S seconds (negative allowed)\n"
-        "        --fault-crash-op N\n"
-        "                         test hook: die (uncatchable, like\n"
-        "                         kill -9) at the N-th filesystem\n"
-        "                         operation this daemon performs\n"
-        "        --stall-append N --stall-ms M / --slow-fs-ms M\n"
-        "                         test hooks: mid-lease hang / uniformly\n"
-        "                         slow mount, as in worker\n"
-        "        --fs-sim-seed S / --fs-sim-stale-ops N\n"
-        "                         test hook: run behind a SharedFsSim\n"
-        "                         NFS-client view, as in worker\n"
-        "\n"
-        "  " << binary
-     << " merge --job-dir D [--json FILE] [--cache-dir C] [--no-cache]\n"
-        "        [--cache-max-bytes B]\n"
-        "      Reassemble a complete job's shard records into result rows\n"
-        "      (byte-identical to a single-process run) and populate the\n"
-        "      result cache. Exits nonzero, naming the shard and line, if\n"
-        "      any shard log is corrupt or the job is incomplete.\n"
-        "\n"
-        "  " << binary
-     << " status --job-dir D | --jobs-dir D [--json FILE]\n"
-        "      --job-dir: report one job's shards, leases (with age and\n"
-        "      last-progress age — a big gap on a live lease is a\n"
-        "      fail-slow holder; STALE when expired), quarantines, and\n"
-        "      progress.\n"
-        "      --jobs-dir: the fleet view — every member daemon\n"
-        "      (live/STALE, heartbeat age, host/cores/load, shards/sec,\n"
-        "      disk-pressure state, held leases) and every job's progress\n"
-        "      with per-lease owner/age/progress lines.\n"
-        "      --json FILE: with --jobs-dir, also write the fleet view as\n"
-        "      deterministic machine-readable JSON (\"-\" = stdout).\n"
-        "\n"
-        "  " << binary
-     << " gc --jobs-dir D [--dry-run]\n"
-        "      One garbage-collection sweep: reap stale fleet members,\n"
-        "      reclaim expired lease debris (done shards or stale\n"
-        "      owners), delete quarantined shard logs whose recomputed\n"
-        "      replacement passed CRC verification. Daemons run this\n"
-        "      sweep automatically at heartbeat cadence.\n"
-        "      --dry-run: print what would be reclaimed without mutating\n"
-        "      anything.\n"
-        "\n"
-        "  " << binary
-     << " soak [--daemons N] [--kill-seed S] [soak options]\n"
-        "      Fleet kill-storm drill: drop one big + several small jobs\n"
-        "      in a fresh directory, spawn N real daemon processes, and\n"
-        "      SIGKILL/restart them on a seeded schedule while they\n"
-        "      drain. Exits nonzero unless every job completes, every\n"
-        "      merge is byte-identical to a single-process run, and (when\n"
-        "      kills happened) at least one lease steal was observed.\n"
-        "        --daemons N / --kills N / --kill-interval-ms M\n"
-        "        --kill-seed S    seeds the victim sequence (replayable)\n"
-        "        --placement P    fleet placement policy (default fair)\n"
-        "        --small-jobs N / --big-trials T / --small-trials T\n"
-        "        --shard-tasks K / --lease-ttl S / --member-ttl S\n"
-        "        --dir D          working directory (default\n"
-        "                         .dualcast-soak; wiped at start)\n"
-        "        --timeout S      liveness deadline (default 300)\n"
-        "        --fault-crash-op N\n"
-        "                         also arm each first-generation daemon\n"
-        "                         with the FaultyFs crash hook\n"
-        "        --sim            run every daemon behind its own\n"
-        "                         SharedFsSim NFS-client view of the jobs\n"
-        "                         directory (respawns get cold caches)\n"
-        "        --fs-sim-seed S / --fs-sim-stale-ops N\n"
-        "                         view-skew base seed / max staleness\n"
-        "                         window (both imply --sim)\n"
-        "        --clock-skew S   spread daemon wall clocks across\n"
-        "                         [-S, +S] seconds\n"
-        "        --slow [--slow-fs-ms M]\n"
-        "                         run every daemon behind a uniformly slow\n"
-        "                         mount (default 2ms per op)\n"
-        "        --stall-seed S [--stall-ms M]\n"
-        "                         arm one seeded mid-lease append hang per\n"
-        "                         daemon generation, long enough (default\n"
-        "                         lease TTL + 1s) that the lease lapses, a\n"
-        "                         peer steals it, and the holder fences\n"
-        "                         itself on waking\n"
-        "        --disk-pressure [--min-free-bytes B]\n"
-        "                         squeeze a shared free-bytes file to zero\n"
-        "                         mid-storm and restore it; every daemon\n"
-        "                         must walk the degradation ladder down\n"
-        "                         and back up\n"
-        "        --no-require-steal\n"
-        "                         don't fail when kills produced no steal\n";
+/// The result-cache flags serve, daemon and merge share.
+std::vector<Flag> cache_flags(std::string& cache_dir,
+                              std::uint64_t& max_bytes) {
+  return {
+      text_flag("--cache-dir", "C",
+                str("result cache (default ", kDefaultCacheDir, ")"),
+                cache_dir),
+      switch_flag("--no-cache", "disable the result cache",
+                  [&cache_dir] { cache_dir.clear(); }),
+      int_flag("--cache-max-bytes", "B",
+               "evict least-recently-used cache entries past this budget "
+               "(0 = unbounded)",
+               max_bytes, 0),
+  };
 }
 
-int serve_main(int argc, char** argv) {
+Flag placement_flag(std::string help, Placement& target) {
+  return choice_flag("--placement", "P", std::move(help), target,
+                     {{"fifo", Placement::fifo},
+                      {"fair", Placement::fair},
+                      {"random", Placement::random}});
+}
+
+int serve_main(int argc, char** argv, const Command& command) {
   std::vector<std::string> names;
   scenario::RunOptions run_options;
   ServeOptions options;
   options.cache_dir = kDefaultCacheDir;
   options.out = &std::cout;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string flag = arg.substr(0, arg.find('='));
-    if (flag == "--threads" || flag == "--sweep-threads") {
-      throw ScenarioError(str("serve: ", flag,
-                              " does not apply; serve measures shards on "
-                              "--workers N threads"));
-    } else if (scenario::consume_run_option_flag(argc, argv, i,
-                                                 run_options)) {
-      continue;
-    } else if (arg == "--job-dir") {
-      options.job_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--cache-dir") {
-      options.cache_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--no-cache") {
-      options.cache_dir.clear();
-    } else if (arg == "--cache-max-bytes") {
-      options.cache_max_bytes =
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--verify-cache") {
-      options.verify_cache = true;
-    } else if (arg == "--json") {
-      options.json_path = flag_value(arg, argc, argv, i);
-    } else if (arg == "--workers") {
-      options.workers =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--shard-tasks") {
-      options.shard_tasks =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--lease-ttl") {
-      // 0 is meaningful: a dead worker's lease is instantly stealable —
-      // what crash-drill jobs want, since resume never waits out a TTL.
-      options.lease_ttl_seconds =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--help" || arg == "-h") {
-      print_service_usage(std::cout, argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw ScenarioError(str("serve: unknown option \"", arg, "\""));
-    } else {
-      names.push_back(arg);
-    }
+  // serve's parallelism is --workers N: a thread flag is rejected, not
+  // accepted and silently run on one worker.
+  std::vector<Flag> run_flags = scenario::run_option_flags(run_options);
+  for (Flag& flag : run_flags) {
+    if (!flag.name.ends_with("-threads")) continue;
+    flag.help = "does not apply; serve measures shards on --workers N threads";
+    flag.set = [name = flag.name, why = flag.help](const std::string&) {
+      throw ScenarioError(str("serve: ", name, " ", why));
+    };
   }
+  const std::vector<Flag> flags = join_flags(
+      {run_flags,
+       {int_flag("--workers", "N",
+                 "in-process worker threads (default 1); 0 = submit the job "
+                 "and exit (then run `worker` processes + `merge`)",
+                 options.workers, 0),
+        text_flag("--job-dir", "D",
+                  "job directory (default .dualcast-jobs/<job-key>)",
+                  options.job_dir)},
+       cache_flags(options.cache_dir, options.cache_max_bytes),
+       {switch_flag("--verify-cache",
+                    "recompute cached scenarios and fail on any row mismatch",
+                    [&options] { options.verify_cache = true; }),
+        int_flag("--shard-tasks", "K", "flat tasks per shard (default 16)",
+                 options.shard_tasks, 1),
+        // 0 is meaningful: a dead worker's lease is instantly stealable —
+        // what crash-drill jobs want, since resume never waits out a TTL.
+        int_flag("--lease-ttl", "S",
+                 "lease lifetime in seconds (default 60; 0 = a dead worker "
+                 "is instantly stealable)",
+                 options.lease_ttl_seconds, 0),
+        text_flag("--json", "FILE", "write merged result rows to FILE",
+                  options.json_path)}});
+  if (!parse_flags(argc, argv, 2, flags, &names, command)) return 0;
   if (names.empty()) {
     throw ScenarioError("serve: name at least one scenario (or a prefix)");
   }
@@ -403,57 +229,22 @@ int serve_main(int argc, char** argv) {
   return 0;
 }
 
-int worker_main(int argc, char** argv) {
+int worker_main(int argc, char** argv, const Command& command) {
   std::string job_dir;
   EnvStack::Params stack_params;
   WorkerOptions options;
   options.log = &std::cout;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--job-dir") {
-      job_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--owner") {
-      options.owner = flag_value(arg, argc, argv, i);
-    } else if (arg == "--max-shards") {
-      options.max_shards =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--op-deadline") {
-      stack_params.op_deadline_seconds =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fault-crash-op") {
-      stack_params.fault_crash_op =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--slow-fs-ms") {
-      stack_params.slow_fs_ms =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--stall-append") {
-      stack_params.stall_append =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--stall-ms") {
-      stack_params.stall_ms =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fs-sim-seed") {
-      stack_params.fs_sim = true;
-      stack_params.fs_sim_seed =
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fs-sim-stale-ops") {
-      stack_params.fs_sim_stale_ops =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--help" || arg == "-h") {
-      print_service_usage(std::cout, argv[0]);
-      return 0;
-    } else {
-      throw ScenarioError(str("worker: unknown argument \"", arg, "\""));
-    }
-  }
+  const std::vector<Flag> flags = join_flags(
+      {{text_flag("--job-dir", "D", "the job to work (required)", job_dir),
+        text_flag("--owner", "TOKEN", "lease owner token (default pid<pid>)",
+                  options.owner),
+        int_flag("--max-shards", "N",
+                 "stop after completing N shards (default: run until no "
+                 "shard is claimable)",
+                 options.max_shards, 1)},
+       decorator_flags(stack_params)});
+  if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   if (job_dir.empty()) throw ScenarioError("worker: --job-dir is required");
-  // Test decorators: --fault-crash-op wraps this process's filesystem in
-  // a FaultyFs so the injected death is indistinguishable (to the job
-  // directory) from a kill at that syscall; --stall-append/--stall-ms arm
-  // a mid-lease hang instead; --slow-fs-ms taxes every op; --op-deadline
-  // bounds each logical op; --fs-sim-seed additionally puts the process
-  // behind its own simulated NFS-client view — the CI fault matrix and
-  // shared-fs/fail-slow smokes drive these flags.
   EnvStack stack;
   stack.build(stack_params);
   options.op_deadline_seconds = stack_params.op_deadline_seconds;
@@ -478,99 +269,69 @@ int worker_main(int argc, char** argv) {
   return 0;
 }
 
-int daemon_main(int argc, char** argv) {
+int daemon_main(int argc, char** argv, const Command& command) {
   DaemonOptions options;
   options.cache_dir = kDefaultCacheDir;
   options.log = &std::cout;
   EnvStack::Params stack_params;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs-dir") {
-      options.jobs_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--cache-dir") {
-      options.cache_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--no-cache") {
-      options.cache_dir.clear();
-    } else if (arg == "--cache-max-bytes") {
-      options.cache_max_bytes =
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--owner") {
-      options.owner = flag_value(arg, argc, argv, i);
-    } else if (arg == "--poll-ms") {
-      options.poll_initial_ms =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--max-poll-ms") {
-      options.poll_max_ms =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--max-cycles") {
-      options.max_cycles =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--placement") {
-      options.placement =
-          parse_placement(flag_value(arg, argc, argv, i));
-    } else if (arg == "--inflight-cap") {
-      options.inflight_cap =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--member-ttl") {
-      options.member_ttl_seconds =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--seed") {
-      options.seed = parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--cores") {
-      options.resources.cores =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--load100") {
-      options.resources.load100 =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--clock-skew") {
-      stack_params.clock_skew_seconds =
-          parse_signed_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--min-free-bytes") {
-      options.min_free_bytes = static_cast<std::int64_t>(
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i)));
-    } else if (arg == "--free-bytes-file") {
-      options.free_bytes_file = flag_value(arg, argc, argv, i);
-    } else if (arg == "--op-deadline") {
-      stack_params.op_deadline_seconds =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fault-crash-op") {
-      stack_params.fault_crash_op =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--slow-fs-ms") {
-      stack_params.slow_fs_ms =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--stall-append") {
-      stack_params.stall_append =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--stall-ms") {
-      stack_params.stall_ms =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fs-sim-seed") {
-      stack_params.fs_sim = true;
-      stack_params.fs_sim_seed =
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fs-sim-stale-ops") {
-      stack_params.fs_sim_stale_ops =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--help" || arg == "-h") {
-      print_service_usage(std::cout, argv[0]);
-      return 0;
-    } else {
-      throw ScenarioError(str("daemon: unknown argument \"", arg, "\""));
-    }
-  }
+  const std::vector<Flag> flags = join_flags(
+      {{text_flag("--jobs-dir", "D", "the directory to watch (required)",
+                  options.jobs_dir)},
+       cache_flags(options.cache_dir, options.cache_max_bytes),
+       {text_flag("--owner", "TOKEN",
+                  "lease owner token == fleet member id (default pid<pid>.d)",
+                  options.owner),
+        int_flag("--poll-ms", "M", "idle backoff start (default 100)",
+                 options.poll_initial_ms, 1),
+        int_flag("--max-poll-ms", "M", "idle backoff cap (default 2000)",
+                 options.poll_max_ms, 1),
+        int_flag("--max-cycles", "N",
+                 "exit after N poll cycles (default: run until signalled)",
+                 options.max_cycles, 0),
+        placement_flag("fifo | fair | random (default fifo): how shard "
+                       "claims spread across jobs; fair interleaves one "
+                       "shard at a time with aging + a per-job in-flight cap",
+                       options.placement),
+        int_flag("--inflight-cap", "N",
+                 "under fair: prefer jobs holding fewer than N unexpired "
+                 "leases fleet-wide (default 2; soft — never starves)",
+                 options.inflight_cap, 1),
+        int_flag("--member-ttl", "S", "membership heartbeat TTL (default 15)",
+                 options.member_ttl_seconds, 1),
+        int_flag("--seed", "S",
+                 "placement jitter seed (default: derived from the owner "
+                 "token)",
+                 options.seed, 0),
+        int_flag("--cores", "N",
+                 "advertise N cores in the member record (default: probe "
+                 "the machine); feeds the fair-placement claim budget",
+                 options.resources.cores, 1),
+        int_flag("--load100", "L",
+                 "advertise load average x100 (default: probe, re-sampled "
+                 "at each heartbeat)",
+                 options.resources.load100, 0),
+        int_flag("--clock-skew", "S",
+                 "test hook: offset this daemon's wall clock by S seconds "
+                 "(negative allowed)",
+                 stack_params.clock_skew_seconds,
+                 std::numeric_limits<int>::min()),
+        int_flag("--min-free-bytes", "B",
+                 "disk-pressure ladder watermark: as free space on the "
+                 "jobs-dir filesystem shrinks below 4x/2x/1x B the daemon "
+                 "sheds its cache, stops claiming, then parks; freed space "
+                 "walks it back up (0 = off)",
+                 options.min_free_bytes, 0, kMaxFreeBytesWatermark),
+        text_flag("--free-bytes-file", "F",
+                  "test hook: probe free bytes from file F instead of statvfs",
+                  options.free_bytes_file)},
+       decorator_flags(stack_params)});
+  if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   if (options.jobs_dir.empty()) {
     throw ScenarioError("daemon: --jobs-dir is required");
   }
   // Unbuffered progress: a SIGKILLed daemon (the soak harness's whole
   // point) must not take its logged steal/claim evidence down with it.
   std::cout << std::unitbuf;
-  // Test decorators, mirroring the worker's: FaultyFs so the injected
-  // death (or mid-lease stall) is indistinguishable from a kill or hung
-  // mount at that syscall, SlowFs for uniform latency, DeadlineFs for
-  // per-op budgets, SharedFsSim so this daemon runs behind one simulated
-  // NFS-client view of the jobs directory, and OffsetClock so its wall
-  // clock disagrees with the fleet's by a fixed skew.
   EnvStack stack;
   stack.build(stack_params);
   options.op_deadline_seconds = stack_params.op_deadline_seconds;
@@ -614,22 +375,17 @@ int daemon_main(int argc, char** argv) {
   return 0;
 }
 
-int gc_main(int argc, char** argv) {
+int gc_main(int argc, char** argv, const Command& command) {
   std::string jobs_dir;
   bool dry_run = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs-dir") {
-      jobs_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--dry-run") {
-      dry_run = true;
-    } else if (arg == "--help" || arg == "-h") {
-      print_service_usage(std::cout, argv[0]);
-      return 0;
-    } else {
-      throw ScenarioError(str("gc: unknown argument \"", arg, "\""));
-    }
-  }
+  const std::vector<Flag> flags = {
+      text_flag("--jobs-dir", "D", "the jobs directory to sweep (required)",
+                jobs_dir),
+      switch_flag("--dry-run",
+                  "print what would be reclaimed without mutating anything",
+                  [&dry_run] { dry_run = true; }),
+  };
+  if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   if (jobs_dir.empty()) throw ScenarioError("gc: --jobs-dir is required");
   const GcReport report = gc_sweep(jobs_dir, {}, &std::cout, dry_run);
   if (dry_run) {
@@ -647,117 +403,108 @@ int gc_main(int argc, char** argv) {
   return 0;
 }
 
-int soak_main(int argc, char** argv) {
+int soak_main(int argc, char** argv, const Command& command) {
   SoakOptions options;
   options.log = &std::cout;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--daemons") {
-      options.daemons =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--kill-seed") {
-      options.kill_seed =
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--kills") {
-      options.kills = parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--kill-interval-ms") {
-      options.kill_interval_ms =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--placement") {
-      options.placement = parse_placement(flag_value(arg, argc, argv, i));
-    } else if (arg == "--small-jobs") {
-      options.small_jobs =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--big-trials") {
-      options.big_trials =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--small-trials") {
-      options.small_trials =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--shard-tasks") {
-      options.shard_tasks =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--lease-ttl") {
-      options.lease_ttl_seconds =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--member-ttl") {
-      options.member_ttl_seconds =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--dir") {
-      options.dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--timeout") {
-      options.timeout_seconds =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fault-crash-op") {
-      options.fault_crash_op =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--sim") {
-      options.sim = true;
-    } else if (arg == "--fs-sim-seed") {
-      options.sim = true;
-      options.fs_sim_seed =
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--fs-sim-stale-ops") {
-      options.sim = true;
-      options.fs_sim_stale_ops =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--clock-skew") {
-      options.clock_skew_seconds =
-          parse_nonneg_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--slow") {
+  const auto sim = [&options] { options.sim = true; };
+  const std::vector<Flag> flags = {
+      int_flag("--daemons", "N", "daemon processes in the fleet (default 4)",
+               options.daemons, 1),
+      int_flag("--kill-seed", "S",
+               "seeds the victim sequence (replayable; default 7)",
+               options.kill_seed, 0),
+      int_flag("--kills", "N",
+               "SIGKILLs delivered across the storm (default 6)",
+               options.kills, 0),
+      int_flag("--kill-interval-ms", "M", "pause between kills (default 600)",
+               options.kill_interval_ms, 1),
+      placement_flag("fleet placement policy: fifo, fair or random (default "
+                     "fair)",
+                     options.placement),
+      int_flag("--small-jobs", "N",
+               "small jobs dropped beside the big one (default 2)",
+               options.small_jobs, 0),
+      int_flag("--big-trials", "T", "the big job's trial count (default 40)",
+               options.big_trials, 1),
+      int_flag("--small-trials", "T",
+               "the first small job's trial count; each next one runs one "
+               "more (default 4)",
+               options.small_trials, 1),
+      int_flag("--shard-tasks", "K", "flat tasks per shard (default 5)",
+               options.shard_tasks, 1),
+      int_flag("--lease-ttl", "S", "lease lifetime in seconds (default 2)",
+               options.lease_ttl_seconds, 0),
+      int_flag("--member-ttl", "S", "membership heartbeat TTL (default 4)",
+               options.member_ttl_seconds, 1),
+      text_flag("--dir", "D",
+                "working directory (default .dualcast-soak; wiped at start)",
+                options.dir),
+      int_flag("--timeout", "S", "liveness deadline in seconds (default 300)",
+               options.timeout_seconds, 1),
+      int_flag("--fault-crash-op", "N",
+               "also arm each first-generation daemon with the FaultyFs "
+               "crash hook",
+               options.fault_crash_op, 0),
+      switch_flag("--sim",
+                  "run every daemon behind its own SharedFsSim NFS-client "
+                  "view of the jobs directory (respawns get cold caches)",
+                  sim),
+      also(int_flag("--fs-sim-seed", "S", "view-skew base seed (implies --sim)",
+                    options.fs_sim_seed, 0),
+           sim),
+      also(int_flag("--fs-sim-stale-ops", "N",
+                    "max staleness window in view ops (implies --sim)",
+                    options.fs_sim_stale_ops, 0),
+           sim),
+      int_flag("--clock-skew", "S",
+               "spread daemon wall clocks across [-S, +S] seconds",
+               options.clock_skew_seconds, 0),
       // Default slow-mount tax; --slow-fs-ms overrides the amount.
-      if (options.slow_fs_ms == 0) options.slow_fs_ms = 2;
-    } else if (arg == "--slow-fs-ms") {
-      options.slow_fs_ms =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--stall-seed") {
-      options.stall_seed =
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--stall-ms") {
-      options.stall_ms =
-          scenario::parse_int_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--disk-pressure") {
-      options.disk_pressure = true;
-    } else if (arg == "--min-free-bytes") {
-      options.min_free_bytes = static_cast<std::int64_t>(
-          parse_u64_flag(arg, flag_value(arg, argc, argv, i)));
-    } else if (arg == "--no-require-steal") {
-      options.require_steal = false;
-    } else if (arg == "--help" || arg == "-h") {
-      print_service_usage(std::cout, argv[0]);
-      return 0;
-    } else {
-      throw ScenarioError(str("soak: unknown argument \"", arg, "\""));
-    }
-  }
+      switch_flag("--slow",
+                  "run every daemon behind a uniformly slow mount (default "
+                  "2 ms per op)",
+                  [&options] {
+                    if (options.slow_fs_ms == 0) options.slow_fs_ms = 2;
+                  }),
+      int_flag("--slow-fs-ms", "M", "the slow mount's extra ms per op",
+               options.slow_fs_ms, 1),
+      int_flag("--stall-seed", "S",
+               "arm one seeded mid-lease append hang per daemon generation, "
+               "long enough that the lease lapses, a peer steals it, and "
+               "the holder fences itself on waking",
+               options.stall_seed, 0),
+      int_flag("--stall-ms", "M",
+               "length of the --stall-seed hang in ms (default lease TTL + "
+               "1 s)",
+               options.stall_ms, 1),
+      switch_flag("--disk-pressure",
+                  "squeeze a shared free-bytes file to zero mid-storm and "
+                  "restore it; every daemon must walk the degradation "
+                  "ladder down and back up",
+                  [&options] { options.disk_pressure = true; }),
+      int_flag("--min-free-bytes", "B",
+               "the --disk-pressure ladder watermark (default 1 MiB)",
+               options.min_free_bytes, 0, kMaxFreeBytesWatermark),
+      switch_flag("--no-require-steal",
+                  "don't fail when kills produced no steal",
+                  [&options] { options.require_steal = false; }),
+  };
+  if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   const SoakReport report = run_soak(options);
   return report.ok ? 0 : 1;
 }
 
-int merge_main(int argc, char** argv) {
+int merge_main(int argc, char** argv, const Command& command) {
   std::string job_dir;
   std::string json_path;
   std::string cache_dir = kDefaultCacheDir;
   std::uint64_t cache_max_bytes = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--job-dir") {
-      job_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--json") {
-      json_path = flag_value(arg, argc, argv, i);
-    } else if (arg == "--cache-dir") {
-      cache_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--no-cache") {
-      cache_dir.clear();
-    } else if (arg == "--cache-max-bytes") {
-      cache_max_bytes = parse_u64_flag(arg, flag_value(arg, argc, argv, i));
-    } else if (arg == "--help" || arg == "-h") {
-      print_service_usage(std::cout, argv[0]);
-      return 0;
-    } else {
-      throw ScenarioError(str("merge: unknown argument \"", arg, "\""));
-    }
-  }
+  const std::vector<Flag> flags = join_flags(
+      {{text_flag("--job-dir", "D", "the job to merge (required)", job_dir),
+        text_flag("--json", "FILE", "write the merged result rows to FILE",
+                  json_path)},
+       cache_flags(cache_dir, cache_max_bytes)});
+  if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   if (job_dir.empty()) throw ScenarioError("merge: --job-dir is required");
   JobStore store = JobStore::open(job_dir);
   JobRuntime runtime(store);
@@ -784,25 +531,29 @@ int merge_main(int argc, char** argv) {
   return 0;
 }
 
-int status_main(int argc, char** argv) {
+int status_main(int argc, char** argv, const Command& command) {
   std::string job_dir;
   std::string jobs_dir;
   std::string json_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--job-dir") {
-      job_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--jobs-dir") {
-      jobs_dir = flag_value(arg, argc, argv, i);
-    } else if (arg == "--json") {
-      json_path = flag_value(arg, argc, argv, i);
-    } else if (arg == "--help" || arg == "-h") {
-      print_service_usage(std::cout, argv[0]);
-      return 0;
-    } else {
-      throw ScenarioError(str("status: unknown argument \"", arg, "\""));
-    }
-  }
+  const std::vector<Flag> flags = {
+      text_flag("--job-dir", "D",
+                "report one job's shards, leases (with age and "
+                "last-progress age — a big gap on a live lease is a "
+                "fail-slow holder; STALE when expired), quarantines, and "
+                "progress",
+                job_dir),
+      text_flag("--jobs-dir", "D",
+                "the fleet view: every member daemon (live/STALE, heartbeat "
+                "age, host/cores/load, shards/sec, disk-pressure state, held "
+                "leases) and every job's progress with per-lease "
+                "owner/age/progress lines",
+                jobs_dir),
+      text_flag("--json", "FILE",
+                "with --jobs-dir, also write the fleet view as deterministic "
+                "machine-readable JSON (\"-\" = stdout)",
+                json_path),
+  };
+  if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   if (!jobs_dir.empty()) {
     if (!json_path.empty()) {
       const std::string json = fleet_status_json(jobs_dir);
@@ -828,26 +579,108 @@ int status_main(int argc, char** argv) {
   return 0;
 }
 
+/// The subcommand table: what --help prints for each, and what runs it.
+struct Subcommand {
+  Command command;
+  std::string summary;  ///< its line in the driver's --help
+  int (*run)(int argc, char** argv, const Command& command);
+};
+
+const std::vector<Subcommand>& subcommands() {
+  static const std::vector<Subcommand> table = {
+      {{.name = "serve",
+        .synopsis = "<names...> [options]",
+        .about = "Cached/sharded run of a scenario selection. Scenarios "
+                 "whose results are in the cache are served without "
+                 "recomputation; the rest become a persistent job measured "
+                 "by worker threads and merged into rows byte-identical to "
+                 "a plain run. The run options are the plain driver's."},
+       "cached/sharded run of a selection (byte-identical rows)", serve_main},
+      {{.name = "worker",
+        .synopsis = "--job-dir D [options]",
+        .about = "Lease and measure shards of an existing job until none is "
+                 "claimable. Any number of worker processes may run at "
+                 "once; a restarted worker resumes from the shard logs and "
+                 "quarantines corrupt ones. Leases are heartbeat-renewed at "
+                 "TTL/3; transient IO errors are retried with backoff."},
+       "lease and measure shards of an existing job", worker_main},
+      {{.name = "daemon",
+        .synopsis = "--jobs-dir D [options]",
+        .about = "Watch D for dropped job directories, work them to "
+                 "completion, and merge results into the cache (an "
+                 "unwritable cache degrades to compute-without-cache with a "
+                 "warning). Polling backs off while idle. The daemon "
+                 "publishes a fleet membership file under D/fleet/ "
+                 "(heartbeat at TTL/3) and runs a gc sweep at the same "
+                 "cadence. SIGTERM/SIGINT stop cleanly with all leases "
+                 "released and the member file removed."},
+       "watch a jobs directory and drain every job dropped into it",
+       daemon_main},
+      {{.name = "merge",
+        .synopsis = "--job-dir D [options]",
+        .about = "Reassemble a complete job's shard records into result "
+                 "rows (byte-identical to a single-process run) and "
+                 "populate the result cache. Exits nonzero, naming the "
+                 "shard and line, if any shard log is corrupt or the job is "
+                 "incomplete."},
+       "reassemble a complete job into result rows", merge_main},
+      {{.name = "status",
+        .synopsis = "--job-dir D | --jobs-dir D [--json FILE]",
+        .about = "Report one job (--job-dir) or the whole fleet "
+                 "(--jobs-dir)."},
+       "report a job's or the fleet's shards, leases, and progress",
+       status_main},
+      {{.name = "gc",
+        .synopsis = "--jobs-dir D [--dry-run]",
+        .about = "One garbage-collection sweep: reap stale fleet members, "
+                 "reclaim expired lease debris (done shards or stale "
+                 "owners), delete quarantined shard logs whose recomputed "
+                 "replacement passed CRC verification. Daemons run this "
+                 "sweep automatically at heartbeat cadence."},
+       "one garbage-collection sweep of a jobs directory", gc_main},
+      {{.name = "soak",
+        .synopsis = "[options]",
+        .about = "Fleet kill-storm drill: drop one big + several small jobs "
+                 "in a fresh directory, spawn N real daemon processes, and "
+                 "SIGKILL/restart them on a seeded schedule while they "
+                 "drain. Exits nonzero unless every job completes, every "
+                 "merge is byte-identical to a single-process run, and "
+                 "(when kills happened) at least one lease steal was "
+                 "observed."},
+       "kill-storm drill of a fleet of real daemon processes", soak_main},
+  };
+  return table;
+}
+
+const Subcommand* find_subcommand(const std::string& name) {
+  const auto found = std::find_if(
+      subcommands().begin(), subcommands().end(),
+      [&](const Subcommand& sub) { return sub.command.name == name; });
+  return found == subcommands().end() ? nullptr : &*found;
+}
+
 }  // namespace
 
 bool is_service_command(const char* arg) {
-  return std::strcmp(arg, "serve") == 0 || std::strcmp(arg, "worker") == 0 ||
-         std::strcmp(arg, "daemon") == 0 || std::strcmp(arg, "merge") == 0 ||
-         std::strcmp(arg, "status") == 0 || std::strcmp(arg, "gc") == 0 ||
-         std::strcmp(arg, "soak") == 0;
+  return find_subcommand(arg) != nullptr;
+}
+
+std::string command_list() {
+  std::string list;
+  for (const Subcommand& sub : subcommands()) {
+    list += str("  ", pad(sub.command.name, 8), sub.summary, "\n");
+  }
+  return list;
 }
 
 int service_main(int argc, char** argv) {
   try {
-    const std::string command = argc >= 2 ? argv[1] : "";
-    if (command == "serve") return serve_main(argc, argv);
-    if (command == "worker") return worker_main(argc, argv);
-    if (command == "daemon") return daemon_main(argc, argv);
-    if (command == "merge") return merge_main(argc, argv);
-    if (command == "status") return status_main(argc, argv);
-    if (command == "gc") return gc_main(argc, argv);
-    if (command == "soak") return soak_main(argc, argv);
-    throw ScenarioError(str("unknown service command \"", command, "\""));
+    const std::string name = argc >= 2 ? argv[1] : "";
+    const Subcommand* sub = find_subcommand(name);
+    if (sub == nullptr) {
+      throw ScenarioError(str("unknown service command \"", name, "\""));
+    }
+    return sub->run(argc, argv, sub->command);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -1,33 +1,23 @@
 #pragma once
 
-// CLI surface of the experiment service:
-//
-//   <bench> serve  <names...> [run options] [--workers N] [--job-dir D]
-//                  [--cache-dir C] [--no-cache] [--cache-max-bytes B]
-//                  [--verify-cache] [--shard-tasks K] [--lease-ttl S]
-//                  [--json FILE]
-//   <bench> worker --job-dir D [--owner TOKEN] [--max-shards N]
-//                  [--fault-crash-op N]
-//   <bench> daemon --jobs-dir D [--cache-dir C] [--no-cache]
-//                  [--cache-max-bytes B] [--owner TOKEN] [--poll-ms M]
-//                  [--max-poll-ms M] [--max-cycles N] [--placement P]
-//                  [--inflight-cap N] [--member-ttl S] [--seed S]
-//                  [--fault-crash-op N]
-//   <bench> merge  --job-dir D [--json FILE] [--cache-dir C] [--no-cache]
-//                  [--cache-max-bytes B]
-//   <bench> status --job-dir D | --jobs-dir D
-//   <bench> gc     --jobs-dir D
-//   <bench> soak   [--daemons N] [--kill-seed S] [--kills N] [...]
+// CLI surface of the experiment service: the subcommands serve, worker,
+// daemon, merge, status, gc and soak. `<bench> <subcommand> --help` lists
+// a subcommand's options; every one of them is declared once, in a flag
+// table (see scenario/cli.hpp).
 //
 // run_main() forwards here whenever argv[1] names a subcommand, so every
 // bench binary carries the full service. worker and daemon install
 // SIGTERM/SIGINT handlers for a clean stop (leases released).
 
+#include <string>
+
 namespace dualcast::service {
 
-/// True when `arg` is "serve", "worker", "daemon", "merge", "status",
-/// "gc", or "soak".
+/// True when `arg` names a subcommand.
 bool is_service_command(const char* arg);
+
+/// One line per subcommand, its name and summary, for the driver's --help.
+std::string command_list();
 
 /// Parses argv (argv[1] = subcommand) and runs it. Returns a process exit
 /// code; never throws.

@@ -1,15 +1,18 @@
-// consume_run_option_flag: the run-option flags every bench binary and
-// `serve` share — the two spellings of the worker count, the "--flag=V"
-// and "--flag V" forms of every value flag, and the bad-input errors.
+// run_option_flags: the run-option flags every bench binary and `serve`
+// share — the two spellings of the worker count, the "--flag=V" and
+// "--flag V" forms of every value flag, and the bad-input errors.
 //
 // CliSurface: every (command, flag) pair of the command line, driven
 // through run_main — the driver and each service subcommand. A bad value,
 // a missing value, a switch given a value and an unknown flag each exit 1
-// with a diagnostic naming the input, before any trial runs.
+// with a diagnostic naming the input, before any trial runs. Both value
+// forms behave alike, and --help lists every subcommand and flag.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,18 +23,15 @@
 namespace dualcast::scenario {
 namespace {
 
-/// Consumes `args` as run-option flags from the first; fails the test when
-/// one is not a run option.
+/// Parses `args` against the run-option table alone; throws ScenarioError
+/// when one is not a run option.
 RunOptions parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
-  const int argc = static_cast<int>(argv.size());
   RunOptions options;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[static_cast<std::size_t>(i)];
-    EXPECT_TRUE(consume_run_option_flag(argc, argv.data(), i, options))
-        << arg;
-  }
+  EXPECT_TRUE(parse_flags(static_cast<int>(argv.size()), argv.data(), 1,
+                          run_option_flags(options), nullptr, Command{}));
   return options;
 }
 
@@ -82,12 +82,8 @@ TEST(RunOptionFlags, BadOrMissingValuesThrow) {
 }
 
 TEST(RunOptionFlags, OtherArgumentsAreNotConsumed) {
-  for (std::string arg : {"--bogus", "--json", "--smoke=1", "fig1"}) {
-    char* argv[] = {arg.data()};
-    int i = 0;
-    RunOptions options;
-    EXPECT_FALSE(consume_run_option_flag(1, argv, i, options)) << arg;
-    EXPECT_EQ(i, 0) << arg;
+  for (const char* arg : {"--bogus", "--json", "--smoke=1", "fig1"}) {
+    EXPECT_THROW(parse({arg}), ScenarioError) << arg;
   }
 }
 
@@ -172,6 +168,20 @@ Outcome run(const std::string& command, std::vector<std::string> args) {
   return {code, ::testing::internal::GetCapturedStderr()};
 }
 
+/// `<bench> [command] --help`: its exit code and what it printed.
+std::pair<int, std::string> help(const std::string& command) {
+  ::testing::internal::CaptureStdout();
+  const int code = run(command, {"--help"}).code;
+  return {code, ::testing::internal::GetCapturedStdout()};
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 /// Runs `args` and expects exit 1, a diagnostic containing `expected`, and
 /// no trial run.
 void expect_rejected(const std::string& command,
@@ -233,6 +243,50 @@ TEST(CliSurface, SwitchGivenAValueNamesTheArgument) {
 TEST(CliSurface, UnknownFlagNamesItself) {
   for (const Surface& surface : surfaces()) {
     expect_rejected(surface.command, {"--bogus"}, "\"--bogus\"");
+  }
+}
+
+TEST(CliSurface, EqualsFormGivesTheSameErrorAsSpaceForm) {
+  for (const Surface& surface : surfaces()) {
+    for (const auto& [flag, kind] : surface.flags) {
+      if (kind != Kind::integer && kind != Kind::choice) continue;
+      const std::string bad = kind == Kind::integer ? "abc" : "bogus";
+      const Outcome spaced = run(surface.command, {flag, bad});
+      const Outcome joined = run(surface.command, {flag + "=" + bad});
+      EXPECT_EQ(joined.code, 1) << surface.command << " " << flag;
+      EXPECT_EQ(joined.err, spaced.err) << surface.command << " " << flag;
+    }
+  }
+}
+
+TEST(CliSurface, JsonEqualsFormWritesTheSameFile) {
+  const std::string spaced = ::testing::TempDir() + "cli_json_spaced.json";
+  const std::string joined = ::testing::TempDir() + "cli_json_joined.json";
+  ::testing::internal::CaptureStdout();  // the smoke tables
+  EXPECT_EQ(run("", {"--smoke", "--json", spaced}).code, 0);
+  EXPECT_EQ(run("", {"--smoke", "--json=" + joined}).code, 0);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_FALSE(read_file(spaced).empty());
+  EXPECT_EQ(read_file(joined), read_file(spaced));
+}
+
+TEST(CliSurface, HelpNamesEverySubcommandAndFlag) {
+  const auto [top_code, top] = help("");
+  EXPECT_EQ(top_code, 0);
+  for (const Surface& surface : surfaces()) {
+    if (!surface.command.empty()) {
+      EXPECT_NE(top.find("\n  " + surface.command + " "), std::string::npos)
+          << surface.command << " missing from:\n" << top;
+    }
+    const auto [code, text] = help(surface.command);
+    EXPECT_EQ(code, 0) << surface.command;
+    for (const auto& flag : surface.flags) {
+      const std::string line = "\n  " + flag.first;
+      EXPECT_TRUE(text.find(line + " ") != std::string::npos ||
+                  text.find(line + "\n") != std::string::npos)
+          << surface.command << " " << flag.first << " missing from:\n"
+          << text;
+    }
   }
 }
 

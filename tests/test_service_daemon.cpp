@@ -3,8 +3,9 @@
 // zero-recompute), and left with no held leases; the cooperative stop
 // flag exits cleanly mid-run; an unopenable (read-only) cache degrades to
 // compute-without-cache with a single warning. Plus the CLI contract:
-// merge/status against a broken job dir exit nonzero, and serve rejects
-// the run-option thread flags in favour of --workers.
+// merge/status against a broken job dir exit nonzero, serve rejects the
+// run-option thread flags in favour of --workers, and daemon rejects a
+// disk-pressure watermark too large for the ladder's arithmetic.
 
 #include <gtest/gtest.h>
 
@@ -248,6 +249,37 @@ TEST(ServiceCliContract, ServeRejectsThreadFlagsAndNamesWorkers) {
       EXPECT_EQ(trials_executed(), trials_before) << arg_flag;
     }
   }
+}
+
+TEST(ServiceCliContract, DaemonRejectsAMinFreeBytesWatermarkThatWouldWrap) {
+  // The ladder compares free space with 4x the watermark (soak writes
+  // 10x), so a watermark past INT64_MAX / 10 is rejected while parsing;
+  // read as a u64 and cast, 2^63 and up would wrap to <= 0 and silently
+  // turn the ladder off.
+  const std::string jobs_dir = fresh_dir("cli_min_free");
+  const auto run_daemon_cli = [&](std::string value) {
+    std::string arg_daemon = "daemon";
+    std::string arg_jobs = "--jobs-dir";
+    std::string arg_dir = jobs_dir;
+    std::string arg_nocache = "--no-cache";
+    std::string arg_cycles = "--max-cycles";
+    std::string arg_one = "1";
+    std::string arg_flag = "--min-free-bytes";
+    char* argv[] = {const_cast<char*>("bench"), arg_daemon.data(),
+                    arg_jobs.data(),           arg_dir.data(),
+                    arg_nocache.data(),        arg_cycles.data(),
+                    arg_one.data(),            arg_flag.data(),
+                    value.data()};
+    return service_main(9, argv);
+  };
+  for (const std::string value :
+       {"9223372036854775808", "18446744073709551615"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_daemon_cli(value), 1) << value;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--min-free-bytes"), std::string::npos) << err;
+  }
+  EXPECT_EQ(run_daemon_cli("922337203685477580"), 0);  // INT64_MAX / 10
 }
 
 }  // namespace
