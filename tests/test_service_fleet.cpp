@@ -404,6 +404,131 @@ TEST(FleetStatus, JsonIsByteDeterministicUnderFakeClock) {
   EXPECT_EQ(json.back(), '\n');
 }
 
+/// One FakeClock fleet with every row kind the fleet view renders: a live
+/// member with host, cores and a ladder state; a stale member; a
+/// non-member lease owner; a live and an expired lease; and a job
+/// directory whose meta cannot be read. Returns the two readable jobs'
+/// key hashes.
+std::pair<std::string, std::string> build_status_fleet(
+    const std::string& jobs_dir, FakeClock& clock, const StoreEnv& env) {
+  const std::string job1 = drop_job(jobs_dir, "job1", /*trials=*/3);
+  const std::string job2 =
+      drop_job(jobs_dir, "job2", /*trials=*/4, /*shard_tasks=*/4,
+               /*lease_ttl_seconds=*/10);
+  fs::create_directories(jobs_dir + "/job3");
+  std::ofstream(jobs_dir + "/job3/job.meta") << "not a job meta\n";
+
+  JobStore store1 = JobStore::open(job1, env);
+  JobStore store2 = JobStore::open(job2, env);
+  EXPECT_TRUE(store1.try_lease(0, "live-d"));
+  EXPECT_TRUE(store1.try_lease(1, "worker-x"));
+  EXPECT_TRUE(store2.try_lease(0, "dead-d"));
+
+  FleetRegistry fleet(jobs_dir, env);
+  MemberRecord live;
+  live.id = "live-d";
+  live.pid = 42;
+  live.placement = "fair";
+  live.host = "box-a";
+  live.cores = 4;
+  live.load100 = 150;
+  live.started = clock.now_seconds();
+  live.ttl_seconds = 15;
+  live.cycles = 7;
+  live.tasks = 40;
+  live.shards = 10;
+  live.steals = 1;
+  live.pressure = "cache-shed";
+  live.free_bytes = 123456;
+  fleet.publish(live);
+  MemberRecord dead;
+  dead.id = "dead-d";
+  dead.pid = 43;
+  dead.ttl_seconds = 15;
+  fleet.publish(dead);
+  clock.advance(20);
+  fleet.publish(live);  // renews; dead-d's heartbeat is now 20s old
+  store1.renew_lease(0, "live-d");
+  return {scenario::hash_hex(store1.spec().key),
+          scenario::hash_hex(store2.spec().key)};
+}
+
+TEST(FleetStatus, TextPinsEveryRowKindUnderFakeClock) {
+  const std::string jobs_dir = fresh_dir("status_bytes");
+  FakeClock clock(9000);
+  StoreEnv env;
+  env.clock = &clock;
+  const auto [key1, key2] = build_status_fleet(jobs_dir, clock, env);
+
+  std::ostringstream out;
+  print_fleet_status(jobs_dir, env, out);
+  const std::string& d = jobs_dir;
+  const std::string expected =
+      "fleet of " + d + ": 2 member(s), 3 job(s)\n"
+      "  daemon dead-d [STALE]: pid 43, up 20s, heartbeat 20s ago (ttl 15s), "
+      "0 tasks, 0 shards (0/s), 0 steal(s), pressure ok, 1 lease(s) held\n"
+      "  daemon live-d [live]: pid 42, placement fair, host box-a, 4 cores "
+      "(load 1.5, budget 3), up 20s, heartbeat 0s ago (ttl 15s), 40 tasks, "
+      "10 shards (0.5/s), 1 steal(s), pressure cache-shed (free 123456B), "
+      "1 lease(s) held\n"
+      "  non-member owner worker-x: 1 lease(s) held\n"
+      "  job " + key1 + ": 0/12 tasks, 0/3 shards done, 2 leased  (" + d +
+      "/job1)\n"
+      "    lease shard 0: owner live-d, age 20s, progress 0s ago\n"
+      "    lease shard 1: owner worker-x, age 20s, progress 20s ago\n"
+      "  job " + key2 + ": 0/16 tasks, 0/4 shards done, 0 leased (+1 stale)  "
+      "(" + d + "/job2)\n"
+      "    lease shard 0: owner dead-d, age 20s, progress 20s ago "
+      "[EXPIRED]\n"
+      "  unreadable (" + d + "/job3/job.meta: not a dualcast job meta file)  "
+      "(" + d + "/job3)\n";
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(FleetStatus, JsonPinsEveryRowKindUnderFakeClock) {
+  const std::string jobs_dir = fresh_dir("json_bytes");
+  FakeClock clock(9000);
+  StoreEnv env;
+  env.clock = &clock;
+  const auto [key1, key2] = build_status_fleet(jobs_dir, clock, env);
+
+  const std::string& d = jobs_dir;
+  const std::string expected =
+      "{\"jobs_dir\":\"" + d + "\",\"now\":9020,\"members\":["
+      "{\"id\":\"dead-d\",\"live\":false,\"pid\":43,\"placement\":\"\","
+      "\"host\":\"\",\"cores\":0,\"load100\":0,\"claim_budget\":1,"
+      "\"uptime_seconds\":20,\"heartbeat_age_seconds\":20,"
+      "\"ttl_seconds\":15,\"cycles\":0,\"tasks\":0,\"shards\":0,"
+      "\"shards_per_second\":0.000,\"steals\":0,\"pressure\":\"ok\","
+      "\"free_bytes\":-1,\"leases_held\":1},"
+      "{\"id\":\"live-d\",\"live\":true,\"pid\":42,\"placement\":\"fair\","
+      "\"host\":\"box-a\",\"cores\":4,\"load100\":150,\"claim_budget\":3,"
+      "\"uptime_seconds\":20,\"heartbeat_age_seconds\":0,"
+      "\"ttl_seconds\":15,\"cycles\":7,\"tasks\":40,\"shards\":10,"
+      "\"shards_per_second\":0.500,\"steals\":1,"
+      "\"pressure\":\"cache-shed\",\"free_bytes\":123456,"
+      "\"leases_held\":1}],"
+      "\"non_member_owners\":[{\"owner\":\"worker-x\",\"leases_held\":1}],"
+      "\"jobs\":["
+      "{\"dir\":\"" + d + "/job1\",\"key\":\"" + key1 + "\","
+      "\"tasks_total\":12,\"tasks_completed\":0,\"shards_total\":3,"
+      "\"shards_done\":0,\"leases_live\":2,\"leases_stale\":0,"
+      "\"shards_corrupt\":0,\"shards_quarantined\":0,\"leases\":["
+      "{\"shard\":0,\"owner\":\"live-d\",\"age_seconds\":20,"
+      "\"progress_age_seconds\":0,\"expired\":false},"
+      "{\"shard\":1,\"owner\":\"worker-x\",\"age_seconds\":20,"
+      "\"progress_age_seconds\":20,\"expired\":false}]},"
+      "{\"dir\":\"" + d + "/job2\",\"key\":\"" + key2 + "\","
+      "\"tasks_total\":16,\"tasks_completed\":0,\"shards_total\":4,"
+      "\"shards_done\":0,\"leases_live\":0,\"leases_stale\":1,"
+      "\"shards_corrupt\":0,\"shards_quarantined\":0,\"leases\":["
+      "{\"shard\":0,\"owner\":\"dead-d\",\"age_seconds\":20,"
+      "\"progress_age_seconds\":20,\"expired\":true}]},"
+      "{\"dir\":\"" + d + "/job3\",\"error\":\"" + d +
+      "/job3/job.meta: not a dualcast job meta file\"}]}\n";
+  EXPECT_EQ(fleet_status_json(jobs_dir, env), expected);
+}
+
 TEST(FleetGc, DryRunReportsEverythingAndMutatesNothing) {
   const std::string jobs_dir = fresh_dir("dryrun");
   FakeClock clock(5000);
