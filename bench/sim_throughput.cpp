@@ -15,8 +15,8 @@
 // link loss — whose kernel-path rounds/s is the number quoted in README
 // "Performance".
 //
-// The scale/ cases mirror the catalog's scale/ scenario tier (blocked
-// bitmaps + word-parallel RNG at n >= 4096; implicit dual cliques through
+// The scale/ cases mirror the catalog's scale/ scenario tier (grids on the
+// sweep + word-parallel RNG at n >= 4096; implicit dual cliques through
 // n = 65536). They are measured on native kernels only, as
 // {kernel, kernel-word} — the kernel-word / kernel ratio is the word-RNG
 // speedup the README quotes. The default run includes the n = 4096 sizes

@@ -7,7 +7,7 @@
 
 namespace dualcast {
 
-DualGraph::DualGraph(Graph g, Graph gprime, BitmapPolicy bitmaps)
+DualGraph::DualGraph(Graph g, Graph gprime)
     : g_(std::move(g)), gp_(std::move(gprime)) {
   DC_EXPECTS(g_.finalized() && gp_.finalized());
   DC_EXPECTS_MSG(g_.n() == gp_.n(), "G and G' must share a vertex set");
@@ -70,26 +70,6 @@ DualGraph::DualGraph(Graph g, Graph gprime, BitmapPolicy bitmaps)
   }
 
   gp_max_degree_ = gp_.max_degree();
-
-  if (bitmaps == BitmapPolicy::automatic && n() >= 1) {
-    // Exact footprint check before any allocation: both layers' CSR rows
-    // are already sorted, so counting the non-empty blocks is one cheap
-    // pass, and over-budget (dense, huge-n) graphs skip construction
-    // entirely. Rough estimates won't do — they over-count dense rows by
-    // up to 64x, exactly where the bitmaps matter most.
-    const std::int64_t g_blocks = AdjacencyBitmap::count_blocks(
-        g_.csr_offsets(), g_.csr_neighbors());
-    const std::int64_t gp_blocks = AdjacencyBitmap::count_blocks(
-        gp_only_offsets_, gp_only_neighbors_);
-    if (AdjacencyBitmap::approx_bytes_for(n(), g_blocks) +
-            AdjacencyBitmap::approx_bytes_for(n(), gp_blocks) <=
-        kBitmapMaxBytes) {
-      g_bitmap_ = std::make_shared<const AdjacencyBitmap>(
-          n(), g_.csr_offsets(), g_.csr_neighbors(), g_blocks);
-      gp_only_bitmap_ = std::make_shared<const AdjacencyBitmap>(
-          n(), gp_only_offsets_, gp_only_neighbors_, gp_blocks);
-    }
-  }
 }
 
 DualGraph DualGraph::protocol(Graph g) {
@@ -265,8 +245,6 @@ std::size_t DualGraph::approx_heap_bytes() const {
   bytes += gp_only_neighbors_.capacity() * sizeof(int);
   bytes += gp_only_edge_index_.capacity() * sizeof(std::int32_t);
   bytes += overlay_row_start_.capacity() * sizeof(std::int64_t);
-  if (g_bitmap_) bytes += g_bitmap_->approx_bytes();
-  if (gp_only_bitmap_) bytes += gp_only_bitmap_->approx_bytes();
   return bytes;
 }
 

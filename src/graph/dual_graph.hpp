@@ -9,8 +9,9 @@
 //
 //   explicit — both layers materialized as CSR Graphs plus an indexed
 //              G'-only overlay (flat CSR + edge list), exactly as the
-//              engine's sweep paths want them. Any (G, G') pair can be
-//              built this way; none is tagged as a dual clique.
+//              delivery resolver's sweep walks them; nothing else is
+//              derived from them. Any (G, G') pair can be built this way;
+//              none is tagged as a dual clique.
 //
 //   implicit — clique-family networks where explicit storage is O(n²):
 //              every §3 dual clique (implicit_dual_clique, and its G layer
@@ -27,12 +28,10 @@
 // for explicit-representation consumers and assert on implicit networks.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "graph/adjacency_bitmap.hpp"
 #include "graph/graph.hpp"
 #include "graph/layer_view.hpp"
 
@@ -40,13 +39,6 @@ namespace dualcast {
 
 class DualGraph {
  public:
-  /// Whether to materialize the blocked adjacency bitmaps for the
-  /// word-parallel delivery resolver. `automatic` builds them and keeps the
-  /// pair while it fits kBitmapMaxBytes; `never` skips them (tests of the
-  /// no-bitmap fallback, memory-constrained embedders). Implicit networks
-  /// never build bitmaps.
-  enum class BitmapPolicy : std::uint8_t { automatic, never };
-
   /// Recognized network structure, derived from the representation.
   enum class Structure : std::uint8_t {
     general,          ///< nothing recognized
@@ -64,8 +56,7 @@ class DualGraph {
   /// problems; that is checked by the Problem, not here, so lower-bound
   /// constructions (e.g. the bridgeless dual clique used by the reduction
   /// player) can be represented too.
-  explicit DualGraph(Graph g, Graph gprime,
-                     BitmapPolicy bitmaps = BitmapPolicy::automatic);
+  explicit DualGraph(Graph g, Graph gprime);
 
   /// The protocol (static) model: G' == G, i.e. no unreliable links.
   static DualGraph protocol(Graph g);
@@ -175,21 +166,8 @@ class DualGraph {
   /// answer for implicit dual cliques; BFS otherwise).
   bool g_connected() const;
 
-  /// Blocked adjacency bitmaps of G and the G'-only overlay, for the
-  /// word-parallel delivery resolver. Materialized at construction
-  /// (~12 bytes per non-empty 64-bit block — O(E) on sparse layers, n^2/64
-  /// blocks on dense ones) and kept while the pair's combined footprint
-  /// fits kBitmapMaxBytes; nullptr otherwise (under BitmapPolicy::never and
-  /// on implicit networks) — callers must fall back to the CSR sweep.
-  /// Shared between copies of the dual graph (they are immutable).
-  static constexpr std::size_t kBitmapMaxBytes = 256u << 20;
-  const AdjacencyBitmap* g_bitmap() const { return g_bitmap_.get(); }
-  const AdjacencyBitmap* gp_only_bitmap() const {
-    return gp_only_bitmap_.get();
-  }
-
-  /// Heap footprint of this network's own storage, in bytes (layers,
-  /// overlay index, bitmaps). The implicit representations' O(n)-or-less
+  /// Heap footprint of this network's own storage, in bytes (layers and
+  /// overlay index). The implicit representations' O(n)-or-less
   /// guarantee is asserted against this in tests.
   std::size_t approx_heap_bytes() const;
 
@@ -223,8 +201,6 @@ class DualGraph {
   /// implicit_complete_gprime: prefix counts of overlay edges whose lower
   /// endpoint is < u (size n+1), for O(log n + degree) edge-index decode.
   std::vector<std::int64_t> overlay_row_start_;
-  std::shared_ptr<const AdjacencyBitmap> g_bitmap_;
-  std::shared_ptr<const AdjacencyBitmap> gp_only_bitmap_;
 };
 
 }  // namespace dualcast

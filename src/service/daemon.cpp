@@ -253,9 +253,10 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
 
     bool progress = false;
     // Claim rounds: each round picks one job per the placement policy and
-    // drains one unit from it — the whole job under fifo, a single shard
-    // under fair/random. A job that yields nothing claimable is exhausted
-    // for the rest of this cycle; the cycle ends when every job is.
+    // drains one unit from it — the whole job under fifo, one claim
+    // budget's worth of shards under fair. A job that yields nothing
+    // claimable is exhausted for the rest of this cycle; the cycle ends
+    // when every job is.
     std::map<std::string, bool> exhausted;
     for (;;) {
       if (stop_requested(options)) break;
@@ -270,10 +271,7 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
 
       // --- pick a candidate per the placement policy ---
       std::string picked = candidates.front();
-      if (options.placement == Placement::random) {
-        picked = candidates[static_cast<std::size_t>(
-            splitmix64(rng) % candidates.size())];
-      } else if (options.placement == Placement::fair) {
+      if (options.placement == Placement::fair) {
         // Oldest-waiting job first, preferring jobs under the fleet-wide
         // in-flight cap. An unopened job has no in-flight work from anyone
         // we can see, so it counts as under the cap. The cap is soft: when
@@ -344,15 +342,12 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
           worker_options.recover = false;  // recovered at pickup + sweeps
           worker_options.op_deadline_seconds = options.op_deadline_seconds;
           worker_options.deadline_fs = options.deadline_fs;
-          if (options.placement != Placement::fifo) {
+          if (options.placement == Placement::fair) {
             // Fair placement sizes each drain by the host's headroom: a
             // mostly-idle 8-core box takes several shards per round, a
-            // saturated or unknown box one at a time (random stays at one —
-            // its whole point is fine-grained decorrelation).
+            // saturated or unknown box one at a time.
             worker_options.max_shards =
-                options.placement == Placement::fair
-                    ? fair_claim_budget(resources.cores, resources.load100)
-                    : 1;
+                fair_claim_budget(resources.cores, resources.load100);
             worker_options.shard_order =
                 jittered_order(job.store->shard_count(), rng);
           }

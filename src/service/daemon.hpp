@@ -17,8 +17,8 @@
 // lease debris, delete superseded quarantines). Shard acquisition across
 // concurrent jobs follows the `placement` policy — fifo drains jobs in
 // discovery order, fair interleaves one shard at a time with
-// anti-starvation aging and a fleet-wide per-job in-flight cap, random
-// decorrelates big fleets (see fleet.hpp).
+// anti-starvation aging and a fleet-wide per-job in-flight cap (see
+// fleet.hpp).
 //
 // Degradation: a job directory that cannot be opened (corrupt meta,
 // catalog drift) is warned about once and skipped — it never wedges the
@@ -72,8 +72,8 @@ struct DaemonOptions {
   /// Membership heartbeat TTL; a daemon silent for this long is stale and
   /// gets reaped (with its expired leases) by any member's gc sweep.
   int member_ttl_seconds = 15;
-  /// Seed for placement jitter (claim-order rotation, random job picks).
-  /// 0 derives one from the owner token.
+  /// Seed for fair placement's claim-order rotation. 0 derives one from
+  /// the owner token.
   std::uint64_t seed = 0;
   /// Host resources published in the member record and feeding the fair
   /// claim budget. All-zero (the default) probes the machine at startup
@@ -101,8 +101,8 @@ struct DaemonOptions {
 
 struct DaemonReport {
   int cycles = 0;
-  /// Placement rounds that picked a job (fair/random drain one budget's
-  /// worth of shards per round, so rounds ≈ ceil(shards / claim budget)
+  /// Placement rounds that picked a job (fair drains one budget's worth
+  /// of shards per round, so rounds ≈ ceil(shards / claim budget)
   /// for a lone daemon — the observable the budget tests pin down).
   int claim_rounds = 0;
   int jobs_seen = 0;       ///< distinct jobs opened

@@ -157,7 +157,6 @@ const char* to_string(Placement placement) {
   switch (placement) {
     case Placement::fifo: return "fifo";
     case Placement::fair: return "fair";
-    case Placement::random: return "random";
   }
   return "?";
 }
@@ -317,83 +316,96 @@ GcReport gc_sweep(const std::string& jobs_dir, const StoreEnv& env,
   return report;
 }
 
-void print_fleet_status(const std::string& jobs_dir, const StoreEnv& env,
-                        std::ostream& out) {
-  util::Fs& fs = resolve_fs(env);
-  util::Clock& clock = resolve_clock(env);
-  const std::int64_t now = clock.now_seconds();
+namespace {
 
-  // Held leases per owner, aggregated across every job in the directory.
-  std::map<std::string, int> held;
-  struct JobLine {
-    std::string dir;
-    std::string text;
-    std::vector<std::string> leases;
-  };
-  std::vector<JobLine> jobs;
-  for (const std::string& dir : job_dirs(jobs_dir, fs)) {
-    JobLine line{dir, "", {}};
+/// One job directory's row of the fleet view.
+struct JobView {
+  std::string dir;
+  bool readable = false;
+  std::string error;  ///< why the job could not be read
+  std::string key;
+  int tasks_total = 0;
+  int tasks_completed = 0;
+  std::size_t shards_total = 0;
+  int shards_done = 0;
+  int shards_corrupt = 0;
+  int shards_quarantined = 0;
+  int leases_live = 0;
+  int leases_stale = 0;
+  std::vector<LeaseState> leases;
+};
+
+struct MemberView {
+  MemberState state;
+  int leases_held = 0;  ///< across every job
+};
+
+/// Everything the fleet view shows, read once; the text and JSON
+/// renderings both draw from it.
+struct FleetView {
+  std::int64_t now = 0;
+  std::vector<JobView> jobs;        ///< sorted by fs.list
+  std::vector<MemberView> members;  ///< sorted by fs.list
+  /// Lease owners with no membership file (plain `worker` processes, or
+  /// daemons whose stale entry was already reaped) and their lease
+  /// counts, sorted by owner.
+  std::map<std::string, int> non_members;
+};
+
+FleetView gather_fleet_view(const std::string& jobs_dir, const StoreEnv& env) {
+  FleetView view;
+  view.now = resolve_clock(env).now_seconds();
+  std::map<std::string, int> held;  // leases per owner, across every job
+  for (const std::string& dir : job_dirs(jobs_dir, resolve_fs(env))) {
+    JobView& job = view.jobs.emplace_back();
+    job.dir = dir;
     try {
       const JobStore store = JobStore::open(dir, env);
-      int completed = 0;
-      int done = 0;
-      int corrupt = 0;
-      int quarantined = 0;
       const std::vector<ShardState> shards = store.scan();
       for (const ShardState& shard : shards) {
-        completed += shard.completed;
-        if (shard.done) ++done;
-        if (shard.corrupt) ++corrupt;
-        if (shard.quarantined) ++quarantined;
+        job.tasks_completed += shard.completed;
+        if (shard.done) ++job.shards_done;
+        if (shard.corrupt) ++job.shards_corrupt;
+        if (shard.quarantined) ++job.shards_quarantined;
       }
-      int live_leases = 0;
-      int stale_leases = 0;
-      for (const LeaseState& lease : store.scan_leases()) {
+      job.shards_total = shards.size();
+      job.leases = store.scan_leases();
+      for (const LeaseState& lease : job.leases) {
         ++held[lease.owner];
-        if (lease.expired) {
-          ++stale_leases;
-        } else {
-          ++live_leases;
-        }
-        // Per-lease detail: the progress age is the fail-slow telltale —
-        // a live lease whose progress stopped advancing is a stalled
-        // holder one TTL away from being stolen from.
-        std::ostringstream ls;
-        ls << "lease shard " << lease.shard << ": owner " << lease.owner
-           << ", age " << (lease.since > 0 ? now - lease.since : -1) << "s";
-        if (lease.progress_age >= 0) {
-          ls << ", progress " << lease.progress_age << "s ago";
-        } else {
-          ls << ", progress unknown";
-        }
-        if (lease.expired) ls << " [EXPIRED]";
-        line.leases.push_back(ls.str());
+        ++(lease.expired ? job.leases_stale : job.leases_live);
       }
-      std::ostringstream os;
-      os << "job " << scenario::hash_hex(store.spec().key) << ": "
-         << completed << "/" << store.total_tasks() << " tasks, " << done
-         << "/" << shards.size() << " shards done, " << live_leases
-         << " leased";
-      if (stale_leases > 0) os << " (+" << stale_leases << " stale)";
-      if (corrupt > 0) os << ", " << corrupt << " CORRUPT";
-      if (quarantined > 0) os << ", " << quarantined << " quarantined";
-      line.text = os.str();
+      job.key = scenario::hash_hex(store.spec().key);
+      job.tasks_total = store.total_tasks();
+      job.readable = true;
     } catch (const std::exception& error) {
-      line.text = str("unreadable (", error.what(), ")");
+      job.error = error.what();
     }
-    jobs.push_back(std::move(line));
   }
+  for (MemberState& member : FleetRegistry(jobs_dir, env).scan()) {
+    const int leases = held[member.record.id];
+    held.erase(member.record.id);
+    view.members.push_back({std::move(member), leases});
+  }
+  view.non_members = std::move(held);
+  return view;
+}
 
-  FleetRegistry fleet(jobs_dir, env);
-  const std::vector<MemberState> members = fleet.scan();
-  out << "fleet of " << jobs_dir << ": " << members.size()
-      << " member(s), " << jobs.size() << " job(s)\n";
-  for (const MemberState& member : members) {
-    const MemberRecord& r = member.record;
-    const std::int64_t uptime = now - r.started;
-    const double rate = shards_per_second(r, now);
-    out << "  daemon " << r.id << " [" << (member.stale ? "STALE" : "live")
-        << "]: pid " << r.pid;
+std::int64_t lease_age(const LeaseState& lease, std::int64_t now) {
+  return lease.since > 0 ? now - lease.since : -1;
+}
+
+}  // namespace
+
+void print_fleet_status(const std::string& jobs_dir, const StoreEnv& env,
+                        std::ostream& out) {
+  const FleetView view = gather_fleet_view(jobs_dir, env);
+  const std::int64_t now = view.now;
+  out << "fleet of " << jobs_dir << ": " << view.members.size()
+      << " member(s), " << view.jobs.size() << " job(s)\n";
+  for (const MemberView& member : view.members) {
+    const MemberRecord& r = member.state.record;
+    out << "  daemon " << r.id << " ["
+        << (member.state.stale ? "STALE" : "live") << "]: pid " << r.pid;
     if (!r.placement.empty()) out << ", placement " << r.placement;
     if (!r.host.empty()) out << ", host " << r.host;
     if (r.cores > 0) {
@@ -401,125 +413,119 @@ void print_fleet_status(const std::string& jobs_dir, const StoreEnv& env,
           << (r.load100 % 100) / 10 << ", budget "
           << fair_claim_budget(r.cores, r.load100) << ")";
     }
-    out << ", up " << uptime << "s, heartbeat " << member.age << "s ago (ttl "
-        << r.ttl_seconds << "s), " << r.tasks << " tasks, " << r.shards
-        << " shards (" << rate << "/s), " << r.steals << " steal(s), "
+    out << ", up " << now - r.started << "s, heartbeat " << member.state.age
+        << "s ago (ttl " << r.ttl_seconds << "s), " << r.tasks << " tasks, "
+        << r.shards << " shards (" << shards_per_second(r, now) << "/s), "
+        << r.steals << " steal(s), "
         << "pressure " << (r.pressure.empty() ? "ok" : r.pressure);
     if (r.free_bytes >= 0) out << " (free " << r.free_bytes << "B)";
-    out << ", " << held[r.id] << " lease(s) held\n";
-    held.erase(r.id);
+    out << ", " << member.leases_held << " lease(s) held\n";
   }
-  // Lease owners with no membership file: plain `worker` processes, or
-  // daemons whose stale entry was already reaped.
-  for (const auto& [owner, count] : held) {
+  for (const auto& [owner, count] : view.non_members) {
     out << "  non-member owner " << owner << ": " << count
         << " lease(s) held\n";
   }
-  for (const JobLine& job : jobs) {
-    out << "  " << job.text << "  (" << job.dir << ")\n";
-    for (const std::string& lease : job.leases) {
-      out << "    " << lease << "\n";
+  for (const JobView& job : view.jobs) {
+    if (job.readable) {
+      out << "  job " << job.key << ": " << job.tasks_completed << "/"
+          << job.tasks_total << " tasks, " << job.shards_done << "/"
+          << job.shards_total << " shards done, " << job.leases_live
+          << " leased";
+      if (job.leases_stale > 0) out << " (+" << job.leases_stale << " stale)";
+      if (job.shards_corrupt > 0) {
+        out << ", " << job.shards_corrupt << " CORRUPT";
+      }
+      if (job.shards_quarantined > 0) {
+        out << ", " << job.shards_quarantined << " quarantined";
+      }
+    } else {
+      out << "  unreadable (" << job.error << ")";
+    }
+    out << "  (" << job.dir << ")\n";
+    // Per-lease detail: the progress age is the fail-slow telltale — a
+    // live lease whose progress stopped advancing is a stalled holder one
+    // TTL away from being stolen from.
+    for (const LeaseState& lease : job.leases) {
+      out << "    lease shard " << lease.shard << ": owner " << lease.owner
+          << ", age " << lease_age(lease, now) << "s";
+      if (lease.progress_age >= 0) {
+        out << ", progress " << lease.progress_age << "s ago";
+      } else {
+        out << ", progress unknown";
+      }
+      if (lease.expired) out << " [EXPIRED]";
+      out << "\n";
     }
   }
 }
 
 std::string fleet_status_json(const std::string& jobs_dir,
                               const StoreEnv& env) {
-  util::Fs& fs = resolve_fs(env);
-  util::Clock& clock = resolve_clock(env);
-  const std::int64_t now = clock.now_seconds();
-
-  // Held leases per owner across every job; std::map keeps owners sorted,
-  // fs.list keeps jobs and members sorted — the whole document is ordered
-  // by construction, so a frozen clock makes it byte-deterministic.
-  std::map<std::string, int> held;
-  std::ostringstream jobs_json;
-  bool first_job = true;
-  for (const std::string& dir : job_dirs(jobs_dir, fs)) {
-    jobs_json << (first_job ? "" : ",") << "{\"dir\":\"" << json_escape(dir)
-              << "\"";
-    first_job = false;
-    try {
-      const JobStore store = JobStore::open(dir, env);
-      int completed = 0;
-      int done = 0;
-      int corrupt = 0;
-      int quarantined = 0;
-      const std::vector<ShardState> shards = store.scan();
-      for (const ShardState& shard : shards) {
-        completed += shard.completed;
-        if (shard.done) ++done;
-        if (shard.corrupt) ++corrupt;
-        if (shard.quarantined) ++quarantined;
-      }
-      int live_leases = 0;
-      int stale_leases = 0;
-      std::ostringstream leases_json;
-      bool first_lease = true;
-      for (const LeaseState& lease : store.scan_leases()) {
-        ++held[lease.owner];
-        if (lease.expired) {
-          ++stale_leases;
-        } else {
-          ++live_leases;
-        }
-        leases_json << (first_lease ? "" : ",") << "{\"shard\":" << lease.shard
-                    << ",\"owner\":\"" << json_escape(lease.owner)
-                    << "\",\"age_seconds\":"
-                    << (lease.since > 0 ? now - lease.since : -1)
-                    << ",\"progress_age_seconds\":" << lease.progress_age
-                    << ",\"expired\":" << (lease.expired ? "true" : "false")
-                    << "}";
-        first_lease = false;
-      }
-      jobs_json << ",\"key\":\"" << scenario::hash_hex(store.spec().key)
-                << "\",\"tasks_total\":" << store.total_tasks()
-                << ",\"tasks_completed\":" << completed
-                << ",\"shards_total\":" << shards.size()
-                << ",\"shards_done\":" << done
-                << ",\"leases_live\":" << live_leases
-                << ",\"leases_stale\":" << stale_leases
-                << ",\"shards_corrupt\":" << corrupt
-                << ",\"shards_quarantined\":" << quarantined
-                << ",\"leases\":[" << leases_json.str() << "]}";
-    } catch (const std::exception& error) {
-      jobs_json << ",\"error\":\"" << json_escape(error.what()) << "\"}";
-    }
-  }
-
-  FleetRegistry fleet(jobs_dir, env);
+  // The view is sorted by construction (fs.list orders jobs and members,
+  // std::map orders lease owners), so a frozen clock makes the document
+  // byte-deterministic.
+  const FleetView view = gather_fleet_view(jobs_dir, env);
+  const std::int64_t now = view.now;
   std::ostringstream os;
   os << "{\"jobs_dir\":\"" << json_escape(jobs_dir) << "\",\"now\":" << now
      << ",\"members\":[";
   bool first = true;
-  for (const MemberState& member : fleet.scan()) {
-    const MemberRecord& r = member.record;
+  for (const MemberView& member : view.members) {
+    const MemberRecord& r = member.state.record;
     os << (first ? "" : ",") << "{\"id\":\"" << json_escape(r.id)
-       << "\",\"live\":" << (member.stale ? "false" : "true")
+       << "\",\"live\":" << (member.state.stale ? "false" : "true")
        << ",\"pid\":" << r.pid << ",\"placement\":\""
        << json_escape(r.placement) << "\",\"host\":\"" << json_escape(r.host)
        << "\",\"cores\":" << r.cores << ",\"load100\":" << r.load100
        << ",\"claim_budget\":" << fair_claim_budget(r.cores, r.load100)
        << ",\"uptime_seconds\":" << now - r.started
-       << ",\"heartbeat_age_seconds\":" << member.age
+       << ",\"heartbeat_age_seconds\":" << member.state.age
        << ",\"ttl_seconds\":" << r.ttl_seconds << ",\"cycles\":" << r.cycles
        << ",\"tasks\":" << r.tasks << ",\"shards\":" << r.shards
        << ",\"shards_per_second\":" << format_rate(shards_per_second(r, now))
        << ",\"steals\":" << r.steals << ",\"pressure\":\""
        << json_escape(r.pressure.empty() ? "ok" : r.pressure)
        << "\",\"free_bytes\":" << r.free_bytes
-       << ",\"leases_held\":" << held[r.id] << "}";
+       << ",\"leases_held\":" << member.leases_held << "}";
     first = false;
-    held.erase(r.id);
   }
   os << "],\"non_member_owners\":[";
   first = true;
-  for (const auto& [owner, count] : held) {
+  for (const auto& [owner, count] : view.non_members) {
     os << (first ? "" : ",") << "{\"owner\":\"" << json_escape(owner)
        << "\",\"leases_held\":" << count << "}";
     first = false;
   }
-  os << "],\"jobs\":[" << jobs_json.str() << "]}\n";
+  os << "],\"jobs\":[";
+  first = true;
+  for (const JobView& job : view.jobs) {
+    os << (first ? "" : ",") << "{\"dir\":\"" << json_escape(job.dir) << "\"";
+    first = false;
+    if (!job.readable) {
+      os << ",\"error\":\"" << json_escape(job.error) << "\"}";
+      continue;
+    }
+    os << ",\"key\":\"" << job.key << "\",\"tasks_total\":" << job.tasks_total
+       << ",\"tasks_completed\":" << job.tasks_completed
+       << ",\"shards_total\":" << job.shards_total
+       << ",\"shards_done\":" << job.shards_done
+       << ",\"leases_live\":" << job.leases_live
+       << ",\"leases_stale\":" << job.leases_stale
+       << ",\"shards_corrupt\":" << job.shards_corrupt
+       << ",\"shards_quarantined\":" << job.shards_quarantined
+       << ",\"leases\":[";
+    bool first_lease = true;
+    for (const LeaseState& lease : job.leases) {
+      os << (first_lease ? "" : ",") << "{\"shard\":" << lease.shard
+         << ",\"owner\":\"" << json_escape(lease.owner)
+         << "\",\"age_seconds\":" << lease_age(lease, now)
+         << ",\"progress_age_seconds\":" << lease.progress_age
+         << ",\"expired\":" << (lease.expired ? "true" : "false") << "}";
+      first_lease = false;
+    }
+    os << "]}";
+  }
+  os << "]}\n";
   return os.str();
 }
 

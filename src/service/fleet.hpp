@@ -18,9 +18,7 @@
 //     giant sweep monopolizes the daemon until it finishes); `fair`
 //     round-robins one shard at a time across jobs with anti-starvation
 //     aging and a fleet-wide per-job in-flight cap, so a small job's
-//     shards interleave with — and finish ahead of — a large sweep's;
-//     `random` claims uniformly at random (seeded), the decorrelation
-//     choice for very large fleets.
+//     shards interleave with — and finish ahead of — a large sweep's.
 //
 //   * orphan lifecycle: gc_sweep() reaps stale membership files, reclaims
 //     expired lease debris left by dead daemons (never a live lease —
@@ -45,7 +43,7 @@ namespace dualcast::service {
 
 // --- placement ---------------------------------------------------------
 
-enum class Placement { fifo, fair, random };
+enum class Placement { fifo, fair };
 
 const char* to_string(Placement placement);
 

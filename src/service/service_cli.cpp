@@ -177,9 +177,7 @@ std::vector<Flag> cache_flags(std::string& cache_dir,
 
 Flag placement_flag(std::string help, Placement& target) {
   return choice_flag("--placement", "P", std::move(help), target,
-                     {{"fifo", Placement::fifo},
-                      {"fair", Placement::fair},
-                      {"random", Placement::random}});
+                     {{"fifo", Placement::fifo}, {"fair", Placement::fair}});
 }
 
 int serve_main(int argc, char** argv, const Command& command) {
@@ -288,7 +286,7 @@ int daemon_main(int argc, char** argv, const Command& command) {
         int_flag("--max-cycles", "N",
                  "exit after N poll cycles (default: run until signalled)",
                  options.max_cycles, 0),
-        placement_flag("fifo | fair | random (default fifo): how shard "
+        placement_flag("fifo | fair (default fifo): how shard "
                        "claims spread across jobs; fair interleaves one "
                        "shard at a time with aging + a per-job in-flight cap",
                        options.placement),
@@ -299,8 +297,8 @@ int daemon_main(int argc, char** argv, const Command& command) {
         int_flag("--member-ttl", "S", "membership heartbeat TTL (default 15)",
                  options.member_ttl_seconds, 1),
         int_flag("--seed", "S",
-                 "placement jitter seed (default: derived from the owner "
-                 "token)",
+                 "seeds fair placement's claim-order rotation (default: "
+                 "derived from the owner token)",
                  options.seed, 0),
         int_flag("--cores", "N",
                  "advertise N cores in the member record (default: probe "
@@ -411,15 +409,14 @@ int soak_main(int argc, char** argv, const Command& command) {
       int_flag("--daemons", "N", "daemon processes in the fleet (default 4)",
                options.daemons, 1),
       int_flag("--kill-seed", "S",
-               "seeds the victim sequence (replayable; default 7)",
+               "seeds the victim picks among lease holders (default 7)",
                options.kill_seed, 0),
       int_flag("--kills", "N",
                "SIGKILLs delivered across the storm (default 6)",
                options.kills, 0),
       int_flag("--kill-interval-ms", "M", "pause between kills (default 600)",
                options.kill_interval_ms, 1),
-      placement_flag("fleet placement policy: fifo, fair or random (default "
-                     "fair)",
+      placement_flag("fleet placement policy: fifo or fair (default fair)",
                      options.placement),
       int_flag("--small-jobs", "N",
                "small jobs dropped beside the big one (default 2)",

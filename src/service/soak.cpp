@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -287,10 +288,30 @@ SoakReport run_soak(const SoakOptions& options) {
     *log << "\n";
   }
 
-  // The storm: seeded victim sequence at a fixed cadence, dead slots
-  // respawned each tick (respawns never carry the fault hook — an early
-  // injected death must not become a crash loop).
+  // The storm: a seeded pick among the lease holders at a fixed cadence,
+  // dead slots respawned each tick (respawns never carry the fault hook —
+  // an early injected death must not become a crash loop).
   std::uint64_t rng = options.kill_seed != 0 ? options.kill_seed : 1;
+  // Live slots whose current owner token holds an unexpired lease in one
+  // of the soak's jobs, in slot order.
+  const auto lease_holders = [&] {
+    std::vector<std::string> owners;
+    for (const SoakJob& job : jobs) {
+      for (const LeaseState& lease : job.store->scan_leases()) {
+        if (!lease.expired) owners.push_back(lease.owner);
+      }
+    }
+    std::vector<int> holders;
+    for (int i = 0; i < options.daemons; ++i) {
+      const Slot& slot = slots[static_cast<std::size_t>(i)];
+      const std::string owner = str("soak-d", i, ".g", slot.generation);
+      if (slot.alive && std::find(owners.begin(), owners.end(), owner) !=
+                            owners.end()) {
+        holders.push_back(i);
+      }
+    }
+    return holders;
+  };
   const std::int64_t deadline =
       now_ms() + static_cast<std::int64_t>(options.timeout_seconds) * 1000;
   std::int64_t next_kill = now_ms() + options.kill_interval_ms;
@@ -356,10 +377,14 @@ SoakReport run_soak(const SoakOptions& options) {
       }
     }
     if (kills_done < options.kills && now_ms() >= next_kill) {
-      const int victim = static_cast<int>(
-          splitmix64(rng) % static_cast<std::uint64_t>(options.daemons));
-      Slot& slot = slots[static_cast<std::size_t>(victim)];
-      if (slot.alive) {
+      // Only a live daemon holding an unexpired lease leaves one behind to
+      // steal; a kill of a parked or idle daemon proves nothing. With no
+      // holder this tick, the kill waits for the next.
+      const std::vector<int> holders = lease_holders();
+      if (!holders.empty()) {
+        const int victim = holders[static_cast<std::size_t>(
+            splitmix64(rng) % static_cast<std::uint64_t>(holders.size()))];
+        Slot& slot = slots[static_cast<std::size_t>(victim)];
         slot.killed = true;
         ::kill(slot.pid, SIGKILL);
         ::waitpid(slot.pid, nullptr, 0);
@@ -371,8 +396,8 @@ SoakReport run_soak(const SoakOptions& options) {
                << slot.pid << "), " << (options.kills - kills_done)
                << " kill(s) left\n";
         }
+        next_kill += options.kill_interval_ms;
       }
-      next_kill += options.kill_interval_ms;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }

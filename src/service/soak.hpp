@@ -28,9 +28,11 @@
 //     event was observed across the daemon logs (when kills happened and
 //     `require_steal` is set).
 //
-// Determinism note: the kill *schedule* (victim sequence) is a pure
-// function of `kill_seed`, so a failing storm can be replayed; wall-clock
-// interleaving of course is not, which is exactly what the byte-identical
+// Determinism note: each kill is a `kill_seed`-seeded pick among the
+// daemons that hold an unexpired lease at that tick (a kill waits for a
+// holder), so every kill leaves a lease to steal. Which daemons hold
+// leases depends on wall-clock interleaving, so a storm replays only as
+// far as the interleaving does — which is exactly what the byte-identical
 // check is for.
 
 #include <cstdint>
@@ -58,7 +60,7 @@ struct SoakOptions {
   int lease_ttl_seconds = 2;    ///< short: steals happen within the storm
   int member_ttl_seconds = 4;   ///< stale detection well inside the run
   Placement placement = Placement::fair;
-  std::uint64_t kill_seed = 7;  ///< seeds the victim sequence
+  std::uint64_t kill_seed = 7;  ///< seeds the victim picks
   int kills = 6;                ///< SIGKILLs delivered across the storm
   int kill_interval_ms = 600;
   /// Also arm each first-generation daemon with `--fault-crash-op N`

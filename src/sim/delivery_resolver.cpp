@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "util/assert.hpp"
-#include "util/simd.hpp"
 
 namespace dualcast {
 
@@ -19,7 +18,6 @@ void DeliveryResolver::reset(const DualGraph* net, bool collision_detection) {
   last_tx_index_.assign(n, -1);
   touched_.clear();
   colliders_.clear();
-  tx_bits_.resize(static_cast<std::int64_t>(n));
 }
 
 void DeliveryResolver::resolve(const std::vector<int>& tx_index_of,
@@ -54,52 +52,16 @@ void DeliveryResolver::resolve(const std::vector<int>& tx_index_of,
     return;
   }
 
-  bool use_structured = false;
-  bool use_bitmap = false;
-  if (forced_ == Path::structured) {
-    DC_EXPECTS_MSG(dual_clique_,
-                   "structured path forced on a network without a "
-                   "dual-clique structure tag");
-    use_structured = true;
-  } else if (forced_ == Path::bitmap) {
-    DC_EXPECTS_MSG(net_->g_bitmap() != nullptr,
-                   "bitmap path forced on a network without bitmaps");
-    use_bitmap = true;
-  } else if (forced_ == Path::auto_select) {
-    if (dual_clique_) {
-      // Per-side counting beats both general strategies on clique sides at
-      // every density: O(tx + mask bits), O(n) only alongside O(n) output.
-      use_structured = true;
-    } else if (net_->g_bitmap() != nullptr) {
-      // Exact sweep cost: scalar adjacency visits over the active layers.
-      std::int64_t sweep_visits = 0;
-      const auto g_off = net_->g().csr_offsets();
-      const auto gp_off = net_->gp_only_csr_offsets();
-      const bool overlay = edges.kind == EdgeSet::Kind::all;
-      for (const int v : transmitters) {
-        sweep_visits += g_off[static_cast<std::size_t>(v) + 1] -
-                        g_off[static_cast<std::size_t>(v)];
-        if (overlay) {
-          sweep_visits += gp_off[static_cast<std::size_t>(v) + 1] -
-                          gp_off[static_cast<std::size_t>(v)];
-        }
-      }
-      // Bitmap cost: one scan over every row's stored (non-empty) blocks —
-      // exactly total_blocks() words per active layer. The early exit at 2
-      // contenders makes this an upper bound.
-      std::int64_t bitmap_words = net_->g_bitmap()->total_blocks();
-      if (overlay) bitmap_words += net_->gp_only_bitmap()->total_blocks();
-      use_bitmap = sweep_visits > bitmap_words;
-    }
-  }
-
+  DC_EXPECTS_MSG(forced_ != Path::structured || dual_clique_,
+                 "structured path forced on a network without a "
+                 "dual-clique structure tag");
   touched_.clear();
-  if (use_structured) {
+  // Per-side counting beats the sweep on clique sides at every density:
+  // O(tx + mask bits), O(n) only alongside O(n) output.
+  if (forced_ == Path::structured ||
+      (forced_ == Path::auto_select && dual_clique_)) {
     last_ = Path::structured;
     resolve_structured(tx_index_of, edges, record);
-  } else if (use_bitmap) {
-    last_ = Path::bitmap;
-    resolve_bitmap(tx_index_of, edges, record);
   } else {
     last_ = Path::sweep;
     resolve_sweep(tx_index_of, edges, record);
@@ -121,49 +83,6 @@ void DeliveryResolver::resolve_sweep(const std::vector<int>& tx_index_of,
     }
   }
   apply_sparse_edges(tx_index_of, edges, transmitters);
-  finalize(tx_index_of, record);
-}
-
-void DeliveryResolver::resolve_bitmap(const std::vector<int>& tx_index_of,
-                                      const EdgeSet& edges,
-                                      RoundRecord& record) {
-  const int n = net_->n();
-  const AdjacencyBitmap* g_rows = net_->g_bitmap();
-  const AdjacencyBitmap* gp_rows = net_->gp_only_bitmap();
-  const bool overlay = edges.kind == EdgeSet::Kind::all;
-
-  tx_bits_.reset_all();
-  for (const int v : record.transmitters) tx_bits_.set(v);
-  const std::uint64_t* tx_words = tx_bits_.data();
-
-  for (int u = 0; u < n; ++u) {
-    if (tx_index_of[static_cast<std::size_t>(u)] >= 0) continue;
-    std::uint64_t hit_word = 0;
-    std::int32_t hit_index = 0;
-    // Scan only the row's stored blocks (AND + popcount, capped at 2 —
-    // counts are only consumed as {0, 1, >= 2}); with the overlay on, walk
-    // both layers' blocks (a transmitter adjacent in both layers is counted
-    // once per §2 — G and the G'-only overlay partition E', so their rows
-    // are disjoint and the counts add).
-    const AdjacencyBitmap::RowView g_row = g_rows->row(u);
-    int count = simd::and_popcount_cap2(g_row.bits, g_row.index, tx_words, 0,
-                                        hit_word, hit_index);
-    if (overlay && count < 2) {
-      const AdjacencyBitmap::RowView gp_row = gp_rows->row(u);
-      count = simd::and_popcount_cap2(gp_row.bits, gp_row.index, tx_words,
-                                      count, hit_word, hit_index);
-    }
-    if (count == 0) continue;
-    hear_count_[static_cast<std::size_t>(u)] = count;
-    touched_.push_back(u);
-    if (count == 1) {
-      const int sender = hit_index * 64 + std::countr_zero(hit_word);
-      last_sender_[static_cast<std::size_t>(u)] = sender;
-      last_tx_index_[static_cast<std::size_t>(u)] =
-          tx_index_of[static_cast<std::size_t>(sender)];
-    }
-  }
-  apply_sparse_edges(tx_index_of, edges, record.transmitters);
   finalize(tx_index_of, record);
 }
 

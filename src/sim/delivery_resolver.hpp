@@ -6,19 +6,12 @@
 //   u receives m from v iff u listens, v transmits m, and v is the *only*
 //   transmitter among u's neighbors in G ∪ (selected G'-only edges).
 //
-// Three interchangeable strategies, selected per round:
+// Two strategies, chosen by the network's structure tag alone:
 //
 //   sweep      — walk each transmitter's adjacency (through LayerView, so
 //                implicit layers iterate too), bumping per-listener hear
-//                counts. O(Σ deg(t) + |activated edges|); optimal for
-//                sparse rounds (few transmitters) on sparse layers.
-//   bitmap     — build the round's transmitter set as an n-bit vector T
-//                and compute every listener's contending-transmitter count
-//                as popcount(row(u) & T) over the blocked adjacency
-//                bitmaps (AVX2-gathered where the host supports it, scalar
-//                otherwise — identical results). O(total non-empty row
-//                blocks) with early exit at 2 contenders; wins on dense
-//                rounds over explicit layers.
+//                counts. O(Σ deg(t) + |activated edges|). Every network
+//                without a dual-clique tag resolves here.
 //   structured — dual cliques only (all of them implicit): a listener's
 //                count is its side's transmitter total plus the
 //                bridge/mask extras, so a round costs O(transmitters +
@@ -26,12 +19,14 @@
 //                O(n). This is the path that carries clique-family networks
 //                past n = 4096.
 //
-// The strategy choice is a deterministic function of the round's
-// transmitter set and edge kind, so replays stay bit-identical. All paths
-// produce the same delivery set; only the order of record.deliveries may
-// differ, which no consumer depends on (per-receiver feedback is unique
-// because a delivery requires a *sole* contender; the problem monitors are
-// order-insensitive).
+// Ahead of both, a complete G' with every G'-only edge active resolves in
+// O(1) (or O(n) output): one transmitter reaches everyone, two collide
+// everywhere.
+//
+// Both paths produce the same delivery set; only the order of
+// record.deliveries may differ, which no consumer depends on
+// (per-receiver feedback is unique because a delivery requires a *sole*
+// contender; the problem monitors are order-insensitive).
 
 #include <cstdint>
 #include <vector>
@@ -39,17 +34,16 @@
 #include "graph/dual_graph.hpp"
 #include "sim/edge_set.hpp"
 #include "sim/history.hpp"
-#include "util/bitset64.hpp"
 
 namespace dualcast {
 
 class DeliveryResolver {
  public:
+  // Fixed values: perfbench indexes {sweep, bitmap, structured} by value - 1.
   enum class Path : std::uint8_t {
-    auto_select,  ///< per-round cost heuristic (default)
-    sweep,        ///< force the LayerView sweep (tests, no-bitmap graphs)
-    bitmap,       ///< force the word-parallel path (tests; requires bitmaps)
-    structured,   ///< force the structured path (requires a dual-clique tag)
+    auto_select = 0,  ///< structured on dual cliques, sweep elsewhere
+    sweep = 1,        ///< force the LayerView sweep (tests)
+    structured = 3,   ///< force the structured path (dual cliques only)
   };
 
   /// Binds the resolver to a network and sizes the scratch. Must be called
@@ -68,8 +62,8 @@ class DeliveryResolver {
   /// (empty unless collision detection is on).
   const std::vector<int>& colliders() const { return colliders_; }
 
-  /// Test hook: pin the strategy. bitmap requires the network to have
-  /// adjacency bitmaps; structured requires structure() == dual_clique.
+  /// Test hook: pin the strategy. structured requires structure() ==
+  /// dual_clique.
   void force_path(Path path) { forced_ = path; }
   /// The strategy taken by the last resolve() call (diagnostics/tests).
   Path last_path() const { return last_; }
@@ -87,8 +81,6 @@ class DeliveryResolver {
 
   void resolve_sweep(const std::vector<int>& tx_index_of, const EdgeSet& edges,
                      RoundRecord& record);
-  void resolve_bitmap(const std::vector<int>& tx_index_of,
-                      const EdgeSet& edges, RoundRecord& record);
   void resolve_structured(const std::vector<int>& tx_index_of,
                           const EdgeSet& edges, RoundRecord& record);
   void apply_sparse_edges(const std::vector<int>& tx_index_of,
@@ -113,7 +105,6 @@ class DeliveryResolver {
   std::vector<int> last_tx_index_;
   std::vector<int> touched_;
   std::vector<int> colliders_;
-  Bitset64 tx_bits_;  ///< bitmap path: the round's transmitter set
 };
 
 }  // namespace dualcast

@@ -239,8 +239,8 @@ class KernelExecution {
   /// under lean history, the history's reusable last-record), so mask
   /// rounds allocate nothing in steady state.
   EdgeSet edges_;
-  /// The §2 receive rule (CSR sweep / word-parallel bitmap / structured);
-  /// owns the per-round hear-count scratch.
+  /// The §2 receive rule (LayerView sweep / structured); owns the
+  /// per-round hear-count scratch.
   DeliveryResolver resolver_;
 };
 

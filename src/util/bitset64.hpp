@@ -1,8 +1,8 @@
 #pragma once
 
 // Packed 64-bit-block bitset primitives, shared by the kernels' holder
-// bitmaps and the delivery resolver's per-round transmitter / selected-edge
-// sets. One definition of the shift/mask/countr_zero idiom; iterating
+// bitmaps and the engine's holder set. One definition of the
+// shift/mask/countr_zero idiom; iterating
 // blocks then set bits ascending visits members in ascending index order
 // (the engines' node-visit order).
 

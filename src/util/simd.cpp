@@ -37,23 +37,6 @@ bool avx2_supported() {
 #endif
 }
 
-int and_popcount_cap2_scalar(std::span<const std::uint64_t> bits,
-                             std::span<const std::int32_t> index,
-                             const std::uint64_t* tx_words, int count,
-                             std::uint64_t& hit_word,
-                             std::int32_t& hit_index) {
-  for (std::size_t k = 0; k < bits.size(); ++k) {
-    const std::uint64_t m =
-        bits[k] & tx_words[static_cast<std::size_t>(index[k])];
-    if (m == 0) continue;
-    count += std::popcount(m);
-    hit_word = m;
-    hit_index = index[k];
-    if (count >= 2) return 2;
-  }
-  return count;
-}
-
 std::uint64_t gather_ladder_bits_scalar(const std::uint64_t* masks,
                                         const std::uint8_t* lane_index,
                                         std::uint64_t lanes) {
@@ -85,35 +68,6 @@ std::uint64_t coin_pow2_lanes_scalar(std::span<Rng> streams,
 }
 
 #if DUALCAST_X86
-
-__attribute__((target("avx2"))) int and_popcount_cap2_avx2(
-    std::span<const std::uint64_t> bits, std::span<const std::int32_t> index,
-    const std::uint64_t* tx_words, int count, std::uint64_t& hit_word,
-    std::int32_t& hit_index) {
-  std::size_t k = 0;
-  const std::size_t m = bits.size();
-  for (; k + 4 <= m; k += 4) {
-    const __m128i idx4 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(index.data() + k));
-    const __m256i tx4 = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(tx_words), idx4, 8);
-    const __m256i row4 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(bits.data() + k));
-    const __m256i and4 = _mm256_and_si256(row4, tx4);
-    if (_mm256_testz_si256(and4, and4)) continue;
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), and4);
-    for (int j = 0; j < 4; ++j) {
-      if (lanes[j] == 0) continue;
-      count += std::popcount(lanes[j]);
-      hit_word = lanes[j];
-      hit_index = index[k + static_cast<std::size_t>(j)];
-      if (count >= 2) return 2;
-    }
-  }
-  return and_popcount_cap2_scalar(bits.subspan(k), index.subspan(k), tx_words,
-                                  count, hit_word, hit_index);
-}
 
 __attribute__((target("avx2"))) std::uint64_t gather_ladder_bits_avx2(
     const std::uint64_t* masks, const std::uint8_t* lane_index,
@@ -265,14 +219,6 @@ __attribute__((target("avx2"))) std::uint64_t coin_pow2_lanes_avx2(
 
 #else  // !DUALCAST_X86
 
-int and_popcount_cap2_avx2(std::span<const std::uint64_t> bits,
-                           std::span<const std::int32_t> index,
-                           const std::uint64_t* tx_words, int count,
-                           std::uint64_t& hit_word, std::int32_t& hit_index) {
-  return and_popcount_cap2_scalar(bits, index, tx_words, count, hit_word,
-                                  hit_index);
-}
-
 std::uint64_t gather_ladder_bits_avx2(const std::uint64_t* masks,
                                       const std::uint8_t* lane_index,
                                       std::uint64_t lanes) {
@@ -304,18 +250,6 @@ bool avx2_active() { return use_avx2(); }
 
 void force_scalar(bool on) {
   g_force_scalar.store(on, std::memory_order_relaxed);
-}
-
-int and_popcount_cap2(std::span<const std::uint64_t> bits,
-                      std::span<const std::int32_t> index,
-                      const std::uint64_t* tx_words, int count,
-                      std::uint64_t& hit_word, std::int32_t& hit_index) {
-  if (use_avx2()) {
-    return detail::and_popcount_cap2_avx2(bits, index, tx_words, count,
-                                          hit_word, hit_index);
-  }
-  return detail::and_popcount_cap2_scalar(bits, index, tx_words, count,
-                                          hit_word, hit_index);
 }
 
 std::uint64_t gather_ladder_bits(const std::uint64_t* masks,

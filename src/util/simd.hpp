@@ -5,14 +5,6 @@
 // parity suite in tests/test_util_simd.cpp compares both implementations on
 // random inputs, so the dispatched result never depends on the host):
 //
-//   and_popcount_cap2  — the delivery resolver's per-listener block scan:
-//                        count the transmitters adjacent to a listener as
-//                        popcount(row_block & tx_word) over the row's
-//                        stored blocks, early-exiting at 2 contenders
-//                        (counts are only consumed as {0, 1, >= 2}). The
-//                        AVX2 path gathers four transmitter words per step
-//                        and skips all-miss chunks with one test.
-//
 //   gather_ladder_bits — the Pow2MaskLadder consumption loop of the
 //                        word-RNG kernels: with divergent per-node ladder
 //                        indices, lane j of the result is bit j of
@@ -48,16 +40,6 @@ bool avx2_active();
 /// call with false to restore capability-based dispatch).
 void force_scalar(bool on);
 
-/// Adds popcount(bits[k] & tx_words[index[k]]) over all stored blocks to
-/// `count`, capped at 2 (early exit); records the last examined nonzero
-/// AND word and its block index in hit_word / hit_index. hit_* are only
-/// meaningful when the returned count is exactly 1 — then they identify
-/// the unique contender. `index` entries address tx_words.
-int and_popcount_cap2(std::span<const std::uint64_t> bits,
-                      std::span<const std::int32_t> index,
-                      const std::uint64_t* tx_words, int count,
-                      std::uint64_t& hit_word, std::int32_t& hit_index);
-
 /// For each set bit j of `lanes`: bit j of the result is bit j of
 /// masks[lane_index[j]]; other bits are 0. `lane_index` must have 64
 /// entries, each < 64 and valid to read from `masks` (unused lanes may be
@@ -83,14 +65,6 @@ namespace detail {
 // Both implementations, exposed for the parity tests. The *_avx2 variants
 // must only be called when avx2_supported() is true.
 bool avx2_supported();
-int and_popcount_cap2_scalar(std::span<const std::uint64_t> bits,
-                             std::span<const std::int32_t> index,
-                             const std::uint64_t* tx_words, int count,
-                             std::uint64_t& hit_word, std::int32_t& hit_index);
-int and_popcount_cap2_avx2(std::span<const std::uint64_t> bits,
-                           std::span<const std::int32_t> index,
-                           const std::uint64_t* tx_words, int count,
-                           std::uint64_t& hit_word, std::int32_t& hit_index);
 std::uint64_t gather_ladder_bits_scalar(const std::uint64_t* masks,
                                         const std::uint8_t* lane_index,
                                         std::uint64_t lanes);

@@ -231,6 +231,14 @@ TEST(CliSurface, ChoiceFlagNamesTheBadChoice) {
   }
 }
 
+TEST(CliSurface, PlacementChoicesAreFifoAndFair) {
+  for (const std::string command : {"daemon", "soak"}) {
+    expect_rejected(command, {"--placement", "random"},
+                    "--placement: expected \"fifo\" or \"fair\", got "
+                    "\"random\"");
+  }
+}
+
 TEST(CliSurface, SwitchGivenAValueNamesTheArgument) {
   for (const Surface& surface : surfaces()) {
     for (const auto& [flag, kind] : surface.flags) {

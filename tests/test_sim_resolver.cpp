@@ -1,7 +1,7 @@
-// DeliveryResolver: the word-parallel bitmap path must agree with the CSR
-// sweep — and both with a from-first-principles reference — on random
-// graphs, random transmit sets, every edge kind, with and without
-// collision detection; so must the structured path on dual cliques.
+// DeliveryResolver: the LayerView sweep must agree with a
+// from-first-principles reference on random graphs, random transmit sets,
+// every edge kind, with and without collision detection; so must the
+// structured path on dual cliques.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +18,9 @@ namespace dualcast {
 namespace {
 
 struct Resolved {
-  /// (receiver, sender, transmitter_index), sorted: the two strategies emit
-  /// deliveries in different orders (transmitter-major vs receiver-major);
-  /// the *set* must match.
+  /// (receiver, sender, transmitter_index), sorted: the strategies and the
+  /// reference emit deliveries in different orders (transmitter-major,
+  /// side-major, receiver-major); the *set* must match.
   std::vector<std::tuple<int, int, int>> deliveries;
   std::vector<int> colliders;
 };
@@ -127,7 +127,7 @@ DualGraph random_dual(int n, double p_g, double p_extra, Rng& rng) {
   return DualGraph(std::move(g), std::move(gp));
 }
 
-TEST(DeliveryResolverDifferential, BitmapMatchesSweepAndReference) {
+TEST(DeliveryResolverDifferential, SweepMatchesReference) {
   Rng rng(2024);
   int rounds_checked = 0;
   for (int trial = 0; trial < 40; ++trial) {
@@ -135,7 +135,6 @@ TEST(DeliveryResolverDifferential, BitmapMatchesSweepAndReference) {
     const DualGraph net =
         random_dual(n, 0.05 + 0.4 * rng.uniform01(),
                     0.05 + 0.4 * rng.uniform01(), rng);
-    ASSERT_NE(net.g_bitmap(), nullptr);
     const std::int64_t m_extra =
         static_cast<std::int64_t>(net.gp_only_edges().size());
     for (int round = 0; round < 8; ++round) {
@@ -163,15 +162,9 @@ TEST(DeliveryResolverDifferential, BitmapMatchesSweepAndReference) {
         const Resolved sweep = resolve_with(DeliveryResolver::Path::sweep,
                                             net, transmitters, edges,
                                             collision);
-        const Resolved bitmap = resolve_with(DeliveryResolver::Path::bitmap,
-                                             net, transmitters, edges,
-                                             collision);
         ASSERT_EQ(sweep.deliveries, reference.deliveries)
             << "sweep vs reference, n=" << n << " trial=" << trial;
         ASSERT_EQ(sweep.colliders, reference.colliders);
-        ASSERT_EQ(bitmap.deliveries, reference.deliveries)
-            << "bitmap vs reference, n=" << n << " trial=" << trial;
-        ASSERT_EQ(bitmap.colliders, reference.colliders);
         ++rounds_checked;
       }
     }
@@ -179,57 +172,23 @@ TEST(DeliveryResolverDifferential, BitmapMatchesSweepAndReference) {
   EXPECT_GE(rounds_checked, 600);
 }
 
-TEST(DeliveryResolverHeuristic, AutoSelectsBitmapOnDenseRounds) {
+// An explicit network resolves on the sweep even on a dense round: every
+// other node transmitting over a half-dense G.
+TEST(DeliveryResolverHeuristic, AutoResolvesDenseRoundsOnSweep) {
   Rng rng(7);
   const DualGraph net = random_dual(256, 0.5, 0.2, rng);
-  ASSERT_NE(net.g_bitmap(), nullptr);
   DeliveryResolver resolver;
   resolver.reset(&net, false);
 
   std::vector<int> tx_index_of(256, -1);
   RoundRecord record;
-  // Dense round: every other node transmits over a half-dense G.
   for (int v = 0; v < 256; v += 2) {
     tx_index_of[static_cast<std::size_t>(v)] =
         static_cast<int>(record.transmitters.size());
     record.transmitters.push_back(v);
   }
   resolver.resolve(tx_index_of, EdgeSet::none(), record);
-  EXPECT_EQ(resolver.last_path(), DeliveryResolver::Path::bitmap);
-
-  // Sparse round: a single transmitter stays on the CSR sweep.
-  for (const int v : record.transmitters) {
-    tx_index_of[static_cast<std::size_t>(v)] = -1;
-  }
-  record.clear();
-  record.transmitters.push_back(3);
-  tx_index_of[3] = 0;
-  resolver.resolve(tx_index_of, EdgeSet::none(), record);
   EXPECT_EQ(resolver.last_path(), DeliveryResolver::Path::sweep);
-}
-
-TEST(DeliveryResolverHeuristic, BitmaplessNetworksFallBackToSweep) {
-  // Under BitmapPolicy::never (and for graphs whose blocked bitmaps exceed
-  // DualGraph::kBitmapMaxBytes) no bitmaps exist; auto must keep working.
-  const int n = 5000;
-  Graph g(n);
-  for (int v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  g.finalize();
-  Graph gp = g;
-  gp.finalize();
-  const DualGraph net(std::move(g), std::move(gp),
-                      DualGraph::BitmapPolicy::never);
-  EXPECT_EQ(net.g_bitmap(), nullptr);
-  DeliveryResolver resolver;
-  resolver.reset(&net, false);
-  std::vector<int> tx_index_of(static_cast<std::size_t>(net.n()), -1);
-  RoundRecord record;
-  record.transmitters.push_back(0);
-  tx_index_of[0] = 0;
-  resolver.resolve(tx_index_of, EdgeSet::none(), record);
-  EXPECT_EQ(resolver.last_path(), DeliveryResolver::Path::sweep);
-  ASSERT_EQ(record.deliveries.size(), 1u);
-  EXPECT_EQ(record.deliveries[0].receiver, 1);
 }
 
 // The structured path serves every dual clique, and every dual clique is
@@ -237,7 +196,7 @@ TEST(DeliveryResolverHeuristic, BitmaplessNetworksFallBackToSweep) {
 // per transmitter, or a row-by-row decode of the set bits — instead of
 // reading an overlay. It must agree with the first-principles reference
 // computed on an explicit twin (two cliques + bridge under K_n, untagged,
-// so it resolves on sweep and bitmap). Rows span and straddle mask words,
+// so it resolves on the sweep). Rows span and straddle mask words,
 // the bridge sits at a row's start, middle or end (or is absent), and
 // rounds have a few transmitters (the walk, for heavy masks) or most nodes
 // transmitting (the row decode).
@@ -252,7 +211,6 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
       const DualGraph implicit_net = DualGraph::implicit_dual_clique(
           n, std::max(bridge_index, 0), bridge_index >= 0);
       ASSERT_NE(explicit_net.structure(), DualGraph::Structure::dual_clique);
-      ASSERT_NE(explicit_net.g_bitmap(), nullptr);
       ASSERT_EQ(implicit_net.structure(), DualGraph::Structure::dual_clique);
       const std::int64_t m_extra = implicit_net.gp_only_edge_count();
       ASSERT_EQ(explicit_net.gp_only_edge_count(), m_extra);
@@ -302,7 +260,6 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
               resolve_reference(explicit_net, transmitters, edges, collision);
           const std::pair<DeliveryResolver::Path, const DualGraph*> runs[] = {
               {DeliveryResolver::Path::sweep, &explicit_net},
-              {DeliveryResolver::Path::bitmap, &explicit_net},
               {DeliveryResolver::Path::structured, &implicit_net},
               {DeliveryResolver::Path::sweep, &implicit_net},
           };
@@ -336,67 +293,6 @@ TEST(DeliveryResolverHeuristic, AutoSelectsStructuredOnDualCliques) {
   }
   resolver.resolve(tx_index_of, EdgeSet::none(), record);
   EXPECT_EQ(resolver.last_path(), DeliveryResolver::Path::structured);
-}
-
-// The blocked bitmaps past the old flat-row n = 4096 cap: on a large sparse
-// dual graph the dense path must exist and agree with the CSR sweep on
-// random rounds of every density and edge kind (the first-principles
-// reference is quadratic, so the sweep — itself validated against it above
-// — is the oracle at this size).
-TEST(DeliveryResolverDifferential, BlockedBitmapsAgreeWithSweepPast4096) {
-  Rng rng(77);
-  const int n = 8192;
-  Graph g(n);
-  for (int v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  // Sparse random chords in G plus a random unreliable overlay.
-  for (int e = 0; e < 2 * n; ++e) {
-    const int u = static_cast<int>(rng.uniform_int(0, n - 1));
-    const int v = static_cast<int>(rng.uniform_int(0, n - 1));
-    if (u != v) g.add_edge(u, v);
-  }
-  g.finalize();
-  Graph gp = g;
-  for (int e = 0; e < 2 * n; ++e) {
-    const int u = static_cast<int>(rng.uniform_int(0, n - 1));
-    const int v = static_cast<int>(rng.uniform_int(0, n - 1));
-    if (u != v) gp.add_edge(u, v);
-  }
-  gp.finalize();
-  const DualGraph net(std::move(g), std::move(gp));
-  ASSERT_NE(net.g_bitmap(), nullptr);
-  ASSERT_NE(net.gp_only_bitmap(), nullptr);
-  EXPECT_EQ(net.g_bitmap()->n(), n);
-
-  const std::int64_t m_extra =
-      static_cast<std::int64_t>(net.gp_only_edges().size());
-  for (int round = 0; round < 10; ++round) {
-    const double p_tx = rng.uniform01();
-    std::vector<int> transmitters;
-    for (int v = 0; v < n; ++v) {
-      if (rng.bernoulli(p_tx)) transmitters.push_back(v);
-    }
-    EdgeSet edges;
-    const int kind = round % 3;
-    if (kind == 1) {
-      edges = EdgeSet::all();
-    } else if (kind == 2 && m_extra > 0) {
-      std::vector<std::int32_t> idx;
-      for (std::int64_t e = 0; e < m_extra; ++e) {
-        if (rng.bernoulli(0.4)) idx.push_back(static_cast<std::int32_t>(e));
-      }
-      edges = EdgeSet::some(std::move(idx));
-    }
-    for (const bool collision : {false, true}) {
-      const Resolved sweep = resolve_with(DeliveryResolver::Path::sweep, net,
-                                          transmitters, edges, collision);
-      const Resolved bitmap = resolve_with(DeliveryResolver::Path::bitmap,
-                                           net, transmitters, edges,
-                                           collision);
-      ASSERT_EQ(bitmap.deliveries, sweep.deliveries)
-          << "round=" << round << " collision=" << collision;
-      ASSERT_EQ(bitmap.colliders, sweep.colliders);
-    }
-  }
 }
 
 }  // namespace

@@ -15,77 +15,6 @@
 namespace dualcast {
 namespace {
 
-struct ScanCase {
-  std::vector<std::uint64_t> bits;
-  std::vector<std::int32_t> index;
-  std::vector<std::uint64_t> tx;
-};
-
-ScanCase random_scan_case(Rng& rng, int tx_words, double density) {
-  ScanCase c;
-  c.tx.resize(static_cast<std::size_t>(tx_words));
-  for (auto& w : c.tx) {
-    w = rng.bernoulli(0.7) ? (rng.next_u64() & rng.next_u64()) : 0;
-  }
-  for (int k = 0; k < tx_words; ++k) {
-    if (!rng.bernoulli(density)) continue;
-    c.index.push_back(k);
-    c.bits.push_back(rng.next_u64() & rng.next_u64() & rng.next_u64());
-  }
-  return c;
-}
-
-/// Brute-force reference: exact popcount sum, capped at 2, last nonzero
-/// AND word recorded (the contract consumed when the result is 1).
-int reference_scan(const ScanCase& c, int start, std::uint64_t& hit_word,
-                   std::int32_t& hit_index) {
-  int count = start;
-  for (std::size_t k = 0; k < c.bits.size(); ++k) {
-    const std::uint64_t m =
-        c.bits[k] & c.tx[static_cast<std::size_t>(c.index[k])];
-    if (m == 0) continue;
-    count += std::popcount(m);
-    hit_word = m;
-    hit_index = c.index[k];
-    if (count >= 2) return 2;
-  }
-  return count;
-}
-
-TEST(SimdParity, AndPopcountCap2MatchesReferenceAndAvx2) {
-  Rng rng(808);
-  int ones_seen = 0;
-  for (int trial = 0; trial < 400; ++trial) {
-    const ScanCase c = random_scan_case(rng, 1 + trial % 23,
-                                        0.1 + 0.8 * rng.uniform01());
-    for (const int start : {0, 1}) {
-      std::uint64_t ref_hit = 0, scalar_hit = 0;
-      std::int32_t ref_idx = 0, scalar_idx = 0;
-      const int ref = reference_scan(c, start, ref_hit, ref_idx);
-      const int scalar = simd::detail::and_popcount_cap2_scalar(
-          c.bits, c.index, c.tx.data(), start, scalar_hit, scalar_idx);
-      ASSERT_EQ(scalar, ref);
-      if (ref == 1 && start == 0) {
-        ASSERT_EQ(scalar_hit, ref_hit);
-        ASSERT_EQ(scalar_idx, ref_idx);
-        ++ones_seen;
-      }
-      if (simd::detail::avx2_supported()) {
-        std::uint64_t avx_hit = 0;
-        std::int32_t avx_idx = 0;
-        const int avx = simd::detail::and_popcount_cap2_avx2(
-            c.bits, c.index, c.tx.data(), start, avx_hit, avx_idx);
-        ASSERT_EQ(avx, ref);
-        if (ref == 1 && start == 0) {
-          ASSERT_EQ(avx_hit, ref_hit);
-          ASSERT_EQ(avx_idx, ref_idx);
-        }
-      }
-    }
-  }
-  EXPECT_GT(ones_seen, 10) << "unique-contender branch barely exercised";
-}
-
 TEST(SimdParity, GatherLadderBitsMatchesReferenceAndAvx2) {
   Rng rng(909);
   for (int trial = 0; trial < 400; ++trial) {
