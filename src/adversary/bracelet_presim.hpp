@@ -11,8 +11,10 @@
 // fresh random bits predicts the dense/sparse profile of the real execution.
 //
 // Concretely, before round 0 this adversary privately simulates each band in
-// isolation (same algorithm, same roles, fresh coins from its own stream),
-// counts how many band *heads* transmit in each round r < k, and commits:
+// isolation (same algorithm, same roles, fresh coins from its own stream;
+// on the algorithm's batch kernel when ExecutionSetup::kernel offers one,
+// else on the scalar adapter, with the same result either way), counts how
+// many band *heads* transmit in each round r < k, and commits:
 //   round dense  (count > threshold)  -> activate all cross edges
 //   round sparse (count <= threshold) -> activate none
 // After its k-round prediction window it falls back to a configurable static

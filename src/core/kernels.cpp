@@ -45,8 +45,8 @@ class DecayCoins {
 
   /// Transmit word of block b: bit j is set iff candidate lane j (a set bit
   /// of `lanes`) wins its Bernoulli(2^-i) coin, where i is `shared_index`
-  /// when that is >= 0 (the fixed schedule) and index_of(v) otherwise.
-  /// Draws nothing when `lanes` is empty.
+  /// when that is >= 0 (every lane on one schedule) and index_of(v)
+  /// otherwise. Draws nothing when `lanes` is empty.
   template <typename IndexOf>
   std::uint64_t block(int b, std::uint64_t lanes, std::span<Rng> rngs,
                       int shared_index, IndexOf&& index_of) {
@@ -88,6 +88,8 @@ class DecayCoins {
 // Round robin (RoundRobinBroadcast).
 // ---------------------------------------------------------------------------
 
+// No fresh() here, in the robust-mix kernel or in the gossip kernel: their
+// slots and token sources key on node indices, not environment ids.
 class RoundRobinKernel final : public AlgorithmKernel {
  public:
   explicit RoundRobinKernel(RoundRobinConfig config) : config_(config) {}
@@ -151,6 +153,10 @@ class RoundRobinKernel final : public AlgorithmKernel {
 class DecayLocalKernel final : public AlgorithmKernel {
  public:
   explicit DecayLocalKernel(DecayLocalConfig config) : config_(config) {}
+
+  std::unique_ptr<AlgorithmKernel> fresh() const override {
+    return std::make_unique<DecayLocalKernel>(config_);
+  }
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     const int n = setup.net->n();
@@ -257,6 +263,11 @@ struct DecayGlobalState {
   std::vector<Message> message;
   std::vector<int> sources;   ///< ascending
   NodeBitmap holder_bits;     ///< non-source holders
+  // Every holder of one message shares its source's permuted bit string
+  // (§4.1), so while all holders carry one string a round has one ladder
+  // index (shared_index).
+  const BitString* holder_string = nullptr;  ///< the first holder's bits
+  bool mixed_strings = false;  ///< some later holder carries another string
 
   // Incremental active-window tracking. A holder's window [start, end) is
   // fixed at receipt, and both bounds arrive in non-decreasing order
@@ -331,6 +342,16 @@ struct DecayGlobalState {
            round >= window_start[i] && round < window_end[i];
   }
 
+  /// The ladder index of every holder at `round`, or -1 when holders
+  /// carry different bit strings (each then reads its own).
+  int shared_index(int round) const {
+    if (config.schedule == ScheduleKind::fixed) {
+      return fixed_decay_index(round, ladder);
+    }
+    if (holder_string == nullptr || mixed_strings) return -1;
+    return permuted_decay_index(*holder_string, round, ladder);
+  }
+
   int schedule_index(int v, int round) const {
     if (config.schedule == ScheduleKind::fixed) {
       return fixed_decay_index(round, ladder);
@@ -352,10 +373,7 @@ struct DecayGlobalState {
     // scan, which stays correct whatever the event queues say.
     const bool rescan = round < synced_round;
     if (!rescan) sync(round);
-    // The fixed schedule puts every holder on one ladder index per round.
-    const int shared_index = config.schedule == ScheduleKind::fixed
-                                 ? fixed_decay_index(round, ladder)
-                                 : -1;
+    const int index = shared_index(round);
     for (int b = 0; b < active_bits.blocks(); ++b) {
       std::uint64_t lanes = active_bits.word(b);
       if (rescan) {
@@ -366,7 +384,7 @@ struct DecayGlobalState {
                      });
       }
       const std::uint64_t tx =
-          coins.block(b, lanes, rngs, shared_index,
+          coins.block(b, lanes, rngs, index,
                       [&](int v) { return schedule_index(v, round); });
       for_each_bit(tx, b * 64, [&](int v, std::uint64_t) {
         emit(v, message[static_cast<std::size_t>(v)]);
@@ -381,6 +399,11 @@ struct DecayGlobalState {
     if (has[i] || m.kind != MessageKind::data) return;
     has[i] = 1;
     message[i] = m;
+    if (start_events.empty()) {  // the first holder
+      holder_string = m.shared_bits.get();
+    } else if (m.shared_bits.get() != holder_string) {
+      mixed_strings = true;
+    }
     window_start[i] = static_cast<int>(
         round_up(static_cast<std::int64_t>(round) + 1, period()));
     window_end[i] = calls == DecayGlobalConfig::kUnbounded
@@ -402,9 +425,9 @@ struct DecayGlobalState {
   }
 
   /// E[|X| | S] at decay clock `round`: non-zero contributors summed in
-  /// ascending node order (bit-identical to the full per-node scan; for the
-  /// fixed schedule every active holder shares one power-of-two p, so
-  /// count * p is the exact sequential sum).
+  /// ascending node order (bit-identical to the full per-node scan; when
+  /// every active holder shares one power-of-two p, count * p is the exact
+  /// sequential sum, since every partial sum j * p is exact).
   double expected(int round) const {
     if (round == 0) return static_cast<double>(sources.size());
     if (round < synced_round) {
@@ -417,9 +440,9 @@ struct DecayGlobalState {
       return sum;
     }
     sync(round);
-    if (config.schedule == ScheduleKind::fixed) {
-      return static_cast<double>(active_count) *
-             pow2_neg(fixed_decay_index(round, ladder));
+    const int index = shared_index(round);
+    if (index >= 0) {
+      return static_cast<double>(active_count) * pow2_neg(index);
     }
     double sum = 0.0;
     for (int b = 0; b < active_bits.blocks(); ++b) {
@@ -434,6 +457,10 @@ struct DecayGlobalState {
 class DecayGlobalKernel final : public AlgorithmKernel {
  public:
   explicit DecayGlobalKernel(DecayGlobalConfig config) : config_(config) {}
+
+  std::unique_ptr<AlgorithmKernel> fresh() const override {
+    return std::make_unique<DecayGlobalKernel>(config_);
+  }
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     state_.resize(config_, setup);
@@ -737,6 +764,10 @@ class GossipKernel final : public AlgorithmKernel {
 class GeoLocalKernel final : public AlgorithmKernel {
  public:
   explicit GeoLocalKernel(GeoLocalConfig config) : config_(config) {}
+
+  std::unique_ptr<AlgorithmKernel> fresh() const override {
+    return std::make_unique<GeoLocalKernel>(config_);
+  }
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     const int n = setup.net->n();

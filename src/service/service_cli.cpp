@@ -414,7 +414,8 @@ int soak_main(int argc, char** argv, const Command& command) {
       int_flag("--kills", "N",
                "SIGKILLs delivered across the storm (default 6)",
                options.kills, 0),
-      int_flag("--kill-interval-ms", "M", "pause between kills (default 600)",
+      int_flag("--kill-interval-ms", "M",
+               "minimum gap between kills (default 600)",
                options.kill_interval_ms, 1),
       placement_flag("fleet placement policy: fifo or fair (default fair)",
                      options.placement),

@@ -94,12 +94,10 @@ int count_occurrences(const std::string& path, const std::string& needle) {
   return count;
 }
 
-bool job_drained(const JobStore& store) {
-  const int shards = store.shard_count();
-  for (int s = 0; s < shards; ++s) {
-    if (!store.shard_done(s)) return false;
-  }
-  return true;
+int shards_done(const JobStore& store) {
+  int done = 0;
+  for (int s = 0; s < store.shard_count(); ++s) done += store.shard_done(s);
+  return done;
 }
 
 }  // namespace
@@ -288,9 +286,10 @@ SoakReport run_soak(const SoakOptions& options) {
     *log << "\n";
   }
 
-  // The storm: a seeded pick among the lease holders at a fixed cadence,
-  // dead slots respawned each tick (respawns never carry the fault hook —
-  // an early injected death must not become a crash loop).
+  // The storm: a seeded pick among the lease holders, paced by the drain
+  // (see soak.hpp), dead slots respawned each tick (respawns never carry
+  // the fault hook — an early injected death must not become a crash
+  // loop).
   std::uint64_t rng = options.kill_seed != 0 ? options.kill_seed : 1;
   // Live slots whose current owner token holds an unexpired lease in one
   // of the soak's jobs, in slot order.
@@ -314,7 +313,9 @@ SoakReport run_soak(const SoakOptions& options) {
   };
   const std::int64_t deadline =
       now_ms() + static_cast<std::int64_t>(options.timeout_seconds) * 1000;
-  std::int64_t next_kill = now_ms() + options.kill_interval_ms;
+  int total_shards = 0;
+  for (const SoakJob& job : jobs) total_shards += job.store->shard_count();
+  std::int64_t next_kill = now_ms();
   // Disk-pressure schedule: let the fleet get going, squeeze the shared
   // "disk" to zero (every daemon must park), hold, then restore (every
   // daemon must walk back up and finish the drain).
@@ -354,13 +355,9 @@ SoakReport run_soak(const SoakOptions& options) {
         }
       }
     }
-    all_done = true;
-    for (const SoakJob& job : jobs) {
-      if (!job_drained(*job.store)) {
-        all_done = false;
-        break;
-      }
-    }
+    int done = 0;
+    for (const SoakJob& job : jobs) done += shards_done(*job.store);
+    all_done = done == total_shards;
     // Under the disk-pressure drill, hold the fleet up through the full
     // squeeze-and-restore cycle even if the drain already finished — the
     // ladder walk is part of the verdict, and idle daemons still probe.
@@ -376,7 +373,11 @@ SoakReport run_soak(const SoakOptions& options) {
         }
       }
     }
-    if (kills_done < options.kills && now_ms() >= next_kill) {
+    const bool kill_due =
+        kills_done < options.kills && now_ms() >= next_kill &&
+        static_cast<std::int64_t>(done) * (options.kills + 1) >=
+            static_cast<std::int64_t>(kills_done + 1) * total_shards;
+    if (kill_due) {
       // Only a live daemon holding an unexpired lease leaves one behind to
       // steal; a kill of a parked or idle daemon proves nothing. With no
       // holder this tick, the kill waits for the next.
@@ -393,13 +394,19 @@ SoakReport run_soak(const SoakOptions& options) {
         ++report.kills;
         if (log != nullptr) {
           *log << "soak: SIGKILLed daemon " << victim << " (pid "
-               << slot.pid << "), " << (options.kills - kills_done)
+               << slot.pid << ") at " << done << "/" << total_shards
+               << " shards done, " << (options.kills - kills_done)
                << " kill(s) left\n";
         }
-        next_kill += options.kill_interval_ms;
+        next_kill = now_ms() + options.kill_interval_ms;
       }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // Poll fast while kills are outstanding, so each lands close to its
+    // share of the drain. A due kill waiting for a holder polls faster
+    // still: late in a fast drain the only holders are peers stealing a
+    // victim's lapsed lease, each for a few milliseconds.
+    std::this_thread::sleep_for(std::chrono::milliseconds(
+        kill_due ? 2 : kills_done < options.kills ? 20 : 100));
   }
   report.completed = all_done;
   if (!all_done) {

@@ -28,6 +28,13 @@
 //     event was observed across the daemon logs (when kills happened and
 //     `require_steal` is set).
 //
+// Kill pacing: kill k of N is due once k/(N+1) of the soak's shards are
+// done, and no sooner than `kill_interval_ms` after the previous kill, so
+// the storm spreads over the drain however fast the box runs it. A drain
+// that outruns the gap leaves late kills to the peers stealing a victim's
+// lapsed lease, the only holders left; the report counts the kills that
+// landed.
+//
 // Determinism note: each kill is a `kill_seed`-seeded pick among the
 // daemons that hold an unexpired lease at that tick (a kill waits for a
 // holder), so every kill leaves a lease to steal. Which daemons hold
@@ -62,7 +69,7 @@ struct SoakOptions {
   Placement placement = Placement::fair;
   std::uint64_t kill_seed = 7;  ///< seeds the victim picks
   int kills = 6;                ///< SIGKILLs delivered across the storm
-  int kill_interval_ms = 600;
+  int kill_interval_ms = 600;   ///< minimum gap between kills
   /// Also arm each first-generation daemon with `--fault-crash-op N`
   /// (respawns run clean, so an early injected death cannot crash-loop).
   int fault_crash_op = -1;

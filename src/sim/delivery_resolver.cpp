@@ -111,14 +111,6 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
   const bool all = edges.kind == EdgeSet::Kind::all && gprime_complete_;
   const std::vector<int>& transmitters = record.transmitters;
 
-  apply_sparse_edges(tx_index_of, edges, transmitters);
-  if (!all && ba >= 0) {
-    const int ta_idx = tx_index_of[static_cast<std::size_t>(ba)];
-    const int tb_idx = tx_index_of[static_cast<std::size_t>(bb)];
-    if (tb_idx >= 0) bump(ba, bb, tb_idx);
-    if (ta_idx >= 0) bump(bb, ba, ta_idx);
-  }
-
   int tx_a = 0;
   int tx_b = 0;
   int first_a = -1;
@@ -131,6 +123,20 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
       if (tx_b == 0) first_b = v;
       ++tx_b;
     }
+  }
+
+  // A side with >= 2 transmitters collides whatever G' adds (§2), so mask
+  // edges are applied only into a side that can still hear.
+  if (edges.kind == EdgeSet::Kind::mask) {
+    check_mask(edges);
+    apply_dual_clique_mask(tx_index_of, edges, transmitters, tx_a <= 1,
+                           tx_b <= 1);
+  }
+  if (!all && ba >= 0) {
+    const int ta_idx = tx_index_of[static_cast<std::size_t>(ba)];
+    const int tb_idx = tx_index_of[static_cast<std::size_t>(bb)];
+    if (tb_idx >= 0) bump(ba, bb, tb_idx);
+    if (ta_idx >= 0) bump(bb, ba, ta_idx);
   }
 
   struct Side {
@@ -180,12 +186,7 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
   }
 }
 
-void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
-                                          const EdgeSet& edges,
-                                          const std::vector<int>& transmitters) {
-  if (edges.kind != EdgeSet::Kind::mask) return;
-  const std::int64_t edge_count = net_->gp_only_edge_count();
-
+void DeliveryResolver::check_mask(const EdgeSet& edges) const {
   // Validate the mask's range once, up front (not per bit, and before
   // either strategy — the walk would otherwise silently skip invalid
   // indices): find the highest set bit.
@@ -197,8 +198,19 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
       break;
     }
   }
-  DC_EXPECTS_MSG(top < edge_count, "edge mask addresses past the G'-only "
-                                   "edge index space");
+  DC_EXPECTS_MSG(top < net_->gp_only_edge_count(),
+                 "edge mask addresses past the G'-only edge index space");
+}
+
+void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
+                                          const EdgeSet& edges,
+                                          const std::vector<int>& transmitters) {
+  if (edges.kind != EdgeSet::Kind::mask) return;
+  check_mask(edges);
+  if (dual_clique_) {
+    apply_dual_clique_mask(tx_index_of, edges, transmitters, true, true);
+    return;
+  }
 
   // Two equivalent strategies (same delivery set; only the bump order, and
   // thus record.deliveries order, differs — no consumer depends on it):
@@ -219,10 +231,6 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
   std::int64_t walk_visits = 0;
   for (const int v : transmitters) walk_visits += overlay.degree(v);
   const bool walk = walk_visits < edges.count;
-  if (dual_clique_) {
-    apply_dual_clique_mask(tx_index_of, edges, transmitters, walk);
-    return;
-  }
   if (walk && !net_->is_implicit()) {
     const auto gp_off = net_->gp_only_csr_offsets();
     const auto gp_neighbors = net_->gp_only_csr_neighbors();
@@ -265,11 +273,22 @@ void DeliveryResolver::apply_sparse_edges(const std::vector<int>& tx_index_of,
 
 void DeliveryResolver::apply_dual_clique_mask(
     const std::vector<int>& tx_index_of, const EdgeSet& edges,
-    const std::vector<int>& transmitters, bool walk) {
+    const std::vector<int>& transmitters, bool hear_a, bool hear_b) {
+  // A side-A transmitter's G'-only edges reach only side B, and the
+  // reverse: only transmitters whose far side can hear decide anything.
+  if (!hear_a && !hear_b) return;
+  const int h = net_->dual_half();
+  const auto decides = [&](int v) { return v < h ? hear_b : hear_a; };
+  const LayerView overlay = net_->gp_only_layer();
+  std::int64_t walk_visits = 0;
+  for (const int v : transmitters) {
+    if (decides(v)) walk_visits += overlay.degree(v);
+  }
+  const bool walk = walk_visits < edges.count;
+
   // A side-A node's G'-only edges are one index range and a side-B node's
   // a stride-h column (DualGraph::DualEdgeIndex). Both strategies bump in
   // the order the explicit overlay's walk and per-edge loops do.
-  const int h = net_->dual_half();
   const int ba = net_->dual_bridge_a();
   const int bb = net_->dual_bridge_b();
   const DualGraph::DualEdgeIndex edge_index = net_->dual_edge_index();
@@ -285,6 +304,7 @@ void DeliveryResolver::apply_dual_clique_mask(
   if (walk) {
     for (int ti = 0; ti < static_cast<int>(transmitters.size()); ++ti) {
       const int v = transmitters[static_cast<std::size_t>(ti)];
+      if (!decides(v)) continue;
       if (v < h) {
         for_each_in_row(v, [&](int b) { bump(b, v, ti); });
         continue;
@@ -297,12 +317,15 @@ void DeliveryResolver::apply_dual_clique_mask(
     }
     return;
   }
-  // Decode the set bits row by row.
+  // Decode the set bits row by row; with side A deaf, only the rows of
+  // side-A transmitters.
   for (int a = 0; a < h; ++a) {
-    const int ta = tx_index_of[static_cast<std::size_t>(a)];
+    const int ta = hear_b ? tx_index_of[static_cast<std::size_t>(a)] : -1;
+    if (!hear_a && ta < 0) continue;
     for_each_in_row(a, [&](int b) {
       if (ta >= 0) bump(b, a, ta);
-      const int tb = tx_index_of[static_cast<std::size_t>(b)];
+      const int tb =
+          hear_a ? tx_index_of[static_cast<std::size_t>(b)] : -1;
       if (tb >= 0) bump(a, b, tb);
     });
   }

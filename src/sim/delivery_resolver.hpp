@@ -15,9 +15,11 @@
 //   structured — dual cliques only (all of them implicit): a listener's
 //                count is its side's transmitter total plus the
 //                bridge/mask extras, so a round costs O(transmitters +
-//                mask bits) — plus O(n) only when deliveries themselves are
-//                O(n). This is the path that carries clique-family networks
-//                past n = 4096.
+//                mask bits into a side that can still hear) — plus O(n)
+//                only when deliveries themselves are O(n). A side with two
+//                or more transmitters collides whatever G' adds, so mask
+//                edges into it are skipped. This is the path that carries
+//                clique-family networks past n = 4096.
 //
 // Ahead of both, a complete G' with every G'-only edge active resolves in
 // O(1) (or O(n) output): one transmitter reaches everyone, two collide
@@ -83,12 +85,16 @@ class DeliveryResolver {
                      RoundRecord& record);
   void resolve_structured(const std::vector<int>& tx_index_of,
                           const EdgeSet& edges, RoundRecord& record);
+  void check_mask(const EdgeSet& edges) const;
   void apply_sparse_edges(const std::vector<int>& tx_index_of,
                           const EdgeSet& edges,
                           const std::vector<int>& transmitters);
+  /// Bumps across the mask's dual-clique edges into side A only when
+  /// `hear_a` and into side B only when `hear_b`.
   void apply_dual_clique_mask(const std::vector<int>& tx_index_of,
                               const EdgeSet& edges,
-                              const std::vector<int>& transmitters, bool walk);
+                              const std::vector<int>& transmitters,
+                              bool hear_a, bool hear_b);
   void finalize(const std::vector<int>& tx_index_of, RoundRecord& record);
 
   const DualGraph* net_ = nullptr;

@@ -29,6 +29,9 @@
 // make_scalar_kernel_adapter(); the adapter additionally exposes its
 // Process vector so consumers that read processes (problems that inspect
 // them, KernelExecution::process) keep working.
+//
+// Adversaries that privately re-run the algorithm get blank fresh() copies
+// of the kernel (ExecutionSetup::kernel) when it offers them.
 
 #include <functional>
 #include <memory>
@@ -163,6 +166,14 @@ class AlgorithmKernel {
   virtual const std::vector<std::unique_ptr<Process>>* processes() const {
     return nullptr;
   }
+
+  /// A new, uninitialised kernel of the same algorithm and configuration,
+  /// or nullptr. Callers that privately re-run the algorithm (the bracelet
+  /// pre-simulation) rewrite node ids and n through an env override, so a
+  /// kernel returns one only if its transmitters follow the overridden
+  /// environments exactly as its scalar algorithm's do; otherwise such
+  /// callers use the scalar adapter.
+  virtual std::unique_ptr<AlgorithmKernel> fresh() const { return nullptr; }
 };
 
 /// Creates the kernel for one execution (kernels are stateful; one per

@@ -126,10 +126,14 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   }
 
   // The adversary "knows the algorithm" (§2): it receives the process
-  // factory and may privately instantiate and simulate it.
+  // factory, and a factory of blank copies of the kernel when it offers
+  // them, and may privately instantiate and simulate either.
   ExecutionSetup adv_setup;
   adv_setup.net = net_;
   adv_setup.factory = &factory_holder_;
+  if (std::shared_ptr<const AlgorithmKernel> blank = kernel_->fresh()) {
+    adv_setup.kernel = [blank] { return blank->fresh(); };
+  }
   adv_setup.problem = problem_.get();
   adv_setup.max_rounds = config_.max_rounds;
   link_process_->on_execution_start(adv_setup, adversary_rng_);

@@ -26,6 +26,7 @@
 #include "sim/edge_set.hpp"
 #include "sim/history.hpp"
 #include "sim/inspector.hpp"
+#include "sim/kernel.hpp"
 #include "sim/process.hpp"
 
 namespace dualcast {
@@ -44,9 +45,16 @@ const char* to_string(AdversaryClass cls);
 /// the network topology, the algorithm (as its process factory — adversaries
 /// may instantiate and privately simulate it), the problem instance, and the
 /// round budget. Handed to every class at on_execution_start.
+///
+/// `kernel` instantiates the same algorithm as a batch kernel: fresh copies
+/// of the execution's kernel (AlgorithmKernel::fresh), never the live one,
+/// so it reveals no execution state. It is empty when the execution's
+/// kernel offers no fresh copies; private simulations then run `factory`
+/// through the scalar adapter.
 struct ExecutionSetup {
   const DualGraph* net = nullptr;
   const ProcessFactory* factory = nullptr;
+  KernelFactory kernel;
   const Problem* problem = nullptr;
   int max_rounds = 0;
 };

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "adversary/bracelet_presim.hpp"
 #include "adversary/dense_sparse.hpp"
@@ -12,6 +14,7 @@
 #include "adversary/schedule_attack.hpp"
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
+#include "core/kernels.hpp"
 #include "graph/generators.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
@@ -325,6 +328,69 @@ TEST(BraceletAttack, PredictionsTrackActualDensity) {
                        expectation),
               std::max(4.0, 3.0 * std::sqrt(expectation)))
         << "round " << r;
+  }
+}
+
+/// Forwards every call to a kernel but offers no fresh() copies, as a
+/// tracing decorator may.
+class OpaqueKernel final : public AlgorithmKernel {
+ public:
+  explicit OpaqueKernel(std::unique_ptr<AlgorithmKernel> inner)
+      : inner_(std::move(inner)) {}
+  void init(const KernelSetup& setup, std::span<Rng> rngs) override {
+    inner_->init(setup, rngs);
+  }
+  void on_round_batch(int round, TxBatch& out, std::span<Rng> rngs) override {
+    inner_->on_round_batch(round, out, rngs);
+  }
+  void on_feedback_batch(const FeedbackView& feedback,
+                         std::span<Rng> rngs) override {
+    inner_->on_feedback_batch(feedback, rngs);
+  }
+  bool has_message(int v) const override { return inner_->has_message(v); }
+  double transmit_probability(int v, int round) const override {
+    return inner_->transmit_probability(v, round);
+  }
+  double expected_transmitters(int round) const override {
+    return inner_->expected_transmitters(round);
+  }
+
+ private:
+  std::unique_ptr<AlgorithmKernel> inner_;
+};
+
+TEST(BraceletAttack, PredictionsIgnoreWhichKernelRunsTheBands) {
+  // The bands run on the algorithm's batch kernel when the execution's
+  // kernel offers fresh() copies, and on the scalar adapter otherwise (the
+  // adapter itself, or a decorator that offers none). The prediction, made
+  // before round 0, must be the same on all three.
+  for (const int n : {288, 2048}) {
+    const BraceletNet br = bracelet(n);
+    for (const ScheduleKind kind :
+         {ScheduleKind::fixed, ScheduleKind::permuted}) {
+      const DecayLocalConfig config{kind, 0, 0};
+      const ProcessFactory factory = decay_local_factory(config);
+      const KernelFactory kernel = decay_local_kernel_factory(config);
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " permuted=" +
+                     std::to_string(kind == ScheduleKind::permuted) +
+                     " seed=" + std::to_string(seed));
+        const auto predict = [&](std::unique_ptr<AlgorithmKernel> runner) {
+          auto adversary = std::make_unique<BraceletPresimOblivious>(
+              br, BraceletPresimConfig{0.3, true});
+          const BraceletPresimOblivious* adv = adversary.get();
+          const KernelExecution exec(
+              br.net, factory, std::move(runner),
+              std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
+              std::move(adversary), {seed, 1, {}});
+          return std::pair(adv->predicted_counts(), adv->dense_schedule());
+        };
+        const auto native = predict(kernel());
+        ASSERT_EQ(static_cast<int>(native.first.size()), br.band_len);
+        EXPECT_EQ(native, predict(make_scalar_kernel_adapter(factory)));
+        EXPECT_EQ(native, predict(std::make_unique<OpaqueKernel>(kernel())));
+      }
+    }
   }
 }
 

@@ -1,14 +1,16 @@
 // Kernel equivalence: every native kernel must replay bit-identically
 // against the scalar adapter over its algorithm on the one engine — same
-// transmitters, messages, deliveries, solve round — across topologies,
-// adversary classes (including adaptive ones, which read state through
-// the kernel-backed StateInspector), and problems. Plus the
-// batch-compatibility contract for problems, the engine's incremental
-// holder count against a full scan, and env_override on both kernel paths.
+// transmitters, messages, deliveries, solve round, and E[|X| | S] in every
+// round — across topologies, adversary classes (including adaptive ones,
+// which read state through the kernel-backed StateInspector), and
+// problems. Plus the batch-compatibility contract for problems, the
+// engine's incremental holder count against a full scan, env_override on
+// both kernel paths, and the blank kernel copies adversaries are handed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,8 +35,11 @@ struct Combo {
 };
 
 /// Runs `max_rounds` (or to solve) with the native kernel and with the
-/// scalar adapter, and compares the full observable trace.
-void expect_engines_agree(const Combo& combo, std::uint64_t seed) {
+/// scalar adapter, and compares the full observable trace and, before every
+/// round, the expected transmitter count.
+void expect_engines_agree(
+    const Combo& combo, std::uint64_t seed,
+    const std::function<ProcessEnv(ProcessEnv)>& env_override = {}) {
   SCOPED_TRACE(combo.topology + " | " + combo.algorithm + " | " +
                combo.adversary + " | " + combo.problem);
   const Topology topo = scenario::topologies().build(combo.topology, 5);
@@ -54,18 +59,27 @@ void expect_engines_agree(const Combo& combo, std::uint64_t seed) {
     return ExecutionConfig{}
         .with_seed(seed)
         .with_max_rounds(combo.max_rounds)
-        .with_history_policy(HistoryPolicy::full);
+        .with_history_policy(HistoryPolicy::full)
+        .with_env_override(env_override);
   };
 
   KernelExecution scalar(topo.net(), factory, problem(), adversary(),
                          config());
-  const RunResult scalar_result = scalar.run();
   KernelExecution kernel(topo.net(), factory, kernel_factory(), problem(),
                          adversary(), config());
-  const RunResult kernel_result = kernel.run();
+  const StateInspector scalar_state(&scalar.kernel(), topo.net().n());
+  const StateInspector kernel_state(&kernel.kernel(), topo.net().n());
+  while (!scalar.done() && !kernel.done()) {
+    // Exact: a kernel's sum must be the adapter's ascending per-node sum.
+    ASSERT_EQ(scalar_state.expected_transmitters(scalar.round()),
+              kernel_state.expected_transmitters(kernel.round()))
+        << "round " << scalar.round();
+    scalar.step();
+    kernel.step();
+  }
 
-  ASSERT_EQ(scalar_result.solved, kernel_result.solved);
-  ASSERT_EQ(scalar_result.rounds, kernel_result.rounds);
+  ASSERT_EQ(scalar.solved(), kernel.solved());
+  ASSERT_EQ(scalar.round(), kernel.round());
   EXPECT_EQ(scalar.first_receive_round(), kernel.first_receive_round());
 
   const auto& s_records = scalar.history().records();
@@ -119,6 +133,33 @@ TEST(KernelEngineEquivalence, DecayGlobalAcrossAdversaryClasses) {
       13);
 }
 
+TEST(KernelEngineEquivalence, PermutedDecayWithTwoBitStrings) {
+  // A second global source on the other side draws its own permuted bit
+  // string, so holders carry two strings and no round has one shared ladder
+  // index: every holder reads its own (a fallback no catalog problem
+  // reaches). Both kernels that run the global decay schedule must still
+  // replay the adapter, E[|X| | S] included.
+  Message second;
+  second.source = 30;
+  second.payload = 0x30;
+  const auto two_sources = [second](ProcessEnv env) {
+    if (env.id == 30) {
+      env.is_global_source = true;
+      env.initial_message = second;
+    }
+    return env;
+  };
+  for (const char* adversary : {"none", "iid(0.4)", "dense_sparse"}) {
+    expect_engines_agree({"dual_clique(48)",
+                          "decay_global(permuted,persistent)", adversary,
+                          "global(1)", 600},
+                         61, two_sources);
+    expect_engines_agree(
+        {"dual_clique(48)", "robust_mix", adversary, "global(1)", 700}, 62,
+        two_sources);
+  }
+}
+
 TEST(KernelEngineEquivalence, LocalDecayAndRoundRobin) {
   for (const char* adversary : {"none", "iid(0.3)", "dense_sparse"}) {
     expect_engines_agree({"dual_clique(24)", "decay_local", adversary,
@@ -160,10 +201,15 @@ TEST(KernelEngineEquivalence, GeoLocalBothSeedModes) {
                           adversary, "local(every(3))", 2000},
                          42);
   }
-  // Bracelet pre-simulation: construction-aware oblivious attack.
-  expect_engines_agree({"bracelet(96)", "decay_local", "bracelet_presim(0.3)",
-                        "local(heads_a)", 600},
-                       43);
+  // Bracelet pre-simulation: construction-aware oblivious attack. The
+  // native engine runs the bands on fresh() kernel copies under the
+  // presim's id-rewriting env override, the adapter on the adapter.
+  for (const char* algorithm :
+       {"decay_local", "decay_global(permuted)", "geo_local"}) {
+    expect_engines_agree({"bracelet(96)", algorithm, "bracelet_presim(0.3)",
+                          "local(heads_a)", 600},
+                         43);
+  }
 }
 
 TEST(KernelEngineEquivalence, MultipleSeedsSpotCheck) {
@@ -239,6 +285,64 @@ TEST(KernelEngineContract, NonBatchProblemRequiresAdapter) {
                        ExecutionConfig{}.with_seed(1).with_max_rounds(4));
   exec.run();
   EXPECT_TRUE(exec.solved());
+}
+
+TEST(KernelEngineContract, AdversariesGetBlankCopiesOfTheKernel) {
+  // The engine hands adversaries a factory of fresh() copies of its kernel
+  // — new objects, never the live one — when the kernel offers them, and an
+  // empty factory otherwise: the scalar adapter, and the kernels whose
+  // slots and token sources key on node indices.
+  class SetupProbe final : public LinkProcess {
+   public:
+    explicit SetupProbe(std::vector<std::unique_ptr<AlgorithmKernel>>& made)
+        : made_(&made) {}
+    AdversaryClass adversary_class() const override {
+      return AdversaryClass::oblivious;
+    }
+    void on_execution_start(const ExecutionSetup& setup, Rng&) override {
+      if (!setup.kernel) return;
+      made_->push_back(setup.kernel());
+      made_->push_back(setup.kernel());
+    }
+
+   private:
+    std::vector<std::unique_ptr<AlgorithmKernel>>* made_;
+  };
+  const std::map<std::string, std::pair<std::string, bool>> cases = {
+      {"decay_global", {"global(1)", true}},
+      {"decay_local", {"local(every(3))", true}},
+      {"geo_local", {"local(every(3))", true}},
+      {"round_robin", {"global(1)", false}},
+      {"robust_mix", {"global(1)", false}},
+      {"gossip", {"gossip(3)", false}},
+  };
+  const Topology topo = scenario::topologies().build("dual_clique(16)", 5);
+  for (const auto* entry : scenario::kernels().entries()) {
+    const auto found = cases.find(entry->name);
+    ASSERT_NE(found, cases.end()) << "no case for kernel " << entry->name;
+    const auto& [problem, offers] = found->second;
+    const ProcessFactory factory = scenario::algorithms().build(entry->name);
+    for (const bool adapter : {false, true}) {
+      SCOPED_TRACE(entry->name + (adapter ? " | adapter" : ""));
+      std::vector<std::unique_ptr<AlgorithmKernel>> made;
+      const KernelExecution exec(
+          topo.net(), factory,
+          adapter ? make_scalar_kernel_adapter(factory)
+                  : scenario::build_kernel_or_null(entry->name)(),
+          scenario::problems().build(problem, topo)(),
+          std::make_unique<SetupProbe>(made), ExecutionConfig{}.with_seed(3));
+      if (adapter || !offers) {
+        EXPECT_TRUE(made.empty());
+        continue;
+      }
+      ASSERT_EQ(made.size(), 2u);
+      ASSERT_NE(made[0], nullptr);
+      ASSERT_NE(made[1], nullptr);
+      EXPECT_NE(made[0].get(), made[1].get());
+      EXPECT_NE(made[0].get(), &exec.kernel());
+      EXPECT_EQ(made[0]->processes(), nullptr);
+    }
+  }
 }
 
 /// The scan-based rule the engine's holder count must agree with: the

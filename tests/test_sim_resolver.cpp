@@ -199,10 +199,17 @@ TEST(DeliveryResolverHeuristic, AutoResolvesDenseRoundsOnSweep) {
 // so it resolves on the sweep). Rows span and straddle mask words,
 // the bridge sits at a row's start, middle or end (or is absent), and
 // rounds have a few transmitters (the walk, for heavy masks) or most nodes
-// transmitting (the row decode).
+// transmitting (the row decode). A side with two or more transmitters
+// collides whatever the mask adds, so the structured path applies only the
+// mask edges into a side that can still hear; the fourth shape, one side
+// dense and the other silent or a single transmitter, is the round in
+// which exactly one side's edges decide, and it reaches both the walk and
+// the decode.
 TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
   Rng rng(4242);
   int rounds_checked = 0;
+  int one_side_walks = 0;
+  int one_side_decodes = 0;
   for (const int n : {8, 12, 24, 136, 200}) {
     const int h = n / 2;
     for (const int bridge_index : {0, n / 4, h - 1, -1}) {
@@ -214,16 +221,18 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
       ASSERT_EQ(implicit_net.structure(), DualGraph::Structure::dual_clique);
       const std::int64_t m_extra = implicit_net.gp_only_edge_count();
       ASSERT_EQ(explicit_net.gp_only_edge_count(), m_extra);
-      for (int round = 0; round < 24; ++round) {
-        // Three shapes: one side silent (its listeners hear only the bridge
-        // and the mask), one or two transmitters on each side, or most
-        // nodes transmitting. A sparse side leads with its bridge endpoint
-        // half the time.
+      for (int round = 0; round < 32; ++round) {
+        // Four shapes: one side silent (its listeners hear only the bridge
+        // and the mask), one or two transmitters on each side, most nodes
+        // transmitting, or one side dense and the other silent or a single
+        // transmitter. A sparse side leads with its bridge endpoint half
+        // the time.
         std::vector<int> transmitters;
-        const int shape = round % 3;
+        const int shape = round % 4;
+        const bool a_first = (round / 16) % 2 == 0;
         if (shape < 2) {
           for (const int lo : {0, h}) {
-            if (shape == 0 && (lo == 0) == ((round / 3) % 2 == 0)) continue;
+            if (shape == 0 && (lo == 0) == a_first) continue;
             const int first = bridge_index >= 0 && rng.bernoulli(0.5)
                                   ? lo + bridge_index
                                   : lo + static_cast<int>(
@@ -235,14 +244,35 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
               transmitters.push_back(second);
             }
           }
-        } else {
+        } else if (shape == 2) {
           const double p_tx = 0.7 + 0.3 * rng.uniform01();
           for (int v = 0; v < n; ++v) {
             if (rng.bernoulli(p_tx)) transmitters.push_back(v);
           }
+        } else {
+          // The dense side has at least two transmitters, so only its mask
+          // edges (into the quiet side) can decide a listener.
+          const int dense_lo = a_first ? 0 : h;
+          const int quiet_lo = h - dense_lo;
+          const double p_tx = 0.2 + 0.8 * rng.uniform01();
+          const int forced = static_cast<int>(rng.uniform_int(0, h - 1));
+          const int forced2 =
+              (forced + 1 + static_cast<int>(rng.uniform_int(0, h - 2))) % h;
+          const int single = rng.bernoulli(0.5)
+                                 ? quiet_lo + static_cast<int>(
+                                                  rng.uniform_int(0, h - 1))
+                                 : -1;
+          for (int v = 0; v < n; ++v) {
+            if ((v < h) == a_first ? v - dense_lo == forced ||
+                                         v - dense_lo == forced2 ||
+                                         rng.bernoulli(p_tx)
+                                   : v == single) {
+              transmitters.push_back(v);
+            }
+          }
         }
         EdgeSet edges;
-        const int kind = (round / 3) % 4;
+        const int kind = (round / 4) % 4;
         if (kind == 1) {
           edges = EdgeSet::all();
         } else if (kind >= 2) {
@@ -254,6 +284,16 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
             }
           }
           edges = EdgeSet::some(std::move(idx));
+          if (shape == 3) {
+            // The resolver walks when the deciding transmitters' G'-only
+            // degrees sum below the mask's size, and decodes otherwise.
+            const LayerView overlay = implicit_net.gp_only_layer();
+            std::int64_t visits = 0;
+            for (const int v : transmitters) {
+              if ((v < h) == a_first) visits += overlay.degree(v);
+            }
+            ++(visits < edges.count ? one_side_walks : one_side_decodes);
+          }
         }
         for (const bool collision : {false, true}) {
           const Resolved reference =
@@ -277,7 +317,9 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
       }
     }
   }
-  EXPECT_GE(rounds_checked, 960);
+  EXPECT_GE(rounds_checked, 1280);
+  EXPECT_GT(one_side_walks, 0);
+  EXPECT_GT(one_side_decodes, 0);
 }
 
 TEST(DeliveryResolverHeuristic, AutoSelectsStructuredOnDualCliques) {
