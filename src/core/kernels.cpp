@@ -262,7 +262,6 @@ struct DecayGlobalState {
   std::vector<int> window_end;
   std::vector<Message> message;
   std::vector<int> sources;   ///< ascending
-  NodeBitmap holder_bits;     ///< non-source holders
   // Every holder of one message shares its source's permuted bit string
   // (§4.1), so while all holders carry one string a round has one ladder
   // index (shared_index).
@@ -274,8 +273,7 @@ struct DecayGlobalState {
   // (round_up of a monotone round), so two FIFO event queues advance the
   // active set in O(changes) instead of re-checking every holder's window
   // every round. `mutable`: expected() is a const observer but shares the
-  // clock. Queries are monotone in practice (the engine's round clock); a
-  // non-monotone caller falls back to the per-holder window scan.
+  // clock. Queries must be monotone (the engine's round clock).
   mutable NodeBitmap active_bits;          ///< holders with start <= r < end
   mutable std::int64_t active_count = 0;
   mutable int synced_round = 0;
@@ -284,8 +282,9 @@ struct DecayGlobalState {
   std::vector<std::pair<int, int>> start_events;  ///< (window_start, v)
   std::vector<std::pair<int, int>> end_events;    ///< (window_end, v)
 
-  /// Advances the active set to `round`. Requires round >= synced_round.
+  /// Advances the active set to `round`.
   void sync(int round) const {
+    DC_EXPECTS(round >= synced_round);
     while (start_head < start_events.size() &&
            start_events[start_head].first <= round) {
       active_bits.set(start_events[start_head].second);
@@ -330,7 +329,6 @@ struct DecayGlobalState {
     window_start.assign(static_cast<std::size_t>(n), -1);
     window_end.assign(static_cast<std::size_t>(n), -1);
     message.resize(static_cast<std::size_t>(n));
-    holder_bits.resize(n);
     active_bits.resize(n);
   }
 
@@ -369,22 +367,11 @@ struct DecayGlobalState {
       for (const int v : sources) emit(v, message[static_cast<std::size_t>(v)]);
       return;
     }
-    // A non-monotone driver (not the engine) gets the per-holder window
-    // scan, which stays correct whatever the event queues say.
-    const bool rescan = round < synced_round;
-    if (!rescan) sync(round);
+    sync(round);
     const int index = shared_index(round);
     for (int b = 0; b < active_bits.blocks(); ++b) {
-      std::uint64_t lanes = active_bits.word(b);
-      if (rescan) {
-        lanes = 0;
-        for_each_bit(holder_bits.word(b), b * 64,
-                     [&](int v, std::uint64_t lane) {
-                       if (active_in(v, round)) lanes |= lane;
-                     });
-      }
       const std::uint64_t tx =
-          coins.block(b, lanes, rngs, index,
+          coins.block(b, active_bits.word(b), rngs, index,
                       [&](int v) { return schedule_index(v, round); });
       for_each_bit(tx, b * 64, [&](int v, std::uint64_t) {
         emit(v, message[static_cast<std::size_t>(v)]);
@@ -409,7 +396,6 @@ struct DecayGlobalState {
     window_end[i] = calls == DecayGlobalConfig::kUnbounded
                         ? std::numeric_limits<int>::max()
                         : window_start[i] + calls * period();
-    holder_bits.set(v);
     start_events.emplace_back(window_start[i], v);
     if (calls != DecayGlobalConfig::kUnbounded) {
       end_events.emplace_back(window_end[i], v);
@@ -430,15 +416,6 @@ struct DecayGlobalState {
   /// sequential sum, since every partial sum j * p is exact).
   double expected(int round) const {
     if (round == 0) return static_cast<double>(sources.size());
-    if (round < synced_round) {
-      double sum = 0.0;
-      for (int b = 0; b < holder_bits.blocks(); ++b) {
-        for_each_bit(holder_bits.word(b), b * 64, [&](int v, std::uint64_t) {
-          if (active_in(v, round)) sum += pow2_neg(schedule_index(v, round));
-        });
-      }
-      return sum;
-    }
     sync(round);
     const int index = shared_index(round);
     if (index >= 0) {

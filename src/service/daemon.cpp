@@ -19,14 +19,14 @@ namespace dualcast::service {
 namespace {
 
 /// Per-job daemon state, kept across poll cycles so warnings fire once,
-/// runtimes (plan preparation is expensive) are reused, and fair
-/// placement's aging counter survives between claims.
+/// runtimes (plan preparation is expensive) are reused, and a job's wait
+/// survives between claims.
 struct JobState {
   std::unique_ptr<JobStore> store;
   std::unique_ptr<JobRuntime> runtime;
   bool warned = false;  ///< already complained about this directory
   bool merged = false;  ///< completed + merged; skip from now on
-  int age = 0;          ///< claim rounds waited (fair placement)
+  int age = 0;          ///< claim rounds waited since this job's last pick
 };
 
 bool stop_requested(const DaemonOptions& options) {
@@ -102,18 +102,11 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
   // automatic gc sweep. Best-effort — a read-only fleet dir costs the
   // fleet view, not job progress.
   FleetRegistry fleet(options.jobs_dir, env);
-  // Resource-aware placement: publish what this machine is (host, cores,
-  // load) and size the fair claim budget from its headroom. Injected
-  // resources are used verbatim (deterministic tests); otherwise probe at
-  // startup and re-sample load at every heartbeat.
-  const bool probe_resources =
-      options.resources.cores == 0 && options.resources.host.empty();
-  HostResources resources =
-      probe_resources ? probe_host_resources() : options.resources;
   MemberRecord member;
   member.id = owner;
   member.pid = static_cast<long>(::getpid());
-  member.placement = to_string(options.placement);
+  char host[256] = {0};
+  if (::gethostname(host, sizeof(host) - 1) == 0) member.host = host;
   member.ttl_seconds = options.member_ttl_seconds;
   member.started = clock.now_seconds();
   // Disk-pressure ladder state (see file comment). The probe goes through
@@ -142,10 +135,6 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
   };
   bool member_warned = false;
   const auto publish_member = [&] {
-    if (probe_resources) resources.load100 = probe_host_resources().load100;
-    member.host = resources.host;
-    member.cores = resources.cores;
-    member.load100 = resources.load100;
     member.cycles = report.cycles;
     member.tasks = report.tasks_executed;
     member.shards = report.shards_completed;
@@ -243,8 +232,9 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
     }
 
     // Discovery: every subdirectory with a job.meta, in fs.list order
-    // (the fifo order). Opening is lazy and warned-once; a job that fails
-    // this cycle is retried next cycle (the store may heal).
+    // (the order that breaks ties between equally waiting jobs). Opening
+    // is lazy and warned-once; a job that fails this cycle is retried
+    // next cycle (the store may heal).
     std::vector<std::string> dirs;
     for (const std::string& name : fs.list(options.jobs_dir)) {
       const std::string dir = str(options.jobs_dir, "/", name);
@@ -252,11 +242,9 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
     }
 
     bool progress = false;
-    // Claim rounds: each round picks one job per the placement policy and
-    // drains one unit from it — the whole job under fifo, one claim
-    // budget's worth of shards under fair. A job that yields nothing
-    // claimable is exhausted for the rest of this cycle; the cycle ends
-    // when every job is.
+    // Claim rounds, one shard each (see the file comment). A job that
+    // yields nothing claimable is exhausted for the rest of this cycle;
+    // the cycle ends when every job is.
     std::map<std::string, bool> exhausted;
     for (;;) {
       if (stop_requested(options)) break;
@@ -269,43 +257,15 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
       if (candidates.empty()) break;
       ++report.claim_rounds;
 
-      // --- pick a candidate per the placement policy ---
+      // The longest-waiting job; the strict > keeps ties in discovery
+      // order.
       std::string picked = candidates.front();
-      if (options.placement == Placement::fair) {
-        // Oldest-waiting job first, preferring jobs under the fleet-wide
-        // in-flight cap. An unopened job has no in-flight work from anyone
-        // we can see, so it counts as under the cap. The cap is soft: when
-        // every candidate is at or over it, fall back to pure aging — the
-        // cap spreads the fleet, it never starves a job.
-        const auto pick_oldest = [&](bool capped) {
-          std::string best;
-          int best_age = -1;
-          for (const std::string& dir : candidates) {
-            JobState& job = jobs[dir];
-            if (capped && job.store != nullptr) {
-              try {
-                if (job.store->active_lease_count() >= options.inflight_cap) {
-                  continue;
-                }
-              } catch (const util::IoError&) {
-                continue;
-              }
-            }
-            if (job.age > best_age) {
-              best_age = job.age;
-              best = dir;
-            }
-          }
-          return best;
-        };
-        std::string best = pick_oldest(/*capped=*/true);
-        if (best.empty()) best = pick_oldest(/*capped=*/false);
-        if (!best.empty()) picked = best;
-        for (const std::string& dir : candidates) ++jobs[dir].age;
-        jobs[picked].age = 0;
+      for (const std::string& dir : candidates) {
+        if (jobs[dir].age > jobs[picked].age) picked = dir;
       }
+      for (const std::string& dir : candidates) ++jobs[dir].age;
+      jobs[picked].age = 0;
 
-      // --- drain one unit from the picked job ---
       JobState& job = jobs[picked];
       try {
         if (job.store == nullptr) {
@@ -342,15 +302,9 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
           worker_options.recover = false;  // recovered at pickup + sweeps
           worker_options.op_deadline_seconds = options.op_deadline_seconds;
           worker_options.deadline_fs = options.deadline_fs;
-          if (options.placement == Placement::fair) {
-            // Fair placement sizes each drain by the host's headroom: a
-            // mostly-idle 8-core box takes several shards per round, a
-            // saturated or unknown box one at a time.
-            worker_options.max_shards =
-                fair_claim_budget(resources.cores, resources.load100);
-            worker_options.shard_order =
-                jittered_order(job.store->shard_count(), rng);
-          }
+          worker_options.max_shards = 1;
+          worker_options.shard_order =
+              jittered_order(job.store->shard_count(), rng);
           worked = run_worker(*job.store, *job.runtime, worker_options);
         }
         // Under no-new-claims, nothing was claimed — but a job whose

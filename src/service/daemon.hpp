@@ -14,19 +14,23 @@
 // Fleet behavior: the daemon publishes a membership file under
 // `<jobs_dir>/fleet/` and renews its heartbeat at TTL/3; at the same
 // cadence it runs a gc sweep (reap stale members, reclaim their expired
-// lease debris, delete superseded quarantines). Shard acquisition across
-// concurrent jobs follows the `placement` policy — fifo drains jobs in
-// discovery order, fair interleaves one shard at a time with
-// anti-starvation aging and a fleet-wide per-job in-flight cap (see
-// fleet.hpp).
+// lease debris, delete superseded quarantines).
+//
+// Claims: every claim round takes one shard, in the daemon's seeded
+// shard rotation, from the job that has waited longest (ties in
+// discovery order). With J open jobs each is picked at least once every
+// J rounds, so a one-shard job dropped behind a large sweep finishes
+// after at most one of the sweep's shards. A daemon asks for its next
+// shard only when it finishes the last one, so a faster box already
+// takes more shards.
 //
 // Degradation: a job directory that cannot be opened (corrupt meta,
 // catalog drift) is warned about once and skipped — it never wedges the
 // daemon or the other jobs. A cache directory that cannot be opened or
 // written (read-only filesystem, ENOSPC) drops the daemon to
 // compute-without-cache with a single warning; jobs still complete.
-// Membership publishing is best-effort: it is an observability and
-// placement aid, never a correctness gate.
+// Membership publishing is best-effort: it is an observability aid,
+// never a correctness gate.
 //
 // Disk pressure: with `min_free_bytes` set, every cycle probes free space
 // on the jobs-dir filesystem (through the Fs seam, so tests inject it)
@@ -63,23 +67,12 @@ struct DaemonOptions {
   /// Stop after this many poll cycles (< 0 = run until stopped) — the
   /// bounded mode tests and one-shot drains use.
   int max_cycles = -1;
-  /// Shard acquisition policy across concurrent jobs (see fleet.hpp).
-  Placement placement = Placement::fifo;
-  /// Under `fair`: prefer jobs with fewer than this many unexpired leases
-  /// fleet-wide. Soft cap — when every candidate is at or over it, the
-  /// oldest-waiting job is claimed anyway (no starvation).
-  int inflight_cap = 2;
   /// Membership heartbeat TTL; a daemon silent for this long is stale and
   /// gets reaped (with its expired leases) by any member's gc sweep.
   int member_ttl_seconds = 15;
-  /// Seed for fair placement's claim-order rotation. 0 derives one from
-  /// the owner token.
+  /// Seed for the shard-rotation offsets. 0 derives one from the owner
+  /// token.
   std::uint64_t seed = 0;
-  /// Host resources published in the member record and feeding the fair
-  /// claim budget. All-zero (the default) probes the machine at startup
-  /// and re-samples load at each heartbeat; tests inject fixed values for
-  /// deterministic budgets.
-  HostResources resources;
   /// Disk-pressure degradation ladder watermark (bytes of free space on
   /// the jobs-dir filesystem). 0 disables the ladder. Rungs engage as
   /// free space shrinks: < 4x = cache-shed, < 2x = no-new-claims, < 1x =
@@ -101,9 +94,8 @@ struct DaemonOptions {
 
 struct DaemonReport {
   int cycles = 0;
-  /// Placement rounds that picked a job (fair drains one budget's worth
-  /// of shards per round, so rounds ≈ ceil(shards / claim budget)
-  /// for a lone daemon — the observable the budget tests pin down).
+  /// Claim rounds: one pick of a job plus one call into the worker's
+  /// lease loop, so a lone daemon takes one round per shard.
   int claim_rounds = 0;
   int jobs_seen = 0;       ///< distinct jobs opened
   int jobs_completed = 0;  ///< jobs whose every shard finished under us

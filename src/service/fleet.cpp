@@ -1,13 +1,9 @@
 #include "service/fleet.hpp"
 
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "util/strfmt.hpp"
 
@@ -39,12 +35,7 @@ std::string serialize_member(const MemberRecord& record) {
   os << "dualcast-member v1\n";
   os << "id " << record.id << "\n";
   os << "pid " << record.pid << "\n";
-  if (!record.placement.empty()) os << "placement " << record.placement << "\n";
   if (!record.host.empty()) os << "host " << record.host << "\n";
-  if (record.cores > 0) {
-    os << "cores " << record.cores << "\n";
-    os << "load100 " << record.load100 << "\n";
-  }
   os << "started " << record.started << "\n";
   os << "heartbeat " << record.heartbeat << "\n";
   os << "ttl " << record.ttl_seconds << "\n";
@@ -79,14 +70,8 @@ bool parse_member(const std::string& text, MemberRecord& out) {
         saw_id = true;
       } else if (field == "pid") {
         out.pid = std::stol(value);
-      } else if (field == "placement") {
-        out.placement = value;
       } else if (field == "host") {
         out.host = value;
-      } else if (field == "cores") {
-        out.cores = std::stoi(value);
-      } else if (field == "load100") {
-        out.load100 = std::stoi(value);
       } else if (field == "started") {
         out.started = std::stoll(value);
       } else if (field == "heartbeat") {
@@ -106,7 +91,8 @@ bool parse_member(const std::string& text, MemberRecord& out) {
       } else if (field == "free_bytes") {
         out.free_bytes = std::stoll(value);
       }
-      // Unknown fields from a newer writer are skipped, not fatal.
+      // Unknown fields are skipped, not fatal: a newer writer's, and an
+      // older daemon's placement, cores and load lines.
     } catch (const std::exception&) {
       return false;
     }
@@ -153,14 +139,6 @@ std::vector<std::string> job_dirs(const std::string& jobs_dir, util::Fs& fs) {
 
 }  // namespace
 
-const char* to_string(Placement placement) {
-  switch (placement) {
-    case Placement::fifo: return "fifo";
-    case Placement::fair: return "fair";
-  }
-  return "?";
-}
-
 const char* to_string(DiskPressure pressure) {
   switch (pressure) {
     case DiskPressure::ok: return "ok";
@@ -178,27 +156,6 @@ DiskPressure classify_disk_pressure(std::int64_t free_bytes,
   if (free_bytes < 2 * min_free_bytes) return DiskPressure::no_new_claims;
   if (free_bytes < 4 * min_free_bytes) return DiskPressure::cache_shed;
   return DiskPressure::ok;
-}
-
-HostResources probe_host_resources() {
-  HostResources resources;
-  char name[256] = {0};
-  if (::gethostname(name, sizeof(name) - 1) == 0 && name[0] != '\0') {
-    resources.host = name;
-  }
-  resources.cores = static_cast<int>(std::thread::hardware_concurrency());
-  double load[1] = {0.0};
-  if (::getloadavg(load, 1) >= 1 && load[0] >= 0.0) {
-    resources.load100 = static_cast<int>(load[0] * 100.0);
-  }
-  return resources;
-}
-
-int fair_claim_budget(int cores, int load100) {
-  if (cores <= 0) return 1;
-  const int busy_cores = load100 > 0 ? load100 / 100 : 0;
-  const int headroom = cores - busy_cores;
-  return headroom > 1 ? headroom : 1;
 }
 
 FleetRegistry::FleetRegistry(const std::string& jobs_dir, const StoreEnv& env)
@@ -406,13 +363,7 @@ void print_fleet_status(const std::string& jobs_dir, const StoreEnv& env,
     const MemberRecord& r = member.state.record;
     out << "  daemon " << r.id << " ["
         << (member.state.stale ? "STALE" : "live") << "]: pid " << r.pid;
-    if (!r.placement.empty()) out << ", placement " << r.placement;
     if (!r.host.empty()) out << ", host " << r.host;
-    if (r.cores > 0) {
-      out << ", " << r.cores << " cores (load " << r.load100 / 100 << "."
-          << (r.load100 % 100) / 10 << ", budget "
-          << fair_claim_budget(r.cores, r.load100) << ")";
-    }
     out << ", up " << now - r.started << "s, heartbeat " << member.state.age
         << "s ago (ttl " << r.ttl_seconds << "s), " << r.tasks << " tasks, "
         << r.shards << " shards (" << shards_per_second(r, now) << "/s), "
@@ -474,11 +425,8 @@ std::string fleet_status_json(const std::string& jobs_dir,
     const MemberRecord& r = member.state.record;
     os << (first ? "" : ",") << "{\"id\":\"" << json_escape(r.id)
        << "\",\"live\":" << (member.state.stale ? "false" : "true")
-       << ",\"pid\":" << r.pid << ",\"placement\":\""
-       << json_escape(r.placement) << "\",\"host\":\"" << json_escape(r.host)
-       << "\",\"cores\":" << r.cores << ",\"load100\":" << r.load100
-       << ",\"claim_budget\":" << fair_claim_budget(r.cores, r.load100)
-       << ",\"uptime_seconds\":" << now - r.started
+       << ",\"pid\":" << r.pid << ",\"host\":\"" << json_escape(r.host)
+       << "\",\"uptime_seconds\":" << now - r.started
        << ",\"heartbeat_age_seconds\":" << member.state.age
        << ",\"ttl_seconds\":" << r.ttl_seconds << ",\"cycles\":" << r.cycles
        << ",\"tasks\":" << r.tasks << ",\"shards\":" << r.shards

@@ -3,7 +3,8 @@
 // Fleet coordination for the experiment service.
 //
 // Many daemons — potentially on many machines sharing one filesystem —
-// work one jobs directory. This module gives that fleet three facilities:
+// work one jobs directory. This module gives that fleet two facilities
+// (daemon.hpp states how a daemon spreads its claims across jobs):
 //
 //   * membership: every daemon publishes an identity file
 //     `<jobs_dir>/fleet/<daemon-id>` (versioned text, written atomically
@@ -13,13 +14,6 @@
 //     renders this view: live/stale members, per-daemon held leases,
 //     shards/sec.
 //
-//   * placement: the policy a daemon uses to spread shard acquisition
-//     across concurrent jobs. `fifo` drains jobs in discovery order (one
-//     giant sweep monopolizes the daemon until it finishes); `fair`
-//     round-robins one shard at a time across jobs with anti-starvation
-//     aging and a fleet-wide per-job in-flight cap, so a small job's
-//     shards interleave with — and finish ahead of — a large sweep's.
-//
 //   * orphan lifecycle: gc_sweep() reaps stale membership files, reclaims
 //     expired lease debris left by dead daemons (never a live lease —
 //     expiry remains the sole safety mechanism), and deletes quarantined
@@ -27,10 +21,10 @@
 //     The daemon loop runs the same sweep automatically at heartbeat
 //     cadence; `dualcast_bench gc` runs it on demand.
 //
-// Like leases, membership is an observability and placement aid, not a
-// correctness mechanism: tasks stay idempotent and records append-only,
-// so a daemon that dies without deregistering costs a stale entry and
-// some reclaimable debris, never a wrong merge.
+// Like leases, membership is an observability aid, not a correctness
+// mechanism: tasks stay idempotent and records append-only, so a daemon
+// that dies without deregistering costs a stale entry and some
+// reclaimable debris, never a wrong merge.
 
 #include <cstdint>
 #include <iosfwd>
@@ -41,12 +35,6 @@
 
 namespace dualcast::service {
 
-// --- placement ---------------------------------------------------------
-
-enum class Placement { fifo, fair };
-
-const char* to_string(Placement placement);
-
 // --- membership --------------------------------------------------------
 
 /// What a daemon publishes about itself. Counters are cumulative over the
@@ -55,10 +43,7 @@ const char* to_string(Placement placement);
 struct MemberRecord {
   std::string id;         ///< daemon id == its lease owner token
   long pid = 0;
-  std::string placement;  ///< policy name, for the fleet view
   std::string host;       ///< machine name (multi-box fleets)
-  int cores = 0;          ///< hardware threads on the host (0 = unknown)
-  int load100 = 0;        ///< host 1-min loadavg × 100 at last heartbeat
   std::int64_t started = 0;
   std::int64_t heartbeat = 0;
   int ttl_seconds = 15;   ///< stale once heartbeat + ttl <= now
@@ -88,25 +73,6 @@ const char* to_string(DiskPressure pressure);
 /// space (< 0) or an unset watermark (<= 0) reads as `ok`.
 DiskPressure classify_disk_pressure(std::int64_t free_bytes,
                                     std::int64_t min_free_bytes);
-
-/// What a daemon learns about the machine it runs on. Published in its
-/// member record and consumed by resource-aware `fair` placement.
-struct HostResources {
-  std::string host;
-  int cores = 0;
-  int load100 = 0;  ///< 1-min loadavg × 100 (integer, so records stay
-                    ///< whole-number text like every other field)
-};
-
-/// Samples this machine: gethostname, hardware_concurrency, getloadavg.
-/// Fields that cannot be determined stay at their zero defaults.
-HostResources probe_host_resources();
-
-/// How many shards a `fair` daemon should claim per placement cycle given
-/// its host: headroom = cores minus whole cores of load, floored at 1 so
-/// a saturated box still makes progress (one shard at a time). Unknown
-/// cores (0) also yields 1 — the pre-resource-awareness behavior.
-int fair_claim_budget(int cores, int load100);
 
 /// A scanned member, classified against the registry's clock.
 struct MemberState {

@@ -809,12 +809,4 @@ std::vector<LeaseState> JobStore::scan_leases() const {
   return out;
 }
 
-int JobStore::active_lease_count() const {
-  int active = 0;
-  for (const LeaseState& lease : scan_leases()) {
-    if (!lease.expired) ++active;
-  }
-  return active;
-}
-
 }  // namespace dualcast::service

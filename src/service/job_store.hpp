@@ -139,7 +139,7 @@ struct ShardState {
 };
 
 /// A lease file's parsed content, from the cheap lease-only scan (no shard
-/// logs are read) — what fleet status and placement caps consume.
+/// logs are read) — what fleet status consumes.
 struct LeaseState {
   int shard = 0;
   std::string owner;
@@ -269,10 +269,6 @@ class JobStore {
   /// Reads only the lease files (no shard logs): one entry per currently
   /// published lease, with expiry classified against the store clock.
   std::vector<LeaseState> scan_leases() const;
-
-  /// Count of unexpired leases (per the store clock) — the placement
-  /// policy's per-job in-flight measure across the whole fleet.
-  int active_lease_count() const;
 
  private:
   JobStore(std::string dir, JobSpec spec, const StoreEnv& env);

@@ -22,7 +22,6 @@ namespace dualcast::service {
 namespace {
 
 using scenario::also;
-using scenario::choice_flag;
 using scenario::Command;
 using scenario::Flag;
 using scenario::int_flag;
@@ -175,11 +174,6 @@ std::vector<Flag> cache_flags(std::string& cache_dir,
   };
 }
 
-Flag placement_flag(std::string help, Placement& target) {
-  return choice_flag("--placement", "P", std::move(help), target,
-                     {{"fifo", Placement::fifo}, {"fair", Placement::fair}});
-}
-
 int serve_main(int argc, char** argv, const Command& command) {
   std::vector<std::string> names;
   scenario::RunOptions run_options;
@@ -286,28 +280,12 @@ int daemon_main(int argc, char** argv, const Command& command) {
         int_flag("--max-cycles", "N",
                  "exit after N poll cycles (default: run until signalled)",
                  options.max_cycles, 0),
-        placement_flag("fifo | fair (default fifo): how shard "
-                       "claims spread across jobs; fair interleaves one "
-                       "shard at a time with aging + a per-job in-flight cap",
-                       options.placement),
-        int_flag("--inflight-cap", "N",
-                 "under fair: prefer jobs holding fewer than N unexpired "
-                 "leases fleet-wide (default 2; soft — never starves)",
-                 options.inflight_cap, 1),
         int_flag("--member-ttl", "S", "membership heartbeat TTL (default 15)",
                  options.member_ttl_seconds, 1),
         int_flag("--seed", "S",
-                 "seeds fair placement's claim-order rotation (default: "
+                 "seeds the shard rotation each claim scans (default: "
                  "derived from the owner token)",
                  options.seed, 0),
-        int_flag("--cores", "N",
-                 "advertise N cores in the member record (default: probe "
-                 "the machine); feeds the fair-placement claim budget",
-                 options.resources.cores, 1),
-        int_flag("--load100", "L",
-                 "advertise load average x100 (default: probe, re-sampled "
-                 "at each heartbeat)",
-                 options.resources.load100, 0),
         int_flag("--clock-skew", "S",
                  "test hook: offset this daemon's wall clock by S seconds "
                  "(negative allowed)",
@@ -417,8 +395,6 @@ int soak_main(int argc, char** argv, const Command& command) {
       int_flag("--kill-interval-ms", "M",
                "minimum gap between kills (default 600)",
                options.kill_interval_ms, 1),
-      placement_flag("fleet placement policy: fifo or fair (default fair)",
-                     options.placement),
       int_flag("--small-jobs", "N",
                "small jobs dropped beside the big one (default 2)",
                options.small_jobs, 0),
@@ -542,9 +518,9 @@ int status_main(int argc, char** argv, const Command& command) {
                 job_dir),
       text_flag("--jobs-dir", "D",
                 "the fleet view: every member daemon (live/STALE, heartbeat "
-                "age, host/cores/load, shards/sec, disk-pressure state, held "
-                "leases) and every job's progress with per-lease "
-                "owner/age/progress lines",
+                "age, host, shards/sec, disk-pressure state, held leases) "
+                "and every job's progress with per-lease owner/age/progress "
+                "lines",
                 jobs_dir),
       text_flag("--json", "FILE",
                 "with --jobs-dir, also write the fleet view as deterministic "
@@ -607,8 +583,9 @@ const std::vector<Subcommand>& subcommands() {
         .about = "Watch D for dropped job directories, work them to "
                  "completion, and merge results into the cache (an "
                  "unwritable cache degrades to compute-without-cache with a "
-                 "warning). Polling backs off while idle. The daemon "
-                 "publishes a fleet membership file under D/fleet/ "
+                 "warning). Each claim takes one shard from the job that "
+                 "has waited longest. Polling backs off while idle. The "
+                 "daemon publishes a fleet membership file under D/fleet/ "
                  "(heartbeat at TTL/3) and runs a gc sweep at the same "
                  "cadence. SIGTERM/SIGINT stop cleanly with all leases "
                  "released and the member file removed."},

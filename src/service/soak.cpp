@@ -169,7 +169,7 @@ SoakReport run_soak(const SoakOptions& options) {
   }
   report.jobs = static_cast<int>(jobs.size());
 
-  // The fleet. Every daemon gets its own owner token, placement seed, and
+  // The fleet. Every daemon gets its own owner token, rotation seed, and
   // log file; generation 0 optionally carries the FaultyFs crash hook.
   // The owner token includes the generation — a respawn is a *new* fleet
   // member (as a real restart's fresh pid would be), so a predecessor's
@@ -195,7 +195,6 @@ SoakReport run_soak(const SoakOptions& options) {
     std::vector<std::string> args{
         "daemon",       "--jobs-dir",  jobs_dir,
         "--no-cache",   "--owner",     str("soak-d", slot, ".g", generation),
-        "--placement",  to_string(options.placement),
         "--poll-ms",    "20",          "--max-poll-ms",
         "200",          "--member-ttl", str(options.member_ttl_seconds),
         "--seed",       str(options.kill_seed * 1000003ull + slot + 1)};
@@ -262,8 +261,7 @@ SoakReport run_soak(const SoakOptions& options) {
   };
   for (int i = 0; i < options.daemons; ++i) spawn_slot(i);
   if (log != nullptr) {
-    *log << "soak: " << options.daemons << " daemon(s) up, placement "
-         << to_string(options.placement) << ", kill seed "
+    *log << "soak: " << options.daemons << " daemon(s) up, kill seed "
          << options.kill_seed << ", " << options.kills << " kill(s) due";
     if (options.sim) {
       *log << ", fs-sim seed " << options.fs_sim_seed << " (stale-ops "

@@ -47,8 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "service/fleet.hpp"
-
 namespace dualcast::service {
 
 struct SoakOptions {
@@ -66,7 +64,6 @@ struct SoakOptions {
   int shard_tasks = 5;
   int lease_ttl_seconds = 2;    ///< short: steals happen within the storm
   int member_ttl_seconds = 4;   ///< stale detection well inside the run
-  Placement placement = Placement::fair;
   std::uint64_t kill_seed = 7;  ///< seeds the victim picks
   int kills = 6;                ///< SIGKILLs delivered across the storm
   int kill_interval_ms = 600;   ///< minimum gap between kills

@@ -72,9 +72,8 @@ struct WorkerOptions {
   /// claimable).
   int max_shards = -1;
   /// Claim preference order over shard indices (empty = natural order).
-  /// The daemon's placement layer passes jittered rotations here so
-  /// contending fleet members do not all hammer shard 0; out-of-range
-  /// entries are skipped.
+  /// The daemon passes seeded rotations here so contending fleet members
+  /// do not all hammer shard 0; out-of-range entries are skipped.
   std::vector<int> shard_order;
   /// Run the full corrupt-log recovery sweep before claiming (the plain
   /// `worker` CLI default). The daemon turns this off — it recovers at

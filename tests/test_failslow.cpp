@@ -295,23 +295,46 @@ void wait_for_file_contains(const std::string& path,
   }
 }
 
+/// Polls `dir` until it holds an entry named `*<suffix>` (or fails the
+/// test after 60s).
+void wait_for_entry_ending(const std::string& dir, const std::string& suffix) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (;;) {
+    std::error_code error;
+    for (const auto& entry : fs::directory_iterator(dir, error)) {
+      if (entry.path().filename().string().ends_with(suffix)) return;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "timed out waiting for a *" << suffix << " entry in " << dir;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 TEST(FailSlow, DaemonWalksPressureLadderDownAndBackUp) {
-  // A live daemon against the free-bytes-file hook: squeeze the "disk"
-  // to zero (the member record must publish parked), restore it (back to
-  // ok), and the dropped job still completes with byte-identical rows —
-  // the ladder degrades and recovers without corrupting the store.
+  // A live daemon against the free-bytes-file hook: the "disk" starts
+  // full (the member record must publish parked), then is restored (back
+  // to ok), and the dropped job still completes with byte-identical rows
+  // — the ladder degrades and recovers without corrupting the store.
+  // Parked from its first cycle, the daemon can claim and merge nothing
+  // before the squeeze. The stop waits for the merge's result-cache
+  // entry: once merge_job has written it, the daemon counts the job
+  // whatever the stop flag says, so the stop cannot land between the
+  // last shard and the merge.
   const std::string jobs_dir = fresh_dir("ladder_jobs");
   const std::string scratch = fresh_dir("ladder_scratch");
   const std::string free_file = scratch + "/free_bytes";
+  const std::string cache_dir = scratch + "/cache";
   const std::string job_dir = jobs_dir + "/job1";
   JobStore::create_or_attach(
       job_dir, mini_job(/*shard_tasks=*/3, /*lease_ttl_seconds=*/60));
-  write_free_bytes(free_file, 8000);
+  write_free_bytes(free_file, 0);
 
   std::atomic<bool> stop{false};
   std::ostringstream log;
   DaemonOptions options;
   options.jobs_dir = jobs_dir;
+  options.cache_dir = cache_dir;
   options.owner = "ladder-d";
   options.poll_initial_ms = 1;
   options.poll_max_ms = 5;
@@ -323,25 +346,11 @@ TEST(FailSlow, DaemonWalksPressureLadderDownAndBackUp) {
   std::thread daemon([&] { report = run_daemon(options); });
 
   const std::string member_file = jobs_dir + "/fleet/ladder-d";
-  wait_for_file_contains(member_file, "pressure ok");
-  write_free_bytes(free_file, 0);
   wait_for_file_contains(member_file, "pressure parked");
   write_free_bytes(free_file, 8000);
   wait_for_file_contains(member_file, "pressure ok");
-  // Back at ok, the daemon must finish the drain.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  for (;;) {
-    const JobStore probe = JobStore::open(job_dir);
-    bool done = true;
-    for (int s = 0; s < probe.shard_count(); ++s) {
-      if (!probe.shard_done(s)) done = false;
-    }
-    if (done) break;
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "job not drained after the pressure drill";
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Back at ok, the daemon must finish the drain and merge into the cache.
+  wait_for_entry_ending(cache_dir, ".rows");
   stop.store(true);
   daemon.join();
 
@@ -375,9 +384,7 @@ TEST(FailSlow, StatusSurfacesProgressAgeAndPressureDeterministically) {
   MemberRecord member;
   member.id = "presser";
   member.pid = 42;
-  member.placement = "fair";
   member.host = "box-p";
-  member.cores = 4;
   member.ttl_seconds = 60;
   member.started = 10000;
   member.pressure = "cache-shed";

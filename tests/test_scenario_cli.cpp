@@ -121,9 +121,8 @@ const std::vector<Surface>& surfaces() {
        {{"--jobs-dir", text}, {"--cache-dir", text}, {"--no-cache", toggle},
         {"--cache-max-bytes", integer}, {"--owner", text},
         {"--poll-ms", integer}, {"--max-poll-ms", integer},
-        {"--max-cycles", integer}, {"--placement", choice},
-        {"--inflight-cap", integer}, {"--member-ttl", integer},
-        {"--seed", integer}, {"--cores", integer}, {"--load100", integer},
+        {"--max-cycles", integer}, {"--member-ttl", integer},
+        {"--seed", integer},
         {"--clock-skew", integer}, {"--min-free-bytes", integer},
         {"--free-bytes-file", text}, {"--op-deadline", integer},
         {"--fault-crash-op", integer}, {"--stall-append", integer},
@@ -136,7 +135,7 @@ const std::vector<Surface>& surfaces() {
       {"gc", {{"--jobs-dir", text}, {"--dry-run", toggle}}},
       {"soak",
        {{"--daemons", integer}, {"--kill-seed", integer}, {"--kills", integer},
-        {"--kill-interval-ms", integer}, {"--placement", choice},
+        {"--kill-interval-ms", integer},
         {"--small-jobs", integer}, {"--big-trials", integer},
         {"--small-trials", integer}, {"--shard-tasks", integer},
         {"--lease-ttl", integer}, {"--member-ttl", integer},
@@ -200,7 +199,7 @@ TEST(CliSurface, CoversEveryCommandAndFlag) {
   std::size_t pairs = 0;
   for (const Surface& surface : surfaces()) pairs += surface.flags.size();
   EXPECT_EQ(surfaces().size(), 8u);
-  EXPECT_EQ(pairs, 93u);
+  EXPECT_EQ(pairs, 88u);
 }
 
 TEST(CliSurface, ValueFlagWithoutValueNamesTheFlag) {
@@ -231,11 +230,16 @@ TEST(CliSurface, ChoiceFlagNamesTheBadChoice) {
   }
 }
 
-TEST(CliSurface, PlacementChoicesAreFifoAndFair) {
-  for (const std::string command : {"daemon", "soak"}) {
-    expect_rejected(command, {"--placement", "random"},
-                    "--placement: expected \"fifo\" or \"fair\", got "
-                    "\"random\"");
+TEST(CliSurface, ClaimPolicyFlagsAreUnknownOptions) {
+  // Every daemon claims by one rule, so no flag selects or tunes it.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> gone = {
+      {"daemon", {"--placement", "fair"}}, {"daemon", {"--inflight-cap", "2"}},
+      {"daemon", {"--cores", "2"}},        {"daemon", {"--load100", "2"}},
+      {"soak", {"--placement", "fair"}},
+  };
+  for (const auto& [command, args] : gone) {
+    expect_rejected(command, args,
+                    "unknown option \"" + args.front() + "\"");
   }
 }
 

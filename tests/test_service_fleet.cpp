@@ -1,9 +1,10 @@
 // Fleet coordination: membership publish/scan/stale/reap (deterministic
 // under a FakeClock), the gc sweep's orphan lifecycle (stale members'
-// lease debris, superseded quarantines), the fleet status view, placement
-// policies (fair finishes a small job before a concurrent big one; fifo
-// does not), and the two-daemon contract: concurrent daemons on one jobs
-// directory drain disjoint shard sets with no duplicate trial execution.
+// lease debris, superseded quarantines), the fleet status view, the one
+// claim rule (one shard per claim round from the longest-waiting job, so
+// a small job finishes after at most one shard of a concurrent big one),
+// and the two-daemon contract: concurrent daemons on one jobs directory
+// drain disjoint shard sets with no duplicate trial execution.
 
 #include <gtest/gtest.h>
 
@@ -77,7 +78,6 @@ TEST(FleetRegistry, PublishScanStaleReapUnderFakeClock) {
   MemberRecord a;
   a.id = "alpha";
   a.pid = 11;
-  a.placement = "fair";
   a.ttl_seconds = 10;
   MemberRecord b;
   b.id = "beta";
@@ -106,7 +106,6 @@ TEST(FleetRegistry, PublishScanStaleReapUnderFakeClock) {
     if (member.record.id == "alpha") {
       EXPECT_FALSE(member.stale);
       EXPECT_EQ(member.age, 5);
-      EXPECT_EQ(member.record.placement, "fair");
     } else {
       EXPECT_TRUE(member.stale);
       EXPECT_EQ(member.age, 11);
@@ -197,7 +196,6 @@ TEST(FleetStatus, RendersMembersAndJobsDeterministicallyUnderFakeClock) {
   FleetRegistry fleet(jobs_dir, env);
   MemberRecord live;
   live.id = "live-d";
-  live.placement = "fair";
   live.ttl_seconds = 15;
   fleet.publish(live);
   MemberRecord dead;
@@ -213,7 +211,6 @@ TEST(FleetStatus, RendersMembersAndJobsDeterministicallyUnderFakeClock) {
   EXPECT_NE(text.find("daemon live-d [live]"), std::string::npos) << text;
   EXPECT_NE(text.find("daemon dead-d [STALE]"), std::string::npos) << text;
   EXPECT_NE(text.find("heartbeat 20s ago"), std::string::npos) << text;
-  EXPECT_NE(text.find("placement fair"), std::string::npos) << text;
   EXPECT_NE(text.find("1 lease(s) held"), std::string::npos) << text;
   EXPECT_NE(text.find("0/12 tasks"), std::string::npos) << text;
 
@@ -252,58 +249,47 @@ TEST(FleetStatus, JobStatusStaleLabelIsClockDeterministic) {
   EXPECT_NE(stale.str().find("STALE"), std::string::npos) << stale.str();
 }
 
-TEST(FleetPlacement, FairFinishesSmallJobBeforeBigAndFifoDoesNot) {
-  // a_big sorts (and is discovered) before b_small. Under fifo the daemon
-  // full-drains a_big first; under fair the one-shard b_small interleaves
-  // and completes while a_big is still being worked.
-  const auto run_once = [&](Placement placement, const std::string& tag) {
-    const std::string jobs_dir = fresh_dir("placement_" + tag);
-    const std::string big_dir =
-        drop_job(jobs_dir, "a_big", /*trials=*/9, /*shard_tasks=*/4);
-    const std::string small_dir =
-        drop_job(jobs_dir, "b_small", /*trials=*/1, /*shard_tasks=*/4);
-    std::ostringstream log;
-    DaemonOptions options;
-    options.jobs_dir = jobs_dir;
-    options.cache_dir.clear();
-    options.owner = "placement-" + tag;
-    options.placement = placement;
-    options.max_cycles = 10;
-    options.poll_initial_ms = 1;
-    options.poll_max_ms = 2;
-    options.log = &log;
-    const DaemonReport report = run_daemon(options);
-    EXPECT_EQ(report.jobs_completed, 2) << log.str();
-    const std::string text = log.str();
-    const std::size_t big_done = text.find("completed job in " + big_dir);
-    const std::size_t small_done =
-        text.find("completed job in " + small_dir);
-    EXPECT_NE(big_done, std::string::npos) << text;
-    EXPECT_NE(small_done, std::string::npos) << text;
-    return std::make_pair(big_done, small_done);
-  };
-
-  const auto [fifo_big, fifo_small] = run_once(Placement::fifo, "fifo");
-  EXPECT_LT(fifo_big, fifo_small)
-      << "fifo must drain the first-discovered (big) job first";
-  const auto [fair_big, fair_small] = run_once(Placement::fair, "fair");
-  EXPECT_LT(fair_small, fair_big)
-      << "fair must complete the small job before the big drain finishes";
+/// Runs one daemon over `jobs_dir` until every job is merged, and returns
+/// its report and log.
+std::pair<DaemonReport, std::string> drain(const std::string& jobs_dir,
+                                           const std::string& owner) {
+  std::ostringstream log;
+  DaemonOptions options;
+  options.jobs_dir = jobs_dir;
+  options.cache_dir.clear();
+  options.owner = owner;
+  options.max_cycles = 10;
+  options.poll_initial_ms = 1;
+  options.poll_max_ms = 2;
+  options.log = &log;
+  const DaemonReport report = run_daemon(options);
+  return {report, log.str()};
 }
 
-TEST(FleetPlacement, FairClaimBudgetScalesWithHeadroom) {
-  // budget = max(1, cores - floor(load)): an idle box takes its core
-  // count, load eats into it one whole core at a time, and the floor is
-  // always 1 (a saturated or unknown box still makes progress).
-  EXPECT_EQ(fair_claim_budget(0, 0), 1) << "unknown cores";
-  EXPECT_EQ(fair_claim_budget(-1, 50), 1);
-  EXPECT_EQ(fair_claim_budget(1, 0), 1);
-  EXPECT_EQ(fair_claim_budget(4, 0), 4);
-  EXPECT_EQ(fair_claim_budget(4, 99), 4) << "load rounds down";
-  EXPECT_EQ(fair_claim_budget(4, 100), 3);
-  EXPECT_EQ(fair_claim_budget(4, 350), 1);
-  EXPECT_EQ(fair_claim_budget(4, 900), 1) << "overload clamps to 1";
-  EXPECT_EQ(fair_claim_budget(8, 250), 6);
+TEST(FleetPlacement, OneShardJobBehindABigJobWaitsForAtMostOneShard) {
+  // a_big (9 shards) sorts, and is discovered, before b_small (1 shard).
+  // Each claim round takes one shard from the longest-waiting job, so
+  // b_small is picked by the second round and completes after at most
+  // one of a_big's shards.
+  const std::string jobs_dir = fresh_dir("placement_small_first");
+  const std::string big_dir =
+      drop_job(jobs_dir, "a_big", /*trials=*/9, /*shard_tasks=*/4);
+  const std::string small_dir =
+      drop_job(jobs_dir, "b_small", /*trials=*/1, /*shard_tasks=*/4);
+  ASSERT_EQ(JobStore::open(big_dir).shard_count(), 9);
+  ASSERT_EQ(JobStore::open(small_dir).shard_count(), 1);
+  const auto [report, text] = drain(jobs_dir, "placement-d");
+  EXPECT_EQ(report.jobs_completed, 2) << text;
+  const std::size_t small_done = text.find("completed job in " + small_dir);
+  ASSERT_NE(small_done, std::string::npos) << text;
+  int shards_before = 0;
+  for (std::size_t at = text.find(": completed shard ");
+       at != std::string::npos && at < small_done;
+       at = text.find(": completed shard ", at + 1)) {
+    ++shards_before;
+  }
+  // b_small's own shard plus at most one of a_big's.
+  EXPECT_LE(shards_before, 2) << text;
 }
 
 TEST(FleetRegistry, MemberRecordRoundTripsHostResources) {
@@ -316,54 +302,51 @@ TEST(FleetRegistry, MemberRecordRoundTripsHostResources) {
   MemberRecord rich;
   rich.id = "rich";
   rich.pid = 7;
-  rich.placement = "fair";
   rich.ttl_seconds = 10;
   rich.host = "box-a";
-  rich.cores = 16;
-  rich.load100 = 275;
-  MemberRecord bare;  // a pre-resources record: fields stay at defaults
+  MemberRecord bare;  // no host: the field stays at its default
   bare.id = "bare";
   bare.ttl_seconds = 10;
   fleet.publish(rich);
   fleet.publish(bare);
+  // A record as a daemon that still had placement knobs writes it, with
+  // its placement, cores and load100 lines: it must still scan, so a
+  // mixed fleet sees every member.
+  std::ofstream(fleet.dir() + "/older")
+      << "dualcast-member v1\nid older\npid 9\nplacement fair\nhost box-b\n"
+         "cores 16\nload100 275\nstarted 2990\nheartbeat 2998\nttl 10\n"
+         "cycles 4\ntasks 12\nshards 3\nsteals 1\npressure ok\nend\n";
 
-  for (const MemberState& member : fleet.scan()) {
+  const std::vector<MemberState> members = fleet.scan();
+  ASSERT_EQ(members.size(), 3u);
+  for (const MemberState& member : members) {
     if (member.record.id == "rich") {
       EXPECT_EQ(member.record.host, "box-a");
-      EXPECT_EQ(member.record.cores, 16);
-      EXPECT_EQ(member.record.load100, 275);
+    } else if (member.record.id == "older") {
+      EXPECT_EQ(member.record.host, "box-b");
+      EXPECT_EQ(member.record.shards, 3);
+      EXPECT_EQ(member.age, 2);
+      EXPECT_FALSE(member.stale);
     } else {
+      EXPECT_EQ(member.record.id, "bare");
       EXPECT_TRUE(member.record.host.empty());
-      EXPECT_EQ(member.record.cores, 0);
-      EXPECT_EQ(member.record.load100, 0);
     }
   }
 }
 
-TEST(FleetPlacement, FairClaimRoundsFollowTheInjectedBudget) {
-  // One 6-shard job, one daemon. With cores=3/load=1.00 the budget is 2,
-  // so the fair drain takes ceil(6/2) = 3 claim rounds; with cores=1 the
-  // budget floor of 1 takes 6. claim_rounds is the observable — wall
-  // clock and worker interleaving never enter the count.
-  const auto rounds_with = [&](int cores, int load100,
-                               const std::string& tag) {
-    const std::string jobs_dir = fresh_dir("budget_" + tag);
-    drop_job(jobs_dir, "job", /*trials=*/6, /*shard_tasks=*/4);
-    DaemonOptions options;
-    options.jobs_dir = jobs_dir;
-    options.cache_dir.clear();
-    options.owner = "budget-" + tag;
-    options.placement = Placement::fair;
-    options.resources = {"testbox", cores, load100};
-    options.max_cycles = 5;
-    options.poll_initial_ms = 1;
-    options.poll_max_ms = 2;
-    const DaemonReport report = run_daemon(options);
-    EXPECT_EQ(report.jobs_completed, 1) << tag;
-    return report.claim_rounds;
-  };
-  EXPECT_EQ(rounds_with(3, 100, "headroom2"), 3);
-  EXPECT_EQ(rounds_with(1, 0, "floor"), 6);
+TEST(FleetPlacement, LoneDaemonTakesOneClaimRoundPerShard) {
+  // A claim round is one pick of a job plus one call into the worker's
+  // lease loop for one shard, so a lone daemon drains a 6-shard job in 6
+  // rounds. claim_rounds is the observable — wall clock and worker
+  // interleaving never enter the count.
+  const std::string jobs_dir = fresh_dir("claim_rounds");
+  const std::string job_dir =
+      drop_job(jobs_dir, "job", /*trials=*/6, /*shard_tasks=*/4);
+  ASSERT_EQ(JobStore::open(job_dir).shard_count(), 6);
+  const auto [report, text] = drain(jobs_dir, "rounds-d");
+  EXPECT_EQ(report.jobs_completed, 1) << text;
+  EXPECT_EQ(report.shards_completed, 6) << text;
+  EXPECT_EQ(report.claim_rounds, 6) << text;
 }
 
 TEST(FleetStatus, JsonIsByteDeterministicUnderFakeClock) {
@@ -379,11 +362,8 @@ TEST(FleetStatus, JsonIsByteDeterministicUnderFakeClock) {
   MemberRecord live;
   live.id = "live-d";
   live.pid = 42;
-  live.placement = "fair";
   live.ttl_seconds = 15;
   live.host = "box-a";
-  live.cores = 4;
-  live.load100 = 150;
   fleet.publish(live);
   clock.advance(5);
 
@@ -392,10 +372,6 @@ TEST(FleetStatus, JsonIsByteDeterministicUnderFakeClock) {
       << "same fake instant, same bytes";
   EXPECT_NE(json.find("\"id\":\"live-d\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"host\":\"box-a\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cores\":4"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"load100\":150"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"claim_budget\":3"), std::string::npos)
-      << "cores 4, load 1.50 -> budget 3: " << json;
   EXPECT_NE(json.find("\"heartbeat_age_seconds\":5"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"leases_held\":1"), std::string::npos) << json;
@@ -405,7 +381,7 @@ TEST(FleetStatus, JsonIsByteDeterministicUnderFakeClock) {
 }
 
 /// One FakeClock fleet with every row kind the fleet view renders: a live
-/// member with host, cores and a ladder state; a stale member; a
+/// member with a host and a ladder state; a stale member; a
 /// non-member lease owner; a live and an expired lease; and a job
 /// directory whose meta cannot be read. Returns the two readable jobs'
 /// key hashes.
@@ -428,10 +404,7 @@ std::pair<std::string, std::string> build_status_fleet(
   MemberRecord live;
   live.id = "live-d";
   live.pid = 42;
-  live.placement = "fair";
   live.host = "box-a";
-  live.cores = 4;
-  live.load100 = 150;
   live.started = clock.now_seconds();
   live.ttl_seconds = 15;
   live.cycles = 7;
@@ -467,10 +440,9 @@ TEST(FleetStatus, TextPinsEveryRowKindUnderFakeClock) {
       "fleet of " + d + ": 2 member(s), 3 job(s)\n"
       "  daemon dead-d [STALE]: pid 43, up 20s, heartbeat 20s ago (ttl 15s), "
       "0 tasks, 0 shards (0/s), 0 steal(s), pressure ok, 1 lease(s) held\n"
-      "  daemon live-d [live]: pid 42, placement fair, host box-a, 4 cores "
-      "(load 1.5, budget 3), up 20s, heartbeat 0s ago (ttl 15s), 40 tasks, "
-      "10 shards (0.5/s), 1 steal(s), pressure cache-shed (free 123456B), "
-      "1 lease(s) held\n"
+      "  daemon live-d [live]: pid 42, host box-a, up 20s, heartbeat 0s ago "
+      "(ttl 15s), 40 tasks, 10 shards (0.5/s), 1 steal(s), pressure "
+      "cache-shed (free 123456B), 1 lease(s) held\n"
       "  non-member owner worker-x: 1 lease(s) held\n"
       "  job " + key1 + ": 0/12 tasks, 0/3 shards done, 2 leased  (" + d +
       "/job1)\n"
@@ -495,14 +467,12 @@ TEST(FleetStatus, JsonPinsEveryRowKindUnderFakeClock) {
   const std::string& d = jobs_dir;
   const std::string expected =
       "{\"jobs_dir\":\"" + d + "\",\"now\":9020,\"members\":["
-      "{\"id\":\"dead-d\",\"live\":false,\"pid\":43,\"placement\":\"\","
-      "\"host\":\"\",\"cores\":0,\"load100\":0,\"claim_budget\":1,"
+      "{\"id\":\"dead-d\",\"live\":false,\"pid\":43,\"host\":\"\","
       "\"uptime_seconds\":20,\"heartbeat_age_seconds\":20,"
       "\"ttl_seconds\":15,\"cycles\":0,\"tasks\":0,\"shards\":0,"
       "\"shards_per_second\":0.000,\"steals\":0,\"pressure\":\"ok\","
       "\"free_bytes\":-1,\"leases_held\":1},"
-      "{\"id\":\"live-d\",\"live\":true,\"pid\":42,\"placement\":\"fair\","
-      "\"host\":\"box-a\",\"cores\":4,\"load100\":150,\"claim_budget\":3,"
+      "{\"id\":\"live-d\",\"live\":true,\"pid\":42,\"host\":\"box-a\","
       "\"uptime_seconds\":20,\"heartbeat_age_seconds\":0,"
       "\"ttl_seconds\":15,\"cycles\":7,\"tasks\":40,\"shards\":10,"
       "\"shards_per_second\":0.500,\"steals\":1,"
@@ -600,7 +570,6 @@ TEST(FleetDaemons, TwoDaemonsDrainDisjointShardSetsWithNoDuplicateWork) {
     options.jobs_dir = jobs_dir;
     options.cache_dir.clear();
     options.owner = owner;
-    options.placement = Placement::fair;
     options.max_cycles = 40;
     options.poll_initial_ms = 1;
     options.poll_max_ms = 5;

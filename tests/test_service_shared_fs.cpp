@@ -285,8 +285,6 @@ TEST(SharedFsService, DaemonBehindSkewedViewCompletesAndMergesIdentical) {
     options.jobs_dir = jobs_dir;
     options.cache_dir.clear();
     options.owner = "skewed-daemon";
-    options.placement = Placement::fair;
-    options.resources = {"simbox", 2, 0};
     options.max_cycles = 20;
     options.poll_initial_ms = 1;
     options.poll_max_ms = 2;
