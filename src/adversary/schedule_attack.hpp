@@ -16,7 +16,7 @@
 // Ω(n / log n) rounds on the dual clique; against permuted decay the
 // prediction is uncorrelated with the (secret, post-commitment) permutation
 // bits and the attack collapses. That contrast is the paper's core design
-// point, reproduced in bench/ablation_permutation.
+// point, reproduced by `dualcast_bench ablation/permutation`.
 
 #include <functional>
 

@@ -32,7 +32,7 @@
 //
 // The `shared_seeds=false` ablation skips initialization entirely and gives
 // every B node an independent private seed — isolating the contribution of
-// the coordination machinery (bench/ablation_seeds).
+// the coordination machinery (`dualcast_bench ablation/seeds`).
 
 #include "core/decay_schedule.hpp"
 #include "sim/process.hpp"

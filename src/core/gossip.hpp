@@ -17,7 +17,7 @@
 // oldest first — a fair scheduler that guarantees every held token keeps
 // circulating). Against oblivious adversaries each token behaves like a
 // decay broadcast thinned by the holder's token count, giving
-// O(k · polylog) style behavior (measured in bench/ext_gossip).
+// O(k · polylog) style behavior (measured by `dualcast_bench ext/gossip`).
 
 #include <vector>
 

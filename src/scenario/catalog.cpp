@@ -663,13 +663,11 @@ void add_examples(ScenarioCatalog& c) {
 // The large-n scaling tier: the regimes where Figure 1's asymptotic
 // separations become visually unambiguous, and where the engine's
 // word-parallel RNG and implicit clique layers earn their keep (the grids
-// resolve on the sweep). These specs are throughput-oriented companions to
-// bench/sim_throughput.cpp's scale/ cases (same names, fixed round caps
-// there); full sweeps here measure actual completion at scale, and --smoke
-// keeps them tiny for ctest. The dual cliques all run on the implicit
-// representation (structured resolver path, no O(n^2) CSR) — the 16k/64k
-// points are hour-scale completion runs, priced for dedicated lower-bound
-// measurement, not for casual --all sessions.
+// resolve on the sweep). Full sweeps here measure actual completion at
+// scale, and --smoke keeps them tiny for ctest. The dual cliques all run
+// on the implicit representation (structured resolver path, no O(n^2)
+// CSR) — the 16k/64k points are hour-scale completion runs, priced for
+// dedicated lower-bound measurement, not for casual --all sessions.
 void add_scale(ScenarioCatalog& c) {
   {
     ScenarioSpec s;

@@ -244,9 +244,9 @@ int run_main(int argc, char** argv,
       .synopsis = "[scenario-name-or-prefix ...] [options]",
       .about = "Runs the scenarios named by exact name or prefix "
                "(\"fig1/oblivious-global\" runs both the clique and line "
-               "sweeps). With no names, a per-bench driver runs its own "
-               "scenarios, and dualcast_bench runs every scenario under "
-               "--smoke or --all.",
+               "sweeps). With no names, an example runs its own scenarios, "
+               "and dualcast_bench runs every scenario under --smoke or "
+               "--all.",
       .epilog = str("\nexperiment-service subcommands (each takes --help):\n",
                     service::command_list())};
 

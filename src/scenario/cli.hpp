@@ -7,9 +7,9 @@
 //
 // Positional names select scenarios by exact name or prefix
 // ("fig1/oblivious-global" runs both the clique and line sweeps). With no
-// names, `default_names` runs — the thin per-bench mains pass their
-// scenarios there; the generic `dualcast_bench` driver passes none and
-// requires an explicit selection (or --all / --smoke / --list).
+// names, `default_names` runs — the examples pass their scenarios there;
+// the generic `dualcast_bench` driver passes none and requires an explicit
+// selection (or --all / --smoke / --list).
 
 #include <charconv>
 #include <functional>

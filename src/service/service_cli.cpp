@@ -392,9 +392,6 @@ int soak_main(int argc, char** argv, const Command& command) {
       int_flag("--kills", "N",
                "SIGKILLs delivered across the storm (default 6)",
                options.kills, 0),
-      int_flag("--kill-interval-ms", "M",
-               "minimum gap between kills (default 600)",
-               options.kill_interval_ms, 1),
       int_flag("--small-jobs", "N",
                "small jobs dropped beside the big one (default 2)",
                options.small_jobs, 0),

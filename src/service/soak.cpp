@@ -313,7 +313,6 @@ SoakReport run_soak(const SoakOptions& options) {
       now_ms() + static_cast<std::int64_t>(options.timeout_seconds) * 1000;
   int total_shards = 0;
   for (const SoakJob& job : jobs) total_shards += job.store->shard_count();
-  std::int64_t next_kill = now_ms();
   // Disk-pressure schedule: let the fleet get going, squeeze the shared
   // "disk" to zero (every daemon must park), hold, then restore (every
   // daemon must walk back up and finish the drain).
@@ -372,7 +371,7 @@ SoakReport run_soak(const SoakOptions& options) {
       }
     }
     const bool kill_due =
-        kills_done < options.kills && now_ms() >= next_kill &&
+        kills_done < options.kills &&
         static_cast<std::int64_t>(done) * (options.kills + 1) >=
             static_cast<std::int64_t>(kills_done + 1) * total_shards;
     if (kill_due) {
@@ -396,7 +395,6 @@ SoakReport run_soak(const SoakOptions& options) {
                << " shards done, " << (options.kills - kills_done)
                << " kill(s) left\n";
         }
-        next_kill = now_ms() + options.kill_interval_ms;
       }
     }
     // Poll fast while kills are outstanding, so each lands close to its

@@ -29,11 +29,11 @@
 //     `require_steal` is set).
 //
 // Kill pacing: kill k of N is due once k/(N+1) of the soak's shards are
-// done, and no sooner than `kill_interval_ms` after the previous kill, so
-// the storm spreads over the drain however fast the box runs it. A drain
-// that outruns the gap leaves late kills to the peers stealing a victim's
-// lapsed lease, the only holders left; the report counts the kills that
-// landed.
+// done, so the storm spreads over the drain however fast the box runs it.
+// The drain is the only clock: a wall-clock gap between kills would let a
+// fast drain finish inside it and leave the late kills to the few-ms lease
+// windows of peers stealing a victim's shard. The report counts the kills
+// that landed.
 //
 // Determinism note: each kill is a `kill_seed`-seeded pick among the
 // daemons that hold an unexpired lease at that tick (a kill waits for a
@@ -66,7 +66,6 @@ struct SoakOptions {
   int member_ttl_seconds = 4;   ///< stale detection well inside the run
   std::uint64_t kill_seed = 7;  ///< seeds the victim picks
   int kills = 6;                ///< SIGKILLs delivered across the storm
-  int kill_interval_ms = 600;   ///< minimum gap between kills
   /// Also arm each first-generation daemon with `--fault-crash-op N`
   /// (respawns run clean, so an early injected death cannot crash-loop).
   int fault_crash_op = -1;

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/trials.hpp"
 #include "scenario/scenario.hpp"
@@ -316,6 +319,37 @@ TEST(ScenarioCatalogTest, BuiltinsCoverFigureOneAndMore) {
   EXPECT_THROW(scenarios().get("fig1/no-such-cell"), ScenarioError);
   EXPECT_GE(scenarios().match("fig1/").size(), 9u);
   EXPECT_TRUE(scenarios().match("zzz/none").empty());
+
+  // `dualcast_bench <prefix>` is how a single Figure-1 cell, ablation or
+  // extension is run, so each of these prefixes selects exactly its own
+  // scenarios, in catalog order; a new scenario whose name extends one
+  // would silently widen that run.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cells =
+      {{"fig1/offline-global", {"fig1/offline-global"}},
+       {"fig1/offline-local", {"fig1/offline-local"}},
+       {"fig1/online-global", {"fig1/online-global"}},
+       {"fig1/online-local", {"fig1/online-local"}},
+       {"fig1/oblivious-global",
+        {"fig1/oblivious-global-clique", "fig1/oblivious-global-line"}},
+       {"fig1/oblivious-local-geo",
+        {"fig1/oblivious-local-geo-n", "fig1/oblivious-local-geo-delta"}},
+       {"fig1/static-global",
+        {"fig1/static-global-clique", "fig1/static-global-line"}},
+       {"fig1/static-local", {"fig1/static-local-n", "fig1/static-local-delta"}},
+       {"fig1/summary",
+        {"fig1/summary-clique", "fig1/summary-bracelet", "fig1/summary-geo",
+         "fig1/summary-static-global", "fig1/summary-static-local"}},
+       {"ablation/iid-vs-adversarial", {"ablation/iid-vs-adversarial"}},
+       {"ablation/permutation", {"ablation/permutation"}},
+       {"ablation/seeds", {"ablation/seeds"}},
+       {"ext/gossip", {"ext/gossip-k", "ext/gossip-quiesce", "ext/gossip-n"}}};
+  for (const auto& [prefix, expected] : cells) {
+    std::vector<std::string> names;
+    for (const ScenarioSpec* spec : scenarios().match(prefix)) {
+      names.push_back(spec->name);
+    }
+    EXPECT_EQ(names, expected) << prefix;
+  }
 }
 
 TEST(ScenarioCatalogTest, EverySpecParsesAgainstItsRegistries) {
