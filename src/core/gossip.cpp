@@ -62,10 +62,10 @@ Message GossipProblem::initial_message(int v) const {
 void GossipProblem::observe_round(
     const RoundRecord& record,
     const std::vector<std::unique_ptr<Process>>& /*procs*/) {
-  for (const Delivery& d : record.deliveries) {
+  for_each_delivery(record, [&](const Delivery& d) {
     const Message& m = record.sent[static_cast<std::size_t>(d.transmitter_index)];
-    if (m.kind != MessageKind::data) continue;
-    if (m.payload >= static_cast<std::uint64_t>(tokens())) continue;
+    if (m.kind != MessageKind::data) return;
+    if (m.payload >= static_cast<std::uint64_t>(tokens())) return;
     const std::size_t idx =
         static_cast<std::size_t>(d.receiver) * sources_.size() +
         static_cast<std::size_t>(m.payload);
@@ -73,7 +73,7 @@ void GossipProblem::observe_round(
       known_[idx] = 1;
       --missing_;
     }
-  }
+  });
 }
 
 bool GossipProblem::solved(

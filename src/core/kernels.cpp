@@ -116,16 +116,16 @@ class RoundRobinKernel final : public AlgorithmKernel {
   }
 
   void on_feedback_batch(const FeedbackView& fb, std::span<Rng> /*rngs*/) override {
-    for (const Delivery& d : fb.deliveries) {
-      if (has_.test(d.receiver)) continue;
+    for_each_delivery(fb, [&](const Delivery& d) {
+      if (has_.test(d.receiver)) return;
       const Message& m = fb.sent[static_cast<std::size_t>(d.transmitter_index)];
-      if (m.kind != MessageKind::data) continue;
+      if (m.kind != MessageKind::data) return;
       has_.set(d.receiver);
       if (config_.relay) {
         message_[static_cast<std::size_t>(d.receiver)] = m;
         may_.set(d.receiver);
       }
-    }
+    });
   }
 
   bool has_message(int v) const override { return has_.test(v); }
@@ -251,51 +251,78 @@ class DecayLocalKernel final : public AlgorithmKernel {
 /// SoA decay-holder state shared by the global-decay kernel and the decay
 /// half of the robust-mix kernel (whose decay clock is the engine round
 /// halved).
+///
+/// Holders are grouped into cohorts: nodes that got one message with one
+/// window [start, end). A window is fixed by the period of the receipt
+/// round, so a run's new holders, and every other receipt of that message
+/// in that period, share a cohort. A cohort keeps its members as
+/// (block, bits) words and its message as an index into `messages`, the
+/// distinct messages held (one per source in every catalog problem), so a
+/// run turns into holders a word at a time and no holder copies a Message.
 struct DecayGlobalState {
+  struct Cohort {
+    int start = -1;  ///< window [start, end); a source's is [-1, -1)
+    int end = -1;
+    int message = -1;       ///< index into `messages`
+    std::size_t first = 0;  ///< members: words[first, last)
+    std::size_t last = 0;
+  };
+  struct BlockBits {
+    int block = 0;
+    std::uint64_t bits = 0;
+  };
+
   DecayGlobalConfig config;
   int ladder = 0;
   int calls = 0;
   DecayCoins coins;
-  std::vector<char> is_source;
-  std::vector<char> has;
-  std::vector<int> window_start;
-  std::vector<int> window_end;
-  std::vector<Message> message;
-  std::vector<int> sources;   ///< ascending
+  NodeBitmap is_source;
+  NodeBitmap has;
+  std::vector<int> sources;  ///< ascending
+  std::vector<Message> messages;
+  /// The sources' cohorts, then the receipts' in window order: both window
+  /// bounds are non-decreasing along the list (round_up of a monotone
+  /// round).
+  std::vector<Cohort> cohorts;
+  std::vector<BlockBits> words;
+  std::vector<int> cohort_of;  ///< per node; -1 until it holds a message
   // Every holder of one message shares its source's permuted bit string
   // (§4.1), so while all holders carry one string a round has one ladder
   // index (shared_index).
   const BitString* holder_string = nullptr;  ///< the first holder's bits
+  bool received_any = false;   ///< some node has become a holder
   bool mixed_strings = false;  ///< some later holder carries another string
 
-  // Incremental active-window tracking. A holder's window [start, end) is
-  // fixed at receipt, and both bounds arrive in non-decreasing order
-  // (round_up of a monotone round), so two FIFO event queues advance the
-  // active set in O(changes) instead of re-checking every holder's window
-  // every round. `mutable`: expected() is a const observer but shares the
-  // clock. Queries must be monotone (the engine's round clock).
-  mutable NodeBitmap active_bits;          ///< holders with start <= r < end
+  // Incremental active-window tracking: two heads walk the cohort list, one
+  // by window start and one by window end, and OR in or clear out a
+  // cohort's words, so the active set advances in O(changes) instead of
+  // re-checking every holder's window every round. `mutable`: expected() is
+  // a const observer but shares the clock. Queries must be monotone (the
+  // engine's round clock).
+  mutable NodeBitmap active_bits;  ///< holders with start <= r < end
   mutable std::int64_t active_count = 0;
   mutable int synced_round = 0;
   mutable std::size_t start_head = 0;
   mutable std::size_t end_head = 0;
-  std::vector<std::pair<int, int>> start_events;  ///< (window_start, v)
-  std::vector<std::pair<int, int>> end_events;    ///< (window_end, v)
 
   /// Advances the active set to `round`.
   void sync(int round) const {
     DC_EXPECTS(round >= synced_round);
-    while (start_head < start_events.size() &&
-           start_events[start_head].first <= round) {
-      active_bits.set(start_events[start_head].second);
-      ++active_count;
-      ++start_head;
+    for (; start_head < cohorts.size() && cohorts[start_head].start <= round;
+         ++start_head) {
+      const Cohort& c = cohorts[start_head];
+      for (std::size_t w = c.first; w < c.last; ++w) {
+        active_bits.set_bits(words[w].block, words[w].bits);
+        active_count += std::popcount(words[w].bits);
+      }
     }
-    while (end_head < end_events.size() &&
-           end_events[end_head].first <= round) {
-      active_bits.clear(end_events[end_head].second);
-      --active_count;
-      ++end_head;
+    for (; end_head < cohorts.size() && cohorts[end_head].end <= round;
+         ++end_head) {
+      const Cohort& c = cohorts[end_head];
+      for (std::size_t w = c.first; w < c.last; ++w) {
+        active_bits.clear_bits(words[w].block, words[w].bits);
+        active_count -= std::popcount(words[w].bits);
+      }
     }
     synced_round = round;
   }
@@ -303,9 +330,9 @@ struct DecayGlobalState {
   /// Applies a role node's environment (every other node starts as no
   /// source and no holder, as resize() leaves it).
   void init_node(int v, const ProcessEnv& env, Rng& rng) {
-    is_source[static_cast<std::size_t>(v)] = env.is_global_source;
     if (!env.is_global_source) return;
-    has[static_cast<std::size_t>(v)] = 1;
+    is_source.set(v);
+    has.set(v);
     sources.push_back(v);
     Message m = env.initial_message;
     if (config.schedule == ScheduleKind::permuted && m.shared_bits == nullptr) {
@@ -315,7 +342,9 @@ struct DecayGlobalState {
       m.shared_bits = std::make_shared<const BitString>(
           BitString::random(rng, static_cast<std::size_t>(nbits)));
     }
-    message[static_cast<std::size_t>(v)] = std::move(m);
+    cohort_of[static_cast<std::size_t>(v)] = static_cast<int>(cohorts.size());
+    cohorts.push_back(
+        Cohort{-1, -1, message_index(m), words.size(), words.size()});
   }
 
   void resize(const DecayGlobalConfig& cfg, const KernelSetup& setup) {
@@ -324,20 +353,25 @@ struct DecayGlobalState {
     ladder = clog2(static_cast<std::uint64_t>(setup.n > 1 ? setup.n : 2));
     calls = cfg.calls == 0 ? 2 * ladder : cfg.calls;
     coins.init(setup);
-    is_source.assign(static_cast<std::size_t>(n), 0);
-    has.assign(static_cast<std::size_t>(n), 0);
-    window_start.assign(static_cast<std::size_t>(n), -1);
-    window_end.assign(static_cast<std::size_t>(n), -1);
-    message.resize(static_cast<std::size_t>(n));
+    is_source.resize(n);
+    has.resize(n);
+    cohort_of.assign(static_cast<std::size_t>(n), -1);
     active_bits.resize(n);
   }
 
   int period() const { return config.gamma * ladder; }
 
+  const Message& message_of(int v) const {
+    const Cohort& c = cohorts[static_cast<std::size_t>(
+        cohort_of[static_cast<std::size_t>(v)])];
+    return messages[static_cast<std::size_t>(c.message)];
+  }
+
   bool active_in(int v, int round) const {
-    const std::size_t i = static_cast<std::size_t>(v);
-    return has[i] && !is_source[i] && window_start[i] >= 0 &&
-           round >= window_start[i] && round < window_end[i];
+    const int c = cohort_of[static_cast<std::size_t>(v)];
+    if (c < 0) return false;
+    const Cohort& cohort = cohorts[static_cast<std::size_t>(c)];
+    return round >= cohort.start && round < cohort.end;
   }
 
   /// The ladder index of every holder at `round`, or -1 when holders
@@ -354,7 +388,7 @@ struct DecayGlobalState {
     if (config.schedule == ScheduleKind::fixed) {
       return fixed_decay_index(round, ladder);
     }
-    const auto& bits = message[static_cast<std::size_t>(v)].shared_bits;
+    const auto& bits = message_of(v).shared_bits;
     DC_ASSERT_MSG(bits != nullptr, "permuted decay holder without shared bits");
     return permuted_decay_index(*bits, round, ladder);
   }
@@ -364,7 +398,7 @@ struct DecayGlobalState {
   template <typename Emit>
   void round(int round, std::span<Rng> rngs, Emit&& emit) {
     if (round == 0) {
-      for (const int v : sources) emit(v, message[static_cast<std::size_t>(v)]);
+      for (const int v : sources) emit(v, message_of(v));
       return;
     }
     sync(round);
@@ -373,39 +407,95 @@ struct DecayGlobalState {
       const std::uint64_t tx =
           coins.block(b, active_bits.word(b), rngs, index,
                       [&](int v) { return schedule_index(v, round); });
-      for_each_bit(tx, b * 64, [&](int v, std::uint64_t) {
-        emit(v, message[static_cast<std::size_t>(v)]);
-      });
+      for_each_bit(tx, b * 64,
+                   [&](int v, std::uint64_t) { emit(v, message_of(v)); });
     }
   }
 
-  /// One node's receipt at decay clock `round` (mirrors
-  /// DecayGlobalBroadcast::on_feedback).
-  void receive(int v, const Message& m, int round) {
-    const std::size_t i = static_cast<std::size_t>(v);
-    if (has[i] || m.kind != MessageKind::data) return;
-    has[i] = 1;
-    message[i] = m;
-    if (start_events.empty()) {  // the first holder
+  /// A round's receipts at decay clock `round` (mirrors
+  /// DecayGlobalBroadcast::on_feedback): a node that holds nothing takes the
+  /// first data message it hears. A run's new holders — its words minus
+  /// `has` — join one cohort a word at a time.
+  void receive(const FeedbackView& fb, int round) {
+    for (const DeliveryRun& run : fb.runs) {
+      const Message& m =
+          fb.sent[static_cast<std::size_t>(run.transmitter_index)];
+      if (m.kind != MessageKind::data) continue;
+      bool joined = false;
+      for_each_run_word(run, fb.transmitters, fb.run_skips,
+                        [&](int block, std::uint64_t bits) {
+                          bits &= ~has.word(block);
+                          if (bits == 0) return;
+                          if (!joined) join(m, round);
+                          joined = true;
+                          add(block, bits);
+                        });
+    }
+    for (const Delivery& d : fb.deliveries) {
+      const Message& m = fb.sent[static_cast<std::size_t>(d.transmitter_index)];
+      if (has.test(d.receiver) || m.kind != MessageKind::data) continue;
+      join(m, round);
+      add(d.receiver / 64, std::uint64_t{1} << (d.receiver % 64));
+    }
+  }
+
+  /// The index of `m` in `messages` (the same fields and the same shared
+  /// bits object), appending it on first sight.
+  int message_index(const Message& m) {
+    for (std::size_t k = messages.size(); k-- > 0;) {
+      const Message& held = messages[k];
+      if (held.kind == m.kind && held.source == m.source &&
+          held.payload == m.payload && held.shared_bits == m.shared_bits) {
+        return static_cast<int>(k);
+      }
+    }
+    messages.push_back(m);
+    return static_cast<int>(messages.size()) - 1;
+  }
+
+  /// Readies the last cohort for new holders of `m` at decay clock
+  /// `round`: it stays when it has their window and message and has not
+  /// started, else a new one is appended.
+  void join(const Message& m, int round) {
+    if (!received_any) {  // the first holder
+      received_any = true;
       holder_string = m.shared_bits.get();
     } else if (m.shared_bits.get() != holder_string) {
       mixed_strings = true;
     }
-    window_start[i] = static_cast<int>(
+    const int start = static_cast<int>(
         round_up(static_cast<std::int64_t>(round) + 1, period()));
-    window_end[i] = calls == DecayGlobalConfig::kUnbounded
+    const int end = calls == DecayGlobalConfig::kUnbounded
                         ? std::numeric_limits<int>::max()
-                        : window_start[i] + calls * period();
-    start_events.emplace_back(window_start[i], v);
-    if (calls != DecayGlobalConfig::kUnbounded) {
-      end_events.emplace_back(window_end[i], v);
+                        : start + calls * period();
+    const int message = message_index(m);
+    if (start_head < cohorts.size()) {
+      const Cohort& last = cohorts.back();
+      if (last.start == start && last.end == end && last.message == message) {
+        return;
+      }
     }
+    cohorts.push_back(Cohort{start, end, message, words.size(), words.size()});
+  }
+
+  /// Makes the nodes `bits` of block `block` holders in the last cohort.
+  void add(int block, std::uint64_t bits) {
+    Cohort& c = cohorts.back();
+    const int cohort = static_cast<int>(cohorts.size()) - 1;
+    if (c.last > c.first && words.back().block == block) {
+      words.back().bits |= bits;
+    } else {
+      words.push_back(BlockBits{block, bits});
+    }
+    c.last = words.size();
+    has.set_bits(block, bits);
+    for_each_bit(bits, block * 64, [&](int v, std::uint64_t) {
+      cohort_of[static_cast<std::size_t>(v)] = cohort;
+    });
   }
 
   double probability(int v, int round) const {
-    if (is_source[static_cast<std::size_t>(v)]) {
-      return round == 0 ? 1.0 : 0.0;
-    }
+    if (is_source.test(v)) return round == 0 ? 1.0 : 0.0;
     if (!active_in(v, round)) return 0.0;
     return pow2_neg(schedule_index(v, round));
   }
@@ -452,16 +542,10 @@ class DecayGlobalKernel final : public AlgorithmKernel {
   }
 
   void on_feedback_batch(const FeedbackView& fb, std::span<Rng> /*rngs*/) override {
-    for (const Delivery& d : fb.deliveries) {
-      state_.receive(d.receiver,
-                     fb.sent[static_cast<std::size_t>(d.transmitter_index)],
-                     fb.round);
-    }
+    state_.receive(fb, fb.round);
   }
 
-  bool has_message(int v) const override {
-    return state_.has[static_cast<std::size_t>(v)] != 0;
-  }
+  bool has_message(int v) const override { return state_.has.test(v); }
 
   double transmit_probability(int v, int round) const override {
     return state_.probability(v, round);
@@ -539,20 +623,19 @@ class RobustMixKernel final : public AlgorithmKernel {
 
   void on_feedback_batch(const FeedbackView& fb, std::span<Rng> /*rngs*/) override {
     // Both halves learn from every reception, whichever half's round it was.
-    const int rr = fb.round / 2;
-    for (const Delivery& d : fb.deliveries) {
+    for_each_delivery(fb, [&](const Delivery& d) {
       const Message& m = fb.sent[static_cast<std::size_t>(d.transmitter_index)];
       if (!robin_has_.test(d.receiver) && m.kind == MessageKind::data) {
         robin_has_.set(d.receiver);
         robin_message_[static_cast<std::size_t>(d.receiver)] = m;
         robin_may_.set(d.receiver);
       }
-      decay_.receive(d.receiver, m, rr);
-    }
+    });
+    decay_.receive(fb, fb.round / 2);
   }
 
   bool has_message(int v) const override {
-    return robin_has_.test(v) || decay_.has[static_cast<std::size_t>(v)];
+    return robin_has_.test(v) || decay_.has.test(v);
   }
 
   double transmit_probability(int v, int round) const override {
@@ -664,10 +747,10 @@ class GossipKernel final : public AlgorithmKernel {
   }
 
   void on_feedback_batch(const FeedbackView& fb, std::span<Rng> /*rngs*/) override {
-    for (const Delivery& d : fb.deliveries) {
+    for_each_delivery(fb, [&](const Delivery& d) {
       const Message& m = fb.sent[static_cast<std::size_t>(d.transmitter_index)];
       if (m.kind == MessageKind::data) acquire(d.receiver, m);
-    }
+    });
   }
 
   bool has_message(int v) const override {
@@ -863,16 +946,16 @@ class GeoLocalKernel final : public AlgorithmKernel {
 
   void on_feedback_batch(const FeedbackView& fb, std::span<Rng> rngs) override {
     // Capture the first seed heard while active and not a leader.
-    for (const Delivery& d : fb.deliveries) {
+    for_each_delivery(fb, [&](const Delivery& d) {
       const std::size_t u = static_cast<std::size_t>(d.receiver);
       if (!active_[u] || leader_now_[u] || pending_seed_[u] != nullptr) {
-        continue;
+        return;
       }
       const Message& m = fb.sent[static_cast<std::size_t>(d.transmitter_index)];
-      if (m.kind != MessageKind::seed || m.shared_bits == nullptr) continue;
+      if (m.kind != MessageKind::seed || m.shared_bits == nullptr) return;
       pending_seed_[u] = m.shared_bits;
       pending_origin_[u] = m.source;
-    }
+    });
 
     const RoundPosition pos = locate(fb.round);
     const bool end_of_phase = pos.stage == Stage::init_dissemination &&

@@ -64,7 +64,7 @@ struct EnvStack {
     int fault_crash_op = -1;
     int clock_skew_seconds = 0;
     int slow_fs_ms = 0;
-    int stall_append = -1;  ///< stall the N-th append to a shards/ file
+    int stall_append = -1;  ///< stall append N (0-based) to a shards/ file
     int stall_ms = 0;
     std::int64_t op_deadline_seconds = 0;
   };
@@ -133,16 +133,18 @@ std::vector<Flag> decorator_flags(EnvStack::Params& p) {
                "past it becomes a transient ETIMEDOUT (0 = unbounded)",
                p.op_deadline_seconds, 0, std::numeric_limits<int>::max()),
       int_flag("--fault-crash-op", "N",
-               "test hook: die (uncatchable, like kill -9) at the N-th "
-               "filesystem operation this process performs",
+               "test hook: die (uncatchable, like kill -9) at filesystem "
+               "operation N of this process, counted from 0 (0 = the first "
+               "operation)",
                p.fault_crash_op, 0),
       int_flag("--slow-fs-ms", "M",
                "test hook: every filesystem op takes an extra M ms (a "
                "uniformly slow mount)",
                p.slow_fs_ms, 0),
       int_flag("--stall-append", "N",
-               "test hook: the N-th append to a shard record (i.e. "
-               "mid-lease) hangs for --stall-ms",
+               "test hook: append N to a shard record (i.e. mid-lease), "
+               "counted from 0 (0 = the first append), hangs for "
+               "--stall-ms",
                p.stall_append, 0),
       int_flag("--stall-ms", "M", "length of the --stall-append hang in ms",
                p.stall_ms, 0),

@@ -207,10 +207,10 @@ SoakReport run_soak(const SoakOptions& options) {
       args.push_back(str(options.slow_fs_ms));
     }
     if (options.stall_seed != 0) {
-      // One mid-lease hang per daemon generation: the N-th append to a
-      // shards/ file stalls for longer than the lease TTL. The victim op
-      // varies by slot and generation so stalls land at different points
-      // of different daemons' claim sequences.
+      // One mid-lease hang per daemon generation: append N (counted from
+      // 0) to a shards/ file stalls for longer than the lease TTL. The
+      // victim op varies by slot and generation so stalls land at
+      // different points of different daemons' claim sequences.
       std::uint64_t x = options.stall_seed * 1000003ull +
                         static_cast<std::uint64_t>(slot) * 131ull +
                         static_cast<std::uint64_t>(generation);

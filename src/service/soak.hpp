@@ -84,7 +84,7 @@ struct SoakOptions {
   /// adding this many real milliseconds to every filesystem op (0 = off).
   int slow_fs_ms = 0;
   /// Fail-slow storm (`--stall-seed`): each daemon generation arms one
-  /// `Kind::delay` fault on a seeded N-th append to a shards/ file —
+  /// `Kind::delay` fault on a seeded append to a shards/ file —
   /// i.e. while it demonstrably holds that shard's lease — stalling it
   /// for `stall_ms`. With stall_ms > lease TTL the stalled daemon's
   /// progress-gated heartbeat lets the lease lapse, a peer must steal,

@@ -1,6 +1,8 @@
 #include "sim/delivery_resolver.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <span>
 
 #include "util/assert.hpp"
 
@@ -30,18 +32,14 @@ void DeliveryResolver::resolve(const std::vector<int>& tx_index_of,
   colliders_.clear();
 
   // Fast path: with all G'-only edges active on a complete G', either the
-  // unique transmitter reaches everyone or >= 2 transmitters collide
-  // everywhere. This keeps dense-round attacks on clique networks O(1) —
-  // under any representation.
+  // unique transmitter reaches everyone (one run) or >= 2 transmitters
+  // collide everywhere. This keeps dense-round attacks on clique networks
+  // O(1) — under any representation.
   if (forced_ == Path::auto_select && edges.kind == EdgeSet::Kind::all &&
       gprime_complete_) {
     last_ = Path::sweep;
     if (tx_count == 1) {
-      const int v = transmitters[0];
-      record.deliveries.reserve(static_cast<std::size_t>(n - 1));
-      for (int u = 0; u < n; ++u) {
-        if (u != v) record.deliveries.push_back(Delivery{u, v, 0});
-      }
+      record.runs.push_back(DeliveryRun{0, n, transmitters[0], 0, n - 1});
     } else if (tx_count >= 2 && collision_detection_) {
       for (int u = 0; u < n; ++u) {
         if (tx_index_of[static_cast<std::size_t>(u)] < 0) {
@@ -57,7 +55,7 @@ void DeliveryResolver::resolve(const std::vector<int>& tx_index_of,
                  "dual-clique structure tag");
   touched_.clear();
   // Per-side counting beats the sweep on clique sides at every density:
-  // O(tx + mask bits), O(n) only alongside O(n) output.
+  // O(tx + mask bits), and a side that hears one sender is one run.
   if (forced_ == Path::structured ||
       (forced_ == Path::auto_select && dual_clique_)) {
     last_ = Path::structured;
@@ -96,8 +94,9 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
   //
   //   side total 0  — only bumped listeners can hear: the touched_ pass.
   //   side total 1  — every side listener hears the side's transmitter,
-  //                   except bumped ones (>= 2 contenders): O(h), the same
-  //                   order as the deliveries produced.
+  //                   except bumped ones (>= 2 contenders): one
+  //                   DeliveryRun whose skips are those bumped listeners,
+  //                   sorted, O(bumped log bumped).
   //   side total >= 2 — everyone on the side collides; with collision
   //                   detection off the side costs nothing at all.
   //
@@ -115,7 +114,12 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
   int tx_b = 0;
   int first_a = -1;
   int first_b = -1;
+  int previous = -1;
   for (const int v : transmitters) {
+    // A run's readers merge the transmitters in as they walk it, so an
+    // out-of-order transmitter would be expanded as its own receiver.
+    DC_EXPECTS_MSG(v > previous, "record.transmitters must be ascending");
+    previous = v;
     if (v < h) {
       if (tx_a == 0) first_a = v;
       ++tx_a;
@@ -150,14 +154,18 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
   };
   for (const Side& side : sides) {
     if (side.total == 1) {
-      const int ti = tx_index_of[static_cast<std::size_t>(side.sender)];
-      for (int u = side.lo; u < side.hi; ++u) {
-        if (tx_index_of[static_cast<std::size_t>(u)] >= 0) continue;
-        if (hear_count_[static_cast<std::size_t>(u)] == 0) {
-          record.deliveries.push_back(Delivery{u, side.sender, ti});
-        } else if (collision_detection_) {
-          colliders_.push_back(u);
-        }
+      // One run over the side; its bumped listeners collide and are the
+      // run's skips, ascending.
+      const std::size_t first_skip = record.run_skips.size();
+      collect_bumped(side.lo, side.hi, tx_index_of, record.run_skips);
+      const auto skips = std::span(record.run_skips).subspan(first_skip);
+      const int side_tx = side.lo == 0 ? tx_a : tx_b;
+      record.runs.push_back(DeliveryRun{
+          side.lo, side.hi, side.sender,
+          tx_index_of[static_cast<std::size_t>(side.sender)],
+          side.hi - side.lo - side_tx - static_cast<int>(skips.size())});
+      if (collision_detection_) {
+        colliders_.insert(colliders_.end(), skips.begin(), skips.end());
       }
     } else if (side.total >= 2 && collision_detection_) {
       for (int u = side.lo; u < side.hi; ++u) {
@@ -184,6 +192,18 @@ void DeliveryResolver::resolve_structured(const std::vector<int>& tx_index_of,
     last_sender_[static_cast<std::size_t>(u)] = -1;
     last_tx_index_[static_cast<std::size_t>(u)] = -1;
   }
+}
+
+void DeliveryResolver::collect_bumped(int lo, int hi,
+                                      const std::vector<int>& tx_index_of,
+                                      std::vector<int>& out) const {
+  const std::size_t first = out.size();
+  for (const int u : touched_) {
+    if (u >= lo && u < hi && tx_index_of[static_cast<std::size_t>(u)] < 0) {
+      out.push_back(u);
+    }
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 
 void DeliveryResolver::check_mask(const EdgeSet& edges) const {

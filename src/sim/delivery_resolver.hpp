@@ -15,20 +15,23 @@
 //   structured — dual cliques only (all of them implicit): a listener's
 //                count is its side's transmitter total plus the
 //                bridge/mask extras, so a round costs O(transmitters +
-//                mask bits into a side that can still hear) — plus O(n)
-//                only when deliveries themselves are O(n). A side with two
-//                or more transmitters collides whatever G' adds, so mask
-//                edges into it are skipped. This is the path that carries
-//                clique-family networks past n = 4096.
+//                mask bits into a side that can still hear). A side that
+//                hears one transmitter is recorded as one DeliveryRun
+//                whose skips are its bumped listeners, sorted, not as a
+//                Delivery per listener. A side with two or more transmitters
+//                collides whatever G' adds, so mask edges into it are
+//                skipped. This is the path that carries clique-family
+//                networks past n = 4096.
 //
 // Ahead of both, a complete G' with every G'-only edge active resolves in
-// O(1) (or O(n) output): one transmitter reaches everyone, two collide
-// everywhere.
+// O(1): one transmitter reaches everyone (one run over [0, n)), two
+// collide everywhere. Only collision detection adds O(n), the colliders.
 //
-// Both paths produce the same delivery set; only the order of
-// record.deliveries may differ, which no consumer depends on
-// (per-receiver feedback is unique because a delivery requires a *sole*
-// contender; the problem monitors are order-insensitive).
+// Both paths produce the same delivery set, read through
+// for_each_delivery() (history.hpp): the record's runs, then its explicit
+// deliveries. The order may differ between paths, which no consumer
+// depends on (per-receiver feedback is unique because a delivery requires
+// a *sole* contender; the problem monitors are order-insensitive).
 
 #include <cstdint>
 #include <vector>
@@ -54,9 +57,12 @@ class DeliveryResolver {
 
   /// Resolves one round: appends this round's deliveries to `record`
   /// (which carries the transmitters/sent arrays already filled by the
-  /// engine) and refills colliders() with the listeners that heard >= 2
-  /// transmitters (only when collision detection is on).
-  /// `tx_index_of[v]` must be v's index into record.transmitters, or -1.
+  /// engine) as runs and explicit deliveries, and refills colliders() with
+  /// the listeners that heard >= 2 transmitters (only when collision
+  /// detection is on).
+  /// `tx_index_of[v]` must be v's index into record.transmitters, or -1,
+  /// and record.transmitters must be ascending (the engine's order, which
+  /// a run's readers merge against; the structured path checks it).
   void resolve(const std::vector<int>& tx_index_of, const EdgeSet& edges,
                RoundRecord& record);
 
@@ -96,6 +102,10 @@ class DeliveryResolver {
                               const std::vector<int>& transmitters,
                               bool hear_a, bool hear_b);
   void finalize(const std::vector<int>& tx_index_of, RoundRecord& record);
+  /// Appends the bumped listeners of [lo, hi) that did not transmit to
+  /// `out`, ascending.
+  void collect_bumped(int lo, int hi, const std::vector<int>& tx_index_of,
+                      std::vector<int>& out) const;
 
   const DualGraph* net_ = nullptr;
   bool dual_clique_ = false;      ///< net_->structure() == dual_clique

@@ -11,11 +11,19 @@ std::size_t record_bytes(const RoundRecord& rec) {
   return rec.transmitters.capacity() * sizeof(int) +
          rec.sent.capacity() * sizeof(Message) +
          rec.deliveries.capacity() * sizeof(Delivery) +
+         rec.runs.capacity() * sizeof(DeliveryRun) +
+         rec.run_skips.capacity() * sizeof(int) +
          rec.activated_mask.capacity() * sizeof(std::uint64_t) +
          sizeof(RoundRecord);
 }
 
 }  // namespace
+
+std::int64_t delivery_count(const RoundRecord& record) {
+  std::int64_t count = static_cast<std::int64_t>(record.deliveries.size());
+  for (const DeliveryRun& run : record.runs) count += run.count;
+  return count;
+}
 
 const char* to_string(HistoryPolicy policy) {
   switch (policy) {
@@ -57,7 +65,7 @@ void ExecutionHistory::push(RoundRecord record) { push_reuse(record); }
 void ExecutionHistory::push_reuse(RoundRecord& record) {
   ++rounds_;
   total_transmissions_ += static_cast<std::int64_t>(record.transmitters.size());
-  total_deliveries_ += static_cast<std::int64_t>(record.deliveries.size());
+  total_deliveries_ += delivery_count(record);
   if (policy_ == HistoryPolicy::full) {
     records_.push_back(std::move(record));
   } else {

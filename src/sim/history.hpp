@@ -8,9 +8,11 @@
 //
 // Two storage policies:
 //
-//   full — every RoundRecord is retained (O(rounds · n) memory). Required
-//          when anything reads the per-round trace: adaptive adversaries
-//          that declare needs_history(), tests, diagnostics.
+//   full — every RoundRecord is retained. A record grows with what its
+//          round did (transmitters, explicit deliveries, mask words), not
+//          with n: a lone sender's whole clique side is one DeliveryRun.
+//          Required when anything reads the per-round trace: adaptive
+//          adversaries that declare needs_history(), tests, diagnostics.
 //   lean — only running aggregates (round count, transmission/delivery
 //          totals) plus the most recent record are retained, so memory is
 //          O(n) no matter how many rounds execute. The engine selects lean
@@ -20,11 +22,14 @@
 // In both policies the aggregate counters are maintained incrementally, so
 // total_transmissions()/total_deliveries() are O(1).
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sim/edge_set.hpp"
 #include "sim/message.hpp"
+#include "util/bitset64.hpp"
 
 namespace dualcast {
 
@@ -36,11 +41,34 @@ struct Delivery {
   int transmitter_index = -1;
 };
 
+/// One sender heard by a whole node range: every node of [lo, hi) that
+/// neither transmitted nor collided (RoundRecord::run_skips) received
+/// `sender`'s message. The resolver records one when a transmitter is
+/// alone on a clique side, or on K_n.
+struct DeliveryRun {
+  int lo = 0;
+  int hi = 0;
+  int sender = -1;
+  /// Index into the round's `transmitters`/`sent` arrays.
+  int transmitter_index = -1;
+  /// The deliveries the run stands for: hi - lo minus its transmitters
+  /// and skips.
+  int count = 0;
+};
+
 /// Everything observable about one round.
+///
+/// A round's deliveries are its runs followed by the explicit list; read
+/// them through for_each_delivery(), which yields one sequence.
 struct RoundRecord {
-  std::vector<int> transmitters;   ///< node ids that transmitted
+  std::vector<int> transmitters;   ///< node ids that transmitted, ascending
   std::vector<Message> sent;       ///< parallel to `transmitters`
-  std::vector<Delivery> deliveries;
+  std::vector<Delivery> deliveries;  ///< the explicit deliveries
+  std::vector<DeliveryRun> runs;   ///< ascending and disjoint; at most one
+                                   ///< per clique side
+  /// Ascending: the listeners inside a run that collided (heard the bridge
+  /// or a mask edge besides the run's sender), so received nothing.
+  std::vector<int> run_skips;
   EdgeSet::Kind activated = EdgeSet::Kind::none;  ///< adversary's choice kind
   std::int64_t activated_count = 0;  ///< number of G'-only edges activated
   /// Exact activated edge set when activated == Kind::mask, as the
@@ -61,10 +89,68 @@ struct RoundRecord {
     transmitters.clear();
     sent.clear();
     deliveries.clear();
+    runs.clear();
+    run_skips.clear();
     activated = EdgeSet::Kind::none;
     activated_count = 0;
   }
 };
+
+/// Visits a run's receivers a 64-node word at a time, ascending:
+/// fn(block, bits), where bit j of `bits` is node block * 64 + j, and every
+/// block with a receiver is visited once. `transmitters` and `skips` are
+/// ascending; the walk merges them in rather than testing each node.
+template <typename Fn>
+void for_each_run_word(const DeliveryRun& run,
+                       std::span<const int> transmitters,
+                       std::span<const int> skips, Fn&& fn) {
+  auto tx = std::lower_bound(transmitters.begin(), transmitters.end(), run.lo);
+  auto skip = std::lower_bound(skips.begin(), skips.end(), run.lo);
+  for (int base = run.lo - run.lo % 64; base < run.hi; base += 64) {
+    std::uint64_t bits = ~std::uint64_t{0};
+    if (base < run.lo) bits <<= run.lo - base;
+    if (run.hi - base < 64) {
+      bits &= (std::uint64_t{1} << (run.hi - base)) - 1;
+    }
+    for (; tx != transmitters.end() && *tx < base + 64; ++tx) {
+      bits &= ~(std::uint64_t{1} << (*tx - base));
+    }
+    for (; skip != skips.end() && *skip < base + 64; ++skip) {
+      bits &= ~(std::uint64_t{1} << (*skip - base));
+    }
+    if (bits != 0) fn(base / 64, bits);
+  }
+}
+
+/// Visits every delivery of a round, one Delivery at a time: each run's
+/// receivers ascending, then the explicit list. This is the order the
+/// resolver's deliveries had as one list, before runs: side A, side B,
+/// then the listeners only the bridge or the mask reached.
+template <typename Fn>
+void for_each_delivery(std::span<const DeliveryRun> runs,
+                       std::span<const int> run_skips,
+                       std::span<const int> transmitters,
+                       std::span<const Delivery> deliveries, Fn&& fn) {
+  for (const DeliveryRun& run : runs) {
+    const auto expand = [&](int block, std::uint64_t bits) {
+      for_each_bit(bits, block * 64, [&](int u, std::uint64_t) {
+        fn(Delivery{u, run.sender, run.transmitter_index});
+      });
+    };
+    for_each_run_word(run, transmitters, run_skips, expand);
+  }
+  for (const Delivery& d : deliveries) fn(d);
+}
+
+template <typename Fn>
+void for_each_delivery(const RoundRecord& record, Fn&& fn) {
+  for_each_delivery(record.runs, record.run_skips, record.transmitters,
+                    record.deliveries, fn);
+}
+
+/// The number of deliveries in `record`: its runs' counts plus the
+/// explicit list. O(runs).
+std::int64_t delivery_count(const RoundRecord& record);
 
 /// History retention policy (see file comment).
 enum class HistoryPolicy : std::uint8_t { full, lean };

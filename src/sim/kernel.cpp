@@ -49,11 +49,11 @@ class ScalarKernelAdapter final : public AlgorithmKernel {
       f.sender = -1;
       f.collision = false;
     }
-    for (const Delivery& d : fb.deliveries) {
+    for_each_delivery(fb, [&](const Delivery& d) {
       RoundFeedback& f = feedback_[static_cast<std::size_t>(d.receiver)];
       f.received = fb.sent[static_cast<std::size_t>(d.transmitter_index)];
       f.sender = d.sender;
-    }
+    });
     for (const int u : fb.colliders) {
       feedback_[static_cast<std::size_t>(u)].collision = true;
     }

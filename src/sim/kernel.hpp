@@ -8,7 +8,8 @@
 //                       order, exactly the order the scalar adapter visits
 //                       nodes) into the engine's reusable round record;
 //   on_feedback_batch — consume the resolved round from flat arrays:
-//                       deliveries, collision listeners, transmit flags.
+//                       deliveries (runs plus an explicit list), collision
+//                       listeners, transmit flags.
 //
 // Kernels keep node state in structure-of-arrays form (counters, phase
 // indices, has-message bits, per-node windows) and touch only the nodes
@@ -109,15 +110,30 @@ class TxBatch {
   std::vector<int>* tx_index_of_;
 };
 
-/// The resolved round, handed to on_feedback_batch as flat arrays.
+/// The resolved round, handed to on_feedback_batch as flat arrays. Its
+/// deliveries are the runs and the explicit list of the round's
+/// RoundRecord (each receiver appears once across both): a kernel applies
+/// a run a 64-node word at a time (for_each_run_word) or expands all of
+/// them with for_each_delivery(view, fn).
 struct FeedbackView {
   int round = 0;
-  std::span<const Delivery> deliveries;  ///< unique receiver per entry
+  std::span<const Delivery> deliveries;  ///< the explicit deliveries
+  std::span<const DeliveryRun> runs;     ///< ascending, disjoint
+  std::span<const int> run_skips;        ///< ascending: run listeners that
+                                         ///< collided
+  std::span<const int> transmitters;     ///< ascending; never receive
   std::span<const Message> sent;         ///< indexed by transmitter_index
   std::span<const int> colliders;        ///< listeners with >= 2 contenders
                                          ///< (collision detection only)
   std::span<const int> tx_index_of;      ///< v transmitted iff [v] >= 0
 };
+
+/// Every delivery of the view's round, in for_each_delivery's order.
+template <typename Fn>
+void for_each_delivery(const FeedbackView& fb, Fn&& fn) {
+  for_each_delivery(fb.runs, fb.run_skips, fb.transmitters, fb.deliveries,
+                    fn);
+}
 
 class AlgorithmKernel {
  public:

@@ -1,10 +1,55 @@
 #include "sim/kernel_execution.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <mutex>
+
 #include "util/assert.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace dualcast {
 
 namespace {
+/// Keeps the memory an execution frees in the heap for the next execution
+/// of its size. `largest` is its largest per-node array in bytes (the node
+/// streams); all its n-sized arrays come to about twice that (6.5 MB at
+/// n = 65536). By default glibc maps a block above its mmap threshold
+/// afresh and unmaps it on release, raising the threshold only to the
+/// largest such block released so far, and trims the heap once its free
+/// top passes twice the threshold; so each trial re-faulted its arrays,
+/// about 1.6k minor faults per n = 65536 trial, 40 % of its time on a
+/// 4-core VM and a cost that moves with the host's load. Here the mmap
+/// threshold covers `largest` and the trim threshold is four times that.
+/// Larger blocks, such as a caller's growing result vector, are still
+/// mapped and unmapped. The thresholds are process-wide and only rise.
+/// Executions whose node streams fit in 1 MiB (n <= 21845) leave glibc's
+/// defaults alone: they re-fault at most a few hundred pages a trial, and
+/// raising the thresholds for them bought the Figure-1 tier (n <= 8192,
+/// four workers) no time and cost it 0.85 MB of peak resident set. A no-op
+/// outside glibc.
+void keep_freed_memory_mapped(std::size_t largest) {
+#if defined(__GLIBC__)
+  constexpr std::size_t kFloor = std::size_t{1} << 20;
+  constexpr std::size_t kCeiling = std::size_t{32} << 20;  // glibc's, 64-bit
+  static std::atomic<std::size_t> covered{kFloor};
+  if (largest <= covered.load(std::memory_order_relaxed)) return;
+  static std::mutex mutex;
+  const std::lock_guard<std::mutex> lock(mutex);
+  const std::size_t rounded = std::bit_ceil(largest);
+  if (rounded <= covered.load(std::memory_order_relaxed)) return;
+  const std::size_t threshold = std::min(rounded, kCeiling);
+  mallopt(M_MMAP_THRESHOLD, static_cast<int>(threshold));
+  mallopt(M_TRIM_THRESHOLD, static_cast<int>(4 * threshold));
+  covered.store(rounded, std::memory_order_relaxed);
+#else
+  (void)largest;
+#endif
+}
+
 const std::vector<std::unique_ptr<Process>>& empty_processes() {
   static const std::vector<std::unique_ptr<Process>> empty;
   return empty;
@@ -51,6 +96,7 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
       kernel_(std::move(kernel)),
       adversary_rng_(0),
       inspector_(kernel_.get(), net.n()) {
+  keep_freed_memory_mapped(static_cast<std::size_t>(net.n()) * sizeof(Rng));
   DC_EXPECTS(net.n() >= 1);
   DC_EXPECTS(factory_holder_ != nullptr);
   DC_EXPECTS(kernel_ != nullptr);
@@ -115,6 +161,7 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
 
   // The holder count serves solved_batch(); the adapter's problems read
   // its processes instead, so it keeps none (see message_holders()).
+  received_.resize(n);
   if (processes_ == nullptr) {
     holder_bits_.resize(n);
     for (int v = 0; v < n; ++v) {
@@ -228,22 +275,38 @@ void KernelExecution::step() {
   FeedbackView fb;
   fb.round = round_;
   fb.deliveries = record.deliveries;
+  fb.runs = record.runs;
+  fb.run_skips = record.run_skips;
+  fb.transmitters = record.transmitters;
   fb.sent = record.sent;
   fb.colliders = resolver_.colliders();
   fb.tx_index_of = tx_index_of_;
   kernel_->on_feedback_batch(fb, node_rngs_);
   // Only this round's receivers can have become holders (the kernel's
-  // completion contract), so only the ones not yet counted are asked.
-  for (const Delivery& d : record.deliveries) {
-    const int u = d.receiver;
-    if (first_receive_round_[static_cast<std::size_t>(u)] == -1) {
+  // completion contract), so only the ones not yet counted are asked. A
+  // run is taken a word at a time, visiting only the receivers not yet
+  // received or not yet counted.
+  const bool count_holders = processes_ == nullptr;
+  const auto note_receivers = [&](int block, std::uint64_t bits) {
+    const std::uint64_t first = bits & ~received_.word(block);
+    received_.set_bits(block, first);
+    for_each_bit(first, block * 64, [&](int u, std::uint64_t) {
       first_receive_round_[static_cast<std::size_t>(u)] = round_;
-    }
-    if (processes_ == nullptr && !holder_bits_.test(u) &&
-        kernel_->has_message(u)) {
-      holder_bits_.set(u);
-      ++holders_;
-    }
+    });
+    if (!count_holders) return;
+    for_each_bit(bits & ~holder_bits_.word(block), block * 64,
+                 [&](int u, std::uint64_t lane) {
+                   if (!kernel_->has_message(u)) return;
+                   holder_bits_.set_bits(block, lane);
+                   ++holders_;
+                 });
+  };
+  for (const DeliveryRun& run : record.runs) {
+    for_each_run_word(run, record.transmitters, record.run_skips,
+                      note_receivers);
+  }
+  for (const Delivery& d : record.deliveries) {
+    note_receivers(d.receiver / 64, std::uint64_t{1} << (d.receiver % 64));
   }
 
   problem_->observe_round(

@@ -29,14 +29,19 @@
 //
 //   * there is no per-node Action array (offline adaptive adversaries read
 //     the record's transmitters and messages);
-//   * feedback is one on_feedback_batch call over the round's deliveries;
+//   * feedback is one on_feedback_batch call over the round's deliveries,
+//     where a lone sender's whole clique side is one run (history.hpp);
 //   * the engine counts the nodes holding a message: one has_message scan
 //     at construction, then only the round's not-yet-counted receivers are
-//     re-queried (the kernel's completion contract, kernel.hpp), so global
-//     broadcast's solved check is O(1) per round;
+//     re-queried (the kernel's completion contract, kernel.hpp), a run's a
+//     64-node word at a time, so global broadcast's solved check is O(1)
+//     per round and a run that reaches nobody new costs O(n / 64);
 //   * set-up is role-sparse: no per-node ProcessEnv array is built; a
 //     native kernel receives the environments of the nodes with a role and
-//     builds any other on demand (KernelSetup);
+//     builds any other on demand (KernelSetup); past n = 21845 the
+//     n-sized arrays an execution frees stay mapped for the next one of
+//     its size, which takes them without page faults (glibc's allocator
+//     thresholds, raised once per size in the constructor);
 //   * problems run through solved_batch()/NodeStateView unless the kernel
 //     is the scalar adapter, in which case the real Process vector is used.
 //
@@ -223,6 +228,7 @@ class KernelExecution {
   int round_ = 0;
   bool solved_ = false;
   std::vector<int> first_receive_round_;
+  Bitset64 received_;     ///< first_receive_round_[v] >= 0
   int holders_ = 0;        ///< native kernels only
   Bitset64 holder_bits_;  ///< nodes counted in holders_
 

@@ -148,19 +148,19 @@ Message LocalBroadcastProblem::initial_message(int v) const {
 void LocalBroadcastProblem::observe_round(
     const RoundRecord& record,
     const std::vector<std::unique_ptr<Process>>& /*procs*/) {
-  for (const Delivery& d : record.deliveries) {
-    if (!in_r_[static_cast<std::size_t>(d.receiver)]) continue;
-    if (satisfied_[static_cast<std::size_t>(d.receiver)]) continue;
+  for_each_delivery(record, [&](const Delivery& d) {
+    if (!in_r_[static_cast<std::size_t>(d.receiver)]) return;
+    if (satisfied_[static_cast<std::size_t>(d.receiver)]) return;
     const Message& m = record.sent[static_cast<std::size_t>(d.transmitter_index)];
-    if (m.kind != MessageKind::data) continue;
-    if (!in_b_[static_cast<std::size_t>(d.sender)]) continue;
+    if (m.kind != MessageKind::data) return;
+    if (!in_b_[static_cast<std::size_t>(d.sender)]) return;
     if (credit_ == ReceiverCredit::g_neighbor_only &&
         !g_view_.has_edge(d.receiver, d.sender)) {
-      continue;
+      return;
     }
     satisfied_[static_cast<std::size_t>(d.receiver)] = 1;
     ++satisfied_count_;
-  }
+  });
 }
 
 bool LocalBroadcastProblem::solved(

@@ -36,6 +36,14 @@ class Bitset64 {
            1u;
   }
 
+  /// Word-parallel set/clear of the members `bits` of block b.
+  void set_bits(int b, std::uint64_t bits) {
+    words_[static_cast<std::size_t>(b)] |= bits;
+  }
+  void clear_bits(int b, std::uint64_t bits) {
+    words_[static_cast<std::size_t>(b)] &= ~bits;
+  }
+
   int blocks() const { return static_cast<int>(words_.size()); }
   std::uint64_t word(int b) const {
     return words_[static_cast<std::size_t>(b)];

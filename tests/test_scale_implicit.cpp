@@ -9,6 +9,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "scenario/registries.hpp"
 #include "scenario/spec.hpp"
@@ -84,6 +85,42 @@ TEST(ScaleImplicit, DualClique65536RunsStartToSolve) {
   const RunResult result = exec.run();
   EXPECT_TRUE(result.solved) << "censored at " << result.rounds;
   EXPECT_EQ(exec.resolver().last_path(), DeliveryResolver::Path::structured);
+}
+
+TEST(ScaleImplicit, WholeSideRoundIsOneRun) {
+  // Round 0 of a global broadcast: the source transmits alone, so its whole
+  // clique side hears it. The record keeps that as one run over the side,
+  // plus at most the bridge's one explicit delivery, where a Delivery per
+  // listener took 384 KiB.
+  const Topology topo = scenario::topologies().build("dual_clique(65536)", 3);
+  const std::string algo = "decay_global(fixed,persistent)";
+  const ProcessFactory factory = scenario::algorithms().build(algo);
+  std::shared_ptr<Problem> problem =
+      scenario::problems().build("global(1)", topo)();
+  std::unique_ptr<AlgorithmKernel> k = scenario::select_kernel(
+      scenario::build_kernel_or_null(algo), *problem, factory);
+  KernelExecution exec(topo.net(), factory, std::move(k), std::move(problem),
+                       scenario::adversaries().build("none", topo)(),
+                       ExecutionConfig{}.with_seed(1).with_max_rounds(8));
+  ASSERT_EQ(exec.history_policy(), HistoryPolicy::full);
+  exec.step();
+
+  const RoundRecord& round0 = exec.history().round(0);
+  const int h = topo.net().dual_half();
+  ASSERT_EQ(round0.transmitters, std::vector<int>{1});
+  ASSERT_EQ(round0.runs.size(), 1u);
+  EXPECT_EQ(round0.runs[0].lo, 0);
+  EXPECT_EQ(round0.runs[0].hi, h);
+  EXPECT_EQ(round0.runs[0].sender, 1);
+  EXPECT_GE(delivery_count(round0), h - 1);
+  EXPECT_LE(round0.deliveries.size(), 1u);
+  for (int v = 0; v < h; ++v) {
+    if (v == 1) continue;
+    ASSERT_EQ(exec.first_receive_round()[static_cast<std::size_t>(v)], 0)
+        << "node " << v;
+  }
+  EXPECT_EQ(exec.message_holders(), 1 + delivery_count(round0));
+  EXPECT_LT(exec.history().approx_bytes(), std::size_t{4} << 10);
 }
 
 /// One n = 65536 trial's sample path: the rounds run, the transmission and

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "adversary/static_adversaries.hpp"
 #include "core/factories.hpp"
+#include "core/kernels.hpp"
 #include "graph/generators.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
@@ -16,6 +19,7 @@ namespace dualcast {
 namespace {
 
 using testing::ScriptedProcess;
+using testing::all_deliveries;
 using testing::scripted_factory;
 
 /// Builds a line dual graph 0-1-2 with one G'-only edge (0,2).
@@ -37,10 +41,10 @@ TEST(Engine, SingleTransmitterDeliversToGNeighbors) {
   KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
-  const auto& rec = exec.history().round(0);
-  ASSERT_EQ(rec.deliveries.size(), 1u);
-  EXPECT_EQ(rec.deliveries[0].receiver, 1);
-  EXPECT_EQ(rec.deliveries[0].sender, 0);
+  const auto deliveries = all_deliveries(exec.history().round(0));
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_EQ(deliveries[0].receiver, 1);
+  EXPECT_EQ(deliveries[0].sender, 0);
 }
 
 TEST(Engine, TwoTransmittersCollideAtCommonNeighbor) {
@@ -49,7 +53,7 @@ TEST(Engine, TwoTransmittersCollideAtCommonNeighbor) {
   KernelExecution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
-  EXPECT_TRUE(exec.history().round(0).deliveries.empty());
+  EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
 }
 
 TEST(Engine, CollisionIsLocalNotGlobal) {
@@ -61,7 +65,7 @@ TEST(Engine, CollisionIsLocalNotGlobal) {
                        assign(5), std::make_unique<NoExtraEdges>(),
                        {1, 10, {}});
   exec.step();
-  const auto& deliveries = exec.history().round(0).deliveries;
+  const auto deliveries = all_deliveries(exec.history().round(0));
   ASSERT_EQ(deliveries.size(), 2u);
 }
 
@@ -71,7 +75,7 @@ TEST(Engine, TransmitterCannotReceive) {
   KernelExecution exec(net, scripted_factory({{1}, {1}}), assign(2),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
-  EXPECT_TRUE(exec.history().round(0).deliveries.empty());
+  EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
 }
 
 TEST(Engine, GPrimeOnlyEdgeInactiveByDefault) {
@@ -80,7 +84,7 @@ TEST(Engine, GPrimeOnlyEdgeInactiveByDefault) {
   KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
-  const auto& deliveries = exec.history().round(0).deliveries;
+  const auto deliveries = all_deliveries(exec.history().round(0));
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries[0].receiver, 1);
 }
@@ -91,7 +95,7 @@ TEST(Engine, ActivatedGPrimeEdgeDelivers) {
                        std::make_unique<AllExtraEdges>(), {1, 10, {}});
   exec.step();
   // Now node 2 also hears node 0 over the activated chord.
-  EXPECT_EQ(exec.history().round(0).deliveries.size(), 2u);
+  EXPECT_EQ(all_deliveries(exec.history().round(0)).size(), 2u);
 }
 
 TEST(Engine, ActivatedGPrimeEdgeCanCauseCollision) {
@@ -102,14 +106,15 @@ TEST(Engine, ActivatedGPrimeEdgeCanCauseCollision) {
     KernelExecution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
                          std::make_unique<NoExtraEdges>(), {1, 10, {}});
     exec.step();
-    ASSERT_EQ(exec.history().round(0).deliveries.size(), 1u);
-    EXPECT_EQ(exec.history().round(0).deliveries[0].receiver, 2);
+    const auto deliveries = all_deliveries(exec.history().round(0));
+    ASSERT_EQ(deliveries.size(), 1u);
+    EXPECT_EQ(deliveries[0].receiver, 2);
   }
   {
     KernelExecution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
                          std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
-    EXPECT_TRUE(exec.history().round(0).deliveries.empty());
+    EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
   }
 }
 
@@ -153,7 +158,7 @@ TEST(Engine, SelectiveEdgeActivation) {
       std::make_unique<SelectedEdges>(std::vector<std::int32_t>{idx03}),
       {1, 10, {}});
   exec.step();
-  const auto& deliveries = exec.history().round(0).deliveries;
+  const auto deliveries = all_deliveries(exec.history().round(0));
   ASSERT_EQ(deliveries.size(), 2u);
   std::set<int> receivers;
   for (const auto& d : deliveries) receivers.insert(d.receiver);
@@ -171,14 +176,67 @@ TEST(Engine, FastPathMatchesGeneralPathOnCompleteGPrime) {
         dc.net, scripted_factory({{1}, {0}, {0}, {0}, {0}, {0}, {0}, {0}}),
         assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
-    EXPECT_EQ(exec.history().round(0).deliveries.size(), 7u);
+    EXPECT_EQ(all_deliveries(exec.history().round(0)).size(), 7u);
   }
   {
     KernelExecution exec(
         dc.net, scripted_factory({{1}, {1}, {0}, {0}, {0}, {0}, {0}, {0}}),
         assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
-    EXPECT_TRUE(exec.history().round(0).deliveries.empty());
+    EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
+  }
+}
+
+TEST(Engine, RunBookkeepingMatchesExpandedDeliveries) {
+  // A lone sender's clique side, or all of K_n, is one run, which the
+  // engine applies a 64-node word at a time. First receipts and the holder
+  // count must match the deliveries expanded one by one: on sides that
+  // straddle words (n = 130 and 200: side B starts at node 65 or 100), on
+  // K_n rounds (every G'-only edge on), and with i.i.d. mask edges and the
+  // bridge bumping run listeners into skips.
+  DecayGlobalConfig config = DecayGlobalConfig::fast(ScheduleKind::fixed);
+  config.calls = DecayGlobalConfig::kUnbounded;
+  for (const int n : {130, 200}) {
+    const DualCliqueNet dc = dual_clique(n, 3);
+    for (const int adversary : {0, 1, 2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " adversary=" + std::to_string(adversary));
+      std::unique_ptr<LinkProcess> links;
+      if (adversary == 0) links = std::make_unique<NoExtraEdges>();
+      if (adversary == 1) links = std::make_unique<AllExtraEdges>();
+      if (adversary == 2) links = std::make_unique<RandomIidEdges>(0.02);
+      KernelExecution exec(
+          dc.net, decay_global_factory(config),
+          decay_global_kernel_factory(config)(),
+          std::make_shared<GlobalBroadcastProblem>(dc.net, 1),
+          std::move(links),
+          ExecutionConfig{}.with_seed(5).with_max_rounds(600));
+      std::vector<int> first(static_cast<std::size_t>(n), -1);
+      int runs = 0;
+      int skips = 0;
+      while (!exec.done()) {
+        exec.step();
+        const RoundRecord& record = exec.history().last();
+        runs += static_cast<int>(record.runs.size());
+        skips += static_cast<int>(record.run_skips.size());
+        for (const Delivery& d : all_deliveries(record)) {
+          int& r = first[static_cast<std::size_t>(d.receiver)];
+          if (r < 0) r = exec.round() - 1;
+        }
+        ASSERT_EQ(exec.first_receive_round(), first)
+            << "round " << exec.round() - 1;
+        int holders = 0;
+        for (int v = 0; v < n; ++v) {
+          holders += exec.kernel().has_message(v) ? 1 : 0;
+        }
+        ASSERT_EQ(exec.message_holders(), holders);
+      }
+      EXPECT_TRUE(exec.solved());
+      EXPECT_GT(runs, 0);
+      if (adversary == 2) {
+        EXPECT_GT(skips, 0);
+      }
+    }
   }
 }
 

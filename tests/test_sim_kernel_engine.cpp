@@ -107,8 +107,8 @@ void expect_engines_agree(
     };
     std::vector<std::tuple<int, int, int>> da;
     std::vector<std::tuple<int, int, int>> db;
-    for (const Delivery& d : a.deliveries) da.push_back(key(d));
-    for (const Delivery& d : b.deliveries) db.push_back(key(d));
+    for_each_delivery(a, [&](const Delivery& d) { da.push_back(key(d)); });
+    for_each_delivery(b, [&](const Delivery& d) { db.push_back(key(d)); });
     std::sort(da.begin(), da.end());
     std::sort(db.begin(), db.end());
     ASSERT_EQ(da, db) << "round " << r;

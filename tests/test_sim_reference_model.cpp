@@ -71,8 +71,10 @@ void expect_reference_rounds(const DualGraph& net,
     const RoundRecord& record = history.round(r);
     const auto expected = reference_deliveries(net, record);
     std::set<std::pair<int, int>> actual;
-    for (const Delivery& d : record.deliveries) {
+    std::int64_t listed = 0;
+    for_each_delivery(record, [&](const Delivery& d) {
       actual.insert({d.receiver, d.sender});
+      ++listed;
       // Delivery metadata must be internally consistent.
       ASSERT_GE(d.transmitter_index, 0);
       ASSERT_LT(d.transmitter_index,
@@ -80,19 +82,25 @@ void expect_reference_rounds(const DualGraph& net,
       ASSERT_EQ(record.transmitters[static_cast<std::size_t>(
                     d.transmitter_index)],
                 d.sender);
-    }
+    });
     ASSERT_EQ(actual, expected) << "round " << r;
+    // Each receiver once, and a run's count is what it expands to.
+    ASSERT_EQ(listed, static_cast<std::int64_t>(actual.size()));
+    ASSERT_EQ(delivery_count(record), listed) << "round " << r;
   }
 }
 
 /// Random-script fuzz over a given network + adversary; checks every round.
+/// Each node transmits in each round with probability `p_tx`. When given,
+/// `skipped_run_rounds` counts the rounds with a run that has skips.
 void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
-                  std::uint64_t seed, int rounds) {
+                  std::uint64_t seed, int rounds, double p_tx = 0.35,
+                  int* skipped_run_rounds = nullptr) {
   Rng rng(seed);
   std::vector<std::vector<char>> scripts(static_cast<std::size_t>(net.n()));
   for (auto& script : scripts) {
     script.resize(static_cast<std::size_t>(rounds));
-    for (auto& bit : script) bit = rng.bernoulli(0.35) ? 1 : 0;
+    for (auto& bit : script) bit = rng.bernoulli(p_tx) ? 1 : 0;
   }
   KernelExecution exec(net, scripted_factory(scripts),
                        std::make_shared<AssignmentProblem>(
@@ -101,6 +109,10 @@ void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
   exec.run();
   ASSERT_EQ(exec.history().rounds(), rounds);
   expect_reference_rounds(net, exec.history());
+  if (skipped_run_rounds == nullptr) return;
+  for (const RoundRecord& record : exec.history().records()) {
+    *skipped_run_rounds += record.run_skips.empty() ? 0 : 1;
+  }
 }
 
 /// A registered algorithm on its native kernel, built from the scenario
@@ -146,6 +158,17 @@ TEST_P(FuzzSeedParam, DualCliqueWithAllEdges) {
   const DualCliqueNet dc = dual_clique(10);
   fuzz_network(dc.net, std::make_unique<AllExtraEdges>(), GetParam() + 900,
                40);
+}
+
+TEST_P(FuzzSeedParam, DualCliqueRunsWithMaskSkips) {
+  // Sparse scripts leave a side with one transmitter, whose listeners are
+  // one run; i.i.d. mask edges and the bridge bump some of them into the
+  // run's skips. The sides of n = 200 straddle 64-node words.
+  const DualCliqueNet dc = dual_clique(200, 7);
+  int skipped_run_rounds = 0;
+  fuzz_network(dc.net, std::make_unique<RandomIidEdges>(0.05),
+               GetParam() + 1700, 60, 0.01, &skipped_run_rounds);
+  EXPECT_GT(skipped_run_rounds, 0);
 }
 
 TEST_P(FuzzSeedParam, BraceletWithFlicker) {

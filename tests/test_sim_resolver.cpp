@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "sim/delivery_resolver.hpp"
 #include "test_support.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace dualcast {
@@ -30,25 +33,43 @@ void canonicalize(Resolved& r) {
   std::sort(r.colliders.begin(), r.colliders.end());
 }
 
-Resolved resolve_with(DeliveryResolver::Path path, const DualGraph& net,
-                      const std::vector<int>& transmitters,
-                      const EdgeSet& edges, bool collision_detection) {
+/// One resolved round as the resolver leaves it: the record's runs and
+/// explicit deliveries, and the colliders in emission order.
+struct Round {
+  RoundRecord record;
+  std::vector<int> colliders;
+};
+
+/// On the structured path `transmitters` must be ascending, as the
+/// engine's are.
+Round resolve_round(DeliveryResolver::Path path, const DualGraph& net,
+                    const std::vector<int>& transmitters,
+                    const EdgeSet& edges, bool collision_detection) {
   DeliveryResolver resolver;
   resolver.reset(&net, collision_detection);
   resolver.force_path(path);
-  RoundRecord record;
-  record.transmitters = transmitters;
+  Round out;
+  out.record.transmitters = transmitters;
   std::vector<int> tx_index_of(static_cast<std::size_t>(net.n()), -1);
   for (std::size_t i = 0; i < transmitters.size(); ++i) {
     tx_index_of[static_cast<std::size_t>(transmitters[i])] =
         static_cast<int>(i);
   }
-  resolver.resolve(tx_index_of, edges, record);
-  Resolved out;
-  for (const Delivery& d : record.deliveries) {
-    out.deliveries.emplace_back(d.receiver, d.sender, d.transmitter_index);
-  }
+  resolver.resolve(tx_index_of, edges, out.record);
   out.colliders = resolver.colliders();
+  return out;
+}
+
+Resolved resolve_with(DeliveryResolver::Path path, const DualGraph& net,
+                      const std::vector<int>& transmitters,
+                      const EdgeSet& edges, bool collision_detection) {
+  const Round round =
+      resolve_round(path, net, transmitters, edges, collision_detection);
+  Resolved out;
+  for_each_delivery(round.record, [&](const Delivery& d) {
+    out.deliveries.emplace_back(d.receiver, d.sender, d.transmitter_index);
+  });
+  out.colliders = round.colliders;
   canonicalize(out);
   return out;
 }
@@ -204,10 +225,13 @@ TEST(DeliveryResolverHeuristic, AutoResolvesDenseRoundsOnSweep) {
 // mask edges into a side that can still hear; the fourth shape, one side
 // dense and the other silent or a single transmitter, is the round in
 // which exactly one side's edges decide, and it reaches both the walk and
-// the decode.
+// the decode. The first two shapes may list a side's pair out of order:
+// the sweep resolves any order, while the structured path, whose runs are
+// merged against the ascending transmitters, must reject it.
 TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
   Rng rng(4242);
   int rounds_checked = 0;
+  int unsorted_rounds = 0;
   int one_side_walks = 0;
   int one_side_decodes = 0;
   for (const int n : {8, 12, 24, 136, 200}) {
@@ -295,6 +319,9 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
             ++(visits < edges.count ? one_side_walks : one_side_decodes);
           }
         }
+        const bool ascending =
+            std::is_sorted(transmitters.begin(), transmitters.end());
+        if (!ascending) ++unsorted_rounds;
         for (const bool collision : {false, true}) {
           const Resolved reference =
               resolve_reference(explicit_net, transmitters, edges, collision);
@@ -304,6 +331,14 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
               {DeliveryResolver::Path::sweep, &implicit_net},
           };
           for (const auto& [path, net] : runs) {
+            if (!ascending && path == DeliveryResolver::Path::structured) {
+              EXPECT_THROW(
+                  resolve_with(path, *net, transmitters, edges, collision),
+                  ContractViolation)
+                  << "n=" << n << " bridge=" << bridge_index
+                  << " round=" << round;
+              continue;
+            }
             const Resolved got =
                 resolve_with(path, *net, transmitters, edges, collision);
             ASSERT_EQ(got.deliveries, reference.deliveries)
@@ -318,8 +353,143 @@ TEST(DeliveryResolverDifferential, StructuredMatchesSweepAndReference) {
     }
   }
   EXPECT_GE(rounds_checked, 1280);
+  EXPECT_GT(unsorted_rounds, 0);
   EXPECT_GT(one_side_walks, 0);
   EXPECT_GT(one_side_decodes, 0);
+}
+
+// A side that hears one transmitter is one run, and so is K_n when one
+// node transmits with every G'-only edge active. Shapes: K_n on the fast
+// path; both sides lone in one round; and one lone side beside a dense one,
+// whose mask edges and the bridge bump some of the lone side's listeners
+// into the run's skips. At n = 130 and 200 the sides straddle 64-node
+// words. The runs must expand to the reference's deliveries, ascending
+// within a run; the skips must be ascending and inside their run; a run's
+// count must be what it expands to; and the skips must appear, in order,
+// in one stretch of the colliders.
+TEST(DeliveryResolverDifferential, RunsMatchReference) {
+  Rng rng(777);
+  int kn_runs = 0;
+  int both_lone = 0;
+  int skipped_runs = 0;
+  for (const int n : {8, 130, 200}) {
+    const int h = n / 2;
+    for (const int bridge_index : {0, h / 2, h - 1, -1}) {
+      const DualGraph explicit_net(
+          testing::two_cliques_graph(n, bridge_index), complete_graph(n));
+      const DualGraph implicit_net = DualGraph::implicit_dual_clique(
+          n, std::max(bridge_index, 0), bridge_index >= 0);
+      const std::int64_t m_extra = implicit_net.gp_only_edge_count();
+      const auto pick = [&](int lo) {
+        return bridge_index >= 0 && rng.bernoulli(0.5)
+                   ? lo + bridge_index
+                   : lo + static_cast<int>(rng.uniform_int(0, h - 1));
+      };
+      for (int round = 0; round < 24; ++round) {
+        std::vector<int> transmitters;
+        EdgeSet edges;
+        const int shape = round % 3;
+        if (shape == 0) {
+          transmitters = {static_cast<int>(rng.uniform_int(0, n - 1))};
+          edges = EdgeSet::all();
+        } else {
+          const bool a_lone = rng.bernoulli(0.5);
+          const int lone_lo = a_lone ? 0 : h;
+          const int other_lo = h - lone_lo;
+          transmitters.push_back(pick(lone_lo));
+          if (shape == 1) {
+            transmitters.push_back(pick(other_lo));
+          } else {
+            const double p_tx = 0.3 + 0.5 * rng.uniform01();
+            for (int v = other_lo; v < other_lo + h; ++v) {
+              if (rng.bernoulli(p_tx)) transmitters.push_back(v);
+            }
+          }
+          std::sort(transmitters.begin(), transmitters.end());
+          if (rng.bernoulli(0.75)) {
+            const double p_edge = 0.01 + 0.1 * rng.uniform01();
+            std::vector<std::int32_t> idx;
+            for (std::int64_t e = 0; e < m_extra; ++e) {
+              if (rng.bernoulli(p_edge)) {
+                idx.push_back(static_cast<std::int32_t>(e));
+              }
+            }
+            edges = EdgeSet::some(std::move(idx));
+          }
+        }
+        for (const bool collision : {false, true}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " bridge=" +
+                       std::to_string(bridge_index) + " round=" +
+                       std::to_string(round) +
+                       " collision=" + std::to_string(collision));
+          const Resolved reference =
+              resolve_reference(explicit_net, transmitters, edges, collision);
+          const Round got =
+              resolve_round(DeliveryResolver::Path::auto_select, implicit_net,
+                            transmitters, edges, collision);
+          const RoundRecord& record = got.record;
+
+          // Each run: after the previous one, ascending, its count what it
+          // expands to, its skips ascending and inside it.
+          int previous_hi = 0;
+          std::size_t skip = 0;
+          std::int64_t in_runs = 0;
+          for (const DeliveryRun& run : record.runs) {
+            ASSERT_LE(previous_hi, run.lo);
+            previous_hi = run.hi;
+            int last = run.lo - 1;
+            std::int64_t count = 0;
+            for_each_delivery(std::span(&run, 1), record.run_skips,
+                              record.transmitters, {},
+                              [&](const Delivery& d) {
+                                ASSERT_GT(d.receiver, last);
+                                ASSERT_LT(d.receiver, run.hi);
+                                last = d.receiver;
+                                ++count;
+                              });
+            ASSERT_EQ(count, run.count);
+            in_runs += count;
+            for (; skip < record.run_skips.size() &&
+                   record.run_skips[skip] < run.hi;
+                 ++skip) {
+              ASSERT_GE(record.run_skips[skip], run.lo);
+              ASSERT_TRUE(skip == 0 || record.run_skips[skip - 1] <
+                                           record.run_skips[skip]);
+            }
+          }
+          ASSERT_EQ(skip, record.run_skips.size());
+          ASSERT_EQ(delivery_count(record),
+                    in_runs + static_cast<std::int64_t>(
+                                  record.deliveries.size()));
+          // With collision detection, the skips are colliders, emitted
+          // together and in order.
+          if (collision && !record.run_skips.empty()) {
+            ASSERT_NE(std::search(got.colliders.begin(), got.colliders.end(),
+                                  record.run_skips.begin(),
+                                  record.run_skips.end()),
+                      got.colliders.end());
+          }
+
+          Resolved expanded;
+          for_each_delivery(record, [&](const Delivery& d) {
+            expanded.deliveries.emplace_back(d.receiver, d.sender,
+                                             d.transmitter_index);
+          });
+          expanded.colliders = got.colliders;
+          canonicalize(expanded);
+          ASSERT_EQ(expanded.deliveries, reference.deliveries);
+          ASSERT_EQ(expanded.colliders, reference.colliders);
+
+          if (shape == 0) kn_runs += record.runs.size() == 1 ? 1 : 0;
+          if (record.runs.size() == 2) ++both_lone;
+          if (!record.run_skips.empty()) ++skipped_runs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(kn_runs, 0);
+  EXPECT_GT(both_lone, 0);
+  EXPECT_GT(skipped_runs, 0);
 }
 
 TEST(DeliveryResolverHeuristic, AutoSelectsStructuredOnDualCliques) {

@@ -106,6 +106,13 @@ inline Graph two_cliques_graph(int n, int bridge_index) {
   return g;
 }
 
+/// A round's deliveries, runs expanded, in for_each_delivery's order.
+inline std::vector<Delivery> all_deliveries(const RoundRecord& record) {
+  std::vector<Delivery> out;
+  for_each_delivery(record, [&](const Delivery& d) { out.push_back(d); });
+  return out;
+}
+
 /// Median rounds over `trials` seeds; failed runs are counted as max_rounds
 /// (censoring keeps medians meaningful when a few runs time out).
 template <typename RunOnce>
