@@ -18,6 +18,9 @@ GossipProblem::GossipProblem(const DualGraph& net, std::vector<int> sources)
   DC_EXPECTS_MSG(!sources_.empty(), "gossip needs at least one token");
   DC_EXPECTS_MSG(net.g_connected(), "gossip requires a connected G");
   for (const int v : sources_) DC_EXPECTS(v >= 0 && v < n_);
+  roles_ = sources_;
+  std::sort(roles_.begin(), roles_.end());
+  roles_.erase(std::unique(roles_.begin(), roles_.end()), roles_.end());
   known_.assign(static_cast<std::size_t>(n_) * sources_.size(), 0);
   missing_ = static_cast<std::int64_t>(n_) * static_cast<std::int64_t>(
                                                  sources_.size());

@@ -39,6 +39,7 @@ class GossipProblem final : public Problem {
   std::string name() const override;
   bool in_broadcast_set(int v) const override;
   Message initial_message(int v) const override;
+  std::vector<int> role_nodes(int /*n*/) const override { return roles_; }
   void observe_round(const RoundRecord& record,
                      const std::vector<std::unique_ptr<Process>>& procs) override;
   bool solved(const std::vector<std::unique_ptr<Process>>& procs) const override;
@@ -55,6 +56,7 @@ class GossipProblem final : public Problem {
 
  private:
   std::vector<int> sources_;
+  std::vector<int> roles_;  ///< the distinct sources, ascending
   int n_ = 0;
   std::vector<char> known_;  // n x k, row-major
   std::int64_t missing_ = 0;

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 
 #include "adversary/bracelet_presim.hpp"
 #include "adversary/dense_sparse.hpp"
@@ -454,6 +456,30 @@ int resolve_node(const std::string& node_spec, const Topology& topo) {
   return topo.mark(node_spec);
 }
 
+/// A problem factory that builds its problem on its first call and hands
+/// every call a copy. No trial changes what a constructor checks and
+/// derives (G's connectivity, a BFS on explicit graphs; local broadcast's
+/// receiver set R), so each trial pays a copy instead, and a copy shares
+/// no state with the prototype. A build that throws keeps nothing, so
+/// every call of an invalid spec throws, as every trial did when each
+/// built its own. Not std::call_once: under ThreadSanitizer a call_once
+/// whose callable threw spins forever on the next call.
+template <typename P, typename Build>
+ProblemFactory built_once(Build build) {
+  struct Prototype {
+    std::mutex mutex;
+    std::optional<P> problem;  ///< set once, under the mutex; then const
+  };
+  auto prototype = std::make_shared<Prototype>();
+  return [prototype, build = std::move(build)] {
+    {
+      const std::lock_guard<std::mutex> lock(prototype->mutex);
+      if (!prototype->problem) prototype->problem.emplace(build());
+    }
+    return std::make_shared<P>(*prototype->problem);
+  };
+}
+
 void add_problems(ProblemRegistry& r) {
   r.add("global",
         "global broadcast from one source: global([source_id|mark]); the "
@@ -464,17 +490,15 @@ void add_problems(ProblemRegistry& r) {
                                  ? resolve_node(args.str_at(0), topo)
                                  : topo.default_source;
           auto net = topo.net_holder;
-          return ProblemFactory([net, source] {
-            return std::make_shared<GlobalBroadcastProblem>(*net, source);
-          });
+          return built_once<GlobalBroadcastProblem>(
+              [net, source] { return GlobalBroadcastProblem(*net, source); });
         });
   r.add("local",
         "local broadcast from a node set: local(<set>[,strict]) with <set> a "
         "named topology set, every(k), or first(k)",
         [](const SpecArgs& args, const Topology& topo) {
           args.expect_count(1, 2);
-          auto set = std::make_shared<const std::vector<int>>(
-              resolve_node_set(args.str_at(0), topo));
+          std::vector<int> set = resolve_node_set(args.str_at(0), topo);
           const std::string credit_arg = args.str_or(1, "any");
           if (credit_arg != "any" && credit_arg != "strict") {
             throw ScenarioError(str("spec \"", args.spec(),
@@ -485,9 +509,10 @@ void add_problems(ProblemRegistry& r) {
                                             ? ReceiverCredit::g_neighbor_only
                                             : ReceiverCredit::any_b_sender;
           auto net = topo.net_holder;
-          return ProblemFactory([net, set, credit] {
-            return std::make_shared<LocalBroadcastProblem>(*net, *set, credit);
-          });
+          return built_once<LocalBroadcastProblem>(
+              [net, set = std::move(set), credit] {
+                return LocalBroadcastProblem(*net, set, credit);
+              });
         });
   r.add("gossip",
         "k-gossip with sources spread over the id space: gossip(k)",
@@ -498,15 +523,13 @@ void add_problems(ProblemRegistry& r) {
             throw ScenarioError(
                 str("spec \"", args.spec(), "\": k must be >= 1"));
           }
-          auto sources = std::make_shared<const std::vector<int>>([&] {
-            std::vector<int> out;
-            for (int t = 0; t < k; ++t) out.push_back(t * topo.n() / k);
-            return out;
-          }());
+          std::vector<int> sources;
+          for (int t = 0; t < k; ++t) sources.push_back(t * topo.n() / k);
           auto net = topo.net_holder;
-          return ProblemFactory([net, sources] {
-            return std::make_shared<GossipProblem>(*net, *sources);
-          });
+          return built_once<GossipProblem>(
+              [net, sources = std::move(sources)] {
+                return GossipProblem(*net, sources);
+              });
         });
   r.add("assignment",
         "role assignment only, never reports solved (driven executions): "
@@ -517,10 +540,8 @@ void add_problems(ProblemRegistry& r) {
                                  ? resolve_node(args.str_at(0), topo)
                                  : -1;
           const int n = topo.n();
-          return ProblemFactory([n, source] {
-            return std::make_shared<AssignmentProblem>(n, source,
-                                                       std::vector<int>{});
-          });
+          return built_once<AssignmentProblem>(
+              [n, source] { return AssignmentProblem(n, source, {}); });
         });
 }
 

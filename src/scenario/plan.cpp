@@ -58,6 +58,9 @@ PointPlan build_point_plan(const ScenarioSpec& spec, const Metric& metric,
   }
   point.watch_node = metric.first_receive ? point.topo.mark(metric.mark) : -1;
 
+  // Columns naming the same problem share its factory, so the point keeps
+  // one built problem for them (the factories build once and copy).
+  std::map<std::string, ProblemFactory> problems_by_spec;
   for (const ScenarioColumn& column : spec.columns) {
     CellPlan cell;
     const AlgorithmFactories& algo =
@@ -66,10 +69,11 @@ PointPlan build_point_plan(const ScenarioSpec& spec, const Metric& metric,
     cell.kernel = algo.kernel;
     cell.adversary =
         adversaries().build(substitute_x(column.adversary, x), point.topo);
-    cell.problem = problems().build(
-        substitute_x(column.problem.empty() ? spec.problem : column.problem,
-                     x),
-        point.topo);
+    const std::string problem = substitute_x(
+        column.problem.empty() ? spec.problem : column.problem, x);
+    auto [it, fresh] = problems_by_spec.try_emplace(problem);
+    if (fresh) it->second = problems().build(problem, point.topo);
+    cell.problem = it->second;
     point.cells.push_back(std::move(cell));
   }
   return point;

@@ -66,8 +66,8 @@ struct NodeEnv {
 ///
 /// A kernel backed by processes (processes() != nullptr: the scalar
 /// adapter) builds every node's Process from `env(v)` and reads nothing
-/// else, so the engine skips the role scan for it: its `roles` is empty and
-/// `n`/`max_degree` are the network's.
+/// else, so the engine builds no role environments for it: its `roles` is
+/// empty and `n`/`max_degree` are the network's.
 ///
 /// `rng_mode == word` offers kernels one extra stream per 64-node block
 /// (`block_rngs[v / 64]`): a kernel that supports the mode draws its
@@ -154,10 +154,11 @@ class AlgorithmKernel {
   /// Mirror of Process::has_message for node v.
   ///
   /// Completion contract: has_message(v) never turns false, and turns true
-  /// only in init() or in the on_feedback_batch() of a round in which v is
-  /// a delivery receiver. The engine relies on it to keep the number of
-  /// holders current by re-querying only each round's receivers. All
-  /// built-in kernels meet it.
+  /// only in init() for a node v listed in setup.roles, or in the
+  /// on_feedback_batch() of a round in which v is a delivery receiver. The
+  /// engine relies on it to count the holders among the role nodes after
+  /// init() and then keep the count current by re-querying only each
+  /// round's receivers. All built-in kernels meet it.
   virtual bool has_message(int v) const = 0;
 
   /// Mirror of InspectableProcess::transmit_probability for node v: the

@@ -130,25 +130,32 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
 
   // Role-sparse environments: only nodes with a role are materialized;
   // kernels that want any other node's env build it through setup.env.
-  // Without an override, three problem queries tell that a node has no
-  // role without building its env. The scalar adapter builds every env
-  // itself and reads no roles, so it gets no scan (see KernelSetup).
+  // Without an override, the problem's role list names them. An override
+  // may give any node a role, or rewrite n and Δ, so then every node is
+  // asked. The scalar adapter builds every env itself and reads no roles,
+  // so it gets none (see KernelSetup).
   KernelSetup setup;
   setup.n = n;
   setup.max_degree = net.max_degree();
   std::vector<NodeEnv> roles;
-  for (int v = 0; v < n && processes_ == nullptr; ++v) {
-    if (!config_.env_override && !problem_->is_source(v) &&
-        !problem_->in_broadcast_set(v) &&
-        problem_->initial_message(v) == Message{}) {
-      continue;
-    }
+  const auto add_role = [&](int v) {
     ProcessEnv env = node_env(net, *problem_, config_, v);
     if (v == 0) {
       setup.n = env.n;
       setup.max_degree = env.max_degree;
     }
     if (has_role(env)) roles.push_back(NodeEnv{v, std::move(env)});
+  };
+  if (processes_ == nullptr && config_.env_override) {
+    for (int v = 0; v < n; ++v) add_role(v);
+  } else if (processes_ == nullptr) {
+    int last = -1;
+    for (const int v : problem_->role_nodes(n)) {
+      DC_EXPECTS_MSG(v > last && v < n,
+                     "role_nodes must list distinct node ids, ascending");
+      add_role(v);
+      last = v;
+    }
   }
   setup.net = net_;
   setup.roles = roles;
@@ -160,13 +167,15 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   kernel_->init(setup, node_rngs_);
 
   // The holder count serves solved_batch(); the adapter's problems read
-  // its processes instead, so it keeps none (see message_holders()).
+  // its processes instead, so it keeps none (see message_holders()). Only
+  // role nodes can hold a message after init() (the kernel's completion
+  // contract).
   received_.resize(n);
   if (processes_ == nullptr) {
     holder_bits_.resize(n);
-    for (int v = 0; v < n; ++v) {
-      if (kernel_->has_message(v)) {
-        holder_bits_.set(v);
+    for (const NodeEnv& role : roles) {
+      if (kernel_->has_message(role.node)) {
+        holder_bits_.set(role.node);
         ++holders_;
       }
     }

@@ -31,22 +31,28 @@
 //     the record's transmitters and messages);
 //   * feedback is one on_feedback_batch call over the round's deliveries,
 //     where a lone sender's whole clique side is one run (history.hpp);
-//   * the engine counts the nodes holding a message: one has_message scan
-//     at construction, then only the round's not-yet-counted receivers are
-//     re-queried (the kernel's completion contract, kernel.hpp), a run's a
-//     64-node word at a time, so global broadcast's solved check is O(1)
-//     per round and a run that reaches nobody new costs O(n / 64);
+//   * the engine counts the nodes holding a message: at construction it
+//     asks the role nodes only, then only the round's not-yet-counted
+//     receivers are re-queried (the kernel's completion contract,
+//     kernel.hpp), a run's a 64-node word at a time, so global broadcast's
+//     solved check is O(1) per round and a run that reaches nobody new
+//     costs O(n / 64);
 //   * set-up is role-sparse: no per-node ProcessEnv array is built; a
-//     native kernel receives the environments of the nodes with a role and
-//     builds any other on demand (KernelSetup); past n = 21845 the
-//     n-sized arrays an execution frees stay mapped for the next one of
-//     its size, which takes them without page faults (glibc's allocator
-//     thresholds, raised once per size in the constructor);
+//     native kernel receives the environments of the nodes with a role,
+//     which the problem lists (Problem::role_nodes; every node is asked
+//     only under an env_override), and builds any other on demand
+//     (KernelSetup). Beyond that, set-up costs the n node-stream forks
+//     and the n-sized arrays; past n = 21845 the arrays an execution frees
+//     stay mapped for the next one of its size, which takes them without
+//     page faults (glibc's allocator thresholds, raised once per size in
+//     the constructor);
 //   * problems run through solved_batch()/NodeStateView unless the kernel
 //     is the scalar adapter, in which case the real Process vector is used.
 //
-// The engine is deterministic: a master seed forks one stream per node plus
-// one for the adversary, so identical configurations replay identically.
+// The engine is deterministic: a master seed forks one stream per node
+// (inline arithmetic, util/rng.hpp, since every trial forks n of them)
+// plus one for the adversary, so identical configurations replay
+// identically.
 // The equivalence suite (tests/test_sim_kernel_engine.cpp and the
 // catalog-wide scenario test) holds native kernels to the adapter's runs.
 

@@ -16,6 +16,17 @@ int NodeStateView::message_holders() const {
 
 Message Problem::initial_message(int /*v*/) const { return {}; }
 
+std::vector<int> Problem::role_nodes(int n) const {
+  std::vector<int> out;
+  for (int v = 0; v < n; ++v) {
+    if (is_source(v) || in_broadcast_set(v) ||
+        !(initial_message(v) == Message{})) {
+      out.push_back(v);
+    }
+  }
+  return out;
+}
+
 void Problem::observe_round(
     const RoundRecord& /*record*/,
     const std::vector<std::unique_ptr<Process>>& /*procs*/) {}
@@ -75,6 +86,10 @@ AssignmentProblem::AssignmentProblem(int n, int source,
     DC_EXPECTS(v >= 0 && v < n);
     in_b_[static_cast<std::size_t>(v)] = 1;
   }
+  roles_ = std::move(broadcast_set);
+  if (source >= 0) roles_.push_back(source);
+  std::sort(roles_.begin(), roles_.end());
+  roles_.erase(std::unique(roles_.begin(), roles_.end()), roles_.end());
 }
 
 std::string AssignmentProblem::name() const { return "assignment"; }
@@ -114,6 +129,8 @@ LocalBroadcastProblem::LocalBroadcastProblem(const DualGraph& net,
                    "broadcast set contains duplicates");
     in_b_[static_cast<std::size_t>(v)] = 1;
   }
+  roles_ = b_;
+  std::sort(roles_.begin(), roles_.end());
   // R: nodes with at least one G-neighbor in B (LayerView iteration, so
   // implicit networks answer too).
   in_r_.assign(static_cast<std::size_t>(net.n()), 0);

@@ -63,6 +63,14 @@ class Problem {
   /// The message node v starts with (meaningful when is_source/in_B).
   virtual Message initial_message(int v) const;
 
+  /// The nodes of an n-node network that have a role: is_source,
+  /// in_broadcast_set or a non-default initial_message. Ascending, without
+  /// duplicates. The engine builds environments for these nodes only, so
+  /// set-up costs O(roles) rather than n queries of each kind. The default
+  /// makes those queries for every node; the built-in problems return the
+  /// list they store.
+  virtual std::vector<int> role_nodes(int n) const;
+
   /// Observe one completed round (called by the engine after deliveries).
   virtual void observe_round(const RoundRecord& record,
                              const std::vector<std::unique_ptr<Process>>& procs);
@@ -94,6 +102,7 @@ class GlobalBroadcastProblem final : public Problem {
   std::string name() const override;
   bool is_source(int v) const override { return v == source_; }
   Message initial_message(int v) const override;
+  std::vector<int> role_nodes(int /*n*/) const override { return {source_}; }
   bool solved(const std::vector<std::unique_ptr<Process>>& procs) const override;
   bool batch_compatible() const override { return true; }
   bool solved_batch(const NodeStateView& nodes) const override;
@@ -119,6 +128,7 @@ class AssignmentProblem final : public Problem {
   bool is_source(int v) const override { return v == source_ && v >= 0; }
   bool in_broadcast_set(int v) const override;
   Message initial_message(int v) const override;
+  std::vector<int> role_nodes(int /*n*/) const override { return roles_; }
   bool solved(const std::vector<std::unique_ptr<Process>>&) const override {
     return false;
   }
@@ -128,6 +138,7 @@ class AssignmentProblem final : public Problem {
  private:
   int source_ = -1;
   std::vector<char> in_b_;
+  std::vector<int> roles_;  ///< {source} ∪ B, ascending
 };
 
 /// How local-broadcast receivers are credited with a delivery.
@@ -148,6 +159,7 @@ class LocalBroadcastProblem final : public Problem {
   std::string name() const override;
   bool in_broadcast_set(int v) const override;
   Message initial_message(int v) const override;
+  std::vector<int> role_nodes(int /*n*/) const override { return roles_; }
   void observe_round(const RoundRecord& record,
                      const std::vector<std::unique_ptr<Process>>& procs) override;
   bool solved(const std::vector<std::unique_ptr<Process>>& procs) const override;
@@ -169,6 +181,7 @@ class LocalBroadcastProblem final : public Problem {
   LayerView g_view_;
   std::vector<int> b_;
   std::vector<char> in_b_;
+  std::vector<int> roles_;  ///< B, ascending
   std::vector<int> r_;
   std::vector<char> in_r_;
   std::vector<char> satisfied_;

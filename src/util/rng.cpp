@@ -6,26 +6,6 @@
 
 namespace dualcast {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix64(std::uint64_t x) {
-  std::uint64_t state = x;
-  return splitmix64(state);
-}
-
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
-  std::uint64_t sm = seed;
-  for (auto& word : s_) word = splitmix64(sm);
-  // xoshiro's all-zero state is degenerate; SplitMix64 cannot produce four
-  // zero outputs in a row, but guard anyway.
-  if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   DC_EXPECTS(lo <= hi);
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -39,13 +19,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     draw = next_u64();
   } while (draw >= limit);
   return lo + static_cast<std::int64_t>(draw % span);
-}
-
-Rng Rng::fork(std::uint64_t tag) {
-  const std::uint64_t child =
-      mix64(seed_ ^ mix64(tag) ^ mix64(0xD1B54A32D192ED03ull + fork_counter_));
-  ++fork_counter_;
-  return Rng(child);
 }
 
 Rng Rng::fork(std::string_view tag) {

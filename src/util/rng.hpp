@@ -23,11 +23,22 @@
 
 namespace dualcast {
 
+// Seeding and forking are defined inline, like the draws below: the engine
+// forks one stream per node at the start of every trial.
+
 /// One step of the SplitMix64 sequence; also used as a mixing function.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 /// Stateless mix of a value (SplitMix64 finalizer). Used for stream derivation.
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t mix64(std::uint64_t x) {
+  std::uint64_t state = x;
+  return splitmix64(state);
+}
 
 namespace simd::detail {
 struct RngLanes;
@@ -37,7 +48,13 @@ struct RngLanes;
 class Rng {
  public:
   /// Creates a stream from a 64-bit seed (expanded via SplitMix64).
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) : seed_(seed) {
+    std::uint64_t sm = seed;
+    for (auto& word : s_) word = splitmix64(sm);
+    // xoshiro's all-zero state is degenerate; SplitMix64 cannot produce
+    // four zero outputs in a row, but guard anyway.
+    if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
+  }
 
   // The draw methods are defined inline: they sit on the engine's
   // per-node-per-round and per-edge-per-round hot paths, where a function
@@ -101,7 +118,12 @@ class Rng {
   /// Derives an independent child stream. Distinct tags (or successive calls
   /// with the same tag) give statistically independent streams; forking does
   /// not perturb this stream's own sequence.
-  Rng fork(std::uint64_t tag);
+  Rng fork(std::uint64_t tag) {
+    const std::uint64_t child = mix64(
+        seed_ ^ mix64(tag) ^ mix64(0xD1B54A32D192ED03ull + fork_counter_));
+    ++fork_counter_;
+    return Rng(child);
+  }
 
   /// Derives an independent child stream from a string tag.
   Rng fork(std::string_view tag);

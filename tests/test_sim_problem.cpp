@@ -1,12 +1,19 @@
-// Problem semantics: role assignment, receiver-set computation, and the two
-// local-broadcast crediting modes.
+// Problem semantics: role assignment, receiver-set computation, the two
+// local-broadcast crediting modes, role lists, and the built-in factories'
+// copies.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "adversary/static_adversaries.hpp"
+#include "core/factories.hpp"
+#include "core/gossip.hpp"
+#include "core/kernels.hpp"
 #include "graph/generators.hpp"
+#include "scenario/registries.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
@@ -145,6 +152,136 @@ TEST(AssignmentProblem, NeverSolvedAndAllowsDisconnected) {
   const RunResult result = exec.run();
   EXPECT_FALSE(result.solved);
   EXPECT_EQ(result.rounds, 3);
+}
+
+TEST(ProblemRoles, RoleNodesMatchScan) {
+  // Every problem spec the catalog uses, on the three network families its
+  // scenarios run: a built-in's stored list must equal the base class's
+  // three-query scan. gossip(k) with k > n repeats sources.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"dual_clique(32)",
+        {"global", "global(1)", "global(bridge_b)", "local(side_a)",
+         "local(side_a,strict)", "local(every(3))", "gossip(4)", "gossip(48)",
+         "assignment", "assignment(bridge_a)"}},
+       {"line(20)",
+        {"global", "global(0)", "local(every(3))", "local(first(5),strict)",
+         "gossip(3)", "gossip(30)", "assignment(7)"}},
+       {"bracelet(128)",
+        {"global", "global(clasp_b)", "local(heads_a)",
+         "local(heads_a,strict)", "local(every(4))", "gossip(5)",
+         "gossip(200)", "assignment(clasp_a)"}}};
+  for (const auto& [topology, specs] : cases) {
+    const scenario::Topology topo = scenario::topologies().build(topology, 1);
+    const int n = topo.n();
+    for (const std::string& spec : specs) {
+      SCOPED_TRACE(topology + " " + spec);
+      const std::shared_ptr<Problem> p =
+          scenario::problems().build(spec, topo)();
+      const std::vector<int> roles = p->role_nodes(n);
+      EXPECT_EQ(roles, p->Problem::role_nodes(n));
+      EXPECT_TRUE(std::is_sorted(roles.begin(), roles.end()));
+      EXPECT_EQ(std::adjacent_find(roles.begin(), roles.end()), roles.end());
+    }
+  }
+}
+
+TEST(ProblemRoles, DefaultIsTheThreeQueryScan) {
+  // A problem that does not override role_nodes gets every node with a
+  // source role, a broadcast-set role or an initial message, once each.
+  class MarkedProblem final : public Problem {
+   public:
+    std::string name() const override { return "marked"; }
+    bool is_source(int v) const override { return v == 3; }
+    bool in_broadcast_set(int v) const override { return v == 1 || v == 3; }
+    Message initial_message(int v) const override {
+      Message m;
+      if (v == 6) m.source = v;
+      return m;
+    }
+    bool solved(const std::vector<std::unique_ptr<Process>>&) const override {
+      return false;
+    }
+  };
+  EXPECT_EQ(MarkedProblem().role_nodes(8), (std::vector<int>{1, 3, 6}));
+  EXPECT_EQ(MarkedProblem().role_nodes(3), (std::vector<int>{1}));
+}
+
+TEST(ProblemRoles, EngineRejectsUnorderedRoleList) {
+  // The kernels take roles in ascending node order; a problem whose list
+  // breaks that fails at set-up instead of mis-seeding them.
+  class UnorderedRoles final : public Problem {
+   public:
+    std::string name() const override { return "unordered"; }
+    bool in_broadcast_set(int v) const override { return v == 1 || v == 3; }
+    std::vector<int> role_nodes(int /*n*/) const override { return {3, 1}; }
+    bool solved(const std::vector<std::unique_ptr<Process>>&) const override {
+      return false;
+    }
+    bool batch_compatible() const override { return true; }
+    bool solved_batch(const NodeStateView&) const override { return false; }
+  };
+  const DualGraph net = DualGraph::protocol(line_graph(4));
+  const DecayLocalConfig config;
+  EXPECT_THROW(KernelExecution(net, decay_local_factory(config),
+                               decay_local_kernel_factory(config)(),
+                               std::make_shared<UnorderedRoles>(),
+                               std::make_unique<NoExtraEdges>(), {1, 5, {}}),
+               ContractViolation);
+}
+
+TEST(ProblemFactory, CopiesShareNoState) {
+  // The built-in factories build once and copy: a copy that observes a
+  // satisfying round must leave the next copy unsatisfied, with R intact.
+  const scenario::Topology topo = scenario::topologies().build("line(3)", 1);
+  const scenario::ProblemFactory local =
+      scenario::problems().build("local(first(1))", topo);
+  const auto solve = [&](std::shared_ptr<Problem> problem) {
+    KernelExecution exec(topo.net(), scripted_factory({{1}, {0}, {0}}),
+                         std::move(problem), std::make_unique<NoExtraEdges>(),
+                         {1, 5, {}});
+    return exec.run();
+  };
+  const auto first =
+      std::dynamic_pointer_cast<LocalBroadcastProblem>(local());
+  ASSERT_NE(first, nullptr);
+  EXPECT_TRUE(solve(first).solved);
+  EXPECT_EQ(first->satisfied_count(), 1);
+  const auto next = std::dynamic_pointer_cast<LocalBroadcastProblem>(local());
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(next->satisfied_count(), 0);
+  EXPECT_EQ(next->receivers(), (std::vector<int>{1}));
+  EXPECT_EQ(next->unsatisfied(), (std::vector<int>{1}));
+  EXPECT_EQ(first->satisfied_count(), 1);
+
+  // Gossip's known-token table likewise.
+  const scenario::ProblemFactory gossip =
+      scenario::problems().build("gossip(1)", topo);
+  const auto token = std::dynamic_pointer_cast<GossipProblem>(gossip());
+  ASSERT_NE(token, nullptr);
+  EXPECT_EQ(token->missing(), 2);
+  solve(token);
+  EXPECT_FALSE(token->knows(2, 0)) << "node 2 is out of node 0's reach";
+  EXPECT_EQ(token->missing(), 1);
+  const auto fresh = std::dynamic_pointer_cast<GossipProblem>(gossip());
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->missing(), 2);
+  EXPECT_FALSE(fresh->knows(1, 0));
+}
+
+TEST(ProblemFactory, InvalidProblemThrowsOnEveryCall) {
+  // G disconnected: the factory builds nothing, so the second call (the
+  // next trial) throws as the first did.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(2, 3);
+  g.finalize();
+  scenario::Topology topo;
+  topo.net_holder =
+      std::make_shared<DualGraph>(std::move(g), complete_graph(4));
+  const scenario::ProblemFactory global =
+      scenario::problems().build("global", topo);
+  EXPECT_THROW(global(), ContractViolation);
+  EXPECT_THROW(global(), ContractViolation);
 }
 
 }  // namespace

@@ -196,6 +196,27 @@ TEST(Rng, ForkReproducible) {
   for (int i = 0; i < 100; ++i) ASSERT_EQ(a.next_u64(), b.next_u64());
 }
 
+TEST(Rng, SeedingAndForkArithmeticArePinned) {
+  // Every sample path hangs off these values: node v's stream is the v-th
+  // numeric fork of the trial's master, the adversary's a string fork.
+  EXPECT_EQ(mix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(mix64(1), 0x910a2dec89025cc1ull);
+  EXPECT_EQ(mix64(0xDEADBEEFull), 0x4adfb90f68c9eb9bull);
+  std::uint64_t state = 42;
+  EXPECT_EQ(splitmix64(state), 0xbdd732262feb6e95ull);
+  EXPECT_EQ(splitmix64(state), 0x28efe333b266f103ull);
+  EXPECT_EQ(state, 0x3c6ef372fe94f854ull);
+  EXPECT_EQ(Rng(1).next_u64(), 0xb3f2af6d0fc710c5ull);
+  EXPECT_EQ(Rng(1).fork(0).next_u64(), 0x983bee952005d755ull);
+  EXPECT_EQ(Rng(1).fork(1).next_u64(), 0xef240c5259756210ull);
+  EXPECT_EQ(Rng(1).fork("link-process").next_u64(), 0xe5f0afd1895c8064ull);
+  // Successive forks of one master, as the engine makes them for n = 2.
+  Rng master(1);
+  EXPECT_EQ(master.fork(0).next_u64(), 0x983bee952005d755ull);
+  EXPECT_EQ(master.fork(1).next_u64(), 0x623e63bf4b338916ull);
+  EXPECT_EQ(master.fork("link-process").next_u64(), 0x4057e0ca6d842df0ull);
+}
+
 class RngPow2Param : public ::testing::TestWithParam<int> {};
 
 TEST_P(RngPow2Param, MatchesExpectedProbability) {
