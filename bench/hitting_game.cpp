@@ -68,14 +68,11 @@ void reduction_table() {
         ReductionConfig cfg;
         cfg.beta = beta;
         cfg.seed = 500 + static_cast<std::uint64_t>(t);
-        // Simulated algorithms come from the scenario registries; the
-        // kernels() entry puts the inner simulation on the native kernel
-        // (bit-identical outcomes, several times the rounds/s).
-        const std::string spec =
-            algo == 0 ? "round_robin" : "decay_global(fixed,persistent)";
+        // Simulated algorithms come from the scenario registry.
         BroadcastReductionPlayer player(
-            cfg, scenario::algorithms().build(spec),
-            scenario::build_kernel_or_null(spec));
+            cfg, scenario::algorithms().build(
+                     algo == 0 ? "round_robin"
+                               : "decay_global(fixed,persistent)"));
         const ReductionOutcome outcome = player.play(game);
         wins += outcome.won ? 1 : 0;
         if (outcome.won) {

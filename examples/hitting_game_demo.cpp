@@ -55,9 +55,9 @@ int main() {
     cfg.problem = ReductionProblem::global_broadcast;
     cfg.seed = 99;
     // The simulated broadcast algorithm, by registry name.
-    ProcessFactory factory = scenario::algorithms().build(
-        use_decay ? "decay_global(fixed,persistent)" : "round_robin");
-    BroadcastReductionPlayer player(cfg, std::move(factory));
+    BroadcastReductionPlayer player(
+        cfg, scenario::algorithms().build(
+                 use_decay ? "decay_global(fixed,persistent)" : "round_robin"));
     const ReductionOutcome outcome = player.play(game);
     std::cout << (use_decay ? "persistent decay" : "round robin      ")
               << " : won = " << (outcome.won ? "yes" : "no")

@@ -95,11 +95,16 @@ int main() {
   // after these few lines "min_id_election" works anywhere a built-in
   // algorithm name does — in ScenarioSpec columns, in the dualcast_bench
   // CLI, and below.
+  // A Process runs on the engine through the scalar adapter, which keeps
+  // the n process objects readable (KernelExecution::process, below).
   sc::algorithms().add(
       "min_id_election", "minimum-id election by permuted-decay flooding",
       [](const sc::SpecArgs&) {
-        return ProcessFactory(
-            [](const ProcessEnv&) { return std::make_unique<MinIdElection>(); });
+        return KernelFactory([] {
+          return make_scalar_kernel_adapter([](const ProcessEnv&) {
+            return std::make_unique<MinIdElection>();
+          });
+        });
       });
 
   const sc::Topology geo =
@@ -114,9 +119,10 @@ int main() {
   Table table({"link weather", "agreed", "convergence round",
                "distinct beliefs at end"});
   for (const char* weather : conditions) {
-    KernelExecution exec(geo.net(), sc::algorithms().build("min_id_election"),
+    const KernelFactory election = sc::algorithms().build("min_id_election");
+    KernelExecution exec(geo.net(), election(),
                          sc::problems().build("assignment", geo)(),
-                         sc::adversaries().build(weather, geo)(),
+                         sc::adversaries().build(weather, geo, election)(),
                          ExecutionConfig{}.with_seed(5).with_max_rounds(4000));
 
     int last_change_round = 0;

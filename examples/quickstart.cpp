@@ -38,17 +38,23 @@ int main() {
   const sc::ProblemFactory problem =
       sc::problems().build("global(0)", topo);
 
-  // 3. Adversary: every unreliable edge flips a fresh coin each round — an
-  //    oblivious link process (its choices never depend on the execution).
-  const LinkProcessFactory adversary =
-      sc::adversaries().build("iid(0.5)", topo);
-
-  // 4. Algorithm + engine: the §4.1 permuted decay broadcast. The source
-  //    draws secret bits after the execution starts and ships them in the
-  //    message, so no pre-committed adversary can predict the schedule.
-  const ProcessFactory algorithm =
+  // 3. Algorithm: the §4.1 permuted decay broadcast. The source draws
+  //    secret bits after the execution starts and ships them in the
+  //    message, so no pre-committed adversary can predict the schedule. The
+  //    registry hands back a factory of its batch kernel, which drives all
+  //    n nodes of one execution.
+  const KernelFactory algorithm =
       sc::algorithms().build("decay_global(permuted)");
-  KernelExecution exec(topo.net(), algorithm, problem(), adversary(),
+
+  // 4. Adversary: every unreliable edge flips a fresh coin each round — an
+  //    oblivious link process (its choices never depend on the execution).
+  //    Adversaries are built knowing the topology and the algorithm (§2);
+  //    this one reads neither.
+  const LinkProcessFactory adversary =
+      sc::adversaries().build("iid(0.5)", topo, algorithm);
+
+  // 5. The engine runs one execution.
+  KernelExecution exec(topo.net(), algorithm(), problem(), adversary(),
                        ExecutionConfig{}.with_seed(7).with_max_rounds(100000));
   const RunResult result = exec.run();
 

@@ -12,7 +12,6 @@
 #include "graph/regions.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/scenario.hpp"
-#include "sim/kernel_execution.hpp"
 
 int main(int argc, char** argv) {
   using namespace dualcast;
@@ -34,15 +33,12 @@ int main(int argc, char** argv) {
             << regions.max_neighboring_regions() << " (bound "
             << RegionDecomposition::gamma_bound(field.geo->r) << ")\n";
 
-  // Probe one process for the stage layout (identical across nodes).
-  KernelExecution probe(field.net(), sc::algorithms().build("geo_local"),
-                        sc::problems().build("local(every(4))", field)(),
-                        sc::adversaries().build("none", field)(),
-                        ExecutionConfig{}.with_seed(1).with_max_rounds(10));
-  const auto* proc = dynamic_cast<const GeoLocalBroadcast*>(&probe.process(0));
-  std::cout << "schedule: " << proc->phases() << " election phases x "
-            << proc->phase_length() << " rounds, then " << proc->iterations()
-            << " decay iterations x " << proc->iteration_length()
+  // The stage layout "geo_local" derives from n and Delta (every node's).
+  const GeoLocalLayout layout = geo_local_layout(
+      GeoLocalConfig::fast(), field.n(), field.net().max_degree());
+  std::cout << "schedule: " << layout.phases << " election phases x "
+            << layout.phase_length() << " rounds, then " << layout.iterations
+            << " decay iterations x " << layout.iteration_length
             << " rounds\n";
 
   return sc::run_main(argc, argv, {"example/sensor-field"});

@@ -11,8 +11,10 @@
 namespace dualcast {
 
 BraceletPresimOblivious::BraceletPresimOblivious(const BraceletNet& bracelet,
+                                                 KernelFactory algorithm,
                                                  BraceletPresimConfig config)
-    : bracelet_(&bracelet), config_(config) {
+    : bracelet_(&bracelet), algorithm_(std::move(algorithm)), config_(config) {
+  DC_EXPECTS(algorithm_ != nullptr);
   DC_EXPECTS(config.threshold_factor > 0.0);
 }
 
@@ -30,9 +32,7 @@ void BraceletPresimOblivious::on_execution_start(const ExecutionSetup& setup,
   // each isolated broadcast function on a random support sequence. Every
   // band runs on the same line network and role-free problem; only the
   // identity map differs. The prediction reads each round as it ends, so
-  // the sub-simulations keep lean history. A band runs on the algorithm's
-  // batch kernel when the execution offers one, which replays the scalar
-  // adapter's band bit for bit.
+  // the sub-simulations keep lean history.
   const DualGraph band_net = DualGraph::protocol(line_graph(k));
   const auto band_problem =
       std::make_shared<AssignmentProblem>(k, -1, std::vector<int>{});
@@ -53,12 +53,8 @@ void BraceletPresimOblivious::on_execution_start(const ExecutionSetup& setup,
       return out;
     };
 
-    KernelExecution sub(band_net, *setup.factory,
-                        setup.kernel && band_problem->batch_compatible()
-                            ? setup.kernel()
-                            : make_scalar_kernel_adapter(*setup.factory),
-                        band_problem, std::make_unique<NoExtraEdges>(),
-                        std::move(sub_cfg));
+    KernelExecution sub(band_net, algorithm_(), band_problem,
+                        std::make_unique<NoExtraEdges>(), std::move(sub_cfg));
     while (!sub.done()) {
       sub.step();
       // Band heads occupy local id 0; transmitters are ascending.

@@ -11,10 +11,10 @@
 // fresh random bits predicts the dense/sparse profile of the real execution.
 //
 // Concretely, before round 0 this adversary privately simulates each band in
-// isolation (same algorithm, same roles, fresh coins from its own stream;
-// on the algorithm's batch kernel when ExecutionSetup::kernel offers one,
-// else on the scalar adapter, with the same result either way), counts how
-// many band *heads* transmit in each round r < k, and commits:
+// isolation (same algorithm — the KernelFactory it is built with, a
+// built-in's batch kernel or the scalar adapter around a user-written
+// Process — same roles, fresh coins from its own stream), counts how many
+// band *heads* transmit in each round r < k, and commits:
 //   round dense  (count > threshold)  -> activate all cross edges
 //   round sparse (count <= threshold) -> activate none
 // After its k-round prediction window it falls back to a configurable static
@@ -40,8 +40,11 @@ struct BraceletPresimConfig {
 class BraceletPresimOblivious final : public LinkProcess {
  public:
   /// `bracelet` must outlive the adversary and must be the same network the
-  /// execution runs on.
-  BraceletPresimOblivious(const BraceletNet& bracelet,
+  /// execution runs on. `algorithm` makes the kernel of the algorithm the
+  /// execution runs (§2: the adversary knows it); each band runs on a new
+  /// one, under an env override that presents the band's nodes with their
+  /// bracelet ids and n.
+  BraceletPresimOblivious(const BraceletNet& bracelet, KernelFactory algorithm,
                           BraceletPresimConfig config = {});
 
   AdversaryClass adversary_class() const override {
@@ -57,6 +60,7 @@ class BraceletPresimOblivious final : public LinkProcess {
 
  private:
   const BraceletNet* bracelet_;
+  KernelFactory algorithm_;
   BraceletPresimConfig config_;
   std::vector<char> dense_;
   std::vector<int> counts_;

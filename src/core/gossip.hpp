@@ -10,14 +10,15 @@
 // exercises a new difficulty: holders must *choose which token to offer*
 // each round, so token scheduling interacts with the collision rule.
 //
-// GossipBroadcast is a decay-style solution: a node holding tokens uses the
-// {1/2 ... 2^-clog2(n)} probability ladder to decide *whether* to transmit
-// (fixed or privately permuted index, as in local decay), and round-robins
-// its held set to decide *what* (offering the token it has relayed least,
-// oldest first — a fair scheduler that guarantees every held token keeps
-// circulating). Against oblivious adversaries each token behaves like a
-// decay broadcast thinned by the holder's token count, giving
-// O(k · polylog) style behavior (measured by `dualcast_bench ext/gossip`).
+// The gossip algorithm (gossip_kernel_factory) is a decay-style solution: a
+// node holding tokens uses the {1/2 ... 2^-clog2(n)} probability ladder to
+// decide *whether* to transmit (fixed or privately permuted index, as in
+// local decay), and round-robins its held set to decide *what* (offering the
+// token it has relayed least, oldest first — a fair scheduler that
+// guarantees every held token keeps circulating). Against oblivious
+// adversaries each token behaves like a decay broadcast thinned by the
+// holder's token count, giving O(k · polylog) style behavior (measured by
+// `dualcast_bench ext/gossip`).
 
 #include <vector>
 
@@ -95,43 +96,5 @@ struct GossipConfig {
   /// call budget, see DecayGlobalConfig::calls).
   int quiesce_calls = 0;
 };
-
-class GossipBroadcast final : public InspectableProcess {
- public:
-  explicit GossipBroadcast(GossipConfig config);
-
-  void init(const ProcessEnv& env, Rng& rng) override;
-  Action on_round(int round, Rng& rng) override;
-  void on_feedback(int round, const RoundFeedback& feedback, Rng& rng) override;
-  bool has_message() const override { return !held_.empty(); }
-  double transmit_probability(int round) const override;
-
-  /// Tokens currently held (sorted by acquisition order).
-  const std::vector<Message>& held() const { return held_; }
-
- private:
-  int schedule_index(int round) const;
-  void acquire(const Message& message);
-  /// Live = still offered: unlimited budget, or offers remaining.
-  bool token_active(std::size_t i) const {
-    return offers_left_[i] != 0;  // -1 (no quiescing) stays active forever
-  }
-  /// Indices into held_ of the tokens still offered (all of them unless
-  /// quiescing).
-  void active_tokens(std::vector<std::size_t>& out) const;
-
-  GossipConfig config_;
-  int ladder_ = 0;
-  int offer_budget_ = -1;  ///< per-token offer budget; -1 = unbounded
-  std::vector<Message> held_;
-  std::vector<int> offers_left_;  ///< per held token; -1 = unbounded
-  std::vector<std::uint64_t> seen_tokens_;
-  std::size_t next_offer_ = 0;
-  BitString private_bits_;
-  std::vector<std::size_t> active_scratch_;
-};
-
-/// Factory for plugging GossipBroadcast into a KernelExecution.
-ProcessFactory gossip_factory(GossipConfig config = {});
 
 }  // namespace dualcast

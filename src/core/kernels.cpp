@@ -10,11 +10,12 @@
 #include "util/mathutil.hpp"
 #include "util/simd.hpp"
 
-// Each kernel below is a line-by-line port of its scalar algorithm's
-// init/on_round/on_feedback, restructured around flat state arrays and
-// holder bitmaps. Comments point back to the scalar class only where the
+// Each kernel below keeps the init/on_round/on_feedback structure of its
+// algorithm's scalar reference (the Process classes under tests/reference/,
+// named in each section's banner), restructured around flat state arrays
+// and holder bitmaps. Comments point back to the reference only where the
 // restructuring is non-obvious; the probability/schedule logic itself is
-// documented once, in the scalar headers.
+// documented once, in the config headers of this directory.
 //
 // Holder sets are kept as bitmaps (one 64-bit block per 64 nodes) rather
 // than sorted index vectors: ascending block/bit iteration reproduces the
@@ -84,21 +85,76 @@ class DecayCoins {
   std::span<Rng> block_rngs_;
 };
 
+/// Each node's id as its environment states it (ProcessEnv::id): the node
+/// index, unless an env_override moved some id (KernelSetup::ids).
+class NodeIds {
+ public:
+  void init(const KernelSetup& setup) {
+    ids_.assign(setup.ids.begin(), setup.ids.end());
+  }
+  int operator()(int v) const {
+    return ids_.empty() ? v : ids_[static_cast<std::size_t>(v)];
+  }
+
+ private:
+  std::vector<int> ids_;
+};
+
+/// Round robin's slot owners: in round r, the nodes whose id is r mod n,
+/// with ids and n as the environments state them. With node-index ids that
+/// is node r mod n alone (none when an override enlarges n past the
+/// network); an override's ids are looked up in a sorted (id, node) list.
+class RobinSlots {
+ public:
+  void init(const KernelSetup& setup) {
+    n_ = setup.n;
+    net_n_ = setup.net->n();
+    ids_.init(setup);
+    by_id_.clear();
+    for (std::size_t v = 0; v < setup.ids.size(); ++v) {
+      by_id_.emplace_back(setup.ids[v], static_cast<int>(v));
+    }
+    std::sort(by_id_.begin(), by_id_.end());
+  }
+
+  /// Calls fn(v) for every owner of round `round`'s slot, ascending.
+  template <typename Fn>
+  void for_each_owner(int round, Fn&& fn) const {
+    const int slot = round % n_;
+    if (by_id_.empty()) {
+      if (slot < net_n_) fn(slot);
+      return;
+    }
+    for (auto it = std::lower_bound(by_id_.begin(), by_id_.end(),
+                                    std::pair<int, int>(slot, -1));
+         it != by_id_.end() && it->first == slot; ++it) {
+      fn(it->second);
+    }
+  }
+
+  bool owns(int v, int round) const { return round % n_ == ids_(v); }
+
+ private:
+  int n_ = 1;
+  int net_n_ = 0;
+  NodeIds ids_;
+  std::vector<std::pair<int, int>> by_id_;  ///< (id, node); override only
+};
+
 // ---------------------------------------------------------------------------
 // Round robin (RoundRobinBroadcast).
 // ---------------------------------------------------------------------------
 
-// No fresh() here, in the robust-mix kernel or in the gossip kernel: their
-// slots and token sources key on node indices, not environment ids.
 class RoundRobinKernel final : public AlgorithmKernel {
  public:
   explicit RoundRobinKernel(RoundRobinConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> /*rngs*/) override {
-    n_ = setup.net->n();
-    has_.resize(n_);
-    may_.resize(n_);
-    message_.resize(static_cast<std::size_t>(n_));
+    const int n = setup.net->n();
+    slots_.init(setup);
+    has_.resize(n);
+    may_.resize(n);
+    message_.resize(static_cast<std::size_t>(n));
     for (const auto& [v, env] : setup.roles) {
       if (env.is_global_source || env.in_broadcast_set) {
         has_.set(v);
@@ -109,10 +165,9 @@ class RoundRobinKernel final : public AlgorithmKernel {
   }
 
   void on_round_batch(int round, TxBatch& out, std::span<Rng> /*rngs*/) override {
-    const int slot = round % n_;
-    if (may_.test(slot)) {
-      out.transmit(slot, message_[static_cast<std::size_t>(slot)]);
-    }
+    slots_.for_each_owner(round, [&](int v) {
+      if (may_.test(v)) out.transmit(v, message_[static_cast<std::size_t>(v)]);
+    });
   }
 
   void on_feedback_batch(const FeedbackView& fb, std::span<Rng> /*rngs*/) override {
@@ -131,16 +186,19 @@ class RoundRobinKernel final : public AlgorithmKernel {
   bool has_message(int v) const override { return has_.test(v); }
 
   double transmit_probability(int v, int round) const override {
-    return (may_.test(v) && round % n_ == v) ? 1.0 : 0.0;
+    return (may_.test(v) && slots_.owns(v, round)) ? 1.0 : 0.0;
   }
 
   double expected_transmitters(int round) const override {
-    return may_.test(round % n_) ? 1.0 : 0.0;
+    double sum = 0.0;
+    slots_.for_each_owner(round,
+                          [&](int v) { sum += may_.test(v) ? 1.0 : 0.0; });
+    return sum;
   }
 
  private:
   RoundRobinConfig config_;
-  int n_ = 0;
+  RobinSlots slots_;
   NodeBitmap has_;
   NodeBitmap may_;
   std::vector<Message> message_;
@@ -153,10 +211,6 @@ class RoundRobinKernel final : public AlgorithmKernel {
 class DecayLocalKernel final : public AlgorithmKernel {
  public:
   explicit DecayLocalKernel(DecayLocalConfig config) : config_(config) {}
-
-  std::unique_ptr<AlgorithmKernel> fresh() const override {
-    return std::make_unique<DecayLocalKernel>(config_);
-  }
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     const int n = setup.net->n();
@@ -525,10 +579,6 @@ class DecayGlobalKernel final : public AlgorithmKernel {
  public:
   explicit DecayGlobalKernel(DecayGlobalConfig config) : config_(config) {}
 
-  std::unique_ptr<AlgorithmKernel> fresh() const override {
-    return std::make_unique<DecayGlobalKernel>(config_);
-  }
-
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     state_.resize(config_, setup);
     for (const auto& [v, env] : setup.roles) {
@@ -570,10 +620,11 @@ class RobustMixKernel final : public AlgorithmKernel {
   explicit RobustMixKernel(RobustMixConfig config) : config_(config) {}
 
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
-    n_ = setup.net->n();
-    robin_has_.resize(n_);
-    robin_may_.resize(n_);
-    robin_message_.resize(static_cast<std::size_t>(n_));
+    const int n = setup.net->n();
+    slots_.init(setup);
+    robin_has_.resize(n);
+    robin_may_.resize(n);
+    robin_message_.resize(static_cast<std::size_t>(n));
     decay_.resize(config_.decay, setup);
     for (const auto& [v, env] : setup.roles) {
       Rng& rng = rngs[static_cast<std::size_t>(v)];
@@ -611,10 +662,11 @@ class RobustMixKernel final : public AlgorithmKernel {
   void on_round_batch(int round, TxBatch& out, std::span<Rng> rngs) override {
     const int rr = round / 2;
     if (round % 2 == 0) {
-      const int slot = rr % n_;
-      if (robin_may_.test(slot)) {
-        out.transmit(slot, robin_message_[static_cast<std::size_t>(slot)]);
-      }
+      slots_.for_each_owner(rr, [&](int v) {
+        if (robin_may_.test(v)) {
+          out.transmit(v, robin_message_[static_cast<std::size_t>(v)]);
+        }
+      });
       return;
     }
     decay_.round(rr, rngs,
@@ -641,20 +693,23 @@ class RobustMixKernel final : public AlgorithmKernel {
   double transmit_probability(int v, int round) const override {
     const int rr = round / 2;
     if (round % 2 == 0) {
-      return (robin_may_.test(v) && rr % n_ == v) ? 1.0 : 0.0;
+      return (robin_may_.test(v) && slots_.owns(v, rr)) ? 1.0 : 0.0;
     }
     return decay_.probability(v, rr);
   }
 
   double expected_transmitters(int round) const override {
     const int rr = round / 2;
-    if (round % 2 == 0) return robin_may_.test(rr % n_) ? 1.0 : 0.0;
-    return decay_.expected(rr);
+    if (round % 2 != 0) return decay_.expected(rr);
+    double sum = 0.0;
+    slots_.for_each_owner(
+        rr, [&](int v) { sum += robin_may_.test(v) ? 1.0 : 0.0; });
+    return sum;
   }
 
  private:
   RobustMixConfig config_;
-  int n_ = 0;
+  RobinSlots slots_;
   NodeBitmap robin_has_;
   NodeBitmap robin_may_;
   std::vector<Message> robin_message_;
@@ -672,6 +727,7 @@ class GossipKernel final : public AlgorithmKernel {
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     const int n = setup.net->n();
     coins_.init(setup);
+    ids_.init(setup);
     holder_bits_.resize(n);
     held_.resize(static_cast<std::size_t>(n));
     offers_left_.resize(static_cast<std::size_t>(n));
@@ -687,7 +743,7 @@ class GossipKernel final : public AlgorithmKernel {
                                     : -1;
     for (const auto& [v, env] : setup.roles) {
       if (env.initial_message.kind == MessageKind::data &&
-          env.initial_message.source == v) {
+          env.initial_message.source == env.id) {
         acquire(v, env.initial_message);
       }
     }
@@ -740,7 +796,7 @@ class GossipKernel final : public AlgorithmKernel {
         }
         ++next_offer_[i];
         Message m = held_[i][slot];
-        m.source = v;  // gossip relays re-originate (receiver credits token)
+        m.source = ids_(v);  // relays re-originate (receiver credits token)
         out.transmit(v, std::move(m));
       });
     }
@@ -807,6 +863,7 @@ class GossipKernel final : public AlgorithmKernel {
   int ladder_ = 0;
   int offer_budget_ = -1;  ///< per-token offer budget; -1 = unbounded
   DecayCoins coins_;
+  NodeIds ids_;
   NodeBitmap holder_bits_;  ///< nodes with a non-empty held set
   std::vector<std::vector<Message>> held_;
   std::vector<std::vector<int>> offers_left_;
@@ -825,26 +882,16 @@ class GeoLocalKernel final : public AlgorithmKernel {
  public:
   explicit GeoLocalKernel(GeoLocalConfig config) : config_(config) {}
 
-  std::unique_ptr<AlgorithmKernel> fresh() const override {
-    return std::make_unique<GeoLocalKernel>(config_);
-  }
-
   void init(const KernelSetup& setup, std::span<Rng> rngs) override {
     const int n = setup.net->n();
-    const int delta = setup.max_degree;
-    logn_ = clog2(static_cast<std::uint64_t>(setup.n > 1 ? setup.n : 2));
-    ladder_ = config_.ladder > 0 ? config_.ladder
-                                 : clog2(2 * static_cast<std::uint64_t>(
-                                                 delta > 0 ? delta : 1));
-    phases_ = clog2(static_cast<std::uint64_t>(delta > 1 ? delta : 2));
-    phase_rounds_ =
-        config_.phase_rounds > 0
-            ? config_.phase_rounds
-            : std::max(1, static_cast<int>(config_.c_init * logn_ * logn_));
-    iterations_ =
-        config_.iterations > 0
-            ? config_.iterations
-            : std::max(1, static_cast<int>(config_.c_iter * logn_ * logn_));
+    ids_.init(setup);
+    const GeoLocalLayout layout =
+        geo_local_layout(config_, setup.n, setup.max_degree);
+    logn_ = layout.logn;
+    ladder_ = layout.ladder;
+    phases_ = layout.phases;
+    phase_rounds_ = layout.phase_rounds;
+    iterations_ = layout.iterations;
     const int width = schedule_chunk_width(ladder_);
     const int stride = kParticipationWidth + iteration_length() * width;
     seed_bits_ = config_.seed_bits > 0 ? config_.seed_bits
@@ -909,7 +956,7 @@ class GeoLocalKernel final : public AlgorithmKernel {
           if (rngs[i].bernoulli(p)) {
             Message m;
             m.kind = MessageKind::seed;
-            m.source = v;
+            m.source = ids_(v);
             m.payload = static_cast<std::uint64_t>(pos.phase);
             m.shared_bits = own_seed_[i];
             out.transmit(v, std::move(m));
@@ -1090,6 +1137,7 @@ class GeoLocalKernel final : public AlgorithmKernel {
   }
 
   GeoLocalConfig config_;
+  NodeIds ids_;
   int logn_ = 0;
   int ladder_ = 0;
   int phases_ = 0;
@@ -1116,6 +1164,29 @@ class GeoLocalKernel final : public AlgorithmKernel {
 };
 
 }  // namespace
+
+GeoLocalLayout geo_local_layout(const GeoLocalConfig& config, int n,
+                                int max_degree) {
+  GeoLocalLayout layout;
+  layout.logn = clog2(static_cast<std::uint64_t>(n > 1 ? n : 2));
+  layout.ladder = config.ladder > 0
+                      ? config.ladder
+                      : clog2(2 * static_cast<std::uint64_t>(
+                                      max_degree > 0 ? max_degree : 1));
+  layout.phases =
+      clog2(static_cast<std::uint64_t>(max_degree > 1 ? max_degree : 2));
+  const int logn = layout.logn;
+  layout.phase_rounds =
+      config.phase_rounds > 0
+          ? config.phase_rounds
+          : std::max(1, static_cast<int>(config.c_init * logn * logn));
+  layout.iterations =
+      config.iterations > 0
+          ? config.iterations
+          : std::max(1, static_cast<int>(config.c_iter * logn * logn));
+  layout.iteration_length = config.gamma * layout.ladder;
+  return layout;
+}
 
 KernelFactory decay_global_kernel_factory(DecayGlobalConfig config) {
   return [config] { return std::make_unique<DecayGlobalKernel>(config); };

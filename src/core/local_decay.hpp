@@ -21,7 +21,6 @@
 //                        which is only possible under geographic constraints.
 
 #include "core/decay_schedule.hpp"
-#include "sim/process.hpp"
 
 namespace dualcast {
 
@@ -31,27 +30,6 @@ struct DecayLocalConfig {
   int ladder = 0;
   /// Private permutation bits per node (permuted schedule); 0 = derived.
   int seed_bits = 0;
-};
-
-class DecayLocalBroadcast final : public InspectableProcess {
- public:
-  explicit DecayLocalBroadcast(DecayLocalConfig config);
-
-  void init(const ProcessEnv& env, Rng& rng) override;
-  Action on_round(int round, Rng& rng) override;
-  bool has_message() const override { return in_b_; }
-  double transmit_probability(int round) const override;
-
-  int ladder() const { return ladder_; }
-
- private:
-  int schedule_index(int round) const;
-
-  DecayLocalConfig config_;
-  int ladder_ = 0;
-  bool in_b_ = false;
-  Message message_;
-  BitString private_bits_;
 };
 
 }  // namespace dualcast

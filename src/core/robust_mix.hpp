@@ -1,6 +1,6 @@
 #pragma once
 
-// RobustMixBroadcast: a practical hedge for the adaptive-adversary regime.
+// RobustMix: a practical hedge for the adaptive-adversary regime.
 //
 // Figure 1's first row says adaptive adversaries force Θ(n)-ish broadcast,
 // and the matching upper bounds are contention-free schedules (round robin,
@@ -24,7 +24,6 @@
 
 #include "core/global_decay.hpp"
 #include "core/round_robin.hpp"
-#include "sim/process.hpp"
 
 namespace dualcast {
 
@@ -38,26 +37,5 @@ struct RobustMixConfig {
     return cfg;
   }();
 };
-
-class RobustMixBroadcast final : public InspectableProcess {
- public:
-  explicit RobustMixBroadcast(RobustMixConfig config);
-
-  void init(const ProcessEnv& env, Rng& rng) override;
-  Action on_round(int round, Rng& rng) override;
-  void on_feedback(int round, const RoundFeedback& feedback, Rng& rng) override;
-  bool has_message() const override;
-  double transmit_probability(int round) const override;
-
- private:
-  static bool robin_round(int round) { return round % 2 == 0; }
-
-  RobustMixConfig config_;
-  RoundRobinBroadcast robin_;
-  DecayGlobalBroadcast decay_;
-};
-
-/// Factory for plugging RobustMix into a KernelExecution.
-ProcessFactory robust_mix_factory(RobustMixConfig config = {});
 
 }  // namespace dualcast

@@ -12,33 +12,12 @@
 // reliable (G) neighborhood. This is the algorithm that *meets* the adaptive
 // lower bounds and certifies they are about contention, not connectivity.
 
-#include "sim/process.hpp"
-
 namespace dualcast {
 
 struct RoundRobinConfig {
   /// Global broadcast: nodes that receive the message start relaying it.
   /// Local broadcast sets this false — only original B nodes transmit.
   bool relay = true;
-};
-
-class RoundRobinBroadcast final : public InspectableProcess {
- public:
-  explicit RoundRobinBroadcast(RoundRobinConfig config);
-
-  void init(const ProcessEnv& env, Rng& rng) override;
-  Action on_round(int round, Rng& rng) override;
-  void on_feedback(int round, const RoundFeedback& feedback, Rng& rng) override;
-  bool has_message() const override { return has_; }
-  double transmit_probability(int round) const override;
-
- private:
-  bool my_slot(int round) const { return round % env_.n == env_.id; }
-
-  RoundRobinConfig config_;
-  bool has_ = false;
-  bool may_transmit_ = false;
-  Message message_;
 };
 
 }  // namespace dualcast

@@ -10,15 +10,13 @@
 namespace dualcast {
 
 BroadcastReductionPlayer::BroadcastReductionPlayer(ReductionConfig config,
-                                                   ProcessFactory factory,
-                                                   KernelFactory kernel)
+                                                   KernelFactory algorithm)
     : config_(config),
-      factory_(std::move(factory)),
-      kernel_(std::move(kernel)),
+      algorithm_(std::move(algorithm)),
       net_(dual_clique_without_bridge(2 * config.beta)) {
   DC_EXPECTS(config.beta >= 2);
   DC_EXPECTS(config.threshold_factor > 0.0);
-  DC_EXPECTS(factory_ != nullptr);
+  DC_EXPECTS(algorithm_ != nullptr);
 }
 
 ReductionOutcome BroadcastReductionPlayer::play(HittingGame& game) {
@@ -46,12 +44,8 @@ ReductionOutcome BroadcastReductionPlayer::play(HittingGame& game) {
                             ? config_.max_sim_rounds
                             : std::min(4 * n * n, 1 << 20);
 
-  // The problem (assignment only) is batch-compatible, so a native kernel
-  // needs no scalar adapter.
-  KernelExecution exec(
-      net_.net, factory_,
-      kernel_ ? kernel_() : make_scalar_kernel_adapter(factory_),
-      std::move(problem), std::move(adversary), exec_cfg);
+  KernelExecution exec(net_.net, algorithm_(), std::move(problem),
+                       std::move(adversary), exec_cfg);
   const std::vector<char>& round_labels = adversary_ptr->labels();
 
   // The guessing loop of Theorem 3.1.

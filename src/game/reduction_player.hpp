@@ -55,15 +55,10 @@ struct ReductionOutcome {
 
 class BroadcastReductionPlayer {
  public:
-  /// `factory` is the broadcast algorithm A under reduction (must produce
-  /// InspectableProcess instances). When `kernel` is non-null it drives the
-  /// inner simulation instead of the scalar adapter over `factory` —
-  /// bit-identical per the kernel parity contract, so the played game
-  /// (guesses, labels, outcome) is the same either way; pass the
-  /// algorithm's kernels() entry (scenario::build_kernel_or_null) to make
-  /// hitting_game runs ride the fast path.
-  BroadcastReductionPlayer(ReductionConfig config, ProcessFactory factory,
-                           KernelFactory kernel = {});
+  /// `algorithm` is the broadcast algorithm A under reduction, e.g. a
+  /// built-in's algorithms() entry, or the scalar adapter around a
+  /// user-written InspectableProcess.
+  BroadcastReductionPlayer(ReductionConfig config, KernelFactory algorithm);
 
   /// Plays `game` to completion (or until `max_sim_rounds` simulated rounds /
   /// the game's β² guess budget is exhausted).
@@ -71,8 +66,7 @@ class BroadcastReductionPlayer {
 
  private:
   ReductionConfig config_;
-  ProcessFactory factory_;
-  KernelFactory kernel_;
+  KernelFactory algorithm_;
   DualCliqueNet net_;
 };
 

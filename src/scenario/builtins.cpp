@@ -14,10 +14,7 @@
 #include "adversary/offline_collider.hpp"
 #include "adversary/schedule_attack.hpp"
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
-#include "core/gossip.hpp"
 #include "core/kernels.hpp"
-#include "core/robust_mix.hpp"
 #include "scenario/registries.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
@@ -183,134 +180,36 @@ ScheduleKind parse_schedule(const SpecArgs& args, int i, ScheduleKind fallback) 
                           "\"fixed\" or \"permuted\", got \"", kind, "\""));
 }
 
-// Config parsing is shared between the scalar-algorithm and batch-kernel
-// registries so the same spec string always resolves to the same
-// configuration on both engine paths.
-
-DecayGlobalConfig parse_decay_global(const SpecArgs& args) {
-  args.expect_count(0, 2);
-  DecayGlobalConfig cfg = DecayGlobalConfig::fast(
-      parse_schedule(args, 0, ScheduleKind::permuted));
-  const std::string mode = args.str_or(1, "windowed");
-  if (mode == "persistent") {
-    cfg.calls = DecayGlobalConfig::kUnbounded;
-  } else if (mode != "windowed") {
-    throw ScenarioError(str("spec \"", args.spec(),
-                            "\": mode must be \"windowed\" or "
-                            "\"persistent\", got \"", mode, "\""));
-  }
-  return cfg;
-}
-
-DecayLocalConfig parse_decay_local(const SpecArgs& args) {
-  args.expect_count(0, 1);
-  DecayLocalConfig cfg;
-  cfg.schedule = parse_schedule(args, 0, ScheduleKind::fixed);
-  return cfg;
-}
-
-GeoLocalConfig parse_geo_local(const SpecArgs& args) {
-  args.expect_count(0, 1);
-  GeoLocalConfig cfg = GeoLocalConfig::fast();
-  const std::string seeds = args.str_or(0, "shared");
-  if (seeds == "private") {
-    cfg.shared_seeds = false;
-  } else if (seeds != "shared") {
-    throw ScenarioError(str("spec \"", args.spec(),
-                            "\": seed mode must be \"shared\" or "
-                            "\"private\", got \"", seeds, "\""));
-  }
-  return cfg;
-}
-
-RoundRobinConfig parse_round_robin(const SpecArgs& args) {
-  args.expect_count(0, 1);
-  const std::string mode = args.str_or(0, "relay");
-  if (mode != "relay" && mode != "norelay") {
-    throw ScenarioError(str("spec \"", args.spec(),
-                            "\": mode must be \"relay\" or "
-                            "\"norelay\", got \"", mode, "\""));
-  }
-  return RoundRobinConfig{mode == "relay"};
-}
-
-GossipConfig parse_gossip(const SpecArgs& args) {
-  args.expect_count(0, 1);
-  GossipConfig cfg;
-  const std::string mode = args.str_or(0, "saturate");
-  if (mode == "quiesce") {
-    cfg.quiesce = true;
-  } else if (mode != "saturate") {
-    throw ScenarioError(str("spec \"", args.spec(),
-                            "\": mode must be \"saturate\" or "
-                            "\"quiesce\", got \"", mode, "\""));
-  }
-  return cfg;
-}
-
-RobustMixConfig parse_robust_mix(const SpecArgs& args) {
-  args.expect_count(0, 0);
-  return RobustMixConfig{};
-}
-
 void add_algorithms(AlgorithmRegistry& r) {
   r.add("decay_global",
         "§4.1 (permuted) Decay global broadcast: "
         "decay_global([fixed|permuted][,persistent])",
         [](const SpecArgs& args) {
-          return decay_global_factory(parse_decay_global(args));
+          return decay_global_kernel_factory(parse_decay_global(args));
         });
   r.add("decay_local",
         "[8] Decay local broadcast: decay_local([fixed|permuted])",
         [](const SpecArgs& args) {
-          return decay_local_factory(parse_decay_local(args));
+          return decay_local_kernel_factory(parse_decay_local(args));
         });
   r.add("geo_local",
         "§4.3 geographic local broadcast: geo_local([shared|private])",
         [](const SpecArgs& args) {
-          return geo_local_factory(parse_geo_local(args));
+          return geo_local_kernel_factory(parse_geo_local(args));
         });
   r.add("round_robin",
         "deterministic round robin (footnote 4): round_robin([relay|norelay])",
         [](const SpecArgs& args) {
-          return round_robin_factory(parse_round_robin(args));
+          return round_robin_kernel_factory(parse_round_robin(args));
         });
   r.add("gossip",
         "decay-style k-gossip rumor spreading: gossip([saturate|quiesce]) — "
         "quiesce retires each token after its decay-call budget",
         [](const SpecArgs& args) {
-          return gossip_factory(parse_gossip(args));
+          return gossip_kernel_factory(parse_gossip(args));
         });
   r.add("robust_mix",
         "round-robin/permuted-Decay interleaving hedge: robust_mix()",
-        [](const SpecArgs& args) {
-          return robust_mix_factory(parse_robust_mix(args));
-        });
-}
-
-void add_kernels(KernelRegistry& r) {
-  r.add("decay_global",
-        "batch kernel of decay_global([fixed|permuted][,persistent])",
-        [](const SpecArgs& args) {
-          return decay_global_kernel_factory(parse_decay_global(args));
-        });
-  r.add("decay_local", "batch kernel of decay_local([fixed|permuted])",
-        [](const SpecArgs& args) {
-          return decay_local_kernel_factory(parse_decay_local(args));
-        });
-  r.add("geo_local", "batch kernel of geo_local([shared|private])",
-        [](const SpecArgs& args) {
-          return geo_local_kernel_factory(parse_geo_local(args));
-        });
-  r.add("round_robin", "batch kernel of round_robin([relay|norelay])",
-        [](const SpecArgs& args) {
-          return round_robin_kernel_factory(parse_round_robin(args));
-        });
-  r.add("gossip", "batch kernel of gossip([saturate|quiesce])",
-        [](const SpecArgs& args) {
-          return gossip_kernel_factory(parse_gossip(args));
-        });
-  r.add("robust_mix", "batch kernel of robust_mix()",
         [](const SpecArgs& args) {
           return robust_mix_kernel_factory(parse_robust_mix(args));
         });
@@ -322,26 +221,26 @@ void add_kernels(KernelRegistry& r) {
 
 void add_adversaries(AdversaryRegistry& r) {
   r.add("none", "no G'-only edges ever (protocol model on G)",
-        [](const SpecArgs& args, const Topology&) {
+        [](const SpecArgs& args, const Topology&, const KernelFactory&) {
           args.expect_count(0, 0);
           return LinkProcessFactory(
               [] { return std::make_unique<NoExtraEdges>(); });
         });
   r.add("all", "every G'-only edge always on (protocol model on G')",
-        [](const SpecArgs& args, const Topology&) {
+        [](const SpecArgs& args, const Topology&, const KernelFactory&) {
           args.expect_count(0, 0);
           return LinkProcessFactory(
               [] { return std::make_unique<AllExtraEdges>(); });
         });
   r.add("iid", "i.i.d. random edge availability: iid(p)",
-        [](const SpecArgs& args, const Topology&) {
+        [](const SpecArgs& args, const Topology&, const KernelFactory&) {
           args.expect_count(1, 1);
           const double p = args.double_at(0);
           return LinkProcessFactory(
               [p] { return std::make_unique<RandomIidEdges>(p); });
         });
   r.add("flicker", "periodic square wave: flicker(on_rounds,off_rounds)",
-        [](const SpecArgs& args, const Topology&) {
+        [](const SpecArgs& args, const Topology&, const KernelFactory&) {
           args.expect_count(2, 2);
           const int on = args.int_at(0);
           const int off = args.int_at(1);
@@ -351,7 +250,7 @@ void add_adversaries(AdversaryRegistry& r) {
   r.add("anti_schedule",
         "§4.1 oblivious attack on fixed Decay, predictions computed from the "
         "public schedule: anti_schedule([threshold_factor])",
-        [](const SpecArgs& args, const Topology& topo) {
+        [](const SpecArgs& args, const Topology& topo, const KernelFactory&) {
           args.expect_count(0, 1);
           const double threshold = args.double_or(0, 0.5);
           const int n = topo.n();
@@ -372,7 +271,7 @@ void add_adversaries(AdversaryRegistry& r) {
   r.add("dense_sparse",
         "Theorem 3.1 online adaptive dense/sparse attack: "
         "dense_sparse([threshold_factor])",
-        [](const SpecArgs& args, const Topology&) {
+        [](const SpecArgs& args, const Topology&, const KernelFactory&) {
           args.expect_count(0, 1);
           const double tau = args.double_or(0, 0.5);
           return LinkProcessFactory([tau] {
@@ -381,7 +280,7 @@ void add_adversaries(AdversaryRegistry& r) {
           });
         });
   r.add("collider", "offline adaptive greedy collider",
-        [](const SpecArgs& args, const Topology&) {
+        [](const SpecArgs& args, const Topology&, const KernelFactory&) {
           args.expect_count(0, 0);
           return LinkProcessFactory(
               [] { return std::make_unique<GreedyColliderOffline>(); });
@@ -389,7 +288,8 @@ void add_adversaries(AdversaryRegistry& r) {
   r.add("bracelet_presim",
         "Theorem 4.3 oblivious pre-simulation attack (bracelet topologies "
         "only): bracelet_presim([threshold_factor])",
-        [](const SpecArgs& args, const Topology& topo) {
+        [](const SpecArgs& args, const Topology& topo,
+           const KernelFactory& algorithm) {
           args.expect_count(0, 1);
           if (!topo.bracelet) {
             throw ScenarioError(
@@ -400,8 +300,9 @@ void add_adversaries(AdversaryRegistry& r) {
           cfg.threshold_factor = args.double_or(0, 0.3);
           cfg.fallback_none = true;
           auto shared = topo.bracelet;
-          return LinkProcessFactory([shared, cfg] {
-            return std::make_unique<BraceletPresimOblivious>(*shared, cfg);
+          return LinkProcessFactory([shared, algorithm, cfg] {
+            return std::make_unique<BraceletPresimOblivious>(*shared,
+                                                             algorithm, cfg);
           });
         });
 }
@@ -547,6 +448,76 @@ void add_problems(ProblemRegistry& r) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Algorithm spec grammar (declared in registries.hpp)
+// ---------------------------------------------------------------------------
+
+DecayGlobalConfig parse_decay_global(const SpecArgs& args) {
+  args.expect_count(0, 2);
+  DecayGlobalConfig cfg = DecayGlobalConfig::fast(
+      parse_schedule(args, 0, ScheduleKind::permuted));
+  const std::string mode = args.str_or(1, "windowed");
+  if (mode == "persistent") {
+    cfg.calls = DecayGlobalConfig::kUnbounded;
+  } else if (mode != "windowed") {
+    throw ScenarioError(str("spec \"", args.spec(),
+                            "\": mode must be \"windowed\" or "
+                            "\"persistent\", got \"", mode, "\""));
+  }
+  return cfg;
+}
+
+DecayLocalConfig parse_decay_local(const SpecArgs& args) {
+  args.expect_count(0, 1);
+  DecayLocalConfig cfg;
+  cfg.schedule = parse_schedule(args, 0, ScheduleKind::fixed);
+  return cfg;
+}
+
+GeoLocalConfig parse_geo_local(const SpecArgs& args) {
+  args.expect_count(0, 1);
+  GeoLocalConfig cfg = GeoLocalConfig::fast();
+  const std::string seeds = args.str_or(0, "shared");
+  if (seeds == "private") {
+    cfg.shared_seeds = false;
+  } else if (seeds != "shared") {
+    throw ScenarioError(str("spec \"", args.spec(),
+                            "\": seed mode must be \"shared\" or "
+                            "\"private\", got \"", seeds, "\""));
+  }
+  return cfg;
+}
+
+RoundRobinConfig parse_round_robin(const SpecArgs& args) {
+  args.expect_count(0, 1);
+  const std::string mode = args.str_or(0, "relay");
+  if (mode != "relay" && mode != "norelay") {
+    throw ScenarioError(str("spec \"", args.spec(),
+                            "\": mode must be \"relay\" or "
+                            "\"norelay\", got \"", mode, "\""));
+  }
+  return RoundRobinConfig{mode == "relay"};
+}
+
+GossipConfig parse_gossip(const SpecArgs& args) {
+  args.expect_count(0, 1);
+  GossipConfig cfg;
+  const std::string mode = args.str_or(0, "saturate");
+  if (mode == "quiesce") {
+    cfg.quiesce = true;
+  } else if (mode != "saturate") {
+    throw ScenarioError(str("spec \"", args.spec(),
+                            "\": mode must be \"saturate\" or "
+                            "\"quiesce\", got \"", mode, "\""));
+  }
+  return cfg;
+}
+
+RobustMixConfig parse_robust_mix(const SpecArgs& args) {
+  args.expect_count(0, 0);
+  return RobustMixConfig{};
+}
+
 void register_builtin_topologies(TopologyRegistry& registry) {
   add_topologies(registry);
 }
@@ -558,9 +529,6 @@ void register_builtin_adversaries(AdversaryRegistry& registry) {
 }
 void register_builtin_problems(ProblemRegistry& registry) {
   add_problems(registry);
-}
-void register_builtin_kernels(KernelRegistry& registry) {
-  add_kernels(registry);
 }
 
 }  // namespace dualcast::scenario

@@ -393,7 +393,7 @@ void add_ablations(ScenarioCatalog& c) {
   {
     ScenarioSpec s;
     s.name = "ablation/seeds";
-    s.title = "Ablation: shared seeds vs private seeds (GeoLocalBroadcast)";
+    s.title = "Ablation: shared seeds vs private seeds (geo_local)";
     s.paper_claim =
         "the initialization stage is what makes §4.3's coordination work";
     s.note =

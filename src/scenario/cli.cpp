@@ -172,27 +172,11 @@ std::vector<Flag> run_option_flags(RunOptions& options) {
                options.sweep_threads, 1),
       int_flag("--threads", "N", "the same as --sweep-threads N",
                options.sweep_threads, 1),
-      choice_flag("--history", "P",
-                  "history retention per trial: \"lean\" (default; O(n) "
-                  "aggregates, auto-falls back to full for adversaries that "
-                  "read the trace) or \"full\"",
-                  options.history,
-                  {{"full", HistoryPolicy::full},
-                   {"lean", HistoryPolicy::lean}}),
-      choice_flag("--engine", "E",
-                  "kernel path: \"kernel\" (default; batch SoA kernels, "
-                  "scalar-adapter fallback for algorithms without a port) or "
-                  "\"scalar\" (scalar adapter for every algorithm). Results "
-                  "are byte-identical for both",
-                  options.engine,
-                  {{"kernel", EnginePath::kernel},
-                   {"scalar", EnginePath::scalar}}),
       choice_flag("--rng", "M",
-                  "kernel-path coin streams: \"per-node\" (default; "
-                  "byte-identical to the scalar adapter) or \"word\" "
+                  "kernel coin streams: \"per-node\" (default; "
+                  "byte-identical to the scalar reference) or \"word\" "
                   "(word-parallel block streams, 64 coins per draw ladder; "
-                  "same distribution, different sample paths; requires "
-                  "--engine kernel)",
+                  "same distribution, different sample paths)",
                   options.rng,
                   {{"per-node", RngMode::per_node}, {"word", RngMode::word}}),
       int_flag("--trials", "N", "override each scenario's trial count",

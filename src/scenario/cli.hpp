@@ -103,8 +103,7 @@ Flag also(Flag flag, std::function<void()> then);
 std::vector<Flag> join_flags(std::vector<std::vector<Flag>> groups);
 
 /// The run options every bench binary and `serve` share: --smoke,
-/// --sweep-threads (also spelled --threads), --history, --engine, --rng
-/// and --trials.
+/// --sweep-threads (also spelled --threads), --rng and --trials.
 std::vector<Flag> run_option_flags(RunOptions& options);
 
 /// Resolves names (exact or prefix) against the catalog into a deduped

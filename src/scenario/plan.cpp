@@ -12,28 +12,20 @@
 namespace dualcast::scenario {
 namespace {
 
-/// Cross-scenario factory cache. Algorithm factories and their kernel
-/// counterparts depend only on the resolved spec string — never on the
-/// topology — so each is parsed and built once per process, however many
-/// sweep points, scenarios, or service jobs name it. (Adversary and
-/// problem factories receive the built Topology and stay per-point.)
-/// Guarded by a mutex because plans are prepared from service worker
-/// threads; std::map node stability keeps returned references valid.
-struct AlgorithmFactories {
-  ProcessFactory factory;
-  KernelFactory kernel;
-};
-
-const AlgorithmFactories& cached_algorithm(const std::string& spec) {
+/// Cross-scenario algorithm cache. An algorithm's KernelFactory depends
+/// only on the resolved spec string — never on the topology — so each is
+/// parsed and built once per process, however many sweep points,
+/// scenarios, or service jobs name it. (Adversary and problem factories
+/// receive the built Topology and stay per-point.) Guarded by a mutex
+/// because plans are prepared from service worker threads; std::map node
+/// stability keeps returned references valid.
+const KernelFactory& cached_algorithm(const std::string& spec) {
   static std::mutex mutex;
-  static std::map<std::string, AlgorithmFactories> cache;
+  static std::map<std::string, KernelFactory> cache;
   const std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(spec);
   if (it == cache.end()) {
-    AlgorithmFactories built;
-    built.factory = algorithms().build(spec);
-    built.kernel = build_kernel_or_null(spec);
-    it = cache.emplace(spec, std::move(built)).first;
+    it = cache.emplace(spec, algorithms().build(spec)).first;
   }
   return it->second;
 }
@@ -63,12 +55,9 @@ PointPlan build_point_plan(const ScenarioSpec& spec, const Metric& metric,
   std::map<std::string, ProblemFactory> problems_by_spec;
   for (const ScenarioColumn& column : spec.columns) {
     CellPlan cell;
-    const AlgorithmFactories& algo =
-        cached_algorithm(substitute_x(column.algorithm, x));
-    cell.factory = algo.factory;
-    cell.kernel = algo.kernel;
-    cell.adversary =
-        adversaries().build(substitute_x(column.adversary, x), point.topo);
+    cell.kernel = cached_algorithm(substitute_x(column.algorithm, x));
+    cell.adversary = adversaries().build(substitute_x(column.adversary, x),
+                                         point.topo, cell.kernel);
     const std::string problem = substitute_x(
         column.problem.empty() ? spec.problem : column.problem, x);
     auto [it, fresh] = problems_by_spec.try_emplace(problem);
@@ -135,11 +124,6 @@ PlanTask split_plan_task(int task, int n_cols, int trials) {
 ScenarioSpec apply_options(const ScenarioSpec& original,
                            const RunOptions& options) {
   ScenarioSpec spec = original;
-  if (options.rng == RngMode::word && options.engine == EnginePath::scalar) {
-    throw ScenarioError(
-        "rng mode \"word\" requires engine \"kernel\" (the scalar adapter "
-        "has no word-parallel coin path)");
-  }
   if (spec.sweep.empty()) {
     throw ScenarioError(
         str("scenario \"", spec.name, "\": sweep must be non-empty"));
@@ -187,14 +171,23 @@ double measure_plan_task(const ScenarioPlan& plan, int task,
           .with_history_policy(options.history)
           .with_rng_mode(options.rng);
   std::shared_ptr<Problem> problem = cell.problem();
-  // select_kernel picks the registered kernel or the scalar-adapter
-  // fallback (bit-identical either way); `scalar` hands it no kernel, so
-  // the adapter runs every algorithm.
   std::unique_ptr<AlgorithmKernel> kernel =
-      options.engine == EnginePath::scalar
-          ? select_kernel({}, *problem, cell.factory)
-          : select_kernel(cell.kernel, *problem, cell.factory);
-  KernelExecution exec(point.topo.net(), cell.factory, std::move(kernel),
+      select_kernel(cell.kernel, *problem, cell.factory);
+  if (kernel->processes() == nullptr && !problem->batch_compatible()) {
+    const double x = plan.spec.sweep[static_cast<std::size_t>(at.point)];
+    const ScenarioColumn& column =
+        plan.spec.columns[static_cast<std::size_t>(at.col)];
+    throw ScenarioError(str(
+        "problem \"",
+        substitute_x(column.problem.empty() ? plan.spec.problem
+                                            : column.problem,
+                     x),
+        "\" reads Process objects, which algorithm \"",
+        substitute_x(column.algorithm, x),
+        "\" does not have: only an algorithm registered as the scalar "
+        "adapter around a Process (make_scalar_kernel_adapter) does"));
+  }
+  KernelExecution exec(point.topo.net(), std::move(kernel),
                        std::move(problem), cell.adversary(), config);
   if (!plan.metric.first_receive) {
     const RunResult result = exec.run();

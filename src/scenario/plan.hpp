@@ -34,8 +34,10 @@ Metric parse_metric(const std::string& metric_spec);
 /// shared_ptrs only, so a plan is safe to consult from worker threads (and
 /// to relocate before they start).
 struct CellPlan {
+  /// Always empty and never read: perfbench's driver still passes it on
+  /// (ROADMAP item 3 retires it).
   ProcessFactory factory;
-  KernelFactory kernel;  ///< empty when no batch port is registered
+  KernelFactory kernel;  ///< the column's algorithm
   LinkProcessFactory adversary;
   ProblemFactory problem;
 };

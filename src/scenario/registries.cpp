@@ -1,5 +1,7 @@
 #include "scenario/registries.hpp"
 
+#include "util/assert.hpp"
+
 namespace dualcast::scenario {
 
 const std::vector<int>& Topology::node_set(const std::string& name) const {
@@ -59,26 +61,11 @@ ProblemRegistry& problems() {
   return registry;
 }
 
-KernelRegistry& kernels() {
-  static KernelRegistry& registry = *[] {
-    auto* r = new KernelRegistry();
-    register_builtin_kernels(*r);
-    return r;
-  }();
-  return registry;
-}
-
-KernelFactory build_kernel_or_null(const std::string& algorithm_spec) {
-  const SpecCall call = parse_call(algorithm_spec);
-  if (!kernels().contains(call.name)) return {};
-  return kernels().build(algorithm_spec);
-}
-
-std::unique_ptr<AlgorithmKernel> select_kernel(const KernelFactory& kernel,
-                                               const Problem& problem,
-                                               const ProcessFactory& factory) {
-  if (kernel && problem.batch_compatible()) return kernel();
-  return make_scalar_kernel_adapter(factory);
+std::unique_ptr<AlgorithmKernel> select_kernel(
+    const KernelFactory& kernel, const Problem& /*problem*/,
+    const ProcessFactory& /*factory*/) {
+  DC_EXPECTS(kernel != nullptr);
+  return kernel();
 }
 
 }  // namespace dualcast::scenario

@@ -11,12 +11,17 @@
 // Each accessor is a lazy singleton seeded with the library's built-ins on
 // first use; downstream code extends them at runtime with .add() (see
 // examples/leader_election.cpp for a complete custom algorithm in a few
-// lines). Adversary and problem builders receive the already-built Topology
-// so construction-aware pieces (bracelet pre-simulation, anti-schedule
-// predictions, named node sets) resolve against the actual network.
+// lines). An algorithm is a KernelFactory: a built-in's batch kernel, or the
+// scalar adapter (make_scalar_kernel_adapter) around a user-written
+// Process. Adversary and problem builders receive the already-built
+// Topology so construction-aware pieces (bracelet pre-simulation,
+// anti-schedule predictions, named node sets) resolve against the actual
+// network; adversary builders also receive the column's algorithm, which
+// the bracelet pre-simulation re-runs privately.
 
 #include <memory>
 
+#include "core/kernels.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/topology.hpp"
 #include "sim/kernel.hpp"
@@ -32,34 +37,35 @@ using ProblemFactory = std::function<std::shared_ptr<Problem>()>;
 /// Topology builders additionally receive a seed for randomized generators
 /// (jittered grids, random geometric fields, random G' overlays).
 using TopologyRegistry = Registry<Topology, std::uint64_t>;
-using AlgorithmRegistry = Registry<ProcessFactory>;
-using AdversaryRegistry = Registry<LinkProcessFactory, const Topology&>;
+using AlgorithmRegistry = Registry<KernelFactory>;
+using AdversaryRegistry =
+    Registry<LinkProcessFactory, const Topology&, const KernelFactory&>;
 using ProblemRegistry = Registry<ProblemFactory, const Topology&>;
-/// Batch-kernel ports of algorithms, keyed by the *same* names and argument
-/// grammar as algorithms() — "decay_global(permuted,persistent)" builds the
-/// scalar factory from one registry and the kernel from the other.
-/// Algorithms without an entry here run through the scalar adapter (see
-/// build_kernel_or_null).
-using KernelRegistry = Registry<KernelFactory>;
 
 TopologyRegistry& topologies();
 AlgorithmRegistry& algorithms();
 AdversaryRegistry& adversaries();
 ProblemRegistry& problems();
-KernelRegistry& kernels();
 
-/// Builds the kernel for an algorithm spec when a batch port is registered
-/// under the spec's name; returns an empty factory otherwise (callers fall
-/// back to make_scalar_kernel_adapter around the scalar factory).
-KernelFactory build_kernel_or_null(const std::string& algorithm_spec);
-
-/// THE kernel-selection rule, shared by the scenario runner and the
-/// throughput bench so they always measure the same thing: the registered
-/// kernel when the problem can run without Process objects, the
-/// scalar-adapter kernel otherwise (and whenever `kernel` is empty).
+/// The kernel for one trial: kernel(). Neither `problem` nor `factory` is
+/// read (perfbench's driver still calls this form; ROADMAP item 3 retires
+/// it). A problem that reads Process objects (batch_compatible() false)
+/// needs a kernel that has them — the scalar adapter around a user-written
+/// Process; the scenario runner reports any other pairing as a
+/// ScenarioError naming both.
 std::unique_ptr<AlgorithmKernel> select_kernel(const KernelFactory& kernel,
                                                const Problem& problem,
                                                const ProcessFactory& factory);
+
+/// The argument grammar of the built-in algorithms: their algorithms()
+/// entries parse through these, and so does the scalar reference under
+/// tests/reference/, so one spec string names one configuration in both.
+DecayGlobalConfig parse_decay_global(const SpecArgs& args);
+DecayLocalConfig parse_decay_local(const SpecArgs& args);
+GeoLocalConfig parse_geo_local(const SpecArgs& args);
+RoundRobinConfig parse_round_robin(const SpecArgs& args);
+GossipConfig parse_gossip(const SpecArgs& args);
+RobustMixConfig parse_robust_mix(const SpecArgs& args);
 
 // Built-in registration hooks (called once by the accessors above; defined
 // in builtins.cpp).
@@ -67,6 +73,5 @@ void register_builtin_topologies(TopologyRegistry& registry);
 void register_builtin_algorithms(AlgorithmRegistry& registry);
 void register_builtin_adversaries(AdversaryRegistry& registry);
 void register_builtin_problems(ProblemRegistry& registry);
-void register_builtin_kernels(KernelRegistry& registry);
 
 }  // namespace dualcast::scenario

@@ -49,10 +49,6 @@ void canon_number(std::ostringstream& os, const char* key, double value) {
 
 }  // namespace
 
-const char* to_string(EnginePath engine) {
-  return engine == EnginePath::kernel ? "kernel" : "scalar";
-}
-
 const char* to_string(RngMode rng) {
   return rng == RngMode::word ? "word" : "per-node";
 }

@@ -90,15 +90,6 @@ struct ScenarioResult {
   std::vector<PointResult> points;
 };
 
-/// Which kernels drive the trials on the one engine (KernelExecution). Both
-/// produce byte-identical results for every registered algorithm: trials
-/// are keyed by seed, and kernels contract to draw-for-draw parity with
-/// their scalar algorithms (the catalog-wide equality test enforces it).
-/// `kernel` is the fast path; `scalar` forces the scalar adapter — the
-/// reference every native kernel is held to — for every algorithm.
-enum class EnginePath : std::uint8_t { kernel, scalar };
-
-const char* to_string(EnginePath engine);
 const char* to_string(RngMode rng);
 
 struct RunOptions {
@@ -107,21 +98,18 @@ struct RunOptions {
   /// runs the queue inline. Results are bit-identical at every count
   /// (trials are keyed by seed, never by scheduling order).
   int sweep_threads = 1;
-  /// Engine selection (see EnginePath). Algorithms without a registered
-  /// kernel, and problems that read Process objects, transparently run
-  /// through the scalar-adapter kernel on the kernel path.
-  EnginePath engine = EnginePath::kernel;
   /// History retention requested for every trial execution. `lean` keeps
   /// O(n) running aggregates instead of the O(rounds·n) trace; the engine
   /// falls back to `full` automatically for adversaries/problems that
-  /// declare needs_history(), so this is always safe and never changes
-  /// measured results.
+  /// declare needs_history(), so this never changes measured results
+  /// (ScenarioCatalogTest.LeanHistoryMatchesFullOnEveryCatalogScenario). No
+  /// flag or job field sets it; tests and perfbench's driver do.
   HistoryPolicy history = HistoryPolicy::lean;
-  /// RNG stream discipline for kernel-path trials (see RngMode in
-  /// util/rng.hpp). `per_node` (default) replays byte-identically against
-  /// the scalar adapter; `word` batches 64 transmit coins per draw ladder —
-  /// same per-trial distribution, different sample paths, so medians may
-  /// shift within trial noise. Requires engine == kernel.
+  /// RNG stream discipline for the kernels (see RngMode in util/rng.hpp).
+  /// `per_node` (default) replays byte-identically against the scalar
+  /// reference; `word` batches 64 transmit coins per draw ladder — same
+  /// per-trial distribution, different sample paths, so medians may shift
+  /// within trial noise.
   RngMode rng = RngMode::per_node;
   int trials_override = 0; ///< > 0 replaces spec.trials
   bool smoke = false;      ///< single tiny sweep point, 1 trial, capped budget

@@ -19,10 +19,6 @@ std::string join_path(const std::string& dir, const std::string& leaf) {
   return str(dir, "/", leaf);
 }
 
-const char* history_name(HistoryPolicy history) {
-  return history == HistoryPolicy::full ? "full" : "lean";
-}
-
 std::uint64_t value_bits(double value) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -134,9 +130,7 @@ std::string serialize_meta(const JobSpec& spec) {
   os << "dualcast-job v1\n";
   os << "key " << scenario::hash_hex(spec.key) << "\n";
   os << "catalog " << scenario::hash_hex(spec.catalog) << "\n";
-  os << "engine " << scenario::to_string(spec.engine) << "\n";
   os << "rng " << scenario::to_string(spec.rng) << "\n";
-  os << "history " << history_name(spec.history) << "\n";
   os << "trials_override " << spec.trials_override << "\n";
   os << "smoke " << (spec.smoke ? 1 : 0) << "\n";
   os << "shard_tasks " << spec.shard_tasks << "\n";
@@ -191,14 +185,6 @@ JobSpec parse_meta(const std::string& text, const std::string& path) {
     } else if (field == "catalog") {
       spec.catalog = scenario::parse_hash_hex(value);
       saw_catalog = true;
-    } else if (field == "engine") {
-      if (value == "kernel") {
-        spec.engine = scenario::EnginePath::kernel;
-      } else if (value == "scalar") {
-        spec.engine = scenario::EnginePath::scalar;
-      } else {
-        throw ScenarioError(str(path, ": unknown engine \"", value, "\""));
-      }
     } else if (field == "rng") {
       if (value == "per-node") {
         spec.rng = RngMode::per_node;
@@ -206,14 +192,6 @@ JobSpec parse_meta(const std::string& text, const std::string& path) {
         spec.rng = RngMode::word;
       } else {
         throw ScenarioError(str(path, ": unknown rng \"", value, "\""));
-      }
-    } else if (field == "history") {
-      if (value == "lean") {
-        spec.history = HistoryPolicy::lean;
-      } else if (value == "full") {
-        spec.history = HistoryPolicy::full;
-      } else {
-        throw ScenarioError(str(path, ": unknown history \"", value, "\""));
       }
     } else if (field == "trials_override") {
       spec.trials_override = parse_int_field(path, field, value);
@@ -226,7 +204,9 @@ JobSpec parse_meta(const std::string& text, const std::string& path) {
     } else if (field == "scenario") {
       spec.scenario_names.push_back(value);
     } else {
-      // Unknown fields from a newer writer are skipped, not fatal.
+      // Unknown fields from a newer writer are skipped, not fatal, as are
+      // the "engine" and "history" lines older writers emitted (the key
+      // line still pins what they selected).
     }
   }
   if (!saw_end) {
@@ -316,9 +296,7 @@ util::Clock& resolve_clock(const StoreEnv& env) {
 
 scenario::RunOptions JobSpec::run_options() const {
   scenario::RunOptions options;
-  options.engine = engine;
   options.rng = rng;
-  options.history = history;
   options.trials_override = trials_override;
   options.smoke = smoke;
   return options;
@@ -335,9 +313,7 @@ JobSpec make_job_spec(
     throw ScenarioError("job: shard_tasks must be >= 1");
   }
   JobSpec spec;
-  spec.engine = options.engine;
   spec.rng = options.rng;
-  spec.history = options.history;
   spec.trials_override = options.trials_override;
   spec.smoke = options.smoke;
   spec.shard_tasks = shard_tasks;
@@ -345,11 +321,14 @@ JobSpec make_job_spec(
   spec.catalog = scenario::catalog_hash();
 
   // The job key covers everything that determines the merged bytes: the
-  // applied canonical spec of every selected scenario plus the engine and
-  // rng mode. (History retention and shard geometry never change results,
-  // so they stay out of the identity.)
+  // applied canonical spec of every selected scenario plus the rng mode.
+  // (History retention and shard geometry never change results, so they
+  // stay out of the identity.) The leading "kernel" names the engine path
+  // that older binaries could also set to "scalar": it stays, so the key of
+  // every job they created with default options is unchanged and their job
+  // directories still open.
   std::uint64_t key = scenario::kFnvOffsetBasis;
-  key = scenario::fnv1a64(scenario::to_string(options.engine), key);
+  key = scenario::fnv1a64("kernel", key);
   key = scenario::fnv1a64(scenario::to_string(options.rng), key);
   for (const scenario::ScenarioSpec* original : selection) {
     spec.scenario_names.push_back(original->name);

@@ -3,7 +3,7 @@
 // Persistent job store for the experiment service.
 //
 // A *job* is a catalog selection plus the execution parameters that affect
-// results (engine, rng mode, trials override, smoke), frozen on disk so a
+// results (rng mode, trials override, smoke), frozen on disk so a
 // killed process — or a fleet of worker processes on a shared filesystem —
 // resumes exactly where it stopped. The job's unit of distribution is the
 // scenario runner's flat task space: the concatenation, in selection
@@ -67,9 +67,7 @@ namespace dualcast::service {
 /// against; attach/resume refuses to run when either drifts.
 struct JobSpec {
   std::vector<std::string> scenario_names;  ///< selection, in order
-  scenario::EnginePath engine = scenario::EnginePath::kernel;
   RngMode rng = RngMode::per_node;
-  HistoryPolicy history = HistoryPolicy::lean;
   int trials_override = 0;
   bool smoke = false;
   int shard_tasks = 16;        ///< flat tasks per shard

@@ -26,7 +26,9 @@ std::uint64_t result_cache_key(const scenario::ScenarioSpec& applied_spec,
   std::uint64_t key = scenario::kFnvOffsetBasis;
   key = scenario::fnv1a64(scenario::hash_hex(scenario::catalog_hash()), key);
   key = scenario::fnv1a64(scenario::canonical_spec_string(applied_spec), key);
-  key = scenario::fnv1a64(scenario::to_string(options.engine), key);
+  // "kernel" named the engine path older binaries could also set to
+  // "scalar"; it stays so their default-option entries still hit.
+  key = scenario::fnv1a64("kernel", key);
   key = scenario::fnv1a64(scenario::to_string(options.rng), key);
   return key;
 }

@@ -11,7 +11,9 @@
 //                           overrides), which pins topology, columns, the
 //                           seed range (base_seed .. base_seed+trials-1),
 //                           and the round budgets
-//   engine / rng mode     — the execution modes that select sample paths
+//   rng mode              — the coin-stream mode that selects sample
+//                           paths (after the literal "kernel", the retired
+//                           engine choice, kept so older entries still hit)
 //
 // The stored value is the scenario's JSON result rows, verbatim, so a
 // cache hit composes byte-identically into any artifact the runner would

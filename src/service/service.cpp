@@ -17,8 +17,7 @@ using scenario::ScenarioError;
 std::string cache_description(const scenario::ScenarioSpec& applied,
                               const scenario::RunOptions& options) {
   return str("catalog ", scenario::hash_hex(scenario::catalog_hash()),
-             "\nengine ", scenario::to_string(options.engine), "\nrng ",
-             scenario::to_string(options.rng), "\nspec ",
+             "\nrng ", scenario::to_string(options.rng), "\nspec ",
              scenario::canonical_spec_string(applied), "\n");
 }
 
@@ -269,8 +268,7 @@ void print_job_status(const JobStore& store, std::ostream& out) {
   const JobSpec& spec = store.spec();
   out << "job " << scenario::hash_hex(spec.key) << " in " << store.dir()
       << "\n";
-  out << "  catalog " << scenario::hash_hex(spec.catalog) << ", engine "
-      << scenario::to_string(spec.engine) << ", rng "
+  out << "  catalog " << scenario::hash_hex(spec.catalog) << ", rng "
       << scenario::to_string(spec.rng) << ", trials_override "
       << spec.trials_override << (spec.smoke ? ", smoke" : "") << "\n";
   out << "  scenarios (" << spec.scenario_names.size() << "):";

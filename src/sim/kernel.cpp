@@ -9,7 +9,8 @@ namespace {
 /// interface. Runs the per-node loops of the scalar model — every process
 /// acts and receives its feedback every round — so any Process runs on the
 /// engine (with no batch speedup; port hot algorithms to a real kernel for
-/// that), and native kernels are held to its runs draw for draw.
+/// that), and the built-in kernels are held to its runs over their scalar
+/// references draw for draw.
 class ScalarKernelAdapter final : public AlgorithmKernel {
  public:
   explicit ScalarKernelAdapter(ProcessFactory factory)

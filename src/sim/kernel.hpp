@@ -16,23 +16,22 @@
 // that actually act in a round, so steady-state cost is O(actors), not
 // O(n).
 //
-// RNG discipline — the bit-for-bit contract with the scalar algorithm: a
+// RNG discipline — the bit-for-bit contract with the scalar reference: a
 // kernel draws from the same per-node forked streams (`rngs[v]`) and must
-// consume, for every node and round, exactly the draws the scalar
-// algorithm's init/on_round/on_feedback would consume from that node's
-// stream. Node streams are independent, so the order in which a kernel
-// visits nodes within a round is free; the per-stream draw sequence is
-// not. The engine verifies nothing here — the equivalence test suite does
-// (tests/test_sim_kernel_engine.cpp runs each native kernel and the scalar
-// adapter over its algorithm and compares whole histories).
+// consume, for every node and round, exactly the draws its algorithm's
+// scalar Process form — the differential reference kept under
+// tests/reference/ — would consume from that node's stream in
+// init/on_round/on_feedback. Node streams are independent, so the order in
+// which a kernel visits nodes within a round is free; the per-stream draw
+// sequence is not. The engine verifies nothing here — the equivalence
+// tests do (tests/test_sim_kernel_engine.cpp runs each built-in kernel and
+// the scalar adapter over its reference and compares whole histories;
+// tests/test_scenario_runner.cpp compares every catalog scenario's rows).
 //
-// Any scalar ProcessFactory runs unmodified on the engine through
+// A user-written Process runs unmodified on the engine through
 // make_scalar_kernel_adapter(); the adapter additionally exposes its
 // Process vector so consumers that read processes (problems that inspect
 // them, KernelExecution::process) keep working.
-//
-// Adversaries that privately re-run the algorithm get blank fresh() copies
-// of the kernel (ExecutionSetup::kernel) when it offers them.
 
 #include <functional>
 #include <memory>
@@ -69,6 +68,11 @@ struct NodeEnv {
 /// else, so the engine builds no role environments for it: its `roles` is
 /// empty and `n`/`max_degree` are the network's.
 ///
+/// `ids` lists each node's ProcessEnv::id when an env_override moves some
+/// id off its node index, and is empty otherwise (every id is the index).
+/// Kernels whose transmissions depend on ids (round robin's slots, the id a
+/// relayed message carries) read it; it is valid only during init().
+///
 /// `rng_mode == word` offers kernels one extra stream per 64-node block
 /// (`block_rngs[v / 64]`): a kernel that supports the mode draws its
 /// per-round transmit coins word-parallel from the block streams
@@ -85,6 +89,7 @@ struct KernelSetup {
   int n = 0;
   int max_degree = 0;
   std::span<const NodeEnv> roles;  ///< ascending node order
+  std::span<const int> ids;        ///< env_override ids, or empty
   std::function<ProcessEnv(int)> env;
   RngMode rng_mode = RngMode::per_node;
   std::span<Rng> block_rngs;  ///< one per 64-node block; word mode only
@@ -140,7 +145,7 @@ class AlgorithmKernel {
   virtual ~AlgorithmKernel() = default;
 
   /// Called once before round 0. Must perform, per node, exactly the draws
-  /// the scalar algorithm's init() performs on that node's stream.
+  /// the scalar reference's init() performs on that node's stream.
   virtual void init(const KernelSetup& setup, std::span<Rng> rngs) = 0;
 
   /// Emits the round's transmissions (ascending node order) into `out`.
@@ -183,14 +188,6 @@ class AlgorithmKernel {
   virtual const std::vector<std::unique_ptr<Process>>* processes() const {
     return nullptr;
   }
-
-  /// A new, uninitialised kernel of the same algorithm and configuration,
-  /// or nullptr. Callers that privately re-run the algorithm (the bracelet
-  /// pre-simulation) rewrite node ids and n through an env override, so a
-  /// kernel returns one only if its transmitters follow the overridden
-  /// environments exactly as its scalar algorithm's do; otherwise such
-  /// callers use the scalar adapter.
-  virtual std::unique_ptr<AlgorithmKernel> fresh() const { return nullptr; }
 };
 
 /// Creates the kernel for one execution (kernels are stateful; one per
@@ -199,7 +196,9 @@ using KernelFactory = std::function<std::unique_ptr<AlgorithmKernel>()>;
 
 /// Wraps a scalar ProcessFactory as a kernel: creates one Process per node
 /// and forwards init/on_round/on_feedback node by node. No batch speedup —
-/// full compatibility, the reference every native kernel is held to.
+/// full compatibility. A user-written algorithm registers in algorithms()
+/// as a KernelFactory that returns this adapter; over the scalar reference
+/// it is what every built-in kernel is held to.
 std::unique_ptr<AlgorithmKernel> make_scalar_kernel_adapter(
     ProcessFactory factory);
 

@@ -75,15 +75,16 @@ ProcessEnv node_env(const DualGraph& net, const Problem& problem,
   return env;
 }
 
-KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
+KernelExecution::KernelExecution(const DualGraph& net,
+                                 const ProcessFactory& /*factory*/,
+                                 std::unique_ptr<AlgorithmKernel> kernel,
                                  std::shared_ptr<Problem> problem,
                                  std::unique_ptr<LinkProcess> link_process,
                                  ExecutionConfig config)
-    : KernelExecution(net, factory, make_scalar_kernel_adapter(factory),
-                      std::move(problem), std::move(link_process),
-                      std::move(config)) {}
+    : KernelExecution(net, std::move(kernel), std::move(problem),
+                      std::move(link_process), std::move(config)) {}
 
-KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
+KernelExecution::KernelExecution(const DualGraph& net,
                                  std::unique_ptr<AlgorithmKernel> kernel,
                                  std::shared_ptr<Problem> problem,
                                  std::unique_ptr<LinkProcess> link_process,
@@ -92,13 +93,11 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
       problem_(std::move(problem)),
       link_process_(std::move(link_process)),
       config_(std::move(config)),
-      factory_holder_(std::move(factory)),
       kernel_(std::move(kernel)),
       adversary_rng_(0),
       inspector_(kernel_.get(), net.n()) {
   keep_freed_memory_mapped(static_cast<std::size_t>(net.n()) * sizeof(Rng));
   DC_EXPECTS(net.n() >= 1);
-  DC_EXPECTS(factory_holder_ != nullptr);
   DC_EXPECTS(kernel_ != nullptr);
   DC_EXPECTS(problem_ != nullptr);
   DC_EXPECTS(link_process_ != nullptr);
@@ -131,23 +130,33 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   // Role-sparse environments: only nodes with a role are materialized;
   // kernels that want any other node's env build it through setup.env.
   // Without an override, the problem's role list names them. An override
-  // may give any node a role, or rewrite n and Δ, so then every node is
-  // asked. The scalar adapter builds every env itself and reads no roles,
-  // so it gets none (see KernelSetup).
+  // may give any node a role, or rewrite ids, n and Δ, so then every node
+  // is asked, and the ids are kept when some id moved. The scalar adapter
+  // builds every env itself and reads no roles, so it gets none (see
+  // KernelSetup).
   KernelSetup setup;
   setup.n = n;
   setup.max_degree = net.max_degree();
   std::vector<NodeEnv> roles;
+  std::vector<int> ids;
   const auto add_role = [&](int v) {
     ProcessEnv env = node_env(net, *problem_, config_, v);
     if (v == 0) {
       setup.n = env.n;
       setup.max_degree = env.max_degree;
     }
+    const int id = env.id;
     if (has_role(env)) roles.push_back(NodeEnv{v, std::move(env)});
+    return id;
   };
   if (processes_ == nullptr && config_.env_override) {
-    for (int v = 0; v < n; ++v) add_role(v);
+    ids.resize(static_cast<std::size_t>(n));
+    bool moved = false;
+    for (int v = 0; v < n; ++v) {
+      ids[static_cast<std::size_t>(v)] = add_role(v);
+      moved = moved || ids[static_cast<std::size_t>(v)] != v;
+    }
+    if (!moved) ids.clear();
   } else if (processes_ == nullptr) {
     int last = -1;
     for (const int v : problem_->role_nodes(n)) {
@@ -159,6 +168,7 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
   }
   setup.net = net_;
   setup.roles = roles;
+  setup.ids = ids;
   setup.env = [this](int v) {
     return node_env(*net_, *problem_, config_, v);
   };
@@ -181,15 +191,8 @@ KernelExecution::KernelExecution(const DualGraph& net, ProcessFactory factory,
     }
   }
 
-  // The adversary "knows the algorithm" (§2): it receives the process
-  // factory, and a factory of blank copies of the kernel when it offers
-  // them, and may privately instantiate and simulate either.
   ExecutionSetup adv_setup;
   adv_setup.net = net_;
-  adv_setup.factory = &factory_holder_;
-  if (std::shared_ptr<const AlgorithmKernel> blank = kernel_->fresh()) {
-    adv_setup.kernel = [blank] { return blank->fresh(); };
-  }
   adv_setup.problem = problem_.get();
   adv_setup.max_rounds = config_.max_rounds;
   link_process_->on_execution_start(adv_setup, adversary_rng_);

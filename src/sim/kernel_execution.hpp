@@ -19,13 +19,12 @@
 //   5. feedback is delivered, the round is recorded, and the problem monitor
 //      updates its solved state.
 //
-// The nodes are driven through an AlgorithmKernel (kernel.hpp): a native
-// batch port of the algorithm, or make_scalar_kernel_adapter() around any
-// ProcessFactory — the adapter runs n Process objects with the per-node
-// loops and draws of the scalar model, and the native kernels contract to
-// replay it bit for bit. The constructor without a kernel argument runs
-// the factory through the adapter. A round's cost follows what the round
-// does:
+// The nodes are driven through an AlgorithmKernel (kernel.hpp): a built-in
+// algorithm's batch kernel, or make_scalar_kernel_adapter() around a
+// user-written ProcessFactory — the adapter runs n Process objects with the
+// per-node loops and draws of the scalar model, and the built-in kernels
+// contract to replay it, over their scalar references, bit for bit. A
+// round's cost follows what the round does:
 //
 //   * there is no per-node Action array (offline adaptive adversaries read
 //     the record's transmitters and messages);
@@ -54,7 +53,8 @@
 // plus one for the adversary, so identical configurations replay
 // identically.
 // The equivalence suite (tests/test_sim_kernel_engine.cpp and the
-// catalog-wide scenario test) holds native kernels to the adapter's runs.
+// catalog-wide scenario test) holds the built-in kernels to the adapter's
+// runs over their scalar references (tests/reference/).
 
 #include <functional>
 #include <memory>
@@ -138,20 +138,22 @@ struct RunResult {
 
 class KernelExecution {
  public:
-  /// `factory` is the scalar process factory — handed to the adversary,
-  /// which "knows the algorithm" (§2) and may privately simulate it, and
-  /// used to build environments. `kernel` drives the nodes; pass the
-  /// scalar adapter (make_scalar_kernel_adapter) for algorithms without a
-  /// batch port. If the kernel has no backing processes, the problem must
+  /// `kernel` drives the nodes: a built-in algorithm's kernel, or the
+  /// scalar adapter (make_scalar_kernel_adapter) around a user-written
+  /// Process. If the kernel has no backing processes, the problem must
   /// declare batch_compatible(). The problem and link process are owned by
-  /// the execution; the network must outlive it.
-  KernelExecution(const DualGraph& net, ProcessFactory factory,
+  /// the execution; the network must outlive it. An adversary that
+  /// privately simulates the algorithm takes it at construction (see
+  /// ExecutionSetup).
+  KernelExecution(const DualGraph& net,
                   std::unique_ptr<AlgorithmKernel> kernel,
                   std::shared_ptr<Problem> problem,
                   std::unique_ptr<LinkProcess> link_process,
                   ExecutionConfig config);
-  /// Runs `factory` through the scalar adapter.
-  KernelExecution(const DualGraph& net, ProcessFactory factory,
+  /// The same; `factory` is not read and may be empty. perfbench's driver
+  /// still passes one (ROADMAP item 3 retires this form with it).
+  KernelExecution(const DualGraph& net, const ProcessFactory& factory,
+                  std::unique_ptr<AlgorithmKernel> kernel,
                   std::shared_ptr<Problem> problem,
                   std::unique_ptr<LinkProcess> link_process,
                   ExecutionConfig config);
@@ -219,7 +221,6 @@ class KernelExecution {
   std::shared_ptr<Problem> problem_;
   std::unique_ptr<LinkProcess> link_process_;
   ExecutionConfig config_;
-  ProcessFactory factory_holder_;
   std::unique_ptr<AlgorithmKernel> kernel_;
   /// The kernel's Process vector when it has one (the scalar adapter).
   const std::vector<std::unique_ptr<Process>>* processes_ = nullptr;

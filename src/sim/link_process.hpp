@@ -42,19 +42,13 @@ enum class AdversaryClass {
 const char* to_string(AdversaryClass cls);
 
 /// Everything an adversary is allowed to know before the execution begins:
-/// the network topology, the algorithm (as its process factory — adversaries
-/// may instantiate and privately simulate it), the problem instance, and the
-/// round budget. Handed to every class at on_execution_start.
-///
-/// `kernel` instantiates the same algorithm as a batch kernel: fresh copies
-/// of the execution's kernel (AlgorithmKernel::fresh), never the live one,
-/// so it reveals no execution state. It is empty when the execution's
-/// kernel offers no fresh copies; private simulations then run `factory`
-/// through the scalar adapter.
+/// the network topology, the problem instance, and the round budget. Handed
+/// to every class at on_execution_start. The algorithm — which an adversary
+/// also "knows" (§2) and may privately simulate — reaches an adversary that
+/// needs it at construction, as a KernelFactory (the scenario registry
+/// hands it the column's; see BraceletPresimOblivious).
 struct ExecutionSetup {
   const DualGraph* net = nullptr;
-  const ProcessFactory* factory = nullptr;
-  KernelFactory kernel;
   const Problem* problem = nullptr;
   int max_rounds = 0;
 };

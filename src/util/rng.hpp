@@ -148,9 +148,9 @@ class Rng {
 /// Which streams the engine's kernels draw their per-round coins from.
 ///
 ///   per_node — every node draws from its own forked stream, consuming
-///              exactly the draws its scalar algorithm would: native kernels
-///              replay *byte-identically* against the scalar adapter (the
-///              default, and what the equality test suite pins).
+///              exactly the draws its scalar reference would: the kernels
+///              replay *byte-identically* against the scalar adapter over
+///              it (the default, and what the equality test suite pins).
 ///   word     — kernels that support it draw one mask per 64-node block from
 ///              a per-block stream (bernoulli_pow2_mask / Pow2MaskLadder),
 ///              cutting RNG cost by up to 64/ladder. Same per-trial

@@ -1,21 +1,9 @@
-#include "core/geo_local.hpp"
+#include "reference/geo_local.hpp"
 
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
 
 namespace dualcast {
-
-GeoLocalConfig GeoLocalConfig::paper() {
-  GeoLocalConfig cfg;
-  cfg.gamma = 16;
-  return cfg;
-}
-
-GeoLocalConfig GeoLocalConfig::fast() {
-  GeoLocalConfig cfg;
-  cfg.gamma = 4;
-  return cfg;
-}
 
 GeoLocalBroadcast::GeoLocalBroadcast(GeoLocalConfig config) : config_(config) {
   DC_EXPECTS(config.phase_rounds >= 0);

@@ -1,4 +1,4 @@
-#include "core/global_decay.hpp"
+#include "reference/global_decay.hpp"
 
 #include <limits>
 
@@ -6,24 +6,6 @@
 #include "util/mathutil.hpp"
 
 namespace dualcast {
-
-DecayGlobalConfig DecayGlobalConfig::paper(ScheduleKind kind) {
-  DecayGlobalConfig cfg;
-  cfg.schedule = kind;
-  cfg.gamma = 16;
-  cfg.calls = 0;
-  cfg.seed_bits = 0;
-  return cfg;
-}
-
-DecayGlobalConfig DecayGlobalConfig::fast(ScheduleKind kind) {
-  DecayGlobalConfig cfg;
-  cfg.schedule = kind;
-  cfg.gamma = 4;
-  cfg.calls = 0;
-  cfg.seed_bits = 0;
-  return cfg;
-}
 
 DecayGlobalBroadcast::DecayGlobalBroadcast(DecayGlobalConfig config)
     : config_(config) {

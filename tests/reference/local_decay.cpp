@@ -1,4 +1,4 @@
-#include "core/local_decay.hpp"
+#include "reference/local_decay.hpp"
 
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"

@@ -1,6 +1,4 @@
-#include "core/robust_mix.hpp"
-
-#include <memory>
+#include "reference/robust_mix.hpp"
 
 #include "util/mathutil.hpp"
 
@@ -69,12 +67,6 @@ bool RobustMixBroadcast::has_message() const {
 double RobustMixBroadcast::transmit_probability(int round) const {
   if (robin_round(round)) return robin_.transmit_probability(round / 2);
   return decay_.transmit_probability(round / 2);
-}
-
-ProcessFactory robust_mix_factory(RobustMixConfig config) {
-  return [config](const ProcessEnv&) {
-    return std::make_unique<RobustMixBroadcast>(config);
-  };
 }
 
 }  // namespace dualcast

@@ -1,4 +1,4 @@
-#include "core/round_robin.hpp"
+#include "reference/round_robin.hpp"
 
 namespace dualcast {
 

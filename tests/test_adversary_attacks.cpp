@@ -13,9 +13,9 @@
 #include "adversary/offline_collider.hpp"
 #include "adversary/schedule_attack.hpp"
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
 #include "core/kernels.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/mathutil.hpp"
@@ -246,7 +246,7 @@ double clasp_latency(const BraceletNet& br, ScheduleKind kind,
                      std::unique_ptr<LinkProcess> adversary,
                      std::uint64_t seed, int max_rounds) {
   KernelExecution exec(
-      br.net, decay_local_factory(DecayLocalConfig{kind, 0, 0}),
+      br.net, decay_local_kernel_factory(DecayLocalConfig{kind, 0, 0})(),
       std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
       std::move(adversary), {seed, max_rounds, {}});
   while (!exec.done() &&
@@ -267,8 +267,9 @@ double median_clasp_latency(const BraceletNet& br, ScheduleKind kind,
     if (attack) {
       // threshold ≈ ln k (balancing both escape routes, as in the analysis).
       adversary = std::make_unique<BraceletPresimOblivious>(
-          br, BraceletPresimConfig{/*threshold_factor=*/0.3,
-                                   /*fallback_none=*/true});
+          br, decay_local_kernel_factory(DecayLocalConfig{kind, 0, 0}),
+          BraceletPresimConfig{/*threshold_factor=*/0.3,
+                               /*fallback_none=*/true});
     } else {
       adversary = std::make_unique<NoExtraEdges>();
     }
@@ -309,11 +310,12 @@ TEST(BraceletAttack, PredictionsTrackActualDensity) {
   // dense/sparse labels must match a fresh real execution's density profile
   // during the prediction window.
   const BraceletNet br = bracelet(200);  // k = 10
+  const KernelFactory algorithm = decay_local_kernel_factory({});
   auto adversary = std::make_unique<BraceletPresimOblivious>(
-      br, BraceletPresimConfig{0.25, true});
+      br, algorithm, BraceletPresimConfig{0.25, true});
   auto* adv = adversary.get();
   KernelExecution exec(
-      br.net, decay_local_factory(DecayLocalConfig{}),
+      br.net, algorithm(),
       std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
       std::move(adversary), {42, 5 * br.band_len, {}});
   exec.run();
@@ -331,8 +333,7 @@ TEST(BraceletAttack, PredictionsTrackActualDensity) {
   }
 }
 
-/// Forwards every call to a kernel but offers no fresh() copies, as a
-/// tracing decorator may.
+/// Forwards every call to a kernel, as a tracing decorator does.
 class OpaqueKernel final : public AlgorithmKernel {
  public:
   explicit OpaqueKernel(std::unique_ptr<AlgorithmKernel> inner)
@@ -360,35 +361,40 @@ class OpaqueKernel final : public AlgorithmKernel {
 };
 
 TEST(BraceletAttack, PredictionsIgnoreWhichKernelRunsTheBands) {
-  // The bands run on the algorithm's batch kernel when the execution's
-  // kernel offers fresh() copies, and on the scalar adapter otherwise (the
-  // adapter itself, or a decorator that offers none). The prediction, made
-  // before round 0, must be the same on all three.
+  // The pre-simulation runs its bands on the algorithm it is built with:
+  // the built-in kernel, the reference Process on the scalar adapter, or a
+  // decorator over the kernel (as a traced run builds it, around the
+  // execution's kernel too). The prediction, made before round 0, must be
+  // the same on all three.
   for (const int n : {288, 2048}) {
     const BraceletNet br = bracelet(n);
     for (const ScheduleKind kind :
          {ScheduleKind::fixed, ScheduleKind::permuted}) {
       const DecayLocalConfig config{kind, 0, 0};
-      const ProcessFactory factory = decay_local_factory(config);
       const KernelFactory kernel = decay_local_kernel_factory(config);
+      const KernelFactory reference =
+          adapter_factory(decay_local_factory(config));
+      const KernelFactory opaque = [kernel] {
+        return std::make_unique<OpaqueKernel>(kernel());
+      };
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         SCOPED_TRACE("n=" + std::to_string(n) + " permuted=" +
                      std::to_string(kind == ScheduleKind::permuted) +
                      " seed=" + std::to_string(seed));
-        const auto predict = [&](std::unique_ptr<AlgorithmKernel> runner) {
+        const auto predict = [&](const KernelFactory& algorithm) {
           auto adversary = std::make_unique<BraceletPresimOblivious>(
-              br, BraceletPresimConfig{0.3, true});
+              br, algorithm, BraceletPresimConfig{0.3, true});
           const BraceletPresimOblivious* adv = adversary.get();
           const KernelExecution exec(
-              br.net, factory, std::move(runner),
+              br.net, algorithm(),
               std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
               std::move(adversary), {seed, 1, {}});
           return std::pair(adv->predicted_counts(), adv->dense_schedule());
         };
-        const auto native = predict(kernel());
+        const auto native = predict(kernel);
         ASSERT_EQ(static_cast<int>(native.first.size()), br.band_len);
-        EXPECT_EQ(native, predict(make_scalar_kernel_adapter(factory)));
-        EXPECT_EQ(native, predict(std::make_unique<OpaqueKernel>(kernel())));
+        EXPECT_EQ(native, predict(reference));
+        EXPECT_EQ(native, predict(opaque));
       }
     }
   }

@@ -6,8 +6,9 @@
 #include "adversary/dense_sparse.hpp"
 #include "adversary/schedule_attack.hpp"
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
+#include "core/kernels.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
@@ -45,10 +46,11 @@ TEST(AdversaryConfig, BraceletPresimWrongNetworkThrows) {
   // execution start (its pre-simulation would be meaningless).
   const BraceletNet a = bracelet(32);
   const BraceletNet b = bracelet(32);
+  const KernelFactory algorithm = decay_local_kernel_factory({});
   EXPECT_THROW(
-      KernelExecution(b.net, decay_local_factory(DecayLocalConfig{}),
+      KernelExecution(b.net, algorithm(),
                       std::make_shared<LocalBroadcastProblem>(b.net, b.heads_a),
-                      std::make_unique<BraceletPresimOblivious>(a),
+                      std::make_unique<BraceletPresimOblivious>(a, algorithm),
                       {1, 10, {}}),
       ContractViolation);
 }
@@ -58,7 +60,9 @@ TEST(AdversaryDeterminism, ObliviousChoicesReplayPerSeed) {
   Rng grng(5);
   const DualGraph net = with_random_gprime(ring_graph(12), 0.3, grng);
   const auto run_pattern = [&](std::uint64_t seed) {
-    KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+    KernelExecution exec(net,
+                         make_scalar_kernel_adapter(
+                             decay_local_factory(DecayLocalConfig{})),
                          std::make_shared<AssignmentProblem>(
                              net.n(), -1, std::vector<int>{0}),
                          std::make_unique<RandomIidEdges>(0.5), {seed, 20, {}});
@@ -77,7 +81,9 @@ TEST(AdversaryDeterminism, DenseSparseThresholdResolvesFromNetworkSize) {
   const DualCliqueNet dc = dual_clique(64);
   auto adversary = std::make_unique<DenseSparseOnline>(DenseSparseConfig{2.0});
   auto* ptr = adversary.get();
-  KernelExecution exec(dc.net, decay_global_factory(DecayGlobalConfig::fast()),
+  KernelExecution exec(dc.net,
+                       make_scalar_kernel_adapter(
+                           decay_global_factory(DecayGlobalConfig::fast())),
                        std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
                        std::move(adversary), {1, 5, {}});
   EXPECT_DOUBLE_EQ(ptr->threshold(), 2.0 * clog2(64));
@@ -89,7 +95,9 @@ TEST(AdversaryDeterminism, FlickerPhasePattern) {
   gp.add_edge(0, 2);
   gp.finalize();
   const DualGraph net(std::move(g), std::move(gp));
-  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_local_factory(DecayLocalConfig{})),
                        std::make_shared<AssignmentProblem>(
                            3, -1, std::vector<int>{0}),
                        std::make_unique<FlickerEdges>(2, 3), {1, 10, {}});
@@ -108,11 +116,12 @@ TEST(AdversaryDeterminism, FlickerPhasePattern) {
 
 TEST(AdversaryDeterminism, BraceletPresimScheduleIsCommittedUpFront) {
   const BraceletNet br = bracelet(128);
+  const KernelFactory algorithm = decay_local_kernel_factory({});
   auto adversary = std::make_unique<BraceletPresimOblivious>(
-      br, BraceletPresimConfig{0.3, true});
+      br, algorithm, BraceletPresimConfig{0.3, true});
   auto* ptr = adversary.get();
   KernelExecution exec(
-      br.net, decay_local_factory(DecayLocalConfig{}),
+      br.net, algorithm(),
       std::make_shared<LocalBroadcastProblem>(br.net, br.heads_a),
       std::move(adversary), {1, 1, {}});
   // Schedule exists before any round executes.

@@ -8,8 +8,8 @@
 #include <set>
 
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/mathutil.hpp"
@@ -38,7 +38,9 @@ std::vector<int> every_kth(int n, int k) {
 
 TEST(GeoLocal, StageLayoutMatchesConfig) {
   const GeoNet geo = make_geo(6, 0.6, 3);
-  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+  KernelExecution exec(geo.net,
+                       make_scalar_kernel_adapter(
+                           geo_local_factory(test_config())),
                        std::make_shared<LocalBroadcastProblem>(
                            geo.net, every_kth(geo.net.n(), 4)),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
@@ -55,7 +57,9 @@ TEST(GeoLocal, StageLayoutMatchesConfig) {
 
 TEST(GeoLocal, EveryNodeCommitsBySomePhase) {
   const GeoNet geo = make_geo(8, 0.5, 5);
-  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+  KernelExecution exec(geo.net,
+                       make_scalar_kernel_adapter(
+                           geo_local_factory(test_config())),
                        std::make_shared<LocalBroadcastProblem>(
                            geo.net, every_kth(geo.net.n(), 5)),
                        std::make_unique<NoExtraEdges>(), {2, 1 << 20, {}});
@@ -73,7 +77,9 @@ TEST(GeoLocal, EveryNodeCommitsBySomePhase) {
 TEST(GeoLocal, SeedDiversityPerNeighborhoodIsLogarithmic) {
   // Lemma 4.9: no node neighbors more than O(log n) unique seeds in G'.
   const GeoNet geo = make_geo(10, 0.45, 7);
-  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+  KernelExecution exec(geo.net,
+                       make_scalar_kernel_adapter(
+                           geo_local_factory(test_config())),
                        std::make_shared<LocalBroadcastProblem>(
                            geo.net, every_kth(geo.net.n(), 4)),
                        std::make_unique<NoExtraEdges>(), {3, 1 << 20, {}});
@@ -105,7 +111,9 @@ TEST(GeoLocal, SeedDiversityPerNeighborhoodIsLogarithmic) {
 
 TEST(GeoLocal, SeedMessagesOnlyDuringInitStage) {
   const GeoNet geo = make_geo(6, 0.6, 9);
-  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+  KernelExecution exec(geo.net,
+                       make_scalar_kernel_adapter(
+                           geo_local_factory(test_config())),
                        std::make_shared<LocalBroadcastProblem>(
                            geo.net, every_kth(geo.net.n(), 3)),
                        std::make_unique<NoExtraEdges>(), {4, 1 << 20, {}});
@@ -177,7 +185,8 @@ TEST(GeoLocal, PrivateSeedAblationSkipsInit) {
   GeoLocalConfig cfg = test_config();
   cfg.shared_seeds = false;
   const GeoNet geo = make_geo(5, 0.7, 15);
-  KernelExecution exec(geo.net, geo_local_factory(cfg),
+  KernelExecution exec(geo.net,
+                       make_scalar_kernel_adapter(geo_local_factory(cfg)),
                        std::make_shared<LocalBroadcastProblem>(
                            geo.net, every_kth(geo.net.n(), 3)),
                        std::make_unique<NoExtraEdges>(), {5, 100, {}});
@@ -191,7 +200,9 @@ TEST(GeoLocal, OnlyBNodesTransmitInBroadcastStage) {
   const GeoNet geo = make_geo(6, 0.6, 17);
   const std::vector<int> b = every_kth(geo.net.n(), 4);
   const std::set<int> b_set(b.begin(), b.end());
-  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+  KernelExecution exec(geo.net,
+                       make_scalar_kernel_adapter(
+                           geo_local_factory(test_config())),
                        std::make_shared<LocalBroadcastProblem>(geo.net, b),
                        std::make_unique<NoExtraEdges>(), {6, 1 << 20, {}});
   const auto* proc0 = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));
@@ -215,7 +226,9 @@ TEST(GeoLocal, SameSeedNodesMakeSameParticipationDecision) {
   // each other's participation within an iteration.
   const GeoNet geo = make_geo(7, 0.5, 19);
   const std::vector<int> b = every_kth(geo.net.n(), 2);
-  KernelExecution exec(geo.net, geo_local_factory(test_config()),
+  KernelExecution exec(geo.net,
+                       make_scalar_kernel_adapter(
+                           geo_local_factory(test_config())),
                        std::make_shared<LocalBroadcastProblem>(geo.net, b),
                        std::make_unique<NoExtraEdges>(), {7, 1 << 20, {}});
   const auto* proc0 = dynamic_cast<const GeoLocalBroadcast*>(&exec.process(0));

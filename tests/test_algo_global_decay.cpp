@@ -8,8 +8,8 @@
 #include <tuple>
 
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 
@@ -133,7 +133,9 @@ TEST(GlobalDecay, RoundsGrowWithDiameter) {
 
 TEST(GlobalDecay, SourceTransmitsExactlyOnce) {
   const DualGraph net = DualGraph::protocol(line_graph(8));
-  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_global_factory(DecayGlobalConfig::fast())),
                        std::make_shared<GlobalBroadcastProblem>(net, 0),
                        std::make_unique<NoExtraEdges>(), {5, 3000, {}});
   exec.run();
@@ -151,7 +153,9 @@ TEST(GlobalDecay, SourceTransmitsExactlyOnce) {
 
 TEST(GlobalDecay, HoldersOnlyTransmitInsideAlignedWindow) {
   const DualGraph net = DualGraph::protocol(star_graph(16));
-  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_global_factory(DecayGlobalConfig::fast())),
                        std::make_shared<GlobalBroadcastProblem>(net, 1),
                        std::make_unique<NoExtraEdges>(), {7, 5000, {}});
   exec.run();
@@ -176,7 +180,9 @@ TEST(GlobalDecay, HoldersOnlyTransmitInsideAlignedWindow) {
 
 TEST(GlobalDecay, PermutedMessageCarriesSharedBits) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
-  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_global_factory(DecayGlobalConfig::fast())),
                        std::make_shared<GlobalBroadcastProblem>(net, 0),
                        std::make_unique<NoExtraEdges>(), {9, 3000, {}});
   exec.step();
@@ -189,7 +195,9 @@ TEST(GlobalDecay, PermutedMessageCarriesSharedBits) {
 TEST(GlobalDecay, FixedMessageCarriesNoBits) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
   KernelExecution exec(
-      net, decay_global_factory(DecayGlobalConfig::fast(ScheduleKind::fixed)),
+      net,
+      make_scalar_kernel_adapter(
+          decay_global_factory(DecayGlobalConfig::fast(ScheduleKind::fixed))),
       std::make_shared<GlobalBroadcastProblem>(net, 0),
       std::make_unique<NoExtraEdges>(), {9, 3000, {}});
   exec.step();
@@ -202,7 +210,9 @@ TEST(GlobalDecay, InspectorNeverContradictsBehavior) {
   // Property: a node that transmits in round r must have had
   // transmit_probability(r) > 0 at the start of r.
   const DualCliqueNet dc = dual_clique(32);
-  KernelExecution exec(dc.net, decay_global_factory(DecayGlobalConfig::fast()),
+  KernelExecution exec(dc.net,
+                       make_scalar_kernel_adapter(
+                           decay_global_factory(DecayGlobalConfig::fast())),
                        std::make_shared<GlobalBroadcastProblem>(dc.net, 1),
                        std::make_unique<RandomIidEdges>(0.3), {11, 4000, {}});
   while (!exec.done()) {
@@ -227,7 +237,7 @@ TEST(GlobalDecay, UnboundedCallsKeepTransmitting) {
   cfg.calls = DecayGlobalConfig::kUnbounded;
   const DualGraph net = DualGraph::protocol(complete_graph(8));
   KernelExecution exec(
-      net, decay_global_factory(cfg),
+      net, make_scalar_kernel_adapter(decay_global_factory(cfg)),
       std::make_shared<AssignmentProblem>(8, 0, std::vector<int>{}),
       std::make_unique<NoExtraEdges>(), {13, 4000, {}});
   exec.run();

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/mathutil.hpp"
@@ -67,7 +67,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LocalDecay, OnlyBNodesTransmit) {
   const DualGraph net = DualGraph::protocol(line_graph(16));
   const std::vector<int> b{2, 9};
-  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_local_factory(DecayLocalConfig{})),
                        std::make_shared<LocalBroadcastProblem>(net, b),
                        std::make_unique<NoExtraEdges>(), {3, 500, {}});
   exec.run();
@@ -82,7 +84,9 @@ TEST(LocalDecay, LadderDefaultsToDegreeNotN) {
   // On a bounded-degree graph the ladder must track Δ, not n: that is what
   // makes the baseline O(log n log Δ) rather than O(log n log n).
   const DualGraph net = DualGraph::protocol(line_graph(256));  // Δ = 2
-  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_local_factory(DecayLocalConfig{})),
                        std::make_shared<LocalBroadcastProblem>(
                            net, std::vector<int>{100}),
                        std::make_unique<NoExtraEdges>(), {3, 50, {}});
@@ -133,7 +137,9 @@ TEST(LocalDecay, StrictCreditAlsoSolvableInProtocolModel) {
 
 TEST(LocalDecay, InspectorMatchesLadderProbabilities) {
   const DualGraph net = DualGraph::protocol(line_graph(8));
-  KernelExecution exec(net, decay_local_factory(DecayLocalConfig{}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_local_factory(DecayLocalConfig{})),
                        std::make_shared<LocalBroadcastProblem>(
                            net, std::vector<int>{4}),
                        std::make_unique<NoExtraEdges>(), {3, 50, {}});

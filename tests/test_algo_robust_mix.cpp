@@ -8,8 +8,8 @@
 #include "adversary/offline_collider.hpp"
 #include "adversary/static_adversaries.hpp"
 #include "core/robust_mix.hpp"
-#include "core/factories.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 
@@ -73,7 +73,7 @@ TEST(RobustMix, OpportunisticallyFastWhenObliviousAdversary) {
 TEST(RobustMix, RobinHalfTransmitsOnlyInItsSlots) {
   const int n = 16;
   const DualCliqueNet dc = dual_clique(n);
-  KernelExecution exec(dc.net, robust_mix_factory(),
+  KernelExecution exec(dc.net, make_scalar_kernel_adapter(robust_mix_factory()),
                        std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
                        std::make_unique<NoExtraEdges>(), {3, 200, {}});
   exec.run();
@@ -90,7 +90,7 @@ TEST(RobustMix, MessageLearnedInOneHalfSeedsTheOther) {
   // transmit in decay rounds too (both halves share receptions).
   const int n = 16;
   const DualCliqueNet dc = dual_clique(n);
-  KernelExecution exec(dc.net, robust_mix_factory(),
+  KernelExecution exec(dc.net, make_scalar_kernel_adapter(robust_mix_factory()),
                        std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
                        std::make_unique<NoExtraEdges>(), {7, 600, {}});
   exec.run();
@@ -107,7 +107,7 @@ TEST(RobustMix, InspectorConsistentAcrossParities) {
   const int n = 16;
   const DualCliqueNet dc = dual_clique(n);
   KernelExecution exec(
-      dc.net, robust_mix_factory(),
+      dc.net, make_scalar_kernel_adapter(robust_mix_factory()),
       std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
       std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
       {9, 400, {}});

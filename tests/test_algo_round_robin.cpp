@@ -6,8 +6,8 @@
 #include "adversary/dense_sparse.hpp"
 #include "adversary/offline_collider.hpp"
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 
@@ -19,7 +19,9 @@ using testing::run_local;
 
 TEST(RoundRobin, TransmitsOnlyInOwnSlot) {
   const DualGraph net = DualGraph::protocol(complete_graph(8));
-  KernelExecution exec(net, round_robin_factory(RoundRobinConfig{true}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           round_robin_factory(RoundRobinConfig{true})),
                        std::make_shared<GlobalBroadcastProblem>(net, 3),
                        std::make_unique<NoExtraEdges>(), {1, 64, {}});
   exec.run();
@@ -32,7 +34,9 @@ TEST(RoundRobin, TransmitsOnlyInOwnSlot) {
 
 TEST(RoundRobin, AtMostOneTransmitterPerRound) {
   const DualCliqueNet dc = dual_clique(16);
-  KernelExecution exec(dc.net, round_robin_factory(RoundRobinConfig{true}),
+  KernelExecution exec(dc.net,
+                       make_scalar_kernel_adapter(
+                           round_robin_factory(RoundRobinConfig{true})),
                        std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
                        std::make_unique<GreedyColliderOffline>(), {1, 400, {}});
   exec.run();
@@ -99,7 +103,9 @@ TEST(RoundRobin, GlobalOnLineTakesAboutNPerHop) {
 
 TEST(RoundRobin, NonRelayNodesStaySilent) {
   const DualGraph net = DualGraph::protocol(line_graph(6));
-  KernelExecution exec(net, round_robin_factory(RoundRobinConfig{false}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           round_robin_factory(RoundRobinConfig{false})),
                        std::make_shared<LocalBroadcastProblem>(
                            net, std::vector<int>{2}),
                        std::make_unique<NoExtraEdges>(), {1, 30, {}});
@@ -113,7 +119,9 @@ TEST(RoundRobin, DeterministicInspectorPredictions) {
   // Round robin is deterministic: the inspector's announced probabilities
   // are exactly 0 or 1 and match realized behavior.
   const DualCliqueNet dc = dual_clique(12);
-  KernelExecution exec(dc.net, round_robin_factory(RoundRobinConfig{true}),
+  KernelExecution exec(dc.net,
+                       make_scalar_kernel_adapter(
+                           round_robin_factory(RoundRobinConfig{true})),
                        std::make_shared<GlobalBroadcastProblem>(dc.net, 0),
                        std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
                        {1, 100, {}});

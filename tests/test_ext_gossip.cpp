@@ -10,6 +10,7 @@
 #include "adversary/static_adversaries.hpp"
 #include "core/gossip.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
@@ -22,7 +23,7 @@ RunResult run_gossip(const DualGraph& net, std::vector<int> sources,
                      std::unique_ptr<LinkProcess> adversary,
                      std::uint64_t seed, int max_rounds,
                      GossipConfig config = {}) {
-  KernelExecution exec(net, gossip_factory(config),
+  KernelExecution exec(net, make_scalar_kernel_adapter(gossip_factory(config)),
                        std::make_shared<GossipProblem>(net, std::move(sources)),
                        std::move(adversary), {seed, max_rounds, {}});
   return exec.run();
@@ -166,7 +167,7 @@ TEST(GossipQuiesce, HoldersFallSilentAfterBudgetsDrain) {
   const int ladder = clog2(16);
   const int budget = 4 * ladder;  // the derived default
   const auto run_tail = [&](GossipConfig cfg) {
-    KernelExecution exec(net, gossip_factory(cfg),
+    KernelExecution exec(net, make_scalar_kernel_adapter(gossip_factory(cfg)),
                          std::make_shared<AssignmentProblem>(
                              16, -1, std::vector<int>{0, 8}),
                          std::make_unique<NoExtraEdges>(), {21, 6000, {}});
@@ -201,7 +202,7 @@ TEST(Gossip, FairSchedulerKeepsEveryTokenCirculating) {
   // A node holding several tokens must offer each of them over time.
   const DualGraph net = DualGraph::protocol(complete_graph(8));
   KernelExecution exec(
-      net, gossip_factory(GossipConfig{}),
+      net, make_scalar_kernel_adapter(gossip_factory(GossipConfig{})),
       std::make_shared<GossipProblem>(net, std::vector<int>{0, 1, 2}),
       std::make_unique<NoExtraEdges>(), {5, 2000, {}});
   exec.run();
@@ -233,7 +234,7 @@ TEST(Gossip, MoreTokensCostMoreRounds) {
 TEST(Gossip, InspectorConsistency) {
   const DualCliqueNet dc = dual_clique(16);
   KernelExecution exec(
-      dc.net, gossip_factory(GossipConfig{}),
+      dc.net, make_scalar_kernel_adapter(gossip_factory(GossipConfig{})),
       std::make_shared<GossipProblem>(dc.net, std::vector<int>{0, 9}),
       std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
       {11, 5000, {}});
@@ -254,7 +255,7 @@ TEST(Gossip, InspectorConsistency) {
 TEST(Gossip, HeldSetGrowsMonotonically) {
   const DualGraph net = DualGraph::protocol(ring_graph(12));
   KernelExecution exec(
-      net, gossip_factory(GossipConfig{}),
+      net, make_scalar_kernel_adapter(gossip_factory(GossipConfig{})),
       std::make_shared<GossipProblem>(net, std::vector<int>{0, 6}),
       std::make_unique<NoExtraEdges>(), {13, 5000, {}});
   std::vector<std::size_t> prev(12, 0);

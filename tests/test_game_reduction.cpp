@@ -8,10 +8,10 @@
 #include <cmath>
 
 #include "adversary/dense_sparse.hpp"
-#include "core/factories.hpp"
 #include "core/kernels.hpp"
 #include "game/reduction_player.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "util/assert.hpp"
 #include "util/mathutil.hpp"
@@ -39,8 +39,8 @@ TEST(ReductionPlayer, WinsWithRoundRobin) {
     cfg.beta = beta;
     cfg.problem = ReductionProblem::global_broadcast;
     cfg.seed = 100 + static_cast<std::uint64_t>(t);
-    BroadcastReductionPlayer player(cfg,
-                                    round_robin_factory(RoundRobinConfig{true}));
+    BroadcastReductionPlayer player(
+        cfg, adapter_factory(round_robin_factory(RoundRobinConfig{true})));
     const ReductionOutcome outcome = player.play(game);
     if (outcome.won) {
       ++wins;
@@ -64,7 +64,9 @@ TEST(ReductionPlayer, WinsWithPersistentDecay) {
     cfg.problem = ReductionProblem::global_broadcast;
     cfg.seed = 200 + static_cast<std::uint64_t>(t);
     BroadcastReductionPlayer player(
-        cfg, decay_global_factory(persistent_decay(ScheduleKind::fixed)));
+        cfg,
+        adapter_factory(
+            decay_global_factory(persistent_decay(ScheduleKind::fixed))));
     const ReductionOutcome outcome = player.play(game);
     wins += outcome.won ? 1 : 0;
     max_guesses = std::max(max_guesses, outcome.max_guesses_in_a_round);
@@ -87,7 +89,7 @@ TEST(ReductionPlayer, WorksForLocalBroadcastRoles) {
     cfg.problem = ReductionProblem::local_broadcast;
     cfg.seed = 300 + static_cast<std::uint64_t>(t);
     BroadcastReductionPlayer player(
-        cfg, decay_local_factory(DecayLocalConfig{}));
+        cfg, adapter_factory(decay_local_factory(DecayLocalConfig{})));
     const ReductionOutcome outcome = player.play(game);
     wins += outcome.won ? 1 : 0;
   }
@@ -102,7 +104,9 @@ TEST(ReductionPlayer, SparseRoundsDominateForDecay) {
   cfg.beta = beta;
   cfg.seed = 42;
   BroadcastReductionPlayer player(
-      cfg, decay_global_factory(persistent_decay(ScheduleKind::fixed)));
+      cfg,
+      adapter_factory(
+          decay_global_factory(persistent_decay(ScheduleKind::fixed))));
   const ReductionOutcome outcome = player.play(game);
   ASSERT_TRUE(outcome.won);
   EXPECT_GT(outcome.sparse_rounds, 0);
@@ -110,10 +114,10 @@ TEST(ReductionPlayer, SparseRoundsDominateForDecay) {
 }
 
 TEST(ReductionPlayer, KernelEngineReplaysScalarPlayerExactly) {
-  // With the algorithm's kernel supplied, the inner simulation runs on the
-  // native kernel instead of the scalar adapter. The two replay
-  // bit-identically, so the whole played game — labels, guesses, win round
-  // — must match the scalar player outcome for outcome.
+  // The inner simulation runs on whatever algorithm the player is given:
+  // the built-in kernel, or its scalar reference on the adapter. The two
+  // replay bit-identically, so the whole played game — labels, guesses,
+  // win round — must match outcome for outcome.
   const int beta = 48;
   Rng rng(23);
   for (int t = 0; t < 6; ++t) {
@@ -126,12 +130,14 @@ TEST(ReductionPlayer, KernelEngineReplaysScalarPlayerExactly) {
 
     HittingGame scalar_game(beta, target);
     BroadcastReductionPlayer scalar_player(
-        cfg, decay_global_factory(persistent_decay(ScheduleKind::fixed)));
+        cfg,
+        adapter_factory(
+            decay_global_factory(persistent_decay(ScheduleKind::fixed))));
     const ReductionOutcome scalar_outcome = scalar_player.play(scalar_game);
 
     HittingGame kernel_game(beta, target);
     BroadcastReductionPlayer kernel_player(
-        cfg, decay_global_factory(persistent_decay(ScheduleKind::fixed)),
+        cfg,
         decay_global_kernel_factory(persistent_decay(ScheduleKind::fixed)));
     const ReductionOutcome kernel_outcome = kernel_player.play(kernel_game);
 
@@ -148,8 +154,8 @@ TEST(ReductionPlayer, KernelEngineReplaysScalarPlayerExactly) {
 TEST(ReductionPlayer, RejectsMismatchedGame) {
   ReductionConfig cfg;
   cfg.beta = 16;
-  BroadcastReductionPlayer player(cfg,
-                                  round_robin_factory(RoundRobinConfig{true}));
+  BroadcastReductionPlayer player(
+      cfg, adapter_factory(round_robin_factory(RoundRobinConfig{true})));
   HittingGame wrong_size(8, 1);
   EXPECT_THROW(player.play(wrong_size), ContractViolation);
 }
@@ -170,14 +176,18 @@ TEST(ReductionValidity, SimulationMatchesTrueTargetNetworkUntilTheWin) {
   cfg.beta = beta;
   cfg.seed = seed;
   BroadcastReductionPlayer player(
-      cfg, decay_global_factory(persistent_decay(ScheduleKind::fixed)));
+      cfg,
+      adapter_factory(
+          decay_global_factory(persistent_decay(ScheduleKind::fixed))));
   const ReductionOutcome outcome = player.play(game);
   ASSERT_TRUE(outcome.won);
 
   // True target network: bridge at (target, target + beta).
   const DualCliqueNet true_net = dual_clique(2 * beta, target);
   KernelExecution real(
-      true_net.net, decay_global_factory(persistent_decay(ScheduleKind::fixed)),
+      true_net.net,
+      make_scalar_kernel_adapter(
+          decay_global_factory(persistent_decay(ScheduleKind::fixed))),
       std::make_shared<AssignmentProblem>(2 * beta, 0, std::vector<int>{}),
       std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
       {seed, outcome.sim_rounds + 1, {}});
@@ -185,7 +195,9 @@ TEST(ReductionValidity, SimulationMatchesTrueTargetNetworkUntilTheWin) {
   // Re-run the player's simulation to recover its transmitter trace.
   const DualCliqueNet sim_net = dual_clique_without_bridge(2 * beta);
   KernelExecution sim(
-      sim_net.net, decay_global_factory(persistent_decay(ScheduleKind::fixed)),
+      sim_net.net,
+      make_scalar_kernel_adapter(
+          decay_global_factory(persistent_decay(ScheduleKind::fixed))),
       std::make_shared<AssignmentProblem>(2 * beta, 0, std::vector<int>{}),
       std::make_unique<DenseSparseOnline>(DenseSparseConfig{1.0}),
       {seed, outcome.sim_rounds + 1, {}});

@@ -56,19 +56,15 @@ std::vector<WordModeCase> word_mode_cases() {
 
 double run_trial(const WordModeCase& c, const Topology& topo,
                  std::uint64_t seed, RngMode mode) {
-  const ProcessFactory factory = scenario::algorithms().build(c.algorithm);
-  const KernelFactory kernel = scenario::build_kernel_or_null(c.algorithm);
-  std::shared_ptr<Problem> problem =
-      scenario::problems().build(c.problem, topo)();
-  std::unique_ptr<AlgorithmKernel> k =
-      scenario::select_kernel(kernel, *problem, factory);
-  KernelExecution exec(topo.net(), factory, std::move(k), std::move(problem),
-                       scenario::adversaries().build(c.adversary, topo)(),
-                       ExecutionConfig{}
-                           .with_seed(seed)
-                           .with_max_rounds(c.max_rounds)
-                           .with_history_policy(HistoryPolicy::lean)
-                           .with_rng_mode(mode));
+  const KernelFactory kernel = scenario::algorithms().build(c.algorithm);
+  KernelExecution exec(
+      topo.net(), kernel(), scenario::problems().build(c.problem, topo)(),
+      scenario::adversaries().build(c.adversary, topo, kernel)(),
+      ExecutionConfig{}
+          .with_seed(seed)
+          .with_max_rounds(c.max_rounds)
+          .with_history_policy(HistoryPolicy::lean)
+          .with_rng_mode(mode));
   const RunResult result = exec.run();
   // Censored trials keep their cap value: both modes censor at the same
   // budget, so the comparison stays valid.

@@ -14,16 +14,10 @@ namespace {
 using scenario::Topology;
 
 KernelExecution make_exec(const Topology& topo, int max_rounds) {
-  const ProcessFactory factory =
-      scenario::algorithms().build("decay_local");
-  const KernelFactory kernel = scenario::build_kernel_or_null("decay_local");
-  std::shared_ptr<Problem> problem =
-      scenario::problems().build("local(every(3))", topo)();
-  std::unique_ptr<AlgorithmKernel> k =
-      scenario::select_kernel(kernel, *problem, factory);
-  return KernelExecution(topo.net(), factory, std::move(k),
-                         std::move(problem),
-                         scenario::adversaries().build("iid(0.3)", topo)(),
+  const KernelFactory kernel = scenario::algorithms().build("decay_local");
+  return KernelExecution(topo.net(), kernel(),
+                         scenario::problems().build("local(every(3))", topo)(),
+                         scenario::adversaries().build("iid(0.3)", topo, {})(),
                          ExecutionConfig{}
                              .with_seed(11)
                              .with_max_rounds(max_rounds)

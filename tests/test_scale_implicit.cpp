@@ -70,14 +70,9 @@ TEST(ScaleImplicit, DualCliqueGTopologyIsImplicit) {
 TEST(ScaleImplicit, DualClique65536RunsStartToSolve) {
   const Topology topo = scenario::topologies().build("dual_clique(65536)", 3);
   const std::string algo = "decay_global(fixed,persistent)";
-  const ProcessFactory factory = scenario::algorithms().build(algo);
-  const KernelFactory kernel = scenario::build_kernel_or_null(algo);
-  std::shared_ptr<Problem> problem =
-      scenario::problems().build("global(1)", topo)();
-  std::unique_ptr<AlgorithmKernel> k =
-      scenario::select_kernel(kernel, *problem, factory);
-  KernelExecution exec(topo.net(), factory, std::move(k), std::move(problem),
-                       scenario::adversaries().build("none", topo)(),
+  KernelExecution exec(topo.net(), scenario::algorithms().build(algo)(),
+                       scenario::problems().build("global(1)", topo)(),
+                       scenario::adversaries().build("none", topo, {})(),
                        ExecutionConfig{}
                            .with_seed(7)
                            .with_max_rounds(6000)
@@ -94,13 +89,9 @@ TEST(ScaleImplicit, WholeSideRoundIsOneRun) {
   // listener took 384 KiB.
   const Topology topo = scenario::topologies().build("dual_clique(65536)", 3);
   const std::string algo = "decay_global(fixed,persistent)";
-  const ProcessFactory factory = scenario::algorithms().build(algo);
-  std::shared_ptr<Problem> problem =
-      scenario::problems().build("global(1)", topo)();
-  std::unique_ptr<AlgorithmKernel> k = scenario::select_kernel(
-      scenario::build_kernel_or_null(algo), *problem, factory);
-  KernelExecution exec(topo.net(), factory, std::move(k), std::move(problem),
-                       scenario::adversaries().build("none", topo)(),
+  KernelExecution exec(topo.net(), scenario::algorithms().build(algo)(),
+                       scenario::problems().build("global(1)", topo)(),
+                       scenario::adversaries().build("none", topo, {})(),
                        ExecutionConfig{}.with_seed(1).with_max_rounds(8));
   ASSERT_EQ(exec.history_policy(), HistoryPolicy::full);
   exec.step();
@@ -145,12 +136,9 @@ SamplePath run_large_clique(const Topology& topo, const std::string& problem,
                             const std::string& adversary, RngMode rng_mode,
                             int max_rounds, std::uint64_t seed) {
   const std::string algo = "decay_global(fixed,persistent)";
-  const ProcessFactory factory = scenario::algorithms().build(algo);
-  std::shared_ptr<Problem> p = scenario::problems().build(problem, topo)();
-  std::unique_ptr<AlgorithmKernel> k = scenario::select_kernel(
-      scenario::build_kernel_or_null(algo), *p, factory);
-  KernelExecution exec(topo.net(), factory, std::move(k), std::move(p),
-                       scenario::adversaries().build(adversary, topo)(),
+  KernelExecution exec(topo.net(), scenario::algorithms().build(algo)(),
+                       scenario::problems().build(problem, topo)(),
+                       scenario::adversaries().build(adversary, topo, {})(),
                        ExecutionConfig{}
                            .with_seed(seed)
                            .with_max_rounds(max_rounds)

@@ -50,10 +50,6 @@ TEST(RunOptionFlags, EqualsFormMatchesSpaceForm) {
   EXPECT_EQ(parse({"--trials", "3"}).trials_override, 3);
   EXPECT_EQ(parse({"--threads=4"}).sweep_threads, 4);
   EXPECT_EQ(parse({"--sweep-threads=4"}).sweep_threads, 4);
-  EXPECT_EQ(parse({"--history=full"}).history, HistoryPolicy::full);
-  EXPECT_EQ(parse({"--history", "full"}).history, HistoryPolicy::full);
-  EXPECT_EQ(parse({"--engine=scalar"}).engine, EnginePath::scalar);
-  EXPECT_EQ(parse({"--engine", "scalar"}).engine, EnginePath::scalar);
   EXPECT_EQ(parse({"--rng=word"}).rng, RngMode::word);
   EXPECT_EQ(parse({"--rng", "word"}).rng, RngMode::word);
 }
@@ -71,12 +67,10 @@ TEST(RunOptionFlags, BadOrMissingValuesThrow) {
                                              {"--sweep-threads", "-2"},
                                              {"--trials", "abc"},
                                              {"--trials="},
-                                             {"--engine", "bogus"},
                                              {"--rng=bogus"},
-                                             {"--history", "some"},
                                              {"--trials"},
                                              {"--threads"},
-                                             {"--engine"}}) {
+                                             {"--rng"}}) {
     EXPECT_THROW(parse(args), ScenarioError) << args.front();
   }
 }
@@ -102,11 +96,10 @@ const std::vector<Surface>& surfaces() {
       {"",
        {{"--list", toggle}, {"--all", toggle}, {"--json", text},
         {"--smoke", toggle}, {"--sweep-threads", integer},
-        {"--threads", integer}, {"--history", choice}, {"--engine", choice},
-        {"--rng", choice}, {"--trials", integer}}},
+        {"--threads", integer}, {"--rng", choice}, {"--trials", integer}}},
       {"serve",
-       {{"--smoke", toggle}, {"--history", choice}, {"--engine", choice},
-        {"--rng", choice}, {"--trials", integer}, {"--workers", integer},
+       {{"--smoke", toggle}, {"--rng", choice}, {"--trials", integer},
+        {"--workers", integer},
         {"--job-dir", text}, {"--cache-dir", text}, {"--no-cache", toggle},
         {"--cache-max-bytes", integer}, {"--verify-cache", toggle},
         {"--shard-tasks", integer}, {"--lease-ttl", integer},
@@ -198,7 +191,7 @@ TEST(CliSurface, CoversEveryCommandAndFlag) {
   std::size_t pairs = 0;
   for (const Surface& surface : surfaces()) pairs += surface.flags.size();
   EXPECT_EQ(surfaces().size(), 8u);
-  EXPECT_EQ(pairs, 87u);
+  EXPECT_EQ(pairs, 83u);
 }
 
 TEST(CliSurface, ValueFlagWithoutValueNamesTheFlag) {
@@ -230,13 +223,18 @@ TEST(CliSurface, ChoiceFlagNamesTheBadChoice) {
 }
 
 TEST(CliSurface, RemovedFlagsAreUnknownOptions) {
-  // Every daemon claims by one rule, so no flag selects or tunes it; and a
-  // soak paces its kills by the drain alone, so no flag sets a gap.
+  // Every daemon claims by one rule, so no flag selects or tunes it; a
+  // soak paces its kills by the drain alone, so no flag sets a gap; each
+  // built-in algorithm has one implementation, so no flag picks an engine
+  // path; and the engine keeps the full trace whenever a reader declares
+  // it, so no flag sets history retention.
   const std::vector<std::pair<std::string, std::vector<std::string>>> gone = {
       {"daemon", {"--placement", "fair"}}, {"daemon", {"--inflight-cap", "2"}},
       {"daemon", {"--cores", "2"}},        {"daemon", {"--load100", "2"}},
       {"soak", {"--placement", "fair"}},
       {"soak", {"--kill-interval-ms", "400"}},
+      {"", {"--engine", "scalar"}},        {"", {"--history", "full"}},
+      {"serve", {"--engine", "kernel"}},   {"serve", {"--history", "lean"}},
   };
   for (const auto& [command, args] : gone) {
     expect_rejected(command, args,

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/factories.hpp"
+#include "reference/factories.hpp"
 #include "scenario/registries.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/kernel_execution.hpp"
@@ -116,12 +116,13 @@ TEST(Registries, BraceletMetadata) {
 
 TEST(Registries, AlgorithmAndAdversaryInstantiate) {
   const Topology topo = topologies().build("dual_clique(32)", 1);
-  const ProcessFactory factory =
+  const KernelFactory algorithm =
       algorithms().build("decay_global(permuted,persistent)");
-  const LinkProcessFactory adversary = adversaries().build("iid(0.5)", topo);
+  const LinkProcessFactory adversary =
+      adversaries().build("iid(0.5)", topo, algorithm);
   const ProblemFactory problem = problems().build("global(1)", topo);
   // Everything pluggable into a real execution.
-  KernelExecution exec(topo.net(), factory, problem(), adversary(),
+  KernelExecution exec(topo.net(), algorithm(), problem(), adversary(),
                        ExecutionConfig{}.with_seed(3).with_max_rounds(5000));
   const RunResult result = exec.run();
   EXPECT_TRUE(result.solved);
@@ -146,14 +147,16 @@ TEST(Registries, NodeSetSpecs) {
 TEST(Registries, CustomRegistrationRoundTrip) {
   auto& registry = algorithms();
   ASSERT_FALSE(registry.contains("test_only_algo"));
-  registry.add("test_only_algo", "round robin under a custom name",
+  registry.add("test_only_algo", "round robin's reference as a Process",
                [](const SpecArgs& args) {
                  args.expect_count(0, 0);
-                 return round_robin_factory(RoundRobinConfig{true});
+                 return adapter_factory(
+                     round_robin_factory(RoundRobinConfig{true}));
                });
   EXPECT_TRUE(registry.contains("test_only_algo"));
-  const ProcessFactory factory = registry.build("test_only_algo");
-  EXPECT_NE(factory, nullptr);
+  const KernelFactory algorithm = registry.build("test_only_algo");
+  ASSERT_NE(algorithm, nullptr);
+  EXPECT_NE(algorithm()->processes(), nullptr);
   // Duplicate registration is an error.
   EXPECT_THROW(registry.add("test_only_algo", "", nullptr), ScenarioError);
 }
@@ -166,15 +169,16 @@ TEST(Registries, UnknownNames) {
   const Topology topo = topologies().build("dual_clique(16)", 1);
   EXPECT_THROW(topologies().build("no_such_topology(8)", 1), ScenarioError);
   EXPECT_THROW(algorithms().build("no_such_algorithm"), ScenarioError);
-  EXPECT_THROW(adversaries().build("no_such_adversary", topo), ScenarioError);
+  EXPECT_THROW(adversaries().build("no_such_adversary", topo, {}),
+               ScenarioError);
   EXPECT_THROW(problems().build("no_such_problem", topo), ScenarioError);
 }
 
 TEST(Registries, BadParameters) {
   const Topology topo = topologies().build("dual_clique(16)", 1);
-  EXPECT_THROW(adversaries().build("iid", topo), ScenarioError);  // missing p
-  EXPECT_THROW(adversaries().build("iid(abc)", topo), ScenarioError);
-  EXPECT_THROW(adversaries().build("flicker(3)", topo), ScenarioError);
+  EXPECT_THROW(adversaries().build("iid", topo, {}), ScenarioError);  // no p
+  EXPECT_THROW(adversaries().build("iid(abc)", topo, {}), ScenarioError);
+  EXPECT_THROW(adversaries().build("flicker(3)", topo, {}), ScenarioError);
   EXPECT_THROW(algorithms().build("decay_global(bogus)"), ScenarioError);
   EXPECT_THROW(algorithms().build("round_robin(sideways)"), ScenarioError);
   EXPECT_THROW(topologies().build("dual_clique()", 1), ScenarioError);
@@ -183,10 +187,12 @@ TEST(Registries, BadParameters) {
 }
 
 TEST(Registries, ConstructionAwareAdversaryRequiresItsTopology) {
+  const KernelFactory algorithm = algorithms().build("decay_local");
   const Topology clique = topologies().build("dual_clique(16)", 1);
-  EXPECT_THROW(adversaries().build("bracelet_presim", clique), ScenarioError);
+  EXPECT_THROW(adversaries().build("bracelet_presim", clique, algorithm),
+               ScenarioError);
   const Topology br = topologies().build("bracelet(128)", 1);
-  EXPECT_NO_THROW(adversaries().build("bracelet_presim", br));
+  EXPECT_NO_THROW(adversaries().build("bracelet_presim", br, algorithm));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/trials.hpp"
+#include "reference/factories.hpp"
 #include "scenario/scenario.hpp"
 
 namespace dualcast::scenario {
@@ -122,19 +123,28 @@ TEST(ScenarioCatalogTest, SweepSchedulerMatchesSequentialOnEveryCatalogScenario)
   }
 }
 
-TEST(ScenarioCatalogTest, KernelEngineMatchesScalarOnEveryCatalogScenario) {
-  // The native kernels must reproduce the scalar adapter's rows (what
-  // --engine scalar forces) byte for byte on every catalog scenario — the
-  // bit-identical contract of the kernel ports.
+/// `spec` with every column's algorithm replaced by its scalar reference
+/// on the adapter (tests/reference/).
+ScenarioSpec on_reference(const ScenarioSpec& spec) {
+  ScenarioSpec out = spec;
+  for (ScenarioColumn& column : out.columns) {
+    column.algorithm = reference_spec(column.algorithm);
+  }
+  return out;
+}
+
+TEST(ScenarioCatalogTest, KernelsMatchTheReferenceOnEveryCatalogScenario) {
+  // The built-in kernels must reproduce the scalar reference processes on
+  // the adapter byte for byte on every catalog scenario's smoke rows — the
+  // bit-identical contract of the kernels (kernel.hpp). An adversary is
+  // built with its column's algorithm, so the bracelet pre-simulation runs
+  // its bands on the reference too.
+  register_reference_algorithms();
   for (const ScenarioSpec* spec : scenarios().all()) {
-    RunOptions scalar;
-    scalar.smoke = true;
-    scalar.engine = EnginePath::scalar;
-    RunOptions kernel;
-    kernel.smoke = true;
-    kernel.engine = EnginePath::kernel;
-    EXPECT_EQ(rows_of(run_scenario(*spec, kernel)),
-              rows_of(run_scenario(*spec, scalar)))
+    RunOptions smoke;
+    smoke.smoke = true;
+    EXPECT_EQ(rows_of(run_scenario(on_reference(*spec), smoke)),
+              rows_of(run_scenario(*spec, smoke)))
         << spec->name;
   }
 }
@@ -368,8 +378,10 @@ TEST(ScenarioCatalogTest, EverySpecParsesAgainstItsRegistries) {
     EXPECT_GE(resolve_rounds(spec->max_rounds, vars), 1) << spec->name;
     for (const ScenarioColumn& column : spec->columns) {
       EXPECT_NO_THROW({
-        algorithms().build(substitute_x(column.algorithm, x));
-        adversaries().build(substitute_x(column.adversary, x), topo);
+        const KernelFactory algorithm =
+            algorithms().build(substitute_x(column.algorithm, x));
+        adversaries().build(substitute_x(column.adversary, x), topo,
+                            algorithm);
         problems().build(
             substitute_x(
                 column.problem.empty() ? spec->problem : column.problem, x),

@@ -132,10 +132,6 @@ TEST(ServiceCache, KeyIsSensitiveToEveryResultSelectingInput) {
       scenario::apply_options(mini_scenario(), {});
   const std::uint64_t base = result_cache_key(applied, {});
 
-  RunOptions scalar;
-  scalar.engine = scenario::EnginePath::scalar;
-  EXPECT_NE(result_cache_key(applied, scalar), base);
-
   RunOptions word;
   word.rng = RngMode::word;
   EXPECT_NE(result_cache_key(applied, word), base);
@@ -158,6 +154,24 @@ TEST(ServiceCache, KeyIsSensitiveToEveryResultSelectingInput) {
   threaded.sweep_threads = 4;
   threaded.history = HistoryPolicy::full;
   EXPECT_EQ(result_cache_key(applied, threaded), base);
+}
+
+TEST(ServiceCache, DefaultOptionKeysMatchOlderReleases) {
+  // A job directory and a cache entry written with default options by a
+  // release that still had an engine choice ("kernel" or "scalar") must
+  // keep their keys: both keys still hash the literal "kernel" first. The
+  // values below are what that release computed for this scenario. The
+  // cache key also covers the catalog hash (the built-in catalog plus this
+  // file's first mini scenario), so a catalog edit changes it, as it
+  // changes the golden digests.
+  ASSERT_FALSE(scenario::scenarios().contains("svc-test/cache-mini-b"))
+      << "the pinned cache key assumes the built-in catalog plus "
+         "svc-test/cache-mini only";
+  const JobSpec job = make_job_spec({&mini_scenario()}, {}, 16, 60);
+  EXPECT_EQ(scenario::hash_hex(job.key), "08597cb530fbed26");
+  EXPECT_EQ(scenario::hash_hex(result_cache_key(
+                scenario::apply_options(mini_scenario(), {}), {})),
+            "3ff7696976c19ba1");
 }
 
 TEST(ServiceCache, LruEvictionStaysUnderBudgetAndLookupRefreshes) {

@@ -212,6 +212,24 @@ TEST(JobStore, MetaDiagnosticsNameTheProblem) {
   }
 }
 
+TEST(JobStore, OlderMetaWithEngineAndHistoryLinesOpens) {
+  // Older releases also wrote "engine" and "history" lines. They are
+  // skipped like any unknown field, and the stored key still matches the
+  // job's spec, so their job directories keep resuming.
+  const JobSpec job = mini_job(/*shard_tasks=*/5, /*lease_ttl_seconds=*/60);
+  const std::string dir = fresh_dir("store_meta_older");
+  fs::create_directories(dir);
+  std::ofstream(fs::path(dir) / "job.meta")
+      << "dualcast-job v1\nkey " << scenario::hash_hex(job.key)
+      << "\ncatalog " << scenario::hash_hex(job.catalog)
+      << "\nengine kernel\nrng per-node\nhistory lean\ntrials_override 0\n"
+         "smoke 0\nshard_tasks 5\nlease_ttl 60\nscenario svc-test/mini\n"
+         "end\n";
+  const JobStore opened = JobStore::open(dir);
+  EXPECT_EQ(opened.spec().key, job.key);
+  EXPECT_EQ(opened.total_tasks(), 12);
+}
+
 TEST(JobStore, MidFileCorruptionIsDetectedQuarantinedAndRecovered) {
   const std::string dir = fresh_dir("store_quarantine");
   JobStore store = JobStore::create_or_attach(dir, mini_job(6, 60));

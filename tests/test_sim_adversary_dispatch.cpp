@@ -64,7 +64,9 @@ TEST(Dispatch, ObliviousOnlyGetsObliviousHook) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   HookLog log;
   KernelExecution exec(
-      net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
+      net,
+      make_scalar_kernel_adapter(scripted_factory({{1, 0}, {0, 1}, {0, 0}})),
+      assign(3),
       std::make_unique<ProbeAdversary>(AdversaryClass::oblivious, &log),
       {1, 2, {}});
   exec.run();
@@ -77,7 +79,9 @@ TEST(Dispatch, OnlineOnlyGetsOnlineHook) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   HookLog log;
   KernelExecution exec(
-      net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
+      net,
+      make_scalar_kernel_adapter(scripted_factory({{1, 0}, {0, 1}, {0, 0}})),
+      assign(3),
       std::make_unique<ProbeAdversary>( AdversaryClass::online_adaptive, &log),
       {1, 2, {}});
   exec.run();
@@ -90,7 +94,9 @@ TEST(Dispatch, OfflineOnlyGetsOfflineHook) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   HookLog log;
   KernelExecution exec(
-      net, scripted_factory({{1, 0}, {0, 1}, {0, 0}}), assign(3),
+      net,
+      make_scalar_kernel_adapter(scripted_factory({{1, 0}, {0, 1}, {0, 0}})),
+      assign(3),
       std::make_unique<ProbeAdversary>( AdversaryClass::offline_adaptive, &log),
       {1, 2, {}});
   exec.run();
@@ -105,7 +111,9 @@ TEST(Dispatch, OnlineSeesHistoryOnlyThroughPreviousRound) {
   auto probe = std::make_unique<ProbeAdversary>(AdversaryClass::online_adaptive,
                                                 &log);
   auto* probe_ptr = probe.get();
-  KernelExecution exec(net, scripted_factory({{1, 0, 1}, {0, 0, 0}, {0, 0, 0}}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1, 0, 1}, {0, 0, 0}, {0, 0, 0}})),
                        assign(3), std::move(probe), {1, 3, {}});
   exec.step();
   EXPECT_EQ(probe_ptr->history_rounds_seen_, 0);  // round 0: empty history
@@ -121,7 +129,9 @@ TEST(Dispatch, OfflineSeesTheRoundsActualTransmitters) {
   auto probe = std::make_unique<ProbeAdversary>(
       AdversaryClass::offline_adaptive, &log);
   auto* probe_ptr = probe.get();
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {1}})), assign(3),
                        std::move(probe), {1, 1, {}});
   exec.step();
   EXPECT_EQ(probe_ptr->last_seen_transmitters_, (std::vector<int>{0, 2}));
@@ -137,7 +147,9 @@ TEST(Dispatch, BaseHooksThrowIfNotOverridden) {
     }
   };
   const DualGraph net = DualGraph::protocol(line_graph(2));
-  KernelExecution exec(net, scripted_factory({{1}, {0}}), assign(2),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(scripted_factory({{1}, {0}})),
+                       assign(2),
                        std::make_unique<Lazy>(), {1, 1, {}});
   EXPECT_THROW(exec.step(), ContractViolation);
 }
@@ -152,7 +164,9 @@ TEST(Dispatch, InspectorReflectsPreRoundState) {
   auto* adv = adversary.get();
   // Round 0: three transmitters (dense: 3 > 0.5*log2(4)=1). Round 1: one
   // (sparse).
-  KernelExecution exec(net, scripted_factory({{1, 1}, {1, 0}, {1, 0}, {0, 0}}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1, 1}, {1, 0}, {1, 0}, {0, 0}})),
                        assign(4), std::move(adversary), {1, 2, {}});
   exec.run();
   ASSERT_EQ(adv->labels().size(), 2u);
@@ -166,7 +180,9 @@ TEST(Dispatch, GreedyColliderFloodsOnlyMultiTransmitterRounds) {
   gp.add_edge(0, 2);
   gp.finalize();
   const DualGraph net(std::move(g), std::move(gp));
-  KernelExecution exec(net, scripted_factory({{1, 1}, {0, 1}, {0, 0}}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1, 1}, {0, 1}, {0, 0}})),
                        assign(3), std::make_unique<GreedyColliderOffline>(),
                        {1, 2, {}});
   exec.run();

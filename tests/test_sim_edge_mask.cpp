@@ -135,7 +135,7 @@ ExecutionHistory run_styled(const DualGraph& net, AdversaryClass cls,
     for (auto& bit : script) bit = rng.bernoulli(0.3) ? 1 : 0;
   }
   KernelExecution exec(
-      net, scripted_factory(scripts),
+      net, make_scalar_kernel_adapter(scripted_factory(scripts)),
       std::make_shared<AssignmentProblem>(net.n(), -1, std::vector<int>{}),
       std::make_unique<StyledAdversary>(cls, mask_style),
       ExecutionConfig{}.with_seed(23).with_max_rounds(30));
@@ -225,7 +225,7 @@ TEST(EdgeMaskDifferential, IidMaskMatchesIndexExpansionByteForByte) {
   }
   const auto run = [&](std::unique_ptr<LinkProcess> adversary) {
     KernelExecution exec(
-        net, scripted_factory(scripts),
+        net, make_scalar_kernel_adapter(scripted_factory(scripts)),
         std::make_shared<AssignmentProblem>(40, -1, std::vector<int>{}),
         std::move(adversary),
         ExecutionConfig{}.with_seed(9).with_max_rounds(40));
@@ -247,7 +247,7 @@ TEST(EdgeMaskDifferential, IidEmptyRoundCollapsesToNone) {
   std::vector<std::vector<char>> scripts(12);
   for (auto& script : scripts) script.assign(60, 1);
   KernelExecution exec(
-      net, scripted_factory(scripts),
+      net, make_scalar_kernel_adapter(scripted_factory(scripts)),
       std::make_shared<AssignmentProblem>(12, -1, std::vector<int>{}),
       std::make_unique<RandomIidEdges>(0.01),
       ExecutionConfig{}.with_seed(2).with_max_rounds(60));
@@ -295,7 +295,7 @@ TEST(EdgeMaskDifferential, ImplicitDualCliqueReplaysExplicitByteForByte) {
   }
   const auto run = [&](const DualGraph& net) {
     KernelExecution exec(
-        net, scripted_factory(scripts),
+        net, make_scalar_kernel_adapter(scripted_factory(scripts)),
         std::make_shared<AssignmentProblem>(n, -1, std::vector<int>{}),
         std::make_unique<RandomIidEdges>(0.2),
         ExecutionConfig{}.with_seed(13).with_max_rounds(50));

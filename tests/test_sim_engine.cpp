@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
 #include "core/kernels.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
 #include "util/assert.hpp"
@@ -38,7 +38,9 @@ std::shared_ptr<Problem> assign(int n) {
 TEST(Engine, SingleTransmitterDeliversToGNeighbors) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   // Node 0 transmits in round 0; everyone else listens.
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}})), assign(3),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   const auto deliveries = all_deliveries(exec.history().round(0));
@@ -50,7 +52,9 @@ TEST(Engine, SingleTransmitterDeliversToGNeighbors) {
 TEST(Engine, TwoTransmittersCollideAtCommonNeighbor) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   // Nodes 0 and 2 transmit; node 1 neighbors both -> collision, no delivery.
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {1}})), assign(3),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
@@ -61,7 +65,9 @@ TEST(Engine, CollisionIsLocalNotGlobal) {
   // only 4: both receive despite two global transmitters. Node 2 hears
   // nobody (neighbors 1,3 silent).
   const DualGraph net = DualGraph::protocol(line_graph(5));
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}, {1}}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}, {0}, {1}})),
                        assign(5), std::make_unique<NoExtraEdges>(),
                        {1, 10, {}});
   exec.step();
@@ -72,7 +78,9 @@ TEST(Engine, CollisionIsLocalNotGlobal) {
 TEST(Engine, TransmitterCannotReceive) {
   // 0 and 1 adjacent, both transmit: neither receives (half-duplex).
   const DualGraph net = DualGraph::protocol(line_graph(2));
-  KernelExecution exec(net, scripted_factory({{1}, {1}}), assign(2),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(scripted_factory({{1}, {1}})),
+                       assign(2),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
@@ -81,7 +89,9 @@ TEST(Engine, TransmitterCannotReceive) {
 TEST(Engine, GPrimeOnlyEdgeInactiveByDefault) {
   const DualGraph net = line3_with_chord();
   // 0 transmits; without the chord active, only 1 receives.
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}})), assign(3),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   const auto deliveries = all_deliveries(exec.history().round(0));
@@ -91,7 +101,9 @@ TEST(Engine, GPrimeOnlyEdgeInactiveByDefault) {
 
 TEST(Engine, ActivatedGPrimeEdgeDelivers) {
   const DualGraph net = line3_with_chord();
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}})), assign(3),
                        std::make_unique<AllExtraEdges>(), {1, 10, {}});
   exec.step();
   // Now node 2 also hears node 0 over the activated chord.
@@ -103,7 +115,9 @@ TEST(Engine, ActivatedGPrimeEdgeCanCauseCollision) {
   // 0 and 1 transmit. Without the chord, 2 hears only 1 -> delivery. With the
   // chord active, 2 hears both -> collision.
   {
-    KernelExecution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
+    KernelExecution exec(net,
+                         make_scalar_kernel_adapter(
+                             scripted_factory({{1}, {1}, {0}})), assign(3),
                          std::make_unique<NoExtraEdges>(), {1, 10, {}});
     exec.step();
     const auto deliveries = all_deliveries(exec.history().round(0));
@@ -111,7 +125,9 @@ TEST(Engine, ActivatedGPrimeEdgeCanCauseCollision) {
     EXPECT_EQ(deliveries[0].receiver, 2);
   }
   {
-    KernelExecution exec(net, scripted_factory({{1}, {1}, {0}}), assign(3),
+    KernelExecution exec(net,
+                         make_scalar_kernel_adapter(
+                             scripted_factory({{1}, {1}, {0}})), assign(3),
                          std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
     EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
@@ -154,7 +170,8 @@ TEST(Engine, SelectiveEdgeActivation) {
   // 0 transmits. With only (0,3) active: 1 (G) and 3 (selected) receive; 2
   // does not.
   KernelExecution exec(
-      net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
+      net, make_scalar_kernel_adapter(scripted_factory({{1}, {0}, {0}, {0}})),
+      assign(4),
       std::make_unique<SelectedEdges>(std::vector<std::int32_t>{idx03}),
       {1, 10, {}});
   exec.step();
@@ -173,14 +190,18 @@ TEST(Engine, FastPathMatchesGeneralPathOnCompleteGPrime) {
   const DualCliqueNet dc = dual_clique(8);
   {
     KernelExecution exec(
-        dc.net, scripted_factory({{1}, {0}, {0}, {0}, {0}, {0}, {0}, {0}}),
+        dc.net,
+        make_scalar_kernel_adapter(
+            scripted_factory({{1}, {0}, {0}, {0}, {0}, {0}, {0}, {0}})),
         assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
     EXPECT_EQ(all_deliveries(exec.history().round(0)).size(), 7u);
   }
   {
     KernelExecution exec(
-        dc.net, scripted_factory({{1}, {1}, {0}, {0}, {0}, {0}, {0}, {0}}),
+        dc.net,
+        make_scalar_kernel_adapter(
+            scripted_factory({{1}, {1}, {0}, {0}, {0}, {0}, {0}, {0}})),
         assign(8), std::make_unique<AllExtraEdges>(), {1, 10, {}});
     exec.step();
     EXPECT_TRUE(all_deliveries(exec.history().round(0)).empty());
@@ -249,7 +270,7 @@ TEST(Engine, FeedbackReportsTransmissionAndReception) {
     scripts->push_back(proc.get());
     return proc;
   };
-  KernelExecution exec(net, factory, assign(2),
+  KernelExecution exec(net, make_scalar_kernel_adapter(factory), assign(2),
                        std::make_unique<NoExtraEdges>(), {1, 10, {}});
   exec.step();
   ASSERT_EQ(scripts->size(), 2u);
@@ -268,7 +289,9 @@ TEST(Engine, FeedbackReportsTransmissionAndReception) {
 TEST(Engine, FirstReceiveRoundTracked) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   // 0 transmits in rounds 0 and 1; 1 relays nothing.
-  KernelExecution exec(net, scripted_factory({{1, 1}, {0, 0}, {0, 0}}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1, 1}, {0, 0}, {0, 0}})),
                        assign(3), std::make_unique<NoExtraEdges>(), {1, 2, {}});
   exec.run();
   EXPECT_EQ(exec.first_receive_round()[1], 0);
@@ -280,7 +303,8 @@ TEST(Engine, DeterministicReplay) {
   const DualCliqueNet dc = dual_clique(16);
   const auto run_once = [&](std::uint64_t seed) {
     KernelExecution exec(dc.net,
-                         decay_global_factory(DecayGlobalConfig::fast()),
+                         make_scalar_kernel_adapter(
+                             decay_global_factory(DecayGlobalConfig::fast())),
                          std::make_shared<GlobalBroadcastProblem>(dc.net, 2),
                          std::make_unique<RandomIidEdges>(0.3),
                          {seed, 2000, {}});
@@ -297,7 +321,9 @@ TEST(Engine, DeterministicReplay) {
 
 TEST(Engine, RunStopsWhenSolved) {
   const DualGraph net = DualGraph::protocol(complete_graph(4));
-  KernelExecution exec(net, decay_global_factory(DecayGlobalConfig::fast()),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           decay_global_factory(DecayGlobalConfig::fast())),
                        std::make_shared<GlobalBroadcastProblem>(net, 0),
                        std::make_unique<NoExtraEdges>(), {1, 5000, {}});
   const RunResult result = exec.run();
@@ -310,7 +336,9 @@ TEST(Engine, RunStopsWhenSolved) {
 TEST(Engine, MaxRoundsCensorsUnsolvedRun) {
   // Nobody ever transmits: global broadcast cannot complete.
   const DualGraph net = DualGraph::protocol(line_graph(4));
-  KernelExecution exec(net, scripted_factory({{}, {}, {}, {}}),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{}, {}, {}, {}})),
                        std::make_shared<GlobalBroadcastProblem>(net, 0),
                        std::make_unique<NoExtraEdges>(), {1, 50, {}});
   const RunResult result = exec.run();
@@ -331,7 +359,7 @@ TEST(Engine, EnvOverrideRewritesIdentity) {
     env.n = 1000;
     return env;
   };
-  KernelExecution exec(net, factory, assign(2),
+  KernelExecution exec(net, make_scalar_kernel_adapter(factory), assign(2),
                        std::make_unique<NoExtraEdges>(), cfg);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].id, 100);

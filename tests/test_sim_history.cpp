@@ -59,7 +59,9 @@ TEST(History, TotalsMatchRecords) {
   const DualGraph net = DualGraph::protocol(line_graph(4));
   // Rounds: r0 nodes {0}, r1 {0,2}, r2 {} transmit.
   KernelExecution exec(
-      net, scripted_factory({{1, 1, 0}, {0, 0, 0}, {0, 1, 0}, {0, 0, 0}}),
+      net,
+      make_scalar_kernel_adapter(
+          scripted_factory({{1, 1, 0}, {0, 0, 0}, {0, 1, 0}, {0, 0, 0}})),
       assign(4), std::make_unique<NoExtraEdges>(), {1, 3, {}});
   exec.run();
   EXPECT_EQ(exec.history().rounds(), 3);
@@ -70,7 +72,9 @@ TEST(History, TotalsMatchRecords) {
 
 TEST(History, RoundAccessorBoundsChecked) {
   const DualGraph net = DualGraph::protocol(line_graph(2));
-  KernelExecution exec(net, scripted_factory({{1}, {0}}), assign(2),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(scripted_factory({{1}, {0}})),
+                       assign(2),
                        std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
   EXPECT_NO_THROW(exec.history().round(0));
@@ -80,7 +84,9 @@ TEST(History, RoundAccessorBoundsChecked) {
 
 TEST(History, SentMessagesParallelTransmitters) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {1}}), assign(3),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {1}})), assign(3),
                        std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
@@ -97,7 +103,9 @@ TEST(History, ActivatedAccountingPerKind) {
   gp.finalize();
   const DualGraph net(std::move(g), std::move(gp));
   {
-    KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+    KernelExecution exec(net,
+                         make_scalar_kernel_adapter(
+                             scripted_factory({{1}, {0}, {0}})), assign(3),
                          std::make_unique<NoExtraEdges>(), {1, 1, {}});
     exec.run();
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::none);
@@ -105,14 +113,18 @@ TEST(History, ActivatedAccountingPerKind) {
     EXPECT_TRUE(exec.history().round(0).activated_mask.empty());
   }
   {
-    KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+    KernelExecution exec(net,
+                         make_scalar_kernel_adapter(
+                             scripted_factory({{1}, {0}, {0}})), assign(3),
                          std::make_unique<AllExtraEdges>(), {1, 1, {}});
     exec.run();
     EXPECT_EQ(exec.history().round(0).activated, EdgeSet::Kind::all);
     EXPECT_EQ(exec.history().round(0).activated_count, 1);
   }
   {
-    KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+    KernelExecution exec(net,
+                         make_scalar_kernel_adapter(
+                             scripted_factory({{1}, {0}, {0}})), assign(3),
                          std::make_unique<RandomIidEdges>(1.0), {1, 1, {}});
     exec.run();
     // p=1.0 short-circuits to Kind::all inside RandomIidEdges.
@@ -137,7 +149,9 @@ TEST(History, MaskKindRecordsExactEdgeSet) {
       out = EdgeSet::some({0});
     }
   };
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}, {0}})), assign(4),
                        std::make_unique<PickFirst>(), {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
@@ -168,7 +182,9 @@ TEST(History, EmptySelectionCollapsesToNone) {
       out = EdgeSet::some({});
     }
   };
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), assign(4),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}, {0}})), assign(4),
                        std::make_unique<EmptySome>(), {1, 1, {}});
   exec.run();
   const RoundRecord& rec = exec.history().round(0);
@@ -193,7 +209,9 @@ TEST(History, EngineRejectsOutOfRangeEdgeIndices) {
       out = EdgeSet::some({5});  // only index 0 exists
     }
   };
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), assign(3),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}})), assign(3),
                        std::make_unique<BadIndices>(), {1, 1, {}});
   EXPECT_THROW(exec.step(), ContractViolation);
 }
@@ -208,7 +226,7 @@ TEST(HistoryPolicyTest, LeanKeepsAggregatesDropsTrace) {
   const DualGraph net = ring_with_chords(8);
   const auto make = [&](HistoryPolicy policy) {
     return std::make_unique<KernelExecution>(
-        net, periodic_factory(3), assign(8),
+        net, make_scalar_kernel_adapter(periodic_factory(3)), assign(8),
         std::make_unique<RandomIidEdges>(0.5),
         ExecutionConfig{}
             .with_seed(21)
@@ -245,7 +263,8 @@ TEST(HistoryPolicyTest, LeanMemoryIsIndependentOfRoundCountOver50kRounds) {
   // O(n) — identical to a 1k-round run and far below the full trace.
   const DualGraph net = ring_with_chords(16);
   const auto footprint_after = [&](int rounds) {
-    KernelExecution exec(net, periodic_factory(4), assign(16),
+    KernelExecution exec(net, make_scalar_kernel_adapter(periodic_factory(4)),
+                         assign(16),
                          std::make_unique<RandomIidEdges>(0.5),
                          ExecutionConfig{}
                              .with_seed(5)
@@ -278,7 +297,8 @@ TEST(HistoryPolicyTest, AdaptiveAdversaryForcesFullFallback) {
     }
   };
   const DualGraph net = ring_with_chords(6);
-  KernelExecution exec(net, periodic_factory(2), assign(6),
+  KernelExecution exec(net, make_scalar_kernel_adapter(periodic_factory(2)),
+                       assign(6),
                        std::make_unique<TraceReader>(),
                        ExecutionConfig{}
                            .with_seed(3)
@@ -293,7 +313,8 @@ TEST(HistoryPolicyTest, DeclaredNonReadersHonorLean) {
   // DenseSparseOnline is adaptive but declares needs_history() == false
   // (it reads only the StateInspector), so lean is honored.
   const DualGraph net = ring_with_chords(8);
-  KernelExecution exec(net, periodic_factory(2), assign(8),
+  KernelExecution exec(net, make_scalar_kernel_adapter(periodic_factory(2)),
+                       assign(8),
                        std::make_unique<DenseSparseOnline>(DenseSparseConfig{}),
                        ExecutionConfig{}
                            .with_seed(3)

@@ -1,11 +1,13 @@
-// Kernel equivalence: every native kernel must replay bit-identically
-// against the scalar adapter over its algorithm on the one engine — same
-// transmitters, messages, deliveries, solve round, and E[|X| | S] in every
-// round — across topologies, adversary classes (including adaptive ones,
-// which read state through the kernel-backed StateInspector), and
+// Kernel equivalence: every built-in kernel must replay bit-identically
+// against the scalar adapter over its algorithm's reference Process
+// (tests/reference/) on the one engine — same transmitters, messages,
+// deliveries, solve round, and E[|X| | S] in every round — across
+// topologies, adversary classes (including adaptive ones, which read state
+// through the kernel-backed StateInspector, and the bracelet
+// pre-simulation, which re-runs the algorithm it is built with), and
 // problems. Plus the batch-compatibility contract for problems, the
-// engine's incremental holder count against a full scan, env_override on
-// both kernel paths, and the blank kernel copies adversaries are handed.
+// engine's incremental holder count against a full scan, and env_override
+// ids and sizes on both sides.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,9 @@
 #include <vector>
 
 #include "adversary/static_adversaries.hpp"
+#include "reference/factories.hpp"
 #include "scenario/registries.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/kernel_execution.hpp"
 #include "util/assert.hpp"
 #include "util/simd.hpp"
@@ -34,23 +38,21 @@ struct Combo {
   int max_rounds;
 };
 
-/// Runs `max_rounds` (or to solve) with the native kernel and with the
-/// scalar adapter, and compares the full observable trace and, before every
-/// round, the expected transmitter count.
+/// Runs `max_rounds` (or to solve) with the built-in kernel and with the
+/// scalar adapter over the reference, and compares the full observable
+/// trace and, before every round, the expected transmitter count. Each
+/// side's adversary is built with that side's algorithm.
 void expect_engines_agree(
     const Combo& combo, std::uint64_t seed,
     const std::function<ProcessEnv(ProcessEnv)>& env_override = {}) {
   SCOPED_TRACE(combo.topology + " | " + combo.algorithm + " | " +
                combo.adversary + " | " + combo.problem);
   const Topology topo = scenario::topologies().build(combo.topology, 5);
-  const ProcessFactory factory =
-      scenario::algorithms().build(combo.algorithm);
+  const KernelFactory reference = reference_kernel(combo.algorithm);
   const KernelFactory kernel_factory =
-      scenario::build_kernel_or_null(combo.algorithm);
-  ASSERT_TRUE(kernel_factory) << "no kernel registered for "
-                              << combo.algorithm;
-  const auto adversary = [&] {
-    return scenario::adversaries().build(combo.adversary, topo)();
+      scenario::algorithms().build(combo.algorithm);
+  const auto adversary = [&](const KernelFactory& algorithm) {
+    return scenario::adversaries().build(combo.adversary, topo, algorithm)();
   };
   const auto problem = [&] {
     return scenario::problems().build(combo.problem, topo)();
@@ -63,10 +65,10 @@ void expect_engines_agree(
         .with_env_override(env_override);
   };
 
-  KernelExecution scalar(topo.net(), factory, problem(), adversary(),
-                         config());
-  KernelExecution kernel(topo.net(), factory, kernel_factory(), problem(),
-                         adversary(), config());
+  KernelExecution scalar(topo.net(), reference(), problem(),
+                         adversary(reference), config());
+  KernelExecution kernel(topo.net(), kernel_factory(), problem(),
+                         adversary(kernel_factory), config());
   const StateInspector scalar_state(&scalar.kernel(), topo.net().n());
   const StateInspector kernel_state(&kernel.kernel(), topo.net().n());
   while (!scalar.done() && !kernel.done()) {
@@ -201,14 +203,21 @@ TEST(KernelEngineEquivalence, GeoLocalBothSeedModes) {
                           adversary, "local(every(3))", 2000},
                          42);
   }
-  // Bracelet pre-simulation: construction-aware oblivious attack. The
-  // native engine runs the bands on fresh() kernel copies under the
-  // presim's id-rewriting env override, the adapter on the adapter.
-  for (const char* algorithm :
-       {"decay_local", "decay_global(permuted)", "geo_local"}) {
-    expect_engines_agree({"bracelet(96)", algorithm, "bracelet_presim(0.3)",
-                          "local(heads_a)", 600},
-                         43);
+  // Bracelet pre-simulation: construction-aware oblivious attack. Each
+  // side's adversary runs the bands on its own algorithm — the built-in
+  // kernel or the reference on the adapter — under the presim's
+  // id-rewriting env override, for every built-in.
+  const std::map<std::string, std::string> problem_of = {
+      {"decay_local", "local(heads_a)"},
+      {"decay_global(permuted)", "global(clasp_a)"},
+      {"geo_local", "local(heads_a)"},
+      {"round_robin", "local(heads_a)"},
+      {"robust_mix", "global(clasp_a)"},
+      {"gossip", "gossip(4)"},
+  };
+  for (const auto& [algorithm, problem] : problem_of) {
+    expect_engines_agree(
+        {"bracelet(96)", algorithm, "bracelet_presim(0.3)", problem, 600}, 43);
   }
 }
 
@@ -258,90 +267,59 @@ TEST(KernelEngineEquivalence, MultiBlockBothCoinPaths) {
   simd::force_scalar(false);
 }
 
+/// A problem that reads Process objects: not batch_compatible().
+class OpaqueProblem final : public Problem {
+ public:
+  std::string name() const override { return "opaque"; }
+  bool is_source(int v) const override { return v == 0; }
+  bool solved(
+      const std::vector<std::unique_ptr<Process>>& procs) const override {
+    return !procs.empty() && procs[0]->has_message();
+  }
+};
+
 TEST(KernelEngineContract, NonBatchProblemRequiresAdapter) {
   // A problem that does not declare batch_compatible() cannot run on a
   // process-less kernel...
-  class OpaqueProblem final : public Problem {
-   public:
-    std::string name() const override { return "opaque"; }
-    bool is_source(int v) const override { return v == 0; }
-    bool solved(
-        const std::vector<std::unique_ptr<Process>>& procs) const override {
-      return !procs.empty() && procs[0]->has_message();
-    }
-  };
   const Topology topo = scenario::topologies().build("dual_clique(8)", 5);
-  const ProcessFactory factory = scenario::algorithms().build("round_robin");
-  const KernelFactory kernel = scenario::build_kernel_or_null("round_robin");
-  const auto adversary = scenario::adversaries().build("none", topo);
-  EXPECT_THROW(KernelExecution(topo.net(), factory, kernel(),
+  const KernelFactory kernel = scenario::algorithms().build("round_robin");
+  const auto adversary = scenario::adversaries().build("none", topo, kernel);
+  EXPECT_THROW(KernelExecution(topo.net(), kernel(),
                                std::make_shared<OpaqueProblem>(), adversary(),
                                ExecutionConfig{}.with_seed(1)),
                ContractViolation);
-  // ...and runs fine through the scalar adapter.
-  KernelExecution exec(topo.net(), factory,
-                       make_scalar_kernel_adapter(factory),
+  // ...runs fine on the scalar adapter around a Process...
+  KernelExecution exec(topo.net(), reference_kernel("round_robin")(),
                        std::make_shared<OpaqueProblem>(), adversary(),
                        ExecutionConfig{}.with_seed(1).with_max_rounds(4));
   exec.run();
   EXPECT_TRUE(exec.solved());
-}
 
-TEST(KernelEngineContract, AdversariesGetBlankCopiesOfTheKernel) {
-  // The engine hands adversaries a factory of fresh() copies of its kernel
-  // — new objects, never the live one — when the kernel offers them, and an
-  // empty factory otherwise: the scalar adapter, and the kernels whose
-  // slots and token sources key on node indices.
-  class SetupProbe final : public LinkProcess {
-   public:
-    explicit SetupProbe(std::vector<std::unique_ptr<AlgorithmKernel>>& made)
-        : made_(&made) {}
-    AdversaryClass adversary_class() const override {
-      return AdversaryClass::oblivious;
-    }
-    void on_execution_start(const ExecutionSetup& setup, Rng&) override {
-      if (!setup.kernel) return;
-      made_->push_back(setup.kernel());
-      made_->push_back(setup.kernel());
-    }
-
-   private:
-    std::vector<std::unique_ptr<AlgorithmKernel>>* made_;
-  };
-  const std::map<std::string, std::pair<std::string, bool>> cases = {
-      {"decay_global", {"global(1)", true}},
-      {"decay_local", {"local(every(3))", true}},
-      {"geo_local", {"local(every(3))", true}},
-      {"round_robin", {"global(1)", false}},
-      {"robust_mix", {"global(1)", false}},
-      {"gossip", {"gossip(3)", false}},
-  };
-  const Topology topo = scenario::topologies().build("dual_clique(16)", 5);
-  for (const auto* entry : scenario::kernels().entries()) {
-    const auto found = cases.find(entry->name);
-    ASSERT_NE(found, cases.end()) << "no case for kernel " << entry->name;
-    const auto& [problem, offers] = found->second;
-    const ProcessFactory factory = scenario::algorithms().build(entry->name);
-    for (const bool adapter : {false, true}) {
-      SCOPED_TRACE(entry->name + (adapter ? " | adapter" : ""));
-      std::vector<std::unique_ptr<AlgorithmKernel>> made;
-      const KernelExecution exec(
-          topo.net(), factory,
-          adapter ? make_scalar_kernel_adapter(factory)
-                  : scenario::build_kernel_or_null(entry->name)(),
-          scenario::problems().build(problem, topo)(),
-          std::make_unique<SetupProbe>(made), ExecutionConfig{}.with_seed(3));
-      if (adapter || !offers) {
-        EXPECT_TRUE(made.empty());
-        continue;
-      }
-      ASSERT_EQ(made.size(), 2u);
-      ASSERT_NE(made[0], nullptr);
-      ASSERT_NE(made[1], nullptr);
-      EXPECT_NE(made[0].get(), made[1].get());
-      EXPECT_NE(made[0].get(), &exec.kernel());
-      EXPECT_EQ(made[0]->processes(), nullptr);
-    }
+  // ...and a scenario that pairs it with a built-in fails with an error
+  // naming both.
+  if (!scenario::problems().contains("opaque_test")) {
+    scenario::problems().add(
+        "opaque_test", "a problem that reads Process objects",
+        [](const scenario::SpecArgs&, const Topology&) {
+          return scenario::ProblemFactory(
+              [] { return std::make_shared<OpaqueProblem>(); });
+        });
+  }
+  scenario::ScenarioSpec spec;
+  spec.name = "test/opaque";
+  spec.topology = "dual_clique({x})";
+  spec.problem = "opaque_test";
+  spec.sweep = {8};
+  spec.trials = 1;
+  spec.max_rounds = "4";
+  spec.columns = {{"robin", "round_robin(relay)", "none", ""}};
+  try {
+    scenario::run_scenario(spec);
+    ADD_FAILURE() << "a built-in paired with a Process-reading problem ran";
+  } catch (const scenario::ScenarioError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("\"opaque_test\""), std::string::npos) << what;
+    EXPECT_NE(what.find("\"round_robin(relay)\""), std::string::npos) << what;
   }
 }
 
@@ -360,7 +338,7 @@ class ScanView final : public NodeStateView {
 };
 
 TEST(KernelEngineCompletion, HolderCountMatchesScanEveryRound) {
-  // Every registered kernel with a problem it can solve, on a dual clique
+  // Every registered algorithm with a problem it can solve, on a dual clique
   // and a jittered grid, under one adversary per class (oblivious, online
   // adaptive, offline adaptive) — and the scalar adapter over the same
   // algorithm, which keeps no count and answers by scanning its processes.
@@ -369,7 +347,7 @@ TEST(KernelEngineCompletion, HolderCountMatchesScanEveryRound) {
       {"round_robin", "global(1)"},      {"gossip", "gossip(3)"},
       {"decay_local", "local(every(3))"}, {"geo_local", "local(every(3))"},
   };
-  for (const auto* entry : scenario::kernels().entries()) {
+  for (const auto* entry : scenario::algorithms().entries()) {
     const auto problem = problem_of.find(entry->name);
     ASSERT_NE(problem, problem_of.end())
         << "no problem chosen for kernel " << entry->name;
@@ -380,14 +358,13 @@ TEST(KernelEngineCompletion, HolderCountMatchesScanEveryRound) {
         for (const bool adapter : {false, true}) {
           SCOPED_TRACE(entry->name + " | " + topology + " | " + adversary +
                        (adapter ? " | adapter" : ""));
-          const ProcessFactory factory =
-              scenario::algorithms().build(entry->name);
+          const KernelFactory algorithm =
+              adapter ? reference_kernel(entry->name)
+                      : scenario::algorithms().build(entry->name);
           KernelExecution exec(
-              topo.net(), factory,
-              adapter ? make_scalar_kernel_adapter(factory)
-                      : scenario::build_kernel_or_null(entry->name)(),
+              topo.net(), algorithm(),
               scenario::problems().build(problem->second, topo)(),
-              scenario::adversaries().build(adversary, topo)(),
+              scenario::adversaries().build(adversary, topo, algorithm)(),
               ExecutionConfig{}.with_seed(9).with_max_rounds(400));
           const ScanView scan(exec);
           while (true) {
@@ -408,10 +385,9 @@ TEST(KernelEngineEnvOverride, MovedSourceRoleTransmitsFirst) {
   // The problem makes node 1 the source; the override hands the role (and
   // the message) to node 5. Global decay's round 0 is the source's
   // transmission, so round 0's only transmitter must be node 5 — through
-  // the scalar adapter and through the native kernel alike.
+  // the reference on the scalar adapter and through the kernel alike.
   const Topology topo = scenario::topologies().build("dual_clique(8)", 5);
   const std::string algo = "decay_global(fixed,persistent)";
-  const ProcessFactory factory = scenario::algorithms().build(algo);
   Message moved;
   moved.source = 5;
   moved.payload = 0x5;
@@ -433,13 +409,45 @@ TEST(KernelEngineEnvOverride, MovedSourceRoleTransmitsFirst) {
     EXPECT_TRUE(round0.sent[0] == moved);
   };
   for (const bool adapter : {true, false}) {
-    SCOPED_TRACE(adapter ? "scalar adapter" : "native kernel");
-    KernelExecution exec(topo.net(), factory,
-                         adapter ? make_scalar_kernel_adapter(factory)
-                                 : scenario::build_kernel_or_null(algo)(),
+    SCOPED_TRACE(adapter ? "reference" : "kernel");
+    KernelExecution exec(topo.net(),
+                         adapter ? reference_kernel(algo)()
+                                 : scenario::algorithms().build(algo)(),
                          problem(), std::make_unique<NoExtraEdges>(), config);
     exec.step();
     expect_round0(exec.history().round(0));
+  }
+}
+
+TEST(KernelEngineEnvOverride, EveryKernelFollowsRewrittenIdsAndSize) {
+  // The override reverses the ids, presents a network three nodes larger
+  // than the real one, and has each message source name its holder's new
+  // id, as the bracelet pre-simulation's bands present their nodes.
+  // Round robin's slots (three of them owned by no node), relayed gossip
+  // tokens and geo seeds carry the rewritten ids; the decay ladders follow
+  // the larger n. Every kernel must still replay its reference.
+  const auto rewrite = [](ProcessEnv env) {
+    env.id = env.n - 1 - env.id;
+    env.n += 3;
+    if (env.initial_message.source >= 0) {
+      env.initial_message.source = env.id;
+    }
+    return env;
+  };
+  const std::map<std::string, std::pair<std::string, std::string>> cases = {
+      {"decay_global(permuted,persistent)", {"dual_clique(24)", "global(1)"}},
+      {"decay_local(permuted)", {"dual_clique(24)", "local(side_a)"}},
+      {"geo_local", {"jgrid(6,6,0.5,0.05,2.0)", "local(every(3))"}},
+      {"round_robin", {"dual_clique(24)", "global(1)"}},
+      {"robust_mix", {"dual_clique(24)", "global(1)"}},
+      {"gossip(quiesce)", {"line_overlay(24,3)", "gossip(3)"}},
+  };
+  for (const auto& [algorithm, where] : cases) {
+    for (const char* adversary : {"iid(0.3)", "dense_sparse"}) {
+      expect_engines_agree(
+          {where.first, algorithm, adversary, where.second, 1500}, 71,
+          rewrite);
+    }
   }
 }
 

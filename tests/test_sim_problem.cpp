@@ -9,10 +9,10 @@
 #include <utility>
 
 #include "adversary/static_adversaries.hpp"
-#include "core/factories.hpp"
 #include "core/gossip.hpp"
 #include "core/kernels.hpp"
 #include "graph/generators.hpp"
+#include "reference/factories.hpp"
 #include "scenario/registries.hpp"
 #include "sim/kernel_execution.hpp"
 #include "test_support.hpp"
@@ -80,7 +80,9 @@ TEST(LocalProblem, SolvedWhenAllReceiversCredited) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0});
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}}), problem,
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}})), problem,
                        std::make_unique<NoExtraEdges>(), {1, 5, {}});
   const RunResult result = exec.run();
   EXPECT_TRUE(result.solved);
@@ -95,7 +97,9 @@ TEST(LocalProblem, NonBSendersDoNotCount) {
   const DualGraph net = DualGraph::protocol(line_graph(3));
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0});
-  KernelExecution exec(net, scripted_factory({{0}, {0}, {1}}), problem,
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{0}, {0}, {1}})), problem,
                        std::make_unique<NoExtraEdges>(), {1, 1, {}});
   const RunResult result = exec.run();
   EXPECT_FALSE(result.solved);
@@ -115,7 +119,9 @@ TEST(LocalProblem, LiberalCreditAcceptsGPrimeDelivery) {
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0, 2}, ReceiverCredit::any_b_sender);
   // Only node 0 transmits; chord (0,3) active.
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), problem,
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}, {0}})), problem,
                        std::make_unique<AllExtraEdges>(), {1, 1, {}});
   exec.run();
   const auto unsat = problem->unsatisfied();
@@ -131,7 +137,9 @@ TEST(LocalProblem, StrictCreditRequiresGNeighborSender) {
   const DualGraph net(std::move(g), std::move(gp));
   auto problem = std::make_shared<LocalBroadcastProblem>(
       net, std::vector<int>{0, 2}, ReceiverCredit::g_neighbor_only);
-  KernelExecution exec(net, scripted_factory({{1}, {0}, {0}, {0}}), problem,
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(
+                           scripted_factory({{1}, {0}, {0}, {0}})), problem,
                        std::make_unique<AllExtraEdges>(), {1, 1, {}});
   exec.run();
   const auto unsat = problem->unsatisfied();
@@ -147,7 +155,8 @@ TEST(AssignmentProblem, NeverSolvedAndAllowsDisconnected) {
   EXPECT_TRUE(problem->in_broadcast_set(1));
   EXPECT_FALSE(problem->in_broadcast_set(0));
   KernelExecution exec(dc.net,
-                       scripted_factory(std::vector<std::vector<char>>(8)),
+                       make_scalar_kernel_adapter(
+                           scripted_factory(std::vector<std::vector<char>>(8))),
                        problem, std::make_unique<NoExtraEdges>(), {1, 3, {}});
   const RunResult result = exec.run();
   EXPECT_FALSE(result.solved);
@@ -236,7 +245,9 @@ TEST(ProblemFactory, CopiesShareNoState) {
   const scenario::ProblemFactory local =
       scenario::problems().build("local(first(1))", topo);
   const auto solve = [&](std::shared_ptr<Problem> problem) {
-    KernelExecution exec(topo.net(), scripted_factory({{1}, {0}, {0}}),
+    KernelExecution exec(topo.net(),
+                         make_scalar_kernel_adapter(
+                             scripted_factory({{1}, {0}, {0}})),
                          std::move(problem), std::make_unique<NoExtraEdges>(),
                          {1, 5, {}});
     return exec.run();

@@ -1,7 +1,7 @@
 // Reference-model fuzzing: replay randomized executions and recompute every
 // round's outcome from first principles (the §2 receive rule applied naively
 // in O(n²)), comparing against the engine — through the scalar adapter on
-// random scripts and through native kernels on registered algorithms,
+// random scripts and through the kernels of registered algorithms,
 // including the engine's complete-topology fast path. Also covers the
 // collision-detection model variant and the adapter's InspectableProcess
 // contract for adaptive adversaries.
@@ -102,7 +102,8 @@ void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
     script.resize(static_cast<std::size_t>(rounds));
     for (auto& bit : script) bit = rng.bernoulli(p_tx) ? 1 : 0;
   }
-  KernelExecution exec(net, scripted_factory(scripts),
+  KernelExecution exec(net,
+                       make_scalar_kernel_adapter(scripted_factory(scripts)),
                        std::make_shared<AssignmentProblem>(
                            net.n(), -1, std::vector<int>{}),
                        std::move(adversary), {seed, rounds, {}});
@@ -115,7 +116,7 @@ void fuzz_network(const DualGraph& net, std::unique_ptr<LinkProcess> adversary,
   }
 }
 
-/// A registered algorithm on its native kernel, built from the scenario
+/// A registered algorithm on its kernel, built from the scenario
 /// registries; checks every round it runs.
 void fuzz_native_kernel(const std::string& topology,
                         const std::string& algorithm,
@@ -124,11 +125,10 @@ void fuzz_native_kernel(const std::string& topology,
                         int max_rounds) {
   SCOPED_TRACE(topology + " | " + algorithm + " | " + adversary);
   const scenario::Topology topo = scenario::topologies().build(topology, seed);
-  const KernelFactory kernel = scenario::build_kernel_or_null(algorithm);
-  ASSERT_TRUE(kernel) << "no kernel registered for " << algorithm;
-  KernelExecution exec(topo.net(), scenario::algorithms().build(algorithm),
-                       kernel(), scenario::problems().build(problem, topo)(),
-                       scenario::adversaries().build(adversary, topo)(),
+  const KernelFactory kernel = scenario::algorithms().build(algorithm);
+  KernelExecution exec(topo.net(), kernel(),
+                       scenario::problems().build(problem, topo)(),
+                       scenario::adversaries().build(adversary, topo, kernel)(),
                        ExecutionConfig{}
                            .with_seed(seed)
                            .with_max_rounds(max_rounds)
@@ -216,7 +216,8 @@ TEST(InspectorContract, OnlineAdversaryRejectsOpaqueProcess) {
   const DualCliqueNet dc = dual_clique(8);
   KernelExecution exec(
       dc.net,
-      [](const ProcessEnv&) { return std::make_unique<OpaqueProcess>(); },
+      make_scalar_kernel_adapter(
+          [](const ProcessEnv&) { return std::make_unique<OpaqueProcess>(); }),
       std::make_shared<AssignmentProblem>(8, -1, std::vector<int>{}),
       std::make_unique<DenseSparseOnline>(), {1, 4, {}});
   EXPECT_THROW(exec.step(), ContractViolation);
@@ -269,7 +270,7 @@ TEST(CollisionDetection, ListenersLearnOfCollisionsWhenEnabled) {
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
   KernelExecution exec(
-      net, factory,
+      net, make_scalar_kernel_adapter(factory),
       std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
       std::make_unique<NoExtraEdges>(), cfg);
   exec.run();
@@ -290,7 +291,7 @@ TEST(CollisionDetection, DisabledByDefaultPerThePaperModel) {
     return proc;
   };
   KernelExecution exec(
-      net, factory,
+      net, make_scalar_kernel_adapter(factory),
       std::make_shared<AssignmentProblem>(3, -1, std::vector<int>{}),
       std::make_unique<NoExtraEdges>(), {1, 1, {}});
   exec.run();
@@ -311,7 +312,7 @@ TEST(CollisionDetection, FastPathReportsCollisionsToo) {
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
   KernelExecution exec(
-      dc.net, factory,
+      dc.net, make_scalar_kernel_adapter(factory),
       std::make_shared<AssignmentProblem>(8, -1, std::vector<int>{}),
       std::make_unique<AllExtraEdges>(), cfg);
   exec.run();
@@ -335,7 +336,7 @@ TEST(CollisionDetection, SingleTransmitterNeverFlagsCollision) {
   ExecutionConfig cfg{1, 1, {}};
   cfg.collision_detection = true;
   KernelExecution exec(
-      net, factory,
+      net, make_scalar_kernel_adapter(factory),
       std::make_shared<AssignmentProblem>(4, -1, std::vector<int>{}),
       std::make_unique<NoExtraEdges>(), cfg);
   exec.run();

@@ -63,24 +63,26 @@ inline ProcessFactory scripted_factory(std::vector<std::vector<char>> scripts) {
   };
 }
 
-/// Runs global broadcast and returns the result.
+/// Runs global broadcast on the scalar adapter over `factory` and returns
+/// the result.
 inline RunResult run_global(const DualGraph& net, ProcessFactory factory,
                             std::unique_ptr<LinkProcess> adversary, int source,
                             std::uint64_t seed, int max_rounds) {
-  KernelExecution exec(net, std::move(factory),
+  KernelExecution exec(net, make_scalar_kernel_adapter(std::move(factory)),
                        std::make_shared<GlobalBroadcastProblem>(net, source),
                        std::move(adversary),
                        ExecutionConfig{seed, max_rounds, {}});
   return exec.run();
 }
 
-/// Runs local broadcast and returns the result.
+/// Runs local broadcast on the scalar adapter over `factory` and returns
+/// the result.
 inline RunResult run_local(const DualGraph& net, ProcessFactory factory,
                            std::unique_ptr<LinkProcess> adversary,
                            std::vector<int> broadcast_set, std::uint64_t seed,
                            int max_rounds,
                            ReceiverCredit credit = ReceiverCredit::any_b_sender) {
-  KernelExecution exec(net, std::move(factory),
+  KernelExecution exec(net, make_scalar_kernel_adapter(std::move(factory)),
                        std::make_shared<LocalBroadcastProblem>(
                            net, std::move(broadcast_set), credit),
                        std::move(adversary),
