@@ -156,7 +156,6 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
       const GcReport swept = gc_sweep(options.jobs_dir, env, options.log);
       report.members_reaped += swept.members_reaped;
       report.leases_reclaimed += swept.leases_reclaimed;
-      report.quarantines_removed += swept.quarantines_removed;
     } catch (const util::IoError& error) {
       if (options.log != nullptr) {
         *options.log << "daemon: warning: gc sweep failed ("
@@ -267,6 +266,20 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
       jobs[picked].age = 0;
 
       JobState& job = jobs[picked];
+      // Repairs this job's corrupt logs; true when there were any. Owned:
+      // rewrites only happen under a per-shard lease on shared mounts.
+      const auto repair_logs = [&](const char* when) {
+        const std::vector<ShardScan> rotten = job.store->recover_all(owner);
+        for (const ShardScan& scan : rotten) {
+          ++report.shards_repaired;
+          progress = true;
+          if (options.log != nullptr) {
+            *options.log << "daemon: " << when << "repaired "
+                         << scan.damage() << " in " << picked << "\n";
+          }
+        }
+        return !rotten.empty();
+      };
       try {
         if (job.store == nullptr) {
           job.store =
@@ -278,17 +291,9 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
                          << " in " << picked << " ("
                          << job.store->total_tasks() << " tasks)\n";
           }
-          // Pickup recovery: quarantine corrupt logs once here (and in
-          // the gc-cadence sweeps) instead of on every worker call. Owned:
-          // rewrites only happen under a per-shard lease on shared mounts.
-          for (const int shard : job.store->recover_all(owner)) {
-            ++report.shards_quarantined;
-            progress = true;
-            if (options.log != nullptr) {
-              *options.log << "daemon: quarantined corrupt shard " << shard
-                           << " log in " << picked << "\n";
-            }
-          }
+          // Pickup recovery: once here (and before merging) instead of
+          // on every worker call.
+          repair_logs("");
         }
         if (job.runtime == nullptr) {
           job.runtime = std::make_unique<JobRuntime>(*job.store);
@@ -299,7 +304,7 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
           worker_options.owner = owner;
           worker_options.stop = options.stop;
           worker_options.log = options.log;
-          worker_options.recover = false;  // recovered at pickup + sweeps
+          worker_options.recover = false;  // repaired at pickup + pre-merge
           worker_options.op_deadline_seconds = options.op_deadline_seconds;
           worker_options.deadline_fs = options.deadline_fs;
           worker_options.max_shards = 1;
@@ -313,30 +318,20 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
         // frees the most follow-on work per byte.
         report.shards_completed += worked.shards_completed;
         report.tasks_executed += worked.tasks_executed;
-        report.shards_quarantined += worked.shards_quarantined;
+        report.shards_repaired += worked.shards_repaired;
         report.leases_stolen += worked.leases_stolen;
-        report.quarantines_removed += worked.quarantines_cleared;
         report.shards_fenced += worked.shards_fenced;
         report.heartbeats_skipped += worked.heartbeats_skipped;
         if (worked.shards_completed > 0 || worked.tasks_executed > 0 ||
-            worked.shards_quarantined > 0) {
+            worked.shards_repaired > 0) {
           progress = true;
         }
         if (worked.stopped) break;
         if (all_shards_done(*job.store)) {
           // Pre-merge integrity pass: anything that went corrupt since
-          // pickup is quarantined now (clearing its done marker), and the
+          // pickup is repaired now (clearing its done marker), and the
           // merge waits for the recompute instead of failing.
-          const std::vector<int> rotten = job.store->recover_all(owner);
-          if (!rotten.empty()) {
-            report.shards_quarantined += static_cast<int>(rotten.size());
-            progress = true;
-            if (options.log != nullptr) {
-              *options.log << "daemon: pre-merge check quarantined "
-                           << rotten.size() << " shard log(s) in " << picked
-                           << "; recomputing before merge\n";
-            }
-          } else {
+          if (!repair_logs("pre-merge check ")) {
             // Complete: merge into the cache so future serves hit, then
             // drop the runtime (the records stay for `merge`/`status`).
             // Any degraded pressure rung stops cache writes — the merge

@@ -4,7 +4,7 @@
 //
 // run_daemon() watches a jobs directory: every subdirectory containing a
 // job.meta is a dropped job. The daemon opens each job, claims shards via
-// the worker lease loop (quarantining corrupt shards, resuming from
+// the worker lease loop (repairing corrupt shard logs, resuming from
 // watermarks), and — once every shard is done — merges the results into
 // the result cache so later `serve` calls for the same scenarios are
 // zero-recompute. Polling is backoff-paced: cycles that make progress
@@ -14,7 +14,7 @@
 // Fleet behavior: the daemon publishes a membership file under
 // `<jobs_dir>/fleet/` and renews its heartbeat at TTL/3; at the same
 // cadence it runs a gc sweep (reap stale members, reclaim their expired
-// lease debris, delete superseded quarantines).
+// lease debris).
 //
 // Claims: every claim round takes one shard, in the daemon's seeded
 // shard rotation, from the job that has waited longest (ties in
@@ -101,11 +101,10 @@ struct DaemonReport {
   int jobs_completed = 0;  ///< jobs whose every shard finished under us
   int shards_completed = 0;
   int tasks_executed = 0;
-  int shards_quarantined = 0;
+  int shards_repaired = 0;     ///< corrupt logs rewritten to their good prefix
   int leases_stolen = 0;       ///< expired foreign leases evicted on claim
   int members_reaped = 0;      ///< stale fleet members removed by our sweeps
   int leases_reclaimed = 0;    ///< expired lease debris removed by our sweeps
-  int quarantines_removed = 0; ///< quarantine files GC'd (sweeps + workers)
   int shards_fenced = 0;       ///< workers fenced off after a lapsed lease
   int heartbeats_skipped = 0;  ///< renewals withheld by the progress gate
   int pressure_transitions = 0;  ///< disk-pressure ladder state changes

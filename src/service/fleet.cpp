@@ -196,14 +196,10 @@ std::vector<MemberState> FleetRegistry::scan() const {
   return out;
 }
 
-std::vector<std::string> FleetRegistry::reap_stale(bool dry_run) {
+std::vector<std::string> FleetRegistry::reap_stale() {
   std::vector<std::string> reaped;
   for (const MemberState& member : scan()) {
     if (!member.stale) continue;
-    if (dry_run) {
-      reaped.push_back(member.record.id);
-      continue;
-    }
     // Re-verify on a fresh read before the unlink: on a shared mount the
     // stale classification above may rest on a cached member file whose
     // heartbeat renewal simply had not reached this machine yet. (A false
@@ -225,22 +221,19 @@ std::vector<std::string> FleetRegistry::reap_stale(bool dry_run) {
 }
 
 GcReport gc_sweep(const std::string& jobs_dir, const StoreEnv& env,
-                  std::ostream* log, bool dry_run) {
+                  std::ostream* log) {
   GcReport report;
-  report.dry_run = dry_run;
   util::Fs& fs = resolve_fs(env);
 
   // Stale daemons first: their ids feed the per-job lease reclamation, so
   // debris left by a kill -9'd daemon clears in the same pass that
   // detects its death.
   FleetRegistry fleet(jobs_dir, env);
-  report.reaped_ids = fleet.reap_stale(dry_run);
+  report.reaped_ids = fleet.reap_stale();
   report.members_reaped = static_cast<int>(report.reaped_ids.size());
   if (log != nullptr) {
     for (const std::string& id : report.reaped_ids) {
-      *log << (dry_run ? "gc: would reap stale fleet member "
-                       : "gc: reaped stale fleet member ")
-           << id << "\n";
+      *log << "gc: reaped stale fleet member " << id << "\n";
     }
   }
 
@@ -248,16 +241,11 @@ GcReport gc_sweep(const std::string& jobs_dir, const StoreEnv& env,
     try {
       JobStore store = JobStore::open(dir, env);
       ++report.jobs_swept;
-      const int leases = store.gc_expired_leases(report.reaped_ids, dry_run);
-      const int quarantines = store.gc_quarantines(dry_run);
+      const int leases = store.gc_expired_leases(report.reaped_ids);
       report.leases_reclaimed += leases;
-      report.quarantines_removed += quarantines;
-      if (log != nullptr && (leases > 0 || quarantines > 0)) {
-        *log << "gc: job " << dir << (dry_run ? ": would reclaim "
-                                              : ": reclaimed ")
-             << leases << " expired lease(s), "
-             << (dry_run ? "would remove " : "removed ") << quarantines
-             << " verified quarantine(s)\n";
+      if (log != nullptr && leases > 0) {
+        *log << "gc: job " << dir << ": reclaimed " << leases
+             << " expired lease(s)\n";
       }
     } catch (const ScenarioError& error) {
       if (log != nullptr) {
@@ -286,7 +274,6 @@ struct JobView {
   std::size_t shards_total = 0;
   int shards_done = 0;
   int shards_corrupt = 0;
-  int shards_quarantined = 0;
   int leases_live = 0;
   int leases_stale = 0;
   std::vector<LeaseState> leases;
@@ -323,7 +310,6 @@ FleetView gather_fleet_view(const std::string& jobs_dir, const StoreEnv& env) {
         job.tasks_completed += shard.completed;
         if (shard.done) ++job.shards_done;
         if (shard.corrupt) ++job.shards_corrupt;
-        if (shard.quarantined) ++job.shards_quarantined;
       }
       job.shards_total = shards.size();
       job.leases = store.scan_leases();
@@ -385,9 +371,6 @@ void print_fleet_status(const std::string& jobs_dir, const StoreEnv& env,
       if (job.leases_stale > 0) out << " (+" << job.leases_stale << " stale)";
       if (job.shards_corrupt > 0) {
         out << ", " << job.shards_corrupt << " CORRUPT";
-      }
-      if (job.shards_quarantined > 0) {
-        out << ", " << job.shards_quarantined << " quarantined";
       }
     } else {
       out << "  unreadable (" << job.error << ")";
@@ -460,7 +443,6 @@ std::string fleet_status_json(const std::string& jobs_dir,
        << ",\"leases_live\":" << job.leases_live
        << ",\"leases_stale\":" << job.leases_stale
        << ",\"shards_corrupt\":" << job.shards_corrupt
-       << ",\"shards_quarantined\":" << job.shards_quarantined
        << ",\"leases\":[";
     bool first_lease = true;
     for (const LeaseState& lease : job.leases) {

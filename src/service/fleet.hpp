@@ -14,12 +14,11 @@
 //     renders this view: live/stale members, per-daemon held leases,
 //     shards/sec.
 //
-//   * orphan lifecycle: gc_sweep() reaps stale membership files, reclaims
-//     expired lease debris left by dead daemons (never a live lease —
-//     expiry remains the sole safety mechanism), and deletes quarantined
-//     shard logs whose recomputed replacement passed CRC verification.
-//     The daemon loop runs the same sweep automatically at heartbeat
-//     cadence; `dualcast_bench gc` runs it on demand.
+//   * orphan lifecycle: gc_sweep() reaps stale membership files and
+//     reclaims expired lease debris left by dead daemons (never a live
+//     lease — expiry remains the sole safety mechanism). The daemon loop
+//     runs the same sweep automatically at heartbeat cadence;
+//     `dualcast_bench gc` runs it on demand.
 //
 // Like leases, membership is an observability aid, not a correctness
 // mechanism: tasks stay idempotent and records append-only, so a daemon
@@ -106,9 +105,8 @@ class FleetRegistry {
   /// Deletes every stale member's file; returns the reaped ids (the set
   /// gc_sweep feeds into per-job lease reclamation). Each unlink is
   /// preceded by an invalidate + fresh re-read so a heartbeat that had
-  /// not propagated to this machine's view yet is honored. Under
-  /// `dry_run` nothing is unlinked; the return is who *would* be reaped.
-  std::vector<std::string> reap_stale(bool dry_run = false);
+  /// not propagated to this machine's view yet is honored.
+  std::vector<std::string> reap_stale();
 
  private:
   std::string member_path(const std::string& id) const;
@@ -124,19 +122,15 @@ struct GcReport {
   int jobs_swept = 0;
   int members_reaped = 0;
   int leases_reclaimed = 0;
-  int quarantines_removed = 0;
-  bool dry_run = false;  ///< counts are "would reclaim", nothing mutated
   std::vector<std::string> reaped_ids;
 };
 
 /// One garbage-collection pass over a jobs directory: reap stale fleet
 /// members, then for every job reclaim expired lease debris (done shards
-/// or stale owners) and delete quarantines whose recomputed shard logs
-/// verify. Jobs that cannot be opened are skipped with a note on `log`.
-/// With `dry_run`, every count reports what would be reclaimed and the
-/// filesystem is left untouched (`gc --dry-run`).
+/// or stale owners). Jobs that cannot be opened are skipped with a note
+/// on `log`.
 GcReport gc_sweep(const std::string& jobs_dir, const StoreEnv& env = {},
-                  std::ostream* log = nullptr, bool dry_run = false);
+                  std::ostream* log = nullptr);
 
 /// The fleet view behind `status --jobs-dir`: members (live/stale, age,
 /// shards/sec, held-lease counts aggregated across every job) followed by

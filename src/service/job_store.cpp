@@ -417,16 +417,18 @@ std::string JobStore::shard_done_path(int shard) const {
   return join_path(dir_, str("shards/shard_", shard, ".done"));
 }
 
-std::string JobStore::shard_quarantine_path(int shard) const {
-  return join_path(dir_, str("shards/shard_", shard, ".quarantine"));
-}
-
 std::string JobStore::lease_path(int shard) const {
   return join_path(dir_, str("leases/shard_", shard, ".lease"));
 }
 
+std::string ShardScan::damage() const {
+  return str("shard ", shard, " record log corrupt at line ", bad_line, ": ",
+             detail);
+}
+
 ShardScan JobStore::scan_shard_log(int shard) const {
   ShardScan scan;
+  scan.shard = shard;
   std::string text;
   if (!util::read_file_retry_estale(*fs_, shard_log_path(shard), text)) {
     return scan;
@@ -466,9 +468,8 @@ std::vector<TaskRecord> JobStore::read_shard_records(int shard) const {
   ShardScan scan = fresh_scan_shard_log(shard);
   if (scan.corrupt) {
     throw ScenarioError(str(
-        "shard ", shard, " record log corrupt at line ", scan.bad_line, ": ",
-        scan.detail, " — refusing to merge; run `dualcast_bench worker` (or "
-        "daemon) against this job to quarantine the log and recompute from "
+        scan.damage(), " — refusing to merge; run `dualcast_bench worker` "
+        "(or daemon) against this job to repair the log and recompute from "
         "the last good watermark"));
   }
   return std::move(scan.records);
@@ -478,52 +479,38 @@ ShardScan JobStore::recover_shard(int shard) {
   // The scan below decides whether to rewrite the log; that decision must
   // be made against the server state, never a stale client view.
   ShardScan scan = fresh_scan_shard_log(shard);
-  if (!scan.corrupt) {
-    // A torn trailing write (crash mid-append) is normal, but the stray
-    // partial line must go before anyone appends again — otherwise the
-    // next record concatenates onto it and becomes mid-file corruption.
-    const std::int64_t size = fs_->file_size(shard_log_path(shard));
-    if (size > static_cast<std::int64_t>(scan.good_bytes)) {
-      std::string content;
-      for (const TaskRecord& record : scan.records) {
-        content += encode_record(record);
-      }
-      if (content.empty()) {
-        fs_->unlink(shard_log_path(shard));
-      } else {
-        fs_->write_file_atomic(shard_log_path(shard), content);
-      }
-      fs_->sync_dir(join_path(dir_, "shards"));
-    }
+  const std::string log = shard_log_path(shard);
+  // Bytes past the good prefix are a torn tail (a crash mid-append: the
+  // partial line must go before anyone appends onto it) or mid-file
+  // damage.
+  if (!scan.corrupt &&
+      fs_->file_size(log) <= static_cast<std::int64_t>(scan.good_bytes)) {
     return scan;
   }
-  // Move the damaged log aside (evidence for the operator), rewrite the
-  // good prefix as a fresh log, and clear the done marker so the shard is
-  // re-leased and recomputed from the watermark.
-  fs_->rename(shard_log_path(shard), shard_quarantine_path(shard));
-  if (!scan.records.empty()) {
+  const std::string shards_dir = join_path(dir_, "shards");
+  if (scan.corrupt) {
+    // The done marker goes first: once the rewrite drops the damaged
+    // records, the shard must already read as unfinished.
+    fs_->unlink(shard_done_path(shard));
+    fs_->sync_dir(shards_dir);
+  }
+  if (scan.records.empty()) {
+    fs_->unlink(log);
+    fs_->sync_dir(shards_dir);
+  } else {
     std::string content;
     for (const TaskRecord& record : scan.records) {
       content += encode_record(record);
     }
-    fs_->write_file_atomic(shard_log_path(shard), content);
+    fs_->write_file_atomic(log, content);
   }
-  fs_->unlink(shard_done_path(shard));
-  fs_->sync_dir(join_path(dir_, "shards"));
-  // The returned scan keeps corrupt=true to report that a quarantine
-  // happened; records are the recovered watermark.
   return scan;
 }
 
-std::vector<int> JobStore::recover_all(const std::string& owner) {
-  std::vector<int> quarantined;
+std::vector<ShardScan> JobStore::recover_all(const std::string& owner) {
+  std::vector<ShardScan> repaired;
   const int shards = shard_count();
   for (int s = 0; s < shards; ++s) {
-    if (owner.empty()) {
-      // Unleased single-machine mode: rewrite freely.
-      if (recover_shard(s).corrupt) quarantined.push_back(s);
-      continue;
-    }
     // Peek first (a stale read only costs a skipped repair this pass):
     // healthy logs with no torn tail need nothing, and taking a lease per
     // shard just to look would serialize the whole fleet on recovery.
@@ -536,11 +523,11 @@ std::vector<int> JobStore::recover_all(const std::string& owner) {
     // under the shard's lease — otherwise a stale snapshot could clobber
     // records a live appender on another machine wrote since.
     if (!try_lease(s, owner)) continue;  // valid holder self-heals
-    const bool corrupt = recover_shard(s).corrupt;
+    ShardScan scan = recover_shard(s);
     release_lease(s, owner);
-    if (corrupt) quarantined.push_back(s);
+    if (scan.corrupt) repaired.push_back(std::move(scan));
   }
-  return quarantined;
+  return repaired;
 }
 
 void JobStore::append_record(int shard, const TaskRecord& record) {
@@ -557,50 +544,8 @@ bool JobStore::shard_done(int shard) const {
   return fs_->exists(shard_done_path(shard));
 }
 
-bool JobStore::shard_verified_complete(int shard) const {
-  const ShardScan scan = scan_shard_log(shard);
-  if (scan.corrupt) return false;
-  const auto [begin, end] = shard_range(shard);
-  std::vector<bool> seen(static_cast<std::size_t>(end - begin), false);
-  int distinct = 0;
-  for (const TaskRecord& record : scan.records) {
-    if (record.task < begin || record.task >= end) continue;
-    const std::size_t i = static_cast<std::size_t>(record.task - begin);
-    if (!seen[i]) {
-      seen[i] = true;
-      ++distinct;
-    }
-  }
-  return distinct == end - begin;
-}
-
-bool JobStore::gc_quarantine(int shard, bool dry_run) {
-  const std::string quarantine = shard_quarantine_path(shard);
-  if (!fs_->exists(quarantine)) return false;
-  // Only drop the evidence once the *recomputed* log checks out in full:
-  // every record re-validated against its CRC and every task of the shard
-  // covered. An incomplete or re-damaged log keeps its quarantine. The
-  // verification scan reads fresh — dropping evidence on the strength of
-  // a stale "complete" view would be irreversible.
-  fs_->invalidate(shard_log_path(shard));
-  if (!shard_verified_complete(shard)) return false;
-  if (dry_run) return true;
-  fs_->unlink(quarantine);
-  fs_->sync_dir(join_path(dir_, "shards"));
-  return true;
-}
-
-int JobStore::gc_quarantines(bool dry_run) {
-  int removed = 0;
-  const int shards = shard_count();
-  for (int s = 0; s < shards; ++s) {
-    if (gc_quarantine(s, dry_run)) ++removed;
-  }
-  return removed;
-}
-
-int JobStore::gc_expired_leases(const std::vector<std::string>& stale_owners,
-                                bool dry_run) {
+int JobStore::gc_expired_leases(
+    const std::vector<std::string>& stale_owners) {
   int removed = 0;
   const int shards = shard_count();
   for (int s = 0; s < shards; ++s) {
@@ -615,10 +560,6 @@ int JobStore::gc_expired_leases(const std::vector<std::string>& stale_owners,
       if (lease->owner == stale) reclaim = true;
     }
     if (!reclaim) continue;
-    if (dry_run) {
-      ++removed;
-      continue;
-    }
     // Re-verify on a fresh read before unlinking: the expiry above may be
     // a stale cached view while the holder's renewal simply had not
     // propagated to this machine yet.
@@ -735,7 +676,6 @@ std::vector<ShardState> JobStore::scan() const {
     std::tie(state.begin, state.end) = shard_range(s);
     const ShardScan scan = scan_shard_log(s);
     state.corrupt = scan.corrupt;
-    state.quarantined = fs_->exists(shard_quarantine_path(s));
     std::vector<bool> seen(static_cast<std::size_t>(state.end - state.begin),
                            false);
     for (const TaskRecord& record : scan.records) {

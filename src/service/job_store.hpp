@@ -32,12 +32,10 @@
 //                             The hex field is the double's exact bit
 //                             pattern, so merged values are the measured
 //                             values, not a decimal round-trip.
-//   shards/shard_<k>.quarantine
-//                             a corrupt log, moved aside by recovery; the
-//                             fresh log is rewritten from the records
-//                             before the corruption (the last good
-//                             watermark) and the shard is re-leased to
-//                             recompute the rest. Never merged.
+//                             Recovery rewrites a damaged log in place
+//                             from the records before the damage (the
+//                             last good watermark) and re-leases the
+//                             shard to recompute the rest.
 //   shards/shard_<k>.done     marker: every task of the shard is recorded
 //   leases/shard_<k>.lease    "owner <token>\nsince <unix>\nexpiry <unix>";
 //                             published atomically via link() of a fully
@@ -104,11 +102,16 @@ struct TaskRecord {
 /// damaged mid-stream, where and how it went bad. A torn *trailing* line
 /// (crash mid-append) is normal and not corruption.
 struct ShardScan {
+  int shard = 0;                    ///< the shard whose log was scanned
   std::vector<TaskRecord> records;  ///< records before any corruption
   bool corrupt = false;
   int bad_line = 0;    ///< 1-based line of the first bad record
   std::string detail;  ///< what failed (checksum, length, syntax)
   std::size_t good_bytes = 0;  ///< log bytes up to the last good newline
+
+  /// "shard <k> record log corrupt at line <n>: <detail>" — the merger's
+  /// refusal and the repair's log line, the one record of the damage.
+  std::string damage() const;
 };
 
 /// A shard's current on-disk state, as read by status/lease scans. The
@@ -122,8 +125,7 @@ struct ShardState {
   int end = 0;    ///< last flat task (exclusive)
   int completed = 0;  ///< distinct recorded tasks
   bool done = false;  ///< done marker present
-  bool corrupt = false;      ///< current log fails checksum validation
-  bool quarantined = false;  ///< a quarantined log sits beside this shard
+  bool corrupt = false;  ///< current log fails checksum validation
   bool leased = false;
   std::string lease_owner;
   std::int64_t lease_since = 0;   ///< unix seconds (0 = unknown / v1 lease)
@@ -188,23 +190,26 @@ class JobStore {
   /// Always reads fresh: merge output must reflect the server state.
   std::vector<TaskRecord> read_shard_records(int shard) const;
 
-  /// Quarantines a corrupt shard log: the damaged file moves to
-  /// shard_<k>.quarantine, a fresh log is rewritten from the good record
-  /// prefix, and the done marker (if any) is cleared so workers re-lease
-  /// and recompute from the watermark. No-op when the log is healthy.
-  /// Returns the post-recovery scan.
+  /// Repairs a shard log in place when it holds bytes past its good
+  /// prefix (a torn tail or mid-file damage): the log is rewritten
+  /// atomically to that prefix (unlinked when no record survives). Damage
+  /// mid-file first clears the done marker, durably, so a crash anywhere
+  /// in the repair leaves a shard that is re-leased and recomputed from
+  /// the watermark, never one marked done but short of records. No-op
+  /// when the log is healthy. Returns the scan the repair acted on
+  /// (`corrupt` reports mid-file damage).
   ShardScan recover_shard(int shard);
 
-  /// Runs recover_shard over every shard; returns the quarantined ones.
+  /// Runs recover_shard over every damaged shard; returns the scans of
+  /// those that were corrupt mid-file.
   ///
-  /// With an `owner`, the destructive rewrite paths run only under that
-  /// owner's shard lease (acquired per damaged shard, released after):
-  /// on a shared filesystem an unleased rewrite could act on a *stale*
-  /// snapshot of a log another machine is actively appending to and
-  /// clobber its fresh records. Shards whose lease is validly held by
-  /// someone else are skipped — the holder self-heals on its next claim.
-  /// An empty owner keeps the unleased single-machine behavior.
-  std::vector<int> recover_all(const std::string& owner = "");
+  /// The rewrite runs only under `owner`'s shard lease (acquired per
+  /// damaged shard, released after): on a shared filesystem an unleased
+  /// rewrite could act on a *stale* snapshot of a log another machine is
+  /// actively appending to and clobber its fresh records. Shards whose
+  /// lease is validly held by someone else are skipped — the holder
+  /// self-heals on its next claim.
+  std::vector<ShardScan> recover_all(const std::string& owner);
 
   /// Appends one record to a shard's log and fsyncs it before returning —
   /// after a crash, every acknowledged record is on disk.
@@ -215,23 +220,7 @@ class JobStore {
   void mark_shard_done(int shard);
   bool shard_done(int shard) const;
 
-  /// True when the shard's current log passes full CRC validation and
-  /// covers every task of the shard — the gate for quarantine GC.
-  bool shard_verified_complete(int shard) const;
-
   // --- garbage collection ----------------------------------------------
-
-  /// Deletes the shard's quarantined log once the recomputed live log
-  /// passes CRC verification and covers the whole shard. (At most one
-  /// quarantine file exists per shard by construction — a re-quarantine
-  /// renames over the previous one, keeping only the newest.) Returns
-  /// true when a quarantine file was removed.
-  /// With `dry_run`, reports whether the quarantine *would* be removed
-  /// without touching the filesystem.
-  bool gc_quarantine(int shard, bool dry_run = false);
-  /// gc_quarantine over every shard; returns how many were removed
-  /// (or, under `dry_run`, how many would be).
-  int gc_quarantines(bool dry_run = false);
 
   /// Reclaims lease debris: unlinks any *expired* lease whose shard is
   /// already done, or whose owner is one of `stale_owners` (a daemon whose
@@ -239,10 +228,8 @@ class JobStore {
   /// touched — expiry stays the sole safety mechanism — and each unlink
   /// is preceded by an invalidate + fresh re-read so a heartbeat renewal
   /// that simply had not reached this machine's view yet is honored.
-  /// Returns the number of leases removed (under `dry_run`, nothing is
-  /// unlinked and the count is how many would be).
-  int gc_expired_leases(const std::vector<std::string>& stale_owners = {},
-                        bool dry_run = false);
+  /// Returns the number of leases removed.
+  int gc_expired_leases(const std::vector<std::string>& stale_owners = {});
 
   // --- leases ----------------------------------------------------------
 
@@ -273,7 +260,6 @@ class JobStore {
 
   std::string shard_log_path(int shard) const;
   std::string shard_done_path(int shard) const;
-  std::string shard_quarantine_path(int shard) const;
   std::string lease_path(int shard) const;
 
   std::string dir_;

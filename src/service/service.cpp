@@ -288,7 +288,6 @@ void print_job_status(const JobStore& store, std::ostream& out) {
         << (shard.end - shard.begin);
     if (shard.done) out << " done";
     if (shard.corrupt) out << " CORRUPT";
-    if (shard.quarantined) out << " quarantined";
     if (shard.leased) {
       out << " leased by " << shard.lease_owner << " (age ";
       if (shard.lease_age >= 0) {

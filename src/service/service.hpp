@@ -77,7 +77,7 @@ std::vector<std::string> merge_job(JobStore& store, JobRuntime& runtime,
                                    std::ostream* log = nullptr);
 
 /// Prints the job's meta, per-shard watermarks/leases (with age, flagging
-/// stale ones), corruption/quarantine markers, and progress.
+/// stale ones), corruption markers, and progress.
 void print_job_status(const JobStore& store, std::ostream& out);
 
 }  // namespace dualcast::service

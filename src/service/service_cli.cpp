@@ -254,9 +254,9 @@ int worker_main(int argc, char** argv, const Command& command) {
             << " shard(s) completed, " << report.tasks_executed
             << " task(s) measured, " << report.tasks_skipped
             << " already recorded";
-  if (report.shards_quarantined > 0) {
-    std::cout << ", " << report.shards_quarantined
-              << " corrupt shard(s) quarantined";
+  if (report.shards_repaired > 0) {
+    std::cout << ", " << report.shards_repaired
+              << " corrupt shard(s) repaired";
   }
   if (report.stopped) std::cout << " [stopped by signal]";
   std::cout << "\n";
@@ -323,9 +323,9 @@ int daemon_main(int argc, char** argv, const Command& command) {
             << report.jobs_seen << " job(s) seen, " << report.jobs_completed
             << " completed, " << report.tasks_executed
             << " task(s) measured";
-  if (report.shards_quarantined > 0) {
-    std::cout << ", " << report.shards_quarantined
-              << " corrupt shard(s) quarantined";
+  if (report.shards_repaired > 0) {
+    std::cout << ", " << report.shards_repaired
+              << " corrupt shard(s) repaired";
   }
   if (report.leases_stolen > 0) {
     std::cout << ", " << report.leases_stolen << " lease(s) stolen";
@@ -341,12 +341,9 @@ int daemon_main(int argc, char** argv, const Command& command) {
     std::cout << ", " << report.pressure_transitions
               << " pressure transition(s) (final " << report.pressure << ")";
   }
-  if (report.members_reaped > 0 || report.leases_reclaimed > 0 ||
-      report.quarantines_removed > 0) {
+  if (report.members_reaped > 0 || report.leases_reclaimed > 0) {
     std::cout << ", gc " << report.members_reaped << "/"
-              << report.leases_reclaimed << "/"
-              << report.quarantines_removed
-              << " member(s)/lease(s)/quarantine(s)";
+              << report.leases_reclaimed << " member(s)/lease(s)";
   }
   if (report.stopped) std::cout << " [stopped by signal]";
   std::cout << "\n";
@@ -355,29 +352,16 @@ int daemon_main(int argc, char** argv, const Command& command) {
 
 int gc_main(int argc, char** argv, const Command& command) {
   std::string jobs_dir;
-  bool dry_run = false;
   const std::vector<Flag> flags = {
       text_flag("--jobs-dir", "D", "the jobs directory to sweep (required)",
                 jobs_dir),
-      switch_flag("--dry-run",
-                  "print what would be reclaimed without mutating anything",
-                  [&dry_run] { dry_run = true; }),
   };
   if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   if (jobs_dir.empty()) throw ScenarioError("gc: --jobs-dir is required");
-  const GcReport report = gc_sweep(jobs_dir, {}, &std::cout, dry_run);
-  if (dry_run) {
-    std::cout << "gc (dry run): " << report.jobs_swept
-              << " job(s) swept, would reap " << report.members_reaped
-              << " stale member(s), reclaim " << report.leases_reclaimed
-              << " expired lease(s), remove " << report.quarantines_removed
-              << " quarantine(s)\n";
-  } else {
-    std::cout << "gc: " << report.jobs_swept << " job(s) swept, "
-              << report.members_reaped << " stale member(s) reaped, "
-              << report.leases_reclaimed << " expired lease(s) reclaimed, "
-              << report.quarantines_removed << " quarantine(s) removed\n";
-  }
+  const GcReport report = gc_sweep(jobs_dir, {}, &std::cout);
+  std::cout << "gc: " << report.jobs_swept << " job(s) swept, "
+            << report.members_reaped << " stale member(s) reaped, "
+            << report.leases_reclaimed << " expired lease(s) reclaimed\n";
   return 0;
 }
 
@@ -458,9 +442,6 @@ int soak_main(int argc, char** argv, const Command& command) {
       int_flag("--min-free-bytes", "B",
                "the --disk-pressure ladder watermark (default 1 MiB)",
                options.min_free_bytes, 0, kMaxFreeBytesWatermark),
-      switch_flag("--no-require-steal",
-                  "don't fail when kills produced no steal",
-                  [&options] { options.require_steal = false; }),
   };
   if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   const SoakReport report = run_soak(options);
@@ -512,7 +493,7 @@ int status_main(int argc, char** argv, const Command& command) {
       text_flag("--job-dir", "D",
                 "report one job's shards, leases (with age and "
                 "last-progress age — a big gap on a live lease is a "
-                "fail-slow holder; STALE when expired), quarantines, and "
+                "fail-slow holder; STALE when expired), CORRUPT logs, and "
                 "progress",
                 job_dir),
       text_flag("--jobs-dir", "D",
@@ -574,7 +555,8 @@ const std::vector<Subcommand>& subcommands() {
         .about = "Lease and measure shards of an existing job until none is "
                  "claimable. Any number of worker processes may run at "
                  "once; a restarted worker resumes from the shard logs and "
-                 "quarantines corrupt ones. Leases are heartbeat-renewed at "
+                 "rewrites a corrupt one in place to its last good record, "
+                 "then recomputes the rest. Leases are heartbeat-renewed at "
                  "TTL/3; transient IO errors are retried with backoff."},
        "lease and measure shards of an existing job", worker_main},
       {{.name = "daemon",
@@ -601,16 +583,19 @@ const std::vector<Subcommand>& subcommands() {
       {{.name = "status",
         .synopsis = "--job-dir D | --jobs-dir D [--json FILE]",
         .about = "Report one job (--job-dir) or the whole fleet "
-                 "(--jobs-dir)."},
+                 "(--jobs-dir). The fleet view marks STALE members and "
+                 "[EXPIRED] leases: a gc sweep reaps the former, and an "
+                 "expired lease once its shard is done or its owner is "
+                 "stale."},
        "report a job's or the fleet's shards, leases, and progress",
        status_main},
       {{.name = "gc",
-        .synopsis = "--jobs-dir D [--dry-run]",
-        .about = "One garbage-collection sweep: reap stale fleet members, "
-                 "reclaim expired lease debris (done shards or stale "
-                 "owners), delete quarantined shard logs whose recomputed "
-                 "replacement passed CRC verification. Daemons run this "
-                 "sweep automatically at heartbeat cadence."},
+        .synopsis = "--jobs-dir D",
+        .about = "One garbage-collection sweep: reap stale fleet members "
+                 "and reclaim expired lease debris (done shards or stale "
+                 "owners). Daemons run this sweep automatically at "
+                 "heartbeat cadence; `status --jobs-dir` shows the STALE "
+                 "members and [EXPIRED] leases it acts on."},
        "one garbage-collection sweep of a jobs directory", gc_main},
       {{.name = "soak",
         .synopsis = "[options]",

@@ -464,7 +464,7 @@ SoakReport run_soak(const SoakOptions& options) {
 
   report.ok = report.completed && report.identical;
   const bool steal_required = report.kills > 0 || options.stall_seed != 0;
-  if (options.require_steal && steal_required && report.steals == 0) {
+  if (steal_required && report.steals == 0) {
     report.ok = false;
     report.failures.push_back(
         "mechanism: kills/stalls happened but no lease steal was observed");

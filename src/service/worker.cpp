@@ -193,18 +193,19 @@ WorkerReport run_worker(JobStore& store, const JobRuntime& runtime,
     }
   };
 
-  // Corrupt shard logs block both workers (bad watermark) and the merger;
-  // quarantine them up front so this run recomputes from the good prefix.
-  if (options.recover) {
-    // Owned recovery: rewrites run under a per-shard lease so a stale
-    // view of a log another machine is appending to can't be clobbered.
-    for (const int shard : store.recover_all(owner)) {
-      ++report.shards_quarantined;
-      if (options.log != nullptr) {
-        *options.log << "worker " << owner << ": quarantined corrupt shard "
-                     << shard << " log; recomputing from watermark\n";
-      }
+  const auto note_repair = [&](const ShardScan& scan) {
+    ++report.shards_repaired;
+    if (options.log != nullptr) {
+      *options.log << "worker " << owner << ": repaired " << scan.damage()
+                   << "; recomputing from watermark\n";
     }
+  };
+  // Corrupt shard logs block both workers (bad watermark) and the merger;
+  // repair them up front so this run recomputes from the good prefix.
+  // Rewrites run under a per-shard lease so a stale view of a log another
+  // machine is appending to can't be clobbered.
+  if (options.recover) {
+    for (const ShardScan& scan : store.recover_all(owner)) note_repair(scan);
   }
 
   const int shards = store.shard_count();
@@ -245,15 +246,9 @@ WorkerReport run_worker(JobStore& store, const JobRuntime& runtime,
     // lease, so recover_shard is race-free here: it reads fresh (a stale
     // cached view could miss a crashed worker's torn tail, and the next
     // append would concatenate onto the partial line), trims any torn
-    // tail, and quarantines a log that went corrupt since the entry sweep.
+    // tail, and repairs a log that went corrupt since the entry sweep.
     const ShardScan scan = store.recover_shard(claimed);
-    if (scan.corrupt) {
-      ++report.shards_quarantined;
-      if (options.log != nullptr) {
-        *options.log << "worker " << owner << ": quarantined corrupt shard "
-                     << claimed << " log; recomputing from watermark\n";
-      }
-    }
+    if (scan.corrupt) note_repair(scan);
     const auto [begin, end] = store.shard_range(claimed);
     std::vector<bool> recorded(static_cast<std::size_t>(end - begin), false);
     for (const TaskRecord& record : scan.records) {
@@ -333,28 +328,8 @@ WorkerReport run_worker(JobStore& store, const JobRuntime& runtime,
     }
     if (fenced_off) {
       // The shard belongs to whoever took the lapsed lease: leave their
-      // lease (and quarantine bookkeeping) alone and move on.
+      // lease alone and move on.
       continue;
-    }
-    // The shard is complete: if a quarantined log sits beside it, the
-    // recompute has superseded it — drop it once the fresh log passes CRC
-    // verification. Advisory cleanup: an IO failure here must not fail
-    // the shard (InjectedCrash is not an IoError and still unwinds).
-    try {
-      if (store.gc_quarantine(claimed)) {
-        ++report.quarantines_cleared;
-        if (options.log != nullptr) {
-          *options.log << "worker " << owner
-                       << ": cleared quarantine for shard " << claimed
-                       << " (recomputed log verified)\n";
-        }
-      }
-    } catch (const util::IoError& error) {
-      if (options.log != nullptr) {
-        *options.log << "worker " << owner << ": quarantine GC on shard "
-                     << claimed << " failed (" << error.what()
-                     << "); leaving it for the next sweep\n";
-      }
     }
     store.release_lease(claimed, owner);
     ++report.shards_completed;

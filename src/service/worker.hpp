@@ -5,7 +5,7 @@
 // A JobRuntime holds the prepared scenario plans of one job — built once
 // per process (the cross-scenario factory cache dedupes algorithm builds)
 // and shared read-only by every worker thread. run_worker() is the lease
-// loop: quarantine any corrupt shard logs, then claim a shard, replay its
+// loop: repair any corrupt shard logs, then claim a shard, replay its
 // completion log to skip already-recorded tasks (crash-safe resume),
 // measure the rest in task order with one fsync'd record per trial, mark
 // the shard done, release, repeat until no shard is claimable. Any number
@@ -77,7 +77,7 @@ struct WorkerOptions {
   std::vector<int> shard_order;
   /// Run the full corrupt-log recovery sweep before claiming (the plain
   /// `worker` CLI default). The daemon turns this off — it recovers at
-  /// job pickup and in its gc sweep instead, and every claim re-validates
+  /// job pickup and before merging instead, and every claim re-validates
   /// (and self-heals) its own shard log regardless.
   bool recover = true;
   /// Cooperative stop: when set and it becomes true, the worker abandons
@@ -102,12 +102,10 @@ struct WorkerOptions {
 
 struct WorkerReport {
   int shards_completed = 0;
-  int shards_quarantined = 0;  ///< corrupt logs recovered before working
+  int shards_repaired = 0;  ///< corrupt logs rewritten to their good prefix
   int tasks_executed = 0;
   int tasks_skipped = 0;   ///< found already recorded (resume)
   int leases_stolen = 0;   ///< expired foreign leases evicted on acquire
-  int quarantines_cleared = 0;  ///< quarantine files GC'd after verified
-                                ///< recompute of their shard
   int shards_fenced = 0;   ///< abandoned after waking to a lapsed lease
   int heartbeats_skipped = 0;  ///< due renewals withheld by the progress
                                ///< gate (a fail-slow signature)

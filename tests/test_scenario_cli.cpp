@@ -125,7 +125,7 @@ const std::vector<Surface>& surfaces() {
        {{"--job-dir", text}, {"--json", text}, {"--cache-dir", text},
         {"--no-cache", toggle}, {"--cache-max-bytes", integer}}},
       {"status", {{"--job-dir", text}, {"--jobs-dir", text}, {"--json", text}}},
-      {"gc", {{"--jobs-dir", text}, {"--dry-run", toggle}}},
+      {"gc", {{"--jobs-dir", text}}},
       {"soak",
        {{"--daemons", integer}, {"--kill-seed", integer}, {"--kills", integer},
         {"--small-jobs", integer}, {"--big-trials", integer},
@@ -137,7 +137,7 @@ const std::vector<Surface>& surfaces() {
         {"--clock-skew", integer}, {"--slow", toggle},
         {"--slow-fs-ms", integer}, {"--stall-seed", integer},
         {"--stall-ms", integer}, {"--disk-pressure", toggle},
-        {"--min-free-bytes", integer}, {"--no-require-steal", toggle}}},
+        {"--min-free-bytes", integer}}},
   };
   return all;
 }
@@ -191,7 +191,7 @@ TEST(CliSurface, CoversEveryCommandAndFlag) {
   std::size_t pairs = 0;
   for (const Surface& surface : surfaces()) pairs += surface.flags.size();
   EXPECT_EQ(surfaces().size(), 8u);
-  EXPECT_EQ(pairs, 83u);
+  EXPECT_EQ(pairs, 81u);
 }
 
 TEST(CliSurface, ValueFlagWithoutValueNamesTheFlag) {
@@ -224,15 +224,18 @@ TEST(CliSurface, ChoiceFlagNamesTheBadChoice) {
 
 TEST(CliSurface, RemovedFlagsAreUnknownOptions) {
   // Every daemon claims by one rule, so no flag selects or tunes it; a
-  // soak paces its kills by the drain alone, so no flag sets a gap; each
-  // built-in algorithm has one implementation, so no flag picks an engine
-  // path; and the engine keeps the full trace whenever a reader declares
-  // it, so no flag sets history retention.
+  // soak paces its kills by the drain alone, so no flag sets a gap, and
+  // its verdict always requires a steal when kills or stalls happened;
+  // each built-in algorithm has one implementation, so no flag picks an
+  // engine path; the engine keeps the full trace whenever a reader
+  // declares it, so no flag sets history retention; and `status
+  // --jobs-dir` lists what a gc sweep reclaims, so gc has no preview.
   const std::vector<std::pair<std::string, std::vector<std::string>>> gone = {
       {"daemon", {"--placement", "fair"}}, {"daemon", {"--inflight-cap", "2"}},
       {"daemon", {"--cores", "2"}},        {"daemon", {"--load100", "2"}},
       {"soak", {"--placement", "fair"}},
       {"soak", {"--kill-interval-ms", "400"}},
+      {"soak", {"--no-require-steal"}},    {"gc", {"--dry-run"}},
       {"", {"--engine", "scalar"}},        {"", {"--history", "full"}},
       {"serve", {"--engine", "kernel"}},   {"serve", {"--history", "lean"}},
   };

@@ -2,7 +2,8 @@
 // worked to completion, merged into the result cache (so a later serve is
 // zero-recompute), and left with no held leases; the cooperative stop
 // flag exits cleanly mid-run; an unopenable (read-only) cache degrades to
-// compute-without-cache with a single warning. Plus the CLI contract:
+// compute-without-cache with a single warning; a finished shard whose log
+// rotted is repaired and recomputed before the merge. Plus the CLI contract:
 // merge/status against a broken job dir exit nonzero, serve rejects the
 // run-option thread flags in favour of --workers, and daemon rejects a
 // disk-pressure watermark too large for the ladder's arithmetic.
@@ -65,6 +66,15 @@ std::string drop_job(const std::string& jobs_dir) {
   const std::string dir = jobs_dir + "/job1";
   JobStore::create_or_attach(dir, job);
   return dir;
+}
+
+std::vector<std::string> reference_rows() {
+  std::vector<std::string> rows;
+  for (const scenario::ScenarioResult& result :
+       scenario::run_scenarios({&mini_scenario()}, {})) {
+    scenario::append_json_rows(result, rows);
+  }
+  return rows;
 }
 
 void expect_no_leases(const std::string& job_dir) {
@@ -187,6 +197,51 @@ TEST(ServiceDaemon, ReadOnlyCacheDegradesToComputeWithoutCache) {
   JobStore store = JobStore::open(job_dir);
   JobRuntime merge_runtime(store);
   EXPECT_EQ(merge_job(store, merge_runtime, nullptr).size(), 4u);
+}
+
+TEST(ServiceDaemon, RepairsARottedFinishedShardAndMergesIdentical) {
+  const std::string jobs_dir = fresh_dir("rot_jobs");
+  const std::string job_dir = drop_job(jobs_dir);
+  {
+    JobStore store = JobStore::open(job_dir);
+    const JobRuntime runtime(store);
+    WorkerOptions finish;
+    finish.owner = "original";
+    run_worker(store, runtime, finish);
+  }
+  // Flip one byte in the second record of shard 2's log. The shard keeps
+  // its done marker, so no claim would ever revisit it.
+  const fs::path shard_log = fs::path(job_dir) / "shards" / "shard_2.log";
+  std::string text;
+  {
+    std::ifstream in(shard_log, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::size_t flip = text.find(' ', text.find('\n') + 4) + 1;
+  text[flip] = text[flip] == '7' ? '8' : '7';
+  std::ofstream(shard_log, std::ios::binary) << text;
+
+  std::ostringstream log;
+  DaemonOptions options;
+  options.jobs_dir = jobs_dir;
+  options.cache_dir.clear();
+  options.owner = "daemon-rot";
+  options.max_cycles = 3;
+  options.poll_initial_ms = 1;
+  options.poll_max_ms = 2;
+  options.log = &log;
+  const DaemonReport report = run_daemon(options);
+  EXPECT_EQ(report.shards_repaired, 1);
+  EXPECT_EQ(report.tasks_executed, 2);
+  EXPECT_EQ(report.jobs_completed, 1);
+  EXPECT_NE(log.str().find("repaired shard 2 record log corrupt at line 2"),
+            std::string::npos)
+      << log.str();
+  expect_no_leases(job_dir);
+  JobStore store = JobStore::open(job_dir);
+  JobRuntime merge_runtime(store);
+  EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
 }
 
 TEST(ServiceCliContract, MergeAndStatusExitNonzeroOnBrokenJobDirs) {

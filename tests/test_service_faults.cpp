@@ -3,8 +3,9 @@
 // filesystem operation, resume with a clean worker, and require the
 // merged JSON byte-identical to the uninterrupted reference. Also the
 // end-to-end corruption drill: a bit-rotted shard log is detected (merge
-// refuses), quarantined, recomputed from the watermark, and the final
-// merge is again byte-identical.
+// refuses), repaired in place, recomputed from the watermark, and the
+// final merge is again byte-identical — also when the repairing worker
+// dies at any of the repair's store operations.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "analysis/trials.hpp"
 #include "service/service.hpp"
@@ -102,7 +104,7 @@ std::string faulted_pass(const std::string& dir, FaultyFs& faulty) {
 }
 
 /// Clean resume + merge: a fresh worker (real fs, real clock) steals the
-/// stale leases, quarantines anything corrupt, completes the job, and the
+/// stale leases, repairs anything corrupt, completes the job, and the
 /// merge must reproduce the reference bytes.
 void resume_and_check(const std::string& dir, const std::string& context) {
   JobStore store = JobStore::open(dir);
@@ -111,8 +113,36 @@ void resume_and_check(const std::string& dir, const std::string& context) {
   options.owner = "recoverer";
   run_worker(store, runtime, options);
   JobRuntime merge_runtime(store);
-  EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows())
-      << "divergent merge after " << context;
+  try {
+    EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows())
+        << "divergent merge after " << context;
+  } catch (const ScenarioError& error) {
+    ADD_FAILURE() << "merge failed after " << context << ": "
+                  << error.what();
+  }
+}
+
+/// Completes the mini job in `dir`, then flips one byte in the second
+/// record of shard 1's log: a finished shard whose log rotted.
+void complete_and_rot(const std::string& dir) {
+  {
+    JobStore store = JobStore::create_or_attach(dir, mini_job());
+    const JobRuntime runtime(store);
+    WorkerOptions options;
+    options.owner = "original";
+    run_worker(store, runtime, options);
+  }
+  const fs::path log = fs::path(dir) / "shards" / "shard_1.log";
+  std::string text;
+  {
+    std::ifstream in(log, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::size_t second_line = text.find('\n') + 1;
+  const std::size_t flip = text.find(' ', second_line + 3) + 1;
+  text[flip] = text[flip] == '7' ? '8' : '7';
+  std::ofstream(log, std::ios::binary) << text;
 }
 
 TEST(ServiceFaultMatrix, EveryInjectionPointResumesByteIdentical) {
@@ -208,26 +238,12 @@ TEST(ServiceFaultMatrix, EveryInjectionPointResumesByteIdentical) {
 }
 
 TEST(ServiceFaultMatrix, CorruptShardIsNeverMergedAndRecomputesIdentical) {
-  // Complete a job cleanly...
+  // Complete a job cleanly, then rot one byte in the middle of a middle
+  // shard's log.
   const std::string dir = fresh_dir("bitrot");
-  JobStore store = JobStore::create_or_attach(dir, mini_job());
+  complete_and_rot(dir);
+  JobStore store = JobStore::open(dir);
   const JobRuntime runtime(store);
-  WorkerOptions options;
-  options.owner = "original";
-  run_worker(store, runtime, options);
-
-  // ...then rot one byte in the middle of a middle shard's log.
-  const fs::path log = fs::path(dir) / "shards" / "shard_1.log";
-  std::string text;
-  {
-    std::ifstream in(log, std::ios::binary);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
-  const std::size_t second_line = text.find('\n') + 1;
-  const std::size_t flip = text.find(' ', second_line + 3) + 1;
-  text[flip] = text[flip] == '7' ? '8' : '7';
-  std::ofstream(log, std::ios::binary) << text;
 
   // The merger must refuse the damaged shard, with a diagnostic that
   // names it — silent inclusion of rotten records is the one unforgivable
@@ -247,20 +263,81 @@ TEST(ServiceFaultMatrix, CorruptShardIsNeverMergedAndRecomputesIdentical) {
     }
   }
 
-  // A worker quarantines, recomputes from the watermark, and the merge is
-  // byte-identical again. The quarantined log is evidence only while the
-  // recompute is pending: once the fresh log passes CRC verification the
-  // worker GCs it, so quarantine files never accumulate.
+  // A worker repairs the log in place, recomputes from the watermark, and
+  // the merge is byte-identical again. Its log line is the evidence of
+  // the damage: the shard, the first bad line and what failed there.
   const std::uint64_t trials_before = trials_executed();
+  std::ostringstream log;
   WorkerOptions recover;
   recover.owner = "recoverer";
+  recover.log = &log;
   const WorkerReport report = run_worker(store, runtime, recover);
-  EXPECT_EQ(report.shards_quarantined, 1);
-  EXPECT_EQ(report.quarantines_cleared, 1);
+  EXPECT_EQ(report.shards_repaired, 1);
+  EXPECT_EQ(report.tasks_executed, 2);
   EXPECT_GT(trials_executed() - trials_before, 0u);
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "shards" / "shard_1.quarantine"));
+  EXPECT_NE(log.str().find("repaired shard 1 record log corrupt at line 2: "
+                           "checksum mismatch"),
+            std::string::npos)
+      << log.str();
+  for (const auto& entry : fs::directory_iterator(fs::path(dir) / "shards")) {
+    const std::string ext = entry.path().extension().string();
+    EXPECT_TRUE(ext == ".log" || ext == ".done") << entry.path();
+  }
   JobRuntime merge_runtime(store);
   EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+}
+
+TEST(ServiceFaultMatrix, CrashAnywhereInARepairResumesByteIdentical) {
+  // One rotted finished job, copied fresh for every injection point.
+  const std::string rotted = fresh_dir("repair_rotted");
+  complete_and_rot(rotted);
+  const auto faulted_repair = [&](const std::string& dir, FaultyFs& faulty) {
+    fs::copy(rotted, dir, fs::copy_options::recursive);
+    FakeClock clock(1000);
+    StoreEnv env;
+    env.fs = &faulty;
+    env.clock = &clock;
+    JobStore store = JobStore::open(dir, env);
+    const JobRuntime runtime(store);
+    WorkerOptions options;
+    options.owner = "victim";
+    try {
+      run_worker(store, runtime, options);
+    } catch (const util::InjectedCrash&) {
+    }
+  };
+
+  // Trace a fault-free repair: every operation from the first to the last
+  // on shard 1's log, done marker or lease is an injection point.
+  FaultyFs tracer(util::real_fs());
+  const std::string traced = fresh_dir("repair_trace");
+  faulted_repair(traced, tracer);
+  resume_and_check(traced, "the fault-free repair");
+  const auto trace = tracer.trace();
+  int first = -1;
+  int last = -1;
+  for (int i = 0; i < static_cast<int>(trace.size()); ++i) {
+    if (trace[i].second.find("shard_1.") == std::string::npos) continue;
+    if (first < 0) first = i;
+    last = i;
+  }
+  ASSERT_GE(last - first, 10) << "op trace too small for a fault matrix";
+
+  for (int at = first; at <= last; ++at) {
+    const std::string context = "crash at op " + std::to_string(at) + " (" +
+                                trace[at].first + " " + trace[at].second +
+                                ")";
+    SCOPED_TRACE(context);
+    InjectedFault fault;
+    fault.kind = InjectedFault::Kind::crash;
+    fault.at = at;
+    FaultyFs faulty(util::real_fs());
+    faulty.inject(fault);
+    const std::string dir = fresh_dir("repair_pt" + std::to_string(at));
+    faulted_repair(dir, faulty);
+    EXPECT_EQ(faulty.faults_fired(), 1);
+    resume_and_check(dir, context);
+  }
 }
 
 }  // namespace

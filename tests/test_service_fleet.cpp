@@ -1,6 +1,6 @@
 // Fleet coordination: membership publish/scan/stale/reap (deterministic
 // under a FakeClock), the gc sweep's orphan lifecycle (stale members'
-// lease debris, superseded quarantines), the fleet status view, the one
+// lease debris, done shards' expired leases), the fleet status view, the one
 // claim rule (one shard per claim round from the longest-waiting job, so
 // a small job finishes after at most one shard of a concurrent big one),
 // and the two-daemon contract: concurrent daemons on one jobs directory
@@ -123,7 +123,7 @@ TEST(FleetRegistry, PublishScanStaleReapUnderFakeClock) {
   EXPECT_TRUE(fleet.scan().empty());
 }
 
-TEST(FleetGc, SweepReclaimsStaleOwnerLeasesAndVerifiedQuarantines) {
+TEST(FleetGc, SweepReclaimsStaleOwnerAndDoneShardLeases) {
   const std::string jobs_dir = fresh_dir("gc");
   FakeClock clock(5000);
   StoreEnv env;
@@ -173,14 +173,14 @@ TEST(FleetGc, SweepReclaimsStaleOwnerLeasesAndVerifiedQuarantines) {
   EXPECT_EQ(cleaned.leases_reclaimed, 1);
   EXPECT_TRUE(store.scan_leases().empty());
 
-  // Quarantine GC: a quarantine file beside a shard whose live log
-  // verifies is superseded evidence — the sweep deletes it.
-  const fs::path quarantine =
+  // A moved-aside log that an older release left beside a shard is inert:
+  // the sweep neither counts nor touches it.
+  const fs::path old_file =
       fs::path(job_dir) / "shards" / "shard_0.quarantine";
-  std::ofstream(quarantine) << "old rotten log\n";
-  GcReport swept = gc_sweep(jobs_dir, env);
-  EXPECT_EQ(swept.quarantines_removed, 1);
-  EXPECT_FALSE(fs::exists(quarantine));
+  std::ofstream(old_file) << "old rotten log\n";
+  const GcReport swept = gc_sweep(jobs_dir, env);
+  EXPECT_EQ(swept.members_reaped + swept.leases_reclaimed, 0);
+  EXPECT_TRUE(fs::exists(old_file));
 }
 
 TEST(FleetStatus, RendersMembersAndJobsDeterministicallyUnderFakeClock) {
@@ -483,7 +483,7 @@ TEST(FleetStatus, JsonPinsEveryRowKindUnderFakeClock) {
       "{\"dir\":\"" + d + "/job1\",\"key\":\"" + key1 + "\","
       "\"tasks_total\":12,\"tasks_completed\":0,\"shards_total\":3,"
       "\"shards_done\":0,\"leases_live\":2,\"leases_stale\":0,"
-      "\"shards_corrupt\":0,\"shards_quarantined\":0,\"leases\":["
+      "\"shards_corrupt\":0,\"leases\":["
       "{\"shard\":0,\"owner\":\"live-d\",\"age_seconds\":20,"
       "\"progress_age_seconds\":0,\"expired\":false},"
       "{\"shard\":1,\"owner\":\"worker-x\",\"age_seconds\":20,"
@@ -491,68 +491,12 @@ TEST(FleetStatus, JsonPinsEveryRowKindUnderFakeClock) {
       "{\"dir\":\"" + d + "/job2\",\"key\":\"" + key2 + "\","
       "\"tasks_total\":16,\"tasks_completed\":0,\"shards_total\":4,"
       "\"shards_done\":0,\"leases_live\":0,\"leases_stale\":1,"
-      "\"shards_corrupt\":0,\"shards_quarantined\":0,\"leases\":["
+      "\"shards_corrupt\":0,\"leases\":["
       "{\"shard\":0,\"owner\":\"dead-d\",\"age_seconds\":20,"
       "\"progress_age_seconds\":20,\"expired\":true}]},"
       "{\"dir\":\"" + d + "/job3\",\"error\":\"" + d +
       "/job3/job.meta: not a dualcast job meta file\"}]}\n";
   EXPECT_EQ(fleet_status_json(jobs_dir, env), expected);
-}
-
-TEST(FleetGc, DryRunReportsEverythingAndMutatesNothing) {
-  const std::string jobs_dir = fresh_dir("dryrun");
-  FakeClock clock(5000);
-  StoreEnv env;
-  env.clock = &clock;
-  const std::string job_dir =
-      drop_job(jobs_dir, "job1", /*trials=*/3, /*shard_tasks=*/4,
-               /*lease_ttl_seconds=*/30);
-
-  // The full debris menagerie: a stale member, its expired lease, and a
-  // superseded quarantine beside a verified-complete shard.
-  JobStore store = JobStore::open(job_dir, env);
-  ASSERT_TRUE(store.try_lease(0, "ghost"));
-  FleetRegistry fleet(jobs_dir, env);
-  MemberRecord ghost;
-  ghost.id = "ghost";
-  ghost.ttl_seconds = 10;
-  fleet.publish(ghost);
-  const JobRuntime runtime(store);
-  WorkerOptions finish;
-  finish.owner = "live";
-  run_worker(store, runtime, finish);
-  const fs::path quarantine =
-      fs::path(job_dir) / "shards" / "shard_1.quarantine";
-  std::ofstream(quarantine) << "old rotten log\n";
-  clock.advance(35);  // member stale at 5010, ghost lease expired at 5030
-
-  std::ostringstream log;
-  const GcReport dry = gc_sweep(jobs_dir, env, &log, /*dry_run=*/true);
-  EXPECT_TRUE(dry.dry_run);
-  EXPECT_EQ(dry.members_reaped, 1);
-  EXPECT_EQ(dry.leases_reclaimed, 1);
-  EXPECT_EQ(dry.quarantines_removed, 1);
-  EXPECT_NE(log.str().find("would"), std::string::npos) << log.str();
-
-  // Nothing moved: the member file, the lease, and the quarantine are
-  // all still on disk, and a second dry run reports the same counts.
-  EXPECT_EQ(fleet.scan().size(), 1u);
-  EXPECT_EQ(store.scan_leases().size(), 1u);
-  EXPECT_TRUE(fs::exists(quarantine));
-  const GcReport again = gc_sweep(jobs_dir, env, nullptr, /*dry_run=*/true);
-  EXPECT_EQ(again.members_reaped, 1);
-  EXPECT_EQ(again.leases_reclaimed, 1);
-  EXPECT_EQ(again.quarantines_removed, 1);
-
-  // The real sweep then reclaims exactly what the dry run promised.
-  const GcReport wet = gc_sweep(jobs_dir, env);
-  EXPECT_FALSE(wet.dry_run);
-  EXPECT_EQ(wet.members_reaped, dry.members_reaped);
-  EXPECT_EQ(wet.leases_reclaimed, dry.leases_reclaimed);
-  EXPECT_EQ(wet.quarantines_removed, dry.quarantines_removed);
-  EXPECT_TRUE(fleet.scan().empty());
-  EXPECT_TRUE(store.scan_leases().empty());
-  EXPECT_FALSE(fs::exists(quarantine));
 }
 
 TEST(FleetDaemons, TwoDaemonsDrainDisjointShardSetsWithNoDuplicateWork) {

@@ -248,14 +248,14 @@ TEST(SharedFsService, RecoverAllPeeksFreshThroughStaleView) {
 
   // Another machine's crash corrupts the log at the server. The view's
   // pinned cache still serves the healthy bytes — but recover_all must
-  // invalidate and peek fresh, find the damage, and quarantine under a
+  // invalidate and peek fresh, find the damage, and repair it under a
   // lease.
   std::ofstream(fs::path(job_dir) / "shards" / "shard_0.log",
                 std::ios::app)
       << "zz not a record\n";
-  const std::vector<int> rotten = store.recover_all("fixer");
+  const std::vector<ShardScan> rotten = store.recover_all("fixer");
   ASSERT_EQ(rotten.size(), 1u);
-  EXPECT_EQ(rotten[0], 0);
+  EXPECT_EQ(rotten[0].shard, 0);
   EXPECT_FALSE(store.shard_done(0)) << "done marker cleared for recompute";
   EXPECT_TRUE(store.scan_leases().empty())
       << "the recovery lease is released afterwards";

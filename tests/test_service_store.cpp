@@ -1,7 +1,7 @@
 // JobStore mechanics: meta roundtrip (with field-level corruption
 // diagnostics), shard geometry, fsync'd CRC-checksummed completion records
 // (exact double bit patterns, torn-line tolerance, mid-file corruption
-// -> quarantine), done markers, and lease
+// -> in-place repair), done markers, and lease
 // acquire/conflict/renew/release/steal semantics — including a two-thread
 // steal race under skewed fake clocks.
 
@@ -230,8 +230,8 @@ TEST(JobStore, OlderMetaWithEngineAndHistoryLinesOpens) {
   EXPECT_EQ(opened.total_tasks(), 12);
 }
 
-TEST(JobStore, MidFileCorruptionIsDetectedQuarantinedAndRecovered) {
-  const std::string dir = fresh_dir("store_quarantine");
+TEST(JobStore, MidFileCorruptionIsDetectedAndRepairedInPlace) {
+  const std::string dir = fresh_dir("store_repair");
   JobStore store = JobStore::create_or_attach(dir, mini_job(6, 60));
   store.append_record(0, {0, 1.5});
   store.append_record(0, {1, 2.5});
@@ -261,21 +261,28 @@ TEST(JobStore, MidFileCorruptionIsDetectedQuarantinedAndRecovered) {
   expect_error_mentioning("corrupt", [&] { store.read_shard_records(0); });
   EXPECT_TRUE(store.scan()[0].corrupt);
 
-  // Recovery: damaged log moved aside, good prefix rewritten, done marker
-  // cleared so the shard is recomputed from the watermark.
-  EXPECT_TRUE(store.recover_shard(0).corrupt);
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "shards" / "shard_0.quarantine"));
+  // Recovery: the good prefix is written over the log and the done marker
+  // cleared so the shard is recomputed from the watermark. Nothing but the
+  // log is left beside the shard.
+  const ShardScan repaired = store.recover_shard(0);
+  EXPECT_TRUE(repaired.corrupt);
+  EXPECT_NE(repaired.damage().find("shard 0 record log corrupt at line 2: "),
+            std::string::npos)
+      << repaired.damage();
   EXPECT_FALSE(store.shard_done(0));
+  std::vector<std::string> left;
+  for (const auto& entry : fs::directory_iterator(fs::path(dir) / "shards")) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"shard_0.log"});
   const std::vector<TaskRecord> recovered = store.read_shard_records(0);
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered[0].task, 0);
   EXPECT_EQ(recovered[0].value, 1.5);
-  const std::vector<ShardState> states = store.scan();
-  EXPECT_FALSE(states[0].corrupt);
-  EXPECT_TRUE(states[0].quarantined);
+  EXPECT_FALSE(store.scan()[0].corrupt);
   // Recovery is idempotent: a healthy log is left alone.
   EXPECT_FALSE(store.recover_shard(0).corrupt);
-  EXPECT_TRUE(store.recover_all().empty());
+  EXPECT_TRUE(store.recover_all("fixer").empty());
 }
 
 TEST(JobStore, StealRaceUnderClockSkewHasOneWinner) {
@@ -395,47 +402,6 @@ TEST(JobStore, ScanClassifiesLeaseAgeAndStalenessAgainstStoreClock) {
   shards = store.scan();
   EXPECT_EQ(shards[0].lease_age, 35);
   EXPECT_TRUE(shards[0].lease_stale);
-}
-
-TEST(JobStore, QuarantineIsGcedOnlyAfterVerifiedRecompute) {
-  const std::string dir = fresh_dir("store_gc_quarantine");
-  // shard_tasks=3: shard 0 is exactly tasks {0,1,2}, so the three appends
-  // below cover it and "verified complete" is reachable.
-  JobStore store = JobStore::create_or_attach(dir, mini_job(3, 60));
-  store.append_record(0, {0, 1.5});
-  store.append_record(0, {1, 2.5});
-  store.append_record(0, {2, 3.5});
-  const fs::path log = fs::path(dir) / "shards" / "shard_0.log";
-  std::string text;
-  {
-    std::ifstream in(log, std::ios::binary);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
-  const std::size_t second_line = text.find('\n') + 1;
-  const std::size_t flip = text.find(' ', second_line + 3) + 1;
-  text[flip] = text[flip] == '0' ? '1' : '0';
-  std::ofstream(log, std::ios::binary) << text;
-  store.recover_shard(0);
-  const fs::path quarantine =
-      fs::path(dir) / "shards" / "shard_0.quarantine";
-  ASSERT_TRUE(fs::exists(quarantine));
-
-  // The shard is incomplete (records 1 and 2 lost to the rot): the
-  // quarantine is still the only evidence and must not be collected.
-  EXPECT_FALSE(store.shard_verified_complete(0));
-  EXPECT_FALSE(store.gc_quarantine(0));
-  EXPECT_EQ(store.gc_quarantines(), 0);
-  EXPECT_TRUE(fs::exists(quarantine));
-
-  // Recompute the lost records; once the live log passes CRC verification
-  // and covers the shard, the quarantine is superseded and collected.
-  store.append_record(0, {1, 2.5});
-  store.append_record(0, {2, 3.5});
-  EXPECT_TRUE(store.shard_verified_complete(0));
-  EXPECT_TRUE(store.gc_quarantine(0));
-  EXPECT_FALSE(fs::exists(quarantine));
-  EXPECT_FALSE(store.gc_quarantine(0)) << "second collection is a no-op";
 }
 
 TEST(JobStore, GcExpiredLeasesNeverTouchesLiveOrUnattributedWork) {
