@@ -6,30 +6,6 @@ namespace dualcast {
 
 namespace {
 
-/// Word index / lane of bit v.
-constexpr std::size_t word_of(int v) { return static_cast<std::size_t>(v) / 64; }
-constexpr std::uint64_t lane_of(int v) {
-  return std::uint64_t{1} << (static_cast<std::uint64_t>(v) % 64);
-}
-
-/// Sets bits [lo, hi) in `words` (assumed zeroed or partially filled).
-void set_range(std::span<std::uint64_t> words, int lo, int hi) {
-  if (lo >= hi) return;
-  const std::size_t w_lo = word_of(lo);
-  const std::size_t w_hi = word_of(hi - 1);
-  const std::uint64_t first = ~std::uint64_t{0}
-                              << (static_cast<std::uint64_t>(lo) % 64);
-  const std::uint64_t last =
-      ~std::uint64_t{0} >> (63 - static_cast<std::uint64_t>(hi - 1) % 64);
-  if (w_lo == w_hi) {
-    words[w_lo] |= first & last;
-    return;
-  }
-  words[w_lo] |= first;
-  for (std::size_t w = w_lo + 1; w < w_hi; ++w) words[w] |= ~std::uint64_t{0};
-  words[w_hi] |= last;
-}
-
 bool sorted_row_contains(std::span<const int> row, int u) {
   return std::binary_search(row.begin(), row.end(), u);
 }
@@ -55,50 +31,6 @@ int LayerView::degree(int v) const {
   return 0;
 }
 
-int LayerView::max_degree() const {
-  switch (structure_) {
-    case Structure::explicit_csr: {
-      int best = 0;
-      for (int v = 0; v < n_; ++v) {
-        best = std::max(best, static_cast<int>(explicit_row(v).size()));
-      }
-      return best;
-    }
-    case Structure::complete:
-      return n_ > 0 ? n_ - 1 : 0;
-    case Structure::dual_cliques:
-      return std::max(half_, n_ - half_) - 1 + (ex_a_ >= 0 ? 1 : 0);
-    case Structure::complete_bipartite:
-      return std::max(half_, n_ - half_);
-    case Structure::complement_of_sparse: {
-      int min_deg = n_;
-      for (int v = 0; v < n_; ++v) {
-        min_deg = std::min(min_deg, static_cast<int>(explicit_row(v).size()));
-      }
-      return n_ - 1 - min_deg;
-    }
-  }
-  return 0;
-}
-
-std::int64_t LayerView::edge_count() const {
-  const auto pairs = [](std::int64_t k) { return k * (k - 1) / 2; };
-  switch (structure_) {
-    case Structure::explicit_csr:
-      return static_cast<std::int64_t>(neighbors_.size()) / 2;
-    case Structure::complete:
-      return pairs(n_);
-    case Structure::dual_cliques:
-      return pairs(half_) + pairs(n_ - half_) + (ex_a_ >= 0 ? 1 : 0);
-    case Structure::complete_bipartite:
-      return static_cast<std::int64_t>(half_) * (n_ - half_) -
-             (ex_a_ >= 0 ? 1 : 0);
-    case Structure::complement_of_sparse:
-      return pairs(n_) - static_cast<std::int64_t>(neighbors_.size()) / 2;
-  }
-  return 0;
-}
-
 bool LayerView::has_edge(int u, int v) const {
   DC_EXPECTS(u >= 0 && u < n_ && v >= 0 && v < n_);
   if (u == v) return false;
@@ -117,47 +49,6 @@ bool LayerView::has_edge(int u, int v) const {
       return !sorted_row_contains(explicit_row(u), v);
   }
   return false;
-}
-
-void LayerView::synthesize_row(int v, std::span<std::uint64_t> words) const {
-  DC_EXPECTS(v >= 0 && v < n_);
-  const std::size_t needed = (static_cast<std::size_t>(n_) + 63) / 64;
-  DC_EXPECTS(words.size() >= needed);
-  std::fill(words.begin(), words.begin() + static_cast<std::ptrdiff_t>(needed),
-            0);
-  switch (structure_) {
-    case Structure::explicit_csr:
-      for (const int u : explicit_row(v)) words[word_of(u)] |= lane_of(u);
-      return;
-    case Structure::complete:
-      set_range(words, 0, n_);
-      words[word_of(v)] &= ~lane_of(v);
-      return;
-    case Structure::dual_cliques:
-      if (v < half_) {
-        set_range(words, 0, half_);
-        if (v == ex_a_) words[word_of(ex_b_)] |= lane_of(ex_b_);
-      } else {
-        set_range(words, half_, n_);
-        if (v == ex_b_) words[word_of(ex_a_)] |= lane_of(ex_a_);
-      }
-      words[word_of(v)] &= ~lane_of(v);
-      return;
-    case Structure::complete_bipartite:
-      if (v < half_) {
-        set_range(words, half_, n_);
-        if (v == ex_a_) words[word_of(ex_b_)] &= ~lane_of(ex_b_);
-      } else {
-        set_range(words, 0, half_);
-        if (v == ex_b_) words[word_of(ex_a_)] &= ~lane_of(ex_a_);
-      }
-      return;
-    case Structure::complement_of_sparse:
-      set_range(words, 0, n_);
-      words[word_of(v)] &= ~lane_of(v);
-      for (const int u : explicit_row(v)) words[word_of(u)] &= ~lane_of(u);
-      return;
-  }
 }
 
 }  // namespace dualcast

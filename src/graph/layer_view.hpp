@@ -9,7 +9,7 @@
 // explicit representation is quadratic: the §3 dual clique's G' is K_n and
 // its G is two half cliques, so CSR storage caps clique-like networks near
 // n = 4096 while sparse grids already run at 65536. A LayerView answers
-// degree / neighbor-iteration / row-synthesis queries in O(1) per neighbor
+// degree / adjacency / neighbor-iteration queries in O(1) per neighbor
 // from a handful of integers instead:
 //
 //   explicit_csr          — spans over caller-owned CSR arrays (the classic
@@ -122,18 +122,11 @@ class LayerView {
   int exception_b() const { return ex_b_; }
 
   int degree(int v) const;
-  int max_degree() const;
-  std::int64_t edge_count() const;
   bool has_edge(int u, int v) const;
 
-  /// Writes v's full n-bit adjacency row into `words` (at least
-  /// ceil(n / 64) entries; trailing bits beyond n are zeroed). O(n / 64)
-  /// for the implicit variants, O(n / 64 + degree) for explicit rows.
-  void synthesize_row(int v, std::span<std::uint64_t> words) const;
-
   /// Visits v's neighbors in ascending order. O(degree) for explicit rows;
-  /// O(n) for the dense implicit variants (use the structural accessors or
-  /// synthesize_row when that matters).
+  /// O(n) for the dense implicit variants (use the structural accessors
+  /// when that matters).
   template <typename Fn>
   void for_each_neighbor(int v, Fn&& fn) const {
     switch (structure_) {

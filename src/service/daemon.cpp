@@ -266,8 +266,9 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
       jobs[picked].age = 0;
 
       JobState& job = jobs[picked];
-      // Repairs this job's corrupt logs; true when there were any. Owned:
-      // rewrites only happen under a per-shard lease on shared mounts.
+      // Repairs this job's corrupt logs and clears done markers its logs
+      // fall short of; true when there were any. Owned: repairs only
+      // happen under a per-shard lease on shared mounts.
       const auto repair_logs = [&](const char* when) {
         const std::vector<ShardScan> rotten = job.store->recover_all(owner);
         for (const ShardScan& scan : rotten) {
@@ -305,8 +306,6 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
           worker_options.stop = options.stop;
           worker_options.log = options.log;
           worker_options.recover = false;  // repaired at pickup + pre-merge
-          worker_options.op_deadline_seconds = options.op_deadline_seconds;
-          worker_options.deadline_fs = options.deadline_fs;
           worker_options.max_shards = 1;
           worker_options.shard_order =
               jittered_order(job.store->shard_count(), rng);
@@ -328,9 +327,10 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
         }
         if (worked.stopped) break;
         if (all_shards_done(*job.store)) {
-          // Pre-merge integrity pass: anything that went corrupt since
-          // pickup is repaired now (clearing its done marker), and the
-          // merge waits for the recompute instead of failing.
+          // Pre-merge integrity pass: anything that went corrupt or lost
+          // records since pickup is repaired now (clearing its done
+          // marker), and the merge waits for the recompute instead of
+          // failing.
           if (!repair_logs("pre-merge check ")) {
             // Complete: merge into the cache so future serves hit, then
             // drop the runtime (the records stay for `merge`/`status`).

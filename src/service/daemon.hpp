@@ -82,10 +82,6 @@ struct DaemonOptions {
   /// re-read through the Fs seam every cycle) instead of statvfs, so
   /// harnesses can shrink and restore a "disk" deterministically.
   std::string free_bytes_file;
-  /// Per-logical-op IO deadline threaded to every worker call (see
-  /// WorkerOptions::op_deadline_seconds / deadline_fs).
-  std::int64_t op_deadline_seconds = 0;
-  util::DeadlineFs* deadline_fs = nullptr;
   /// Cooperative stop: when set and it becomes true, finish the current
   /// task, release leases, and return.
   const std::atomic<bool>* stop = nullptr;
@@ -101,7 +97,7 @@ struct DaemonReport {
   int jobs_completed = 0;  ///< jobs whose every shard finished under us
   int shards_completed = 0;
   int tasks_executed = 0;
-  int shards_repaired = 0;     ///< corrupt logs rewritten to their good prefix
+  int shards_repaired = 0;     ///< as WorkerReport::shards_repaired
   int leases_stolen = 0;       ///< expired foreign leases evicted on claim
   int members_reaped = 0;      ///< stale fleet members removed by our sweeps
   int leases_reclaimed = 0;    ///< expired lease debris removed by our sweeps

@@ -123,6 +123,22 @@ bool parse_record_line(const std::string& line, TaskRecord& out,
   return true;
 }
 
+/// Distinct tasks of [begin, end) among `records`.
+int distinct_tasks(const std::vector<TaskRecord>& records, int begin,
+                   int end) {
+  std::vector<bool> seen(static_cast<std::size_t>(end - begin), false);
+  int count = 0;
+  for (const TaskRecord& record : records) {
+    if (record.task < begin || record.task >= end) continue;
+    const std::size_t i = static_cast<std::size_t>(record.task - begin);
+    if (!seen[i]) {
+      seen[i] = true;
+      ++count;
+    }
+  }
+  return count;
+}
+
 // --- job.meta ----------------------------------------------------------
 
 std::string serialize_meta(const JobSpec& spec) {
@@ -422,6 +438,10 @@ std::string JobStore::lease_path(int shard) const {
 }
 
 std::string ShardScan::damage() const {
+  if (!corrupt) {
+    return str("shard ", shard, " marked done with ", recorded, " of ",
+               expected, " tasks recorded");
+  }
   return str("shard ", shard, " record log corrupt at line ", bad_line, ": ",
              detail);
 }
@@ -511,21 +531,38 @@ std::vector<ShardScan> JobStore::recover_all(const std::string& owner) {
   std::vector<ShardScan> repaired;
   const int shards = shard_count();
   for (int s = 0; s < shards; ++s) {
+    const auto [begin, end] = shard_range(s);
     // Peek first (a stale read only costs a skipped repair this pass):
     // healthy logs with no torn tail need nothing, and taking a lease per
-    // shard just to look would serialize the whole fleet on recovery.
+    // shard just to look would serialize the whole fleet on recovery. Only
+    // a log short of its range costs a done-marker probe.
     const ShardScan peek = fresh_scan_shard_log(s);
     const std::int64_t size = fs_->file_size(shard_log_path(s));
-    if (!peek.corrupt && size <= static_cast<std::int64_t>(peek.good_bytes)) {
-      continue;
-    }
-    // Damage found: the rewrite replaces the log file, so it runs only
-    // under the shard's lease — otherwise a stale snapshot could clobber
-    // records a live appender on another machine wrote since.
+    const bool torn = size > static_cast<std::int64_t>(peek.good_bytes);
+    const bool unbacked = !peek.corrupt &&
+                          distinct_tasks(peek.records, begin, end) <
+                              end - begin &&
+                          shard_done(s);
+    if (!peek.corrupt && !torn && !unbacked) continue;
+    // Damage found: the rewrite replaces the log file and the marker
+    // decides what is recomputed, so both repairs run only under the
+    // shard's lease — otherwise a stale snapshot could clobber records a
+    // live appender on another machine wrote since.
     if (!try_lease(s, owner)) continue;  // valid holder self-heals
     ShardScan scan = recover_shard(s);
+    if (unbacked && !scan.corrupt) {
+      // A done marker the records do not back keeps the shard from ever
+      // being claimed, so the job never merges: clear it, as mid-file
+      // damage does, and the shard is recomputed from its watermark.
+      const int recorded = distinct_tasks(scan.records, begin, end);
+      if (recorded < end - begin && fs_->unlink(shard_done_path(s))) {
+        fs_->sync_dir(join_path(dir_, "shards"));
+        scan.recorded = recorded;
+        scan.expected = end - begin;
+      }
+    }
     release_lease(s, owner);
-    if (scan.corrupt) repaired.push_back(std::move(scan));
+    if (scan.corrupt || scan.expected > 0) repaired.push_back(std::move(scan));
   }
   return repaired;
 }
@@ -676,17 +713,7 @@ std::vector<ShardState> JobStore::scan() const {
     std::tie(state.begin, state.end) = shard_range(s);
     const ShardScan scan = scan_shard_log(s);
     state.corrupt = scan.corrupt;
-    std::vector<bool> seen(static_cast<std::size_t>(state.end - state.begin),
-                           false);
-    for (const TaskRecord& record : scan.records) {
-      if (record.task < state.begin || record.task >= state.end) continue;
-      const std::size_t i =
-          static_cast<std::size_t>(record.task - state.begin);
-      if (!seen[i]) {
-        seen[i] = true;
-        ++state.completed;
-      }
-    }
+    state.completed = distinct_tasks(scan.records, state.begin, state.end);
     state.done = shard_done(s);
     std::string text;
     if (util::read_file_retry_estale(*fs_, lease_path(s), text)) {

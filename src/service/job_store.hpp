@@ -37,6 +37,7 @@
 //                             last good watermark) and re-leases the
 //                             shard to recompute the rest.
 //   shards/shard_<k>.done     marker: every task of the shard is recorded
+//                             (recovery clears one the log falls short of)
 //   leases/shard_<k>.lease    "owner <token>\nsince <unix>\nexpiry <unix>";
 //                             published atomically via link() of a fully
 //                             written temp file (no empty-file window); an
@@ -108,9 +109,15 @@ struct ShardScan {
   int bad_line = 0;    ///< 1-based line of the first bad record
   std::string detail;  ///< what failed (checksum, length, syntax)
   std::size_t good_bytes = 0;  ///< log bytes up to the last good newline
+  /// Set when recover_all cleared a done marker the log does not back:
+  /// the distinct in-range tasks recorded and the shard's task count
+  /// (both 0 otherwise).
+  int recorded = 0;
+  int expected = 0;
 
-  /// "shard <k> record log corrupt at line <n>: <detail>" — the merger's
-  /// refusal and the repair's log line, the one record of the damage.
+  /// "shard <k> record log corrupt at line <n>: <detail>", or "shard <k>
+  /// marked done with <r> of <e> tasks recorded" — the merger's refusal
+  /// and the repair's log line, the one record of the damage.
   std::string damage() const;
 };
 
@@ -200,10 +207,13 @@ class JobStore {
   /// (`corrupt` reports mid-file damage).
   ShardScan recover_shard(int shard);
 
-  /// Runs recover_shard over every damaged shard; returns the scans of
-  /// those that were corrupt mid-file.
+  /// Runs recover_shard over every damaged shard, and clears the done
+  /// marker of every shard whose log records fewer distinct in-range tasks
+  /// than its range (whole records lost, or the log deleted), durably, so
+  /// the shard is re-leased and recomputed. Returns the scans of the
+  /// shards that were corrupt mid-file or whose marker was cleared.
   ///
-  /// The rewrite runs only under `owner`'s shard lease (acquired per
+  /// Both repairs run only under `owner`'s shard lease (acquired per
   /// damaged shard, released after): on a shared filesystem an unleased
   /// rewrite could act on a *stale* snapshot of a log another machine is
   /// actively appending to and clobber its fresh records. Shards whose

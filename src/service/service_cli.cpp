@@ -47,15 +47,11 @@ std::atomic<bool> g_stop{false};
 
 void request_stop(int) { g_stop.store(true); }
 
-/// The worker/daemon test-decorator stack, outermost first:
-/// DeadlineFs (per-op IO budget) → FaultyFs (injected death / targeted
-/// stall) → SlowFs (uniform latency) → SharedFsSim (this process as one
-/// NFS client view) → the real filesystem; plus an optional skewed clock.
-/// Members exist only when the corresponding flag was given; `env` points
-/// at the outermost layer of whatever was built. Layer order matters:
-/// FaultyFs counts ops before SlowFs slows them (schedules stay stable
-/// under latency), and DeadlineFs sits outside everything so an injected
-/// stall is charged against the op budget like a real hung mount.
+/// The worker/daemon test-decorator stack, outermost first: FaultyFs
+/// (injected death, targeted stall, uniform latency) → SharedFsSim (this
+/// process as one NFS client view) → the real filesystem; plus an optional
+/// skewed clock. Members exist only when the corresponding flag was given;
+/// `env` points at the outermost layer of whatever was built.
 struct EnvStack {
   struct Params {
     bool fs_sim = false;
@@ -66,13 +62,10 @@ struct EnvStack {
     int slow_fs_ms = 0;
     int stall_append = -1;  ///< stall append N (0-based) to a shards/ file
     int stall_ms = 0;
-    std::int64_t op_deadline_seconds = 0;
   };
 
   std::unique_ptr<util::SharedFsSim> sim;
-  std::unique_ptr<util::SlowFs> slow;
   std::unique_ptr<util::FaultyFs> faulty;
-  std::unique_ptr<util::DeadlineFs> deadline;
   std::unique_ptr<util::OffsetClock> clock;
   StoreEnv env;
 
@@ -86,16 +79,20 @@ struct EnvStack {
       sim = std::make_unique<util::SharedFsSim>(*fs, config);
       fs = sim.get();
     }
-    if (p.slow_fs_ms > 0) {
-      slow = std::make_unique<util::SlowFs>(*fs, p.slow_fs_ms);
-      fs = slow.get();
-    }
-    if (p.fault_crash_op >= 0 || p.stall_append >= 0) {
+    if (p.fault_crash_op >= 0 || p.slow_fs_ms > 0 || p.stall_append >= 0) {
       faulty = std::make_unique<util::FaultyFs>(*fs);
       if (p.fault_crash_op >= 0) {
         util::InjectedFault fault;
         fault.kind = util::InjectedFault::Kind::crash;
         fault.at = p.fault_crash_op;
+        faulty->inject(fault);
+      }
+      if (p.slow_fs_ms > 0) {
+        // A uniformly slow mount: every op, from the first, stalls.
+        util::InjectedFault fault;
+        fault.kind = util::InjectedFault::Kind::delay;
+        fault.sticky = true;
+        fault.delay_ms = p.slow_fs_ms;
         faulty->inject(fault);
       }
       if (p.stall_append >= 0) {
@@ -111,10 +108,6 @@ struct EnvStack {
       }
       fs = faulty.get();
     }
-    if (p.op_deadline_seconds > 0) {
-      deadline = std::make_unique<util::DeadlineFs>(*fs);
-      fs = deadline.get();
-    }
     if (fs != &util::real_fs()) env.fs = fs;
     if (p.clock_skew_seconds != 0) {
       clock = std::make_unique<util::OffsetClock>(util::system_clock(),
@@ -128,10 +121,6 @@ struct EnvStack {
 /// CI fault matrix and the shared-fs and fail-slow drills drive them.
 std::vector<Flag> decorator_flags(EnvStack::Params& p) {
   return {
-      int_flag("--op-deadline", "S",
-               "per-logical-op IO budget in seconds: an op still unfinished "
-               "past it becomes a transient ETIMEDOUT (0 = unbounded)",
-               p.op_deadline_seconds, 0, std::numeric_limits<int>::max()),
       int_flag("--fault-crash-op", "N",
                "test hook: die (uncatchable, like kill -9) at filesystem "
                "operation N of this process, counted from 0 (0 = the first "
@@ -241,8 +230,6 @@ int worker_main(int argc, char** argv, const Command& command) {
   if (job_dir.empty()) throw ScenarioError("worker: --job-dir is required");
   EnvStack stack;
   stack.build(stack_params);
-  options.op_deadline_seconds = stack_params.op_deadline_seconds;
-  options.deadline_fs = stack.deadline.get();
   const StoreEnv& env = stack.env;
   JobStore store = JobStore::open(job_dir, env);
   const JobRuntime runtime(store);
@@ -256,7 +243,7 @@ int worker_main(int argc, char** argv, const Command& command) {
             << " already recorded";
   if (report.shards_repaired > 0) {
     std::cout << ", " << report.shards_repaired
-              << " corrupt shard(s) repaired";
+              << " damaged shard(s) repaired";
   }
   if (report.stopped) std::cout << " [stopped by signal]";
   std::cout << "\n";
@@ -312,8 +299,6 @@ int daemon_main(int argc, char** argv, const Command& command) {
   std::cout << std::unitbuf;
   EnvStack stack;
   stack.build(stack_params);
-  options.op_deadline_seconds = stack_params.op_deadline_seconds;
-  options.deadline_fs = stack.deadline.get();
   const StoreEnv& env = stack.env;
   std::signal(SIGTERM, request_stop);
   std::signal(SIGINT, request_stop);
@@ -325,7 +310,7 @@ int daemon_main(int argc, char** argv, const Command& command) {
             << " task(s) measured";
   if (report.shards_repaired > 0) {
     std::cout << ", " << report.shards_repaired
-              << " corrupt shard(s) repaired";
+              << " damaged shard(s) repaired";
   }
   if (report.leases_stolen > 0) {
     std::cout << ", " << report.leases_stolen << " lease(s) stolen";

@@ -11,11 +11,12 @@
 // `--fault-crash-op` FaultyFs crash hook so injected filesystem deaths
 // compose with external kills.
 //
-// Fail-slow storms compose the same way: `--slow` mounts every daemon
-// behind a uniform-latency SlowFs, `--stall-seed` arms one seeded
-// mid-lease append stall per daemon generation — long enough that the
-// holder's progress-gated heartbeat lets the lease lapse, a peer steals
-// it, and the holder fences itself on waking — and `--disk-pressure`
+// Fail-slow storms compose the same way: `--slow` arms every daemon's
+// FaultyFs with a sticky delay on every op (a uniformly slow mount),
+// `--stall-seed` arms one seeded mid-lease append stall per daemon
+// generation — long enough that the holder's progress-gated heartbeat
+// lets the lease lapse, a peer steals it, and the holder fences itself
+// on waking — and `--disk-pressure`
 // squeezes a shared free-bytes file to zero mid-run and restores it,
 // walking the whole fleet down and back up the degradation ladder.
 //
@@ -80,8 +81,8 @@ struct SoakOptions {
   /// offset spread deterministically across [-skew, +skew] seconds
   /// (0 = everyone agrees). Composes with `sim` or stands alone.
   int clock_skew_seconds = 0;
-  /// Slow-mount storm (`soak --slow`): every daemon runs behind a SlowFs
-  /// adding this many real milliseconds to every filesystem op (0 = off).
+  /// Slow-mount storm (`soak --slow`): every daemon's FaultyFs adds this
+  /// many real milliseconds to every filesystem op (0 = off).
   int slow_fs_ms = 0;
   /// Fail-slow storm (`--stall-seed`): each daemon generation arms one
   /// `Kind::delay` fault on a seeded append to a shards/ file —

@@ -150,45 +150,21 @@ WorkerReport run_worker(JobStore& store, const JobRuntime& runtime,
                         scenario::fnv1a64(owner));
   // Retry transient IO errors (EIO, ENOSPC, ...) with jittered backoff;
   // anything else — including InjectedCrash, which is not an IoError by
-  // design — propagates and unwinds the worker like a kill. When an op
-  // deadline is configured, each logical store operation gets one budget
-  // across all its attempts: a DeadlineFs in the stack turns a hung
-  // syscall into transient ETIMEDOUT, backoff sleeps are clamped to the
-  // time remaining, and an expired budget stops retrying.
+  // design — propagates and unwinds the worker like a kill.
   const auto with_retry = [&](const auto& io_op) {
-    util::Deadline deadline;
-    if (options.op_deadline_seconds > 0) {
-      deadline = util::Deadline(store.clock(), options.op_deadline_seconds);
-    }
-    if (options.deadline_fs != nullptr) {
-      options.deadline_fs->set_deadline(deadline);
-    }
-    const auto clear = [&] {
-      if (options.deadline_fs != nullptr) {
-        options.deadline_fs->set_deadline(util::Deadline());
-      }
-    };
     for (int attempt = 0;; ++attempt) {
       try {
         io_op();
         backoff.reset();
-        clear();
         return;
       } catch (const util::IoError& e) {
-        if (!e.transient() || attempt >= options.io_retries ||
-            deadline.expired()) {
-          clear();
-          throw;
-        }
+        if (!e.transient() || attempt >= options.io_retries) throw;
         if (options.log != nullptr) {
           *options.log << "worker " << owner << ": transient IO error ("
                        << e.what() << "), retrying\n";
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            backoff.next_ms(deadline.remaining_ms())));
-      } catch (...) {
-        clear();
-        throw;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(backoff.next_ms()));
       }
     }
   };
@@ -200,9 +176,10 @@ WorkerReport run_worker(JobStore& store, const JobRuntime& runtime,
                    << "; recomputing from watermark\n";
     }
   };
-  // Corrupt shard logs block both workers (bad watermark) and the merger;
-  // repair them up front so this run recomputes from the good prefix.
-  // Rewrites run under a per-shard lease so a stale view of a log another
+  // Corrupt shard logs block both workers (bad watermark) and the merger,
+  // and a done marker the log falls short of blocks the shard for good;
+  // repair both up front so this run recomputes from the good prefix.
+  // Repairs run under a per-shard lease so a stale view of a log another
   // machine is appending to can't be clobbered.
   if (options.recover) {
     for (const ShardScan& scan : store.recover_all(owner)) note_repair(scan);

@@ -19,11 +19,10 @@
 //     (hung IO, wedged compute) stops earning renewals, its lease lapses
 //     within one TTL, and a peer steals the shard. On waking, the worker
 //     fences itself: it re-verifies ownership before any further append
-//     and abandons the shard if a thief holds (or completed) it;
-//   * transient IO errors (EIO, ENOSPC, ETIMEDOUT, ...) are retried with
-//     jittered exponential backoff; with an op deadline configured, a
-//     DeadlineFs turns hung ops into ETIMEDOUT and the retry loop's whole
-//     budget (sleeps included) is clamped to the deadline;
+//     and abandons the shard if a thief holds (or completed) it. This is
+//     the one defence against a hung op: nothing interrupts the op itself;
+//   * transient IO errors (EIO, ENOSPC, ETIMEDOUT, ...) are retried a
+//     bounded number of times with jittered exponential backoff;
 //   * a cooperative stop flag (the daemon's SIGTERM path) abandons the
 //     current shard cleanly: records already appended stay durable, the
 //     lease is released so another worker picks the shard up immediately.
@@ -88,21 +87,14 @@ struct WorkerOptions {
   /// Backoff window for those retries (jittered exponential).
   int backoff_initial_ms = 10;
   int backoff_max_ms = 1000;
-  /// Per-logical-op IO deadline in clock seconds (0 = none): each store
-  /// operation (append, done-marker) gets this budget across all its
-  /// retry attempts, and backoff sleeps never run past it.
-  std::int64_t op_deadline_seconds = 0;
-  /// When the caller's Fs stack includes a DeadlineFs, pass it here so
-  /// the worker can install the per-op budget on it (a hung syscall then
-  /// surfaces as transient IoError(ETIMEDOUT) instead of stalling
-  /// forever).
-  util::DeadlineFs* deadline_fs = nullptr;
   std::ostream* log = nullptr;  ///< progress lines, when set
 };
 
 struct WorkerReport {
   int shards_completed = 0;
-  int shards_repaired = 0;  ///< corrupt logs rewritten to their good prefix
+  /// Corrupt logs rewritten to their good prefix, and done markers their
+  /// logs fell short of cleared.
+  int shards_repaired = 0;
   int tasks_executed = 0;
   int tasks_skipped = 0;   ///< found already recorded (resume)
   int leases_stolen = 0;   ///< expired foreign leases evicted on acquire

@@ -71,38 +71,4 @@ class FakeClock final : public Clock {
   std::atomic<std::int64_t> now_;
 };
 
-/// A budget of clock time for one logical operation (an IO call, a retry
-/// loop). Default-constructed deadlines are inactive and never expire, so
-/// callers can thread one through unconditionally and only pay when a
-/// budget was actually set. Seconds granularity, like everything else on
-/// the `Clock` seam: an op deadline exists to bound *hangs* (tens of
-/// seconds), not to time syscalls.
-class Deadline {
- public:
-  Deadline() = default;
-  Deadline(Clock& clock, std::int64_t budget_seconds)
-      : clock_(&clock), expires_(clock.now_seconds() + budget_seconds) {}
-
-  bool active() const { return clock_ != nullptr; }
-  bool expired() const {
-    return clock_ != nullptr && clock_->now_seconds() >= expires_;
-  }
-  /// Huge when inactive, clamped at 0 once expired.
-  std::int64_t remaining_seconds() const {
-    if (clock_ == nullptr) return kForever;
-    const std::int64_t left = expires_ - clock_->now_seconds();
-    return left > 0 ? left : 0;
-  }
-  std::int64_t remaining_ms() const {
-    const std::int64_t seconds = remaining_seconds();
-    return seconds >= kForever / 1000 ? kForever : seconds * 1000;
-  }
-
- private:
-  static constexpr std::int64_t kForever = 1'000'000'000'000;
-
-  Clock* clock_ = nullptr;
-  std::int64_t expires_ = 0;
-};
-
 }  // namespace dualcast::util

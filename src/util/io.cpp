@@ -13,7 +13,6 @@
 #include <cstring>
 #include <filesystem>
 #include <thread>
-#include <type_traits>
 
 #include "util/rng.hpp"
 
@@ -371,14 +370,7 @@ std::optional<std::size_t> FaultyFs::check(const char* op,
 template <typename Run>
 auto ForwardingFs::forward(const char* op, const std::string& path, Run run) {
   before(op, path);
-  if constexpr (std::is_void_v<decltype(run())>) {
-    run();
-    after(op, path);
-  } else {
-    auto result = run();
-    after(op, path);
-    return result;
-  }
+  return run();
 }
 
 bool ForwardingFs::exists(const std::string& path) {
@@ -450,32 +442,6 @@ void FaultyFs::append(const std::string& path, std::string_view data) {
   base().append(path, data);
 }
 
-void SlowFs::before(const char* /*op*/, const std::string& /*path*/) {
-  if (tick_clock_ != nullptr && tick_seconds_ > 0) {
-    tick_clock_->advance(tick_seconds_);
-  }
-  if (delay_ms_ > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
-  }
-}
-
-void DeadlineFs::set_deadline(Deadline deadline) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  deadline_ = deadline;
-}
-
-void DeadlineFs::after(const char* op, const std::string& path) {
-  Deadline deadline;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    deadline = deadline_;
-  }
-  if (deadline.expired()) {
-    throw IoError("io deadline exceeded at " + std::string(op) + " " + path,
-                  ETIMEDOUT);
-  }
-}
-
 Backoff::Backoff(int initial_ms, int max_ms, std::uint64_t seed)
     : initial_ms_(initial_ms < 1 ? 1 : initial_ms),
       max_ms_(max_ms < initial_ms_ ? initial_ms_ : max_ms),
@@ -490,12 +456,6 @@ int Backoff::next_ms() {
   const std::uint64_t draw = splitmix64(state_);
   return base - half +
          static_cast<int>(draw % (static_cast<std::uint64_t>(half) + 1));
-}
-
-int Backoff::next_ms(std::int64_t remaining_ms) {
-  const int drawn = next_ms();
-  if (remaining_ms <= 0) return 0;
-  return drawn <= remaining_ms ? drawn : static_cast<int>(remaining_ms);
 }
 
 void Backoff::reset() { base_ms_ = initial_ms_; }

@@ -14,7 +14,8 @@
 //   * IO errors (EIO, ENOSPC, ... as a thrown `IoError`),
 //   * delays (the op stalls for scheduled fake-clock ticks and/or real
 //     milliseconds, then proceeds — the gray-failure injection the
-//     fail-slow tests storm with).
+//     fail-slow tests storm with; one sticky delay armed at op 0 with no
+//     filters taxes every op alike, a uniformly slow mount).
 //
 // Because workers, the store, and the merger are deterministic given a
 // frozen clock, an op index fully identifies an injection point: the fault
@@ -52,8 +53,8 @@ class IoError : public std::runtime_error {
   /// Transient = a retry after a short backoff may succeed (EIO, EAGAIN,
   /// EINTR, ENOSPC — an operator can free space while workers back off —
   /// ESTALE: a reopen rebinds a handle that went stale under an NFS
-  /// client's cache — and ETIMEDOUT: a per-op deadline fired on a hung
-  /// mount that may come back).
+  /// client's cache — and ETIMEDOUT: a soft NFS mount gave up on a server
+  /// that may come back).
   bool transient() const;
 
  private:
@@ -145,11 +146,10 @@ bool read_file_retry_estale(Fs& fs, const std::string& path,
 std::uint32_t crc32c(std::string_view data);
 
 /// Decorator base: forwards every operation to `base`, calling
-/// `before(op, path)` first and `after(op, path)` once the op returns (not
-/// when it throws). `op` is the operation's one name — FaultyFs's trace and
-/// fault filters match on it: exists, read, write, append, fsync, link
-/// (`path` = the new name), rename (the target), unlink, list, mkdir,
-/// syncdir, size, statvfs, invalidate. A decorator overrides the hooks and
+/// `before(op, path)` first. `op` is the operation's one name — FaultyFs's
+/// trace and fault filters match on it: exists, read, write, append, fsync,
+/// link (`path` = the new name), rename (the target), unlink, list, mkdir,
+/// syncdir, size, statvfs, invalidate. A decorator overrides the hook and
 /// only the ops it changes.
 class ForwardingFs : public Fs {
  public:
@@ -173,11 +173,10 @@ class ForwardingFs : public Fs {
 
  protected:
   virtual void before(const char* /*op*/, const std::string& /*path*/) {}
-  virtual void after(const char* /*op*/, const std::string& /*path*/) {}
   Fs& base() { return base_; }
 
  private:
-  /// before, run, after: the one body every op forwards through.
+  /// before, then run: the one body every op forwards through.
   template <typename Run>
   auto forward(const char* op, const std::string& path, Run run);
 
@@ -264,53 +263,6 @@ class FaultyFs final : public ForwardingFs {
   std::function<void()> on_stall_;
 };
 
-/// Uniform per-op latency decorator: every operation sleeps `delay_ms`
-/// (real time) and/or advances `tick_clock` by `tick_seconds` before
-/// running. Models a uniformly slow mount (cold NFS server, saturated
-/// disk) as opposed to FaultyFs's targeted single-op stalls; `soak --slow`
-/// runs whole daemons behind one of these.
-class SlowFs final : public ForwardingFs {
- public:
-  SlowFs(Fs& base, int delay_ms, FakeClock* tick_clock = nullptr,
-         std::int64_t tick_seconds = 0)
-      : ForwardingFs(base),
-        delay_ms_(delay_ms),
-        tick_clock_(tick_clock),
-        tick_seconds_(tick_seconds) {}
-
- private:
-  void before(const char* op, const std::string& path) override;
-
-  int delay_ms_;
-  FakeClock* tick_clock_;
-  std::int64_t tick_seconds_;
-};
-
-/// Per-op IO deadline decorator: after each operation returns, checks a
-/// shared `Deadline` and converts a blown budget into a *typed, transient*
-/// `IoError(ETIMEDOUT)` — a hung append/link/read surfaces as an error the
-/// retry loop can see instead of an indefinite stall. Cooperative on
-/// purpose: the op itself is never interrupted (no signals, no second
-/// thread), so a slow-but-successful op still completed on disk — callers
-/// must treat a timed-out op as *maybe done*, which the record layer's
-/// idempotent appends already do. The deadline is per-worker-op, set via
-/// `set_deadline` before each logical operation.
-class DeadlineFs final : public ForwardingFs {
- public:
-  explicit DeadlineFs(Fs& base) : ForwardingFs(base) {}
-
-  /// Installs the budget the following ops are checked against. An
-  /// inactive (default) Deadline disables checking.
-  void set_deadline(Deadline deadline);
-
- private:
-  /// Throws IoError(ETIMEDOUT) if the current deadline has expired.
-  void after(const char* op, const std::string& path) override;
-
-  mutable std::mutex mutex_;
-  Deadline deadline_;
-};
-
 /// Jittered exponential backoff with a deterministic (seeded) jitter
 /// stream: delay grows initial, 2*initial, ... capped at `max_ms`, each
 /// drawn uniformly from [base/2, base] so contending fleet members desync
@@ -321,10 +273,6 @@ class Backoff {
 
   /// Next delay in milliseconds (advances the schedule).
   int next_ms();
-  /// Deadline-aware variant: the drawn delay is clamped to
-  /// `remaining_ms` so a retry loop never sleeps past its budget
-  /// (returns 0 when the budget is gone).
-  int next_ms(std::int64_t remaining_ms);
   /// Back to the initial delay (call after progress).
   void reset();
 

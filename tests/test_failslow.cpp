@@ -1,8 +1,7 @@
 // Fail-slow hardening end to end: a stalled lease holder whose
 // progress-gated heartbeat lets the lease lapse, the peer that steals it,
 // and the holder's self-fencing on wake-up (byte-identical merge, no task
-// executed twice); per-op IO deadlines turning a hung op into a typed
-// transient ETIMEDOUT; the heartbeat's refusal to swallow InjectedCrash
+// executed twice); the heartbeat's refusal to swallow InjectedCrash
 // (a death test); the disk-pressure classification rungs; a live daemon
 // walking the degradation ladder down and back up via the free-bytes-file
 // hook; and the status surfaces (text + JSON) for last-progress age and
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -28,7 +26,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using scenario::ScenarioSpec;
-using util::DeadlineFs;
 using util::FakeClock;
 using util::FaultyFs;
 using util::InjectedFault;
@@ -170,61 +167,6 @@ TEST(FailSlow, StalledHolderLapsesPeerStealsAndHolderFencesOnWake) {
   // And the merge is the single-process bytes, stall and steal included.
   JobRuntime merge_runtime(store);
   EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
-}
-
-TEST(FailSlow, OpDeadlineTurnsHungOpIntoTimeoutAndResumeIsByteIdentical) {
-  // A worker behind a DeadlineFs: a hung fsync (FakeClock jump past the
-  // per-op budget) surfaces as transient ETIMEDOUT, the exhausted budget
-  // stops the retry loop, and the worker unwinds like a kill. A clean
-  // worker then resumes from the durable watermark — no lost or doubled
-  // work.
-  const std::string dir = fresh_dir("deadline");
-  FakeClock clock(2000);
-  FaultyFs faulty(util::real_fs());
-  faulty.set_tick_clock(&clock);
-  DeadlineFs deadline_fs(faulty);
-  StoreEnv env;
-  env.fs = &deadline_fs;
-  env.clock = &clock;
-  JobStore store = JobStore::create_or_attach(
-      dir, mini_job(/*shard_tasks=*/3, /*lease_ttl_seconds=*/0), env);
-  const JobRuntime runtime(store);
-
-  InjectedFault stall;
-  stall.kind = InjectedFault::Kind::delay;
-  stall.at = 0;
-  stall.op = "fsync";
-  stall.path_substr = "shards/";
-  stall.delay_ticks = 10;  // 2x the op deadline
-  faulty.inject(stall);
-
-  WorkerOptions options;
-  options.owner = "hung";
-  options.op_deadline_seconds = 5;
-  options.deadline_fs = &deadline_fs;
-  options.io_retries = 3;
-  options.backoff_initial_ms = 1;
-  options.backoff_max_ms = 2;
-  try {
-    run_worker(store, runtime, options);
-    FAIL() << "expected the hung op to time out";
-  } catch (const util::IoError& error) {
-    EXPECT_EQ(error.code(), ETIMEDOUT);
-    EXPECT_TRUE(error.transient());
-  }
-
-  StoreEnv clean_env;
-  clean_env.clock = &clock;
-  JobStore resumed = JobStore::open(dir, clean_env);
-  const JobRuntime resumed_runtime(resumed);
-  WorkerOptions recover;
-  recover.owner = "recoverer";
-  const WorkerReport report = run_worker(resumed, resumed_runtime, recover);
-  // The timed-out op had in fact completed on disk ("maybe done"): its
-  // record is found, not recomputed.
-  EXPECT_GE(report.tasks_skipped, 1);
-  JobRuntime merge_runtime(resumed);
-  EXPECT_EQ(merge_job(resumed, merge_runtime, nullptr), reference_rows());
 }
 
 TEST(FailSlowDeathTest, HeartbeatNeverSwallowsInjectedCrash) {

@@ -1,6 +1,6 @@
 // LayerView and the implicit DualGraph representations: every implicit
-// variant must answer degree / neighbors / has_edge / row-synthesis /
-// edge-index queries exactly as the explicit construction it replaces.
+// variant must answer degree / neighbors / has_edge / edge-index queries
+// exactly as the explicit construction it replaces.
 
 #include <gtest/gtest.h>
 
@@ -21,30 +21,12 @@ std::vector<int> neighbors_of(const LayerView& view, int v) {
   return out;
 }
 
-std::vector<int> row_bits(const LayerView& view, int v) {
-  std::vector<std::uint64_t> words(
-      (static_cast<std::size_t>(view.n()) + 63) / 64);
-  view.synthesize_row(v, words);
-  std::vector<int> out;
-  for (int u = 0; u < view.n(); ++u) {
-    if ((words[static_cast<std::size_t>(u) / 64] >>
-         (static_cast<std::uint64_t>(u) % 64)) &
-        1u) {
-      out.push_back(u);
-    }
-  }
-  return out;
-}
-
 /// Asserts `view` describes exactly the same layer as the explicit `ref`.
 void expect_layer_equals(const LayerView& view, const LayerView& ref) {
   ASSERT_EQ(view.n(), ref.n());
-  EXPECT_EQ(view.edge_count(), ref.edge_count());
-  EXPECT_EQ(view.max_degree(), ref.max_degree());
   for (int v = 0; v < view.n(); ++v) {
     EXPECT_EQ(view.degree(v), ref.degree(v)) << "v=" << v;
     EXPECT_EQ(neighbors_of(view, v), neighbors_of(ref, v)) << "v=" << v;
-    EXPECT_EQ(row_bits(view, v), row_bits(ref, v)) << "v=" << v;
     for (int u = 0; u < view.n(); ++u) {
       EXPECT_EQ(view.has_edge(v, u), ref.has_edge(v, u))
           << "v=" << v << " u=" << u;

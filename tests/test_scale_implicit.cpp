@@ -62,8 +62,6 @@ TEST(ScaleImplicit, DualCliqueGTopologyIsImplicit) {
   EXPECT_TRUE(net.g_connected());
   EXPECT_EQ(net.gp_only_edge_count(), 0);  // protocol model: G' == G
   EXPECT_EQ(net.max_degree(), 32768);
-  EXPECT_EQ(net.g_layer().edge_count(),
-            static_cast<std::int64_t>(32768) * 32767 + 1);
   EXPECT_LT(net.approx_heap_bytes(), std::size_t{8} << 20);
 }
 

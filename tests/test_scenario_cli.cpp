@@ -106,10 +106,9 @@ const std::vector<Surface>& surfaces() {
         {"--json", text}}},
       {"worker",
        {{"--job-dir", text}, {"--owner", text}, {"--max-shards", integer},
-        {"--op-deadline", integer}, {"--fault-crash-op", integer},
-        {"--stall-append", integer}, {"--stall-ms", integer},
-        {"--slow-fs-ms", integer}, {"--fs-sim-seed", integer},
-        {"--fs-sim-stale-ops", integer}}},
+        {"--fault-crash-op", integer}, {"--stall-append", integer},
+        {"--stall-ms", integer}, {"--slow-fs-ms", integer},
+        {"--fs-sim-seed", integer}, {"--fs-sim-stale-ops", integer}}},
       {"daemon",
        {{"--jobs-dir", text}, {"--cache-dir", text}, {"--no-cache", toggle},
         {"--cache-max-bytes", integer}, {"--owner", text},
@@ -117,10 +116,10 @@ const std::vector<Surface>& surfaces() {
         {"--max-cycles", integer}, {"--member-ttl", integer},
         {"--seed", integer},
         {"--clock-skew", integer}, {"--min-free-bytes", integer},
-        {"--free-bytes-file", text}, {"--op-deadline", integer},
-        {"--fault-crash-op", integer}, {"--stall-append", integer},
-        {"--stall-ms", integer}, {"--slow-fs-ms", integer},
-        {"--fs-sim-seed", integer}, {"--fs-sim-stale-ops", integer}}},
+        {"--free-bytes-file", text}, {"--fault-crash-op", integer},
+        {"--stall-append", integer}, {"--stall-ms", integer},
+        {"--slow-fs-ms", integer}, {"--fs-sim-seed", integer},
+        {"--fs-sim-stale-ops", integer}}},
       {"merge",
        {{"--job-dir", text}, {"--json", text}, {"--cache-dir", text},
         {"--no-cache", toggle}, {"--cache-max-bytes", integer}}},
@@ -191,7 +190,7 @@ TEST(CliSurface, CoversEveryCommandAndFlag) {
   std::size_t pairs = 0;
   for (const Surface& surface : surfaces()) pairs += surface.flags.size();
   EXPECT_EQ(surfaces().size(), 8u);
-  EXPECT_EQ(pairs, 81u);
+  EXPECT_EQ(pairs, 79u);
 }
 
 TEST(CliSurface, ValueFlagWithoutValueNamesTheFlag) {
@@ -228,8 +227,9 @@ TEST(CliSurface, RemovedFlagsAreUnknownOptions) {
   // its verdict always requires a steal when kills or stalls happened;
   // each built-in algorithm has one implementation, so no flag picks an
   // engine path; the engine keeps the full trace whenever a reader
-  // declares it, so no flag sets history retention; and `status
-  // --jobs-dir` lists what a gc sweep reclaims, so gc has no preview.
+  // declares it, so no flag sets history retention; `status --jobs-dir`
+  // lists what a gc sweep reclaims, so gc has no preview; and a hung op is
+  // the lease heartbeat's case, so no flag sets a per-op IO deadline.
   const std::vector<std::pair<std::string, std::vector<std::string>>> gone = {
       {"daemon", {"--placement", "fair"}}, {"daemon", {"--inflight-cap", "2"}},
       {"daemon", {"--cores", "2"}},        {"daemon", {"--load100", "2"}},
@@ -238,6 +238,7 @@ TEST(CliSurface, RemovedFlagsAreUnknownOptions) {
       {"soak", {"--no-require-steal"}},    {"gc", {"--dry-run"}},
       {"", {"--engine", "scalar"}},        {"", {"--history", "full"}},
       {"serve", {"--engine", "kernel"}},   {"serve", {"--history", "lean"}},
+      {"worker", {"--op-deadline", "5"}},  {"daemon", {"--op-deadline", "5"}},
   };
   for (const auto& [command, args] : gone) {
     expect_rejected(command, args,

@@ -3,7 +3,9 @@
 // zero-recompute), and left with no held leases; the cooperative stop
 // flag exits cleanly mid-run; an unopenable (read-only) cache degrades to
 // compute-without-cache with a single warning; a finished shard whose log
-// rotted is repaired and recomputed before the merge. Plus the CLI contract:
+// rotted, or lost whole records, is repaired and recomputed before the
+// merge, whether the damage predates the job's pickup or comes after it.
+// Plus the CLI contract:
 // merge/status against a broken job dir exit nonzero, serve rejects the
 // run-option thread flags in favour of --workers, and daemon rejects a
 // disk-pressure watermark too large for the ladder's arithmetic.
@@ -22,6 +24,7 @@
 #include "service/daemon.hpp"
 #include "service/service.hpp"
 #include "service/service_cli.hpp"
+#include "util/strfmt.hpp"
 
 namespace dualcast::service {
 namespace {
@@ -199,16 +202,42 @@ TEST(ServiceDaemon, ReadOnlyCacheDegradesToComputeWithoutCache) {
   EXPECT_EQ(merge_job(store, merge_runtime, nullptr).size(), 4u);
 }
 
+/// Works every shard of the job in `job_dir` to completion.
+void finish_job(const std::string& job_dir) {
+  JobStore store = JobStore::open(job_dir);
+  const JobRuntime runtime(store);
+  WorkerOptions finish;
+  finish.owner = "original";
+  run_worker(store, runtime, finish);
+}
+
+/// The job's merge must reproduce the reference bytes; a refused merge is
+/// a failure, not the end of the test.
+void expect_reference_merge(const std::string& job_dir) {
+  JobStore store = JobStore::open(job_dir);
+  JobRuntime merge_runtime(store);
+  try {
+    EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+  } catch (const scenario::ScenarioError& error) {
+    ADD_FAILURE() << "merge failed: " << error.what();
+  }
+}
+
+/// Cuts a shard log back to its first record.
+void keep_first_record(const fs::path& log) {
+  std::string text;
+  {
+    std::ifstream in(log, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  std::ofstream(log, std::ios::binary) << text.substr(0, text.find('\n') + 1);
+}
+
 TEST(ServiceDaemon, RepairsARottedFinishedShardAndMergesIdentical) {
   const std::string jobs_dir = fresh_dir("rot_jobs");
   const std::string job_dir = drop_job(jobs_dir);
-  {
-    JobStore store = JobStore::open(job_dir);
-    const JobRuntime runtime(store);
-    WorkerOptions finish;
-    finish.owner = "original";
-    run_worker(store, runtime, finish);
-  }
+  finish_job(job_dir);
   // Flip one byte in the second record of shard 2's log. The shard keeps
   // its done marker, so no claim would ever revisit it.
   const fs::path shard_log = fs::path(job_dir) / "shards" / "shard_2.log";
@@ -242,6 +271,82 @@ TEST(ServiceDaemon, RepairsARottedFinishedShardAndMergesIdentical) {
   JobStore store = JobStore::open(job_dir);
   JobRuntime merge_runtime(store);
   EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+}
+
+TEST(ServiceDaemon, RecomputesFinishedShardsShortOfRecordsAndMergesIdentical) {
+  DaemonOptions options;
+  options.cache_dir.clear();
+  options.owner = "daemon-short";
+  options.max_cycles = 3;
+  options.poll_initial_ms = 1;
+  options.poll_max_ms = 2;
+
+  // At pickup: a finished job whose shard 2 log was deleted outright. Its
+  // done marker stays, so no claim would revisit the shard.
+  {
+    const std::string jobs_dir = fresh_dir("short_pickup_jobs");
+    const std::string job_dir = drop_job(jobs_dir);
+    finish_job(job_dir);
+    fs::remove(fs::path(job_dir) / "shards" / "shard_2.log");
+    std::ostringstream log;
+    options.jobs_dir = jobs_dir;
+    options.log = &log;
+    const DaemonReport report = run_daemon(options);
+    EXPECT_EQ(report.shards_repaired, 1);
+    EXPECT_EQ(report.tasks_executed, 3);
+    EXPECT_EQ(report.jobs_completed, 1);
+    EXPECT_NE(log.str().find(
+                  "daemon: repaired shard 2 marked done with 0 of 3 tasks "
+                  "recorded"),
+              std::string::npos)
+        << log.str();
+    expect_no_leases(job_dir);
+    expect_reference_merge(job_dir);
+  }
+
+  // Before the merge: the daemon drains the job itself, and a finished
+  // shard's log is cut back to its first record while the last done
+  // marker is being written. The pre-merge pass must clear that shard's
+  // marker and wait for the recompute instead of failing the merge.
+  {
+    const std::string jobs_dir = fresh_dir("short_premerge_jobs");
+    const std::string job_dir = drop_job(jobs_dir);
+    util::FaultyFs faulty(util::real_fs());
+    int damaged = -1;
+    const fs::path shards = fs::path(job_dir) / "shards";
+    faulty.set_on_stall([&] {
+      for (int s = 0; s < 4 && damaged < 0; ++s) {
+        if (fs::exists(shards / str("shard_", s, ".done"))) {
+          keep_first_record(shards / str("shard_", s, ".log"));
+          damaged = s;
+        }
+      }
+    });
+    util::InjectedFault last_marker;
+    last_marker.kind = util::InjectedFault::Kind::delay;
+    last_marker.at = 3;  // the fourth and last shard's done marker
+    last_marker.op = "rename";
+    last_marker.path_substr = ".done";
+    last_marker.delay_ms = 1;
+    faulty.inject(last_marker);
+    std::ostringstream log;
+    options.jobs_dir = jobs_dir;
+    options.log = &log;
+    StoreEnv env;
+    env.fs = &faulty;
+    const DaemonReport report = run_daemon(options, env);
+    ASSERT_EQ(faulty.stalls(), 1);
+    EXPECT_EQ(report.shards_repaired, 1);
+    EXPECT_EQ(report.tasks_executed, 12 + 2);
+    EXPECT_EQ(report.jobs_completed, 1);
+    EXPECT_NE(log.str().find(str("daemon: pre-merge check repaired shard ",
+                                 damaged,
+                                 " marked done with 1 of 3 tasks recorded")),
+              std::string::npos)
+        << log.str();
+    expect_no_leases(job_dir);
+    expect_reference_merge(job_dir);
+  }
 }
 
 TEST(ServiceCliContract, MergeAndStatusExitNonzeroOnBrokenJobDirs) {

@@ -5,7 +5,8 @@
 // end-to-end corruption drill: a bit-rotted shard log is detected (merge
 // refuses), repaired in place, recomputed from the watermark, and the
 // final merge is again byte-identical — also when the repairing worker
-// dies at any of the repair's store operations.
+// dies at any of the repair's store operations. A finished shard whose log
+// lost whole records has its done marker cleared and is recomputed too.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 
 #include "analysis/trials.hpp"
 #include "service/service.hpp"
+#include "util/strfmt.hpp"
 
 namespace dualcast::service {
 namespace {
@@ -103,15 +105,9 @@ std::string faulted_pass(const std::string& dir, FaultyFs& faulty) {
   }
 }
 
-/// Clean resume + merge: a fresh worker (real fs, real clock) steals the
-/// stale leases, repairs anything corrupt, completes the job, and the
-/// merge must reproduce the reference bytes.
-void resume_and_check(const std::string& dir, const std::string& context) {
-  JobStore store = JobStore::open(dir);
-  const JobRuntime runtime(store);
-  WorkerOptions options;
-  options.owner = "recoverer";
-  run_worker(store, runtime, options);
+/// The merge must reproduce the reference bytes; a refused merge is a
+/// failure naming `context`, not the end of the test.
+void expect_reference_merge(JobStore& store, const std::string& context) {
   JobRuntime merge_runtime(store);
   try {
     EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows())
@@ -122,9 +118,21 @@ void resume_and_check(const std::string& dir, const std::string& context) {
   }
 }
 
-/// Completes the mini job in `dir`, then flips one byte in the second
-/// record of shard 1's log: a finished shard whose log rotted.
-void complete_and_rot(const std::string& dir) {
+/// Clean resume + merge: a fresh worker (real fs, real clock) steals the
+/// stale leases, repairs anything corrupt, completes the job, and the
+/// merge must reproduce the reference bytes.
+void resume_and_check(const std::string& dir, const std::string& context) {
+  JobStore store = JobStore::open(dir);
+  const JobRuntime runtime(store);
+  WorkerOptions options;
+  options.owner = "recoverer";
+  run_worker(store, runtime, options);
+  expect_reference_merge(store, context);
+}
+
+/// Completes the mini job in `dir` and returns shard 1's log (tasks
+/// [3, 6)) and its text.
+std::pair<fs::path, std::string> complete_job(const std::string& dir) {
   {
     JobStore store = JobStore::create_or_attach(dir, mini_job());
     const JobRuntime runtime(store);
@@ -133,12 +141,15 @@ void complete_and_rot(const std::string& dir) {
     run_worker(store, runtime, options);
   }
   const fs::path log = fs::path(dir) / "shards" / "shard_1.log";
-  std::string text;
-  {
-    std::ifstream in(log, std::ios::binary);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  std::ifstream in(log, std::ios::binary);
+  return {log, std::string(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>())};
+}
+
+/// Completes the mini job in `dir`, then flips one byte in the second
+/// record of shard 1's log: a finished shard whose log rotted.
+void complete_and_rot(const std::string& dir) {
+  auto [log, text] = complete_job(dir);
   const std::size_t second_line = text.find('\n') + 1;
   const std::size_t flip = text.find(' ', second_line + 3) + 1;
   text[flip] = text[flip] == '7' ? '8' : '7';
@@ -285,6 +296,42 @@ TEST(ServiceFaultMatrix, CorruptShardIsNeverMergedAndRecomputesIdentical) {
   }
   JobRuntime merge_runtime(store);
   EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+}
+
+TEST(ServiceFaultMatrix, FinishedShardShortOfRecordsIsRecomputedIdentical) {
+  // A finished shard whose log lost whole records — truncated at a record
+  // boundary, or deleted outright — still has its done marker, so no
+  // claim would revisit it and the merge would refuse the job for good.
+  // The worker's start sweep clears the marker the log falls short of,
+  // the claim pass recomputes the missing tasks, and the merge is
+  // byte-identical.
+  for (const bool deleted : {false, true}) {
+    const std::string context = deleted ? "log deleted" : "log truncated";
+    SCOPED_TRACE(context);
+    const std::string dir =
+        fresh_dir(deleted ? "short_deleted" : "short_truncated");
+    const auto [log, text] = complete_job(dir);
+    if (deleted) {
+      fs::remove(log);
+    } else {
+      std::ofstream(log, std::ios::binary)
+          << text.substr(0, text.find('\n') + 1);
+    }
+    JobStore store = JobStore::open(dir);
+    const JobRuntime runtime(store);
+    std::ostringstream out;
+    WorkerOptions options;
+    options.owner = "recoverer";
+    options.log = &out;
+    const WorkerReport report = run_worker(store, runtime, options);
+    EXPECT_EQ(report.shards_repaired, 1);
+    EXPECT_EQ(report.tasks_executed, deleted ? 3 : 2);
+    EXPECT_NE(out.str().find(str("repaired shard 1 marked done with ",
+                                 deleted ? 0 : 1, " of 3 tasks recorded")),
+              std::string::npos)
+        << out.str();
+    expect_reference_merge(store, context);
+  }
 }
 
 TEST(ServiceFaultMatrix, CrashAnywhereInARepairResumesByteIdentical) {

@@ -1,9 +1,9 @@
 // The filesystem/fault-injection seam itself: CRC32C vectors, RealFs
 // roundtrips, atomic whole-file writes, FaultyFs crash/torn/error/delay
-// schedules (one-shot and sticky, with op/path filters and trace), the
-// SlowFs and DeadlineFs decorators (and every op through each decorator),
-// free-space probing, the fake clock, and jittered backoff
-// bounds/determinism/deadline clamping.
+// schedules (one-shot and sticky, with op/path filters and trace; a sticky
+// delay on every op is the slow-mount hook), every op through the
+// decorators, free-space probing, the fake clock, and jittered backoff
+// bounds and determinism.
 
 #include <gtest/gtest.h>
 
@@ -250,45 +250,29 @@ TEST(FaultyFs, DelayComposesWithErrorSchedule) {
   EXPECT_EQ(fs.faults_fired(), 2);
 }
 
-TEST(SlowFs, TaxesEveryOpOnTheTickClock) {
-  const std::string dir = fresh_dir("slowfs");
+TEST(FaultyFs, StickyDelayTaxesEveryOpOnTheTickClock) {
+  // One sticky delay at op 0 with no filters is a uniformly slow mount
+  // (`--slow-fs-ms`): every op stalls, and each stall is counted.
+  const std::string dir = fresh_dir("faulty_slow");
   FakeClock ticks(0);
-  SlowFs fs(real_fs(), /*delay_ms=*/0, &ticks, /*tick_seconds=*/2);
+  FaultyFs fs(real_fs());
+  fs.set_tick_clock(&ticks);
+  InjectedFault slow;
+  slow.kind = InjectedFault::Kind::delay;
+  slow.sticky = true;
+  slow.delay_ticks = 2;
+  fs.inject(slow);
   fs.write_file(dir + "/f", "x");
   std::string content;
   ASSERT_TRUE(fs.read_file(dir + "/f", content));
   EXPECT_EQ(content, "x");
   fs.append(dir + "/f", "y");
   EXPECT_EQ(ticks.now_seconds(), 6);  // three ops, 2 ticks each
+  EXPECT_EQ(fs.stalls(), 3);
   EXPECT_EQ(fs.file_size(dir + "/f"), 2);
   EXPECT_EQ(ticks.now_seconds(), 8);
-}
-
-TEST(DeadlineFs, ExpiredBudgetTurnsOpsIntoTransientTimeouts) {
-  const std::string dir = fresh_dir("deadline");
-  FakeClock clock(100);
-  DeadlineFs fs(real_fs());
-  // Inactive deadline (the default): everything passes.
-  fs.write_file(dir + "/f", "x");
-  fs.set_deadline(Deadline(clock, 10));
-  fs.append(dir + "/f", "y");  // 0s elapsed: within budget
-  clock.advance(10);
-  // The op *completes* on disk, then reports timeout — "maybe done",
-  // which idempotent record appends absorb.
-  try {
-    fs.append(dir + "/f", "z");
-    FAIL() << "expected ETIMEDOUT";
-  } catch (const IoError& error) {
-    EXPECT_EQ(error.code(), ETIMEDOUT);
-    EXPECT_TRUE(error.transient());
-  }
-  std::string content;
-  ASSERT_TRUE(real_fs().read_file(dir + "/f", content));
-  EXPECT_EQ(content, "xyz");
-  // Clearing the deadline re-opens the seam.
-  fs.set_deadline(Deadline());
-  fs.append(dir + "/f", "w");
-  EXPECT_EQ(fs.file_size(dir + "/f"), 4);
+  EXPECT_EQ(fs.stalls(), 4);
+  EXPECT_EQ(fs.faults_fired(), 4);
 }
 
 /// One Fs operation run against a fixture directory holding files "a"
@@ -408,11 +392,10 @@ std::string traced_path(const std::string& dir, const OpCase& op) {
 }
 
 TEST(FsDecorators, EveryOpReachesTheBaseWithItsArguments) {
-  // Each of the 14 Fs ops, through each decorator: the op reaches the base
-  // Fs with its arguments (same result, same effect on disk as real_fs()),
-  // and each decorator's hook sees it — FaultyFs traces its name and path,
-  // SlowFs taxes the tick clock once, an expired DeadlineFs times it out
-  // after it took effect.
+  // Each of the 14 Fs ops, through FaultyFs with a sticky delay armed: the
+  // op reaches the base Fs with its arguments (same result, same effect on
+  // disk as real_fs()), FaultyFs traces its name and path, and the delay
+  // taxes the tick clock once.
   const std::vector<OpCase> ops = every_op();
   ASSERT_EQ(ops.size(), 14u);
   for (const OpCase& op : ops) {
@@ -423,49 +406,21 @@ TEST(FsDecorators, EveryOpReachesTheBaseWithItsArguments) {
     const std::string expected_state = dir_state(real_dir);
 
     const std::string faulty_dir = fixture_dir("everyop_faulty_" + name);
+    FakeClock ticks(0);
     FaultyFs faulty(real_fs());
+    faulty.set_tick_clock(&ticks);
+    InjectedFault slow;
+    slow.kind = InjectedFault::Kind::delay;
+    slow.sticky = true;
+    slow.delay_ticks = 1;
+    faulty.inject(slow);
     EXPECT_EQ(op.run(faulty, faulty_dir), expected);
     EXPECT_EQ(dir_state(faulty_dir), expected_state);
     const std::vector<std::pair<std::string, std::string>> want{
         {name, traced_path(faulty_dir, op)}};
     EXPECT_EQ(faulty.trace(), want);
-
-    const std::string slow_dir = fixture_dir("everyop_slow_" + name);
-    FakeClock ticks(0);
-    SlowFs slow(real_fs(), /*delay_ms=*/0, &ticks, /*tick_seconds=*/1);
-    EXPECT_EQ(op.run(slow, slow_dir), expected);
-    EXPECT_EQ(dir_state(slow_dir), expected_state);
     EXPECT_EQ(ticks.now_seconds(), 1);
-
-    const std::string deadline_dir = fixture_dir("everyop_deadline_" + name);
-    FakeClock clock(100);
-    DeadlineFs deadline(real_fs());
-    deadline.set_deadline(Deadline(clock, 10));
-    clock.advance(10);
-    try {
-      op.run(deadline, deadline_dir);
-      ADD_FAILURE() << "expected ETIMEDOUT";
-    } catch (const IoError& error) {
-      EXPECT_EQ(error.code(), ETIMEDOUT);
-      EXPECT_TRUE(error.transient());
-    }
-    EXPECT_EQ(dir_state(deadline_dir), expected_state);
   }
-}
-
-TEST(DeadlineTest, RemainingAndExpiry) {
-  FakeClock clock(50);
-  Deadline none;
-  EXPECT_FALSE(none.active());
-  EXPECT_FALSE(none.expired());
-  EXPECT_GT(none.remaining_ms(), 1'000'000'000LL);  // effectively forever
-  Deadline d(clock, 5);
-  EXPECT_TRUE(d.active());
-  EXPECT_EQ(d.remaining_seconds(), 5);
-  EXPECT_EQ(d.remaining_ms(), 5000);
-  clock.advance(5);
-  EXPECT_TRUE(d.expired());
-  EXPECT_EQ(d.remaining_ms(), 0);
 }
 
 TEST(RealFs, FreeBytesProbesTheFilesystem) {
@@ -508,19 +463,6 @@ TEST(BackoffTest, JitteredDoublingWithinBoundsAndDeterministic) {
   const int restarted = a.next_ms();
   EXPECT_GE(restarted, 5);
   EXPECT_LE(restarted, 10);
-}
-
-TEST(BackoffTest, NextMsClampsToRemainingBudget) {
-  Backoff backoff(100, 1000, /*seed=*/3);
-  // A huge remaining budget never clamps; the draw stays in-bounds.
-  const int unclamped = backoff.next_ms(1'000'000);
-  EXPECT_GE(unclamped, 50);
-  EXPECT_LE(unclamped, 100);
-  // A 1ms budget clamps any draw down to it; a spent budget to zero —
-  // the retry loop must never sleep past its op deadline.
-  EXPECT_EQ(backoff.next_ms(1), 1);
-  EXPECT_EQ(backoff.next_ms(0), 0);
-  EXPECT_EQ(backoff.next_ms(-5), 0);
 }
 
 }  // namespace
