@@ -71,9 +71,8 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
   if (options.jobs_dir.empty()) {
     throw scenario::ScenarioError("daemon: jobs_dir is required");
   }
-  util::Fs& fs = env.fs != nullptr ? *env.fs : util::real_fs();
-  util::Clock& clock =
-      env.clock != nullptr ? *env.clock : util::system_clock();
+  util::Fs& fs = env.resolve_fs();
+  util::Clock& clock = env.resolve_clock();
   const std::string owner =
       options.owner.empty() ? str("pid", static_cast<long>(::getpid()), ".d")
                             : options.owner;
@@ -230,15 +229,10 @@ DaemonReport run_daemon(const DaemonOptions& options, const StoreEnv& env) {
       continue;
     }
 
-    // Discovery: every subdirectory with a job.meta, in fs.list order
-    // (the order that breaks ties between equally waiting jobs). Opening
-    // is lazy and warned-once; a job that fails this cycle is retried
-    // next cycle (the store may heal).
-    std::vector<std::string> dirs;
-    for (const std::string& name : fs.list(options.jobs_dir)) {
-      const std::string dir = str(options.jobs_dir, "/", name);
-      if (fs.exists(str(dir, "/job.meta"))) dirs.push_back(dir);
-    }
+    // Discovery, in fs.list order (the order that breaks ties between
+    // equally waiting jobs). Opening is lazy and warned-once; a job that
+    // fails this cycle is retried next cycle (the store may heal).
+    const std::vector<std::string> dirs = job_dirs(options.jobs_dir, fs);
 
     bool progress = false;
     // Claim rounds, one shard each (see the file comment). A job that

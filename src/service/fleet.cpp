@@ -12,14 +12,6 @@ namespace {
 
 using scenario::ScenarioError;
 
-util::Fs& resolve_fs(const StoreEnv& env) {
-  return env.fs != nullptr ? *env.fs : util::real_fs();
-}
-
-util::Clock& resolve_clock(const StoreEnv& env) {
-  return env.clock != nullptr ? *env.clock : util::system_clock();
-}
-
 /// Member ids double as file names; anything path-hostile is flattened so
 /// a creative owner token cannot escape the fleet directory.
 std::string sanitize_id(const std::string& id) {
@@ -125,8 +117,8 @@ double shards_per_second(const MemberRecord& record, std::int64_t now) {
              : static_cast<double>(record.shards);
 }
 
-/// Job subdirectories of a jobs dir (sorted by fs.list), identified by a
-/// present job.meta. The fleet directory itself never qualifies.
+}  // namespace
+
 std::vector<std::string> job_dirs(const std::string& jobs_dir, util::Fs& fs) {
   std::vector<std::string> out;
   for (const std::string& name : fs.list(jobs_dir)) {
@@ -136,8 +128,6 @@ std::vector<std::string> job_dirs(const std::string& jobs_dir, util::Fs& fs) {
   }
   return out;
 }
-
-}  // namespace
 
 const char* to_string(DiskPressure pressure) {
   switch (pressure) {
@@ -160,8 +150,8 @@ DiskPressure classify_disk_pressure(std::int64_t free_bytes,
 
 FleetRegistry::FleetRegistry(const std::string& jobs_dir, const StoreEnv& env)
     : fleet_dir_(str(jobs_dir, "/fleet")),
-      fs_(&resolve_fs(env)),
-      clock_(&resolve_clock(env)) {}
+      fs_(&env.resolve_fs()),
+      clock_(&env.resolve_clock()) {}
 
 std::string FleetRegistry::member_path(const std::string& id) const {
   return str(fleet_dir_, "/", sanitize_id(id));
@@ -223,8 +213,6 @@ std::vector<std::string> FleetRegistry::reap_stale() {
 GcReport gc_sweep(const std::string& jobs_dir, const StoreEnv& env,
                   std::ostream* log) {
   GcReport report;
-  util::Fs& fs = resolve_fs(env);
-
   // Stale daemons first: their ids feed the per-job lease reclamation, so
   // debris left by a kill -9'd daemon clears in the same pass that
   // detects its death.
@@ -237,7 +225,7 @@ GcReport gc_sweep(const std::string& jobs_dir, const StoreEnv& env,
     }
   }
 
-  for (const std::string& dir : job_dirs(jobs_dir, fs)) {
+  for (const std::string& dir : job_dirs(jobs_dir, env.resolve_fs())) {
     try {
       JobStore store = JobStore::open(dir, env);
       ++report.jobs_swept;
@@ -298,9 +286,9 @@ struct FleetView {
 
 FleetView gather_fleet_view(const std::string& jobs_dir, const StoreEnv& env) {
   FleetView view;
-  view.now = resolve_clock(env).now_seconds();
+  view.now = env.resolve_clock().now_seconds();
   std::map<std::string, int> held;  // leases per owner, across every job
-  for (const std::string& dir : job_dirs(jobs_dir, resolve_fs(env))) {
+  for (const std::string& dir : job_dirs(jobs_dir, env.resolve_fs())) {
     JobView& job = view.jobs.emplace_back();
     job.dir = dir;
     try {
@@ -310,13 +298,13 @@ FleetView gather_fleet_view(const std::string& jobs_dir, const StoreEnv& env) {
         job.tasks_completed += shard.completed;
         if (shard.done) ++job.shards_done;
         if (shard.corrupt) ++job.shards_corrupt;
+        if (const std::optional<LeaseState>& lease = shard.lease) {
+          job.leases.push_back(*lease);
+          ++held[lease->owner];
+          ++(lease->expired ? job.leases_stale : job.leases_live);
+        }
       }
       job.shards_total = shards.size();
-      job.leases = store.scan_leases();
-      for (const LeaseState& lease : job.leases) {
-        ++held[lease.owner];
-        ++(lease.expired ? job.leases_stale : job.leases_live);
-      }
       job.key = scenario::hash_hex(store.spec().key);
       job.tasks_total = store.total_tasks();
       job.readable = true;
@@ -331,10 +319,6 @@ FleetView gather_fleet_view(const std::string& jobs_dir, const StoreEnv& env) {
   }
   view.non_members = std::move(held);
   return view;
-}
-
-std::int64_t lease_age(const LeaseState& lease, std::int64_t now) {
-  return lease.since > 0 ? now - lease.since : -1;
 }
 
 }  // namespace
@@ -381,7 +365,7 @@ void print_fleet_status(const std::string& jobs_dir, const StoreEnv& env,
     // TTL away from being stolen from.
     for (const LeaseState& lease : job.leases) {
       out << "    lease shard " << lease.shard << ": owner " << lease.owner
-          << ", age " << lease_age(lease, now) << "s";
+          << ", age " << lease.age << "s";
       if (lease.progress_age >= 0) {
         out << ", progress " << lease.progress_age << "s ago";
       } else {
@@ -448,7 +432,7 @@ std::string fleet_status_json(const std::string& jobs_dir,
     for (const LeaseState& lease : job.leases) {
       os << (first_lease ? "" : ",") << "{\"shard\":" << lease.shard
          << ",\"owner\":\"" << json_escape(lease.owner)
-         << "\",\"age_seconds\":" << lease_age(lease, now)
+         << "\",\"age_seconds\":" << lease.age
          << ",\"progress_age_seconds\":" << lease.progress_age
          << ",\"expired\":" << (lease.expired ? "true" : "false") << "}";
       first_lease = false;

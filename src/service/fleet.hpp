@@ -116,6 +116,10 @@ class FleetRegistry {
   util::Clock* clock_ = nullptr;
 };
 
+/// The job subdirectories of a jobs dir, in fs.list order: every entry
+/// holding a job.meta. The fleet directory itself never qualifies.
+std::vector<std::string> job_dirs(const std::string& jobs_dir, util::Fs& fs);
+
 // --- orphan lifecycle --------------------------------------------------
 
 struct GcReport {

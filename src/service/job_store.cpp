@@ -300,14 +300,6 @@ std::string lease_content(const std::string& owner, std::int64_t since,
              "\nprogress ", progress, "\n");
 }
 
-util::Fs& resolve_fs(const StoreEnv& env) {
-  return env.fs != nullptr ? *env.fs : util::real_fs();
-}
-
-util::Clock& resolve_clock(const StoreEnv& env) {
-  return env.clock != nullptr ? *env.clock : util::system_clock();
-}
-
 }  // namespace
 
 scenario::RunOptions JobSpec::run_options() const {
@@ -360,15 +352,15 @@ JobSpec make_job_spec(
 JobStore::JobStore(std::string dir, JobSpec spec, const StoreEnv& env)
     : dir_(std::move(dir)),
       spec_(std::move(spec)),
-      fs_(&resolve_fs(env)),
-      clock_(&resolve_clock(env)) {
+      fs_(&env.resolve_fs()),
+      clock_(&env.resolve_clock()) {
   task_offset_ = compute_task_offsets(spec_);
 }
 
 JobStore JobStore::create_or_attach(const std::string& dir,
                                     const JobSpec& spec,
                                     const StoreEnv& env) {
-  util::Fs& fs = resolve_fs(env);
+  util::Fs& fs = env.resolve_fs();
   const std::string meta_path = join_path(dir, "job.meta");
   if (fs.exists(meta_path)) {
     JobStore store = open(dir, env);
@@ -387,7 +379,7 @@ JobStore JobStore::create_or_attach(const std::string& dir,
 }
 
 JobStore JobStore::open(const std::string& dir, const StoreEnv& env) {
-  util::Fs& fs = resolve_fs(env);
+  util::Fs& fs = env.resolve_fs();
   const std::string meta_path = join_path(dir, "job.meta");
   std::string text;
   if (!util::read_file_retry_estale(fs, meta_path, text)) {
@@ -715,19 +707,7 @@ std::vector<ShardState> JobStore::scan() const {
     state.corrupt = scan.corrupt;
     state.completed = distinct_tasks(scan.records, state.begin, state.end);
     state.done = shard_done(s);
-    std::string text;
-    if (util::read_file_retry_estale(*fs_, lease_path(s), text)) {
-      if (const auto lease = parse_lease_text(text)) {
-        state.leased = true;
-        state.lease_owner = lease->owner;
-        state.lease_since = lease->since;
-        state.lease_expiry = lease->expiry;
-        state.lease_age = lease->since > 0 ? now - lease->since : -1;
-        state.lease_progress_age =
-            lease->progress > 0 ? now - lease->progress : -1;
-        state.lease_stale = lease->expiry <= now;
-      }
-    }
+    state.lease = lease_state(s, now);
     out.push_back(std::move(state));
   }
   return out;
@@ -738,21 +718,27 @@ std::vector<LeaseState> JobStore::scan_leases() const {
   const std::int64_t now = clock_->now_seconds();
   const int shards = shard_count();
   for (int s = 0; s < shards; ++s) {
-    std::string text;
-    if (!util::read_file_retry_estale(*fs_, lease_path(s), text)) continue;
-    const auto lease = parse_lease_text(text);
-    if (!lease.has_value()) continue;
-    LeaseState state;
-    state.shard = s;
-    state.owner = lease->owner;
-    state.since = lease->since;
-    state.expiry = lease->expiry;
-    state.progress = lease->progress;
-    state.progress_age = lease->progress > 0 ? now - lease->progress : -1;
-    state.expired = lease->expiry <= now;
-    out.push_back(std::move(state));
+    if (auto lease = lease_state(s, now)) out.push_back(std::move(*lease));
   }
   return out;
+}
+
+std::optional<LeaseState> JobStore::lease_state(int shard,
+                                                std::int64_t now) const {
+  std::string text;
+  if (!util::read_file_retry_estale(*fs_, lease_path(shard), text)) {
+    return std::nullopt;
+  }
+  const auto lease = parse_lease_text(text);
+  if (!lease.has_value()) return std::nullopt;
+  LeaseState state;
+  state.shard = shard;
+  state.owner = lease->owner;
+  state.expiry = lease->expiry;
+  state.age = lease->since > 0 ? now - lease->since : -1;
+  state.progress_age = lease->progress > 0 ? now - lease->progress : -1;
+  state.expired = lease->expiry <= now;
+  return state;
 }
 
 }  // namespace dualcast::service

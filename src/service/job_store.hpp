@@ -91,6 +91,13 @@ JobSpec make_job_spec(
 struct StoreEnv {
   util::Fs* fs = nullptr;
   util::Clock* clock = nullptr;
+
+  util::Fs& resolve_fs() const {
+    return fs != nullptr ? *fs : util::real_fs();
+  }
+  util::Clock& resolve_clock() const {
+    return clock != nullptr ? *clock : util::system_clock();
+  }
 };
 
 /// One completed trial: the flat task index and its measured raw value.
@@ -121,11 +128,23 @@ struct ShardScan {
   std::string damage() const;
 };
 
-/// A shard's current on-disk state, as read by status/lease scans. The
-/// lease age and staleness are computed against the *store's* clock at
-/// scan time, so an injected FakeClock makes the STALE classification
-/// fully deterministic — display code must consume these fields instead
-/// of re-deriving them from the real clock.
+/// A published lease as a scan reads it. Ages and expiry are computed
+/// against the *store's* clock at scan time, so an injected FakeClock
+/// makes the STALE classification fully deterministic — display code must
+/// consume these fields instead of re-deriving them from the real clock.
+struct LeaseState {
+  int shard = 0;
+  std::string owner;
+  std::int64_t expiry = 0;  ///< unix seconds
+  std::int64_t age = -1;    ///< now - since (-1 = unknown)
+  /// now - last recorded progress stamp (-1 = unknown / pre-progress
+  /// lease). A large value against a live expiry is the fail-slow
+  /// signature: a holder that keeps the lease while advancing nothing.
+  std::int64_t progress_age = -1;
+  bool expired = false;  ///< expiry <= now
+};
+
+/// A shard's current on-disk state, as read by status scans.
 struct ShardState {
   int index = 0;
   int begin = 0;  ///< first flat task (inclusive)
@@ -133,28 +152,7 @@ struct ShardState {
   int completed = 0;  ///< distinct recorded tasks
   bool done = false;  ///< done marker present
   bool corrupt = false;  ///< current log fails checksum validation
-  bool leased = false;
-  std::string lease_owner;
-  std::int64_t lease_since = 0;   ///< unix seconds (0 = unknown / v1 lease)
-  std::int64_t lease_expiry = 0;  ///< unix seconds
-  std::int64_t lease_age = -1;    ///< now - since per the store clock (-1 = unknown)
-  /// now - last recorded progress stamp (-1 = unknown / pre-progress
-  /// lease). A large value against a live expiry is the fail-slow
-  /// signature: a holder that keeps the lease while advancing nothing.
-  std::int64_t lease_progress_age = -1;
-  bool lease_stale = false;       ///< expiry <= now per the store clock
-};
-
-/// A lease file's parsed content, from the cheap lease-only scan (no shard
-/// logs are read) — what fleet status consumes.
-struct LeaseState {
-  int shard = 0;
-  std::string owner;
-  std::int64_t since = 0;
-  std::int64_t expiry = 0;
-  std::int64_t progress = 0;      ///< last progress stamp (0 = unknown)
-  std::int64_t progress_age = -1;  ///< now - progress (-1 = unknown)
-  bool expired = false;  ///< per the store clock
+  std::optional<LeaseState> lease;  ///< the published lease, if any
 };
 
 class JobStore {
@@ -271,6 +269,9 @@ class JobStore {
   std::string shard_log_path(int shard) const;
   std::string shard_done_path(int shard) const;
   std::string lease_path(int shard) const;
+  /// The shard's lease as of `now`; nullopt when none is published (or
+  /// it is garbled).
+  std::optional<LeaseState> lease_state(int shard, std::int64_t now) const;
 
   std::string dir_;
   JobSpec spec_;

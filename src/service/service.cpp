@@ -288,18 +288,18 @@ void print_job_status(const JobStore& store, std::ostream& out) {
         << (shard.end - shard.begin);
     if (shard.done) out << " done";
     if (shard.corrupt) out << " CORRUPT";
-    if (shard.leased) {
-      out << " leased by " << shard.lease_owner << " (age ";
-      if (shard.lease_age >= 0) {
-        out << shard.lease_age << "s";
+    if (const std::optional<LeaseState>& lease = shard.lease) {
+      out << " leased by " << lease->owner << " (age ";
+      if (lease->age >= 0) {
+        out << lease->age << "s";
       } else {
         out << "?";
       }
-      if (shard.lease_progress_age >= 0) {
-        out << ", progress " << shard.lease_progress_age << "s ago";
+      if (lease->progress_age >= 0) {
+        out << ", progress " << lease->progress_age << "s ago";
       }
-      out << ", expiry " << shard.lease_expiry << ")";
-      if (shard.lease_stale) out << " STALE";
+      out << ", expiry " << lease->expiry << ")";
+      if (lease->expired) out << " STALE";
     }
     out << "\n";
   }

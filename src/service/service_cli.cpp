@@ -48,18 +48,17 @@ std::atomic<bool> g_stop{false};
 void request_stop(int) { g_stop.store(true); }
 
 /// The worker/daemon test-decorator stack, outermost first: FaultyFs
-/// (injected death, targeted stall, uniform latency) → SharedFsSim (this
-/// process as one NFS client view) → the real filesystem; plus an optional
-/// skewed clock. Members exist only when the corresponding flag was given;
-/// `env` points at the outermost layer of whatever was built.
+/// (injected death, targeted mid-lease stall) → SharedFsSim (this process
+/// as one NFS client view, default staleness windows) → the real
+/// filesystem; plus an optional skewed clock. Members exist only when the
+/// corresponding flag was given; `env` points at the outermost layer of
+/// whatever was built.
 struct EnvStack {
   struct Params {
     bool fs_sim = false;
     std::uint64_t fs_sim_seed = 1;
-    int fs_sim_stale_ops = 6;
     int fault_crash_op = -1;
     int clock_skew_seconds = 0;
-    int slow_fs_ms = 0;
     int stall_append = -1;  ///< stall append N (0-based) to a shards/ file
     int stall_ms = 0;
   };
@@ -74,25 +73,15 @@ struct EnvStack {
     if (p.fs_sim) {
       util::SharedFsSimConfig config;
       config.seed = p.fs_sim_seed;
-      config.attr_stale_ops = p.fs_sim_stale_ops;
-      config.dir_stale_ops = p.fs_sim_stale_ops;
       sim = std::make_unique<util::SharedFsSim>(*fs, config);
       fs = sim.get();
     }
-    if (p.fault_crash_op >= 0 || p.slow_fs_ms > 0 || p.stall_append >= 0) {
+    if (p.fault_crash_op >= 0 || p.stall_append >= 0) {
       faulty = std::make_unique<util::FaultyFs>(*fs);
       if (p.fault_crash_op >= 0) {
         util::InjectedFault fault;
         fault.kind = util::InjectedFault::Kind::crash;
         fault.at = p.fault_crash_op;
-        faulty->inject(fault);
-      }
-      if (p.slow_fs_ms > 0) {
-        // A uniformly slow mount: every op, from the first, stalls.
-        util::InjectedFault fault;
-        fault.kind = util::InjectedFault::Kind::delay;
-        fault.sticky = true;
-        fault.delay_ms = p.slow_fs_ms;
         faulty->inject(fault);
       }
       if (p.stall_append >= 0) {
@@ -126,10 +115,6 @@ std::vector<Flag> decorator_flags(EnvStack::Params& p) {
                "operation N of this process, counted from 0 (0 = the first "
                "operation)",
                p.fault_crash_op, 0),
-      int_flag("--slow-fs-ms", "M",
-               "test hook: every filesystem op takes an extra M ms (a "
-               "uniformly slow mount)",
-               p.slow_fs_ms, 0),
       int_flag("--stall-append", "N",
                "test hook: append N to a shard record (i.e. mid-lease), "
                "counted from 0 (0 = the first append), hangs for "
@@ -143,9 +128,6 @@ std::vector<Flag> decorator_flags(EnvStack::Params& p) {
                     "ESTALE on unlinked-under-handle reads)",
                     p.fs_sim_seed, 0),
            [&p] { p.fs_sim = true; }),
-      int_flag("--fs-sim-stale-ops", "N",
-               "max staleness window in view ops (default 6)",
-               p.fs_sim_stale_ops, 0),
   };
 }
 
@@ -220,11 +202,7 @@ int worker_main(int argc, char** argv, const Command& command) {
   const std::vector<Flag> flags = join_flags(
       {{text_flag("--job-dir", "D", "the job to work (required)", job_dir),
         text_flag("--owner", "TOKEN", "lease owner token (default pid<pid>)",
-                  options.owner),
-        int_flag("--max-shards", "N",
-                 "stop after completing N shards (default: run until no "
-                 "shard is claimable)",
-                 options.max_shards, 1)},
+                  options.owner)},
        decorator_flags(stack_params)});
   if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   if (job_dir.empty()) throw ScenarioError("worker: --job-dir is required");
@@ -363,26 +341,9 @@ int soak_main(int argc, char** argv, const Command& command) {
       int_flag("--kills", "N",
                "SIGKILLs delivered across the storm (default 6)",
                options.kills, 0),
-      int_flag("--small-jobs", "N",
-               "small jobs dropped beside the big one (default 2)",
-               options.small_jobs, 0),
-      int_flag("--big-trials", "T", "the big job's trial count (default 40)",
-               options.big_trials, 1),
-      int_flag("--small-trials", "T",
-               "the first small job's trial count; each next one runs one "
-               "more (default 4)",
-               options.small_trials, 1),
-      int_flag("--shard-tasks", "K", "flat tasks per shard (default 5)",
-               options.shard_tasks, 1),
-      int_flag("--lease-ttl", "S", "lease lifetime in seconds (default 2)",
-               options.lease_ttl_seconds, 0),
-      int_flag("--member-ttl", "S", "membership heartbeat TTL (default 4)",
-               options.member_ttl_seconds, 1),
       text_flag("--dir", "D",
                 "working directory (default .dualcast-soak; wiped at start)",
                 options.dir),
-      int_flag("--timeout", "S", "liveness deadline in seconds (default 300)",
-               options.timeout_seconds, 1),
       int_flag("--fault-crash-op", "N",
                "also arm each first-generation daemon with the FaultyFs "
                "crash hook",
@@ -394,39 +355,19 @@ int soak_main(int argc, char** argv, const Command& command) {
       also(int_flag("--fs-sim-seed", "S", "view-skew base seed (implies --sim)",
                     options.fs_sim_seed, 0),
            sim),
-      also(int_flag("--fs-sim-stale-ops", "N",
-                    "max staleness window in view ops (implies --sim)",
-                    options.fs_sim_stale_ops, 0),
-           sim),
       int_flag("--clock-skew", "S",
                "spread daemon wall clocks across [-S, +S] seconds",
                options.clock_skew_seconds, 0),
-      // Default slow-mount tax; --slow-fs-ms overrides the amount.
-      switch_flag("--slow",
-                  "run every daemon behind a uniformly slow mount (default "
-                  "2 ms per op)",
-                  [&options] {
-                    if (options.slow_fs_ms == 0) options.slow_fs_ms = 2;
-                  }),
-      int_flag("--slow-fs-ms", "M", "the slow mount's extra ms per op",
-               options.slow_fs_ms, 1),
       int_flag("--stall-seed", "S",
                "arm one seeded mid-lease append hang per daemon generation, "
                "long enough that the lease lapses, a peer steals it, and "
                "the holder fences itself on waking",
                options.stall_seed, 0),
-      int_flag("--stall-ms", "M",
-               "length of the --stall-seed hang in ms (default lease TTL + "
-               "1 s)",
-               options.stall_ms, 1),
       switch_flag("--disk-pressure",
                   "squeeze a shared free-bytes file to zero mid-storm and "
                   "restore it; every daemon must walk the degradation "
                   "ladder down and back up",
                   [&options] { options.disk_pressure = true; }),
-      int_flag("--min-free-bytes", "B",
-               "the --disk-pressure ladder watermark (default 1 MiB)",
-               options.min_free_bytes, 0, kMaxFreeBytesWatermark),
   };
   if (!parse_flags(argc, argv, 2, flags, nullptr, command)) return 0;
   const SoakReport report = run_soak(options);
@@ -588,9 +529,9 @@ const std::vector<Subcommand>& subcommands() {
                  "in a fresh directory, spawn N real daemon processes, and "
                  "SIGKILL/restart them on a seeded schedule while they "
                  "drain. Exits nonzero unless every job completes, every "
-                 "merge is byte-identical to a single-process run, and "
-                 "(when kills happened) at least one lease steal was "
-                 "observed."},
+                 "merge is byte-identical to a single-process run, every "
+                 "requested kill landed, and (when kills or stalls "
+                 "happened) at least one lease steal was observed."},
        "kill-storm drill of a fleet of real daemon processes", soak_main},
   };
   return table;

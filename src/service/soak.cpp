@@ -29,6 +29,24 @@ using scenario::ScenarioError;
 /// would not survive the exec boundary.
 constexpr const char* kSoakScenario = "fig1/static-global-line";
 
+/// The job ladder: one big job plus kSmallJobs small ones, small job j
+/// running kSmallTrials + j trials. Trial counts double as job identities,
+/// so the ranges must not overlap.
+constexpr int kSmallJobs = 2;
+constexpr int kBigTrials = 40;
+constexpr int kSmallTrials = 4;
+static_assert(kBigTrials > kSmallTrials + kSmallJobs,
+              "the big job's trial count must exceed every small job's");
+constexpr int kShardTasks = 5;
+constexpr int kLeaseTtlSeconds = 2;   ///< short: steals happen in the storm
+constexpr int kMemberTtlSeconds = 4;  ///< stale detection well inside the run
+constexpr std::int64_t kTimeoutSeconds = 300;
+/// The disk-pressure drill's ladder watermark.
+constexpr std::int64_t kMinFreeBytes = 1 << 20;
+/// A fail-slow stall must comfortably outlive the lease TTL, or no lapse
+/// (and no steal) is guaranteed.
+constexpr int kStallMs = (kLeaseTtlSeconds + 1) * 1000;
+
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -39,8 +57,7 @@ std::string self_binary() {
   char buf[4096];
   const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
   if (len <= 0) {
-    throw ScenarioError(
-        "soak: cannot resolve /proc/self/exe; pass the binary explicitly");
+    throw ScenarioError("soak: cannot resolve /proc/self/exe");
   }
   buf[len] = '\0';
   return std::string(buf);
@@ -104,17 +121,9 @@ int shards_done(const JobStore& store) {
 
 SoakReport run_soak(const SoakOptions& options) {
   if (options.daemons < 1) throw ScenarioError("soak: need >= 1 daemon");
-  if (options.small_jobs < 0) throw ScenarioError("soak: small_jobs < 0");
-  if (options.big_trials <= options.small_trials + options.small_jobs) {
-    // Trial counts double as job identities; overlapping ranges would
-    // collapse two "different" jobs into one key.
-    throw ScenarioError(
-        "soak: big_trials must exceed small_trials + small_jobs");
-  }
   SoakReport report;
   std::ostream* log = options.log;
-  const std::string binary =
-      options.binary.empty() ? self_binary() : options.binary;
+  const std::string binary = self_binary();
   const scenario::ScenarioSpec& spec =
       scenario::scenarios().get(kSoakScenario);
 
@@ -126,7 +135,7 @@ SoakReport run_soak(const SoakOptions& options) {
   stdfs::create_directories(jobs_dir);
   stdfs::create_directories(logs_dir);
 
-  // The job ladder: one big sweep plus small_jobs quick ones, with
+  // The job ladder: one big sweep plus kSmallJobs quick ones, with
   // distinct trial counts as distinct job keys. References come straight
   // from run_scenarios() — the byte-identical contract's ground truth —
   // before any daemon exists (parallel reference computation would race
@@ -137,10 +146,8 @@ SoakReport run_soak(const SoakOptions& options) {
     std::vector<std::string> reference;
   };
   std::vector<SoakJob> jobs;
-  std::vector<int> trial_counts{options.big_trials};
-  for (int j = 0; j < options.small_jobs; ++j) {
-    trial_counts.push_back(options.small_trials + j);
-  }
+  std::vector<int> trial_counts{kBigTrials};
+  for (int j = 0; j < kSmallJobs; ++j) trial_counts.push_back(kSmallTrials + j);
   const unsigned cores = std::thread::hardware_concurrency();
   for (std::size_t j = 0; j < trial_counts.size(); ++j) {
     SoakJob job;
@@ -148,8 +155,8 @@ SoakReport run_soak(const SoakOptions& options) {
     const JobSpec job_spec = [&] {
       scenario::RunOptions run_options;
       run_options.trials_override = trial_counts[j];
-      return make_job_spec({&spec}, run_options, options.shard_tasks,
-                           options.lease_ttl_seconds);
+      return make_job_spec({&spec}, run_options, kShardTasks,
+                           kLeaseTtlSeconds);
     }();
     scenario::RunOptions ref_options = job_spec.run_options();
     ref_options.sweep_threads =
@@ -174,13 +181,8 @@ SoakReport run_soak(const SoakOptions& options) {
   // The owner token includes the generation — a respawn is a *new* fleet
   // member (as a real restart's fresh pid would be), so a predecessor's
   // leftover lease is foreign to it and must be stolen, not resumed.
-  // Fail-slow knobs resolved once: the stall must comfortably outlive the
-  // lease TTL or no lapse (and no steal) is guaranteed.
-  const int stall_ms = options.stall_ms > 0
-                           ? options.stall_ms
-                           : (options.lease_ttl_seconds + 1) * 1000;
   const std::string free_file = str(options.dir, "/free_bytes");
-  const std::int64_t free_high = options.min_free_bytes * 10;
+  const std::int64_t free_high = kMinFreeBytes * 10;
   const auto write_free_bytes = [&](std::int64_t value) {
     // Temp + rename: daemons re-read this file through their Fs seam
     // every cycle and must never observe a half-written number.
@@ -196,15 +198,11 @@ SoakReport run_soak(const SoakOptions& options) {
         "daemon",       "--jobs-dir",  jobs_dir,
         "--no-cache",   "--owner",     str("soak-d", slot, ".g", generation),
         "--poll-ms",    "20",          "--max-poll-ms",
-        "200",          "--member-ttl", str(options.member_ttl_seconds),
+        "200",          "--member-ttl", str(kMemberTtlSeconds),
         "--seed",       str(options.kill_seed * 1000003ull + slot + 1)};
     if (options.fault_crash_op >= 0 && generation == 0) {
       args.push_back("--fault-crash-op");
       args.push_back(str(options.fault_crash_op));
-    }
-    if (options.slow_fs_ms > 0) {
-      args.push_back("--slow-fs-ms");
-      args.push_back(str(options.slow_fs_ms));
     }
     if (options.stall_seed != 0) {
       // One mid-lease hang per daemon generation: append N (counted from
@@ -217,11 +215,11 @@ SoakReport run_soak(const SoakOptions& options) {
       args.push_back("--stall-append");
       args.push_back(str(1 + splitmix64(x) % 4));
       args.push_back("--stall-ms");
-      args.push_back(str(stall_ms));
+      args.push_back(str(kStallMs));
     }
     if (options.disk_pressure) {
       args.push_back("--min-free-bytes");
-      args.push_back(str(options.min_free_bytes));
+      args.push_back(str(kMinFreeBytes));
       args.push_back("--free-bytes-file");
       args.push_back(free_file);
     }
@@ -234,8 +232,6 @@ SoakReport run_soak(const SoakOptions& options) {
       args.push_back(str(options.fs_sim_seed * 1000003ull +
                          static_cast<std::uint64_t>(slot) * 131ull +
                          static_cast<std::uint64_t>(generation) + 1));
-      args.push_back("--fs-sim-stale-ops");
-      args.push_back(str(options.fs_sim_stale_ops));
     }
     if (options.clock_skew_seconds != 0) {
       // Spread wall-clock offsets deterministically across
@@ -264,22 +260,17 @@ SoakReport run_soak(const SoakOptions& options) {
     *log << "soak: " << options.daemons << " daemon(s) up, kill seed "
          << options.kill_seed << ", " << options.kills << " kill(s) due";
     if (options.sim) {
-      *log << ", fs-sim seed " << options.fs_sim_seed << " (stale-ops "
-           << options.fs_sim_stale_ops << ")";
+      *log << ", fs-sim seed " << options.fs_sim_seed;
     }
     if (options.clock_skew_seconds != 0) {
       *log << ", clock skew +/-" << options.clock_skew_seconds << "s";
     }
-    if (options.slow_fs_ms > 0) {
-      *log << ", slow-fs " << options.slow_fs_ms << "ms/op";
-    }
     if (options.stall_seed != 0) {
-      *log << ", stall seed " << options.stall_seed << " (" << stall_ms
-           << "ms vs " << options.lease_ttl_seconds << "s lease)";
+      *log << ", stall seed " << options.stall_seed << " (" << kStallMs
+           << "ms vs " << kLeaseTtlSeconds << "s lease)";
     }
     if (options.disk_pressure) {
-      *log << ", disk-pressure drill (watermark " << options.min_free_bytes
-           << "B)";
+      *log << ", disk-pressure drill (watermark " << kMinFreeBytes << "B)";
     }
     *log << "\n";
   }
@@ -309,8 +300,7 @@ SoakReport run_soak(const SoakOptions& options) {
     }
     return holders;
   };
-  const std::int64_t deadline =
-      now_ms() + static_cast<std::int64_t>(options.timeout_seconds) * 1000;
+  const std::int64_t deadline = now_ms() + kTimeoutSeconds * 1000;
   int total_shards = 0;
   for (const SoakJob& job : jobs) total_shards += job.store->shard_count();
   // Disk-pressure schedule: let the fleet get going, squeeze the shared
@@ -407,8 +397,7 @@ SoakReport run_soak(const SoakOptions& options) {
   report.completed = all_done;
   if (!all_done) {
     report.failures.push_back(
-        str("liveness: jobs not drained within ", options.timeout_seconds,
-            "s"));
+        str("liveness: jobs not drained within ", kTimeoutSeconds, "s"));
   }
 
   // Stand the fleet down: SIGTERM (clean lease release + deregister),
@@ -463,6 +452,11 @@ SoakReport run_soak(const SoakOptions& options) {
   }
 
   report.ok = report.completed && report.identical;
+  if (report.kills < options.kills) {
+    report.ok = false;
+    report.failures.push_back(str("mechanism: ", report.kills, " of ",
+                                  options.kills, " kills landed"));
+  }
   const bool steal_required = report.kills > 0 || options.stall_seed != 0;
   if (steal_required && report.steals == 0) {
     report.ok = false;

@@ -14,8 +14,7 @@
 //   * IO errors (EIO, ENOSPC, ... as a thrown `IoError`),
 //   * delays (the op stalls for scheduled fake-clock ticks and/or real
 //     milliseconds, then proceeds — the gray-failure injection the
-//     fail-slow tests storm with; one sticky delay armed at op 0 with no
-//     filters taxes every op alike, a uniformly slow mount).
+//     fail-slow tests storm with; a sticky delay stalls every matching op).
 //
 // Because workers, the store, and the merger are deterministic given a
 // frozen clock, an op index fully identifies an injection point: the fault

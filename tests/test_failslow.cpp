@@ -18,6 +18,7 @@
 
 #include "service/daemon.hpp"
 #include "service/service.hpp"
+#include "service_support.hpp"
 #include "util/clock.hpp"
 #include "util/io.hpp"
 
@@ -25,56 +26,12 @@ namespace dualcast::service {
 namespace {
 
 namespace fs = std::filesystem;
-using scenario::ScenarioSpec;
 using util::FakeClock;
 using util::FaultyFs;
 using util::InjectedFault;
 
-const ScenarioSpec& mini_scenario() {
-  static const std::string name = "svc-test/failslow-mini";
-  if (!scenario::scenarios().contains(name)) {
-    ScenarioSpec spec;
-    spec.name = name;
-    spec.title = "service fail-slow mini";
-    spec.topology = "dual_clique({x})";
-    spec.problem = "global(1)";
-    spec.sweep = {8, 12};
-    spec.trials = 3;
-    spec.base_seed = 66;
-    spec.max_rounds = "200*n";
-    spec.columns = {
-        {"decay+iid", "decay_global(permuted,persistent)", "iid(0.5)", ""},
-        {"robin+collider", "round_robin", "collider", ""},
-    };
-    scenario::scenarios().add(spec);
-  }
-  return scenario::scenarios().get(name);
-}
-
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("dualcast_failslow_" + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-std::vector<std::string> reference_rows() {
-  static const std::vector<std::string> rows = [] {
-    std::vector<std::string> out;
-    for (const scenario::ScenarioResult& result :
-         scenario::run_scenarios({&mini_scenario()}, {})) {
-      scenario::append_json_rows(result, out);
-    }
-    return out;
-  }();
-  return rows;
-}
-
-JobSpec mini_job(int shard_tasks, int lease_ttl_seconds) {
-  return make_job_spec({&mini_scenario()}, scenario::RunOptions{},
-                       shard_tasks, lease_ttl_seconds);
-}
+const dualcast::testing::MiniService mini{"svc-test/failslow-mini", 66,
+                                         "dualcast_failslow_"};
 
 TEST(ClassifyDiskPressure, RungsBoundariesAndUnknowns) {
   const std::int64_t w = 1000;
@@ -105,7 +62,7 @@ TEST(FailSlow, StalledHolderLapsesPeerStealsAndHolderFencesOnWake) {
   // lease and finishes everything. The holder wakes, finds the shard
   // done, fences itself off, and executes nothing further: the merge is
   // byte-identical and no task ran twice.
-  const std::string dir = fresh_dir("stall_steal");
+  const std::string dir = mini.fresh_dir("stall_steal");
   FakeClock clock(1000);
   FaultyFs faulty(util::real_fs());
   faulty.set_tick_clock(&clock);
@@ -113,7 +70,7 @@ TEST(FailSlow, StalledHolderLapsesPeerStealsAndHolderFencesOnWake) {
   env.fs = &faulty;
   env.clock = &clock;
   JobStore store = JobStore::create_or_attach(
-      dir, mini_job(/*shard_tasks=*/3, /*lease_ttl_seconds=*/30), env);
+      dir, mini.job(/*shard_tasks=*/3, /*lease_ttl_seconds=*/30), env);
   const JobRuntime runtime(store);
   const int total_tasks = store.total_tasks();
 
@@ -165,8 +122,7 @@ TEST(FailSlow, StalledHolderLapsesPeerStealsAndHolderFencesOnWake) {
             total_tasks);
   EXPECT_EQ(thief_report.tasks_skipped, 1);
   // And the merge is the single-process bytes, stall and steal included.
-  JobRuntime merge_runtime(store);
-  EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+  mini.expect_reference_merge(dir);
 }
 
 TEST(FailSlowDeathTest, HeartbeatNeverSwallowsInjectedCrash) {
@@ -179,7 +135,7 @@ TEST(FailSlowDeathTest, HeartbeatNeverSwallowsInjectedCrash) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        const std::string dir = fresh_dir("hb_crash");
+        const std::string dir = mini.fresh_dir("hb_crash");
         FakeClock clock(5000);
         FaultyFs faulty(util::real_fs());
         faulty.set_tick_clock(&clock);
@@ -187,7 +143,7 @@ TEST(FailSlowDeathTest, HeartbeatNeverSwallowsInjectedCrash) {
         env.fs = &faulty;
         env.clock = &clock;
         JobStore store = JobStore::create_or_attach(
-            dir, mini_job(/*shard_tasks=*/16, /*lease_ttl_seconds=*/30),
+            dir, mini.job(/*shard_tasks=*/16, /*lease_ttl_seconds=*/30),
             env);
         const JobRuntime runtime(store);
         InjectedFault stall;
@@ -263,13 +219,12 @@ TEST(FailSlow, DaemonWalksPressureLadderDownAndBackUp) {
   // entry: once merge_job has written it, the daemon counts the job
   // whatever the stop flag says, so the stop cannot land between the
   // last shard and the merge.
-  const std::string jobs_dir = fresh_dir("ladder_jobs");
-  const std::string scratch = fresh_dir("ladder_scratch");
+  const std::string jobs_dir = mini.fresh_dir("ladder_jobs");
+  const std::string scratch = mini.fresh_dir("ladder_scratch");
   const std::string free_file = scratch + "/free_bytes";
   const std::string cache_dir = scratch + "/cache";
-  const std::string job_dir = jobs_dir + "/job1";
-  JobStore::create_or_attach(
-      job_dir, mini_job(/*shard_tasks=*/3, /*lease_ttl_seconds=*/60));
+  const std::string job_dir =
+      mini.drop_job(jobs_dir, "job1", /*trials=*/0, /*shard_tasks=*/3);
   write_free_bytes(free_file, 0);
 
   std::atomic<bool> stop{false};
@@ -300,9 +255,7 @@ TEST(FailSlow, DaemonWalksPressureLadderDownAndBackUp) {
   EXPECT_EQ(report.pressure, "ok");
   EXPECT_EQ(report.jobs_completed, 1);
   EXPECT_NE(log.str().find("disk pressure"), std::string::npos);
-  JobStore store = JobStore::open(job_dir);
-  JobRuntime merge_runtime(store);
-  EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+  mini.expect_reference_merge(job_dir);
 }
 
 TEST(FailSlow, StatusSurfacesProgressAgeAndPressureDeterministically) {
@@ -310,12 +263,12 @@ TEST(FailSlow, StatusSurfacesProgressAgeAndPressureDeterministically) {
   // own age (the fail-slow signature) and a member publishing a degraded
   // pressure state are both rendered — text and JSON — and the output is
   // byte-identical across calls under a frozen clock.
-  const std::string jobs_dir = fresh_dir("status_jobs");
+  const std::string jobs_dir = mini.fresh_dir("status_jobs");
   FakeClock clock(10000);
   StoreEnv env;
   env.clock = &clock;
   JobStore store = JobStore::create_or_attach(
-      jobs_dir + "/job1", mini_job(/*shard_tasks=*/3, /*lease_ttl=*/60),
+      jobs_dir + "/job1", mini.job(/*shard_tasks=*/3, /*lease_ttl=*/60),
       env);
   ASSERT_TRUE(store.try_lease(0, "slowpoke"));
   clock.advance(7);

@@ -24,74 +24,34 @@
 #include "service/daemon.hpp"
 #include "service/service.hpp"
 #include "service/service_cli.hpp"
+#include "service_support.hpp"
 #include "util/strfmt.hpp"
 
 namespace dualcast::service {
 namespace {
 
 namespace fs = std::filesystem;
-using scenario::ScenarioSpec;
 
-const ScenarioSpec& mini_scenario() {
-  static const std::string name = "svc-test/daemon-mini";
-  if (!scenario::scenarios().contains(name)) {
-    ScenarioSpec spec;
-    spec.name = name;
-    spec.title = "service daemon mini";
-    spec.topology = "dual_clique({x})";
-    spec.problem = "global(1)";
-    spec.sweep = {8, 12};
-    spec.trials = 3;
-    spec.base_seed = 55;
-    spec.max_rounds = "200*n";
-    spec.columns = {
-        {"decay+iid", "decay_global(permuted,persistent)", "iid(0.5)", ""},
-        {"robin+collider", "round_robin", "collider", ""},
-    };
-    scenario::scenarios().add(spec);
-  }
-  return scenario::scenarios().get(name);
-}
+const dualcast::testing::MiniService mini{"svc-test/daemon-mini", 55,
+                                         "dualcast_daemon_"};
 
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("dualcast_daemon_" + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-/// Drops a job for the mini scenario into `jobs_dir`/job1.
+/// Drops the mini job, three tasks per shard, into `jobs_dir`/job1.
 std::string drop_job(const std::string& jobs_dir) {
-  const JobSpec job =
-      make_job_spec({&mini_scenario()}, scenario::RunOptions{},
-                    /*shard_tasks=*/3, /*lease_ttl_seconds=*/60);
-  const std::string dir = jobs_dir + "/job1";
-  JobStore::create_or_attach(dir, job);
-  return dir;
-}
-
-std::vector<std::string> reference_rows() {
-  std::vector<std::string> rows;
-  for (const scenario::ScenarioResult& result :
-       scenario::run_scenarios({&mini_scenario()}, {})) {
-    scenario::append_json_rows(result, rows);
-  }
-  return rows;
+  return mini.drop_job(jobs_dir, "job1", /*trials=*/0, /*shard_tasks=*/3);
 }
 
 void expect_no_leases(const std::string& job_dir) {
   const JobStore store = JobStore::open(job_dir);
   for (const ShardState& shard : store.scan()) {
-    EXPECT_FALSE(shard.leased)
+    EXPECT_FALSE(shard.lease.has_value())
         << "shard " << shard.index << " still leased by "
-        << shard.lease_owner;
+        << shard.lease->owner;
   }
 }
 
 TEST(ServiceDaemon, DrainsDroppedJobIntoCacheThenServeIsZeroRecompute) {
-  const std::string jobs_dir = fresh_dir("drain_jobs");
-  const std::string cache_dir = fresh_dir("drain_cache");
+  const std::string jobs_dir = mini.fresh_dir("drain_jobs");
+  const std::string cache_dir = mini.fresh_dir("drain_cache");
   const std::string job_dir = drop_job(jobs_dir);
 
   std::ostringstream log;
@@ -117,9 +77,9 @@ TEST(ServiceDaemon, DrainsDroppedJobIntoCacheThenServeIsZeroRecompute) {
   const std::uint64_t trials_before = trials_executed();
   ServeOptions serve_options;
   serve_options.cache_dir = cache_dir;
-  serve_options.job_dir = fresh_dir("drain_serve_job");
+  serve_options.job_dir = mini.fresh_dir("drain_serve_job");
   const ServeSummary summary =
-      serve({&mini_scenario()}, {}, serve_options);
+      serve({&mini.scenario()}, {}, serve_options);
   EXPECT_EQ(summary.from_cache, 1);
   EXPECT_EQ(summary.computed, 0);
   EXPECT_EQ(summary.trials_run, 0u);
@@ -127,7 +87,7 @@ TEST(ServiceDaemon, DrainsDroppedJobIntoCacheThenServeIsZeroRecompute) {
 }
 
 TEST(ServiceDaemon, StopFlagExitsCleanlyWithLeasesReleased) {
-  const std::string jobs_dir = fresh_dir("stop_jobs");
+  const std::string jobs_dir = mini.fresh_dir("stop_jobs");
   const std::string job_dir = drop_job(jobs_dir);
 
   std::atomic<bool> stop{false};
@@ -161,7 +121,7 @@ TEST(ServiceDaemon, StopFlagExitsCleanlyWithLeasesReleased) {
 }
 
 TEST(ServiceDaemon, ReadOnlyCacheDegradesToComputeWithoutCache) {
-  const std::string jobs_dir = fresh_dir("rocache_jobs");
+  const std::string jobs_dir = mini.fresh_dir("rocache_jobs");
   const std::string job_dir = drop_job(jobs_dir);
 
   // Every op touching the cache directory fails EROFS, persistently —
@@ -179,7 +139,7 @@ TEST(ServiceDaemon, ReadOnlyCacheDegradesToComputeWithoutCache) {
   std::ostringstream log;
   DaemonOptions options;
   options.jobs_dir = jobs_dir;
-  options.cache_dir = fresh_dir("rocache_cachedir");
+  options.cache_dir = mini.fresh_dir("rocache_cachedir");
   options.owner = "daemon-ro";
   options.max_cycles = 3;
   options.poll_initial_ms = 1;
@@ -211,18 +171,6 @@ void finish_job(const std::string& job_dir) {
   run_worker(store, runtime, finish);
 }
 
-/// The job's merge must reproduce the reference bytes; a refused merge is
-/// a failure, not the end of the test.
-void expect_reference_merge(const std::string& job_dir) {
-  JobStore store = JobStore::open(job_dir);
-  JobRuntime merge_runtime(store);
-  try {
-    EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
-  } catch (const scenario::ScenarioError& error) {
-    ADD_FAILURE() << "merge failed: " << error.what();
-  }
-}
-
 /// Cuts a shard log back to its first record.
 void keep_first_record(const fs::path& log) {
   std::string text;
@@ -235,7 +183,7 @@ void keep_first_record(const fs::path& log) {
 }
 
 TEST(ServiceDaemon, RepairsARottedFinishedShardAndMergesIdentical) {
-  const std::string jobs_dir = fresh_dir("rot_jobs");
+  const std::string jobs_dir = mini.fresh_dir("rot_jobs");
   const std::string job_dir = drop_job(jobs_dir);
   finish_job(job_dir);
   // Flip one byte in the second record of shard 2's log. The shard keeps
@@ -268,9 +216,7 @@ TEST(ServiceDaemon, RepairsARottedFinishedShardAndMergesIdentical) {
             std::string::npos)
       << log.str();
   expect_no_leases(job_dir);
-  JobStore store = JobStore::open(job_dir);
-  JobRuntime merge_runtime(store);
-  EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+  mini.expect_reference_merge(job_dir);
 }
 
 TEST(ServiceDaemon, RecomputesFinishedShardsShortOfRecordsAndMergesIdentical) {
@@ -284,7 +230,7 @@ TEST(ServiceDaemon, RecomputesFinishedShardsShortOfRecordsAndMergesIdentical) {
   // At pickup: a finished job whose shard 2 log was deleted outright. Its
   // done marker stays, so no claim would revisit the shard.
   {
-    const std::string jobs_dir = fresh_dir("short_pickup_jobs");
+    const std::string jobs_dir = mini.fresh_dir("short_pickup_jobs");
     const std::string job_dir = drop_job(jobs_dir);
     finish_job(job_dir);
     fs::remove(fs::path(job_dir) / "shards" / "shard_2.log");
@@ -301,7 +247,7 @@ TEST(ServiceDaemon, RecomputesFinishedShardsShortOfRecordsAndMergesIdentical) {
               std::string::npos)
         << log.str();
     expect_no_leases(job_dir);
-    expect_reference_merge(job_dir);
+    mini.expect_reference_merge(job_dir);
   }
 
   // Before the merge: the daemon drains the job itself, and a finished
@@ -309,7 +255,7 @@ TEST(ServiceDaemon, RecomputesFinishedShardsShortOfRecordsAndMergesIdentical) {
   // marker is being written. The pre-merge pass must clear that shard's
   // marker and wait for the recompute instead of failing the merge.
   {
-    const std::string jobs_dir = fresh_dir("short_premerge_jobs");
+    const std::string jobs_dir = mini.fresh_dir("short_premerge_jobs");
     const std::string job_dir = drop_job(jobs_dir);
     util::FaultyFs faulty(util::real_fs());
     int damaged = -1;
@@ -345,14 +291,14 @@ TEST(ServiceDaemon, RecomputesFinishedShardsShortOfRecordsAndMergesIdentical) {
               std::string::npos)
         << log.str();
     expect_no_leases(job_dir);
-    expect_reference_merge(job_dir);
+    mini.expect_reference_merge(job_dir);
   }
 }
 
 TEST(ServiceCliContract, MergeAndStatusExitNonzeroOnBrokenJobDirs) {
   // status against nothing: nonzero with a diagnostic (not a crash).
   {
-    const std::string dir = fresh_dir("cli_absent") + "/nope";
+    const std::string dir = mini.fresh_dir("cli_absent") + "/nope";
     std::string arg_status = "status";
     std::string arg_flag = "--job-dir";
     char* argv[] = {const_cast<char*>("bench"), arg_status.data(),
@@ -361,7 +307,7 @@ TEST(ServiceCliContract, MergeAndStatusExitNonzeroOnBrokenJobDirs) {
   }
   // merge against a job with a mangled meta field: nonzero.
   {
-    const std::string dir = fresh_dir("cli_badmeta");
+    const std::string dir = mini.fresh_dir("cli_badmeta");
     std::ofstream(fs::path(dir) / "job.meta")
         << "dualcast-job v1\nkey 0000000000000001\n"
            "catalog 0000000000000002\nshard_tasks banana\n"
@@ -374,7 +320,7 @@ TEST(ServiceCliContract, MergeAndStatusExitNonzeroOnBrokenJobDirs) {
   }
   // merge of an incomplete (but valid) job: nonzero, not rows.
   {
-    const std::string jobs_dir = fresh_dir("cli_incomplete");
+    const std::string jobs_dir = mini.fresh_dir("cli_incomplete");
     const std::string job_dir = drop_job(jobs_dir);
     std::string arg_merge = "merge";
     std::string arg_flag = "--job-dir";
@@ -393,7 +339,7 @@ TEST(ServiceCliContract, ServeRejectsThreadFlagsAndNamesWorkers) {
   for (std::string flag : {"--sweep-threads", "--threads"}) {
     for (const bool equals_form : {false, true}) {
       std::string arg_serve = "serve";
-      std::string arg_name = mini_scenario().name;
+      std::string arg_name = mini.scenario().name;
       std::string arg_smoke = "--smoke";
       std::string arg_flag = equals_form ? flag + "=4" : flag;
       std::string arg_value = "4";
@@ -416,7 +362,7 @@ TEST(ServiceCliContract, DaemonRejectsAMinFreeBytesWatermarkThatWouldWrap) {
   // 10x), so a watermark past INT64_MAX / 10 is rejected while parsing;
   // read as a u64 and cast, 2^63 and up would wrap to <= 0 and silently
   // turn the ladder off.
-  const std::string jobs_dir = fresh_dir("cli_min_free");
+  const std::string jobs_dir = mini.fresh_dir("cli_min_free");
   const auto run_daemon_cli = [&](std::string value) {
     std::string arg_daemon = "daemon";
     std::string arg_jobs = "--jobs-dir";

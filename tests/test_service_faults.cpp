@@ -19,6 +19,7 @@
 
 #include "analysis/trials.hpp"
 #include "service/service.hpp"
+#include "service_support.hpp"
 #include "util/strfmt.hpp"
 
 namespace dualcast::service {
@@ -26,56 +27,17 @@ namespace {
 
 namespace fs = std::filesystem;
 using scenario::ScenarioError;
-using scenario::ScenarioSpec;
 using util::FakeClock;
 using util::FaultyFs;
 using util::InjectedFault;
 
-const ScenarioSpec& mini_scenario() {
-  static const std::string name = "svc-test/fault-mini";
-  if (!scenario::scenarios().contains(name)) {
-    ScenarioSpec spec;
-    spec.name = name;
-    spec.title = "service fault mini";
-    spec.topology = "dual_clique({x})";
-    spec.problem = "global(1)";
-    spec.sweep = {8, 12};
-    spec.trials = 3;
-    spec.base_seed = 44;
-    spec.max_rounds = "200*n";
-    spec.columns = {
-        {"decay+iid", "decay_global(permuted,persistent)", "iid(0.5)", ""},
-        {"robin+collider", "round_robin", "collider", ""},
-    };
-    scenario::scenarios().add(spec);
-  }
-  return scenario::scenarios().get(name);
-}
-
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("dualcast_fault_" + tag);
-  fs::remove_all(dir);
-  return dir.string();
-}
-
-std::vector<std::string> reference_rows() {
-  static const std::vector<std::string> rows = [] {
-    std::vector<std::string> out;
-    for (const scenario::ScenarioResult& result :
-         scenario::run_scenarios({&mini_scenario()}, {})) {
-      scenario::append_json_rows(result, out);
-    }
-    return out;
-  }();
-  return rows;
-}
+const dualcast::testing::MiniService mini{"svc-test/fault-mini", 44,
+                                         "dualcast_fault_"};
 
 JobSpec mini_job() {
   // lease_ttl 0: a dead worker's lease is instantly stealable, so the
   // resume phase never has to wait out (or fake) a TTL.
-  return make_job_spec({&mini_scenario()}, scenario::RunOptions{},
-                       /*shard_tasks=*/3, /*lease_ttl_seconds=*/0);
+  return mini.job(/*shard_tasks=*/3, /*lease_ttl_seconds=*/0);
 }
 
 /// One full create+work pass through a FaultyFs under a frozen clock.
@@ -105,29 +67,16 @@ std::string faulted_pass(const std::string& dir, FaultyFs& faulty) {
   }
 }
 
-/// The merge must reproduce the reference bytes; a refused merge is a
-/// failure naming `context`, not the end of the test.
-void expect_reference_merge(JobStore& store, const std::string& context) {
-  JobRuntime merge_runtime(store);
-  try {
-    EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows())
-        << "divergent merge after " << context;
-  } catch (const ScenarioError& error) {
-    ADD_FAILURE() << "merge failed after " << context << ": "
-                  << error.what();
-  }
-}
-
 /// Clean resume + merge: a fresh worker (real fs, real clock) steals the
 /// stale leases, repairs anything corrupt, completes the job, and the
 /// merge must reproduce the reference bytes.
-void resume_and_check(const std::string& dir, const std::string& context) {
+void resume_and_check(const std::string& dir) {
   JobStore store = JobStore::open(dir);
   const JobRuntime runtime(store);
   WorkerOptions options;
   options.owner = "recoverer";
   run_worker(store, runtime, options);
-  expect_reference_merge(store, context);
+  mini.expect_reference_merge(dir);
 }
 
 /// Completes the mini job in `dir` and returns shard 1's log (tasks
@@ -157,10 +106,10 @@ void complete_and_rot(const std::string& dir) {
 }
 
 TEST(ServiceFaultMatrix, EveryInjectionPointResumesByteIdentical) {
-  ASSERT_EQ(reference_rows().size(), 4u);
+  ASSERT_EQ(mini.reference_rows().size(), 4u);
 
   // Dry run: no faults, record the op trace and where job creation ends.
-  const std::string dry = fresh_dir("dry");
+  const std::string dry = mini.fresh_dir("dry");
   FaultyFs tracer(util::real_fs());
   int creation_ops = 0;
   {
@@ -175,7 +124,10 @@ TEST(ServiceFaultMatrix, EveryInjectionPointResumesByteIdentical) {
     options.owner = "victim";
     run_worker(store, runtime, options);
   }
-  resume_and_check(dry, "the fault-free dry run");
+  {
+    SCOPED_TRACE("the fault-free dry run");
+    resume_and_check(dry);
+  }
   const auto trace = tracer.trace();
 
   // Choose injection points: for each op kind that appears on the
@@ -236,7 +188,7 @@ TEST(ServiceFaultMatrix, EveryInjectionPointResumesByteIdentical) {
         ")";
     SCOPED_TRACE(context);
     const std::string dir =
-        fresh_dir("pt" + std::to_string(at) + "_" + label);
+        mini.fresh_dir("pt" + std::to_string(at) + "_" + label);
     FaultyFs faulty(util::real_fs());
     faulty.inject(fault);
     const std::string died = faulted_pass(dir, faulty);
@@ -244,14 +196,14 @@ TEST(ServiceFaultMatrix, EveryInjectionPointResumesByteIdentical) {
     if (fault.kind != InjectedFault::Kind::error || fault.sticky) {
       EXPECT_FALSE(died.empty()) << "fault did not stop the worker";
     }
-    resume_and_check(dir, context);
+    resume_and_check(dir);
   }
 }
 
 TEST(ServiceFaultMatrix, CorruptShardIsNeverMergedAndRecomputesIdentical) {
   // Complete a job cleanly, then rot one byte in the middle of a middle
   // shard's log.
-  const std::string dir = fresh_dir("bitrot");
+  const std::string dir = mini.fresh_dir("bitrot");
   complete_and_rot(dir);
   JobStore store = JobStore::open(dir);
   const JobRuntime runtime(store);
@@ -294,8 +246,7 @@ TEST(ServiceFaultMatrix, CorruptShardIsNeverMergedAndRecomputesIdentical) {
     const std::string ext = entry.path().extension().string();
     EXPECT_TRUE(ext == ".log" || ext == ".done") << entry.path();
   }
-  JobRuntime merge_runtime(store);
-  EXPECT_EQ(merge_job(store, merge_runtime, nullptr), reference_rows());
+  mini.expect_reference_merge(dir);
 }
 
 TEST(ServiceFaultMatrix, FinishedShardShortOfRecordsIsRecomputedIdentical) {
@@ -306,10 +257,9 @@ TEST(ServiceFaultMatrix, FinishedShardShortOfRecordsIsRecomputedIdentical) {
   // the claim pass recomputes the missing tasks, and the merge is
   // byte-identical.
   for (const bool deleted : {false, true}) {
-    const std::string context = deleted ? "log deleted" : "log truncated";
-    SCOPED_TRACE(context);
+    SCOPED_TRACE(deleted ? "log deleted" : "log truncated");
     const std::string dir =
-        fresh_dir(deleted ? "short_deleted" : "short_truncated");
+        mini.fresh_dir(deleted ? "short_deleted" : "short_truncated");
     const auto [log, text] = complete_job(dir);
     if (deleted) {
       fs::remove(log);
@@ -330,13 +280,13 @@ TEST(ServiceFaultMatrix, FinishedShardShortOfRecordsIsRecomputedIdentical) {
                                  deleted ? 0 : 1, " of 3 tasks recorded")),
               std::string::npos)
         << out.str();
-    expect_reference_merge(store, context);
+    mini.expect_reference_merge(dir);
   }
 }
 
 TEST(ServiceFaultMatrix, CrashAnywhereInARepairResumesByteIdentical) {
   // One rotted finished job, copied fresh for every injection point.
-  const std::string rotted = fresh_dir("repair_rotted");
+  const std::string rotted = mini.fresh_dir("repair_rotted");
   complete_and_rot(rotted);
   const auto faulted_repair = [&](const std::string& dir, FaultyFs& faulty) {
     fs::copy(rotted, dir, fs::copy_options::recursive);
@@ -357,9 +307,12 @@ TEST(ServiceFaultMatrix, CrashAnywhereInARepairResumesByteIdentical) {
   // Trace a fault-free repair: every operation from the first to the last
   // on shard 1's log, done marker or lease is an injection point.
   FaultyFs tracer(util::real_fs());
-  const std::string traced = fresh_dir("repair_trace");
+  const std::string traced = mini.fresh_dir("repair_trace");
   faulted_repair(traced, tracer);
-  resume_and_check(traced, "the fault-free repair");
+  {
+    SCOPED_TRACE("the fault-free repair");
+    resume_and_check(traced);
+  }
   const auto trace = tracer.trace();
   int first = -1;
   int last = -1;
@@ -380,10 +333,10 @@ TEST(ServiceFaultMatrix, CrashAnywhereInARepairResumesByteIdentical) {
     fault.at = at;
     FaultyFs faulty(util::real_fs());
     faulty.inject(fault);
-    const std::string dir = fresh_dir("repair_pt" + std::to_string(at));
+    const std::string dir = mini.fresh_dir("repair_pt" + std::to_string(at));
     faulted_repair(dir, faulty);
     EXPECT_EQ(faulty.faults_fired(), 1);
-    resume_and_check(dir, context);
+    resume_and_check(dir);
   }
 }
 

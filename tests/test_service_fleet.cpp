@@ -17,59 +17,19 @@
 #include "service/daemon.hpp"
 #include "service/fleet.hpp"
 #include "service/service.hpp"
+#include "service_support.hpp"
 
 namespace dualcast::service {
 namespace {
 
 namespace fs = std::filesystem;
-using scenario::ScenarioSpec;
 using util::FakeClock;
 
-const ScenarioSpec& mini_scenario() {
-  static const std::string name = "svc-test/fleet-mini";
-  if (!scenario::scenarios().contains(name)) {
-    ScenarioSpec spec;
-    spec.name = name;
-    spec.title = "service fleet mini";
-    spec.topology = "dual_clique({x})";
-    spec.problem = "global(1)";
-    spec.sweep = {8, 12};
-    spec.trials = 3;
-    spec.base_seed = 66;
-    spec.max_rounds = "200*n";
-    spec.columns = {
-        {"decay+iid", "decay_global(permuted,persistent)", "iid(0.5)", ""},
-        {"robin+collider", "round_robin", "collider", ""},
-    };
-    scenario::scenarios().add(spec);
-  }
-  return scenario::scenarios().get(name);
-}
-
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("dualcast_fleet_" + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-/// Drops a job for the mini scenario with `trials` (the job-identity
-/// knob) into `jobs_dir`/`name`.
-std::string drop_job(const std::string& jobs_dir, const std::string& name,
-                     int trials, int shard_tasks = 4,
-                     int lease_ttl_seconds = 60) {
-  scenario::RunOptions run_options;
-  run_options.trials_override = trials;
-  const JobSpec job = make_job_spec({&mini_scenario()}, run_options,
-                                    shard_tasks, lease_ttl_seconds);
-  const std::string dir = jobs_dir + "/" + name;
-  JobStore::create_or_attach(dir, job);
-  return dir;
-}
+const dualcast::testing::MiniService mini{"svc-test/fleet-mini", 66,
+                                         "dualcast_fleet_"};
 
 TEST(FleetRegistry, PublishScanStaleReapUnderFakeClock) {
-  const std::string jobs_dir = fresh_dir("registry");
+  const std::string jobs_dir = mini.fresh_dir("registry");
   FakeClock clock(1000);
   StoreEnv env;
   env.clock = &clock;
@@ -124,13 +84,13 @@ TEST(FleetRegistry, PublishScanStaleReapUnderFakeClock) {
 }
 
 TEST(FleetGc, SweepReclaimsStaleOwnerAndDoneShardLeases) {
-  const std::string jobs_dir = fresh_dir("gc");
+  const std::string jobs_dir = mini.fresh_dir("gc");
   FakeClock clock(5000);
   StoreEnv env;
   env.clock = &clock;
   const std::string job_dir =
-      drop_job(jobs_dir, "job1", /*trials=*/3, /*shard_tasks=*/4,
-               /*lease_ttl_seconds=*/30);
+      mini.drop_job(jobs_dir, "job1", /*trials=*/3, /*shard_tasks=*/4,
+                    /*lease_ttl_seconds=*/30);
 
   // A daemon "ghost" leases shard 0, heartbeats its membership once, and
   // vanishes. Its lease expires at 5030, its membership at 5010.
@@ -184,11 +144,11 @@ TEST(FleetGc, SweepReclaimsStaleOwnerAndDoneShardLeases) {
 }
 
 TEST(FleetStatus, RendersMembersAndJobsDeterministicallyUnderFakeClock) {
-  const std::string jobs_dir = fresh_dir("status");
+  const std::string jobs_dir = mini.fresh_dir("status");
   FakeClock clock(9000);
   StoreEnv env;
   env.clock = &clock;
-  const std::string job_dir = drop_job(jobs_dir, "job1", /*trials=*/3);
+  const std::string job_dir = mini.drop_job(jobs_dir, "job1", /*trials=*/3);
 
   JobStore store = JobStore::open(job_dir, env);
   ASSERT_TRUE(store.try_lease(0, "live-d"));
@@ -224,13 +184,13 @@ TEST(FleetStatus, JobStatusStaleLabelIsClockDeterministic) {
   // Satellite of the fleet view: single-job `status` derives lease age
   // and STALE from the *store's* clock at scan time, so a FakeClock pins
   // the rendered bytes.
-  const std::string jobs_dir = fresh_dir("jobstatus");
+  const std::string jobs_dir = mini.fresh_dir("jobstatus");
   FakeClock clock(100);
   StoreEnv env;
   env.clock = &clock;
   const std::string job_dir =
-      drop_job(jobs_dir, "job1", /*trials=*/3, /*shard_tasks=*/4,
-               /*lease_ttl_seconds=*/30);
+      mini.drop_job(jobs_dir, "job1", /*trials=*/3, /*shard_tasks=*/4,
+                    /*lease_ttl_seconds=*/30);
   JobStore store = JobStore::open(job_dir, env);
   ASSERT_TRUE(store.try_lease(0, "ager"));
 
@@ -271,11 +231,11 @@ TEST(FleetPlacement, OneShardJobBehindABigJobWaitsForAtMostOneShard) {
   // Each claim round takes one shard from the longest-waiting job, so
   // b_small is picked by the second round and completes after at most
   // one of a_big's shards.
-  const std::string jobs_dir = fresh_dir("placement_small_first");
+  const std::string jobs_dir = mini.fresh_dir("placement_small_first");
   const std::string big_dir =
-      drop_job(jobs_dir, "a_big", /*trials=*/9, /*shard_tasks=*/4);
+      mini.drop_job(jobs_dir, "a_big", /*trials=*/9, /*shard_tasks=*/4);
   const std::string small_dir =
-      drop_job(jobs_dir, "b_small", /*trials=*/1, /*shard_tasks=*/4);
+      mini.drop_job(jobs_dir, "b_small", /*trials=*/1, /*shard_tasks=*/4);
   ASSERT_EQ(JobStore::open(big_dir).shard_count(), 9);
   ASSERT_EQ(JobStore::open(small_dir).shard_count(), 1);
   const auto [report, text] = drain(jobs_dir, "placement-d");
@@ -293,7 +253,7 @@ TEST(FleetPlacement, OneShardJobBehindABigJobWaitsForAtMostOneShard) {
 }
 
 TEST(FleetRegistry, MemberRecordRoundTripsHostResources) {
-  const std::string jobs_dir = fresh_dir("resources");
+  const std::string jobs_dir = mini.fresh_dir("resources");
   FakeClock clock(3000);
   StoreEnv env;
   env.clock = &clock;
@@ -339,9 +299,9 @@ TEST(FleetPlacement, LoneDaemonTakesOneClaimRoundPerShard) {
   // lease loop for one shard, so a lone daemon drains a 6-shard job in 6
   // rounds. claim_rounds is the observable — wall clock and worker
   // interleaving never enter the count.
-  const std::string jobs_dir = fresh_dir("claim_rounds");
+  const std::string jobs_dir = mini.fresh_dir("claim_rounds");
   const std::string job_dir =
-      drop_job(jobs_dir, "job", /*trials=*/6, /*shard_tasks=*/4);
+      mini.drop_job(jobs_dir, "job", /*trials=*/6, /*shard_tasks=*/4);
   ASSERT_EQ(JobStore::open(job_dir).shard_count(), 6);
   const auto [report, text] = drain(jobs_dir, "rounds-d");
   EXPECT_EQ(report.jobs_completed, 1) << text;
@@ -350,11 +310,11 @@ TEST(FleetPlacement, LoneDaemonTakesOneClaimRoundPerShard) {
 }
 
 TEST(FleetStatus, JsonIsByteDeterministicUnderFakeClock) {
-  const std::string jobs_dir = fresh_dir("json");
+  const std::string jobs_dir = mini.fresh_dir("json");
   FakeClock clock(9000);
   StoreEnv env;
   env.clock = &clock;
-  const std::string job_dir = drop_job(jobs_dir, "job1", /*trials=*/3);
+  const std::string job_dir = mini.drop_job(jobs_dir, "job1", /*trials=*/3);
   JobStore store = JobStore::open(job_dir, env);
   ASSERT_TRUE(store.try_lease(0, "live-d"));
 
@@ -387,10 +347,10 @@ TEST(FleetStatus, JsonIsByteDeterministicUnderFakeClock) {
 /// key hashes.
 std::pair<std::string, std::string> build_status_fleet(
     const std::string& jobs_dir, FakeClock& clock, const StoreEnv& env) {
-  const std::string job1 = drop_job(jobs_dir, "job1", /*trials=*/3);
+  const std::string job1 = mini.drop_job(jobs_dir, "job1", /*trials=*/3);
   const std::string job2 =
-      drop_job(jobs_dir, "job2", /*trials=*/4, /*shard_tasks=*/4,
-               /*lease_ttl_seconds=*/10);
+      mini.drop_job(jobs_dir, "job2", /*trials=*/4, /*shard_tasks=*/4,
+                    /*lease_ttl_seconds=*/10);
   fs::create_directories(jobs_dir + "/job3");
   std::ofstream(jobs_dir + "/job3/job.meta") << "not a job meta\n";
 
@@ -427,7 +387,7 @@ std::pair<std::string, std::string> build_status_fleet(
 }
 
 TEST(FleetStatus, TextPinsEveryRowKindUnderFakeClock) {
-  const std::string jobs_dir = fresh_dir("status_bytes");
+  const std::string jobs_dir = mini.fresh_dir("status_bytes");
   FakeClock clock(9000);
   StoreEnv env;
   env.clock = &clock;
@@ -458,7 +418,7 @@ TEST(FleetStatus, TextPinsEveryRowKindUnderFakeClock) {
 }
 
 TEST(FleetStatus, JsonPinsEveryRowKindUnderFakeClock) {
-  const std::string jobs_dir = fresh_dir("json_bytes");
+  const std::string jobs_dir = mini.fresh_dir("json_bytes");
   FakeClock clock(9000);
   StoreEnv env;
   env.clock = &clock;
@@ -500,11 +460,11 @@ TEST(FleetStatus, JsonPinsEveryRowKindUnderFakeClock) {
 }
 
 TEST(FleetDaemons, TwoDaemonsDrainDisjointShardSetsWithNoDuplicateWork) {
-  const std::string jobs_dir = fresh_dir("twodaemons");
+  const std::string jobs_dir = mini.fresh_dir("twodaemons");
   const std::string dir_a =
-      drop_job(jobs_dir, "job_a", /*trials=*/6, /*shard_tasks=*/3);
+      mini.drop_job(jobs_dir, "job_a", /*trials=*/6, /*shard_tasks=*/3);
   const std::string dir_b =
-      drop_job(jobs_dir, "job_b", /*trials=*/5, /*shard_tasks=*/3);
+      mini.drop_job(jobs_dir, "job_b", /*trials=*/5, /*shard_tasks=*/3);
   const std::uint64_t trials_before = trials_executed();
 
   const auto daemon_body = [&](const std::string& owner,
@@ -555,14 +515,7 @@ TEST(FleetDaemons, TwoDaemonsDrainDisjointShardSetsWithNoDuplicateWork) {
 
   // And the merges reproduce the single-process bytes.
   for (const std::string& dir : {dir_a, dir_b}) {
-    JobStore store = JobStore::open(dir);
-    JobRuntime runtime(store);
-    std::vector<std::string> reference;
-    for (const scenario::ScenarioResult& result : scenario::run_scenarios(
-             {&mini_scenario()}, store.spec().run_options())) {
-      scenario::append_json_rows(result, reference);
-    }
-    EXPECT_EQ(merge_job(store, runtime, nullptr), reference) << dir;
+    mini.expect_reference_merge(dir);
   }
 }
 

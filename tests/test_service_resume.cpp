@@ -8,53 +8,17 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "analysis/trials.hpp"
 #include "service/service.hpp"
+#include "service_support.hpp"
 
 namespace dualcast::service {
 namespace {
 
-namespace fs = std::filesystem;
 using scenario::ScenarioError;
-using scenario::ScenarioSpec;
 
-const ScenarioSpec& mini_scenario() {
-  static const std::string name = "svc-test/resume-mini";
-  if (!scenario::scenarios().contains(name)) {
-    ScenarioSpec spec;
-    spec.name = name;
-    spec.title = "service resume mini";
-    spec.topology = "dual_clique({x})";
-    spec.problem = "global(1)";
-    spec.sweep = {8, 12};
-    spec.trials = 3;
-    spec.base_seed = 21;
-    spec.max_rounds = "200*n";
-    spec.columns = {
-        {"decay+iid", "decay_global(permuted,persistent)", "iid(0.5)", ""},
-        {"robin+collider", "round_robin", "collider", ""},
-    };
-    scenario::scenarios().add(spec);
-  }
-  return scenario::scenarios().get(name);
-}
-
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("dualcast_" + tag);
-  fs::remove_all(dir);
-  return dir.string();
-}
-
-std::vector<std::string> reference_rows() {
-  std::vector<std::string> rows;
-  for (const scenario::ScenarioResult& result :
-       scenario::run_scenarios({&mini_scenario()}, {})) {
-    scenario::append_json_rows(result, rows);
-  }
-  return rows;
-}
+const dualcast::testing::MiniService mini{"svc-test/resume-mini", 21,
+                                         "dualcast_"};
 
 /// Kills a fresh worker at the `crash_at_append`-th shard-log append (a
 /// crash mid-run with the lease left held); returns after the crash.
@@ -83,15 +47,13 @@ void run_crashing_worker(const std::string& dir, int crash_at_append) {
 }
 
 TEST(ServiceResume, KilledWorkerResumesByteIdentical) {
-  const std::vector<std::string> reference = reference_rows();
+  const std::vector<std::string> reference = mini.reference_rows();
   ASSERT_EQ(reference.size(), 4u);  // 2 points x 2 columns
 
   // lease_ttl 0 so the killed worker's abandoned lease is instantly
   // stealable; shard_tasks 3 cuts the 12 tasks into 4 shards.
-  const JobSpec job =
-      make_job_spec({&mini_scenario()}, {}, /*shard_tasks=*/3,
-                    /*lease_ttl_seconds=*/0);
-  const std::string dir = fresh_dir("resume_job");
+  const JobSpec job = mini.job(/*shard_tasks=*/3, /*lease_ttl_seconds=*/0);
+  const std::string dir = mini.fresh_dir("resume_job");
   JobStore store = JobStore::create_or_attach(dir, job);
   ASSERT_EQ(store.total_tasks(), 12);
   ASSERT_EQ(store.shard_count(), 4);
@@ -128,14 +90,14 @@ TEST(ServiceResume, KilledWorkerResumesByteIdentical) {
 }
 
 TEST(ServiceResume, TwoWorkersShardedRunIsByteIdentical) {
-  const std::vector<std::string> reference = reference_rows();
+  const std::vector<std::string> reference = mini.reference_rows();
   ServeOptions options;
-  options.job_dir = fresh_dir("resume_two_workers");
+  options.job_dir = mini.fresh_dir("resume_two_workers");
   options.cache_dir.clear();  // isolate from the cache tests
   options.workers = 2;
   options.shard_tasks = 3;
   const ServeSummary summary =
-      serve({&mini_scenario()}, {}, options);
+      serve({&mini.scenario()}, {}, options);
   EXPECT_EQ(summary.computed, 1);
   EXPECT_EQ(summary.trials_run, 12u);
   EXPECT_EQ(summary.rows, reference);
@@ -145,10 +107,9 @@ TEST(ServiceResume, ResumeAcrossSeparateServeCalls) {
   // serve() itself resumes: crash a lone worker against the job dir, then
   // point serve at the same directory — it attaches, finishes the
   // remainder, and emits the reference rows.
-  const std::vector<std::string> reference = reference_rows();
-  const std::string dir = fresh_dir("resume_serve");
-  const JobSpec job = make_job_spec({&mini_scenario()}, {}, 3, 0);
-  JobStore::create_or_attach(dir, job);
+  const std::vector<std::string> reference = mini.reference_rows();
+  const std::string dir = mini.fresh_dir("resume_serve");
+  JobStore::create_or_attach(dir, mini.job(3, 0));
   run_crashing_worker(dir, /*crash_at_append=*/5);  // 5 records durable
   ServeOptions options;
   options.job_dir = dir;
@@ -156,7 +117,7 @@ TEST(ServiceResume, ResumeAcrossSeparateServeCalls) {
   options.shard_tasks = 3;
   options.lease_ttl_seconds = 0;
   const std::uint64_t trials_before = trials_executed();
-  const ServeSummary summary = serve({&mini_scenario()}, {}, options);
+  const ServeSummary summary = serve({&mini.scenario()}, {}, options);
   EXPECT_EQ(summary.rows, reference);
   EXPECT_EQ(summary.trials_run, trials_executed() - trials_before);
   EXPECT_EQ(summary.trials_run, 7u);  // 12 total - 5 already recorded

@@ -21,66 +21,19 @@
 
 #include "service/daemon.hpp"
 #include "service/service.hpp"
+#include "service_support.hpp"
 #include "util/fs_sim.hpp"
 
 namespace dualcast::service {
 namespace {
 
 namespace fs = std::filesystem;
-using scenario::ScenarioSpec;
 using util::FakeClock;
 using util::SharedFsSim;
 using util::SharedFsSimConfig;
 
-const ScenarioSpec& mini_scenario() {
-  static const std::string name = "svc-test/sharedfs-mini";
-  if (!scenario::scenarios().contains(name)) {
-    ScenarioSpec spec;
-    spec.name = name;
-    spec.title = "service shared-fs mini";
-    spec.topology = "dual_clique({x})";
-    spec.problem = "global(1)";
-    spec.sweep = {8, 12};
-    spec.trials = 3;
-    spec.base_seed = 91;
-    spec.max_rounds = "200*n";
-    spec.columns = {
-        {"decay+iid", "decay_global(permuted,persistent)", "iid(0.5)", ""},
-        {"robin+collider", "round_robin", "collider", ""},
-    };
-    scenario::scenarios().add(spec);
-  }
-  return scenario::scenarios().get(name);
-}
-
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("dualcast_sharedfs_" + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-std::string drop_job(const std::string& jobs_dir, const std::string& name,
-                     int trials, int shard_tasks = 4,
-                     int lease_ttl_seconds = 60) {
-  scenario::RunOptions run_options;
-  run_options.trials_override = trials;
-  const JobSpec job = make_job_spec({&mini_scenario()}, run_options,
-                                    shard_tasks, lease_ttl_seconds);
-  const std::string dir = jobs_dir + "/" + name;
-  JobStore::create_or_attach(dir, job);
-  return dir;
-}
-
-std::vector<std::string> reference_rows(const JobStore& store) {
-  std::vector<std::string> rows;
-  for (const scenario::ScenarioResult& result : scenario::run_scenarios(
-           {&mini_scenario()}, store.spec().run_options())) {
-    scenario::append_json_rows(result, rows);
-  }
-  return rows;
-}
+const dualcast::testing::MiniService mini{"svc-test/sharedfs-mini", 91,
+                                         "dualcast_sharedfs_"};
 
 /// A view with aggressive staleness: every cached entry lives the full
 /// window, so cross-view visibility is reliably delayed.
@@ -93,8 +46,8 @@ SharedFsSimConfig skewed(std::uint64_t seed, int stale_ops = 6) {
 }
 
 TEST(SharedFsService, TwoViewsDrainOneJobAndMergeByteIdentical) {
-  const std::string jobs_dir = fresh_dir("twoviews");
-  const std::string job_dir = drop_job(jobs_dir, "job", /*trials=*/6);
+  const std::string jobs_dir = mini.fresh_dir("twoviews");
+  const std::string job_dir = mini.drop_job(jobs_dir, "job", /*trials=*/6);
 
   SharedFsSim view_a(util::real_fs(), skewed(101));
   SharedFsSim view_b(util::real_fs(), skewed(202));
@@ -136,15 +89,14 @@ TEST(SharedFsService, TwoViewsDrainOneJobAndMergeByteIdentical) {
     EXPECT_EQ(static_cast<int>(store.read_shard_records(shard.index).size()),
               shard.end - shard.begin);
   }
-  JobRuntime runtime(store);
-  EXPECT_EQ(merge_job(store, runtime, nullptr), reference_rows(store));
+  mini.expect_reference_merge(job_dir);
 }
 
 TEST(SharedFsService, StealReverifyHonorsRenewalTheStaleViewMissed) {
-  const std::string jobs_dir = fresh_dir("stealverify");
-  const std::string job_dir = drop_job(jobs_dir, "job", /*trials=*/3,
-                                       /*shard_tasks=*/4,
-                                       /*lease_ttl_seconds=*/30);
+  const std::string jobs_dir = mini.fresh_dir("stealverify");
+  const std::string job_dir = mini.drop_job(jobs_dir, "job", /*trials=*/3,
+                                            /*shard_tasks=*/4,
+                                            /*lease_ttl_seconds=*/30);
   FakeClock clock(1000);
   SharedFsSim view_a(util::real_fs(), skewed(7, /*stale_ops=*/50));
   SharedFsSim view_b(util::real_fs(), skewed(8, /*stale_ops=*/50));
@@ -191,10 +143,10 @@ TEST(SharedFsService, StealReverifyHonorsRenewalTheStaleViewMissed) {
 }
 
 TEST(SharedFsService, ReleaseAndRenewRefuseToClobberThiefsLiveLease) {
-  const std::string jobs_dir = fresh_dir("clobber");
-  const std::string job_dir = drop_job(jobs_dir, "job", /*trials=*/3,
-                                       /*shard_tasks=*/4,
-                                       /*lease_ttl_seconds=*/5);
+  const std::string jobs_dir = mini.fresh_dir("clobber");
+  const std::string job_dir = mini.drop_job(jobs_dir, "job", /*trials=*/3,
+                                            /*shard_tasks=*/4,
+                                            /*lease_ttl_seconds=*/5);
   FakeClock clock(2000);
   SharedFsSim view_a(util::real_fs(), skewed(5, /*stale_ops=*/50));
   StoreEnv env_a;
@@ -227,8 +179,8 @@ TEST(SharedFsService, ReleaseAndRenewRefuseToClobberThiefsLiveLease) {
 }
 
 TEST(SharedFsService, RecoverAllPeeksFreshThroughStaleView) {
-  const std::string jobs_dir = fresh_dir("recover");
-  const std::string job_dir = drop_job(jobs_dir, "job", /*trials=*/3);
+  const std::string jobs_dir = mini.fresh_dir("recover");
+  const std::string job_dir = mini.drop_job(jobs_dir, "job", /*trials=*/3);
 
   // Complete the job at the server, then open a view and warm its cache
   // with the healthy shard 0 log; pin the cache.
@@ -265,17 +217,14 @@ TEST(SharedFsService, RecoverAllPeeksFreshThroughStaleView) {
   WorkerOptions options;
   options.owner = "fixer";
   run_worker(store, runtime, options);
-  JobStore fresh = JobStore::open(job_dir);
-  JobRuntime fresh_runtime(fresh);
-  EXPECT_EQ(merge_job(fresh, fresh_runtime, nullptr),
-            reference_rows(fresh));
+  mini.expect_reference_merge(job_dir);
 }
 
 TEST(SharedFsService, DaemonBehindSkewedViewCompletesAndMergesIdentical) {
   for (const std::uint64_t seed : {31ull, 47ull}) {
     const std::string jobs_dir =
-        fresh_dir("daemon_seed" + std::to_string(seed));
-    const std::string job_dir = drop_job(jobs_dir, "job", /*trials=*/4);
+        mini.fresh_dir("daemon_seed" + std::to_string(seed));
+    const std::string job_dir = mini.drop_job(jobs_dir, "job", /*trials=*/4);
 
     SharedFsSim view(util::real_fs(), skewed(seed));
     StoreEnv env;
@@ -294,10 +243,7 @@ TEST(SharedFsService, DaemonBehindSkewedViewCompletesAndMergesIdentical) {
                                         << log.str();
     EXPECT_GT(view.ops(), 0);
 
-    JobStore store = JobStore::open(job_dir);
-    JobRuntime runtime(store);
-    EXPECT_EQ(merge_job(store, runtime, nullptr), reference_rows(store))
-        << "seed " << seed;
+    mini.expect_reference_merge(job_dir);
   }
 }
 

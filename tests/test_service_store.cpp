@@ -15,49 +15,19 @@
 #include "analysis/trials.hpp"
 #include "service/job_store.hpp"
 #include "service/service.hpp"
+#include "service_support.hpp"
 
 namespace dualcast::service {
 namespace {
 
 namespace fs = std::filesystem;
 using scenario::ScenarioError;
-using scenario::ScenarioSpec;
 
-const ScenarioSpec& mini_scenario() {
-  static const std::string name = "svc-test/mini";
-  if (!scenario::scenarios().contains(name)) {
-    ScenarioSpec spec;
-    spec.name = name;
-    spec.title = "service store mini";
-    spec.topology = "dual_clique({x})";
-    spec.problem = "global(1)";
-    spec.sweep = {8, 12};
-    spec.trials = 3;
-    spec.base_seed = 5;
-    spec.max_rounds = "200*n";
-    spec.columns = {
-        {"decay+iid", "decay_global(permuted,persistent)", "iid(0.5)", ""},
-        {"robin+collider", "round_robin", "collider", ""},
-    };
-    scenario::scenarios().add(spec);
-  }
-  return scenario::scenarios().get(name);
-}
-
-std::string fresh_dir(const std::string& tag) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("dualcast_" + tag);
-  fs::remove_all(dir);
-  return dir.string();
-}
-
-JobSpec mini_job(int shard_tasks, int lease_ttl_seconds) {
-  return make_job_spec({&mini_scenario()}, scenario::RunOptions{},
-                       shard_tasks, lease_ttl_seconds);
-}
+const dualcast::testing::MiniService mini{"svc-test/mini", 5, "dualcast_"};
 
 TEST(JobStore, MetaRoundtripAndShardGeometry) {
-  const std::string dir = fresh_dir("store_meta");
-  const JobSpec job = mini_job(/*shard_tasks=*/5, /*lease_ttl_seconds=*/60);
+  const std::string dir = mini.fresh_dir("store_meta");
+  const JobSpec job = mini.job(/*shard_tasks=*/5, /*lease_ttl_seconds=*/60);
   JobStore created = JobStore::create_or_attach(dir, job);
   // 2 points x 2 columns x 3 trials = 12 flat tasks, ceil(12/5) = 3 shards.
   EXPECT_EQ(created.total_tasks(), 12);
@@ -75,17 +45,14 @@ TEST(JobStore, MetaRoundtripAndShardGeometry) {
 
   // Attaching with different execution parameters (a different job key)
   // must refuse rather than mix experiments in one directory.
-  scenario::RunOptions other;
-  other.trials_override = 2;
-  const JobSpec different =
-      make_job_spec({&mini_scenario()}, other, 5, 60);
+  const JobSpec different = mini.job(5, 60, /*trials=*/2);
   ASSERT_NE(different.key, job.key);
   EXPECT_THROW(JobStore::create_or_attach(dir, different), ScenarioError);
 }
 
 TEST(JobStore, RecordsRoundTripExactlyAndIgnoreTornTail) {
-  const std::string dir = fresh_dir("store_records");
-  JobStore store = JobStore::create_or_attach(dir, mini_job(6, 60));
+  const std::string dir = mini.fresh_dir("store_records");
+  JobStore store = JobStore::create_or_attach(dir, mini.job(6, 60));
   // Values chosen so decimal round-tripping would lose bits.
   const double awkward = 0.1 + 0.2;
   store.append_record(0, {0, awkward});
@@ -115,8 +82,8 @@ TEST(JobStore, RecordsRoundTripExactlyAndIgnoreTornTail) {
 }
 
 TEST(JobStore, LeaseAcquireConflictRenewRelease) {
-  const std::string dir = fresh_dir("store_lease");
-  JobStore store = JobStore::create_or_attach(dir, mini_job(4, 60));
+  const std::string dir = mini.fresh_dir("store_lease");
+  JobStore store = JobStore::create_or_attach(dir, mini.job(4, 60));
   EXPECT_TRUE(store.try_lease(0, "alice"));
   EXPECT_FALSE(store.try_lease(0, "bob"));   // validly held
   EXPECT_TRUE(store.try_lease(0, "alice"));  // re-entrant renew
@@ -130,17 +97,17 @@ TEST(JobStore, LeaseAcquireConflictRenewRelease) {
 }
 
 TEST(JobStore, ExpiredLeaseIsStolen) {
-  const std::string dir = fresh_dir("store_steal");
+  const std::string dir = mini.fresh_dir("store_steal");
   // TTL 0: every lease is expired the moment it is written — the
   // crashed-worker recovery path, compressed to zero wait.
-  JobStore store = JobStore::create_or_attach(dir, mini_job(4, 0));
+  JobStore store = JobStore::create_or_attach(dir, mini.job(4, 0));
   EXPECT_TRUE(store.try_lease(0, "crashed"));
   EXPECT_TRUE(store.try_lease(0, "recoverer"));
 }
 
 TEST(JobStore, ScanReportsWatermarksAndLeases) {
-  const std::string dir = fresh_dir("store_scan");
-  JobStore store = JobStore::create_or_attach(dir, mini_job(6, 60));
+  const std::string dir = mini.fresh_dir("store_scan");
+  JobStore store = JobStore::create_or_attach(dir, mini.job(6, 60));
   store.append_record(0, {0, 1.0});
   store.append_record(0, {1, 2.0});
   store.append_record(0, {1, 2.0});  // idempotent duplicate: one distinct
@@ -152,17 +119,16 @@ TEST(JobStore, ScanReportsWatermarksAndLeases) {
   ASSERT_EQ(shards.size(), 2u);
   EXPECT_EQ(shards[0].completed, 2);
   EXPECT_FALSE(shards[0].done);
-  EXPECT_TRUE(shards[0].leased);
-  EXPECT_EQ(shards[0].lease_owner, "alice");
+  ASSERT_TRUE(shards[0].lease.has_value());
+  EXPECT_EQ(shards[0].lease->owner, "alice");
   EXPECT_EQ(shards[1].completed, 1);
   EXPECT_TRUE(shards[1].done);
-  EXPECT_FALSE(shards[1].leased);
+  EXPECT_FALSE(shards[1].lease.has_value());
 }
 
 TEST(JobStore, OpenRejectsMissingOrCorruptMeta) {
-  EXPECT_THROW(JobStore::open(fresh_dir("store_absent")), ScenarioError);
-  const std::string dir = fresh_dir("store_corrupt");
-  fs::create_directories(dir);
+  EXPECT_THROW(JobStore::open(mini.fresh_dir("store_absent")), ScenarioError);
+  const std::string dir = mini.fresh_dir("store_corrupt");
   std::ofstream(fs::path(dir) / "job.meta") << "not a job meta\n";
   EXPECT_THROW(JobStore::open(dir), ScenarioError);
 }
@@ -184,8 +150,7 @@ void expect_error_mentioning(const std::string& needle, Body body) {
 TEST(JobStore, MetaDiagnosticsNameTheProblem) {
   // A malformed integer field names the field, not just "stoi".
   {
-    const std::string dir = fresh_dir("store_meta_badint");
-    fs::create_directories(dir);
+    const std::string dir = mini.fresh_dir("store_meta_badint");
     std::ofstream(fs::path(dir) / "job.meta")
         << "dualcast-job v1\nkey 0000000000000001\n"
            "catalog 0000000000000002\nshard_tasks banana\n"
@@ -194,8 +159,7 @@ TEST(JobStore, MetaDiagnosticsNameTheProblem) {
   }
   // A missing required field is reported as such.
   {
-    const std::string dir = fresh_dir("store_meta_nokey");
-    fs::create_directories(dir);
+    const std::string dir = mini.fresh_dir("store_meta_nokey");
     std::ofstream(fs::path(dir) / "job.meta")
         << "dualcast-job v1\ncatalog 0000000000000002\n"
            "scenario svc-test/mini\nend\n";
@@ -203,8 +167,7 @@ TEST(JobStore, MetaDiagnosticsNameTheProblem) {
   }
   // A truncated file (no "end") is distinguished from an empty job.
   {
-    const std::string dir = fresh_dir("store_meta_trunc");
-    fs::create_directories(dir);
+    const std::string dir = mini.fresh_dir("store_meta_trunc");
     std::ofstream(fs::path(dir) / "job.meta")
         << "dualcast-job v1\nkey 0000000000000001\n"
            "catalog 0000000000000002\n";
@@ -216,9 +179,8 @@ TEST(JobStore, OlderMetaWithEngineAndHistoryLinesOpens) {
   // Older releases also wrote "engine" and "history" lines. They are
   // skipped like any unknown field, and the stored key still matches the
   // job's spec, so their job directories keep resuming.
-  const JobSpec job = mini_job(/*shard_tasks=*/5, /*lease_ttl_seconds=*/60);
-  const std::string dir = fresh_dir("store_meta_older");
-  fs::create_directories(dir);
+  const JobSpec job = mini.job(/*shard_tasks=*/5, /*lease_ttl_seconds=*/60);
+  const std::string dir = mini.fresh_dir("store_meta_older");
   std::ofstream(fs::path(dir) / "job.meta")
       << "dualcast-job v1\nkey " << scenario::hash_hex(job.key)
       << "\ncatalog " << scenario::hash_hex(job.catalog)
@@ -231,8 +193,8 @@ TEST(JobStore, OlderMetaWithEngineAndHistoryLinesOpens) {
 }
 
 TEST(JobStore, MidFileCorruptionIsDetectedAndRepairedInPlace) {
-  const std::string dir = fresh_dir("store_repair");
-  JobStore store = JobStore::create_or_attach(dir, mini_job(6, 60));
+  const std::string dir = mini.fresh_dir("store_repair");
+  JobStore store = JobStore::create_or_attach(dir, mini.job(6, 60));
   store.append_record(0, {0, 1.5});
   store.append_record(0, {1, 2.5});
   store.append_record(0, {2, 3.5});
@@ -286,8 +248,8 @@ TEST(JobStore, MidFileCorruptionIsDetectedAndRepairedInPlace) {
 }
 
 TEST(JobStore, StealRaceUnderClockSkewHasOneWinner) {
-  const std::string dir = fresh_dir("store_skew_race");
-  const JobSpec job = mini_job(/*shard_tasks=*/4, /*lease_ttl_seconds=*/60);
+  const std::string dir = mini.fresh_dir("store_skew_race");
+  const JobSpec job = mini.job(/*shard_tasks=*/4, /*lease_ttl_seconds=*/60);
   // Plant a lease from a dead worker at t=100 (expires 160).
   util::FakeClock dead_clock(100);
   StoreEnv dead_env;
@@ -362,10 +324,10 @@ TEST(JobStore, StealRaceUnderClockSkewHasOneWinner) {
 }
 
 TEST(JobStore, TryLeaseReportsStealsDistinctly) {
-  const std::string dir = fresh_dir("store_steal_flag");
+  const std::string dir = mini.fresh_dir("store_steal_flag");
   // TTL 0: foreign leases are instantly expired, so every takeover of a
   // foreign lease is observable as a steal.
-  JobStore store = JobStore::create_or_attach(dir, mini_job(4, 0));
+  JobStore store = JobStore::create_or_attach(dir, mini.job(4, 0));
   bool stole = true;
   EXPECT_TRUE(store.try_lease(0, "alice", &stole));
   EXPECT_FALSE(stole) << "fresh acquisition is not a steal";
@@ -380,36 +342,38 @@ TEST(JobStore, TryLeaseReportsStealsDistinctly) {
 }
 
 TEST(JobStore, ScanClassifiesLeaseAgeAndStalenessAgainstStoreClock) {
-  const std::string dir = fresh_dir("store_scan_age");
+  const std::string dir = mini.fresh_dir("store_scan_age");
   util::FakeClock clock(200);
   StoreEnv env;
   env.clock = &clock;
-  JobStore store = JobStore::create_or_attach(dir, mini_job(4, 30), env);
+  JobStore store = JobStore::create_or_attach(dir, mini.job(4, 30), env);
   ASSERT_TRUE(store.try_lease(0, "ager"));
 
   std::vector<ShardState> shards = store.scan();
-  EXPECT_EQ(shards[0].lease_age, 0);
-  EXPECT_FALSE(shards[0].lease_stale);
-  EXPECT_EQ(shards[1].lease_age, -1) << "unleased shards have no age";
-  EXPECT_FALSE(shards[1].lease_stale);
+  ASSERT_TRUE(shards[0].lease.has_value());
+  EXPECT_EQ(shards[0].lease->age, 0);
+  EXPECT_FALSE(shards[0].lease->expired);
+  EXPECT_FALSE(shards[1].lease.has_value()) << "shard 1 was never leased";
 
   clock.advance(10);
   shards = store.scan();
-  EXPECT_EQ(shards[0].lease_age, 10);
-  EXPECT_FALSE(shards[0].lease_stale);
+  ASSERT_TRUE(shards[0].lease.has_value());
+  EXPECT_EQ(shards[0].lease->age, 10);
+  EXPECT_FALSE(shards[0].lease->expired);
 
   clock.advance(25);  // t=235 >= expiry 230: stale, age keeps counting
   shards = store.scan();
-  EXPECT_EQ(shards[0].lease_age, 35);
-  EXPECT_TRUE(shards[0].lease_stale);
+  ASSERT_TRUE(shards[0].lease.has_value());
+  EXPECT_EQ(shards[0].lease->age, 35);
+  EXPECT_TRUE(shards[0].lease->expired);
 }
 
 TEST(JobStore, GcExpiredLeasesNeverTouchesLiveOrUnattributedWork) {
-  const std::string dir = fresh_dir("store_gc_leases");
+  const std::string dir = mini.fresh_dir("store_gc_leases");
   util::FakeClock clock(300);
   StoreEnv env;
   env.clock = &clock;
-  JobStore store = JobStore::create_or_attach(dir, mini_job(4, 30), env);
+  JobStore store = JobStore::create_or_attach(dir, mini.job(4, 30), env);
   ASSERT_TRUE(store.try_lease(0, "dead-daemon"));
   ASSERT_TRUE(store.try_lease(1, "quiet-worker"));
 

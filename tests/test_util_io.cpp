@@ -251,8 +251,8 @@ TEST(FaultyFs, DelayComposesWithErrorSchedule) {
 }
 
 TEST(FaultyFs, StickyDelayTaxesEveryOpOnTheTickClock) {
-  // One sticky delay at op 0 with no filters is a uniformly slow mount
-  // (`--slow-fs-ms`): every op stalls, and each stall is counted.
+  // One sticky delay at op 0 with no filters taxes every op alike: every
+  // op stalls, and each stall is counted.
   const std::string dir = fresh_dir("faulty_slow");
   FakeClock ticks(0);
   FaultyFs fs(real_fs());
